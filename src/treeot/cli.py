@@ -373,13 +373,13 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         support = check_vertex_support(plan)
         add("plan_support_forest", 0.0 if support["is_forest"] else 1.0, 0.0)
         add("plan_cyclically_monotone",
-            0.0 if check_cyclical_monotonicity(plan, dist, max_m=3) else 1.0, 0.0)
+            0.0 if check_cyclical_monotonicity(plan, g, dist) else 1.0, 0.0)
         metrics["plan_cost_graph"] = plan_cost(plan, dist)
         if tree is not None:
             metrics["plan_cost_tree"] = plan_cost(plan, dist_tree)
             add("plan_cost_tree_matches_tree_cost",
                 abs(metrics["plan_cost_tree"] - metrics["tree_cost"]))
-            add("plan_geodesic_support", geodesic_support_violation(plan, dist, tree))
+            add("plan_geodesic_support", geodesic_support_violation(plan, dist, dist_tree))
             ref = beckmann_flow(tree, mu, nu)
             got = plan_to_flow(plan, tree)
             add("flow_matches_cumulative", max(

@@ -17,6 +17,10 @@ class NonPositiveWeightError(GraphError):
     """Edge weight is zero or negative."""
 
 
+class NonFiniteWeightError(GraphError):
+    """Edge weight is NaN or infinite."""
+
+
 class DuplicateEdgeError(GraphError):
     """The same undirected edge appears twice."""
 
@@ -55,6 +59,10 @@ class MassMismatchError(MeasureError):
 
 class NegativeMassError(MeasureError):
     """Measure or plan carries negative mass."""
+
+
+class NonFiniteMassError(MeasureError):
+    """Measure carries a NaN or infinite entry."""
 
 
 class PlanError(TreeOTError):

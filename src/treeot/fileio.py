@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .annealing import TraceRecord
-from .errors import BadDimensionsError, FormatError, NegativePixelError
+from .errors import BadDimensionsError, FormatError, NegativePixelError, NonFiniteMassError
 from .graphs import WeightedGraph, build_graph
 from .transport import Potential, TransportPlan, as_measure
 from .trees import RootedTree, root_tree
@@ -76,7 +76,8 @@ def save_measure(path, values) -> None:
 
 
 def load_measure_raw(path, n: int) -> np.ndarray:
-    """Values as stored, without measure validation (for checkers)."""
+    """Values as stored, without measure validation (for checkers); only
+    NaN and infinite entries are rejected."""
     path = Path(path)
     if path.suffix == ".csv":
         lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
@@ -90,7 +91,10 @@ def load_measure_raw(path, n: int) -> np.ndarray:
             raise FormatError(f"{path}: expected a JSON array")
     if len(values) != n:
         raise BadDimensionsError(f"{path}: {len(values)} values for {n} vertices")
-    return np.asarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteMassError(f"{path}: measure has a NaN or infinite entry")
+    return values
 
 
 def load_measure(path, n: int, normalize: bool = True) -> np.ndarray:

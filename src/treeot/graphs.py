@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,6 +11,7 @@ from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
     EdgeNotInGraphError,
+    NonFiniteWeightError,
     NonPositiveWeightError,
     SelfLoopError,
     VertexRangeError,
@@ -64,8 +66,8 @@ class WeightedGraph:
 def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
     """Validate an edge list and build a :class:`WeightedGraph`.
 
-    Raises on self-loops, non-positive weights, duplicate undirected edges,
-    out-of-range endpoints and disconnected inputs.
+    Raises on self-loops, non-finite or non-positive weights, duplicate
+    undirected edges, out-of-range endpoints and disconnected inputs.
     """
     n = int(vertex_count)
     if n <= 0:
@@ -78,6 +80,8 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
             raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(f"edge ({u},{v}) has weight {w}")
         if w <= 0.0:
             raise NonPositiveWeightError(f"edge ({u},{v}) has weight {w}")
         key = (u, v) if u < v else (v, u)

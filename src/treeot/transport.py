@@ -16,6 +16,7 @@ from .errors import (
     ConditionViolatedError,
     MassMismatchError,
     NegativeMassError,
+    NonFiniteMassError,
     NotImprovableError,
     VertexRangeError,
 )
@@ -28,10 +29,12 @@ ZERO_SNAP = 1e-14
 
 
 def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndarray:
-    """Validate (and optionally normalize) a nonnegative unit-mass vector."""
+    """Validate (and optionally normalize) a finite, nonnegative unit-mass vector."""
     mu = np.asarray(values, dtype=np.float64).copy()
     if mu.ndim != 1 or (n is not None and mu.shape[0] != n):
         raise VertexRangeError(f"expected a flat vector of length {n}, got shape {mu.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise NonFiniteMassError("measure has a NaN or infinite entry")
     if mu.min(initial=0.0) < 0.0:
         raise NegativeMassError("measure has a negative entry")
     total = mu.sum()

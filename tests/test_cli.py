@@ -91,6 +91,20 @@ class TestAnnealCommand:
         assert code == 2
         assert capsys.readouterr().err.strip()
 
+    def test_nan_measure_exit_2(self, tmp_path, capsys):
+        g = ot.build_graph(2, [(0, 1, 1.0)])
+        fileio.save_graph(tmp_path / "graph.json", g)
+        fileio.save_measure(tmp_path / "mu.json", [float("nan"), 1.0])
+        fileio.save_measure(tmp_path / "nu.json", [0.5, 0.5])
+        code = run_cli(
+            "anneal", "--graph", str(tmp_path / "graph.json"),
+            "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+            "--iters", "10", "--out-dir", str(tmp_path / "run"),
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "NaN or infinite" in captured.err
+
     def test_config_file_with_flag_override(self, tmp_path):
         g = ot.build_graph(2, [(0, 1, 1.0)])
         fileio.save_graph(tmp_path / "graph.json", g)
@@ -248,6 +262,17 @@ class TestVerifyCommand:
         assert named["measure_mass_mu"]["passed"] is False
         assert abs(named["measure_mass_mu"]["violation"] - 0.1) <= 1e-12
 
+    def test_nan_measure_exit_2(self, line6_files, capsys):
+        bad = line6_files / "nan_mu.json"
+        bad.write_text("[NaN, 0.2, 0.2, 0.2, 0.2, 0.2]\n", encoding="utf-8")
+        code = run_cli(
+            "verify", "--graph", str(line6_files / "graph.json"),
+            "--mu", str(bad), "--nu", str(line6_files / "nu.json"),
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "NaN or infinite" in captured.err
+
     def test_corrupted_plan_fails_named_check(self, line6_files, capsys):
         bad = line6_files / "bad_plan.csv"
         bad.write_text("x,y,mass\n0,1,-0.5\n", encoding="utf-8")
@@ -280,6 +305,26 @@ class TestVerifyCommand:
         assert verdict["metrics"]["tree_gap_vs_exact"] > 1.0
         named = {c["name"]: c for c in verdict["checks"]}
         assert named["tree_cost_matches_exact"]["passed"] is False
+
+
+    def test_crossed_plan_not_cyclically_monotone(self, capsys, tmp_path):
+        # line 0-1-2-3 with crossed moves 0->3 and 3->0
+        g = ot.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        fileio.save_graph(tmp_path / "graph.json", g)
+        fileio.save_measure(tmp_path / "mu.json", [0.5, 0.0, 0.0, 0.5])
+        fileio.save_plan(tmp_path / "plan.csv",
+                         ot.make_plan(4, [(0, 3, 0.5), (3, 0, 0.5)]))
+        code = run_cli(
+            "verify", "--graph", str(tmp_path / "graph.json"),
+            "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "mu.json"),
+            "--plan", str(tmp_path / "plan.csv"),
+        )
+        verdict = json.loads(capsys.readouterr().out)
+        assert code == 3
+        named = {c["name"]: c for c in verdict["checks"]}
+        assert named["plan_marginals"]["passed"] is True
+        assert named["plan_cyclically_monotone"]["passed"] is False
+        assert named["plan_cyclically_monotone"]["violation"] == 1.0
 
 
 class TestExportDot:

@@ -6,6 +6,7 @@ from treeot.errors import (
     DisconnectedError,
     DuplicateEdgeError,
     EdgeNotInGraphError,
+    NonFiniteWeightError,
     NonPositiveWeightError,
     SelfLoopError,
     VertexRangeError,
@@ -37,6 +38,11 @@ class TestBuildGraph:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(NonPositiveWeightError):
             ot.build_graph(2, [(0, 1, 0.0)])
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(NonFiniteWeightError):
+            ot.build_graph(2, [(0, 1, w)])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DuplicateEdgeError):

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import treeot as ot
 from treeot.errors import TooLargeError
-from treeot.oracle import complementary_violation, lipschitz_violation
+from treeot.oracle import VALUE_TOL, complementary_violation, lipschitz_violation
 
 from conftest import (
     brute_force_weak_nondegeneracy,
@@ -166,10 +168,29 @@ class TestWeakNondegeneracy:
         assert not bad.holds and bad.mode == "necessary-only"
 
 
+def brute_force_cyclically_monotone(plan, dist, max_m=None, tol=VALUE_TOL) -> bool:
+    """Every family of off-diagonal support pairs (of size <= max_m, default
+    all) and every permutation of its targets. A family of m pairs fails when a
+    permutation saves more than m*tol/s, s being the number of off-diagonal
+    pairs. Loops are left out: by the triangle inequality a loop in a family
+    never makes a permutation cheaper than the same family without it."""
+    pairs = [(x, y) for x, y in zip(plan.rows.tolist(), plan.cols.tolist()) if x != y]
+    s = len(pairs)
+    for m in range(2, min(s, max_m or s) + 1):
+        for family in itertools.combinations(pairs, m):
+            xs = [x for x, _ in family]
+            base = sum(dist[x, y] for x, y in family)
+            for perm in itertools.permutations([y for _, y in family]):
+                if sum(dist[x, y] for x, y in zip(xs, perm)) < base - m * tol / s:
+                    return False
+    return True
+
+
 class TestCyclicalMonotonicity:
     def test_single_support_point(self):
-        d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert ot.check_cyclical_monotonicity(ot.make_plan(2, [(0, 1, 1.0)]), d)
+        g = ot.build_graph(2, [(0, 1, 1.0)])
+        d = ot.all_pairs_shortest_paths(g)
+        assert ot.check_cyclical_monotonicity(ot.make_plan(2, [(0, 1, 1.0)]), g, d)
 
     def test_oracle_plans_pass(self):
         rng = np.random.default_rng(62)
@@ -179,14 +200,48 @@ class TestCyclicalMonotonicity:
             d = ot.all_pairs_shortest_paths(g)
             mu, nu = random_measure_pair(rng, n)
             sol = ot.exact_k_distance(d, mu, nu)
-            assert ot.check_cyclical_monotonicity(sol.plan, d, max_m=3)
+            assert ot.check_cyclical_monotonicity(sol.plan, g, d)
 
     def test_crossed_pairs_fail(self):
         # two crossed moves on a line: 0->3 and 3->0 can be uncrossed
         g = ot.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         d = ot.all_pairs_shortest_paths(g)
         plan = ot.make_plan(4, [(0, 3, 0.5), (3, 0, 0.5)])
-        assert not ot.check_cyclical_monotonicity(plan, d, max_m=2)
+        assert not ot.check_cyclical_monotonicity(plan, g, d)
+
+    def test_four_pair_family_beyond_three(self):
+        # unit 8-cycle: 0->6, 1->2, 3->3, 5->4 undercuts the plan (4 < 6),
+        # yet no family of two or three of its pairs improves
+        g = ot.build_graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
+        d = ot.all_pairs_shortest_paths(g)
+        plan = ot.make_plan(8, [(0, 2, 0.25), (1, 3, 0.25), (3, 4, 0.25), (5, 6, 0.25)])
+        assert brute_force_cyclically_monotone(plan, d, max_m=3)
+        assert not brute_force_cyclically_monotone(plan, d)
+        assert not ot.check_cyclical_monotonicity(plan, g, d)
+
+    def test_agrees_with_enumeration(self):
+        rng = np.random.default_rng(64)
+        verdicts = []
+        for trial in range(240):
+            n = int(rng.integers(2, 10))
+            g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 4)))
+            d = ot.all_pairs_shortest_paths(g)
+            if trial % 4 == 0:  # optimal plans, so monotone ones occur often
+                mu, nu = random_measure_pair(rng, n)
+                entries = ot.exact_k_distance(d, mu, nu).plan.entries()
+                keep = rng.permutation(len(entries))[:6]
+                triplets = [entries[i] for i in keep]
+            else:  # random supports, loops included
+                k = int(rng.integers(1, 7))
+                triplets = [(int(x), int(y), float(rng.random()) + 0.1)
+                            for x, y in rng.integers(0, n, size=(k, 2))]
+            plan = ot.make_plan(n, triplets)
+            got = ot.check_cyclical_monotonicity(plan, g, d)
+            assert got == brute_force_cyclically_monotone(plan, d), (trial, plan.entries())
+            if np.count_nonzero(plan.rows != plan.cols) >= 2:
+                verdicts.append(got)
+        # both verdicts occur often on supports with a permutation to try
+        assert min(sum(verdicts), len(verdicts) - sum(verdicts)) >= 50
 
 
 class TestVertexSupport:

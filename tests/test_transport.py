@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import treeot as ot
-from treeot.errors import ConditionViolatedError, MassMismatchError, NegativeMassError
+from treeot.errors import (
+    ConditionViolatedError,
+    MassMismatchError,
+    NegativeMassError,
+    NonFiniteMassError,
+)
 
 from conftest import (
     LINE6_XI,
@@ -42,6 +47,12 @@ class TestMeasures:
     def test_negative_measure_rejected(self):
         with pytest.raises(NegativeMassError):
             ot.as_measure([1.2, -0.2])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_measure_rejected(self, bad):
+        for normalize in (False, True):
+            with pytest.raises(NonFiniteMassError):
+                ot.as_measure([bad, 1.0], normalize=normalize)
 
     def test_normalization(self):
         mu = ot.as_measure([2.0, 2.0], normalize=True)
