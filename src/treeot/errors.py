@@ -62,7 +62,7 @@ class NegativeMassError(MeasureError):
 
 
 class NonFiniteMassError(MeasureError):
-    """Measure carries a NaN or infinite entry."""
+    """Measure, plan mass or potential carries a NaN or infinite value."""
 
 
 class PlanError(TreeOTError):

@@ -14,6 +14,7 @@ newline. Parsers reject trailing garbage.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,8 @@ def save_plan(path, plan: TransportPlan) -> None:
 
 
 def load_plan_triplets(path) -> list[tuple[int, int, float]]:
-    """Raw triplets, unvalidated, so checkers can report on bad plans."""
+    """Raw triplets, unvalidated beyond finite masses, so checkers can report
+    on bad plans."""
     lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "x,y,mass":
         raise FormatError(f"{path}: missing 'x,y,mass' header")
@@ -120,9 +122,12 @@ def load_plan_triplets(path) -> list[tuple[int, int, float]]:
         if len(parts) != 3:
             raise FormatError(f"{path}: bad row {ln!r}")
         try:
-            out.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            x, y, m = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
+        if not math.isfinite(m):
+            raise NonFiniteMassError(f"{path}: plan entry ({x},{y}) has a NaN or infinite mass")
+        out.append((x, y, m))
     return out
 
 
@@ -144,13 +149,18 @@ def load_potential(path, n: int) -> Potential:
         parts = ln.split(",")
         if len(parts) != 2:
             raise FormatError(f"{path}: bad row {ln!r}")
-        v = int(parts[0])
+        try:
+            v, value = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         if not (0 <= v < n) or seen[v]:
             raise FormatError(f"{path}: bad or repeated vertex {v}")
-        values[v] = float(parts[1])
+        values[v] = value
         seen[v] = True
     if not seen.all():
         raise BadDimensionsError(f"{path}: missing vertices")
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteMassError(f"{path}: potential has a NaN or infinite value")
     anchored = np.flatnonzero(np.abs(values) == 0.0)
     anchor = int(anchored[0]) if anchored.size else 0
     values.setflags(write=False)

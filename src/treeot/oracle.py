@@ -1,14 +1,14 @@
 """Exact desk-scale solver and invariant checkers used as ground truth.
 
 The solver reduces by the zero-cost diagonal, then runs successive shortest
-augmenting paths with node potentials on the dense bipartite network between
-excess-supply and excess-demand vertices, and finally cancels zero-cost cycles
-so the returned plan is a vertex of the transportation polytope.
+augmenting paths, found by a vectorised label-correcting search, with node
+potentials on the dense bipartite network between excess-supply and
+excess-demand vertices, and finally cancels zero-cost cycles so the returned
+plan is a vertex of the transportation polytope.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,77 +82,81 @@ def _successive_shortest_paths(cost, supply, demand):
 
     Maintains duals (alpha, beta) with cost[i,j] - alpha[i] - beta[j] >= 0 and
     equality on arcs carrying flow; each augmentation follows a reduced-cost
-    shortest path found by Dijkstra and saturates a supply, a demand, or a
-    flow-carrying arc.
+    shortest path and saturates a supply, a demand, or a flow-carrying arc.
+
+    Shortest paths come from label correcting, one round being two numpy
+    sweeps: sources to sinks over every arc at its clamped reduced cost, then
+    sinks back to sources over the flow-carrying pairs at cost zero. Every arc
+    cost is non-negative, so the rounds stop, when no label improves, at exact
+    distances; relaxations are strict, so the predecessors form a forest.
     """
     ns, nd = cost.shape
     alpha = np.zeros(ns)
     beta = np.zeros(nd)
     flow = np.zeros((ns, nd))
     eps = 1e-15
+    all_sources = np.arange(ns)
+    all_sinks = np.arange(nd)
     guard = 50 * (ns + nd) + 200
     for _ in range(guard):
         if supply.sum() <= 1e-12 or demand.sum() <= 1e-12:
             break
-        label = np.full(ns + nd, np.inf)
-        pred = np.full(ns + nd, -1, dtype=np.int64)
-        settled = np.zeros(ns + nd, dtype=bool)
-        heap = []
-        for i in np.flatnonzero(supply > eps):
-            label[i] = 0.0
-            heapq.heappush(heap, (0.0, int(i)))
-        target = -1
-        while heap:
-            d0, node = heapq.heappop(heap)
-            if settled[node] or d0 > label[node]:
-                continue
-            settled[node] = True
-            if node >= ns and demand[node - ns] > eps:
-                target = node
+        reduced = np.maximum(cost - alpha[:, None] - beta[None, :], 0.0)
+        carrying = flow > 0.0
+        ls = np.where(supply > eps, 0.0, np.inf)
+        lt = np.full(nd, np.inf)
+        pred_s = np.full(ns, -1)  # sink whose flow-carrying pair reaches source i
+        pred_t = np.full(nd, -1)  # source whose arc reaches sink j
+        while True:
+            cand = ls[:, None] + reduced
+            via = cand.argmin(axis=0)
+            reach = cand[via, all_sinks]
+            better = reach < lt
+            if not better.any():
                 break
-            if node < ns:
-                reduced = np.maximum(cost[node] - alpha[node] - beta, 0.0)
-                cand = d0 + reduced
-                better = cand < label[ns:]
-                for j in np.flatnonzero(better):
-                    label[ns + j] = cand[j]
-                    pred[ns + j] = node
-                    heapq.heappush(heap, (float(cand[j]), ns + int(j)))
-            else:
-                j = node - ns
-                for i in np.flatnonzero(flow[:, j] > 0.0):
-                    if d0 < label[i]:
-                        label[i] = d0
-                        pred[i] = node
-                        heapq.heappush(heap, (float(d0), int(i)))
-        if target < 0:
-            break
-        delta = label[target]
-        shift = np.minimum(label, delta)
-        alpha += delta - shift[:ns]
-        beta -= delta - shift[ns:]
+            lt[better] = reach[better]
+            pred_t[better] = via[better]
+            back = np.where(carrying, lt[None, :], np.inf)
+            via = back.argmin(axis=1)
+            reach = back[all_sources, via]
+            better = reach < ls
+            if not better.any():
+                break
+            ls[better] = reach[better]
+            pred_s[better] = via[better]
 
-        path = [target]
-        while pred[path[-1]] >= 0:
-            path.append(int(pred[path[-1]]))
-        path.reverse()  # source, sink, source, ..., sink
-        amount = min(supply[path[0]], demand[target - ns])
-        for a, b in zip(path, path[1:]):
-            if a >= ns:  # residual arc over a flow-carrying pair
-                amount = min(amount, flow[b, a - ns])
-        for a, b in zip(path, path[1:]):
-            if a < ns:
-                flow[a, b - ns] += amount
-            else:
-                flow[b, a - ns] -= amount
-                if flow[b, a - ns] <= eps:
-                    flow[b, a - ns] = 0.0
-        supply[path[0]] -= amount
-        demand[target - ns] -= amount
-        if supply[path[0]] <= eps:
-            supply[path[0]] = 0.0
-        if demand[target - ns] <= eps:
-            demand[target - ns] = 0.0
+        open_lt = np.where(demand > eps, lt, np.inf)
+        target = int(open_lt.argmin())
+        delta = open_lt[target]
+        if not np.isfinite(delta):
+            # on the complete network every sink is reachable at finite cost
+            raise RuntimeError("no sink with demand is reachable")
+        alpha += delta - np.minimum(ls, delta)
+        beta -= delta - np.minimum(lt, delta)
+
+        forward = []  # (source, sink) arcs gaining flow, from the target back
+        backward = []  # flow-carrying pairs losing flow
+        j = target
+        while True:
+            i = int(pred_t[j])
+            forward.append((i, j))
+            j = int(pred_s[i])
+            if j < 0:
+                break
+            backward.append((i, j))
+        amount = min(supply[i], demand[target], *(flow[p] for p in backward))
+        for p in forward:
+            flow[p] += amount
+        for p in backward:
+            flow[p] -= amount
+            if flow[p] <= eps:
+                flow[p] = 0.0
+        supply[i] -= amount
+        demand[target] -= amount
+        if supply[i] <= eps:
+            supply[i] = 0.0
+        if demand[target] <= eps:
+            demand[target] = 0.0
     else:
         raise RuntimeError("augmenting-path budget exhausted")
     return flow, alpha, beta
@@ -232,11 +236,11 @@ def _forest_path(adjacency, start, goal):
 
 
 def lipschitz_violation(u: Potential, g: WeightedGraph) -> float:
-    """Largest excess of a potential jump over its edge weight."""
-    worst = 0.0
-    for a, b, w in g.edges:
-        worst = max(worst, abs(u.values[a] - u.values[b]) - w)
-    return worst
+    """Largest excess of a potential jump over its edge weight, floored at 0;
+    NaN when a potential value on an edge is NaN."""
+    edges = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
+    a, b = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    return float(np.max(np.abs(u.values[a] - u.values[b]) - edges[:, 2], initial=0.0))
 
 
 def check_lipschitz(u: Potential, g: WeightedGraph, tol: float = VALUE_TOL) -> bool:

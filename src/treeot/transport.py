@@ -8,6 +8,7 @@ measure pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +183,14 @@ class TransportPlan:
 
 def make_plan(n: int, triplets) -> TransportPlan:
     """Build a plan from (x, y, mass) triplets: coalesces duplicates, drops
-    zeros, rejects negatives, sorts lexicographically."""
+    zeros, rejects negative and non-finite masses, sorts lexicographically."""
     acc: dict[tuple[int, int], float] = {}
     for x, y, m in triplets:
         x, y, m = int(x), int(y), float(m)
         if not (0 <= x < n and 0 <= y < n):
             raise VertexRangeError(f"plan entry ({x},{y}) out of range")
+        if not math.isfinite(m):
+            raise NonFiniteMassError(f"plan entry ({x},{y}) has non-finite mass {m}")
         if m < 0.0:
             raise NegativeMassError(f"plan entry ({x},{y}) has negative mass {m}")
         if m > 0.0:

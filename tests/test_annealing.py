@@ -397,8 +397,12 @@ def compiled_backends() -> list[str]:
 
 def run_python(code: str, backend: str | None = None, **env_overrides):
     """Run ``code`` in a fresh interpreter on ``backend`` (default: unset);
-    ``TESTS_DIR`` in the code names this directory."""
+    ``TESTS_DIR`` in the code names this directory. The child imports the
+    same treeot as this process, also when only pytest's ``pythonpath`` put
+    it on ``sys.path``."""
     env = dict(os.environ, **env_overrides)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ot.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     env.pop("TREEOT_BACKEND", None)
     if backend is not None:
         env["TREEOT_BACKEND"] = backend

@@ -326,6 +326,44 @@ class TestVerifyCommand:
         assert named["plan_cyclically_monotone"]["passed"] is False
         assert named["plan_cyclically_monotone"]["violation"] == 1.0
 
+    @pytest.fixture
+    def line3_files(self, tmp_path):
+        g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        fileio.save_graph(tmp_path / "graph.json", g)
+        fileio.save_measure(tmp_path / "mu.json", [1.0, 0.0, 0.0])
+        fileio.save_measure(tmp_path / "nu.json", [0.0, 0.0, 1.0])
+        (tmp_path / "plan.csv").write_text("x,y,mass\n0,2,1.0\n", encoding="utf-8")
+        (tmp_path / "potential.csv").write_text("vertex,u\n0,0\n1,-1\n2,-2\n",
+                                                encoding="utf-8")
+        return tmp_path
+
+    def _verify_line3(self, files):
+        return run_cli(
+            "verify", "--graph", str(files / "graph.json"),
+            "--mu", str(files / "mu.json"), "--nu", str(files / "nu.json"),
+            "--plan", str(files / "plan.csv"), "--potential", str(files / "potential.csv"),
+        )
+
+    def test_line3_valid_inputs_pass(self, line3_files, capsys):
+        assert self._verify_line3(line3_files) == 0
+        assert json.loads(capsys.readouterr().out)["all_passed"] is True
+
+    def test_nan_potential_exit_2(self, line3_files, capsys):
+        (line3_files / "potential.csv").write_text("vertex,u\n0,0\n1,nan\n2,-2\n",
+                                                   encoding="utf-8")
+        code = self._verify_line3(line3_files)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "NaN or infinite" in captured.err
+
+    def test_nan_plan_mass_exit_2(self, line3_files, capsys):
+        (line3_files / "plan.csv").write_text("x,y,mass\n0,2,1.0\n0,1,nan\n",
+                                              encoding="utf-8")
+        code = self._verify_line3(line3_files)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "NaN or infinite" in captured.err
+
 
 class TestExportDot:
     def test_graph_only(self, capsys, tmp_path):

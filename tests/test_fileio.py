@@ -3,7 +3,12 @@ import pytest
 
 import treeot as ot
 from treeot import fileio
-from treeot.errors import BadDimensionsError, FormatError, NegativePixelError
+from treeot.errors import (
+    BadDimensionsError,
+    FormatError,
+    NegativePixelError,
+    NonFiniteMassError,
+)
 
 from conftest import random_connected_graph, random_measure_pair
 
@@ -91,6 +96,13 @@ class TestPlanFiles:
         with pytest.raises(FormatError):
             fileio.load_plan_triplets(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_mass_rejected(self, tmp_path, bad):
+        path = tmp_path / "plan.csv"
+        path.write_text(f"x,y,mass\n0,2,1.0\n0,1,{bad}\n", encoding="utf-8")
+        with pytest.raises(NonFiniteMassError):
+            fileio.load_plan_triplets(path)
+
 
 class TestPotentialFiles:
     def test_round_trip(self, tmp_path):
@@ -105,6 +117,19 @@ class TestPotentialFiles:
         path = tmp_path / "u.csv"
         path.write_text("vertex,u\n0,0.0\n", encoding="utf-8")
         with pytest.raises(BadDimensionsError):
+            fileio.load_potential(path, 2)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "u.csv"
+        path.write_text(f"vertex,u\n0,0.0\n1,{bad}\n2,-2.0\n", encoding="utf-8")
+        with pytest.raises(NonFiniteMassError):
+            fileio.load_potential(path, 3)
+
+    def test_unparsable_value_is_format_error(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("vertex,u\n0,0.0\n1,abc\n", encoding="utf-8")
+        with pytest.raises(FormatError):
             fileio.load_potential(path, 2)
 
 

@@ -1,11 +1,17 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import treeot as ot
 from treeot.errors import TooLargeError
-from treeot.oracle import VALUE_TOL, complementary_violation, lipschitz_violation
+from treeot.oracle import (
+    VALUE_TOL,
+    _successive_shortest_paths,
+    complementary_violation,
+    lipschitz_violation,
+)
 
 from conftest import (
     brute_force_weak_nondegeneracy,
@@ -92,6 +98,86 @@ class TestExactSolver:
         assert hits >= 15
 
 
+def network_simplex_w1(g: ot.WeightedGraph, mu, nu) -> float:
+    """Independent W1: networkx network simplex on the graph's own edges.
+
+    Demands are the floats' exact binary values scaled by 2**96 and weights by
+    2**64; the float residual of sum(mu) - sum(nu) moves onto the vertex with
+    the largest demand.
+    """
+    import networkx as nx
+
+    demand = [round(Fraction(float(nu[v])) * 2**96) - round(Fraction(float(mu[v])) * 2**96)
+              for v in range(g.n)]
+    heaviest = max(range(g.n), key=lambda v: abs(demand[v]))
+    demand[heaviest] -= sum(demand)
+    net = nx.DiGraph()
+    for v in range(g.n):
+        net.add_node(v, demand=demand[v])
+    for a, b, w in g.edges:
+        cost = round(Fraction(w) * 2**64)
+        net.add_edge(a, b, weight=cost)
+        net.add_edge(b, a, weight=cost)
+    flow_cost, _ = nx.network_simplex(net)
+    return float(Fraction(flow_cost, 2**160))
+
+
+def cross_check_instance(rng, kind):
+    """A random connected graph on 2..30 vertices and a measure pair.
+
+    kind 0: uniform weights, positive masses; 1: integer weights 1..3 (many
+    tied distances) and integer masses 0..3 (zero-mass vertices); 2: as 1 with a
+    single source; 3: as 1 with a single sink.
+    """
+    n = int(rng.integers(2, 31))
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    for _ in range(int(rng.integers(0, n))):
+        a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
+        pairs.add((a, b))
+    if kind == 0:
+        g = ot.build_graph(n, [(a, b, float(rng.uniform(0.05, 1.0))) for a, b in sorted(pairs)])
+        return g, *random_measure_pair(rng, n)
+    g = ot.build_graph(n, [(a, b, float(rng.integers(1, 4))) for a, b in sorted(pairs)])
+    mu = rng.integers(0, 4, n).astype(float)
+    nu = rng.integers(0, 4, n).astype(float)
+    v = int(rng.integers(0, n))
+    mu[v] += 1.0  # neither measure is empty
+    nu[(v + 1) % n] += 1.0
+    if kind >= 2:
+        nu[v] = 0.0
+        mu = np.zeros(n)
+        mu[v] = 1.0
+        if kind == 3:
+            mu, nu = nu, mu
+    return g, mu / mu.sum(), nu / nu.sum()
+
+
+class TestExactSolverCrossCheck:
+    def test_matches_network_simplex(self):
+        pytest.importorskip("networkx")
+        seen = {"zero_mass": 0, "single_source": 0, "single_sink": 0}
+        for k in range(120):
+            g, mu, nu = cross_check_instance(np.random.default_rng(900 + k), k % 4)
+            d = ot.all_pairs_shortest_paths(g)
+            sol = ot.exact_k_distance(d, mu, nu)
+            xi = mu - nu
+            seen["zero_mass"] += bool(np.any(mu == 0.0) or np.any(nu == 0.0))
+            seen["single_source"] += int(np.count_nonzero(xi > 0.0) == 1)
+            seen["single_sink"] += int(np.count_nonzero(xi < 0.0) == 1)
+            assert abs(sol.value - network_simplex_w1(g, mu, nu)) <= 1e-9, k
+            assert ot.check_vertex_support(sol.plan)["is_forest"], k
+            assert np.max(np.abs(sol.plan.diagonal() - np.minimum(mu, nu))) <= 1e-12, k
+            assert lipschitz_violation(sol.dual, g) <= 1e-9, k
+            assert complementary_violation(sol.plan, sol.dual, d) <= 1e-9, k
+        assert all(count >= 30 for count in seen.values()), seen
+
+    def test_unreachable_sink_raises(self):
+        # an all-inf column: supply is left but the sink with demand is unreachable
+        cost = np.array([[1.0, np.inf], [2.0, np.inf]])
+        with pytest.raises(RuntimeError, match="reachable"):
+            _successive_shortest_paths(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
+
 class TestLipschitzCheck:
     def test_zero_potential(self):
         g = ot.build_graph(2, [(0, 1, 1.0)])
@@ -114,6 +200,25 @@ class TestLipschitzCheck:
         g = ot.build_graph(2, [(0, 1, 1.0)])
         u = ot.Potential(np.array([0.0, 2.0]), anchor=0)
         assert not ot.check_lipschitz(u, g)
+
+    def test_nan_value_propagates(self):
+        # max(0.0, nan) is 0.0 in Python; a NaN potential must not pass
+        g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        u = ot.Potential(np.array([0.0, np.nan, -2.0]), anchor=0)
+        assert np.isnan(lipschitz_violation(u, g))
+        assert not ot.check_lipschitz(u, g)
+
+    def test_matches_edge_loop(self):
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            n = int(rng.integers(2, 12))
+            g = random_connected_graph(rng, n, extra_edges=4)
+            for scale in (0.0, 0.01, 1.0):  # 0.0 checks the floor at zero
+                u = ot.Potential(scale * rng.normal(size=n), anchor=0)
+                loop = 0.0
+                for a, b, w in g.edges:
+                    loop = max(loop, abs(u.values[a] - u.values[b]) - w)
+                assert lipschitz_violation(u, g) == loop
 
 
 class TestComplementaryCheck:

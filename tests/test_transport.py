@@ -258,6 +258,11 @@ class TestPlanUtilities:
         with pytest.raises(NegativeMassError):
             ot.make_plan(2, [(0, 1, -0.1)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(NonFiniteMassError):
+            ot.make_plan(3, [(0, 2, 1.0), (0, 1, bad)])
+
     def test_plan_to_flow_diagonal_only(self):
         g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         t = ot.root_tree(g, [(0, 1), (1, 2)], 2)
