@@ -1,11 +1,11 @@
-/* C transcription of the annealing kernel in _kernels.py.
+/* C transcription of the annealing and random-tree kernels in _kernels.py.
  *
  * Every floating-point operation happens in the same order as in the Python
- * kernel, and the library is built with -ffp-contract=off and without
+ * kernels, and the library is built with -ffp-contract=off and without
  * fast-math, so no multiply-add is fused and the results are bit-identical.
  * Random numbers come from the caller's numpy bit generator, drawn exactly as
- * Generator.integers(0, deg) and Generator.random() draw them, so the chain
- * consumes the same stream as the Python kernel.
+ * Generator.integers(0, k) and Generator.random() draw them, so the chain and
+ * the tree walk consume the same stream as the Python kernels.
  */
 
 #include <math.h>
@@ -21,7 +21,13 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-enum { CHAIN_OK = 0, CHAIN_NO_NEIGHBOUR = 1, CHAIN_DEGREE_TOO_LARGE = 2 };
+enum {
+    CHAIN_OK = 0,
+    CHAIN_NO_NEIGHBOUR = 1,
+    CHAIN_DEGREE_TOO_LARGE = 2,
+    WILSON_BAD_VERTEX_COUNT = 3,
+    WILSON_NO_NEIGHBOUR = 4,
+};
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
  * when deg == 1, otherwise Lemire's bounded rejection on 32-bit draws
@@ -206,4 +212,37 @@ int treeot_anneal_chain(
     out_i[2] = records;
     out_i[3] = iters_done;
     return status;
+}
+
+/* wilson_tree of _kernels.py: a uniform random spanning tree of the CSR graph
+ * into parent and wpar. in_tree holds n bytes; *root_out receives the root.
+ * Returns CHAIN_OK or a WILSON_* / CHAIN_DEGREE_TOO_LARGE code. */
+int treeot_wilson(
+    int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
+    bitgen_t *bg, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *root_out)
+{
+    if (n < 1 || n > (int64_t)UINT32_MAX)
+        return WILSON_BAD_VERTEX_COUNT;
+    const int64_t root = bounded_index(bg, n);
+    memset(in_tree, 0, (size_t)n);
+    in_tree[root] = 1;
+    parent[root] = -1;
+    wpar[root] = 0.0;
+    for (int64_t start = 0; start < n; start++) {
+        for (int64_t v = start; !in_tree[v]; v = parent[v]) {
+            const int64_t lo = indptr[v];
+            const int64_t deg = indptr[v + 1] - lo;
+            if (deg < 1)
+                return WILSON_NO_NEIGHBOUR;
+            if (deg > (int64_t)UINT32_MAX)
+                return CHAIN_DEGREE_TOO_LARGE;
+            const int64_t k = bounded_index(bg, deg);
+            parent[v] = indices[lo + k];
+            wpar[v] = adj_w[lo + k];
+        }
+        for (int64_t v = start; !in_tree[v]; v = parent[v])
+            in_tree[v] = 1;
+    }
+    *root_out = root;
+    return CHAIN_OK;
 }

@@ -1,7 +1,7 @@
-"""The annealing kernel and the backends that run it.
+"""The annealing and random-tree kernels and the backends that run them.
 
-``anneal_chain`` below is the reference kernel in plain Python over numpy
-arrays. Three backends run it:
+``anneal_chain`` and ``wilson_tree`` below are the reference kernels in plain
+Python over numpy arrays. Three backends run them:
 
 - ``numba``: the same function bodies compiled with ``numba.njit`` (numba is
   an optional extra);
@@ -12,9 +12,9 @@ arrays. Three backends run it:
 ``TREEOT_BACKEND`` names the backend. Unset, the first of numba and c that
 loads is used, else python with a warning. A named backend that cannot load,
 or an unknown name, raises :class:`KernelBackendError`; there is no silent
-fallback. Traces are bit-identical between backends: all of them draw from
-the caller's numpy bit generator in the same way, and do the same arithmetic
-in the same order without fused multiply-adds.
+fallback. Traces and trees are bit-identical between backends: all of them
+draw from the caller's numpy bit generator in the same way, and do the same
+arithmetic in the same order without fused multiply-adds.
 """
 
 from __future__ import annotations
@@ -38,10 +38,12 @@ C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _C_STATUS = {
     1: "the root has no graph neighbour",
     2: "a vertex degree of 2^32 or more is not supported",
+    3: "a vertex count of 0 or of 2^32 or more is not supported",
+    4: "a random walk reached a vertex with no graph neighbour",
 }
 
 _lock = threading.Lock()
-_backend: tuple[str, object] | None = None
+_backend: tuple[str, object, object] | None = None
 
 
 def kernel_backend() -> str:
@@ -59,6 +61,11 @@ def chain_kernel():
     return _resolve()[1]
 
 
+def tree_kernel():
+    """The backend's ``wilson_tree``, with the signature of the one below."""
+    return _resolve()[2]
+
+
 def _resolve():
     global _backend
     with _lock:
@@ -72,17 +79,17 @@ def _select(name: str):
         reasons = []
         for candidate in ("numba", "c"):
             try:
-                return candidate, _LOADERS[candidate]()
+                return candidate, *_LOADERS[candidate]()
             except KernelBackendError as exc:
                 reasons.append(f"{candidate}: {exc}")
         warnings.warn("treeot runs the plain-Python annealing kernel ("
                       + "; ".join(reasons) + ")", RuntimeWarning, stacklevel=4)
-        return "python", anneal_chain
+        return "python", *_load_python()
     if name not in _LOADERS:
         raise KernelBackendError(
             f"TREEOT_BACKEND={name!r} is not one of {', '.join(_LOADERS)}")
     try:
-        return name, _LOADERS[name]()
+        return name, *_LOADERS[name]()
     except KernelBackendError as exc:
         raise KernelBackendError(f"TREEOT_BACKEND={name}: {exc}") from exc
 
@@ -95,9 +102,30 @@ def _load_numba():
     # numba resolves the callees of anneal_chain through this module's globals
     jit = njit(cache=True)
     names = globals()
-    for name in ("recompute_cumulative", "tree_cost", "anneal_chain"):
+    for name in ("recompute_cumulative", "tree_cost", "anneal_chain", "wilson_tree"):
         names[name] = jit(names[name])
-    return names["anneal_chain"]
+    return names["anneal_chain"], names["wilson_tree"]
+
+
+def _load_python():
+    return anneal_chain, wilson_tree
+
+
+def _check_arrays(ints, floats, what: str) -> None:
+    """Raise unless every ``(array, size)`` pair is a contiguous 1-D array of
+    the dtype and at least the size the C functions index."""
+    for arrays, dtype in ((ints, np.int64), (floats, np.float64)):
+        for a, size in arrays:
+            if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous or a.shape[0] < size:
+                raise ValueError(f"C kernel needs contiguous {dtype.__name__} arrays of the {what}'s sizes")
+
+
+def _check_csr(n: int, indptr, indices) -> None:
+    m = indices.shape[0]
+    if int(indptr[0]) != 0 or int(indptr[-1]) != m or np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError("C kernel: indptr out of range")
+    if m and not (0 <= indices.min() and indices.max() < n):
+        raise ValueError("C kernel: neighbour index out of range")
 
 
 def _load_c():
@@ -111,6 +139,9 @@ def _load_c():
                    i64, f64, f64, f64, i64, i64, i64, f64, ptr,
                    ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     fn.restype = ctypes.c_int
+    wilson = lib.treeot_wilson
+    wilson.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    wilson.restype = ctypes.c_int
 
     def anneal_chain_c(parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
                        max_iters, beta0, target_accept, eta, window, record_every,
@@ -119,17 +150,12 @@ def _load_c():
         n = parent.shape[0]
         m = indices.shape[0]
         rows = max_iters // record_every + 2 if record_every >= 1 else 0
-        ints = ((parent, n), (best_parent, n), (indptr, n + 1), (indices, m), (trace_iter, rows))
-        floats = ((wpar, n), (xi_cum, n), (xi_node, n), (adj_w, m), (trace_cur, rows),
-                  (trace_best, rows), (trace_beta, rows), (trace_acc, rows))
-        for arrays, dtype in ((ints, np.int64), (floats, np.float64)):
-            for a, size in arrays:
-                if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous or a.shape[0] < size:
-                    raise ValueError(f"C kernel needs contiguous {dtype.__name__} arrays of the chain's sizes")
-        if window < 1 or record_every < 1 or not 0 <= root < n or int(indptr[-1]) != m:
-            raise ValueError("C kernel: window, record_every, root or indptr out of range")
-        if m and not (0 <= indices.min() and indices.max() < n):
-            raise ValueError("C kernel: neighbour index out of range")
+        _check_arrays(((parent, n), (best_parent, n), (indptr, n + 1), (indices, m), (trace_iter, rows)),
+                      ((wpar, n), (xi_cum, n), (xi_node, n), (adj_w, m), (trace_cur, rows),
+                       (trace_best, rows), (trace_beta, rows), (trace_acc, rows)), "chain")
+        if window < 1 or record_every < 1 or not 0 <= root < n:
+            raise ValueError("C kernel: window, record_every or root out of range")
+        _check_csr(n, indptr, indices)
         if n and not (-1 <= parent.min() and parent.max() < n):
             raise ValueError("C kernel: parent index out of range")
         bits = np.empty(window, dtype=np.int64)
@@ -154,7 +180,23 @@ def _load_c():
         final_root, best_root, records, iters_done = out_i.tolist()
         return best, current, final_root, best_root, records, iters_done, max_drift
 
-    return anneal_chain_c
+    def wilson_tree_c(indptr, indices, adj_w, rng, parent, wpar):
+        n = parent.shape[0]
+        m = indices.shape[0]
+        _check_arrays(((parent, n), (indptr, n + 1), (indices, m)), ((wpar, n), (adj_w, m)), "tree")
+        _check_csr(n, indptr, indices)
+        in_tree = np.empty(n, dtype=np.uint8)
+        root = np.empty(1, dtype=np.int64)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            status = wilson(n, indptr.ctypes.data, indices.ctypes.data, adj_w.ctypes.data,
+                            bitgen.ctypes.bit_generator.value, parent.ctypes.data,
+                            wpar.ctypes.data, in_tree.ctypes.data, root.ctypes.data)
+        if status != 0:
+            raise ValueError(f"C kernel stopped: {_C_STATUS.get(status, status)}")
+        return int(root[0])
+
+    return anneal_chain_c, wilson_tree_c
 
 
 def _compiler() -> list[str]:
@@ -218,7 +260,7 @@ def build_c_kernel() -> Path:
     return lib
 
 
-_LOADERS = {"numba": _load_numba, "c": _load_c, "python": lambda: anneal_chain}
+_LOADERS = {"numba": _load_numba, "c": _load_c, "python": _load_python}
 
 
 def recompute_cumulative(parent, xi_node):
@@ -392,3 +434,34 @@ def anneal_chain(
             break
 
     return best, current, root, best_root, records, iters_done, max_drift
+
+
+def wilson_tree(indptr, indices, adj_w, rng, parent, wpar):
+    """Draw a uniform random spanning tree by loop-erased random walks
+    (Wilson, STOC 1996) into ``parent`` and ``wpar``, in place; return the root.
+
+    The root is ``rng.integers(0, n)``. Walks start from each vertex not yet
+    in the tree, in increasing order, and step to the neighbour at CSR
+    position ``rng.integers(0, deg)`` (no draw where deg == 1) until they hit
+    the tree; overwriting a vertex's parent link erases any loop through it.
+    ``wpar[v]`` is the CSR weight of the edge to ``parent[v]``.
+    """
+    n = parent.shape[0]
+    root = rng.integers(0, n)
+    in_tree = np.zeros(n, dtype=np.bool_)
+    in_tree[root] = True
+    parent[root] = -1
+    wpar[root] = 0.0
+    for start in range(n):
+        v = start
+        while not in_tree[v]:
+            lo = indptr[v]
+            k = rng.integers(0, indptr[v + 1] - lo)
+            parent[v] = indices[lo + k]
+            wpar[v] = adj_w[lo + k]
+            v = parent[v]
+        v = start
+        while not in_tree[v]:
+            in_tree[v] = True
+            v = parent[v]
+    return root

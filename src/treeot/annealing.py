@@ -33,7 +33,7 @@ class AnnealConfig:
     """Knobs of the annealing loop.
 
     ``beta`` is adapted multiplicatively: after each post-warm-up iteration it
-    is scaled by ``1 + eta * (acceptance_rate - target_accept)`` where the rate
+    is scaled by ``1 + eta * (rate - target_accept)`` where the acceptance rate
     averages the last ``window`` accept/reject bits.
     """
 
@@ -204,12 +204,6 @@ def update_temperature(state: AnnealState) -> AnnealState:
         rate = state.bits_sum / cfg.window
         state.beta = state.beta * (1.0 + cfg.eta * (rate - cfg.target_accept))
     return state
-
-
-def acceptance_rate(state: AnnealState) -> float:
-    if state.bits_seen == 0:
-        return 0.0
-    return state.bits_sum / min(state.bits_seen, state.config.window)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,27 @@ def _parse_json(path):
         raise FormatError(f"{path}: {exc}") from None
 
 
+def _integer(path, value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{path}: {what} must be an integer, got {value!r}")
+    return value
+
+
+def _edge_rows(path, edges, fields: str) -> list[list]:
+    """The rows of ``edges`` as lists of ``len(fields)`` entries: integer
+    endpoints u and v, and a number w where ``fields`` is "uvw"."""
+    if not isinstance(edges, list):
+        raise FormatError(f"{path}: 'edges' must be a list, got {edges!r}")
+    for row in edges:
+        if not isinstance(row, list) or len(row) != len(fields):
+            raise FormatError(f"{path}: edge {row!r} is not a list [{', '.join(fields)}]")
+        _integer(path, row[0], "an edge endpoint")
+        _integer(path, row[1], "an edge endpoint")
+        if fields == "uvw" and (isinstance(row[2], bool) or not isinstance(row[2], (int, float))):
+            raise FormatError(f"{path}: edge weight must be a number, got {row[2]!r}")
+    return edges
+
+
 def save_graph(path, g: WeightedGraph, labels: list[str] | None = None) -> None:
     doc = {"n": g.n, "edges": [[u, v, w] for u, v, w in g.edges]}
     if labels is not None:
@@ -48,10 +69,14 @@ def load_graph(path) -> WeightedGraph:
     doc = _parse_json(path)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise FormatError(f"{path}: expected an object with 'n' and 'edges'")
+    n = _integer(path, doc["n"], "'n'")
+    edges = _edge_rows(path, doc["edges"], "uvw")
     labels = doc.get("labels")
-    if labels is not None and len(labels) != doc["n"]:
-        raise BadDimensionsError(f"{path}: {len(labels)} labels for {doc['n']} vertices")
-    return build_graph(doc["n"], doc["edges"])
+    if labels is not None and not isinstance(labels, list):
+        raise FormatError(f"{path}: 'labels' must be a list")
+    if labels is not None and len(labels) != n:
+        raise BadDimensionsError(f"{path}: {len(labels)} labels for {n} vertices")
+    return build_graph(n, edges)
 
 
 def save_tree(path, t: RootedTree) -> None:
@@ -64,7 +89,8 @@ def load_tree(path, g: WeightedGraph) -> RootedTree:
     doc = _parse_json(path)
     if not isinstance(doc, dict) or "root" not in doc or "edges" not in doc:
         raise FormatError(f"{path}: expected an object with 'root' and 'edges'")
-    return root_tree(g, [(int(u), int(v)) for u, v in doc["edges"]], int(doc["root"]))
+    root = _integer(path, doc["root"], "'root'")
+    return root_tree(g, _edge_rows(path, doc["edges"], "uv"), root)
 
 
 def save_measure(path, values) -> None:

@@ -325,7 +325,8 @@ def dp_transport_plan(t: RootedTree, mu, nu, zero_tol: float = ZERO_SNAP) -> Tra
         m = min(m, abs(xi[y]))
 
         key = (x, y) if s > 0 else (y, x)
-        assert key not in offdiag, "off-diagonal entry written twice"
+        if key in offdiag:
+            raise RuntimeError(f"plan construction wrote off-diagonal entry {key} twice")
         offdiag[key] = m
         xi[x] -= s * m
         xi[y] += s * m

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import EdgeNotInGraphError, HasCycleError, NotSpanningError, VertexRangeError
 from .graphs import WeightedGraph
 
@@ -231,30 +232,10 @@ def random_spanning_tree(g: WeightedGraph, rng: np.random.Generator) -> RootedTr
 
     The root is drawn uniformly; walks use uniform neighbour steps, which gives
     the uniform distribution on spanning trees of the (unweighted) adjacency.
-    Deterministic for a given generator state.
+    Deterministic for a given generator state, and the same tree on every
+    kernel backend (see :func:`treeot._kernels.wilson_tree`).
     """
-    n = g.n
-    root = int(rng.integers(0, n))
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[root] = True
-    successor = np.full(n, -1, dtype=np.int64)
-    for start in range(n):
-        if in_tree[start]:
-            continue
-        v = start
-        while not in_tree[v]:
-            nbrs = g.neighbors(v)
-            v_next = int(nbrs[rng.integers(0, nbrs.shape[0])])
-            successor[v] = v_next  # overwriting erases any loop through v
-            v = v_next
-        v = start
-        while not in_tree[v]:
-            in_tree[v] = True
-            v = int(successor[v])
-    parent = np.full(n, -1, dtype=np.int64)
-    wpar = np.zeros(n, dtype=np.float64)
-    for v in range(n):
-        if v != root:
-            parent[v] = successor[v]
-            wpar[v] = g.edge_weight(v, int(successor[v]))
-    return _from_parent_array(root, parent, wpar)
+    parent = np.empty(g.n, dtype=np.int64)
+    wpar = np.empty(g.n, dtype=np.float64)
+    root = _kernels.tree_kernel()(g.indptr, g.indices, g.weights, rng, parent, wpar)
+    return _from_parent_array(int(root), parent, wpar)

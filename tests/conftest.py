@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
+import shlex
+import shutil
 
 import numpy as np
 import pytest
@@ -139,6 +142,13 @@ def noisy_grid_measures(p, seed, img_mu=None, img_nu=None, sigma=1e-3):
     mu = img_mu.reshape(-1) + np.random.default_rng(streams[0]).uniform(0, sigma, p * p)
     nu = img_nu.reshape(-1) + np.random.default_rng(streams[1]).uniform(0, sigma, p * p)
     return mu / mu.sum(), nu / nu.sum()
+
+
+def c_compiler_found() -> bool:
+    """Whether ``$CC``, or else cc, gcc or clang, is on PATH."""
+    cc = os.environ.get("CC")
+    names = [shlex.split(cc)[0]] if cc else ["cc", "gcc", "clang"]
+    return any(shutil.which(name) for name in names)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -2,8 +2,6 @@ import importlib.util
 import json
 import math
 import os
-import shlex
-import shutil
 import subprocess
 import sys
 
@@ -12,7 +10,7 @@ import pytest
 
 import treeot as ot
 
-from conftest import noisy_grid_measures, random_measure_pair
+from conftest import c_compiler_found, noisy_grid_measures, random_measure_pair
 
 
 def fresh_state(g, mu, nu, cfg, seed):
@@ -383,13 +381,6 @@ print(json.dumps([ot.kernel_backend(), finished, threaded == sequential]))
 NUMBA_FOUND = importlib.util.find_spec("numba") is not None
 
 
-def c_compiler_found() -> bool:
-    """Whether ``$CC``, or else cc, gcc or clang, is on PATH."""
-    cc = os.environ.get("CC")
-    names = [shlex.split(cc)[0]] if cc else ["cc", "gcc", "clang"]
-    return any(shutil.which(name) for name in names)
-
-
 def compiled_backends() -> list[str]:
     """The compiled kernel backends this machine can run."""
     return (["numba"] if NUMBA_FOUND else []) + (["c"] if c_compiler_found() else [])
@@ -462,6 +453,16 @@ class TestKernelBackendSelection:
         proc = run_python("import treeot.cli", TREEOT_CACHE_DIR=str(cache))
         assert proc.returncode == 0, proc.stderr
         assert not cache.exists()
+
+    def test_python_backend_draws_trees_without_building(self, tmp_path):
+        cache = tmp_path / "cache"
+        draw = ("import numpy as np, treeot as ot; "
+                "ot.random_spanning_tree(ot.grid_graph(4), np.random.default_rng(0)); "
+                "print(ot.kernel_backend())")
+        proc = run_python(draw, "python", TREEOT_CACHE_DIR=str(cache))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "python"
+        assert not cache.exists() or not any(cache.iterdir())
 
     @pytest.mark.skipif(not c_compiler_found(), reason="no C compiler on PATH")
     def test_c_kernel_is_built_once_into_the_cache(self, tmp_path):

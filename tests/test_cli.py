@@ -155,6 +155,52 @@ class TestAnnealCommand:
         ) == 2
 
 
+class TestMalformedFiles:
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "edges": [[0, 1]]},
+        {"n": 2, "edges": [[0, 1, 1.0, 3]]},
+        {"n": 2, "edges": [[0, 1, "heavy"]]},
+        {"n": 2.5, "edges": [[0, 1, 1.0]]},
+        {"n": "2", "edges": [[0, 1, 1.0]]},
+        {"n": 2, "edges": 5},
+        {"n": 2, "edges": [[0, "x", 1.0]]},
+    ], ids=["no-weight", "four-fields", "string-weight", "float-n", "string-n",
+            "edges-not-list", "string-endpoint"])
+    def test_bad_graph_exit_2(self, tmp_path, capsys, doc):
+        (tmp_path / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+        fileio.save_measure(tmp_path / "mu.json", [0.6, 0.4])
+        fileio.save_measure(tmp_path / "nu.json", [0.4, 0.6])
+        code = run_cli(
+            "anneal", "--graph", str(tmp_path / "graph.json"),
+            "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+            "--iters", "10", "--out-dir", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "graph.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"root": 0, "edges": [[0, 1, 5]]},
+        {"root": 0, "edges": [[0]]},
+        {"root": "x", "edges": [[0, 1]]},
+        {"root": 0.0, "edges": [[0, 1]]},
+        {"root": 0, "edges": 5},
+        {"root": 0, "edges": [[0, 1.5]]},
+    ], ids=["three-fields", "one-field", "string-root", "float-root", "edges-not-list",
+            "float-endpoint"])
+    def test_bad_tree_exit_2(self, tmp_path, capsys, doc):
+        fileio.save_graph(tmp_path / "graph.json", ot.build_graph(2, [(0, 1, 1.0)]))
+        (tmp_path / "tree.json").write_text(json.dumps(doc), encoding="utf-8")
+        fileio.save_measure(tmp_path / "mu.json", [0.6, 0.4])
+        fileio.save_measure(tmp_path / "nu.json", [0.4, 0.6])
+        code = run_cli(
+            "plan", "--graph", str(tmp_path / "graph.json"), "--tree", str(tmp_path / "tree.json"),
+            "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+            "--out-dir", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "tree.json" in capsys.readouterr().err
+
+
 @pytest.fixture
 def line6_files(tmp_path):
     g = ot.build_graph(6, [(i, i + 1, 1.0) for i in range(5)])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import treeot as ot
+from treeot import _kernels
 from treeot.errors import EdgeNotInGraphError, HasCycleError, NotSpanningError
 
-from conftest import line6_edges, random_connected_graph
+from conftest import c_compiler_found, line6_edges, random_connected_graph, random_tree_graph
 
 
 def line_graph(n):
@@ -184,3 +185,67 @@ class TestWilson:
         for u, v in t.edge_set():
             assert g.has_edge(u, v)
         assert len(t.edge_set()) == g.n - 1
+
+
+def wilson_graphs():
+    """Lattices, random graphs with pendant vertices and non-unit weights,
+    and the one- and two-vertex graphs."""
+    graphs = [pytest.param(ot.build_graph(1, []), id="n1"),
+              pytest.param(ot.build_graph(2, [(0, 1, 0.7)]), id="n2")]
+    graphs += [pytest.param(ot.grid_graph(p), id=f"grid{p}") for p in (2, 3, 8)]
+    graphs.append(pytest.param(ot.grid_graph(5, weight=0.3), id="grid5-w0.3"))
+    for s in range(4):
+        rng = np.random.default_rng(700 + s)
+        n = int(rng.integers(3, 40))
+        graphs.append(pytest.param(random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n))),
+                                   id=f"random{s}"))
+        graphs.append(pytest.param(random_tree_graph(rng, n), id=f"tree{s}"))
+    return graphs
+
+
+def draw_tree(kernel, g, seed):
+    """(root, parent, wpar, next uniform) of one draw with ``kernel``."""
+    rng = np.random.default_rng(seed)
+    parent = np.empty(g.n, dtype=np.int64)
+    wpar = np.empty(g.n)
+    root = int(kernel(g.indptr, g.indices, g.weights, rng, parent, wpar))
+    return root, parent, wpar, rng.random()
+
+
+@pytest.fixture(scope="module")
+def c_wilson():
+    if not c_compiler_found():
+        pytest.skip("no C compiler on PATH")
+    return _kernels._load_c()[1]
+
+
+class TestWilsonBackends:
+    @pytest.mark.parametrize("g", wilson_graphs())
+    def test_c_matches_python(self, c_wilson, g):
+        for seed in range(6):
+            root, parent, wpar, after = draw_tree(c_wilson, g, seed)
+            ref_root, ref_parent, ref_wpar, ref_after = draw_tree(_kernels.wilson_tree, g, seed)
+            assert root == ref_root
+            assert np.array_equal(parent, ref_parent)
+            assert np.array_equal(wpar, ref_wpar)
+            assert after == ref_after
+            assert parent[root] == -1 and wpar[root] == 0.0
+            assert all(wpar[v] == g.edge_weight(v, int(parent[v])) for v in range(g.n) if v != root)
+            t = ot.random_spanning_tree(g, np.random.default_rng(seed))
+            assert t.root == root and np.array_equal(t.parent, parent)
+            assert np.array_equal(t.weight_to_parent, wpar)
+
+    def test_c_rejects_what_python_rejects(self, c_wilson):
+        empty = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        isolated = (np.zeros(3, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        for (indptr, indices, weights), n in ((empty, 0), (isolated, 2)):
+            for kernel in (c_wilson, _kernels.wilson_tree):
+                with pytest.raises(ValueError):
+                    kernel(indptr, indices, weights, np.random.default_rng(0),
+                           np.empty(n, dtype=np.int64), np.empty(n))
+
+    def test_c_rejects_malformed_csr(self, c_wilson):
+        indptr = np.array([0, 2, 1, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="indptr"):
+            c_wilson(indptr, np.array([1, 2], dtype=np.int64), np.ones(2), np.random.default_rng(0),
+                     np.empty(3, dtype=np.int64), np.empty(3))
