@@ -1,4 +1,5 @@
-/* C transcription of the annealing and random-tree kernels in _kernels.py.
+/* C transcription of the annealing, random-tree and transport-plan kernels
+ * in _kernels.py.
  *
  * Every floating-point operation happens in the same order as in the Python
  * kernels, and the library is built with -ffp-contract=off and without
@@ -27,6 +28,8 @@ enum {
     CHAIN_DEGREE_TOO_LARGE = 2,
     WILSON_BAD_VERTEX_COUNT = 3,
     WILSON_NO_NEIGHBOUR = 4,
+    PLAN_NO_MATCH = 5,
+    PLAN_NO_END = 6,
 };
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
@@ -245,4 +248,189 @@ int treeot_wilson(
     }
     *root_out = root;
     return CHAIN_OK;
+}
+
+/* _heap_push of _kernels.py: push v onto the min-heap heap[0..size). */
+static int64_t heap_push(int64_t *heap, int64_t size, int64_t v)
+{
+    int64_t i = size;
+    while (i > 0) {
+        const int64_t up = (i - 1) / 2;
+        if (heap[up] <= v)
+            break;
+        heap[i] = heap[up];
+        i = up;
+    }
+    heap[i] = v;
+    return size + 1;
+}
+
+/* _heap_pop of _kernels.py: drop the smallest entry of heap[0..size). */
+static int64_t heap_pop(int64_t *heap, int64_t size)
+{
+    size--;
+    const int64_t v = heap[size];
+    int64_t i = 0;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= size)
+            break;
+        if (c + 1 < size && heap[c + 1] < heap[c])
+            c++;
+        if (v <= heap[c])
+            break;
+        heap[i] = heap[c];
+        i = c;
+    }
+    if (size > 0)
+        heap[i] = v;
+    return size;
+}
+
+/* _prune of _kernels.py. */
+static int64_t prune(int64_t v, const int64_t *parent, const double *xi, uint8_t *alive,
+                     int64_t *active, int64_t *heap, int64_t size)
+{
+    while (v >= 0 && alive[v] && active[v] == 0 && xi[v] == 0.0) {
+        alive[v] = 0;
+        v = parent[v];
+        if (v >= 0) {
+            active[v] -= 1;
+            if (active[v] == 0 && xi[v] != 0.0)
+                size = heap_push(heap, size, v);
+        }
+    }
+    return size;
+}
+
+/* dp_plan of _kernels.py. xi is changed in place; xi_cum and alive hold n
+ * slots, work_i 4n (live child counts, heap and two BFS layers), out_x, out_y
+ * and out_m 4n + 16. out_k receives {count, u}. Returns 0, PLAN_NO_MATCH or
+ * PLAN_NO_END. */
+int treeot_dp_plan(
+    int64_t n, const int64_t *parent, const int64_t *order, const int64_t *child_ptr,
+    const int64_t *child_idx, double *xi, double zero_tol, double *xi_cum, uint8_t *alive,
+    int64_t *work_i, int64_t *out_x, int64_t *out_y, double *out_m, int64_t *out_k)
+{
+    int64_t count = 0;
+    out_k[0] = 0;
+    out_k[1] = -1;
+    if (n == 0)
+        return CHAIN_OK;
+    int64_t *active = work_i, *heap = work_i + n;
+    int64_t *layer = work_i + 2 * n, *next_layer = work_i + 3 * n;
+    const int64_t root = order[n - 1];
+    for (int64_t v = 0; v < n; v++) {
+        if (fabs(xi[v]) <= zero_tol)
+            xi[v] = 0.0;
+        xi_cum[v] = xi[v];
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t v = order[i], p = parent[v];
+        if (p >= 0)
+            xi_cum[p] += xi_cum[v];
+    }
+    for (int64_t v = 0; v < n; v++)
+        if (fabs(xi_cum[v]) <= zero_tol)
+            xi_cum[v] = 0.0;
+    xi_cum[root] = 0.0;
+
+    int64_t size = 0;
+    for (int64_t v = 0; v < n; v++) {
+        alive[v] = 1;
+        active[v] = child_ptr[v + 1] - child_ptr[v];
+        if (active[v] == 0 && xi[v] != 0.0)
+            size = heap_push(heap, size, v);
+    }
+    for (int64_t v = 0; v < n; v++)
+        size = prune(v, parent, xi, alive, active, heap, size);
+
+    int status = PLAN_NO_END;
+    for (int64_t step = 0; step < 4 * n + 16; step++) {
+        while (size > 0 && !alive[heap[0]])
+            size = heap_pop(heap, size);
+        if (size == 0) {
+            status = CHAIN_OK;
+            break;
+        }
+        const int64_t x = heap[0];
+        if (x == root) {
+            status = PLAN_NO_MATCH;
+            break;
+        }
+        const double s = xi[x] > 0.0 ? 1.0 : -1.0;
+        double m = fabs(xi[x]);
+
+        int64_t below = x, u = parent[x];
+        while (u != root && xi_cum[u] != 0.0) {
+            const double diff = xi_cum[u] - xi_cum[below];
+            if (fabs(diff) > zero_tol && s * diff < 0.0)
+                break;
+            if (fabs(xi_cum[u]) < m)
+                m = fabs(xi_cum[u]);
+            below = u;
+            u = parent[u];
+        }
+
+        int64_t y = -1, width = 1;
+        layer[0] = u;
+        while (width > 0) {
+            for (int64_t i = 0; i < width; i++) {
+                const int64_t v = layer[i];
+                if (s * xi[v] < 0.0 && (y < 0 || v < y))
+                    y = v;
+            }
+            if (y >= 0)
+                break;
+            int64_t grown = 0;
+            for (int64_t i = 0; i < width; i++) {
+                const int64_t v = layer[i];
+                for (int64_t j = child_ptr[v]; j < child_ptr[v + 1]; j++) {
+                    const int64_t c = child_idx[j];
+                    if (alive[c] && s * xi_cum[c] < 0.0)
+                        next_layer[grown++] = c;
+                }
+            }
+            int64_t *swap = layer;
+            layer = next_layer;
+            next_layer = swap;
+            width = grown;
+        }
+        if (y < 0) {
+            out_k[1] = u;
+            status = PLAN_NO_MATCH;
+            break;
+        }
+
+        for (int64_t v = y; v != u; v = parent[v])
+            if (fabs(xi_cum[v]) < m)
+                m = fabs(xi_cum[v]);
+        if (fabs(xi[y]) < m)
+            m = fabs(xi[y]);
+
+        out_x[count] = s > 0.0 ? x : y;
+        out_y[count] = s > 0.0 ? y : x;
+        out_m[count] = m;
+        count++;
+        xi[x] -= s * m;
+        xi[y] += s * m;
+        if (fabs(xi[x]) <= zero_tol)
+            xi[x] = 0.0;
+        if (fabs(xi[y]) <= zero_tol)
+            xi[y] = 0.0;
+        for (int64_t v = x; v != u; v = parent[v]) {
+            xi_cum[v] -= s * m;
+            if (fabs(xi_cum[v]) <= zero_tol)
+                xi_cum[v] = 0.0;
+        }
+        for (int64_t v = y; v != u; v = parent[v]) {
+            xi_cum[v] += s * m;
+            if (fabs(xi_cum[v]) <= zero_tol)
+                xi_cum[v] = 0.0;
+        }
+        size = prune(x, parent, xi, alive, active, heap, size);
+        size = prune(y, parent, xi, alive, active, heap, size);
+    }
+    out_k[0] = count;
+    return status;
 }

@@ -1,7 +1,8 @@
-"""The annealing and random-tree kernels and the backends that run them.
+"""The annealing, random-tree and transport-plan kernels and the backends
+that run them.
 
-``anneal_chain`` and ``wilson_tree`` below are the reference kernels in plain
-Python over numpy arrays. Three backends run them:
+``anneal_chain``, ``wilson_tree`` and ``dp_plan`` below are the reference
+kernels in plain Python. Three backends run them:
 
 - ``numba``: the same function bodies compiled with ``numba.njit`` (numba is
   an optional extra);
@@ -12,9 +13,10 @@ Python over numpy arrays. Three backends run them:
 ``TREEOT_BACKEND`` names the backend. Unset, the first of numba and c that
 loads is used, else python with a warning. A named backend that cannot load,
 or an unknown name, raises :class:`KernelBackendError`; there is no silent
-fallback. Traces and trees are bit-identical between backends: all of them
-draw from the caller's numpy bit generator in the same way, and do the same
-arithmetic in the same order without fused multiply-adds.
+fallback. Traces, trees and plans are bit-identical between backends: all of
+them draw from the caller's numpy bit generator in the same way, and do the
+same arithmetic in the same order without fused multiply-adds. The python
+backend runs ``dp_plan`` over lists, which Python indexes faster than arrays.
 """
 
 from __future__ import annotations
@@ -41,9 +43,12 @@ _C_STATUS = {
     3: "a vertex count of 0 or of 2^32 or more is not supported",
     4: "a random walk reached a vertex with no graph neighbour",
 }
+# dp_plan's statuses besides 0, shared with _kernel.c
+PLAN_NO_MATCH = 5
+PLAN_NO_END = 6
 
 _lock = threading.Lock()
-_backend: tuple[str, object, object] | None = None
+_backend: tuple[str, object, object, object] | None = None
 
 
 def kernel_backend() -> str:
@@ -64,6 +69,14 @@ def chain_kernel():
 def tree_kernel():
     """The backend's ``wilson_tree``, with the signature of the one below."""
     return _resolve()[2]
+
+
+def plan_kernel():
+    """The backend's transport-plan DP: ``(parent, order, xi, zero_tol) ->
+    (rows, cols, mass)``, the off-diagonal entries that ``dp_plan`` below
+    writes, in its order. Raises ``RuntimeError`` when an entry is written
+    twice, when no match exists or when 4n + 16 transfers do not finish."""
+    return _resolve()[3]
 
 
 def _resolve():
@@ -99,21 +112,89 @@ def _load_numba():
         from numba import njit
     except ImportError as exc:
         raise KernelBackendError(f"numba is not importable ({exc})") from exc
-    # numba resolves the callees of anneal_chain through this module's globals
+    # numba resolves the kernels' callees through this module's globals
     jit = njit(cache=True)
     names = globals()
-    for name in ("recompute_cumulative", "tree_cost", "anneal_chain", "wilson_tree"):
+    for name in ("recompute_cumulative", "tree_cost", "anneal_chain", "wilson_tree",
+                 "_heap_push", "_heap_pop", "_prune", "dp_plan"):
         names[name] = jit(names[name])
-    return names["anneal_chain"], names["wilson_tree"]
+    plan = names["dp_plan"]
+
+    def dp_plan_numba(parent, order, child_ptr, child_idx, xi, zero_tol):
+        n = parent.shape[0]
+        cap = 4 * n + 16
+        out_x = np.empty(cap, dtype=np.int64)
+        out_y = np.empty(cap, dtype=np.int64)
+        out_m = np.empty(cap)
+        status, count, u = plan(parent, order, child_ptr, child_idx, xi, zero_tol,
+                                np.empty(n), np.empty(n, dtype=np.bool_),
+                                *(np.empty(n, dtype=np.int64) for _ in range(4)),
+                                out_x, out_y, out_m)
+        return status, count, u, out_x, out_y, out_m
+
+    return names["anneal_chain"], names["wilson_tree"], _plan_runner(dp_plan_numba)
 
 
 def _load_python():
-    return anneal_chain, wilson_tree
+    def dp_plan_lists(parent, order, child_ptr, child_idx, xi, zero_tol):
+        n = parent.shape[0]
+        cap = 4 * n + 16
+        out_x = [0] * cap
+        out_y = [0] * cap
+        out_m = [0.0] * cap
+        status, count, u = dp_plan(parent.tolist(), order.tolist(), child_ptr.tolist(),
+                                   child_idx.tolist(), xi.tolist(), zero_tol,
+                                   [0.0] * n, [False] * n, [0] * n, [0] * n, [0] * n, [0] * n,
+                                   out_x, out_y, out_m)
+        return (status, count, u, np.array(out_x[:count], dtype=np.int64),
+                np.array(out_y[:count], dtype=np.int64), np.array(out_m[:count], dtype=np.float64))
+
+    return anneal_chain, wilson_tree, _plan_runner(dp_plan_lists)
+
+
+def _plan_runner(run):
+    """The backend's plan kernel: checks the tree, builds its child CSR with a
+    stable argsort of ``parent`` (children in increasing order, as in
+    ``RootedTree.children``), calls ``run`` with the reference's first six
+    arguments and turns its ``(status, count, u, out_x, out_y, out_m)`` into
+    entries or a ``RuntimeError``."""
+
+    def dp_plan_entries(parent, order, xi, zero_tol):
+        n = parent.shape[0]
+        _check_arrays(((parent, n), (order, n)), ((xi, n),), "tree")
+        if n and not (np.array_equal(np.sort(order), np.arange(n)) and parent[order[-1]] == -1):
+            raise ValueError("plan kernel: order is not a permutation ending at the root")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        below = order[:-1]
+        up = parent[below]
+        if np.any(up < 0) or np.any(up >= n) or np.any(rank[up] <= rank[below]):
+            raise ValueError("plan kernel: parent links do not climb along order to the root")
+        child_idx = np.argsort(parent, kind="stable")[1:]
+        child_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(up, minlength=n), out=child_ptr[1:])
+        status, count, u, out_x, out_y, out_m = run(parent, order, child_ptr, child_idx,
+                                                     np.array(xi, dtype=np.float64), float(zero_tol))
+        rows, cols, mass = out_x[:count], out_y[:count], out_m[:count]
+        keys = rows * n + cols
+        by_key = np.argsort(keys, kind="stable")
+        again = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
+        if again.size:
+            j = int(again.min())
+            raise RuntimeError("plan construction wrote off-diagonal entry "
+                               f"{(int(rows[j]), int(cols[j]))} twice")
+        if status == PLAN_NO_MATCH:
+            raise RuntimeError(f"no matching vertex below {u}; residuals are inconsistent")
+        if status == PLAN_NO_END:
+            raise RuntimeError("plan construction did not terminate")
+        return rows, cols, mass
+
+    return dp_plan_entries
 
 
 def _check_arrays(ints, floats, what: str) -> None:
     """Raise unless every ``(array, size)`` pair is a contiguous 1-D array of
-    the dtype and at least the size the C functions index."""
+    the dtype and at least the size the kernels index."""
     for arrays, dtype in ((ints, np.int64), (floats, np.float64)):
         for a, size in arrays:
             if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous or a.shape[0] < size:
@@ -142,6 +223,9 @@ def _load_c():
     wilson = lib.treeot_wilson
     wilson.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     wilson.restype = ctypes.c_int
+    plan = lib.treeot_dp_plan
+    plan.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    plan.restype = ctypes.c_int
 
     def anneal_chain_c(parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
                        max_iters, beta0, target_accept, eta, window, record_every,
@@ -196,7 +280,24 @@ def _load_c():
             raise ValueError(f"C kernel stopped: {_C_STATUS.get(status, status)}")
         return int(root[0])
 
-    return anneal_chain_c, wilson_tree_c
+    def dp_plan_c(parent, order, child_ptr, child_idx, xi, zero_tol):
+        n = parent.shape[0]
+        cap = 4 * n + 16
+        out_x = np.empty(cap, dtype=np.int64)
+        out_y = np.empty(cap, dtype=np.int64)
+        out_m = np.empty(cap)
+        out_k = np.empty(2, dtype=np.int64)
+        xi_cum = np.empty(n)
+        alive = np.empty(n, dtype=np.uint8)
+        work_i = np.empty(4 * n, dtype=np.int64)
+        status = plan(n, parent.ctypes.data, order.ctypes.data, child_ptr.ctypes.data,
+                      child_idx.ctypes.data, xi.ctypes.data, zero_tol, xi_cum.ctypes.data,
+                      alive.ctypes.data, work_i.ctypes.data, out_x.ctypes.data,
+                      out_y.ctypes.data, out_m.ctypes.data, out_k.ctypes.data)
+        count, u = out_k.tolist()
+        return status, count, u, out_x, out_y, out_m
+
+    return anneal_chain_c, wilson_tree_c, _plan_runner(dp_plan_c)
 
 
 def _compiler() -> list[str]:
@@ -465,3 +566,196 @@ def wilson_tree(indptr, indices, adj_w, rng, parent, wpar):
             in_tree[v] = True
             v = parent[v]
     return root
+
+
+def _heap_push(heap, size, v):
+    """Push ``v`` onto the binary min-heap ``heap[:size]``; return the new size."""
+    i = size
+    while i > 0:
+        up = (i - 1) // 2
+        if heap[up] <= v:
+            break
+        heap[i] = heap[up]
+        i = up
+    heap[i] = v
+    return size + 1
+
+
+def _heap_pop(heap, size):
+    """Drop the smallest entry of the binary min-heap ``heap[:size]``; return
+    the new size."""
+    size -= 1
+    v = heap[size]
+    i = 0
+    while True:
+        c = 2 * i + 1
+        if c >= size:
+            break
+        if c + 1 < size and heap[c + 1] < heap[c]:
+            c += 1
+        if v <= heap[c]:
+            break
+        heap[i] = heap[c]
+        i = c
+    if size > 0:
+        heap[i] = v
+    return size
+
+
+def _prune(v, parent, xi, alive, active, heap, size):
+    """Discard ``v`` and then its ancestors while each is a balanced leaf, so
+    their parents become visible leaves; push a parent that becomes a leaf
+    with a residual. Return the heap size."""
+    while v >= 0 and alive[v] and active[v] == 0 and xi[v] == 0.0:
+        alive[v] = False
+        v = parent[v]
+        if v >= 0:
+            active[v] -= 1
+            if active[v] == 0 and xi[v] != 0.0:
+                size = _heap_push(heap, size, v)
+    return size
+
+
+def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol, xi_cum, alive, active,
+            heap, layer, next_layer, out_x, out_y, out_m):
+    """Off-diagonal entries of the dynamic-programming optimal plan on the
+    tree given by ``parent``, ``order`` (leaves first, root last) and the
+    child CSR ``child_ptr``/``child_idx``, for the residuals ``xi`` (mu - nu,
+    changed in place). Returns ``(status, count, u)``: ``out_x``, ``out_y`` and
+    ``out_m`` (4n + 16 slots) hold ``count`` entries; status 0 is success,
+    ``PLAN_NO_MATCH`` means no match was found below ``u`` and
+    ``PLAN_NO_END`` that 4n + 16 transfers did not finish. The other
+    arguments are n-slot work buffers.
+
+    Residues of magnitude at most ``zero_tol`` count as zero. The cumulative
+    imbalance ``xi_cum`` is summed along ``order``. A leaf is a live vertex
+    with no live child; balanced leaves are discarded. Each step takes the
+    leaf x of smallest id with a residual, climbs from x while the
+    cumulative imbalance keeps growing in x's direction, then matches the
+    nearest vertex y below the stopping vertex u (by hop count, ties to the
+    smallest id) with the opposite residual, reachable through live children
+    whose cumulative imbalance has the opposite sign. The transfer is capped
+    so that no cumulative imbalance changes sign, so it zeroes a residual.
+
+    Residuals never become nonzero or change sign, so a vertex becomes a
+    candidate leaf only when its last live child is discarded; the min-heap
+    of candidates therefore yields the smallest candidate id, with discarded
+    entries skipped when they reach the top. Each vertex is pushed at most
+    once.
+    """
+    n = len(parent)
+    if n == 0:
+        return 0, 0, -1
+    root = order[n - 1]
+    for v in range(n):
+        if abs(xi[v]) <= zero_tol:
+            xi[v] = 0.0
+        xi_cum[v] = xi[v]
+    for i in range(n):
+        v = order[i]
+        p = parent[v]
+        if p >= 0:
+            xi_cum[p] += xi_cum[v]
+    for v in range(n):
+        if abs(xi_cum[v]) <= zero_tol:
+            xi_cum[v] = 0.0
+    xi_cum[root] = 0.0
+
+    size = 0
+    for v in range(n):
+        alive[v] = True
+        active[v] = child_ptr[v + 1] - child_ptr[v]
+        if active[v] == 0 and xi[v] != 0.0:
+            size = _heap_push(heap, size, v)
+    for v in range(n):
+        size = _prune(v, parent, xi, alive, active, heap, size)
+
+    count = 0
+    for _ in range(4 * n + 16):
+        while size > 0 and not alive[heap[0]]:
+            size = _heap_pop(heap, size)
+        if size == 0:
+            return 0, count, -1
+        x = heap[0]
+        if x == root:
+            return PLAN_NO_MATCH, count, -1
+        s = 1.0 if xi[x] > 0.0 else -1.0
+        m = abs(xi[x])
+
+        # climb while nothing of the opposite sign branches off: stop where the
+        # cumulative imbalance vanishes or where the step difference (what the
+        # rest of the subtree at u contributes) carries the opposite sign
+        below = x
+        u = parent[x]
+        while u != root and xi_cum[u] != 0.0:
+            diff = xi_cum[u] - xi_cum[below]
+            if abs(diff) > zero_tol and s * diff < 0.0:
+                break
+            if abs(xi_cum[u]) < m:
+                m = abs(xi_cum[u])
+            below = u
+            u = parent[u]
+
+        # breadth-first below u, one layer at a time; a tree visits no
+        # vertex twice, so the smallest hit of the first layer with one wins
+        y = -1
+        layer[0] = u
+        width = 1
+        while width > 0:
+            for i in range(width):
+                v = layer[i]
+                if s * xi[v] < 0.0 and (y < 0 or v < y):
+                    y = v
+            if y >= 0:
+                break
+            grown = 0
+            for i in range(width):
+                v = layer[i]
+                for j in range(child_ptr[v], child_ptr[v + 1]):
+                    c = child_idx[j]
+                    if alive[c] and s * xi_cum[c] < 0.0:
+                        next_layer[grown] = c
+                        grown += 1
+            layer, next_layer = next_layer, layer
+            width = grown
+        if y < 0:
+            return PLAN_NO_MATCH, count, u
+
+        # cap by the descent chain and the target's residual
+        v = y
+        while v != u:
+            if abs(xi_cum[v]) < m:
+                m = abs(xi_cum[v])
+            v = parent[v]
+        if abs(xi[y]) < m:
+            m = abs(xi[y])
+
+        if s > 0.0:
+            out_x[count] = x
+            out_y[count] = y
+        else:
+            out_x[count] = y
+            out_y[count] = x
+        out_m[count] = m
+        count += 1
+        xi[x] -= s * m
+        xi[y] += s * m
+        if abs(xi[x]) <= zero_tol:
+            xi[x] = 0.0
+        if abs(xi[y]) <= zero_tol:
+            xi[y] = 0.0
+        v = x
+        while v != u:
+            xi_cum[v] -= s * m
+            if abs(xi_cum[v]) <= zero_tol:
+                xi_cum[v] = 0.0
+            v = parent[v]
+        v = y
+        while v != u:
+            xi_cum[v] += s * m
+            if abs(xi_cum[v]) <= zero_tol:
+                xi_cum[v] = 0.0
+            v = parent[v]
+        size = _prune(x, parent, xi, alive, active, heap, size)
+        size = _prune(y, parent, xi, alive, active, heap, size)
+    return PLAN_NO_END, count, -1

@@ -116,6 +116,9 @@ def load_measure_raw(path, n: int) -> np.ndarray:
         values = _parse_json(path)
         if not isinstance(values, list):
             raise FormatError(f"{path}: expected a JSON array")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise FormatError(f"{path}: measure entry must be a number, got {v!r}")
     if len(values) != n:
         raise BadDimensionsError(f"{path}: {len(values)} values for {n} vertices")
     values = np.asarray(values, dtype=np.float64)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     ConditionViolatedError,
     MassMismatchError,
@@ -184,21 +185,42 @@ class TransportPlan:
 def make_plan(n: int, triplets) -> TransportPlan:
     """Build a plan from (x, y, mass) triplets: coalesces duplicates, drops
     zeros, rejects negative and non-finite masses, sorts lexicographically."""
-    acc: dict[tuple[int, int], float] = {}
-    for x, y, m in triplets:
-        x, y, m = int(x), int(y), float(m)
-        if not (0 <= x < n and 0 <= y < n):
-            raise VertexRangeError(f"plan entry ({x},{y}) out of range")
-        if not math.isfinite(m):
-            raise NonFiniteMassError(f"plan entry ({x},{y}) has non-finite mass {m}")
-        if m < 0.0:
-            raise NegativeMassError(f"plan entry ({x},{y}) has negative mass {m}")
-        if m > 0.0:
-            acc[(x, y)] = acc.get((x, y), 0.0) + m
-    keys = sorted(acc)
-    rows = np.array([k[0] for k in keys], dtype=np.int64)
-    cols = np.array([k[1] for k in keys], dtype=np.int64)
-    mass = np.array([acc[k] for k in keys], dtype=np.float64)
+    entries = [(int(x), int(y), float(m)) for x, y, m in triplets]
+    try:
+        columns = np.array(entries, dtype=np.float64).reshape(-1, 3)
+    except OverflowError:  # an index beyond float range, hence out of range
+        for entry in entries:
+            _check_entry(n, *entry)
+        raise
+    rows, cols, mass = columns.T
+    return _assemble_plan(n, rows, cols, mass, entries)
+
+
+def _check_entry(n: int, x: int, y: int, m: float) -> None:
+    if not (0 <= x < n and 0 <= y < n):
+        raise VertexRangeError(f"plan entry ({x},{y}) out of range")
+    if not math.isfinite(m):
+        raise NonFiniteMassError(f"plan entry ({x},{y}) has non-finite mass {m}")
+    if m < 0.0:
+        raise NegativeMassError(f"plan entry ({x},{y}) has negative mass {m}")
+
+
+def _assemble_plan(n: int, rows, cols, mass, entries=None) -> TransportPlan:
+    """:func:`make_plan` over parallel arrays: the first offending entry, in
+    input order, raises as :func:`_check_entry` says, with the values of
+    ``entries`` when given; duplicates are summed in input order."""
+    ok = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n) & np.isfinite(mass) & ~(mass < 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        _check_entry(n, *(entries[i] if entries is not None
+                          else (int(rows[i]), int(cols[i]), float(mass[i]))))
+    kept = mass > 0.0
+    keys = rows[kept].astype(np.int64) * n + cols[kept].astype(np.int64)
+    keys, slot = np.unique(keys, return_inverse=True)
+    # bincount adds in input order, as a running sum per key would; it
+    # returns int64 when there is nothing to add
+    mass = np.bincount(slot, weights=mass[kept], minlength=keys.shape[0]).astype(np.float64)
+    rows, cols = np.divmod(keys, n)
     for arr in (rows, cols, mass):
         arr.setflags(write=False)
     return TransportPlan(n=n, rows=rows, cols=cols, mass=mass)
@@ -260,127 +282,23 @@ def dp_transport_plan(t: RootedTree, mu, nu, zero_tol: float = ZERO_SNAP) -> Tra
     through edges whose cumulative imbalance has the opposite sign. The
     transferred mass is capped so no cumulative imbalance changes sign, hence
     every transfer zeroes a residual and the loop terminates. Residues with
-    magnitude below ``zero_tol`` count as zero.
+    magnitude below ``zero_tol`` count as zero. The loop is
+    :func:`treeot._kernels.dp_plan`, run on the kernel backend.
     """
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     n = t.n
     imbalance(mu, nu)  # validates shapes and the zero-sum invariant
+    if mu.shape != (n,):
+        raise VertexRangeError(f"expected {n} values, got shape {mu.shape}")
     # exact unit sums so supply and demand cancel to rounding noise, not to the
     # 1e-9 ingestion tolerance, which would strand a leaf without a match
     xi = mu / mu.sum() - nu / nu.sum()
-    xi[np.abs(xi) <= zero_tol] = 0.0
-    xi_cum = subtree_aggregate(t, xi)
-    xi_cum[np.abs(xi_cum) <= zero_tol] = 0.0
-    xi_cum[t.root] = 0.0
-
+    rows, cols, mass = _kernels.plan_kernel()(t.parent, t.order, xi, zero_tol)
     diag = np.minimum(mu, nu)
-    offdiag: dict[tuple[int, int], float] = {}
-
-    alive = np.ones(n, dtype=bool)
-    active_children = np.array([len(t.children[v]) for v in range(n)], dtype=np.int64)
-
-    def prune(v: int) -> None:
-        # discard balanced leaves so their parents become visible leaves
-        while v >= 0 and alive[v] and active_children[v] == 0 and xi[v] == 0.0:
-            alive[v] = False
-            v = int(t.parent[v])
-            if v >= 0:
-                active_children[v] -= 1
-
-    for v in range(n):
-        prune(v)
-
-    max_steps = 4 * n + 16
-    for _ in range(max_steps):
-        x = -1
-        for v in range(n):
-            if alive[v] and active_children[v] == 0 and xi[v] != 0.0:
-                x = v
-                break
-        if x < 0:
-            break
-        s = 1.0 if xi[x] > 0.0 else -1.0
-        m = abs(xi[x])
-
-        # climb while nothing of the opposite sign branches off: stop where the
-        # cumulative imbalance vanishes or where the step difference (what the
-        # rest of the subtree at u contributes) carries the opposite sign
-        below = x
-        u = int(t.parent[x])
-        while u != t.root and xi_cum[u] != 0.0:
-            diff = xi_cum[u] - xi_cum[below]
-            if abs(diff) > zero_tol and _sgn(diff) == -s:
-                break
-            m = min(m, abs(xi_cum[u]))
-            below = u
-            u = int(t.parent[u])
-
-        y = _find_match(t, u, xi, xi_cum, alive, s)
-        # cap by the descent chain and the target's residual
-        v = y
-        while v != u:
-            m = min(m, abs(xi_cum[v]))
-            v = int(t.parent[v])
-        m = min(m, abs(xi[y]))
-
-        key = (x, y) if s > 0 else (y, x)
-        if key in offdiag:
-            raise RuntimeError(f"plan construction wrote off-diagonal entry {key} twice")
-        offdiag[key] = m
-        xi[x] -= s * m
-        xi[y] += s * m
-        for v in (x, y):
-            if abs(xi[v]) <= zero_tol:
-                xi[v] = 0.0
-        v = x
-        while v != u:
-            xi_cum[v] -= s * m
-            if abs(xi_cum[v]) <= zero_tol:
-                xi_cum[v] = 0.0
-            v = int(t.parent[v])
-        v = y
-        while v != u:
-            xi_cum[v] += s * m
-            if abs(xi_cum[v]) <= zero_tol:
-                xi_cum[v] = 0.0
-            v = int(t.parent[v])
-        prune(x)
-        prune(y)
-    else:
-        raise RuntimeError("plan construction did not terminate")
-
-    triplets = [(x, y, m) for (x, y), m in offdiag.items()]
-    triplets.extend((v, v, float(diag[v])) for v in range(n) if diag[v] > 0.0)
-    return make_plan(n, triplets)
-
-
-def _sgn(v: float) -> float:
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
-
-
-def _find_match(t: RootedTree, u: int, xi, xi_cum, alive, s: float) -> int:
-    """Nearest vertex below ``u`` (by hop count, ties to smallest id) with
-    residual sign opposite to ``s``, reachable through children whose
-    cumulative imbalance has sign -s."""
-    frontier = [u]
-    seen = {u}
-    while frontier:
-        hits = [v for v in frontier if xi[v] != 0.0 and _sgn(xi[v]) == -s]
-        if hits:
-            return min(hits)
-        nxt = []
-        for v in frontier:
-            for c in t.children[v]:
-                if alive[c] and c not in seen and _sgn(xi_cum[c]) == -s:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = sorted(nxt)
-    raise RuntimeError(f"no matching vertex below {u}; residuals are inconsistent")
+    on_diag = np.flatnonzero(diag > 0.0)
+    return _assemble_plan(n, np.concatenate([rows, on_diag]), np.concatenate([cols, on_diag]),
+                          np.concatenate([mass, diag[on_diag]]))
 
 
 def plan_to_flow(plan: TransportPlan, t: RootedTree) -> Flow:

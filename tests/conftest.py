@@ -8,10 +8,13 @@ for the optimized implementations.
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import itertools
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +152,30 @@ def c_compiler_found() -> bool:
     cc = os.environ.get("CC")
     names = [shlex.split(cc)[0]] if cc else ["cc", "gcc", "clang"]
     return any(shutil.which(name) for name in names)
+
+
+NUMBA_FOUND = importlib.util.find_spec("numba") is not None
+
+
+def compiled_backends() -> list[str]:
+    """The compiled kernel backends this machine can run."""
+    return (["numba"] if NUMBA_FOUND else []) + (["c"] if c_compiler_found() else [])
+
+
+def run_python(code: str, backend: str | None = None, argv=(), **env_overrides):
+    """Run ``code`` in a fresh interpreter on ``backend`` (default: unset),
+    with ``argv`` as its arguments; ``TESTS_DIR`` in the code names this
+    directory. The child imports the same treeot as this process, also when
+    only pytest's ``pythonpath`` put it on ``sys.path``."""
+    env = dict(os.environ, **env_overrides)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ot.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.pop("TREEOT_BACKEND", None)
+    if backend is not None:
+        env["TREEOT_BACKEND"] = backend
+    code = code.replace("TESTS_DIR", repr(os.path.dirname(os.path.abspath(__file__))))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env)
 
 
 @pytest.fixture(scope="session", autouse=True)

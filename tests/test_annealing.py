@@ -1,16 +1,19 @@
-import importlib.util
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import treeot as ot
 
-from conftest import c_compiler_found, noisy_grid_measures, random_measure_pair
+from conftest import (
+    NUMBA_FOUND,
+    c_compiler_found,
+    compiled_backends,
+    noisy_grid_measures,
+    random_measure_pair,
+    run_python,
+)
 
 
 def fresh_state(g, mu, nu, cfg, seed):
@@ -377,29 +380,6 @@ finished = not any(t.is_alive() for t in threads)
 sequential = [summary(ot.anneal(g, mu, nu, cfg)) for cfg in cfgs]
 print(json.dumps([ot.kernel_backend(), finished, threaded == sequential]))
 """
-
-NUMBA_FOUND = importlib.util.find_spec("numba") is not None
-
-
-def compiled_backends() -> list[str]:
-    """The compiled kernel backends this machine can run."""
-    return (["numba"] if NUMBA_FOUND else []) + (["c"] if c_compiler_found() else [])
-
-
-def run_python(code: str, backend: str | None = None, **env_overrides):
-    """Run ``code`` in a fresh interpreter on ``backend`` (default: unset);
-    ``TESTS_DIR`` in the code names this directory. The child imports the
-    same treeot as this process, also when only pytest's ``pythonpath`` put
-    it on ``sys.path``."""
-    env = dict(os.environ, **env_overrides)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ot.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    env.pop("TREEOT_BACKEND", None)
-    if backend is not None:
-        env["TREEOT_BACKEND"] = backend
-    code = code.replace("TESTS_DIR", repr(os.path.dirname(os.path.abspath(__file__))))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-
 
 class TestNumbaFallback:
     def test_env_flag_gives_bit_identical_traces(self):

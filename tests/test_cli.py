@@ -7,7 +7,7 @@ import treeot as ot
 from treeot import fileio
 from treeot.cli import export_dot, main
 
-from conftest import LINE6_XI, line6_edges
+from conftest import LINE6_XI, NUMBA_FOUND, line6_edges, run_python
 
 
 def run_cli(*argv):
@@ -200,6 +200,25 @@ class TestMalformedFiles:
         assert code == 2
         assert "tree.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["anneal", "verify"])
+    @pytest.mark.parametrize("entries", [
+        ["x", 0.5, 0.5],
+        [[0.5], 0.25, 0.25],
+        [True, 0.0, 0.0],
+    ], ids=["string", "nested-list", "bool"])
+    def test_non_number_measure_exit_2(self, tmp_path, capsys, command, entries):
+        fileio.save_graph(tmp_path / "graph.json", ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+        (tmp_path / "mu.json").write_text(json.dumps(entries), encoding="utf-8")
+        fileio.save_measure(tmp_path / "nu.json", [0.2, 0.2, 0.6])
+        args = ["--graph", str(tmp_path / "graph.json"),
+                "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json")]
+        if command == "anneal":
+            args += ["--iters", "10", "--out-dir", str(tmp_path / "run")]
+        code = run_cli(command, *args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "mu.json: measure entry must be a number" in captured.err
+
 
 @pytest.fixture
 def line6_files(tmp_path):
@@ -215,6 +234,16 @@ def line6_files(tmp_path):
 
 
 class TestPlanPotentialCommands:
+    @pytest.mark.skipif(NUMBA_FOUND, reason="numba is importable here")
+    def test_plan_on_a_missing_backend_exits_2(self, line6_files):
+        argv = ["plan", "--graph", str(line6_files / "graph.json"),
+                "--tree", str(line6_files / "tree.json"),
+                "--mu", str(line6_files / "mu.json"), "--nu", str(line6_files / "nu.json"),
+                "--out-dir", str(line6_files / "p")]
+        proc = run_python(f"import sys; from treeot.cli import main; sys.exit(main({argv!r}))", "numba")
+        assert proc.returncode == 2
+        assert "TREEOT_BACKEND=numba: numba is not importable" in proc.stderr
+
     def test_plan_outputs(self, line6_files, capsys):
         out = line6_files / "plan_out"
         code = run_cli(

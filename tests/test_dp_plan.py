@@ -1,11 +1,29 @@
-"""Properties of the dynamic-programming transport plan."""
+"""Properties of the dynamic-programming transport plan, and its parity with
+a plain reference loop on every kernel backend."""
+
+import hashlib
+import json
+import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import treeot as ot
+from treeot import _kernels
+from treeot.errors import NegativeMassError, NonFiniteMassError, TreeOTError, VertexRangeError
+from treeot.transport import ZERO_SNAP
 
-from conftest import line6_edges, random_measure_pair, random_tree_graph
+from conftest import (
+    compiled_backends,
+    line6_edges,
+    noisy_grid_measures,
+    random_connected_graph,
+    random_measure_pair,
+    random_tree_graph,
+    run_python,
+)
 
 
 def line_tree(n, root):
@@ -170,3 +188,358 @@ def _alternating_instance(t, rng):
     if mu.min() <= 0 or nu.min() <= 0:
         return base, base
     return mu / mu.sum(), nu / nu.sum()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the plan construction as one plain loop, with an O(n) scan for
+# the next leaf, and the dict-based plan assembly. Test-only.
+
+
+def reference_make_plan(n, triplets):
+    acc = {}
+    for x, y, m in triplets:
+        x, y, m = int(x), int(y), float(m)
+        if not (0 <= x < n and 0 <= y < n):
+            raise VertexRangeError(f"plan entry ({x},{y}) out of range")
+        if not math.isfinite(m):
+            raise NonFiniteMassError(f"plan entry ({x},{y}) has non-finite mass {m}")
+        if m < 0.0:
+            raise NegativeMassError(f"plan entry ({x},{y}) has negative mass {m}")
+        if m > 0.0:
+            acc[(x, y)] = acc.get((x, y), 0.0) + m
+    keys = sorted(acc)
+    return (np.array([k[0] for k in keys], dtype=np.int64),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            np.array([acc[k] for k in keys], dtype=np.float64))
+
+
+def _sgn(v):
+    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
+
+
+def _find_match(t, u, xi, xi_cum, alive, s):
+    frontier = [u]
+    seen = {u}
+    while frontier:
+        hits = [v for v in frontier if xi[v] != 0.0 and _sgn(xi[v]) == -s]
+        if hits:
+            return min(hits)
+        nxt = []
+        for v in frontier:
+            for c in t.children[v]:
+                if alive[c] and c not in seen and _sgn(xi_cum[c]) == -s:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = sorted(nxt)
+    raise RuntimeError(f"no matching vertex below {u}; residuals are inconsistent")
+
+
+def reference_offdiag(t, xi, zero_tol=ZERO_SNAP):
+    """Off-diagonal entries {(x, y): mass} for the residuals ``xi``."""
+    n = t.n
+    xi = np.array(xi, dtype=np.float64)
+    xi[np.abs(xi) <= zero_tol] = 0.0
+    xi_cum = ot.subtree_aggregate(t, xi)
+    xi_cum[np.abs(xi_cum) <= zero_tol] = 0.0
+    xi_cum[t.root] = 0.0
+    offdiag = {}
+    alive = np.ones(n, dtype=bool)
+    active_children = np.array([len(t.children[v]) for v in range(n)], dtype=np.int64)
+
+    def prune(v):
+        while v >= 0 and alive[v] and active_children[v] == 0 and xi[v] == 0.0:
+            alive[v] = False
+            v = int(t.parent[v])
+            if v >= 0:
+                active_children[v] -= 1
+
+    for v in range(n):
+        prune(v)
+    for _ in range(4 * n + 16):
+        x = -1
+        for v in range(n):
+            if alive[v] and active_children[v] == 0 and xi[v] != 0.0:
+                x = v
+                break
+        if x < 0:
+            break
+        s = 1.0 if xi[x] > 0.0 else -1.0
+        m = abs(xi[x])
+        below = x
+        u = int(t.parent[x])
+        while u != t.root and xi_cum[u] != 0.0:
+            diff = xi_cum[u] - xi_cum[below]
+            if abs(diff) > zero_tol and _sgn(diff) == -s:
+                break
+            m = min(m, abs(xi_cum[u]))
+            below = u
+            u = int(t.parent[u])
+        y = _find_match(t, u, xi, xi_cum, alive, s)
+        v = y
+        while v != u:
+            m = min(m, abs(xi_cum[v]))
+            v = int(t.parent[v])
+        m = min(m, abs(xi[y]))
+        key = (x, y) if s > 0 else (y, x)
+        if key in offdiag:
+            raise RuntimeError(f"plan construction wrote off-diagonal entry {key} twice")
+        offdiag[key] = m
+        xi[x] -= s * m
+        xi[y] += s * m
+        for v in (x, y):
+            if abs(xi[v]) <= zero_tol:
+                xi[v] = 0.0
+        for start, sign in ((x, -s), (y, s)):
+            v = start
+            while v != u:
+                xi_cum[v] += sign * m
+                if abs(xi_cum[v]) <= zero_tol:
+                    xi_cum[v] = 0.0
+                v = int(t.parent[v])
+        prune(x)
+        prune(y)
+    else:
+        raise RuntimeError("plan construction did not terminate")
+    return offdiag
+
+
+def reference_dp_plan(t, mu, nu, zero_tol=ZERO_SNAP):
+    mu = np.asarray(mu, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    offdiag = reference_offdiag(t, mu / mu.sum() - nu / nu.sum(), zero_tol)
+    diag = np.minimum(mu, nu)
+    triplets = [(x, y, m) for (x, y), m in offdiag.items()]
+    triplets.extend((v, v, float(diag[v])) for v in range(t.n) if diag[v] > 0.0)
+    return reference_make_plan(t.n, triplets)
+
+
+def digest(rows, cols, mass):
+    """Bit-exact fingerprint of a plan's arrays."""
+    data = b"".join(np.ascontiguousarray(a).tobytes() for a in
+                    (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+                     np.asarray(mass, dtype=np.float64)))
+    return hashlib.sha256(data).hexdigest()[:20]
+
+
+PARITY_RANDOM = 2000
+
+
+def parity_corpus():
+    """(t, mu, nu) for the backend parity check: random trees and connected
+    graphs with n = 1..39, equal measures, integer masses with zero-mass
+    vertices (zero cumulative imbalances and ties), and annealed 10x10 and
+    32x32 lattice trees."""
+    for seed in range(PARITY_RANDOM):
+        rng = np.random.default_rng(7000 + seed)
+        n = 1 + seed % 39
+        if seed % 2 or n < 3:
+            g = random_tree_graph(rng, n)
+        else:
+            g = random_connected_graph(rng, n, extra_edges=int(rng.integers(1, n)))
+        t = ot.random_spanning_tree(g, rng)
+        if seed % 3 == 0:
+            mu = rng.integers(0, 4, n).astype(float)
+            nu = rng.integers(0, 4, n).astype(float)
+            mu[0] += mu.sum() == 0.0
+            nu[-1] += nu.sum() == 0.0
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+        else:
+            mu, nu = random_measure_pair(rng, n)
+        if seed % 10 == 1:
+            nu = mu
+        yield t, mu, nu
+    for p, seed in ((10, 0), (10, 1), (10, 2), (32, 0)):
+        mu, nu = noisy_grid_measures(p, seed)
+        res = ot.anneal(ot.grid_graph(p), mu, nu, ot.AnnealConfig(max_iters=5_000, seed=seed))
+        yield res.best_tree, mu, nu
+
+
+# residuals that do not sum to 0: no match below the root, and the root as
+# the only leaf left
+INCONSISTENT = ([0.5, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, -0.25, 0.0])
+
+PARITY_SCRIPT = """
+import json, pickle, sys
+import numpy as np
+sys.path.insert(0, TESTS_DIR)
+import treeot as ot
+from treeot import _kernels
+from test_dp_plan import INCONSISTENT, digest, line_tree
+with open(sys.argv[1], "rb") as f:
+    corpus = pickle.load(f)
+plans = []
+for t, mu, nu in corpus:
+    plan = ot.dp_transport_plan(t, mu, nu)
+    plans.append(digest(plan.rows, plan.cols, plan.mass))
+errors = []
+t = line_tree(3, 2)
+for xi in INCONSISTENT:
+    try:
+        _kernels.plan_kernel()(t.parent, t.order, np.array(xi), 1e-14)
+        errors.append(None)
+    except RuntimeError as exc:
+        errors.append(str(exc))
+print(json.dumps({"backend": ot.kernel_backend(), "plans": plans, "errors": errors}))
+"""
+
+
+@pytest.fixture(scope="module")
+def parity_runs(tmp_path_factory):
+    """The reference's plan digests and errors, and a function that runs the
+    parity script on a backend (once per backend) and returns its output and,
+    for the python backend, the empty kernel cache it ran with."""
+    corpus = list(parity_corpus())
+    path = tmp_path_factory.mktemp("parity") / "corpus.pickle"
+    path.write_bytes(pickle.dumps(corpus))
+    errors = []
+    t = line_tree(3, 2)
+    for xi in INCONSISTENT:
+        with pytest.raises(RuntimeError) as info:
+            reference_offdiag(t, xi)
+        errors.append(str(info.value))
+    reference = {"plans": [digest(*reference_dp_plan(t, mu, nu)) for t, mu, nu in corpus],
+                 "errors": errors}
+    runs = {}
+
+    def run(backend):
+        if backend not in runs:
+            env = {}
+            if backend == "python":
+                env["TREEOT_CACHE_DIR"] = str(tmp_path_factory.mktemp("cache-python"))
+            proc = run_python(PARITY_SCRIPT, backend, argv=[str(path)], **env)
+            assert proc.returncode == 0, proc.stderr
+            runs[backend] = json.loads(proc.stdout), env.get("TREEOT_CACHE_DIR")
+        return runs[backend]
+
+    return reference, run
+
+
+BACKENDS = ["python", *compiled_backends()]
+
+
+class TestBackendParity:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_plans_match_the_reference_bit_for_bit(self, backend, parity_runs):
+        reference, run = parity_runs
+        out, _ = run(backend)
+        assert out["backend"] == backend
+        assert len(out["plans"]) == len(reference["plans"]) >= 2000
+        mismatched = [i for i, (a, b) in enumerate(zip(out["plans"], reference["plans"])) if a != b]
+        assert not mismatched, f"{len(mismatched)} plans differ, first at corpus index {mismatched[0]}"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_inconsistent_residuals_raise_the_reference_error(self, backend, parity_runs):
+        reference, run = parity_runs
+        out, _ = run(backend)
+        assert out["errors"] == reference["errors"]
+        assert all(e.startswith("no matching vertex below") for e in out["errors"])
+
+    def test_python_backend_builds_nothing(self, parity_runs):
+        out, cache = parity_runs[1]("python")
+        assert out["backend"] == "python"
+        assert not any(Path(cache).iterdir())
+
+
+class TestPlanGuards:
+    def fake_kernel(self, status, rows, cols, u=-1):
+        def run(parent, order, child_ptr, child_idx, xi, zero_tol):
+            k = len(rows)
+            return (status, k, u, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                    np.full(k, 0.25))
+        return _kernels._plan_runner(run)
+
+    def test_repeated_entry_raises(self):
+        t = line_tree(4, 3)
+        kernel = self.fake_kernel(0, [0, 2, 1, 2, 0], [3, 3, 3, 3, 3])
+        with pytest.raises(RuntimeError, match=r"wrote off-diagonal entry \(2, 3\) twice"):
+            kernel(t.parent, t.order, np.zeros(4), 1e-14)
+
+    def test_repeat_is_reported_before_a_failed_status(self):
+        t = line_tree(4, 3)
+        kernel = self.fake_kernel(_kernels.PLAN_NO_END, [1, 1], [3, 3])
+        with pytest.raises(RuntimeError, match="twice"):
+            kernel(t.parent, t.order, np.zeros(4), 1e-14)
+
+    def test_statuses_map_to_the_loop_messages(self):
+        t = line_tree(4, 3)
+        with pytest.raises(RuntimeError, match="^plan construction did not terminate$"):
+            self.fake_kernel(_kernels.PLAN_NO_END, [0], [3])(t.parent, t.order, np.zeros(4), 0.0)
+        with pytest.raises(RuntimeError, match="^no matching vertex below 2; residuals are inconsistent$"):
+            self.fake_kernel(_kernels.PLAN_NO_MATCH, [], [], u=2)(t.parent, t.order, np.zeros(4), 0.0)
+
+    @pytest.mark.parametrize("parent, order", [
+        ([1, 2, -1], [0, 2, 1]),   # parent after its child in order
+        ([1, 0, -1], [0, 1, 2]),   # a cycle
+        ([1, 2, -1], [0, 1, 1]),   # order is not a permutation
+        ([1, -1, 1], [1, 0, 2]),   # order does not end at the root
+        ([3, 2, -1], [0, 1, 2]),   # parent out of range
+    ])
+    def test_malformed_tree_is_rejected(self, parent, order):
+        kernel = _kernels.plan_kernel()
+        with pytest.raises(ValueError, match="plan kernel"):
+            kernel(np.array(parent, dtype=np.int64), np.array(order, dtype=np.int64), np.zeros(3), 0.0)
+
+
+def old_make_plan_outcome(n, triplets):
+    try:
+        return reference_make_plan(n, triplets)
+    except TreeOTError as exc:
+        return type(exc), str(exc)
+
+
+def make_plan_outcome(n, triplets):
+    try:
+        plan = ot.make_plan(n, triplets)
+        return plan.rows, plan.cols, plan.mass
+    except TreeOTError as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a[0], type):
+        return a == b
+    return not isinstance(b[0], type) and digest(*a) == digest(*b)
+
+
+class TestMakePlan:
+    @pytest.mark.parametrize("triplets", [
+        [(0, 1, 0.5), (3, 0, 0.25)],
+        [(0, 1, 0.5), (0, -1, 0.25)],
+        [(0, 0, float("nan"))],
+        [(0, 1, float("inf")), (1, 1, -1.0)],
+        [(1, 1, -0.5), (0, 1, float("nan"))],
+        [(0, 1, -float("inf")), (5, 5, 1.0)],
+        [(0, 1, 0.5), (1, 2, -1e-300), (7, 0, float("nan")), (0, 0, -2.0)],
+        [(2, 1, 0.5), (1, 1, 0.25), (0, 3, float("nan")), (3, 0, 0.1)],
+        [(10**30, 0, 1.0)],
+        [(0, 0, 1.0), (-(10**400), 0, 1.0), (0, 5, -1.0)],
+    ])
+    def test_errors_match_the_loop(self, triplets):
+        old = old_make_plan_outcome(3, triplets)
+        assert isinstance(old[0], type)
+        assert make_plan_outcome(3, triplets) == old
+
+    def test_assembly_matches_the_loop(self):
+        rng = np.random.default_rng(123)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            k = int(rng.integers(0, 40))
+            masses = rng.choice([0.0, -0.0, 0.1, 1 / 3, 0.7, 1e-17], size=k) * rng.random(k)
+            triplets = [(int(rng.integers(0, n)), int(rng.integers(0, n)), float(m)) for m in masses]
+            old = old_make_plan_outcome(n, triplets)
+            assert same_outcome(make_plan_outcome(n, triplets), old)
+            as_arrays = zip(np.array([x for x, _, _ in triplets], dtype=np.int64),
+                            np.array([y for _, y, _ in triplets], dtype=np.int64), masses)
+            assert same_outcome(make_plan_outcome(n, as_arrays), old)
+
+    def test_duplicates_sum_in_input_order(self):
+        triplets = [(0, 1, 0.1), (0, 1, 0.2), (0, 1, 0.3), (1, 0, 1e-17), (1, 0, 1.0)]
+        rows, cols, mass = old_make_plan_outcome(2, triplets)
+        plan = ot.make_plan(2, triplets)
+        assert [m.hex() for m in plan.mass.tolist()] == [m.hex() for m in mass.tolist()]
+        assert plan.mass[0] == (0.0 + 0.1 + 0.2) + 0.3
+
+    def test_empty_plan_keeps_its_dtypes(self):
+        for plan in (ot.make_plan(3, []), ot.make_plan(3, [(0, 1, 0.0), (1, 2, -0.0)])):
+            assert plan.support_size == 0
+            assert (plan.rows.dtype, plan.cols.dtype, plan.mass.dtype) == (np.int64, np.int64, np.float64)
