@@ -1,9 +1,9 @@
 """Throughput of the annealing kernel on each backend, and trace parity.
 
 The backend is chosen by TREEOT_BACKEND when the kernel is first used, so
-each backend runs in a subprocess. Every compiled backend that loads here
-(numba, c) is timed against the plain-Python kernel, and its trace must equal
-the Python trace bit for bit. Usage:
+each backend runs in a subprocess. The C backend, where it loads, is timed
+against the plain-Python kernel, and its trace must equal the Python trace bit
+for bit. Usage:
 
     python benchmarks/bench_anneal.py [--p 7] [--iters 200000] [--seed 0]
 
@@ -43,7 +43,7 @@ print(json.dumps({
 }))
 """
 
-COMPILED = ("numba", "c")
+COMPILED = ("c",)
 
 
 def run_backend(name: str, payload) -> dict | None:

@@ -12,19 +12,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from ._kernels import kernel_backend, numba_enabled
-from .annealing import (
-    AnnealConfig,
-    AnnealResult,
-    AnnealState,
-    Candidate,
-    TraceRecord,
-    accept_step,
-    anneal,
-    anneal_chains,
-    hamiltonian_delta,
-    propose_move,
-    update_temperature,
-)
+from .annealing import AnnealConfig, AnnealResult, TraceRecord, anneal, anneal_chains
 from .graphs import (
     WeightedGraph,
     all_pairs_shortest_paths,

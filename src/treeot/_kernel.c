@@ -86,6 +86,60 @@ static double tree_cost(int64_t n, const int64_t *parent, const double *wpar, co
     return total;
 }
 
+/* propose_root of _kernels.py: the candidate root and the weight of its edge
+ * to root. Returns CHAIN_OK or a CHAIN_* error code. */
+static int propose_root(const int64_t *indptr, const int64_t *indices, const double *adj_w,
+                        int64_t root, bitgen_t *bg, int64_t *new_root, double *w_added)
+{
+    const int64_t lo = indptr[root];
+    const int64_t deg = indptr[root + 1] - lo;
+    if (deg < 1)
+        return CHAIN_NO_NEIGHBOUR;
+    if (deg > (int64_t)UINT32_MAX)
+        return CHAIN_DEGREE_TOO_LARGE;
+    const int64_t k = bounded_index(bg, deg);
+    *new_root = indices[lo + k];
+    *w_added = adj_w[lo + k];
+    return CHAIN_OK;
+}
+
+/* swap_delta of _kernels.py: current cost minus candidate cost, on the cycle. */
+static double swap_delta(const int64_t *parent, const double *wpar, const double *xi_cum,
+                         int64_t root, int64_t new_root, double w_added)
+{
+    const double xr = xi_cum[new_root];
+    double h = (wpar[new_root] - w_added) * fabs(xr);
+    for (int64_t v = parent[new_root]; v != root; v = parent[v])
+        h += wpar[v] * (fabs(xi_cum[v]) - fabs(xi_cum[v] - xr));
+    return h;
+}
+
+/* apply_swap of _kernels.py: make new_root the root, in place. */
+static void apply_swap(int64_t *parent, double *wpar, double *xi_cum, int64_t root,
+                       int64_t new_root, double w_added)
+{
+    const double xr = xi_cum[new_root];
+    for (int64_t v = parent[new_root]; v != root; v = parent[v])
+        xi_cum[v] -= xr;
+    xi_cum[root] = -xr;
+    xi_cum[new_root] = 0.0;
+    parent[root] = new_root;
+    wpar[root] = w_added;
+    parent[new_root] = -1;
+    wpar[new_root] = 0.0;
+}
+
+/* update_beta of _kernels.py. */
+static double update_beta(double beta, int64_t bits_sum, int64_t bits_seen, int64_t window,
+                          double eta, double target_accept)
+{
+    if (bits_seen >= window) {
+        const double rate = (double)bits_sum / (double)window;
+        beta = beta * (1.0 + eta * (rate - target_accept));
+    }
+    return beta;
+}
+
 /* anneal_chain of _kernels.py. bits holds window slots, work_i 2n and
  * work_d n. Results: out_d = {best, current, max_drift} and
  * out_i = {root, best_root, records, iters_done}. Returns a CHAIN_* code. */
@@ -94,15 +148,17 @@ int treeot_anneal_chain(
     const int64_t *indptr, const int64_t *indices, const double *adj_w, const double *xi_node,
     int64_t max_iters, double beta0, double target_accept, double eta, int64_t window,
     int64_t record_every, int64_t recompute_every, double target_cost, bitgen_t *bg,
-    int64_t *best_parent, int64_t *trace_iter, double *trace_cur, double *trace_best,
-    double *trace_beta, double *trace_acc, int64_t *bits, int64_t *work_i, double *work_d,
-    double *out_d, int64_t *out_i)
+    int64_t *best_parent, double *best_wpar, int64_t *trace_iter, double *trace_cur,
+    double *trace_best, double *trace_beta, double *trace_acc, int64_t *bits, int64_t *work_i,
+    double *work_d, double *out_d, int64_t *out_i)
 {
     const size_t parent_bytes = (size_t)n * sizeof *parent;
+    const size_t wpar_bytes = (size_t)n * sizeof *wpar;
     double current = tree_cost(n, parent, wpar, xi_cum);
     double best = current;
     int64_t best_root = root;
     memcpy(best_parent, parent, parent_bytes);
+    memcpy(best_wpar, wpar, wpar_bytes);
 
     memset(bits, 0, (size_t)window * sizeof *bits);
     int64_t bits_sum = 0, bits_seen = 0;
@@ -121,42 +177,24 @@ int treeot_anneal_chain(
     const int have_target = !isnan(target_cost);
     if (!(have_target && best <= target_cost + 1e-9)) {
         for (int64_t it = 1; it <= max_iters; it++) {
-            const int64_t lo = indptr[root];
-            const int64_t deg = indptr[root + 1] - lo;
-            if (deg < 1) {
-                status = CHAIN_NO_NEIGHBOUR;
+            int64_t new_root;
+            double w_added;
+            status = propose_root(indptr, indices, adj_w, root, bg, &new_root, &w_added);
+            if (status != CHAIN_OK)
                 break;
-            }
-            if (deg > (int64_t)UINT32_MAX) {
-                status = CHAIN_DEGREE_TOO_LARGE;
-                break;
-            }
-            const int64_t k = bounded_index(bg, deg);
-            const int64_t new_root = indices[lo + k];
-            const double w_added = adj_w[lo + k];
             const double u = bg->next_double(bg->state);
-
-            const double xr = xi_cum[new_root];
-            double h = (wpar[new_root] - w_added) * fabs(xr);
-            for (int64_t v = parent[new_root]; v != root; v = parent[v])
-                h += wpar[v] * (fabs(xi_cum[v]) - fabs(xi_cum[v] - xr));
+            const double h = swap_delta(parent, wpar, xi_cum, root, new_root, w_added);
 
             const int accept = h >= 0.0 || u <= exp(beta * h);
             if (accept) {
-                for (int64_t v = parent[new_root]; v != root; v = parent[v])
-                    xi_cum[v] -= xr;
-                xi_cum[root] = -xr;
-                xi_cum[new_root] = 0.0;
-                parent[root] = new_root;
-                wpar[root] = w_added;
-                parent[new_root] = -1;
-                wpar[new_root] = 0.0;
+                apply_swap(parent, wpar, xi_cum, root, new_root, w_added);
                 root = new_root;
                 current -= h;
                 if (current < best) {
                     best = current;
                     best_root = root;
                     memcpy(best_parent, parent, parent_bytes);
+                    memcpy(best_wpar, wpar, wpar_bytes);
                 }
             }
 
@@ -166,10 +204,7 @@ int treeot_anneal_chain(
             bits[slot] = accept ? 1 : 0;
             bits_sum += bits[slot];
             bits_seen++;
-            if (bits_seen >= window) {
-                const double rate = (double)bits_sum / (double)window;
-                beta = beta * (1.0 + eta * (rate - target_accept));
-            }
+            beta = update_beta(beta, bits_sum, bits_seen, window, eta, target_accept);
 
             iters_done = it;
 
@@ -185,6 +220,7 @@ int treeot_anneal_chain(
                     best = current;
                     best_root = root;
                     memcpy(best_parent, parent, parent_bytes);
+                    memcpy(best_wpar, wpar, wpar_bytes);
                 }
             }
 

@@ -2,21 +2,24 @@
 that run them.
 
 ``anneal_chain``, ``wilson_tree`` and ``dp_plan`` below are the reference
-kernels in plain Python. Three backends run them:
+kernels in plain Python. ``anneal_chain`` moves between rooted spanning trees
+through four step functions, the one statement of the swap arithmetic:
+``propose_root`` draws the candidate root, ``swap_delta`` scores the swap on
+its cycle, ``apply_swap`` makes it, and ``update_beta`` adapts the
+temperature. Two backends run the kernels:
 
-- ``numba``: the same function bodies compiled with ``numba.njit`` (numba is
-  an optional extra);
-- ``c``: ``_kernel.c``, a transcription built on first use with the system C
-  compiler and loaded through ``ctypes``, which releases the GIL;
+- ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
+  helpers) built on first use with the system C compiler and loaded through
+  ``ctypes``, which releases the GIL;
 - ``python``: the function bodies as they stand.
 
-``TREEOT_BACKEND`` names the backend. Unset, the first of numba and c that
-loads is used, else python with a warning. A named backend that cannot load,
-or an unknown name, raises :class:`KernelBackendError`; there is no silent
-fallback. Traces, trees and plans are bit-identical between backends: all of
-them draw from the caller's numpy bit generator in the same way, and do the
-same arithmetic in the same order without fused multiply-adds. The python
-backend runs ``dp_plan`` over lists, which Python indexes faster than arrays.
+``TREEOT_BACKEND`` names the backend. Unset, c is used if it loads, else
+python with a warning. A named backend that cannot load, or an unknown name,
+raises :class:`KernelBackendError`; there is no silent fallback. Traces, trees
+and plans are bit-identical between backends: both draw from the caller's
+numpy bit generator in the same way, and do the same arithmetic in the same
+order without fused multiply-adds. The python backend runs ``dp_plan`` over
+lists, which Python indexes faster than arrays.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ def kernel_backend() -> str:
 
 
 def numba_enabled() -> bool:
-    """Whether the annealing kernel runs JIT-compiled by numba."""
-    return kernel_backend() == "numba"
+    """Always ``False``: no backend JIT-compiles the kernels. Kept because
+    ``perfbench/run.py`` still reads it."""
+    return False
 
 
 def chain_kernel():
@@ -89,14 +93,11 @@ def _resolve():
 
 def _select(name: str):
     if name == "":
-        reasons = []
-        for candidate in ("numba", "c"):
-            try:
-                return candidate, *_LOADERS[candidate]()
-            except KernelBackendError as exc:
-                reasons.append(f"{candidate}: {exc}")
-        warnings.warn("treeot runs the plain-Python annealing kernel ("
-                      + "; ".join(reasons) + ")", RuntimeWarning, stacklevel=4)
+        try:
+            return "c", *_load_c()
+        except KernelBackendError as exc:
+            warnings.warn(f"treeot runs the plain-Python annealing kernel (c: {exc})",
+                          RuntimeWarning, stacklevel=4)
         return "python", *_load_python()
     if name not in _LOADERS:
         raise KernelBackendError(
@@ -105,34 +106,6 @@ def _select(name: str):
         return name, *_LOADERS[name]()
     except KernelBackendError as exc:
         raise KernelBackendError(f"TREEOT_BACKEND={name}: {exc}") from exc
-
-
-def _load_numba():
-    try:
-        from numba import njit
-    except ImportError as exc:
-        raise KernelBackendError(f"numba is not importable ({exc})") from exc
-    # numba resolves the kernels' callees through this module's globals
-    jit = njit(cache=True)
-    names = globals()
-    for name in ("recompute_cumulative", "tree_cost", "anneal_chain", "wilson_tree",
-                 "_heap_push", "_heap_pop", "_prune", "dp_plan"):
-        names[name] = jit(names[name])
-    plan = names["dp_plan"]
-
-    def dp_plan_numba(parent, order, child_ptr, child_idx, xi, zero_tol):
-        n = parent.shape[0]
-        cap = 4 * n + 16
-        out_x = np.empty(cap, dtype=np.int64)
-        out_y = np.empty(cap, dtype=np.int64)
-        out_m = np.empty(cap)
-        status, count, u = plan(parent, order, child_ptr, child_idx, xi, zero_tol,
-                                np.empty(n), np.empty(n, dtype=np.bool_),
-                                *(np.empty(n, dtype=np.int64) for _ in range(4)),
-                                out_x, out_y, out_m)
-        return status, count, u, out_x, out_y, out_m
-
-    return names["anneal_chain"], names["wilson_tree"], _plan_runner(dp_plan_numba)
 
 
 def _load_python():
@@ -218,7 +191,7 @@ def _load_c():
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     fn.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr,
                    i64, f64, f64, f64, i64, i64, i64, f64, ptr,
-                   ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+                   ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     fn.restype = ctypes.c_int
     wilson = lib.treeot_wilson
     wilson.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
@@ -229,14 +202,15 @@ def _load_c():
 
     def anneal_chain_c(parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
                        max_iters, beta0, target_accept, eta, window, record_every,
-                       recompute_every, target_cost, rng, best_parent,
+                       recompute_every, target_cost, rng, best_parent, best_wpar,
                        trace_iter, trace_cur, trace_best, trace_beta, trace_acc):
         n = parent.shape[0]
         m = indices.shape[0]
         rows = max_iters // record_every + 2 if record_every >= 1 else 0
         _check_arrays(((parent, n), (best_parent, n), (indptr, n + 1), (indices, m), (trace_iter, rows)),
-                      ((wpar, n), (xi_cum, n), (xi_node, n), (adj_w, m), (trace_cur, rows),
-                       (trace_best, rows), (trace_beta, rows), (trace_acc, rows)), "chain")
+                      ((wpar, n), (best_wpar, n), (xi_cum, n), (xi_node, n), (adj_w, m),
+                       (trace_cur, rows), (trace_best, rows), (trace_beta, rows), (trace_acc, rows)),
+                      "chain")
         if window < 1 or record_every < 1 or not 0 <= root < n:
             raise ValueError("C kernel: window, record_every or root out of range")
         _check_csr(n, indptr, indices)
@@ -254,10 +228,10 @@ def _load_c():
                         xi_node.ctypes.data, max_iters, beta0, target_accept, eta, window,
                         record_every, recompute_every, target_cost,
                         bitgen.ctypes.bit_generator.value, best_parent.ctypes.data,
-                        trace_iter.ctypes.data, trace_cur.ctypes.data, trace_best.ctypes.data,
-                        trace_beta.ctypes.data, trace_acc.ctypes.data, bits.ctypes.data,
-                        work_i.ctypes.data, work_d.ctypes.data, out_d.ctypes.data,
-                        out_i.ctypes.data)
+                        best_wpar.ctypes.data, trace_iter.ctypes.data, trace_cur.ctypes.data,
+                        trace_best.ctypes.data, trace_beta.ctypes.data, trace_acc.ctypes.data,
+                        bits.ctypes.data, work_i.ctypes.data, work_d.ctypes.data,
+                        out_d.ctypes.data, out_i.ctypes.data)
         if status != 0:
             raise ValueError(f"C kernel stopped: {_C_STATUS.get(status, status)}")
         best, current, max_drift = out_d.tolist()
@@ -361,7 +335,7 @@ def build_c_kernel() -> Path:
     return lib
 
 
-_LOADERS = {"numba": _load_numba, "c": _load_c, "python": _load_python}
+_LOADERS = {"c": _load_c, "python": _load_python}
 
 
 def recompute_cumulative(parent, xi_node):
@@ -402,6 +376,62 @@ def tree_cost(parent, wpar, xi_cum):
     return total
 
 
+def propose_root(indptr, indices, adj_w, root, rng):
+    """Draw a graph neighbour of ``root`` uniformly as the candidate root;
+    return it and the weight of the edge that joins it to ``root``."""
+    lo = indptr[root]
+    k = rng.integers(0, indptr[root + 1] - lo)
+    return indices[lo + k], adj_w[lo + k]
+
+
+def swap_delta(parent, wpar, xi_cum, root, new_root, w_added):
+    """Cost of the current tree minus that of the candidate, summed over the
+    cycle that the edge (root, new_root) closes.
+
+    The candidate gains that edge and drops ``new_root``'s parent edge.
+    Interior cycle vertices keep their parent edge, but their cumulative
+    imbalance shifts by ``new_root``'s; the swapped pair of edges trades
+    |cumulative imbalance at ``new_root``| between the two weights.
+    """
+    xr = xi_cum[new_root]
+    h = (wpar[new_root] - w_added) * abs(xr)
+    v = parent[new_root]
+    while v != root:
+        h += wpar[v] * (abs(xi_cum[v]) - abs(xi_cum[v] - xr))
+        v = parent[v]
+    return h
+
+
+def apply_swap(parent, wpar, xi_cum, root, new_root, w_added):
+    """Make ``new_root`` the root by the swap ``swap_delta`` scores, in place.
+
+    Interior cycle vertices shift their cumulative imbalance by
+    ``new_root``'s, the old root takes its negation and ``new_root`` zeroes;
+    only two parent links change.
+    """
+    xr = xi_cum[new_root]
+    v = parent[new_root]
+    while v != root:
+        xi_cum[v] -= xr
+        v = parent[v]
+    xi_cum[root] = -xr
+    xi_cum[new_root] = 0.0
+    parent[root] = new_root
+    wpar[root] = w_added
+    parent[new_root] = -1
+    wpar[new_root] = 0.0
+
+
+def update_beta(beta, bits_sum, bits_seen, window, eta, target_accept):
+    """Scale ``beta`` by ``1 + eta * (rate - target_accept)``, where ``rate``
+    is the acceptance rate over the last ``window`` steps; unchanged until the
+    window has filled once."""
+    if bits_seen >= window:
+        rate = bits_sum / window
+        beta = beta * (1.0 + eta * (rate - target_accept))
+    return beta
+
+
 def anneal_chain(
     parent,
     wpar,
@@ -421,6 +451,7 @@ def anneal_chain(
     target_cost,
     rng,
     best_parent,
+    best_wpar,
     trace_iter,
     trace_cur,
     trace_best,
@@ -429,17 +460,17 @@ def anneal_chain(
 ):
     """Run one annealing chain over rooted spanning trees, in place.
 
-    Per iteration: draw a graph-neighbour of the root as candidate root, score
-    the edge swap by the cycle-restricted cost difference, accept with
-    probability min(1, exp(beta * H)), and adapt beta multiplicatively towards
-    the target acceptance rate once the window has filled. Returns
+    Per iteration: draw a candidate root, score the edge swap by
+    ``swap_delta``, accept with probability min(1, exp(beta * H)), and adapt
+    beta towards the target acceptance rate once the window has filled. The
+    best tree is copied into ``best_parent`` and ``best_wpar``. Returns
     (best_cost, current_cost, root, best_root, records, iters_done, max_drift).
     """
-    n = parent.shape[0]
     current = tree_cost(parent, wpar, xi_cum)
     best = current
     best_root = root
     best_parent[:] = parent
+    best_wpar[:] = wpar
 
     bits = np.zeros(window, dtype=np.int64)
     bits_sum = 0
@@ -461,38 +492,19 @@ def anneal_chain(
         return best, current, root, best_root, records, iters_done, max_drift
 
     for it in range(1, max_iters + 1):
-        lo = indptr[root]
-        deg = indptr[root + 1] - lo
-        k = rng.integers(0, deg)
-        new_root = indices[lo + k]
-        w_added = adj_w[lo + k]
+        new_root, w_added = propose_root(indptr, indices, adj_w, root, rng)
         u = rng.random()
-
-        xr = xi_cum[new_root]
-        h = (wpar[new_root] - w_added) * abs(xr)
-        v = parent[new_root]
-        while v != root:
-            h += wpar[v] * (abs(xi_cum[v]) - abs(xi_cum[v] - xr))
-            v = parent[v]
-
+        h = swap_delta(parent, wpar, xi_cum, root, new_root, w_added)
         accept = h >= 0.0 or u <= math.exp(beta * h)
         if accept:
-            v = parent[new_root]
-            while v != root:
-                xi_cum[v] -= xr
-                v = parent[v]
-            xi_cum[root] = -xr
-            xi_cum[new_root] = 0.0
-            parent[root] = new_root
-            wpar[root] = w_added
-            parent[new_root] = -1
-            wpar[new_root] = 0.0
+            apply_swap(parent, wpar, xi_cum, root, new_root, w_added)
             root = new_root
             current -= h
             if current < best:
                 best = current
                 best_root = root
                 best_parent[:] = parent
+                best_wpar[:] = wpar
 
         slot = (it - 1) % window
         if bits_seen >= window:
@@ -500,9 +512,7 @@ def anneal_chain(
         bits[slot] = 1 if accept else 0
         bits_sum += bits[slot]
         bits_seen += 1
-        if bits_seen >= window:
-            rate = bits_sum / window
-            beta = beta * (1.0 + eta * (rate - target_accept))
+        beta = update_beta(beta, bits_sum, bits_seen, window, eta, target_accept)
 
         iters_done = it
 
@@ -518,6 +528,7 @@ def anneal_chain(
                 best = current
                 best_root = root
                 best_parent[:] = parent
+                best_wpar[:] = wpar
 
         stop = have_target and best <= target_cost + 1e-9
         if it % record_every == 0 or it == max_iters or stop:

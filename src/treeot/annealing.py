@@ -5,11 +5,11 @@ neighbour of the current root becomes the new root, gaining the connecting
 edge and dropping its old parent edge. The cost difference only involves the
 cycle closed by the swapped edges, so a step costs O(cycle length).
 
-:func:`anneal` drives the fused kernel in :mod:`treeot._kernels` on the backend
-that ``TREEOT_BACKEND`` selects (numba, C or plain Python; see
-:func:`treeot.kernel_backend`); the operations below expose the individual
-steps on an :class:`AnnealState` and are kept in lockstep with the kernel
-(same draws, same updates).
+:func:`anneal` and :func:`anneal_chains` set up the chain and run
+``anneal_chain`` of :mod:`treeot._kernels` on the backend that
+``TREEOT_BACKEND`` selects (C or plain Python; see
+:func:`treeot.kernel_backend`). The step arithmetic lives there, in
+``propose_root``, ``swap_delta``, ``apply_swap`` and ``update_beta``.
 """
 
 from __future__ import annotations
@@ -64,148 +64,6 @@ class TraceRecord(NamedTuple):
     accept_rate: float
 
 
-class Candidate(NamedTuple):
-    """Root-relocation proposal: adopt ``new_root``, add the edge to the old
-    root, drop the old parent edge of ``new_root``."""
-
-    new_root: int
-    added_edge: tuple[int, int]
-    removed_edge: tuple[int, int]
-    added_weight: float
-    cycle_vertices: tuple[int, ...]
-
-
-@dataclass
-class AnnealState:
-    """Mutable chain state: current rooted tree, cumulative imbalance, costs,
-    temperature and the acceptance window."""
-
-    parent: np.ndarray
-    wpar: np.ndarray
-    root: int
-    xi_cum: np.ndarray
-    xi_node: np.ndarray
-    current_cost: float
-    beta: float
-    config: AnnealConfig
-    best_parent: np.ndarray
-    best_root: int
-    best_cost: float
-    bits: np.ndarray
-    bits_sum: int = 0
-    bits_seen: int = 0
-    iteration: int = 0
-
-    @classmethod
-    def from_tree(cls, tree: RootedTree, mu, nu, config: AnnealConfig) -> "AnnealState":
-        xi = imbalance(as_measure(mu, tree.n), as_measure(nu, tree.n))
-        xi_cum = subtree_aggregate(tree, xi)
-        # same summation order as the kernel so costs agree bit-for-bit
-        cost = float(_kernels.tree_cost(tree.parent, tree.weight_to_parent, xi_cum))
-        return cls(
-            parent=tree.parent.copy(),
-            wpar=tree.weight_to_parent.copy(),
-            root=tree.root,
-            xi_cum=xi_cum,
-            xi_node=xi,
-            current_cost=cost,
-            beta=config.beta0,
-            config=config,
-            best_parent=tree.parent.copy(),
-            best_root=tree.root,
-            best_cost=cost,
-            bits=np.zeros(config.window, dtype=np.int64),
-        )
-
-    def current_tree(self) -> RootedTree:
-        return _from_parent_array(self.root, self.parent, self.wpar)
-
-
-def propose_move(state: AnnealState, g: WeightedGraph, rng: np.random.Generator) -> Candidate | None:
-    """Draw the candidate root uniformly among graph neighbours of the root."""
-    lo = int(g.indptr[state.root])
-    deg = int(g.indptr[state.root + 1]) - lo
-    if deg == 0:
-        return None
-    k = int(rng.integers(0, deg))
-    new_root = int(g.indices[lo + k])
-    w_added = float(g.weights[lo + k])
-    cycle = [new_root]
-    while cycle[-1] != state.root:
-        cycle.append(int(state.parent[cycle[-1]]))
-    return Candidate(
-        new_root=new_root,
-        added_edge=(state.root, new_root),
-        removed_edge=(new_root, int(state.parent[new_root])),
-        added_weight=w_added,
-        cycle_vertices=tuple(cycle),
-    )
-
-
-def hamiltonian_delta(state: AnnealState, cand: Candidate) -> float:
-    """Cost(current) - cost(candidate), summed over the swap cycle only.
-
-    Interior cycle vertices keep their parent edge but their cumulative
-    imbalance shifts by the candidate root's value; the swapped pair of edges
-    trades |imbalance at the candidate root| between the two weights.
-    """
-    xr = state.xi_cum[cand.new_root]
-    h = (state.wpar[cand.new_root] - cand.added_weight) * abs(xr)
-    v = int(state.parent[cand.new_root])
-    while v != state.root:
-        h += state.wpar[v] * (abs(state.xi_cum[v]) - abs(state.xi_cum[v] - xr))
-        v = int(state.parent[v])
-    return float(h)
-
-
-def accept_step(state: AnnealState, cand: Candidate, u: float) -> AnnealState:
-    """Metropolis step: accept iff u <= min(1, exp(beta * H)); apply in place.
-
-    On acceptance the cumulative imbalance is updated incrementally on the
-    cycle (interior vertices shift by the candidate root's value, the old root
-    takes its negation, the new root zeroes) and only two parent links change.
-    """
-    h = hamiltonian_delta(state, cand)
-    accept = h >= 0.0 or u <= math.exp(state.beta * h)
-    if accept:
-        xr = state.xi_cum[cand.new_root]
-        v = int(state.parent[cand.new_root])
-        while v != state.root:
-            state.xi_cum[v] -= xr
-            v = int(state.parent[v])
-        state.xi_cum[state.root] = -xr
-        state.xi_cum[cand.new_root] = 0.0
-        state.parent[state.root] = cand.new_root
-        state.wpar[state.root] = cand.added_weight
-        state.parent[cand.new_root] = -1
-        state.wpar[cand.new_root] = 0.0
-        state.root = cand.new_root
-        state.current_cost -= h
-        if state.current_cost < state.best_cost:
-            state.best_cost = state.current_cost
-            state.best_root = state.root
-            state.best_parent[:] = state.parent
-
-    slot = state.iteration % state.config.window
-    if state.bits_seen >= state.config.window:
-        state.bits_sum -= int(state.bits[slot])
-    state.bits[slot] = 1 if accept else 0
-    state.bits_sum += int(state.bits[slot])
-    state.bits_seen += 1
-    state.iteration += 1
-    return state
-
-
-def update_temperature(state: AnnealState) -> AnnealState:
-    """Multiplicative adaptation towards the target acceptance rate; no-op
-    until the window has filled once."""
-    cfg = state.config
-    if state.bits_seen >= cfg.window:
-        rate = state.bits_sum / cfg.window
-        state.beta = state.beta * (1.0 + cfg.eta * (rate - cfg.target_accept))
-    return state
-
-
 @dataclass(frozen=True)
 class AnnealResult:
     best_tree: RootedTree
@@ -248,7 +106,8 @@ def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResul
     wpar = initial_tree.weight_to_parent.copy()
     xi_cum = subtree_aggregate(initial_tree, xi)
     root = initial_tree.root
-    best_parent = parent.copy()
+    best_parent = np.empty_like(parent)
+    best_wpar = np.empty_like(wpar)
 
     max_iters = config.max_iters if g.n > 1 else 0
     rows = max_iters // config.record_every + 4
@@ -277,6 +136,7 @@ def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResul
         math.nan if target_cost is None else float(target_cost),
         rng,
         best_parent,
+        best_wpar,
         trace_iter,
         trace_cur,
         trace_best,
@@ -291,25 +151,15 @@ def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResul
                     float(trace_beta[k]), float(trace_acc[k]))
         for k in range(records)
     ]
-    best_tree = _tree_from_parents(g, int(best_root), best_parent)
-    final_tree = _tree_from_parents(g, int(final_root), parent)
     return AnnealResult(
-        best_tree=best_tree,
+        best_tree=_from_parent_array(int(best_root), best_parent, best_wpar),
         best_cost=float(best),
-        final_tree=final_tree,
+        final_tree=_from_parent_array(int(final_root), parent, wpar),
         final_cost=float(current),
         trace=trace,
         iters_run=int(iters_done),
         max_drift=float(max_drift),
     )
-
-
-def _tree_from_parents(g: WeightedGraph, root: int, parent: np.ndarray) -> RootedTree:
-    wpar = np.zeros(g.n)
-    for v in range(g.n):
-        if parent[v] >= 0:
-            wpar[v] = g.edge_weight(v, int(parent[v]))
-    return _from_parent_array(root, parent.copy(), wpar)
 
 
 def anneal_chains(

@@ -51,11 +51,14 @@ def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndar
 
 
 def imbalance(mu, nu) -> np.ndarray:
-    """Signed excess mu - nu; enforces the zero-sum invariant."""
+    """Signed excess mu - nu; rejects NaN and infinite entries and enforces
+    the zero-sum invariant."""
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     if mu.shape != nu.shape:
         raise VertexRangeError("measures live on different vertex sets")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
+        raise NonFiniteMassError("measure has a NaN or infinite entry")
     xi = mu - nu
     if abs(xi.sum()) > MASS_TOL:
         raise MassMismatchError(f"imbalance sums to {xi.sum()!r}, not 0")
@@ -184,8 +187,10 @@ class TransportPlan:
 
 def make_plan(n: int, triplets) -> TransportPlan:
     """Build a plan from (x, y, mass) triplets: coalesces duplicates, drops
-    zeros, rejects negative and non-finite masses, sorts lexicographically."""
-    entries = [(int(x), int(y), float(m)) for x, y, m in triplets]
+    zeros, rejects negative and non-finite masses, sorts lexicographically.
+    Indices must be Python or numpy integers; a float or bool index raises
+    ``VertexRangeError`` before any other check."""
+    entries = [(*_indices(x, y), float(m)) for x, y, m in triplets]
     try:
         columns = np.array(entries, dtype=np.float64).reshape(-1, 3)
     except OverflowError:  # an index beyond float range, hence out of range
@@ -194,6 +199,13 @@ def make_plan(n: int, triplets) -> TransportPlan:
         raise
     rows, cols, mass = columns.T
     return _assemble_plan(n, rows, cols, mass, entries)
+
+
+def _indices(x, y) -> tuple[int, int]:
+    for i in (x, y):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise VertexRangeError(f"plan entry ({x!r},{y!r}) has a non-integer index")
+    return int(x), int(y)
 
 
 def _check_entry(n: int, x: int, y: int, m: float) -> None:

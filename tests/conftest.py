@@ -8,8 +8,8 @@ for the optimized implementations.
 from __future__ import annotations
 
 import heapq
-import importlib.util
 import itertools
+import math
 import os
 import shlex
 import shutil
@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 import treeot as ot
+from treeot import _kernels
+from treeot.trees import _from_parent_array
 
 LINE6_XI = np.array([0.05, 0.05, -0.2, -0.1, -0.1, 0.3])
 
@@ -147,6 +149,67 @@ def noisy_grid_measures(p, seed, img_mu=None, img_nu=None, sigma=1e-3):
     return mu / mu.sum(), nu / nu.sum()
 
 
+class SwapChain:
+    """One annealing chain moved by the kernel's own step functions
+    (``propose_root``, ``swap_delta``, ``apply_swap``, ``update_beta``), with
+    the Metropolis rule and acceptance window of ``_kernels.anneal_chain``
+    spelled out: a step-by-step reference for the fused kernel."""
+
+    def __init__(self, g, tree, mu, nu, config):
+        self.g = g
+        self.config = config
+        self.parent = tree.parent.copy()
+        self.wpar = tree.weight_to_parent.copy()
+        self.root = tree.root
+        xi = ot.imbalance(ot.as_measure(mu, tree.n), ot.as_measure(nu, tree.n))
+        self.xi_cum = ot.subtree_aggregate(tree, xi)
+        # the kernel's summation order, so costs agree bit for bit
+        self.cost = _kernels.tree_cost(self.parent, self.wpar, self.xi_cum)
+        self.best_cost = self.cost
+        self.beta = config.beta0
+        self.bits = np.zeros(config.window, dtype=np.int64)
+        self.bits_sum = 0
+        self.bits_seen = 0
+
+    def propose(self, rng):
+        """``(new_root, w_added)``: the kernel's draw of a candidate root."""
+        return _kernels.propose_root(self.g.indptr, self.g.indices, self.g.weights, self.root, rng)
+
+    def delta(self, new_root, w_added):
+        return _kernels.swap_delta(self.parent, self.wpar, self.xi_cum, self.root, new_root, w_added)
+
+    def removed_edge(self, new_root):
+        return (int(new_root), int(self.parent[new_root]))
+
+    def step(self, new_root, w_added, u):
+        """Accept iff u <= min(1, exp(beta * H)), apply in place and record
+        the decision in the window; ``adapt`` then completes the kernel's
+        iteration."""
+        h = self.delta(new_root, w_added)
+        accept = h >= 0.0 or u <= math.exp(self.beta * h)
+        if accept:
+            _kernels.apply_swap(self.parent, self.wpar, self.xi_cum, self.root, new_root, w_added)
+            self.root = int(new_root)
+            self.cost -= h
+            if self.cost < self.best_cost:
+                self.best_cost = self.cost
+        window = self.config.window
+        slot = self.bits_seen % window
+        if self.bits_seen >= window:
+            self.bits_sum -= int(self.bits[slot])
+        self.bits[slot] = 1 if accept else 0
+        self.bits_sum += int(self.bits[slot])
+        self.bits_seen += 1
+
+    def adapt(self):
+        self.beta = _kernels.update_beta(self.beta, self.bits_sum, self.bits_seen,
+                                         self.config.window, self.config.eta,
+                                         self.config.target_accept)
+
+    def tree(self):
+        return _from_parent_array(self.root, self.parent, self.wpar)
+
+
 def c_compiler_found() -> bool:
     """Whether ``$CC``, or else cc, gcc or clang, is on PATH."""
     cc = os.environ.get("CC")
@@ -154,12 +217,9 @@ def c_compiler_found() -> bool:
     return any(shutil.which(name) for name in names)
 
 
-NUMBA_FOUND = importlib.util.find_spec("numba") is not None
-
-
 def compiled_backends() -> list[str]:
     """The compiled kernel backends this machine can run."""
-    return (["numba"] if NUMBA_FOUND else []) + (["c"] if c_compiler_found() else [])
+    return ["c"] if c_compiler_found() else []
 
 
 def run_python(code: str, backend: str | None = None, argv=(), **env_overrides):

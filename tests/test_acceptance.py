@@ -18,6 +18,7 @@ from treeot.errors import ConditionViolatedError
 
 from conftest import (
     LINE6_XI,
+    SwapChain,
     blob_image,
     line6_edges,
     noisy_grid_measures,
@@ -155,18 +156,18 @@ def test_criterion_5_hamiltonian_consistency():
         mu, nu = random_measure_pair(rng_inst, 25)
         rng = np.random.default_rng(6000 + pairs)
         tree = ot.random_spanning_tree(g, rng)
-        state = ot.AnnealState.from_tree(tree, mu, nu, cfg)
+        state = SwapChain(g, tree, mu, nu, cfg)
         for _ in range(25):
-            cand = ot.propose_move(state, g, rng)
-            h = ot.hamiltonian_delta(state, cand)
+            new_root, w_added = state.propose(rng)
+            h = state.delta(new_root, w_added)
             edges = {frozenset((v, int(state.parent[v])))
                      for v in range(25) if state.parent[v] >= 0}
-            edges.discard(frozenset(cand.removed_edge))
-            edges.add(frozenset(cand.added_edge))
-            t_cand = ot.root_tree(g, [tuple(sorted(e)) for e in edges], cand.new_root)
-            assert abs(h - (state.current_cost - ot.tree_k_distance(t_cand, mu, nu))) <= 1e-9
-            ot.accept_step(state, cand, 0.0)  # force accept
-            ref = ot.cumulative_imbalance(state.current_tree(), ot.imbalance(mu, nu))
+            edges.discard(frozenset(state.removed_edge(new_root)))
+            edges.add(frozenset((state.root, int(new_root))))
+            t_cand = ot.root_tree(g, [tuple(sorted(e)) for e in edges], int(new_root))
+            assert abs(h - (state.cost - ot.tree_k_distance(t_cand, mu, nu))) <= 1e-9
+            state.step(new_root, w_added, 0.0)  # force accept
+            ref = ot.cumulative_imbalance(state.tree(), ot.imbalance(mu, nu))
             assert np.max(np.abs(state.xi_cum - ref)) <= 1e-9
             pairs += 1
             if pairs == 1000:

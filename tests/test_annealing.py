@@ -6,8 +6,10 @@ import pytest
 
 import treeot as ot
 
+from treeot import _kernels
+
 from conftest import (
-    NUMBA_FOUND,
+    SwapChain,
     c_compiler_found,
     compiled_backends,
     noisy_grid_measures,
@@ -19,18 +21,18 @@ from conftest import (
 def fresh_state(g, mu, nu, cfg, seed):
     rng = np.random.default_rng(seed)
     tree = ot.random_spanning_tree(g, rng)
-    return ot.AnnealState.from_tree(tree, mu, nu, cfg), rng
+    return SwapChain(g, tree, mu, nu, cfg), rng
 
 
-def rebuild_candidate_tree(state, cand, g):
+def rebuild_candidate_tree(state, new_root, g):
     """The candidate tree, built from scratch for reference."""
     edges = {(min(v, int(state.parent[v])), max(v, int(state.parent[v])))
              for v in range(len(state.parent)) if state.parent[v] >= 0}
-    a, b = cand.removed_edge
+    a, b = state.removed_edge(new_root)
     edges.discard((min(a, b), max(a, b)))
-    a, b = cand.added_edge
+    a, b = state.root, int(new_root)
     edges.add((min(a, b), max(a, b)))
-    return ot.root_tree(g, sorted(edges), cand.new_root)
+    return ot.root_tree(g, sorted(edges), int(new_root))
 
 
 class TestProposeMove:
@@ -39,17 +41,17 @@ class TestProposeMove:
         cfg = ot.AnnealConfig(max_iters=10, seed=0)
         state, rng = fresh_state(g, np.full(4, 0.25), np.full(4, 0.25), cfg, 1)
         for _ in range(20):
-            cand = ot.propose_move(state, g, rng)
-            added = frozenset(cand.added_edge)
-            removed = frozenset(cand.removed_edge)
+            new_root, _ = state.propose(rng)
+            added = frozenset((state.root, int(new_root)))
+            removed = frozenset(state.removed_edge(new_root))
             assert added == removed  # pure root relocation on a tree graph
 
     def test_two_vertices_single_neighbor(self):
         g = ot.build_graph(2, [(0, 1, 1.0)])
         cfg = ot.AnnealConfig(max_iters=1, seed=0)
         state, rng = fresh_state(g, [0.6, 0.4], [0.4, 0.6], cfg, 2)
-        cand = ot.propose_move(state, g, rng)
-        assert cand.new_root == 1 - state.root
+        new_root, _ = state.propose(rng)
+        assert new_root == 1 - state.root
 
     def test_uniform_over_grid_neighbors(self):
         g = ot.grid_graph(3)
@@ -57,14 +59,14 @@ class TestProposeMove:
         mu, nu = random_measure_pair(np.random.default_rng(0), 9)
         state, _ = fresh_state(g, mu, nu, cfg, 3)
         # force the root to the center vertex, which has four neighbours
-        tree = ot.reroot(state.current_tree(), 4)
-        state = ot.AnnealState.from_tree(tree, mu, nu, cfg)
+        tree = ot.reroot(state.tree(), 4)
+        state = SwapChain(g, tree, mu, nu, cfg)
         rng = np.random.default_rng(1234)
         draws = 10_000
         counts = {}
         for _ in range(draws):
-            cand = ot.propose_move(state, g, rng)
-            counts[cand.new_root] = counts.get(cand.new_root, 0) + 1
+            new_root, _ = state.propose(rng)
+            counts[int(new_root)] = counts.get(int(new_root), 0) + 1
         assert sorted(counts) == [1, 3, 5, 7]
         for c in counts.values():
             assert abs(c / draws - 0.25) <= 0.02
@@ -75,9 +77,9 @@ class TestHamiltonianDelta:
         g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         cfg = ot.AnnealConfig(max_iters=1, seed=0)
         state, rng = fresh_state(g, [0.5, 0.3, 0.2], [0.2, 0.3, 0.5], cfg, 4)
-        cand = ot.propose_move(state, g, rng)
+        new_root, w_added = state.propose(rng)
         # on a tree graph every move swaps an edge with itself
-        assert ot.hamiltonian_delta(state, cand) == 0.0
+        assert state.delta(new_root, w_added) == 0.0
 
     def test_equal_measures_zero_for_all_moves(self):
         g = ot.grid_graph(3)
@@ -85,9 +87,9 @@ class TestHamiltonianDelta:
         mu = np.full(9, 1 / 9)
         state, rng = fresh_state(g, mu, mu, cfg, 5)
         for _ in range(50):
-            cand = ot.propose_move(state, g, rng)
-            assert ot.hamiltonian_delta(state, cand) == 0.0
-            ot.accept_step(state, cand, rng.random())
+            new_root, w_added = state.propose(rng)
+            assert state.delta(new_root, w_added) == 0.0
+            state.step(new_root, w_added, rng.random())
 
     def test_matches_from_scratch_recomputation(self):
         g = ot.grid_graph(5)
@@ -98,12 +100,12 @@ class TestHamiltonianDelta:
             mu, nu = random_measure_pair(rng_inst, 25)
             state, rng = fresh_state(g, mu, nu, cfg, 2000 + trial)
             for _ in range(25):
-                cand = ot.propose_move(state, g, rng)
-                h = ot.hamiltonian_delta(state, cand)
-                t_cand = rebuild_candidate_tree(state, cand, g)
-                h_ref = state.current_cost - ot.tree_k_distance(t_cand, mu, nu)
+                new_root, w_added = state.propose(rng)
+                h = state.delta(new_root, w_added)
+                t_cand = rebuild_candidate_tree(state, new_root, g)
+                h_ref = state.cost - ot.tree_k_distance(t_cand, mu, nu)
                 assert abs(h - h_ref) <= 1e-9
-                ot.accept_step(state, cand, rng.random())
+                state.step(new_root, w_added, rng.random())
                 checked += 1
         assert checked == 1000
 
@@ -115,15 +117,15 @@ class TestAcceptStep:
         mu, nu = random_measure_pair(np.random.default_rng(2), 9)
         state, rng = fresh_state(g, mu, nu, cfg, 6)
         for _ in range(200):
-            cand = ot.propose_move(state, g, rng)
-            h = ot.hamiltonian_delta(state, cand)
-            before = state.current_cost
+            new_root, w_added = state.propose(rng)
+            h = state.delta(new_root, w_added)
+            before = state.cost
             beta = state.beta
-            ot.accept_step(state, cand, 1.0 - 1e-12)  # worst draw
+            state.step(new_root, w_added, 1.0 - 1e-12)  # worst draw
             if h >= 0:
-                assert state.current_cost == before - h  # always accepted
+                assert state.cost == before - h  # always accepted
             elif math.exp(beta * h) < 1.0 - 1e-12:
-                assert state.current_cost == before  # rejected
+                assert state.cost == before  # rejected
 
     def test_incremental_state_matches_recomputation(self):
         g = ot.grid_graph(4)
@@ -133,12 +135,12 @@ class TestAcceptStep:
             mu, nu = random_measure_pair(rng_inst, 16)
             state, rng = fresh_state(g, mu, nu, cfg, 3000 + trial)
             for _ in range(100):
-                cand = ot.propose_move(state, g, rng)
-                ot.accept_step(state, cand, 0.0)  # force accept
-                tree_now = state.current_tree()
+                new_root, w_added = state.propose(rng)
+                state.step(new_root, w_added, 0.0)  # force accept
+                tree_now = state.tree()
                 ref = ot.cumulative_imbalance(tree_now, ot.imbalance(mu, nu))
                 assert np.max(np.abs(state.xi_cum - ref)) <= 1e-9
-                assert abs(state.current_cost - ot.tree_k_distance(tree_now, mu, nu)) <= 1e-9
+                assert abs(state.cost - ot.tree_k_distance(tree_now, mu, nu)) <= 1e-9
                 edges = tree_now.edge_set()
                 assert len(edges) == g.n - 1
                 assert all(g.has_edge(u, v) for u, v in edges)
@@ -154,66 +156,44 @@ class TestAcceptStep:
             mu, nu = random_measure_pair(rng_inst, n)
             state, rng = fresh_state(g, mu, nu, cfg, 7000 + trial)
             for _ in range(20):
-                cand = ot.propose_move(state, g, rng)
-                h = ot.hamiltonian_delta(state, cand)
-                t_cand = rebuild_candidate_tree(state, cand, g)
-                h_ref = state.current_cost - ot.tree_k_distance(t_cand, mu, nu)
+                new_root, w_added = state.propose(rng)
+                h = state.delta(new_root, w_added)
+                t_cand = rebuild_candidate_tree(state, new_root, g)
+                h_ref = state.cost - ot.tree_k_distance(t_cand, mu, nu)
                 assert abs(h - h_ref) <= 1e-9
-                ot.accept_step(state, cand, rng.random())
+                state.step(new_root, w_added, rng.random())
 
     def test_best_cost_monotone(self):
         g = ot.grid_graph(3)
-        cfg = ot.AnnealConfig(max_iters=1, seed=0)
         mu, nu = random_measure_pair(np.random.default_rng(4), 9)
-        state, rng = fresh_state(g, mu, nu, cfg, 7)
-        best_seen = state.best_cost
-        for _ in range(300):
-            cand = ot.propose_move(state, g, rng)
-            ot.accept_step(state, cand, rng.random())
-            assert state.best_cost <= best_seen + 1e-15
-            assert state.best_cost <= state.current_cost + 1e-12
-            best_seen = state.best_cost
+        res = ot.anneal(g, mu, nu, ot.AnnealConfig(max_iters=300, seed=7, record_every=1))
+        assert len(res.trace) == 301
+        best_seen = res.trace[0].best_cost
+        for row in res.trace:
+            assert row.best_cost <= best_seen + 1e-15
+            assert row.best_cost <= row.current_cost + 1e-12
+            best_seen = row.best_cost
 
 
 class TestTemperature:
-    def make_state(self, window=100):
-        g = ot.build_graph(2, [(0, 1, 1.0)])
-        cfg = ot.AnnealConfig(max_iters=1, seed=0, window=window)
-        state, _ = fresh_state(g, [0.6, 0.4], [0.4, 0.6], cfg, 8)
-        return state
+    """``_kernels.update_beta`` with the defaults of ``AnnealConfig``
+    (``eta`` 0.01, ``target_accept`` 0.01) unless a test says otherwise."""
 
     def test_no_update_during_warmup(self):
-        state = self.make_state(window=10)
-        state.bits_seen = 9
-        state.beta = 0.5
-        ot.update_temperature(state)
-        assert state.beta == 0.5
+        assert _kernels.update_beta(0.5, 0, 9, 10, 0.01, 0.01) == 0.5
 
     def test_fixed_point_at_target(self):
-        state = self.make_state(window=10)
-        state.bits_seen = 10
-        state.bits_sum = 1  # rate 0.1
-        state.config = ot.AnnealConfig(max_iters=1, seed=0, window=10, target_accept=0.1)
-        state.beta = 0.37
-        ot.update_temperature(state)
-        assert state.beta == 0.37
+        # rate 1/10 equals target_accept
+        assert _kernels.update_beta(0.37, 1, 10, 10, 0.01, 0.1) == 0.37
 
     def test_full_acceptance_heats(self):
-        state = self.make_state(window=100)
-        state.bits_seen = 100
-        state.bits_sum = 100
-        state.beta = 0.1
-        ot.update_temperature(state)
-        assert abs(state.beta - 0.1 * (1 + 0.01 * (1.0 - 0.01))) <= 1e-15
-        assert abs(state.beta - 0.10099) <= 1e-15
+        beta = _kernels.update_beta(0.1, 100, 100, 100, 0.01, 0.01)
+        assert abs(beta - 0.1 * (1 + 0.01 * (1.0 - 0.01))) <= 1e-15
+        assert abs(beta - 0.10099) <= 1e-15
 
     def test_zero_acceptance_cools(self):
-        state = self.make_state(window=100)
-        state.bits_seen = 100
-        state.bits_sum = 0
-        state.beta = 0.1
-        ot.update_temperature(state)
-        assert abs(state.beta - 0.1 * 0.9999) <= 1e-15
+        beta = _kernels.update_beta(0.1, 0, 100, 100, 0.01, 0.01)
+        assert abs(beta - 0.1 * 0.9999) <= 1e-15
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -267,7 +247,8 @@ class TestAnneal:
         assert abs(res.best_cost - exact) <= 1e-9
 
     def test_matches_stepwise_reference_loop(self):
-        # the fused kernel and the exposed step operations must walk in lockstep
+        # the fused kernel and its step functions, called one at a time, must
+        # walk in lockstep
         g = ot.grid_graph(4)
         mu, nu = random_measure_pair(np.random.default_rng(12), 16)
         cfg = ot.AnnealConfig(max_iters=2500, seed=21, record_every=250)
@@ -275,13 +256,13 @@ class TestAnneal:
 
         rng = np.random.default_rng(cfg.seed)
         tree = ot.random_spanning_tree(g, rng)
-        state = ot.AnnealState.from_tree(tree, mu, nu, cfg)
+        state = SwapChain(g, tree, mu, nu, cfg)
         for _ in range(cfg.max_iters):
-            cand = ot.propose_move(state, g, rng)
+            new_root, w_added = state.propose(rng)
             u = rng.random()
-            ot.accept_step(state, cand, u)
-            ot.update_temperature(state)
-        assert state.current_cost == res.final_cost
+            state.step(new_root, w_added, u)
+            state.adapt()
+        assert state.cost == res.final_cost
         assert state.best_cost == res.best_cost
         assert state.root == res.final_tree.root
         assert np.array_equal(state.parent, res.final_tree.parent)
@@ -346,6 +327,10 @@ for s in range(5):
     mu, nu = random_measure_pair(rng, n)
     cfg = ot.AnnealConfig(max_iters=3000, seed=s, window=7, recompute_every=299, record_every=37)
     res = ot.anneal(g, mu, nu, cfg)
+    for t in (res.final_tree, res.best_tree):
+        for v in range(n):
+            p = int(t.parent[v])
+            assert t.weight_to_parent[v] == (g.edge_weight(v, p) if p >= 0 else 0.0), (s, v)
     out.append([res.iters_run, res.max_drift.hex(), res.final_tree.parent.tolist(),
                 res.best_tree.parent.tolist(),
                 [[r.iter, r.current_cost.hex(), r.best_cost.hex(), r.beta.hex(), r.accept_rate.hex()]
@@ -387,7 +372,7 @@ class TestNumbaFallback:
         TREEOT_BACKEND, give bit-identical traces."""
         compiled = compiled_backends()
         if not compiled:
-            pytest.skip("no compiled backend: numba is not importable and no C compiler is on PATH")
+            pytest.skip("no compiled backend: no C compiler is on PATH")
         out = {}
         for backend in [*compiled, "python"]:
             proc = run_python(KERNEL_PARITY_SCRIPT, backend)
@@ -403,27 +388,19 @@ class TestKernelBackendSelection:
     SHOW = "import treeot; print(treeot.kernel_backend())"
 
     def test_unknown_backend_raises_named_error(self):
-        proc = run_python(self.SHOW, "bogus")
-        assert proc.returncode != 0
-        assert "KernelBackendError: TREEOT_BACKEND='bogus' is not one of" in proc.stderr
-
-    @pytest.mark.skipif(NUMBA_FOUND, reason="numba is importable here")
-    def test_missing_numba_raises_named_error(self):
-        proc = run_python(self.SHOW, "numba")
-        assert proc.returncode != 0
-        assert "KernelBackendError: TREEOT_BACKEND=numba: numba is not importable" in proc.stderr
+        for name in ("bogus", "numba"):
+            proc = run_python(self.SHOW, name)
+            assert proc.returncode != 0
+            assert f"KernelBackendError: TREEOT_BACKEND={name!r} is not one of" in proc.stderr
 
     def test_without_compiler_default_says_python_and_c_raises(self, tmp_path):
         env = {"PATH": str(tmp_path / "empty-bin"), "CC": "",
                "TREEOT_CACHE_DIR": str(tmp_path / "cache")}
         proc = run_python(self.SHOW, **env)
         assert proc.returncode == 0, proc.stderr
-        if NUMBA_FOUND:
-            assert proc.stdout.strip() == "numba"
-        else:
-            assert proc.stdout.strip() == "python"
-            assert "plain-Python annealing kernel" in proc.stderr
-            assert "no C compiler found" in proc.stderr
+        assert proc.stdout.strip() == "python"
+        assert "plain-Python annealing kernel" in proc.stderr
+        assert "no C compiler found" in proc.stderr
         proc = run_python(self.SHOW, "c", **env)
         assert proc.returncode != 0
         assert "KernelBackendError: TREEOT_BACKEND=c: no C compiler found" in proc.stderr

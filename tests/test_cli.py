@@ -7,7 +7,7 @@ import treeot as ot
 from treeot import fileio
 from treeot.cli import export_dot, main
 
-from conftest import LINE6_XI, NUMBA_FOUND, line6_edges, run_python
+from conftest import LINE6_XI, line6_edges, run_python
 
 
 def run_cli(*argv):
@@ -234,15 +234,15 @@ def line6_files(tmp_path):
 
 
 class TestPlanPotentialCommands:
-    @pytest.mark.skipif(NUMBA_FOUND, reason="numba is importable here")
     def test_plan_on_a_missing_backend_exits_2(self, line6_files):
         argv = ["plan", "--graph", str(line6_files / "graph.json"),
                 "--tree", str(line6_files / "tree.json"),
                 "--mu", str(line6_files / "mu.json"), "--nu", str(line6_files / "nu.json"),
                 "--out-dir", str(line6_files / "p")]
-        proc = run_python(f"import sys; from treeot.cli import main; sys.exit(main({argv!r}))", "numba")
+        proc = run_python(f"import sys; from treeot.cli import main; sys.exit(main({argv!r}))", "c",
+                          PATH=str(line6_files / "empty-bin"), CC="")
         assert proc.returncode == 2
-        assert "TREEOT_BACKEND=numba: numba is not importable" in proc.stderr
+        assert "TREEOT_BACKEND=c: no C compiler found" in proc.stderr
 
     def test_plan_outputs(self, line6_files, capsys):
         out = line6_files / "plan_out"

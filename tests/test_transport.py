@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from treeot.errors import (
     MassMismatchError,
     NegativeMassError,
     NonFiniteMassError,
+    VertexRangeError,
 )
 
 from conftest import (
@@ -53,6 +56,12 @@ class TestMeasures:
         for normalize in (False, True):
             with pytest.raises(NonFiniteMassError):
                 ot.as_measure([bad, 1.0], normalize=normalize)
+        # the tree closed forms check through imbalance, without as_measure
+        g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        t = ot.root_tree(g, [(0, 1), (1, 2)], 0)
+        for closed_form in (ot.tree_k_distance, ot.tree_potential, ot.dp_transport_plan):
+            with pytest.raises(NonFiniteMassError):
+                closed_form(t, [bad, 0.5, 0.5], [0.2, 0.2, 0.6])
 
     def test_normalization(self):
         mu = ot.as_measure([2.0, 2.0], normalize=True)
@@ -262,6 +271,16 @@ class TestPlanUtilities:
     def test_non_finite_mass_rejected(self, bad):
         with pytest.raises(NonFiniteMassError):
             ot.make_plan(3, [(0, 2, 1.0), (0, 1, bad)])
+
+    @pytest.mark.parametrize("entry, shown", [
+        ((1.7, 0, 0.5), "(1.7,0)"),
+        ((0, np.float64(2.0), 0.5), "(0,np.float64(2.0))"),
+        ((True, 2, 0.5), "(True,2)"),
+        ((0, np.True_, 0.5), "(0,np.True_)"),
+    ])
+    def test_non_integer_index_rejected(self, entry, shown):
+        with pytest.raises(VertexRangeError, match=re.escape(f"plan entry {shown} has a non-integer index")):
+            ot.make_plan(3, [(0, 2, 0.5), entry])
 
     def test_plan_to_flow_diagonal_only(self):
         g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
