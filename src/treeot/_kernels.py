@@ -1,12 +1,14 @@
-"""The annealing, random-tree and transport-plan kernels and the backends
-that run them.
+"""The annealing, random-tree, transport-plan and exact-flow kernels and the
+backends that run them.
 
-``anneal_chain``, ``wilson_tree`` and ``dp_plan`` below are the reference
-kernels in plain Python. ``anneal_chain`` moves between rooted spanning trees
-through four step functions, the one statement of the swap arithmetic:
-``propose_root`` draws the candidate root, ``swap_delta`` scores the swap on
-its cycle, ``apply_swap`` makes it, and ``update_beta`` adapts the
-temperature. Two backends run the kernels:
+``anneal_chain``, ``wilson_tree``, ``dp_plan`` and ``exact_flow`` below are
+the reference kernels in plain Python. ``anneal_chain`` moves between rooted
+spanning trees through four step functions, the one statement of the swap
+arithmetic: ``propose_root`` draws the candidate root, ``swap_delta`` scores
+the swap on its cycle, ``apply_swap`` makes it, and ``update_beta`` adapts
+the temperature. ``exact_flow`` is the exact oracle's min-cost flow:
+successive shortest paths, then zero-cost cycle cancelling. Two backends run
+the kernels:
 
 - ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
   helpers) built on first use with the system C compiler and loaded through
@@ -15,11 +17,12 @@ temperature. Two backends run the kernels:
 
 ``TREEOT_BACKEND`` names the backend. Unset, c is used if it loads, else
 python with a warning. A named backend that cannot load, or an unknown name,
-raises :class:`KernelBackendError`; there is no silent fallback. Traces, trees
-and plans are bit-identical between backends: both draw from the caller's
-numpy bit generator in the same way, and do the same arithmetic in the same
-order without fused multiply-adds. The python backend runs ``dp_plan`` over
-lists, which Python indexes faster than arrays.
+raises :class:`KernelBackendError`; there is no silent fallback. Traces,
+trees, plans and exact flows are bit-identical between backends: both draw
+from the caller's numpy bit generator in the same way, and do the same
+arithmetic in the same order without fused multiply-adds. The python backend
+runs ``dp_plan`` over lists, which Python indexes faster than arrays, and
+``exact_flow`` over whole numpy arrays.
 """
 
 from __future__ import annotations
@@ -49,13 +52,19 @@ _C_STATUS = {
 # dp_plan's statuses besides 0, shared with _kernel.c
 PLAN_NO_MATCH = 5
 PLAN_NO_END = 6
+# treeot_exact_flow's statuses besides 0 and the reference's errors for them
+_FLOW_ERRORS = {
+    7: "no sink with demand is reachable",
+    8: "augmenting-path budget exhausted",
+    9: "support forest lost connectivity",
+}
 
 _lock = threading.Lock()
-_backend: tuple[str, object, object, object] | None = None
+_backend: tuple[str, object, object, object, object] | None = None
 
 
 def kernel_backend() -> str:
-    """Name of the backend that runs the annealing kernel in this process."""
+    """Name of the backend that runs the kernels in this process."""
     return _resolve()[0]
 
 
@@ -83,6 +92,11 @@ def plan_kernel():
     return _resolve()[3]
 
 
+def flow_kernel():
+    """The backend's ``exact_flow``, with the signature of the one below."""
+    return _resolve()[4]
+
+
 def _resolve():
     global _backend
     with _lock:
@@ -96,7 +110,7 @@ def _select(name: str):
         try:
             return "c", *_load_c()
         except KernelBackendError as exc:
-            warnings.warn(f"treeot runs the plain-Python annealing kernel (c: {exc})",
+            warnings.warn(f"treeot runs the plain-Python kernels (c: {exc})",
                           RuntimeWarning, stacklevel=4)
         return "python", *_load_python()
     if name not in _LOADERS:
@@ -122,7 +136,7 @@ def _load_python():
         return (status, count, u, np.array(out_x[:count], dtype=np.int64),
                 np.array(out_y[:count], dtype=np.int64), np.array(out_m[:count], dtype=np.float64))
 
-    return anneal_chain, wilson_tree, _plan_runner(dp_plan_lists)
+    return anneal_chain, wilson_tree, _plan_runner(dp_plan_lists), exact_flow
 
 
 def _plan_runner(run):
@@ -199,6 +213,9 @@ def _load_c():
     plan = lib.treeot_dp_plan
     plan.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     plan.restype = ctypes.c_int
+    flow_fn = lib.treeot_exact_flow
+    flow_fn.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    flow_fn.restype = ctypes.c_int
 
     def anneal_chain_c(parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
                        max_iters, beta0, target_accept, eta, window, record_every,
@@ -271,7 +288,24 @@ def _load_c():
         count, u = out_k.tolist()
         return status, count, u, out_x, out_y, out_m
 
-    return anneal_chain_c, wilson_tree_c, _plan_runner(dp_plan_c)
+    def exact_flow_c(cost, supply, demand):
+        ns, nd = cost.shape
+        if cost.dtype != np.float64 or not cost.flags.c_contiguous:
+            raise ValueError("C kernel needs a contiguous float64 cost matrix")
+        _check_arrays((), ((supply, ns), (demand, nd)), "cost matrix")
+        flow = np.empty((ns, nd))
+        alpha = np.empty(ns)
+        beta = np.empty(nd)
+        work_d = np.empty(ns * nd + 2 * (ns + nd))
+        work_i = np.empty(10 * (ns + nd) + 1, dtype=np.int64)
+        status = flow_fn(ns, nd, cost.ctypes.data, supply.ctypes.data, demand.ctypes.data,
+                         flow.ctypes.data, alpha.ctypes.data, beta.ctypes.data,
+                         work_d.ctypes.data, work_i.ctypes.data)
+        if status != 0:
+            raise RuntimeError(_FLOW_ERRORS[status])
+        return flow, alpha, beta
+
+    return anneal_chain_c, wilson_tree_c, _plan_runner(dp_plan_c), exact_flow_c
 
 
 def _compiler() -> list[str]:
@@ -770,3 +804,178 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol, xi_cum, alive, ac
         size = _prune(x, parent, xi, alive, active, heap, size)
         size = _prune(y, parent, xi, alive, active, heap, size)
     return PLAN_NO_END, count, -1
+
+
+def exact_flow(cost, supply, demand):
+    """Min-cost flow on the dense bipartite network with all-pairs arcs
+    ``cost`` from sources with ``supply`` to sinks with ``demand`` (both
+    consumed, in place): successive shortest paths, then zero-cost cycle
+    cancelling, so the flow is a vertex of the transportation polytope.
+    Returns ``(flow, alpha, beta)``, the flow and the duals with
+    cost[i,j] - alpha[i] - beta[j] >= 0, equal on every arc of the
+    augmentations' flow. Raises ``RuntimeError`` when no sink with demand is
+    reachable, when 50 (ns + nd) + 200 augmentations do not finish, or when
+    the support forest loses connectivity.
+    """
+    flow, alpha, beta = _successive_shortest_paths(cost, supply, demand)
+    _cancel_zero_cost_cycles(flow)
+    return flow, alpha, beta
+
+
+def _successive_shortest_paths(cost, supply, demand):
+    """Min-cost flow on a dense bipartite network with all-pairs arcs.
+
+    Maintains duals (alpha, beta) with cost[i,j] - alpha[i] - beta[j] >= 0 and
+    equality on arcs carrying flow; each augmentation follows a reduced-cost
+    shortest path and saturates a supply, a demand, or a flow-carrying arc.
+
+    Shortest paths come from label correcting, one round being two numpy
+    sweeps: sources to sinks over every arc at its clamped reduced cost, then
+    sinks back to sources over the flow-carrying pairs at cost zero. Every arc
+    cost is non-negative, so the rounds stop, when no label improves, at exact
+    distances; relaxations are strict, so the predecessors form a forest.
+    The stop test sums supply and demand with ``ndarray.sum``, whose pairwise
+    order ``_kernel.c`` transcribes.
+    """
+    ns, nd = cost.shape
+    alpha = np.zeros(ns)
+    beta = np.zeros(nd)
+    flow = np.zeros((ns, nd))
+    eps = 1e-15
+    all_sources = np.arange(ns)
+    all_sinks = np.arange(nd)
+    guard = 50 * (ns + nd) + 200
+    for _ in range(guard):
+        if supply.sum() <= 1e-12 or demand.sum() <= 1e-12:
+            break
+        reduced = np.maximum(cost - alpha[:, None] - beta[None, :], 0.0)
+        carrying = flow > 0.0
+        ls = np.where(supply > eps, 0.0, np.inf)
+        lt = np.full(nd, np.inf)
+        pred_s = np.full(ns, -1)  # sink whose flow-carrying pair reaches source i
+        pred_t = np.full(nd, -1)  # source whose arc reaches sink j
+        while True:
+            cand = ls[:, None] + reduced
+            via = cand.argmin(axis=0)
+            reach = cand[via, all_sinks]
+            better = reach < lt
+            if not better.any():
+                break
+            lt[better] = reach[better]
+            pred_t[better] = via[better]
+            back = np.where(carrying, lt[None, :], np.inf)
+            via = back.argmin(axis=1)
+            reach = back[all_sources, via]
+            better = reach < ls
+            if not better.any():
+                break
+            ls[better] = reach[better]
+            pred_s[better] = via[better]
+
+        open_lt = np.where(demand > eps, lt, np.inf)
+        target = int(open_lt.argmin())
+        delta = open_lt[target]
+        if not np.isfinite(delta):
+            # on the complete network every sink is reachable at finite cost
+            raise RuntimeError("no sink with demand is reachable")
+        alpha += delta - np.minimum(ls, delta)
+        beta -= delta - np.minimum(lt, delta)
+
+        forward = []  # (source, sink) arcs gaining flow, from the target back
+        backward = []  # flow-carrying pairs losing flow
+        j = target
+        while True:
+            i = int(pred_t[j])
+            forward.append((i, j))
+            j = int(pred_s[i])
+            if j < 0:
+                break
+            backward.append((i, j))
+        amount = min(supply[i], demand[target], *(flow[p] for p in backward))
+        for p in forward:
+            flow[p] += amount
+        for p in backward:
+            flow[p] -= amount
+            if flow[p] <= eps:
+                flow[p] = 0.0
+        supply[i] -= amount
+        demand[target] -= amount
+        if supply[i] <= eps:
+            supply[i] = 0.0
+        if demand[target] <= eps:
+            demand[target] = 0.0
+    else:
+        raise RuntimeError("augmenting-path budget exhausted")
+    return flow, alpha, beta
+
+
+def _cancel_zero_cost_cycles(flow):
+    """Cancel cycles in the bipartite support so the plan becomes basic.
+
+    On an optimal flow every support cycle has zero net cost in both
+    directions, so cancellation changes neither cost nor marginals.
+    """
+    while True:
+        cycle = _find_support_cycle(flow)
+        if cycle is None:
+            return
+        signed = [(edge, +1 if k % 2 == 0 else -1) for k, edge in enumerate(cycle)]
+        theta = min(flow[i, j] for (i, j), s in signed if s < 0)
+        for (i, j), s in signed:
+            flow[i, j] += s * theta
+            if flow[i, j] <= 1e-15:
+                flow[i, j] = 0.0
+
+
+def _find_support_cycle(flow):
+    """One cycle of the undirected bipartite support graph, as a list of (i, j)
+    arcs in traversal order, or None.
+
+    Edges are inserted into a union-find forest; the first edge closing a
+    component yields the cycle: that edge plus the forest path between its ends.
+    """
+    ns, _ = flow.shape
+    root_of: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        root_of.setdefault(v, v)
+        while root_of[v] != v:
+            root_of[v] = root_of[root_of[v]]
+            v = root_of[v]
+        return v
+
+    adjacency: dict[int, list[int]] = {}
+    for i, j in zip(*np.nonzero(flow > 0.0)):
+        a, b = int(i), ns + int(j)
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            chain = _forest_path(adjacency, b, a)  # b ... a through the forest
+            nodes = [a] + chain  # cycle: a -> b -> ... -> a
+            arcs = []
+            for u, v in zip(nodes, nodes[1:]):
+                arcs.append((u, v - ns) if u < ns else (v, u - ns))
+            return arcs
+        root_of[ra] = rb
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    return None
+
+
+def _forest_path(adjacency, start, goal):
+    """Vertex chain from start to goal inside an acyclic adjacency map."""
+    prev = {start: -1}
+    queue = [start]
+    while queue:
+        nxt = []
+        for v in queue:
+            if v == goal:
+                chain = [goal]
+                while chain[-1] != start:
+                    chain.append(prev[chain[-1]])
+                return chain[::-1]
+            for nb in adjacency.get(v, ()):
+                if nb not in prev:
+                    prev[nb] = v
+                    nxt.append(nb)
+        queue = nxt
+    raise RuntimeError("support forest lost connectivity")

@@ -98,4 +98,4 @@ class FormatError(InputError):
 
 
 class KernelBackendError(TreeOTError):
-    """The annealing kernel backend asked for cannot be used."""
+    """The kernel backend asked for cannot be used."""

@@ -1,10 +1,11 @@
 """Exact desk-scale solver and invariant checkers used as ground truth.
 
-The solver reduces by the zero-cost diagonal, then runs successive shortest
-augmenting paths, found by a vectorised label-correcting search, with node
-potentials on the dense bipartite network between excess-supply and
-excess-demand vertices, and finally cancels zero-cost cycles so the returned
-plan is a vertex of the transportation polytope.
+The solver reduces by the zero-cost diagonal, then runs the kernel backend's
+``exact_flow`` (see ``_kernels``) on the dense bipartite network between
+excess-supply and excess-demand vertices: successive shortest augmenting
+paths, found by a label-correcting search, with node potentials, and then
+zero-cost cycle cancelling, so the returned plan is a vertex of the
+transportation polytope.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLargeError, VertexRangeError
+from . import _kernels
+from .errors import NonFiniteWeightError, NonPositiveWeightError, TooLargeError, VertexRangeError
 from .graphs import WeightedGraph, build_graph
 from .transport import Potential, TransportPlan, as_measure, imbalance, make_plan
 from .trees import RootedTree, random_spanning_tree, subtree_aggregate, tree_distance_matrix
@@ -38,13 +40,21 @@ def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> Exac
 
     Returns the optimal value, a plan whose support is a forest with maximal
     diagonal (a vertex of the polytope), and a 1-Lipschitz dual potential with
-    value zero at vertex 0.
+    value zero at vertex 0. Raises ``NonFiniteWeightError`` when ``dist``
+    holds a NaN or infinite entry and ``NonPositiveWeightError`` when it holds
+    a negative one.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
         raise VertexRangeError("distance matrix must be square")
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceeds the cap of {max_vertices}")
+    # checked before solving: the kernel backends agree only on finite costs
+    dist = np.asarray(dist, dtype=np.float64)
+    for bad, error in ((~np.isfinite(dist), NonFiniteWeightError), (dist < 0.0, NonPositiveWeightError)):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise error(f"distance ({i},{j}) is {dist[i, j]}")
     mu = as_measure(mu, n)
     nu = as_measure(nu, n)
     xi = imbalance(mu, nu)
@@ -61,9 +71,8 @@ def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> Exac
 
     supply = xi[srcs].copy()
     demand = -xi[snks].copy()
-    cost = dist[np.ix_(srcs, snks)]
-    flow, alpha, beta = _successive_shortest_paths(cost, supply, demand)
-    _cancel_zero_cost_cycles(flow, cost)
+    cost = np.ascontiguousarray(dist[np.ix_(srcs, snks)])
+    flow, alpha, beta = _kernels.flow_kernel()(cost, supply, demand)
 
     for i, j in zip(*np.nonzero(flow > 0.0)):
         triplets.append((int(srcs[i]), int(snks[j]), float(flow[i, j])))
@@ -75,164 +84,6 @@ def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> Exac
     dual = dual - dual[0]
     dual.setflags(write=False)
     return ExactSolution(value, plan, Potential(dual, anchor=0))
-
-
-def _successive_shortest_paths(cost, supply, demand):
-    """Min-cost flow on a dense bipartite network with all-pairs arcs.
-
-    Maintains duals (alpha, beta) with cost[i,j] - alpha[i] - beta[j] >= 0 and
-    equality on arcs carrying flow; each augmentation follows a reduced-cost
-    shortest path and saturates a supply, a demand, or a flow-carrying arc.
-
-    Shortest paths come from label correcting, one round being two numpy
-    sweeps: sources to sinks over every arc at its clamped reduced cost, then
-    sinks back to sources over the flow-carrying pairs at cost zero. Every arc
-    cost is non-negative, so the rounds stop, when no label improves, at exact
-    distances; relaxations are strict, so the predecessors form a forest.
-    """
-    ns, nd = cost.shape
-    alpha = np.zeros(ns)
-    beta = np.zeros(nd)
-    flow = np.zeros((ns, nd))
-    eps = 1e-15
-    all_sources = np.arange(ns)
-    all_sinks = np.arange(nd)
-    guard = 50 * (ns + nd) + 200
-    for _ in range(guard):
-        if supply.sum() <= 1e-12 or demand.sum() <= 1e-12:
-            break
-        reduced = np.maximum(cost - alpha[:, None] - beta[None, :], 0.0)
-        carrying = flow > 0.0
-        ls = np.where(supply > eps, 0.0, np.inf)
-        lt = np.full(nd, np.inf)
-        pred_s = np.full(ns, -1)  # sink whose flow-carrying pair reaches source i
-        pred_t = np.full(nd, -1)  # source whose arc reaches sink j
-        while True:
-            cand = ls[:, None] + reduced
-            via = cand.argmin(axis=0)
-            reach = cand[via, all_sinks]
-            better = reach < lt
-            if not better.any():
-                break
-            lt[better] = reach[better]
-            pred_t[better] = via[better]
-            back = np.where(carrying, lt[None, :], np.inf)
-            via = back.argmin(axis=1)
-            reach = back[all_sources, via]
-            better = reach < ls
-            if not better.any():
-                break
-            ls[better] = reach[better]
-            pred_s[better] = via[better]
-
-        open_lt = np.where(demand > eps, lt, np.inf)
-        target = int(open_lt.argmin())
-        delta = open_lt[target]
-        if not np.isfinite(delta):
-            # on the complete network every sink is reachable at finite cost
-            raise RuntimeError("no sink with demand is reachable")
-        alpha += delta - np.minimum(ls, delta)
-        beta -= delta - np.minimum(lt, delta)
-
-        forward = []  # (source, sink) arcs gaining flow, from the target back
-        backward = []  # flow-carrying pairs losing flow
-        j = target
-        while True:
-            i = int(pred_t[j])
-            forward.append((i, j))
-            j = int(pred_s[i])
-            if j < 0:
-                break
-            backward.append((i, j))
-        amount = min(supply[i], demand[target], *(flow[p] for p in backward))
-        for p in forward:
-            flow[p] += amount
-        for p in backward:
-            flow[p] -= amount
-            if flow[p] <= eps:
-                flow[p] = 0.0
-        supply[i] -= amount
-        demand[target] -= amount
-        if supply[i] <= eps:
-            supply[i] = 0.0
-        if demand[target] <= eps:
-            demand[target] = 0.0
-    else:
-        raise RuntimeError("augmenting-path budget exhausted")
-    return flow, alpha, beta
-
-
-def _cancel_zero_cost_cycles(flow, cost):
-    """Cancel cycles in the bipartite support so the plan becomes basic.
-
-    On an optimal flow every support cycle has zero net cost in both
-    directions, so cancellation changes neither cost nor marginals.
-    """
-    ns, nd = flow.shape
-    while True:
-        cycle = _find_support_cycle(flow)
-        if cycle is None:
-            return
-        signed = [(edge, +1 if k % 2 == 0 else -1) for k, edge in enumerate(cycle)]
-        theta = min(flow[i, j] for (i, j), s in signed if s < 0)
-        for (i, j), s in signed:
-            flow[i, j] += s * theta
-            if flow[i, j] <= 1e-15:
-                flow[i, j] = 0.0
-
-
-def _find_support_cycle(flow):
-    """One cycle of the undirected bipartite support graph, as a list of (i, j)
-    arcs in traversal order, or None.
-
-    Edges are inserted into a union-find forest; the first edge closing a
-    component yields the cycle: that edge plus the forest path between its ends.
-    """
-    ns, _ = flow.shape
-    root_of: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        root_of.setdefault(v, v)
-        while root_of[v] != v:
-            root_of[v] = root_of[root_of[v]]
-            v = root_of[v]
-        return v
-
-    adjacency: dict[int, list[int]] = {}
-    for i, j in zip(*np.nonzero(flow > 0.0)):
-        a, b = int(i), ns + int(j)
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            chain = _forest_path(adjacency, b, a)  # b ... a through the forest
-            nodes = [a] + chain  # cycle: a -> b -> ... -> a
-            arcs = []
-            for u, v in zip(nodes, nodes[1:]):
-                arcs.append((u, v - ns) if u < ns else (v, u - ns))
-            return arcs
-        root_of[ra] = rb
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    return None
-
-
-def _forest_path(adjacency, start, goal):
-    """Vertex chain from start to goal inside an acyclic adjacency map."""
-    prev = {start: -1}
-    queue = [start]
-    while queue:
-        nxt = []
-        for v in queue:
-            if v == goal:
-                chain = [goal]
-                while chain[-1] != start:
-                    chain.append(prev[chain[-1]])
-                return chain[::-1]
-            for nb in adjacency.get(v, ()):
-                if nb not in prev:
-                    prev[nb] = v
-                    nxt.append(nb)
-        queue = nxt
-    raise RuntimeError("support forest lost connectivity")
 
 
 def lipschitz_violation(u: Potential, g: WeightedGraph) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import EdgeNotInGraphError, HasCycleError, NotSpanningError, VertexRangeError
+from .errors import HasCycleError, NotSpanningError, VertexRangeError
 from .graphs import WeightedGraph
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import treeot as ot
-from treeot import fileio
 from treeot.cli import main as cli_main
 from treeot.errors import ConditionViolatedError
 

@@ -1,5 +1,6 @@
 import json
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -399,7 +400,7 @@ class TestKernelBackendSelection:
         proc = run_python(self.SHOW, **env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "python"
-        assert "plain-Python annealing kernel" in proc.stderr
+        assert "plain-Python kernels" in proc.stderr
         assert "no C compiler found" in proc.stderr
         proc = run_python(self.SHOW, "c", **env)
         assert proc.returncode != 0
@@ -420,6 +421,18 @@ class TestKernelBackendSelection:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "python"
         assert not cache.exists() or not any(cache.iterdir())
+
+    def test_c_source_compiles_without_warnings(self, tmp_path):
+        """The kernel's own flags plus -Wall -Wextra -Werror: a warning in
+        ``_kernel.c`` fails here."""
+        try:
+            compiler = _kernels._compiler()
+        except ot.errors.KernelBackendError:
+            pytest.skip("no C compiler on PATH")
+        proc = subprocess.run([*compiler, *_kernels.C_FLAGS, "-Wall", "-Wextra", "-Werror",
+                               "-o", str(tmp_path / "kernel.so"), str(_kernels.C_SOURCE), "-lm"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(not c_compiler_found(), reason="no C compiler on PATH")
     def test_c_kernel_is_built_once_into_the_cache(self, tmp_path):

@@ -1,24 +1,29 @@
+import hashlib
 import itertools
+import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import treeot as ot
-from treeot.errors import TooLargeError
+from treeot import _kernels
+from treeot.errors import NonFiniteWeightError, NonPositiveWeightError, TooLargeError
 from treeot.oracle import (
     VALUE_TOL,
-    _successive_shortest_paths,
     complementary_violation,
     lipschitz_violation,
 )
 
 from conftest import (
     brute_force_weak_nondegeneracy,
-    line6_edges,
+    compiled_backends,
+    noisy_grid_measures,
     random_connected_graph,
     random_measure_pair,
     random_tree_graph,
+    run_python,
 )
 
 
@@ -72,6 +77,19 @@ class TestExactSolver:
             sol = ot.exact_k_distance(d, mu, nu)
             assert ot.check_vertex_support(sol.plan)["is_forest"]
             assert np.max(np.abs(sol.plan.diagonal() - np.minimum(mu, nu))) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distance_raises(self, bad):
+        d = ot.all_pairs_shortest_paths(ot.grid_graph(3)).copy()
+        d[2, 5] = bad
+        with pytest.raises(NonFiniteWeightError, match=r"\(2,5\)"):
+            ot.exact_k_distance(d, np.full(9, 1 / 9), np.eye(9)[0])
+
+    def test_negative_distance_raises(self):
+        d = ot.all_pairs_shortest_paths(ot.grid_graph(3)).copy()
+        d[0, 1] = d[1, 0] = -1.0
+        with pytest.raises(NonPositiveWeightError, match=r"\(0,1\) is -1\.0"):
+            ot.exact_k_distance(d, np.full(9, 1 / 9), np.eye(9)[0])
 
     def test_tree_ground_cost_matches_closed_form(self):
         rng = np.random.default_rng(57)
@@ -171,11 +189,165 @@ class TestExactSolverCrossCheck:
             assert complementary_violation(sol.plan, sol.dual, d) <= 1e-9, k
         assert all(count >= 30 for count in seen.values()), seen
 
-    def test_unreachable_sink_raises(self):
+    def test_unreachable_sink_raises(self, flow_parity_runs):
         # an all-inf column: supply is left but the sink with demand is unreachable
-        cost = np.array([[1.0, np.inf], [2.0, np.inf]])
-        with pytest.raises(RuntimeError, match="reachable"):
-            _successive_shortest_paths(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        reference, run = flow_parity_runs
+        assert reference["error"] == "no sink with demand is reachable"
+        for backend in BACKENDS:
+            assert run(backend)["error"] == reference["error"], backend
+
+
+def unreachable_inputs():
+    """Kernel inputs whose second sink, the one with demand left after the
+    first augmentation, sits behind an all-inf cost column."""
+    return (np.array([[1.0, np.inf], [2.0, np.inf]]), np.array([0.5, 0.5]),
+            np.array([0.5, 0.5]))
+
+
+def exact_parity_corpus():
+    """Distance matrices and measure pairs whose exact solve exercises the
+    kernel's tie-breaking: unit lattices with integer masses (tied distances
+    and tied labels, zero-mass vertices), mu = nu on a subset, single-source
+    and single-sink instances, random graphs with random masses, and four
+    noisy 10x10 lattice instances (more than 8 sources, so the supply sums
+    take numpy's blocked order)."""
+    rng = np.random.default_rng(4242)
+    for k in range(48):
+        p = 3 + k % 4
+        n = p * p
+        mu = rng.integers(0, 4, n).astype(float)
+        nu = rng.integers(0, 4, n).astype(float)
+        mu[0] += 1.0
+        nu[-1] += 1.0
+        if k % 3 == 1:  # mu = nu on a random subset, totals balanced outside it
+            same = rng.random(n) < 0.5
+            same[0] = same[-1] = False
+            nu[same] = mu[same]
+        gap = mu.sum() - nu.sum()
+        if gap > 0:
+            nu[-1] += gap
+        else:
+            mu[0] -= gap
+        yield ot.all_pairs_shortest_paths(ot.grid_graph(p, weight=1.0)), mu / mu.sum(), nu / nu.sum()
+    for k in range(40):
+        g, mu, nu = cross_check_instance(np.random.default_rng(5100 + k), k % 4)
+        yield ot.all_pairs_shortest_paths(g), mu, nu
+    for seed in range(4):
+        mu, nu = noisy_grid_measures(10, seed)
+        yield ot.all_pairs_shortest_paths(ot.grid_graph(10)), mu, nu
+
+
+def bits(*arrays):
+    """Bit-exact fingerprint of float and int arrays."""
+    data = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    return hashlib.sha256(data).hexdigest()[:20]
+
+
+def flow_inputs(dist, mu, nu):
+    """The kernel's inputs for this instance, as ``exact_k_distance`` makes them."""
+    xi = mu - nu
+    srcs, snks = np.flatnonzero(xi > 0.0), np.flatnonzero(xi < 0.0)
+    return np.ascontiguousarray(dist[np.ix_(srcs, snks)]), xi[srcs].copy(), -xi[snks].copy()
+
+
+def solution_bits(sol):
+    return bits(np.array([sol.value]), sol.plan.rows, sol.plan.cols, sol.plan.mass,
+                sol.dual.values)
+
+
+FLOW_PARITY_SCRIPT = """
+import json, pickle, sys
+import numpy as np
+sys.path.insert(0, TESTS_DIR)
+import treeot as ot
+from treeot import _kernels
+from test_oracle import bits, flow_inputs, solution_bits, unreachable_inputs
+with open(sys.argv[1], "rb") as f:
+    corpus = pickle.load(f)
+flows = [bits(*_kernels.flow_kernel()(*flow_inputs(d, mu, nu))) for d, mu, nu in corpus]
+solutions = [solution_bits(ot.exact_k_distance(d, mu, nu)) for d, mu, nu in corpus]
+try:
+    _kernels.flow_kernel()(*unreachable_inputs())
+    error = None
+except RuntimeError as exc:
+    error = str(exc)
+print(json.dumps({"backend": ot.kernel_backend(), "flows": flows, "solutions": solutions,
+                  "error": error}))
+"""
+
+BACKENDS = ["python", *compiled_backends()]
+
+
+@pytest.fixture(scope="module")
+def flow_parity_runs(tmp_path_factory):
+    """The plain-Python reference's flow and solution fingerprints and error,
+    and a function that runs the parity script on a backend (once per
+    backend) and returns its output."""
+    corpus = list(exact_parity_corpus())
+    path = tmp_path_factory.mktemp("flow-parity") / "corpus.pickle"
+    path.write_bytes(pickle.dumps(corpus))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "flow_kernel", lambda: _kernels.exact_flow)
+        solutions = [solution_bits(ot.exact_k_distance(d, mu, nu)) for d, mu, nu in corpus]
+    with pytest.raises(RuntimeError) as info:
+        _kernels.exact_flow(*unreachable_inputs())
+    reference = {
+        "flows": [bits(*_kernels.exact_flow(*flow_inputs(d, mu, nu))) for d, mu, nu in corpus],
+        "solutions": solutions,
+        "error": str(info.value),
+    }
+    runs = {}
+
+    def run(backend):
+        if backend not in runs:
+            proc = run_python(FLOW_PARITY_SCRIPT, backend, argv=[str(path)])
+            assert proc.returncode == 0, proc.stderr
+            runs[backend] = json.loads(proc.stdout)
+            assert runs[backend]["backend"] == backend
+        return runs[backend]
+
+    return reference, run
+
+
+class TestFlowKernelParity:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_flows_and_duals_match_the_reference_bit_for_bit(self, backend, flow_parity_runs):
+        reference, run = flow_parity_runs
+        flows = run(backend)["flows"]
+        assert len(flows) == len(reference["flows"]) == 92
+        mismatched = [i for i, (a, b) in enumerate(zip(flows, reference["flows"])) if a != b]
+        assert not mismatched, f"{len(mismatched)} flows differ, first at corpus index {mismatched[0]}"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_solutions_match_the_reference_bit_for_bit(self, backend, flow_parity_runs):
+        reference, run = flow_parity_runs
+        solutions = run(backend)["solutions"]
+        mismatched = [i for i, (a, b) in enumerate(zip(solutions, reference["solutions"])) if a != b]
+        assert not mismatched, f"{len(mismatched)} solutions differ, first at corpus index {mismatched[0]}"
+
+    def test_corpus_has_ties_and_degenerate_cases(self):
+        seen = {"zero_mass": 0, "equal_on_subset": 0, "single_source": 0, "single_sink": 0}
+        for _, mu, nu in exact_parity_corpus():
+            xi = mu - nu
+            seen["zero_mass"] += bool(np.any(mu == 0.0) or np.any(nu == 0.0))
+            seen["equal_on_subset"] += int(np.count_nonzero((mu == nu) & (mu > 0.0)) >= 2)
+            seen["single_source"] += int(np.count_nonzero(xi > 0.0) == 1)
+            seen["single_sink"] += int(np.count_nonzero(xi < 0.0) == 1)
+        assert all(count >= 10 for count in seen.values()), seen
+
+    @pytest.mark.skipif(not compiled_backends(), reason="no C compiler")
+    def test_c_stop_test_sums_as_ndarray_sum(self):
+        import ctypes
+
+        lib = ctypes.CDLL(str(_kernels.build_c_kernel()))
+        array_sum = lib.treeot_array_sum
+        array_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+        array_sum.restype = ctypes.c_double
+        rng = np.random.default_rng(31)
+        for n in [*range(0, 300), 511, 1000, 1025, 4099]:
+            a = rng.random(n) * 10.0 ** rng.integers(-18, 3, n)
+            a[rng.random(n) < 0.3] = 0.0
+            assert array_sum(a.ctypes.data, n).hex() == float(a.sum()).hex(), n
 
 
 class TestLipschitzCheck:
