@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 bad input, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -40,7 +41,6 @@ from .transport import (
     tree_k_distance,
     tree_potential,
 )
-from .trees import tree_distance_matrix
 
 VALUE_TOL = 1e-9
 
@@ -180,19 +180,10 @@ def _parse_sigma(raw: str, pixels: np.ndarray) -> float:
 
 
 def _anneal_config(args) -> AnnealConfig:
-    base = {
-        "max_iters": 100_000,
-        "seed": 0,
-        "beta0": 0.1,
-        "target_accept": 0.01,
-        "eta": 0.01,
-        "window": 100,
-        "record_every": 1000,
-    }
+    base = {"max_iters": 100_000}  # every other default is AnnealConfig's
     if args.config:
         overrides_file = fileio._parse_json(args.config)
-        allowed = set(base) | {"recompute_every"}
-        unknown = set(overrides_file) - allowed
+        unknown = set(overrides_file) - {f.name for f in dataclasses.fields(AnnealConfig)}
         if unknown:
             raise TreeOTError(f"unknown config keys: {sorted(unknown)}")
         base.update(overrides_file)
@@ -348,7 +339,6 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
     nd = check_weak_nondegeneracy(mu, nu, graph=g)
 
     tree = fileio.load_tree(tree_path_, g) if tree_path_ else None
-    dist_tree = tree_distance_matrix(tree) if tree is not None else None
     if tree is not None:
         metrics["tree_cost"] = tree_k_distance(tree, mu, nu)
 
@@ -376,10 +366,10 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
             0.0 if check_cyclical_monotonicity(plan, g, dist) else 1.0, 0.0)
         metrics["plan_cost_graph"] = plan_cost(plan, dist)
         if tree is not None:
-            metrics["plan_cost_tree"] = plan_cost(plan, dist_tree)
+            metrics["plan_cost_tree"] = plan_cost(plan, tree)
             add("plan_cost_tree_matches_tree_cost",
                 abs(metrics["plan_cost_tree"] - metrics["tree_cost"]))
-            add("plan_geodesic_support", geodesic_support_violation(plan, dist, dist_tree))
+            add("plan_geodesic_support", geodesic_support_violation(plan, dist, tree))
             ref = beckmann_flow(tree, mu, nu)
             got = plan_to_flow(plan, tree)
             add("flow_matches_cumulative", max(
@@ -395,8 +385,8 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
             add("potential_duality_tree",
                 abs(metrics["potential_duality_value"] - metrics["tree_cost"]))
         if plan is not None:
-            d_ref = dist_tree if dist_tree is not None else dist
-            add("complementary_slackness", complementary_violation(plan, potential, d_ref))
+            add("complementary_slackness",
+                complementary_violation(plan, potential, tree if tree is not None else dist))
 
     if exact:
         solution = exact_k_distance(dist, as_measure(mu, g.n, normalize=True),

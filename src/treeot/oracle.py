@@ -17,13 +17,17 @@ import numpy as np
 from . import _kernels
 from .errors import NonFiniteWeightError, NonPositiveWeightError, TooLargeError, VertexRangeError
 from .graphs import WeightedGraph, build_graph
-from .transport import Potential, TransportPlan, as_measure, imbalance, make_plan
-from .trees import RootedTree, random_spanning_tree, subtree_aggregate, tree_distance_matrix
+from .transport import Potential, TransportPlan, _assemble_plan, _support_distances, as_measure, imbalance
+from .trees import RootedTree, random_spanning_tree, subtree_aggregate
 
 #: Default tolerance for optimality and duality identities.
 VALUE_TOL = 1e-9
 #: Subset scans beyond this vertex count fall back to the sampled necessary check.
 EXHAUSTIVE_CAP = 22
+#: Random spanning trees drawn by the sampled necessary check.
+TREE_SAMPLES = 32
+#: A vertex set counts as balanced when its imbalance is at most this.
+BALANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,21 +66,22 @@ def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> Exac
     diag = np.minimum(mu, nu)
     srcs = np.flatnonzero(xi > 0.0)
     snks = np.flatnonzero(xi < 0.0)
-    triplets = [(v, v, float(diag[v])) for v in range(n) if diag[v] > 0.0]
+    on_diag = np.flatnonzero(diag > 0.0)
 
     if srcs.size == 0 or snks.size == 0:
         dual = np.zeros(n)
         dual.setflags(write=False)
-        return ExactSolution(0.0, make_plan(n, triplets), Potential(dual, anchor=0))
+        plan = _assemble_plan(n, on_diag, on_diag, diag[on_diag])
+        return ExactSolution(0.0, plan, Potential(dual, anchor=0))
 
     supply = xi[srcs].copy()
     demand = -xi[snks].copy()
     cost = np.ascontiguousarray(dist[np.ix_(srcs, snks)])
     flow, alpha, beta = _kernels.flow_kernel()(cost, supply, demand)
 
-    for i, j in zip(*np.nonzero(flow > 0.0)):
-        triplets.append((int(srcs[i]), int(snks[j]), float(flow[i, j])))
-    plan = make_plan(n, triplets)
+    i, j = np.nonzero(flow > 0.0)
+    plan = _assemble_plan(n, np.concatenate([on_diag, srcs[i]]), np.concatenate([on_diag, snks[j]]),
+                          np.concatenate([diag[on_diag], flow[i, j]]))
     value = float(np.sum(flow * cost))
 
     # Lipschitz extension of the sink-side duals to every vertex
@@ -99,15 +104,14 @@ def check_lipschitz(u: Potential, g: WeightedGraph, tol: float = VALUE_TOL) -> b
     return lipschitz_violation(u, g) <= tol
 
 
-def complementary_violation(plan: TransportPlan, u: Potential, dist: np.ndarray) -> float:
-    """Largest |u(x) - u(y) - d(x,y)| over the support of the plan."""
-    if plan.support_size == 0:
-        return 0.0
-    gaps = u.values[plan.rows] - u.values[plan.cols] - dist[plan.rows, plan.cols]
-    return float(np.max(np.abs(gaps)))
+def complementary_violation(plan: TransportPlan, u: Potential, dist) -> float:
+    """Largest |u(x) - u(y) - d(x,y)| over the support of the plan; ``dist``
+    is a dense distance matrix or a :class:`RootedTree`."""
+    gaps = u.values[plan.rows] - u.values[plan.cols] - _support_distances(plan, dist)
+    return float(np.max(np.abs(gaps), initial=0.0))
 
 
-def check_complementary(plan: TransportPlan, u: Potential, dist: np.ndarray, tol: float = VALUE_TOL) -> bool:
+def check_complementary(plan: TransportPlan, u: Potential, dist, tol: float = VALUE_TOL) -> bool:
     """Positive mass forces the potential drop to equal the distance."""
     return complementary_violation(plan, u, dist) <= tol
 
@@ -125,47 +129,42 @@ class NondegeneracyVerdict:
 
 
 def check_weak_nondegeneracy(
-    mu,
-    nu,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
-    graph: WeightedGraph | None = None,
-    tree_samples: int = 32,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-12,
+    mu, nu, graph: WeightedGraph | None = None, rng: np.random.Generator | None = None
 ) -> NondegeneracyVerdict:
     """Whether mu and nu give different mass to every proper nonempty vertex set.
 
-    Up to ``exhaustive_cap`` vertices the subset sums of mu - nu are scanned
+    Up to ``EXHAUSTIVE_CAP`` vertices the subset sums of mu - nu are scanned
     exhaustively (meet-in-the-middle). Beyond that, only a necessary condition
     is tested: nonzero cumulative imbalance at every non-root vertex over
-    sampled random spanning trees; the verdict is then labelled
-    ``"necessary-only"``.
+    ``TREE_SAMPLES`` random spanning trees of ``graph`` (default: the complete
+    graph); the verdict is then labelled ``"necessary-only"``. Imbalances up
+    to ``BALANCE_TOL`` count as zero.
     """
     xi = imbalance(mu, nu)
     n = xi.shape[0]
-    if n <= exhaustive_cap:
+    if n <= EXHAUSTIVE_CAP:
         half = n // 2
         low = _subset_sums(xi[:half])
         high = np.sort(_subset_sums(xi[half:]))
         ties = 0
         for s in low:
-            lo = np.searchsorted(high, -s - tol, side="left")
-            hi = np.searchsorted(high, -s + tol, side="right")
+            lo = np.searchsorted(high, -s - BALANCE_TOL, side="left")
+            hi = np.searchsorted(high, -s + BALANCE_TOL, side="right")
             ties += hi - lo
         # discount the always-balancing trivial subsets: the empty set, and the
         # full set whenever the total imbalance itself sits inside the tolerance
-        trivial = 1 + (1 if abs(float(xi.sum())) <= tol else 0)
+        trivial = 1 + (1 if abs(float(xi.sum())) <= BALANCE_TOL else 0)
         return NondegeneracyVerdict(holds=bool(ties <= trivial), mode="exhaustive")
 
     if rng is None:
         rng = np.random.default_rng(0)
     if graph is None:
         graph = build_graph(n, [(a, b, 1.0) for a in range(n) for b in range(a + 1, n)])
-    for _ in range(tree_samples):
+    for _ in range(TREE_SAMPLES):
         t = random_spanning_tree(graph, rng)
         xi_cum = subtree_aggregate(t, xi)
         mask = np.arange(n) != t.root
-        if np.any(np.abs(xi_cum[mask]) <= tol):
+        if np.any(np.abs(xi_cum[mask]) <= BALANCE_TOL):
             return NondegeneracyVerdict(holds=False, mode="necessary-only")
     return NondegeneracyVerdict(holds=True, mode="necessary-only")
 
@@ -248,21 +247,18 @@ def check_vertex_support(plan: TransportPlan) -> dict:
     }
 
 
-def geodesic_support_violation(
-    plan: TransportPlan, dist_graph: np.ndarray, dist_tree: np.ndarray
-) -> float:
-    """Largest gap between graph distance and tree distance over the support."""
-    if plan.support_size == 0:
-        return 0.0
-    gaps = dist_tree[plan.rows, plan.cols] - dist_graph[plan.rows, plan.cols]
-    return float(np.max(np.abs(gaps)))
+def geodesic_support_violation(plan: TransportPlan, dist_graph: np.ndarray, dist_tree) -> float:
+    """Largest gap between graph distance and tree distance over the support;
+    ``dist_tree`` is a :class:`RootedTree` or its dense distance matrix."""
+    gaps = _support_distances(plan, dist_tree) - _support_distances(plan, dist_graph)
+    return float(np.max(np.abs(gaps), initial=0.0))
 
 
 def check_geodesic_support(
     plan: TransportPlan, dist_graph: np.ndarray, t: RootedTree, tol: float = VALUE_TOL
 ) -> bool:
     """Support pairs must realize the graph distance inside the tree."""
-    return geodesic_support_violation(plan, dist_graph, tree_distance_matrix(t)) <= tol
+    return geodesic_support_violation(plan, dist_graph, t) <= tol
 
 
 def potential_match_up_to_constant(u1: Potential, u2: Potential, tol: float = 1e-6) -> bool:

@@ -22,7 +22,7 @@ from .errors import (
     NotImprovableError,
     VertexRangeError,
 )
-from .trees import RootedTree, subtree_aggregate, tree_path
+from .trees import RootedTree, _climb, subtree_aggregate, tree_distance
 
 #: Tolerance on total measure mass.
 MASS_TOL = 1e-9
@@ -238,11 +238,21 @@ def _assemble_plan(n: int, rows, cols, mass, entries=None) -> TransportPlan:
     return TransportPlan(n=n, rows=rows, cols=cols, mass=mass)
 
 
-def plan_cost(plan: TransportPlan, dist: np.ndarray) -> float:
-    """Total cost of a plan under a dense distance matrix."""
+def plan_cost(plan: TransportPlan, dist) -> float:
+    """Total cost of a plan under a dense distance matrix or a tree metric
+    (a :class:`RootedTree`, read on the support pairs only)."""
+    return float(np.sum(plan.mass * _support_distances(plan, dist)))
+
+
+def _support_distances(plan: TransportPlan, dist) -> np.ndarray:
+    """Distances at the support pairs, from a dense matrix or a tree."""
+    if isinstance(dist, RootedTree):
+        if dist.n != plan.n:
+            raise VertexRangeError("tree size does not match plan")
+        return tree_distance(dist, plan.rows, plan.cols)
     if dist.shape != (plan.n, plan.n):
         raise VertexRangeError("distance matrix shape does not match plan")
-    return float(np.sum(plan.mass * dist[plan.rows, plan.cols]))
+    return dist[plan.rows, plan.cols]
 
 
 def check_alternating_condition(t: RootedTree, mu, nu) -> bool:
@@ -266,25 +276,22 @@ def closed_form_plan(t: RootedTree, mu, nu) -> TransportPlan:
         raise ConditionViolatedError("cumulative imbalance does not alternate signs")
     mu = np.asarray(mu, dtype=np.float64)
     xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
-    triplets: list[tuple[int, int, float]] = []
-    for x in range(t.n):
-        p = t.parent[x]
-        if p >= 0:
-            if xi_cum[x] > 0.0:
-                triplets.append((x, int(p), float(xi_cum[x])))
-            elif xi_cum[x] < 0.0:
-                triplets.append((int(p), x, float(-xi_cum[x])))
-        stay = mu[x] - max(xi_cum[x], 0.0) - sum(
-            max(-xi_cum[c], 0.0) for c in t.children[x]
-        )
-        if stay < -MASS_TOL:
-            raise ConditionViolatedError(f"negative diagonal mass {stay} at vertex {x}")
-        if stay > 0.0:
-            triplets.append((x, x, float(stay)))
-    return make_plan(t.n, triplets)
+    child = np.flatnonzero(t.parent >= 0)
+    parent = t.parent[child]
+    # mass each vertex sends to its children, added in child order
+    sent_down = np.bincount(parent, weights=np.maximum(-xi_cum[child], 0.0), minlength=t.n)
+    stay = mu - np.maximum(xi_cum, 0.0) - sent_down
+    if (stay < -MASS_TOL).any():
+        x = int(np.argmax(stay < -MASS_TOL))
+        raise ConditionViolatedError(f"negative diagonal mass {stay[x]} at vertex {x}")
+    up = xi_cum[child] > 0.0
+    diag = np.flatnonzero(stay > 0.0)
+    return _assemble_plan(t.n, np.concatenate([np.where(up, child, parent), diag]),
+                          np.concatenate([np.where(up, parent, child), diag]),
+                          np.concatenate([np.abs(xi_cum[child]), stay[diag]]))
 
 
-def dp_transport_plan(t: RootedTree, mu, nu, zero_tol: float = ZERO_SNAP) -> TransportPlan:
+def dp_transport_plan(t: RootedTree, mu, nu) -> TransportPlan:
     """Optimal plan under the tree metric for arbitrary measures.
 
     After pinning the diagonal to min(mu, nu), leaves with leftover supply or
@@ -294,7 +301,7 @@ def dp_transport_plan(t: RootedTree, mu, nu, zero_tol: float = ZERO_SNAP) -> Tra
     through edges whose cumulative imbalance has the opposite sign. The
     transferred mass is capped so no cumulative imbalance changes sign, hence
     every transfer zeroes a residual and the loop terminates. Residues with
-    magnitude below ``zero_tol`` count as zero. The loop is
+    magnitude below ``ZERO_SNAP`` count as zero. The loop is
     :func:`treeot._kernels.dp_plan`, run on the kernel backend.
     """
     mu = np.asarray(mu, dtype=np.float64)
@@ -306,7 +313,7 @@ def dp_transport_plan(t: RootedTree, mu, nu, zero_tol: float = ZERO_SNAP) -> Tra
     # exact unit sums so supply and demand cancel to rounding noise, not to the
     # 1e-9 ingestion tolerance, which would strand a leaf without a match
     xi = mu / mu.sum() - nu / nu.sum()
-    rows, cols, mass = _kernels.plan_kernel()(t.parent, t.order, xi, zero_tol)
+    rows, cols, mass = _kernels.plan_kernel()(t.parent, t.order, xi, ZERO_SNAP)
     diag = np.minimum(mu, nu)
     on_diag = np.flatnonzero(diag > 0.0)
     return _assemble_plan(n, np.concatenate([rows, on_diag]), np.concatenate([cols, on_diag]),
@@ -315,21 +322,22 @@ def dp_transport_plan(t: RootedTree, mu, nu, zero_tol: float = ZERO_SNAP) -> Tra
 
 def plan_to_flow(plan: TransportPlan, t: RootedTree) -> Flow:
     """Total plan mass crossing each directed tree edge, accumulated over the
-    tree paths of all support pairs."""
-    up = np.zeros(t.n)
-    down = np.zeros(t.n)
-    for x, y, m in zip(plan.rows, plan.cols, plan.mass):
-        if x == y:
-            continue
-        for a, b, direction in tree_path(t, int(x), int(y)):
-            if direction == "up":
-                up[a] += m
-            else:
-                down[b] += m
-    return Flow(up=up, down=down)
+    tree paths of all support pairs: the pairs climb the tree together (as in
+    :func:`treeot.trees.tree_path`), then each edge adds the masses of the
+    pairs crossing it in support order."""
+    slots, pairs = [], []  # per crossing: edge slot (child end, +n going down), support index
+    for k, a, b, move_a, move_b in _climb(t, plan.rows, plan.cols):
+        slots += [a[move_a], b[move_b] + t.n]
+        pairs += [k[move_a], k[move_b]]
+    sums = np.zeros(2 * t.n)
+    if pairs:
+        pairs = np.concatenate(pairs)
+        in_order = np.argsort(pairs, kind="stable")
+        np.add.at(sums, np.concatenate(slots)[in_order], plan.mass[pairs[in_order]])
+    return Flow(up=sums[:t.n], down=sums[t.n:])
 
 
-def canonicalize_diagonal(plan: TransportPlan, mu, nu, dist: np.ndarray) -> TransportPlan:
+def canonicalize_diagonal(plan: TransportPlan, mu, nu) -> TransportPlan:
     """Rewrite an optimal plan so every diagonal entry reaches min(mu, nu).
 
     Repeatedly reroutes a donor pair gamma(x, y1) and gamma(y2, x) into
@@ -355,7 +363,7 @@ def canonicalize_diagonal(plan: TransportPlan, mu, nu, dist: np.ndarray) -> Tran
             dense[x, x] += m
             dense[y2, y1] += m
     rows, cols = np.nonzero(dense > 0.0)
-    return make_plan(plan.n, zip(rows, cols, dense[rows, cols]))
+    return _assemble_plan(plan.n, rows, cols, dense[rows, cols])
 
 
 def line_w1(points, mu, nu) -> float:

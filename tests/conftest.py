@@ -132,6 +132,58 @@ def random_measure_pair(rng, n, floor=1e-3):
     return mu / mu.sum(), nu / nu.sum()
 
 
+def reference_tree_path(t, x, y):
+    """The scalar three-phase walk: deeper end up, the other end up, then both
+    ends up until they meet. Test-only copy of the walk the library replaced
+    with its lockstep climb."""
+    up_part, down_part = [], []
+    a, b = int(x), int(y)
+    while t.depth[a] > t.depth[b]:
+        up_part.append((a, int(t.parent[a]), "up"))
+        a = int(t.parent[a])
+    while t.depth[b] > t.depth[a]:
+        down_part.append((int(t.parent[b]), b, "down"))
+        b = int(t.parent[b])
+    while a != b:
+        up_part.append((a, int(t.parent[a]), "up"))
+        down_part.append((int(t.parent[b]), b, "down"))
+        a = int(t.parent[a])
+        b = int(t.parent[b])
+    return up_part + down_part[::-1]
+
+
+def reference_tree_distance(t, x, y):
+    """The same walk summing edge weights, both ends' weights as one term."""
+    total = 0.0
+    a, b = int(x), int(y)
+    while t.depth[a] > t.depth[b]:
+        total += t.weight_to_parent[a]
+        a = int(t.parent[a])
+    while t.depth[b] > t.depth[a]:
+        total += t.weight_to_parent[b]
+        b = int(t.parent[b])
+    while a != b:
+        total += t.weight_to_parent[a] + t.weight_to_parent[b]
+        a = int(t.parent[a])
+        b = int(t.parent[b])
+    return float(total)
+
+
+def reference_plan_to_flow(plan, t):
+    """(up, down) edge flows from one scalar walk per support pair."""
+    up = np.zeros(t.n)
+    down = np.zeros(t.n)
+    for x, y, m in zip(plan.rows, plan.cols, plan.mass):
+        if x == y:
+            continue
+        for a, b, direction in reference_tree_path(t, int(x), int(y)):
+            if direction == "up":
+                up[a] += m
+            else:
+                down[b] += m
+    return up, down
+
+
 def blob_image(p, cx, cy, spread):
     yy, xx = np.mgrid[0:p, 0:p].astype(float)
     return np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * spread**2))

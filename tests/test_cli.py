@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestAnnealCommand:
         fileio.save_measure(tmp_path / "mu.json", [0.6, 0.4])
         fileio.save_measure(tmp_path / "nu.json", [0.4, 0.6])
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_iters": 50, "seed": 9}), encoding="utf-8")
+        cfg.write_text(json.dumps({"max_iters": 50, "seed": 9, "recompute_every": 7}), encoding="utf-8")
         out = tmp_path / "run"
         assert run_cli(
             "anneal", "--graph", str(tmp_path / "graph.json"),
@@ -121,6 +122,24 @@ class TestAnnealCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["max_iters"] == 20  # flag beats file
         assert manifest["config"]["seed"] == 9
+        assert manifest["config"]["recompute_every"] == 7
+
+    def test_flagless_run_records_the_default_config(self, tmp_path):
+        fileio.save_graph(tmp_path / "graph.json", ot.build_graph(1, []))
+        fileio.save_measure(tmp_path / "mu.json", [1.0])
+        fileio.save_measure(tmp_path / "nu.json", [1.0])
+        out = tmp_path / "run"
+        assert run_cli(
+            "anneal", "--graph", str(tmp_path / "graph.json"),
+            "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+            "--out-dir", str(out),
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {
+            "max_iters": 100_000, "seed": 0, "beta0": 0.1, "target_accept": 0.01, "eta": 0.01,
+            "window": 100, "record_every": 1000, "recompute_every": 100_000,
+            "chains": 1, "target_cost": None,
+        }
 
     def test_multiple_chains(self, tmp_path, capsys):
         g = ot.grid_graph(3)
@@ -323,6 +342,37 @@ class TestVerifyCommand:
         assert verdict["all_passed"]
         assert abs(verdict["metrics"]["exact_value"] - 0.75) <= 1e-9
         assert verdict["weak_nondegeneracy"]["holds"] is False
+
+    def test_tree_checks_build_no_dense_tree_matrix(self, tmp_path, capsys, monkeypatch):
+        d = tmp_path
+        files = ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")]
+        tree = ["--tree", str(d / "best_tree.json")]
+        assert run_cli("grid", "--p", "4", "--noise-sigma", "1e-3", "--seed", "2", "--out-dir", str(d)) == 0
+        assert run_cli("anneal", *files, "--iters", "3000", "--seed", "2", "--out-dir", str(d)) == 0
+        assert run_cli("plan", *files, *tree, "--out-dir", str(d)) == 0
+        assert run_cli("potential", *files, *tree, "--out-dir", str(d)) == 0
+        argv = ["verify", *files, *tree, "--plan", str(d / "plan.csv"),
+                "--potential", str(d / "potential.csv")]
+        capsys.readouterr()
+        code = run_cli(*argv)
+        plain = json.loads(capsys.readouterr().out)
+
+        def refuse(t):
+            raise AssertionError("verify built a dense tree distance matrix")
+
+        bindings = [(module, attr) for name, module in list(sys.modules.items())
+                    if name == "treeot" or name.startswith("treeot.")
+                    for attr, value in list(vars(module).items()) if value is ot.tree_distance_matrix]
+        assert len(bindings) >= 2  # treeot and treeot.trees at least
+        for module, attr in bindings:
+            monkeypatch.setattr(module, attr, refuse)
+        assert run_cli(*argv) == code
+        patched = json.loads(capsys.readouterr().out)
+        verdicts = [(c["name"], c["passed"]) for c in plain["checks"]]
+        assert [(c["name"], c["passed"]) for c in patched["checks"]] == verdicts
+        assert patched["all_passed"] == plain["all_passed"]
+        assert {"plan_cost_tree_matches_tree_cost", "plan_geodesic_support",
+                "flow_matches_cumulative", "complementary_slackness"} <= dict(verdicts).keys()
 
     def test_invalid_measure_reported_not_crashed(self, line6_files, capsys):
         bad = line6_files / "bad_mu.json"

@@ -13,6 +13,7 @@ import pytest
 import treeot as ot
 from treeot import _kernels
 from treeot.errors import NegativeMassError, NonFiniteMassError, TreeOTError, VertexRangeError
+from treeot.oracle import complementary_violation
 from treeot.transport import ZERO_SNAP
 
 from conftest import (
@@ -22,6 +23,7 @@ from conftest import (
     random_connected_graph,
     random_measure_pair,
     random_tree_graph,
+    reference_plan_to_flow,
     run_python,
 )
 
@@ -384,11 +386,16 @@ print(json.dumps({"backend": ot.kernel_backend(), "plans": plans, "errors": erro
 
 
 @pytest.fixture(scope="module")
-def parity_runs(tmp_path_factory):
+def parity_instances():
+    return list(parity_corpus())
+
+
+@pytest.fixture(scope="module")
+def parity_runs(tmp_path_factory, parity_instances):
     """The reference's plan digests and errors, and a function that runs the
     parity script on a backend (once per backend) and returns its output and,
     for the python backend, the empty kernel cache it ran with."""
-    corpus = list(parity_corpus())
+    corpus = parity_instances
     path = tmp_path_factory.mktemp("parity") / "corpus.pickle"
     path.write_bytes(pickle.dumps(corpus))
     errors = []
@@ -438,6 +445,27 @@ class TestBackendParity:
         out, cache = parity_runs[1]("python")
         assert out["backend"] == "python"
         assert not any(Path(cache).iterdir())
+
+
+class TestTreeMetricOnTheSupport:
+    def test_plan_to_flow_matches_the_per_pair_walk(self, parity_instances):
+        for i, (t, mu, nu) in enumerate(parity_instances):
+            plan = ot.dp_transport_plan(t, mu, nu)
+            got = ot.plan_to_flow(plan, t)
+            up, down = reference_plan_to_flow(plan, t)
+            assert got.up.tobytes() == up.tobytes() and got.down.tobytes() == down.tobytes(), i
+
+    def test_tree_and_its_matrix_give_the_same_support_values(self, parity_instances):
+        # every tenth random instance (the dense matrix is the slow part), and
+        # the annealed lattice trees
+        for i, (t, mu, nu) in enumerate(parity_instances[:PARITY_RANDOM:10]
+                                        + parity_instances[PARITY_RANDOM:]):
+            plan = ot.dp_transport_plan(t, mu, nu)
+            u = ot.tree_potential(t, mu, nu)
+            d_t = ot.tree_distance_matrix(t)
+            assert abs(ot.plan_cost(plan, t) - ot.plan_cost(plan, d_t)) <= 1e-12, i
+            assert abs(complementary_violation(plan, u, t)
+                       - complementary_violation(plan, u, d_t)) <= 1e-12, i
 
 
 class TestPlanGuards:

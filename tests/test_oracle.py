@@ -9,10 +9,11 @@ import pytest
 
 import treeot as ot
 from treeot import _kernels
-from treeot.errors import NonFiniteWeightError, NonPositiveWeightError, TooLargeError
+from treeot.errors import NonFiniteWeightError, NonPositiveWeightError, TooLargeError, VertexRangeError
 from treeot.oracle import (
     VALUE_TOL,
     complementary_violation,
+    geodesic_support_violation,
     lipschitz_violation,
 )
 
@@ -552,6 +553,28 @@ class TestGeodesicSupport:
         t = ot.root_tree(g, [(0, 1), (1, 2), (2, 3)], 0)
         plan = ot.make_plan(4, [(3, 0, 1.0)])
         assert not ot.check_geodesic_support(plan, d, t)
+
+    def test_tree_and_its_matrix_agree(self):
+        # the support functions read the same distances from a tree as from
+        # its dense matrix, on geodesic (tree plan) and non-geodesic (exact
+        # graph plan) supports alike
+        rng = np.random.default_rng(65)
+        for n in range(2, 30):
+            g = random_connected_graph(rng, n, n // 2) if n > 2 else random_tree_graph(rng, n)
+            t = ot.random_spanning_tree(g, rng)
+            mu, nu = random_measure_pair(rng, n)
+            d = ot.all_pairs_shortest_paths(g)
+            d_t = ot.tree_distance_matrix(t)
+            sol = ot.exact_k_distance(d, mu, nu)
+            for plan in (sol.plan, ot.dp_transport_plan(t, mu, nu)):
+                by_matrix = geodesic_support_violation(plan, d, d_t)
+                assert abs(geodesic_support_violation(plan, d, t) - by_matrix) <= 1e-12, n
+                assert ot.check_geodesic_support(plan, d, t) == (by_matrix <= VALUE_TOL), n
+                assert abs(ot.plan_cost(plan, t) - ot.plan_cost(plan, d_t)) <= 1e-12, n
+                assert abs(complementary_violation(plan, sol.dual, t)
+                           - complementary_violation(plan, sol.dual, d_t)) <= 1e-12, n
+        with pytest.raises(VertexRangeError):
+            ot.plan_cost(ot.make_plan(n + 1, [(0, n, 1.0)]), t)
 
 
 class TestPotentialMatch:

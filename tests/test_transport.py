@@ -246,7 +246,7 @@ class TestClosedFormPlan:
         assert np.max(np.abs(plan.col_sums() - nu)) <= 1e-12
         dense = plan.to_dense()
         assert dense[0, 0] < min(mu[0], nu[0])  # mass transits the root
-        fixed = ot.canonicalize_diagonal(plan, mu, nu, d_t)
+        fixed = ot.canonicalize_diagonal(plan, mu, nu)
         assert np.max(np.abs(fixed.diagonal() - np.minimum(mu, nu))) <= 1e-12
         assert abs(ot.plan_cost(fixed, d_t) - ot.plan_cost(plan, d_t)) <= 1e-12
 
@@ -298,17 +298,15 @@ class TestPlanUtilities:
 
 class TestCanonicalizeDiagonal:
     def test_fixpoint(self):
-        g = ot.build_graph(2, [(0, 1, 1.0)])
-        d = ot.all_pairs_shortest_paths(g)
         plan = ot.make_plan(2, [(0, 0, 0.4), (0, 1, 0.2), (1, 1, 0.4)])
-        out = ot.canonicalize_diagonal(plan, [0.6, 0.4], [0.4, 0.6], d)
+        out = ot.canonicalize_diagonal(plan, [0.6, 0.4], [0.4, 0.6])
         assert out.entries() == plan.entries()
 
     def test_single_rewrite_on_line(self):
         g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         d = ot.all_pairs_shortest_paths(g)
         plan = ot.make_plan(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        out = ot.canonicalize_diagonal(plan, [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], d)
+        out = ot.canonicalize_diagonal(plan, [0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
         dense = out.to_dense()
         assert abs(dense[1, 1] - 0.5) <= 1e-15
         assert abs(dense[0, 2] - 0.5) <= 1e-15
@@ -322,7 +320,7 @@ class TestCanonicalizeDiagonal:
             t = ot.random_spanning_tree(g, rng)
             mu, nu = random_measure_pair(rng, n)
             plan = ot.dp_transport_plan(t, mu, nu)
-            out = ot.canonicalize_diagonal(plan, mu, nu, ot.tree_distance_matrix(t))
+            out = ot.canonicalize_diagonal(plan, mu, nu)
             assert out.entries() == plan.entries()
 
 

@@ -6,7 +6,14 @@ import treeot as ot
 from treeot import _kernels
 from treeot.errors import EdgeNotInGraphError, HasCycleError, NotSpanningError
 
-from conftest import c_compiler_found, line6_edges, random_connected_graph, random_tree_graph
+from conftest import (
+    c_compiler_found,
+    line6_edges,
+    random_connected_graph,
+    random_tree_graph,
+    reference_tree_distance,
+    reference_tree_path,
+)
 
 
 def line_graph(n):
@@ -143,6 +150,27 @@ class TestTreePaths:
         assert ot.tree_distance(t, 0, 5) == 5.0
         assert ot.tree_distance(t, 2, 2) == 0.0
         assert ot.tree_distance(t, 2, 3) == 1.0
+        assert type(ot.tree_distance(t, np.int64(0), np.int64(5))) is float
+        got = ot.tree_distance(t, [[0, 2], [2, 5]], [[5, 2], [3, 0]])
+        assert got.shape == (2, 2) and got.tolist() == [[5.0, 0.0], [1.0, 5.0]]
+
+    def test_climb_matches_the_scalar_walks(self):
+        # every pair of random trees with n <= 40: array distances equal the
+        # scalar walk bit for bit, paths equal it step for step
+        rng = np.random.default_rng(23)
+        for n in range(1, 41):
+            g = random_connected_graph(rng, n, n // 2) if n > 2 else random_tree_graph(rng, n)
+            t = ot.random_spanning_tree(g, rng)
+            xs, ys = np.divmod(np.arange(n * n), n)
+            got = ot.tree_distance(t, xs, ys)
+            ref = [reference_tree_distance(t, x, y) for x, y in zip(xs, ys)]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref]
+            assert np.max(np.abs(got - ot.tree_distance_matrix(t).ravel())) <= 1e-12
+            x, y = rng.integers(0, n, size=2)
+            assert type(ot.tree_distance(t, x, y)) is float
+            assert ot.tree_distance(t, x, y) == ref[x * n + y]
+            for x, y in zip(xs, ys):
+                assert ot.tree_path(t, x, y) == reference_tree_path(t, x, y)
 
     def test_tree_distance_dominates_graph_distance(self):
         rng = np.random.default_rng(21)
