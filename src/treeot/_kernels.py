@@ -139,12 +139,23 @@ def _load_python():
     return anneal_chain, wilson_tree, _plan_runner(dp_plan_lists), exact_flow
 
 
+def child_csr(parent):
+    """The children of every vertex as a CSR ``(child_ptr, child_idx)``: the
+    children of ``v`` are ``child_idx[child_ptr[v]:child_ptr[v + 1]]``, in
+    increasing id order (a stable argsort of ``parent``). Vertices with a
+    negative parent are nobody's child; the others must be below n."""
+    n = parent.shape[0]
+    child_idx = np.argsort(parent, kind="stable")[np.count_nonzero(parent < 0):]
+    child_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent[child_idx], minlength=n), out=child_ptr[1:])
+    return child_ptr, child_idx
+
+
 def _plan_runner(run):
-    """The backend's plan kernel: checks the tree, builds its child CSR with a
-    stable argsort of ``parent`` (children in increasing order, as in
-    ``RootedTree.children``), calls ``run`` with the reference's first six
-    arguments and turns its ``(status, count, u, out_x, out_y, out_m)`` into
-    entries or a ``RuntimeError``."""
+    """The backend's plan kernel: checks the tree, builds its
+    :func:`child_csr`, calls ``run`` with the reference's first six arguments
+    and turns its ``(status, count, u, out_x, out_y, out_m)`` into entries or
+    a ``RuntimeError``."""
 
     def dp_plan_entries(parent, order, xi, zero_tol):
         n = parent.shape[0]
@@ -157,9 +168,7 @@ def _plan_runner(run):
         up = parent[below]
         if np.any(up < 0) or np.any(up >= n) or np.any(rank[up] <= rank[below]):
             raise ValueError("plan kernel: parent links do not climb along order to the root")
-        child_idx = np.argsort(parent, kind="stable")[1:]
-        child_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(up, minlength=n), out=child_ptr[1:])
+        child_ptr, child_idx = child_csr(parent)
         status, count, u, out_x, out_y, out_m = run(parent, order, child_ptr, child_idx,
                                                      np.array(xi, dtype=np.float64), float(zero_tol))
         rows, cols, mass = out_x[:count], out_y[:count], out_m[:count]
@@ -944,38 +953,38 @@ def _find_support_cycle(flow):
             v = root_of[v]
         return v
 
-    adjacency: dict[int, list[int]] = {}
+    tails, heads = [], []  # forest arcs, both directions of each edge
     for i, j in zip(*np.nonzero(flow > 0.0)):
         a, b = int(i), ns + int(j)
         ra, rb = find(a), find(b)
         if ra == rb:
-            chain = _forest_path(adjacency, b, a)  # b ... a through the forest
+            chain = _forest_path(np.array(tails), np.array(heads), sum(flow.shape), b, a)
             nodes = [a] + chain  # cycle: a -> b -> ... -> a
             arcs = []
             for u, v in zip(nodes, nodes[1:]):
                 arcs.append((u, v - ns) if u < ns else (v, u - ns))
             return arcs
         root_of[ra] = rb
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+        tails += [a, b]
+        heads += [b, a]
     return None
 
 
-def _forest_path(adjacency, start, goal):
-    """Vertex chain from start to goal inside an acyclic adjacency map."""
-    prev = {start: -1}
-    queue = [start]
-    while queue:
-        nxt = []
-        for v in queue:
-            if v == goal:
-                chain = [goal]
-                while chain[-1] != start:
-                    chain.append(prev[chain[-1]])
-                return chain[::-1]
-            for nb in adjacency.get(v, ()):
-                if nb not in prev:
-                    prev[nb] = v
-                    nxt.append(nb)
-        queue = nxt
-    raise RuntimeError("support forest lost connectivity")
+def _forest_path(tails, heads, size, start, goal):
+    """Vertex chain from start to goal in the forest on ``size`` vertices
+    whose arcs are ``tails[k] -> heads[k]``. The walk grows the set reached
+    from ``start`` one layer at a time; in a forest each newly reached vertex
+    has exactly one reached neighbour, its predecessor."""
+    prev = np.full(size, -1, dtype=np.int64)
+    seen = np.zeros(size, dtype=bool)
+    seen[start] = True
+    while not seen[goal]:
+        step = seen[tails] & ~seen[heads]
+        if not step.any():
+            raise RuntimeError("support forest lost connectivity")
+        prev[heads[step]] = tails[step]
+        seen[heads[step]] = True
+    chain = [goal]
+    while chain[-1] != start:
+        chain.append(int(prev[chain[-1]]))
+    return chain[::-1]

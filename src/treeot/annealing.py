@@ -47,10 +47,12 @@ class AnnealConfig:
     recompute_every: int = 100_000
 
     def __post_init__(self):
-        if self.max_iters < 0 or self.window < 1 or self.record_every < 1:
-            raise ValueError("max_iters, window and record_every must be positive")
-        if self.beta0 <= 0.0 or self.eta <= 0.0 or not (0.0 < self.target_accept < 1.0):
-            raise ValueError("beta0, eta must be positive and target_accept in (0,1)")
+        if self.max_iters < 0 or self.seed < 0 or self.window < 1 or self.record_every < 1:
+            raise ValueError("max_iters and seed must be non-negative, window and record_every positive")
+        # NaN fails every comparison, so it is rejected here too
+        if not (0.0 < self.beta0 < math.inf and 0.0 < self.eta < math.inf
+                and 0.0 < self.target_accept < 1.0):
+            raise ValueError("beta0, eta must be positive and finite and target_accept in (0,1)")
         span = max(self.target_accept, 1.0 - self.target_accept)
         if self.eta * span >= 1.0:
             raise ValueError("eta too large: temperature could become non-positive")

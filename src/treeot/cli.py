@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -17,9 +18,10 @@ import numpy as np
 
 from . import __version__, fileio
 from .annealing import AnnealConfig, anneal, anneal_chains
-from .errors import TreeOTError
+from .errors import InputError, TreeOTError
 from .graphs import WeightedGraph, all_pairs_shortest_paths, grid_graph
 from .oracle import (
+    VALUE_TOL,
     check_cyclical_monotonicity,
     check_weak_nondegeneracy,
     complementary_violation,
@@ -41,8 +43,6 @@ from .transport import (
     tree_k_distance,
     tree_potential,
 )
-
-VALUE_TOL = 1e-9
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,7 +176,13 @@ def cmd_grid(args) -> int:
 def _parse_sigma(raw: str, pixels: np.ndarray) -> float:
     if str(raw).strip().lower() == "auto":
         return 1e-3 * float(pixels.max())
-    return float(raw)
+    try:
+        sigma = float(raw)
+    except ValueError:
+        sigma = math.nan
+    if not 0.0 <= sigma < math.inf:
+        raise InputError(f"--noise-sigma must be 'auto' or a finite number >= 0, not {raw!r}")
+    return sigma
 
 
 def _anneal_config(args) -> AnnealConfig:
@@ -197,7 +203,10 @@ def _anneal_config(args) -> AnnealConfig:
         "record_every": args.record_every,
     }
     base.update({k: v for k, v in overrides.items() if v is not None})
-    return AnnealConfig(**base)
+    try:
+        return AnnealConfig(**base)
+    except (TypeError, ValueError) as exc:  # TypeError: a config value is not a number
+        raise InputError(f"bad annealing config: {exc}") from None
 
 
 def cmd_anneal(args) -> int:
@@ -208,6 +217,8 @@ def cmd_anneal(args) -> int:
     mu = fileio.load_measure(args.mu, g.n)
     nu = fileio.load_measure(args.nu, g.n)
     cfg = _anneal_config(args)
+    if args.chains < 1:
+        raise InputError(f"--chains must be at least 1, not {args.chains}")
     initial = fileio.load_tree(args.tree, g) if args.tree else None
     if args.chains > 1:
         if initial is not None:
@@ -335,7 +346,6 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
             "all_passed": False,
         }
 
-    dist = all_pairs_shortest_paths(g)
     nd = check_weak_nondegeneracy(mu, nu, graph=g)
 
     tree = fileio.load_tree(tree_path_, g) if tree_path_ else None
@@ -350,6 +360,8 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         add("plan_nonnegative", neg, 0.0)
         if neg == 0.0:
             plan = make_plan(g.n, triplets)
+    # graph distances: only the plan's checks and the exact solver read them
+    dist = all_pairs_shortest_paths(g) if plan is not None or exact else None
     if plan is not None:
         add("plan_marginals", max(
             float(np.max(np.abs(plan.row_sums() - mu))),

@@ -90,21 +90,15 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
         weight_map[key] = w
         canonical.append((key[0], key[1], w))
 
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in canonical:
-        adjacency[u].append((v, w))
-        adjacency[v].append((u, w))
+    # both directions of every edge, sorted by tail, then head
+    ends = np.array([(u, v) for u, v, _ in canonical], dtype=np.int64).reshape(-1, 2)
+    tail = np.concatenate([ends[:, 0], ends[:, 1]])
+    head = np.concatenate([ends[:, 1], ends[:, 0]])
+    arcs = np.lexsort((head, tail))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = np.empty(2 * len(canonical), dtype=np.int64)
-    weights = np.empty(2 * len(canonical), dtype=np.float64)
-    pos = 0
-    for v in range(n):
-        adjacency[v].sort()
-        for nb, w in adjacency[v]:
-            indices[pos] = nb
-            weights[pos] = w
-            pos += 1
-        indptr[v + 1] = pos
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    indices = head[arcs]
+    weights = np.tile(np.array([w for _, _, w in canonical], dtype=np.float64), 2)[arcs]
 
     g = WeightedGraph(
         n=n,
@@ -171,11 +165,8 @@ def all_pairs_shortest_paths(g: WeightedGraph) -> np.ndarray:
 def geodesic_edges(g: WeightedGraph, dist: np.ndarray, tol: float = METRIC_TOL) -> set[tuple[int, int]]:
     """Edges lying on at least one shortest path between some vertex pair.
 
-    Edge {x,y} qualifies iff d(s,x) + w(x,y) + d(y,t) == d(s,t) for some (s,t).
+    Edge {x,y} qualifies iff d(s,x) + w(x,y) + d(y,t) == d(s,t) for some
+    (s,t). By the triangle inequality that slack is at least w(x,y) - d(x,y),
+    and s = x, t = y attain it, so the test is w(x,y) <= d(x,y) + tol, O(E).
     """
-    out: set[tuple[int, int]] = set()
-    for u, v, w in g.edges:
-        slack = dist[:, u][:, None] + w + dist[v, :][None, :] - dist
-        if slack.min() <= tol:
-            out.add((u, v))
-    return out
+    return {(u, v) for u, v, w in g.edges if w - dist[u, v] <= tol}

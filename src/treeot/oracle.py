@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NonFiniteWeightError, NonPositiveWeightError, TooLargeError, VertexRangeError
-from .graphs import WeightedGraph, build_graph
+from .graphs import WeightedGraph
 from .transport import Potential, TransportPlan, _assemble_plan, _support_distances, as_measure, imbalance
 from .trees import RootedTree, random_spanning_tree, subtree_aggregate
 
@@ -128,38 +128,32 @@ class NondegeneracyVerdict:
         return self.holds
 
 
-def check_weak_nondegeneracy(
-    mu, nu, graph: WeightedGraph | None = None, rng: np.random.Generator | None = None
-) -> NondegeneracyVerdict:
+def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> NondegeneracyVerdict:
     """Whether mu and nu give different mass to every proper nonempty vertex set.
 
     Up to ``EXHAUSTIVE_CAP`` vertices the subset sums of mu - nu are scanned
     exhaustively (meet-in-the-middle). Beyond that, only a necessary condition
     is tested: nonzero cumulative imbalance at every non-root vertex over
-    ``TREE_SAMPLES`` random spanning trees of ``graph`` (default: the complete
-    graph); the verdict is then labelled ``"necessary-only"``. Imbalances up
-    to ``BALANCE_TOL`` count as zero.
+    ``TREE_SAMPLES`` random spanning trees of ``graph``, drawn from
+    ``default_rng(0)``; the verdict is then labelled ``"necessary-only"``.
+    Imbalances up to ``BALANCE_TOL`` count as zero.
     """
     xi = imbalance(mu, nu)
     n = xi.shape[0]
+    if graph.n != n:
+        raise VertexRangeError(f"measures on {n} vertices, graph on {graph.n}")
     if n <= EXHAUSTIVE_CAP:
         half = n // 2
         low = _subset_sums(xi[:half])
         high = np.sort(_subset_sums(xi[half:]))
-        ties = 0
-        for s in low:
-            lo = np.searchsorted(high, -s - BALANCE_TOL, side="left")
-            hi = np.searchsorted(high, -s + BALANCE_TOL, side="right")
-            ties += hi - lo
+        ties = int(np.sum(np.searchsorted(high, -low + BALANCE_TOL, side="right")
+                          - np.searchsorted(high, -low - BALANCE_TOL, side="left")))
         # discount the always-balancing trivial subsets: the empty set, and the
         # full set whenever the total imbalance itself sits inside the tolerance
         trivial = 1 + (1 if abs(float(xi.sum())) <= BALANCE_TOL else 0)
-        return NondegeneracyVerdict(holds=bool(ties <= trivial), mode="exhaustive")
+        return NondegeneracyVerdict(holds=ties <= trivial, mode="exhaustive")
 
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if graph is None:
-        graph = build_graph(n, [(a, b, 1.0) for a in range(n) for b in range(a + 1, n)])
+    rng = np.random.default_rng(0)
     for _ in range(TREE_SAMPLES):
         t = random_spanning_tree(graph, rng)
         xi_cum = subtree_aggregate(t, xi)

@@ -128,12 +128,10 @@ class Flow:
 
     def divergence(self, t: RootedTree) -> np.ndarray:
         """Net outflow per vertex: matches mu - nu for an admissible flow."""
-        div = self.up - self.down
-        for v in range(self.n):
-            p = t.parent[v]
-            if p >= 0:
-                div[p] += self.down[v] - self.up[v]
-        return div
+        child = np.flatnonzero(t.parent >= 0)
+        inflow = np.bincount(t.parent[child], weights=self.down[child] - self.up[child],
+                             minlength=self.n)
+        return self.up - self.down + inflow
 
 
 def beckmann_flow(t: RootedTree, mu, nu) -> Flow:
@@ -259,13 +257,8 @@ def check_alternating_condition(t: RootedTree, mu, nu) -> bool:
     """True iff the cumulative imbalance strictly alternates sign between every
     non-root vertex and each of its children."""
     xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
-    for x in range(t.n):
-        if x == t.root:
-            continue
-        for y in t.children[x]:
-            if xi_cum[x] * xi_cum[y] >= 0.0:
-                return False
-    return True
+    c = np.flatnonzero((t.parent >= 0) & (t.parent != t.root))
+    return not np.any(xi_cum[c] * xi_cum[t.parent[c]] >= 0.0)
 
 
 def closed_form_plan(t: RootedTree, mu, nu) -> TransportPlan:

@@ -18,13 +18,13 @@ class RootedTree:
     ``parent[v]`` is the unique out-neighbour of ``v`` (-1 at the root) and
     ``weight_to_parent[v]`` the weight of that edge. ``order`` lists vertices
     leaves-first, so a single forward pass aggregates child values into parents.
-    ``depth[v]`` counts edges from ``v`` to the root.
+    ``depth[v]`` counts edges from ``v`` to the root. No child lists are kept;
+    :func:`treeot._kernels.child_csr` derives them from ``parent``.
     """
 
     root: int
     parent: np.ndarray
     weight_to_parent: np.ndarray
-    children: tuple[tuple[int, ...], ...]
     order: np.ndarray
     depth: np.ndarray
 
@@ -43,36 +43,29 @@ class RootedTree:
 
 def _from_parent_array(root: int, parent: np.ndarray, weight_to_parent: np.ndarray) -> RootedTree:
     n = parent.shape[0]
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        p = parent[v]
-        if p >= 0:
-            kids[p].append(v)
-    depth = np.zeros(n, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
+    child_ptr, child_idx = (a.tolist() for a in _kernels.child_csr(parent))
+    depth = [0] * n
+    order = [0] * n
     stack = [root]
     pos = n
     while stack:
         v = stack.pop()
         pos -= 1
         order[pos] = v
-        for c in kids[v]:
+        kids = child_idx[child_ptr[v]:child_ptr[v + 1]]
+        for c in kids:
             depth[c] = depth[v] + 1
-            stack.append(c)
+        stack += kids
     if pos != 0:
         raise NotSpanningError("parent links do not reach every vertex")
     parent = parent.copy()
     weight_to_parent = weight_to_parent.copy()
+    order = np.array(order, dtype=np.int64)
+    depth = np.array(depth, dtype=np.int64)
     for arr in (parent, weight_to_parent, order, depth):
         arr.setflags(write=False)
-    return RootedTree(
-        root=int(root),
-        parent=parent,
-        weight_to_parent=weight_to_parent,
-        children=tuple(tuple(k) for k in kids),
-        order=order,
-        depth=depth,
-    )
+    return RootedTree(root=int(root), parent=parent, weight_to_parent=weight_to_parent,
+                      order=order, depth=depth)
 
 
 def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:

@@ -39,6 +39,11 @@ def line6_edges():
     return [(i, i + 1) for i in range(5)]
 
 
+def line_graph(n: int) -> ot.WeightedGraph:
+    """Unit-weight path 0 - 1 - ... - (n-1)."""
+    return ot.build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
 def dijkstra_all_pairs(g: ot.WeightedGraph) -> np.ndarray:
     """Reference all-pairs distances via one Dijkstra per source."""
     n = g.n
@@ -130,6 +135,37 @@ def random_measure_pair(rng, n, floor=1e-3):
     mu = rng.random(n) + floor
     nu = rng.random(n) + floor
     return mu / mu.sum(), nu / nu.sum()
+
+
+def children_lists(parent) -> list[list[int]]:
+    """Per vertex, its children in increasing id order, read off ``parent``."""
+    kids: list[list[int]] = [[] for _ in range(len(parent))]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(v)
+    return kids
+
+
+def reference_order_depth(root, parent):
+    """``order`` and ``depth`` of a rooted tree by a depth-first walk over
+    per-vertex child lists: children are pushed in increasing id order, and
+    each popped vertex takes the last free slot of ``order``, so leaves come
+    first and the root last."""
+    n = len(parent)
+    kids = children_lists(parent)
+    depth = np.zeros(n, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    stack = [root]
+    pos = n
+    while stack:
+        v = stack.pop()
+        pos -= 1
+        order[pos] = v
+        for c in kids[v]:
+            depth[c] = depth[v] + 1
+            stack.append(c)
+    assert pos == 0
+    return order, depth
 
 
 def reference_tree_path(t, x, y):

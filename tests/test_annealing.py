@@ -201,6 +201,9 @@ class TestTemperature:
             ot.AnnealConfig(max_iters=1, eta=2.0)
         with pytest.raises(ValueError):
             ot.AnnealConfig(max_iters=1, target_accept=1.5)
+        for bad in ({"beta0": math.nan}, {"beta0": math.inf}, {"eta": math.nan}, {"seed": -1}):
+            with pytest.raises(ValueError):
+                ot.AnnealConfig(max_iters=1, **bad)
 
 
 class TestAnneal:

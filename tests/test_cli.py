@@ -15,6 +15,20 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def refuse_everywhere(monkeypatch, func):
+    """Make every binding of ``func`` in the treeot modules raise."""
+
+    def refuse(*args):
+        raise AssertionError(f"called {func.__name__}")
+
+    bindings = [(module, attr) for name, module in list(sys.modules.items())
+                if name == "treeot" or name.startswith("treeot.")
+                for attr, value in list(vars(module).items()) if value is func]
+    assert len(bindings) >= 2  # treeot and its defining module at least
+    for module, attr in bindings:
+        monkeypatch.setattr(module, attr, refuse)
+
+
 class TestGrid:
     def test_uniform_2x2(self, tmp_path):
         out = tmp_path / "g"
@@ -50,7 +64,7 @@ class TestGrid:
         assert (a / "nu.json").read_bytes() == (b / "nu.json").read_bytes()
         mu = fileio.load_measure(a / "mu.json", 9)
         nu = fileio.load_measure(a / "nu.json", 9)
-        assert ot.check_weak_nondegeneracy(mu, nu).holds
+        assert ot.check_weak_nondegeneracy(mu, nu, ot.grid_graph(3)).holds
 
     def test_bad_image_dimensions_exit_2(self, tmp_path):
         img = tmp_path / "img.csv"
@@ -252,6 +266,43 @@ def line6_files(tmp_path):
     return tmp_path
 
 
+BAD_ARGUMENTS = [
+    ("grid", "--noise-sigma", "abc"),
+    ("grid", "--noise-sigma", "nan"),
+    ("grid", "--noise-sigma", "-1"),
+    ("anneal", "--iters", "-5"),
+    ("anneal", "--seed", "-3"),
+    ("anneal", "--window", "0"),
+    ("anneal", "--record-every", "0"),
+    ("anneal", "--target-accept", "2"),
+    ("anneal", "--eta", "5"),
+    ("anneal", "--beta0", "nan"),
+    ("anneal", "--eta", "nan"),
+    ("anneal", "--chains", "0"),
+    ("anneal", "--config", '{"window": "abc"}'),
+    ("anneal", "--config", '{"seed": "abc"}'),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_ARGUMENTS)
+def test_bad_argument_exits_2(line6_files, capsys, command, flag, value):
+    d = line6_files
+    if flag == "--config":
+        (d / "cfg.json").write_text(value, encoding="utf-8")
+        value = str(d / "cfg.json")
+    argv = [command, flag, value, "--out-dir", str(d / "run")]
+    if command == "grid":
+        argv += ["--p", "2"]
+    else:
+        argv += ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"),
+                 "--nu", str(d / "nu.json")]
+        if flag != "--iters":
+            argv += ["--iters", "10"]
+    assert run_cli(*argv) == 2  # an exception escaping main would be a traceback
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 class TestPlanPotentialCommands:
     def test_plan_on_a_missing_backend_exits_2(self, line6_files):
         argv = ["plan", "--graph", str(line6_files / "graph.json"),
@@ -357,15 +408,7 @@ class TestVerifyCommand:
         code = run_cli(*argv)
         plain = json.loads(capsys.readouterr().out)
 
-        def refuse(t):
-            raise AssertionError("verify built a dense tree distance matrix")
-
-        bindings = [(module, attr) for name, module in list(sys.modules.items())
-                    if name == "treeot" or name.startswith("treeot.")
-                    for attr, value in list(vars(module).items()) if value is ot.tree_distance_matrix]
-        assert len(bindings) >= 2  # treeot and treeot.trees at least
-        for module, attr in bindings:
-            monkeypatch.setattr(module, attr, refuse)
+        refuse_everywhere(monkeypatch, ot.tree_distance_matrix)
         assert run_cli(*argv) == code
         patched = json.loads(capsys.readouterr().out)
         verdicts = [(c["name"], c["passed"]) for c in plain["checks"]]
@@ -373,6 +416,20 @@ class TestVerifyCommand:
         assert patched["all_passed"] == plain["all_passed"]
         assert {"plan_cost_tree_matches_tree_cost", "plan_geodesic_support",
                 "flow_matches_cumulative", "complementary_slackness"} <= dict(verdicts).keys()
+
+    def test_plan_less_verify_builds_no_floyd_warshall(self, line6_files, capsys, monkeypatch):
+        d = line6_files
+        files = ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"),
+                 "--nu", str(d / "nu.json"), "--tree", str(d / "tree.json")]
+        assert run_cli("potential", *files, "--out-dir", str(d / "u")) == 0
+        argv = ["verify", *files, "--potential", str(d / "u" / "potential.csv")]
+        capsys.readouterr()
+        code = run_cli(*argv)
+        plain = json.loads(capsys.readouterr().out)
+        refuse_everywhere(monkeypatch, ot.all_pairs_shortest_paths)
+        assert run_cli(*argv) == code
+        assert json.loads(capsys.readouterr().out) == plain
+        assert {"potential_lipschitz", "potential_duality_tree"} <= {c["name"] for c in plain["checks"]}
 
     def test_invalid_measure_reported_not_crashed(self, line6_files, capsys):
         bad = line6_files / "bad_mu.json"

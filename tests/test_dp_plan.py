@@ -17,6 +17,7 @@ from treeot.oracle import complementary_violation
 from treeot.transport import ZERO_SNAP
 
 from conftest import (
+    children_lists,
     compiled_backends,
     line6_edges,
     noisy_grid_measures,
@@ -182,8 +183,9 @@ def _alternating_instance(t, rng):
             sign = 1.0 if t.depth[v] % 2 else -1.0
             cum[v] = sign * rng.uniform(0.2, 1.0) * scale
     xi = cum.copy()
+    kids = children_lists(t.parent.tolist())
     for v in range(n):
-        xi[v] -= sum(cum[c] for c in t.children[v])
+        xi[v] -= sum(cum[c] for c in kids[v])
     base = np.full(n, 1.0 / n)
     mu = base + xi / 2
     nu = base - xi / 2
@@ -219,7 +221,7 @@ def _sgn(v):
     return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
 
 
-def _find_match(t, u, xi, xi_cum, alive, s):
+def _find_match(kids, u, xi, xi_cum, alive, s):
     frontier = [u]
     seen = {u}
     while frontier:
@@ -228,7 +230,7 @@ def _find_match(t, u, xi, xi_cum, alive, s):
             return min(hits)
         nxt = []
         for v in frontier:
-            for c in t.children[v]:
+            for c in kids[v]:
                 if alive[c] and c not in seen and _sgn(xi_cum[c]) == -s:
                     seen.add(c)
                     nxt.append(c)
@@ -246,7 +248,8 @@ def reference_offdiag(t, xi, zero_tol=ZERO_SNAP):
     xi_cum[t.root] = 0.0
     offdiag = {}
     alive = np.ones(n, dtype=bool)
-    active_children = np.array([len(t.children[v]) for v in range(n)], dtype=np.int64)
+    kids = children_lists(t.parent.tolist())
+    active_children = np.array([len(k) for k in kids], dtype=np.int64)
 
     def prune(v):
         while v >= 0 and alive[v] and active_children[v] == 0 and xi[v] == 0.0:
@@ -276,7 +279,7 @@ def reference_offdiag(t, xi, zero_tol=ZERO_SNAP):
             m = min(m, abs(xi_cum[u]))
             below = u
             u = int(t.parent[u])
-        y = _find_match(t, u, xi, xi_cum, alive, s)
+        y = _find_match(kids, u, xi, xi_cum, alive, s)
         v = y
         while v != u:
             m = min(m, abs(xi_cum[v]))

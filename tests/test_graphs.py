@@ -52,6 +52,25 @@ class TestBuildGraph:
         with pytest.raises(VertexRangeError):
             ot.build_graph(2, [(0, 2, 1.0)])
 
+    def test_csr_matches_sorted_adjacency_lists(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            base = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n + 1)) * (n > 1)).edges
+            edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w)
+                     for u, v, w in (base[i] for i in rng.permutation(len(base)))]
+            g = ot.build_graph(n, edges)
+            adjacency = [[] for _ in range(n)]
+            for u, v, w in edges:
+                adjacency[u].append((v, w))
+                adjacency[v].append((u, w))
+            arcs = [arc for nbs in adjacency for arc in sorted(nbs)]
+            assert g.edges == tuple((min(u, v), max(u, v), w) for u, v, w in edges)
+            assert g.indptr.dtype == g.indices.dtype == np.int64 and g.weights.dtype == np.float64
+            assert g.indptr.tolist() == np.cumsum([0] + [len(nbs) for nbs in adjacency]).tolist()
+            assert g.indices.tolist() == [v for v, _ in arcs]
+            assert g.weights.tolist() == [w for _, w in arcs]
+
     def test_edge_weight_missing(self):
         g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(EdgeNotInGraphError):

@@ -20,6 +20,7 @@ from treeot.oracle import (
 from conftest import (
     brute_force_weak_nondegeneracy,
     compiled_backends,
+    line_graph,
     noisy_grid_measures,
     random_connected_graph,
     random_measure_pair,
@@ -109,7 +110,7 @@ class TestExactSolver:
             n = int(rng.integers(3, 10))
             g = random_connected_graph(rng, n, extra_edges=2)
             mu, nu = random_measure_pair(rng, n)
-            if not ot.check_weak_nondegeneracy(mu, nu).holds:
+            if not ot.check_weak_nondegeneracy(mu, nu, g).holds:
                 continue
             hits += 1
             sol = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu)
@@ -410,14 +411,18 @@ class TestComplementaryCheck:
 
 class TestWeakNondegeneracy:
     def test_equal_measures_false(self):
-        assert not ot.check_weak_nondegeneracy([0.5, 0.5], [0.5, 0.5])
+        assert not ot.check_weak_nondegeneracy([0.5, 0.5], [0.5, 0.5], line_graph(2))
 
     def test_two_vertices_true(self):
-        assert ot.check_weak_nondegeneracy([0.6, 0.4], [0.4, 0.6])
+        assert ot.check_weak_nondegeneracy([0.6, 0.4], [0.4, 0.6], line_graph(2))
+
+    def test_graph_of_another_size_rejected(self):
+        with pytest.raises(VertexRangeError):
+            ot.check_weak_nondegeneracy([0.6, 0.4], [0.4, 0.6], line_graph(3))
 
     def test_line6_degenerate(self, line6):
-        _, mu, nu = line6
-        verdict = ot.check_weak_nondegeneracy(mu, nu)
+        g, mu, nu = line6
+        verdict = ot.check_weak_nondegeneracy(mu, nu, g)
         assert not verdict.holds and verdict.mode == "exhaustive"
         assert not brute_force_weak_nondegeneracy(mu, nu)
 
@@ -432,7 +437,7 @@ class TestWeakNondegeneracy:
                 nu = mu.copy()
                 if n >= 4:  # balance a strict subset to force degeneracy
                     nu[0], nu[1] = nu[1], nu[0]
-            got = ot.check_weak_nondegeneracy(mu, nu)
+            got = ot.check_weak_nondegeneracy(mu, nu, line_graph(n))
             assert got.holds == brute_force_weak_nondegeneracy(mu, nu)
 
     def test_sampled_mode_labels(self):
@@ -440,9 +445,9 @@ class TestWeakNondegeneracy:
         n = 30
         mu, nu = random_measure_pair(rng, n)
         g = random_connected_graph(rng, n, extra_edges=10)
-        verdict = ot.check_weak_nondegeneracy(mu, nu, graph=g, rng=rng)
+        verdict = ot.check_weak_nondegeneracy(mu, nu, graph=g)
         assert verdict.mode == "necessary-only"
-        bad = ot.check_weak_nondegeneracy(mu, mu, graph=g, rng=rng)
+        bad = ot.check_weak_nondegeneracy(mu, mu, graph=g)
         assert not bad.holds and bad.mode == "necessary-only"
 
 
@@ -596,7 +601,7 @@ class TestPotentialMatch:
             g = random_tree_graph(rng, n)
             t = ot.random_spanning_tree(g, rng)
             mu, nu = random_measure_pair(rng, n)
-            if not ot.check_weak_nondegeneracy(mu, nu).holds:
+            if not ot.check_weak_nondegeneracy(mu, nu, g).holds:
                 continue
             hits += 1
             sol = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu)

@@ -9,15 +9,13 @@ from treeot.errors import EdgeNotInGraphError, HasCycleError, NotSpanningError
 from conftest import (
     c_compiler_found,
     line6_edges,
+    line_graph,
     random_connected_graph,
     random_tree_graph,
+    reference_order_depth,
     reference_tree_distance,
     reference_tree_path,
 )
-
-
-def line_graph(n):
-    return ot.build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
 
 
 class TestRootTree:
@@ -57,12 +55,28 @@ class TestRootTree:
         rng = np.random.default_rng(2)
         g = random_connected_graph(rng, 20, extra_edges=6)
         t = ot.random_spanning_tree(g, rng)
-        seen = set()
-        for v in t.order:
-            for c in t.children[v]:
-                assert c in seen
-            seen.add(int(v))
-        assert len(seen) == g.n
+        assert np.array_equal(np.sort(t.order), np.arange(g.n)) and t.order[-1] == t.root
+        rank = np.empty(g.n, dtype=np.int64)
+        rank[t.order] = np.arange(g.n)
+        below = t.parent >= 0
+        assert np.all(rank[t.parent[below]] > rank[below])
+
+    def test_order_and_depth_match_the_child_list_walk(self):
+        rng = np.random.default_rng(3)
+        trees = []
+        for n in range(1, 81):
+            for _ in range(5):
+                g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n + 1)) * (n > 1))
+                t = ot.random_spanning_tree(g, rng)
+                trees += [t, ot.reroot(t, int(rng.integers(0, n)))]
+        for p, count in ((8, 100), (10, 100), (32, 20)):
+            g = ot.grid_graph(p)
+            trees += [ot.random_spanning_tree(g, rng) for _ in range(count)]
+        assert len(trees) >= 1000
+        for t in trees:
+            order, depth = reference_order_depth(t.root, t.parent.tolist())
+            assert np.array_equal(t.order, order) and np.array_equal(t.depth, depth)
+            assert t.order.dtype == t.depth.dtype == np.int64
 
     def test_weights_copied_from_graph(self):
         g = ot.build_graph(3, [(0, 1, 0.25), (1, 2, 0.75)])
