@@ -1,5 +1,5 @@
-/* C transcription of the annealing, random-tree, transport-plan and
- * exact-flow kernels in _kernels.py.
+/* C transcription of the annealing, random-tree, tree-pass, transport-plan
+ * and exact-flow kernels in _kernels.py.
  *
  * Every floating-point operation happens in the same order as in the Python
  * kernels, and the library is built with -ffp-contract=off and without
@@ -33,6 +33,9 @@ enum {
     FLOW_NO_PATH = 7,
     FLOW_BUDGET = 8,
     FLOW_FOREST = 9,
+    TREE_NOT_ROOTED = 10,
+    TREE_BAD_PARENT = 11,
+    TREE_UNREACHED = 12,
 };
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
@@ -132,6 +135,16 @@ static void apply_swap(int64_t *parent, double *wpar, double *xi_cum, int64_t ro
     wpar[new_root] = 0.0;
 }
 
+/* exp(x) as the Metropolis test of anneal_chain reads it. Below -746,
+ * e^x is under half the least subnormal, so exp returns +0, but only after
+ * glibc's slow underflow path; 0.0 is returned directly there. (The draw u
+ * is a multiple of 2^-53, so u <= 0.0 decides as u <= exp(x) would even
+ * for an exp that rounded up to the least subnormal.) */
+static double accept_bound(double x)
+{
+    return x < -746.0 ? 0.0 : exp(x);
+}
+
 /* update_beta of _kernels.py. */
 static double update_beta(double beta, int64_t bits_sum, int64_t bits_seen, int64_t window,
                           double eta, double target_accept)
@@ -145,7 +158,11 @@ static double update_beta(double beta, int64_t bits_sum, int64_t bits_seen, int6
 
 /* anneal_chain of _kernels.py. bits holds window slots, work_i 2n and
  * work_d n. Results: out_d = {best, current, max_drift} and
- * out_i = {root, best_root, records, iters_done}. Returns a CHAIN_* code. */
+ * out_i = {root, best_root, records, iters_done}. Returns a CHAIN_* code.
+ * The window slot and the record and recompute schedules are counters, not
+ * remainders of it: slot == (it - 1) % window, and to_record (to_recompute)
+ * reaches 0 exactly when it is a multiple of record_every (recompute_every,
+ * never when that is not positive). */
 int treeot_anneal_chain(
     int64_t n, int64_t *parent, double *wpar, double *xi_cum, int64_t root,
     const int64_t *indptr, const int64_t *indices, const double *adj_w, const double *xi_node,
@@ -176,7 +193,7 @@ int treeot_anneal_chain(
     trace_acc[records] = 0.0;
     records++;
 
-    int64_t iters_done = 0;
+    int64_t iters_done = 0, slot = 0, to_record = record_every, to_recompute = recompute_every;
     const int have_target = !isnan(target_cost);
     if (!(have_target && best <= target_cost + 1e-9)) {
         for (int64_t it = 1; it <= max_iters; it++) {
@@ -188,7 +205,7 @@ int treeot_anneal_chain(
             const double u = bg->next_double(bg->state);
             const double h = swap_delta(parent, wpar, xi_cum, root, new_root, w_added);
 
-            const int accept = h >= 0.0 || u <= exp(beta * h);
+            const int accept = h >= 0.0 || u <= accept_bound(beta * h);
             if (accept) {
                 apply_swap(parent, wpar, xi_cum, root, new_root, w_added);
                 root = new_root;
@@ -201,17 +218,19 @@ int treeot_anneal_chain(
                 }
             }
 
-            const int64_t slot = (it - 1) % window;
             if (bits_seen >= window)
                 bits_sum -= bits[slot];
             bits[slot] = accept ? 1 : 0;
             bits_sum += bits[slot];
             bits_seen++;
+            if (++slot == window)
+                slot = 0;
             beta = update_beta(beta, bits_sum, bits_seen, window, eta, target_accept);
 
             iters_done = it;
 
-            if (recompute_every > 0 && it % recompute_every == 0) {
+            if (--to_recompute == 0) {
+                to_recompute = recompute_every;
                 recompute_cumulative(n, parent, xi_node, work_d, work_i, work_i + n);
                 const double fresh_cost = tree_cost(n, parent, wpar, work_d);
                 const double drift = fabs(fresh_cost - current);
@@ -228,7 +247,10 @@ int treeot_anneal_chain(
             }
 
             const int stop = have_target && best <= target_cost + 1e-9;
-            if (it % record_every == 0 || it == max_iters || stop) {
+            const int due = --to_record == 0;
+            if (due)
+                to_record = record_every;
+            if (due || it == max_iters || stop) {
                 double rate_now = 0.0;
                 if (bits_seen > 0) {
                     const int64_t seen = bits_seen < window ? bits_seen : window;
@@ -259,9 +281,8 @@ int treeot_anneal_chain(
 /* wilson_tree of _kernels.py: a uniform random spanning tree of the CSR graph
  * into parent and wpar. in_tree holds n bytes; *root_out receives the root.
  * Returns CHAIN_OK or a WILSON_* / CHAIN_DEGREE_TOO_LARGE code. */
-int treeot_wilson(
-    int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
-    bitgen_t *bg, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *root_out)
+static int wilson(int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
+                  bitgen_t *bg, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *root_out)
 {
     if (n < 1 || n > (int64_t)UINT32_MAX)
         return WILSON_BAD_VERTEX_COUNT;
@@ -286,6 +307,121 @@ int treeot_wilson(
             in_tree[v] = 1;
     }
     *root_out = root;
+    return CHAIN_OK;
+}
+
+int treeot_wilson(
+    int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
+    bitgen_t *bg, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *root_out)
+{
+    return wilson(n, indptr, indices, adj_w, bg, parent, wpar, in_tree, root_out);
+}
+
+/* tree_order of _kernels.py: order (leaves first, root last) and depth of
+ * the tree that parent roots at root. work_i holds 4n + 1 slots: the child
+ * CSR (child_ptr, child_idx), the counting sort's fill cursors and the
+ * walk's stack. Returns CHAIN_OK or a TREE_* code; with parent[root] == -1
+ * and every link in range no vertex is pushed twice, so the stack and order
+ * stay within n slots. */
+static int tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
+                      int64_t *depth, int64_t *work_i)
+{
+    if (root < 0 || root >= n || parent[root] != -1)
+        return TREE_NOT_ROOTED;
+    int64_t *child_ptr = work_i, *child_idx = work_i + n + 1;
+    int64_t *fill = child_idx + n, *stack = fill + n;
+    memset(child_ptr, 0, (size_t)(n + 1) * sizeof *child_ptr);
+    for (int64_t v = 0; v < n; v++) {
+        const int64_t p = parent[v];
+        if (p < -1 || p >= n)
+            return TREE_BAD_PARENT;
+        if (p >= 0)
+            child_ptr[p + 1]++;
+    }
+    for (int64_t v = 0; v < n; v++)
+        child_ptr[v + 1] += child_ptr[v];
+    memcpy(fill, child_ptr, (size_t)n * sizeof *fill);
+    for (int64_t v = 0; v < n; v++)
+        if (parent[v] >= 0)
+            child_idx[fill[parent[v]]++] = v;
+
+    depth[root] = 0;
+    stack[0] = root;
+    int64_t top = 1, pos = n;
+    while (top > 0) {
+        const int64_t v = stack[--top];
+        order[--pos] = v;
+        for (int64_t j = child_ptr[v]; j < child_ptr[v + 1]; j++) {
+            const int64_t c = child_idx[j];
+            depth[c] = depth[v] + 1;
+            stack[top++] = c;
+        }
+    }
+    return pos ? TREE_UNREACHED : CHAIN_OK;
+}
+
+int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
+                      int64_t *depth, int64_t *work_i)
+{
+    return tree_order(n, parent, root, order, depth, work_i);
+}
+
+/* subtree_sums of _kernels.py: out goes from vertex values to subtree sums. */
+static void subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t v = order[i], p = parent[v];
+        if (p >= 0)
+            out[p] += out[v];
+    }
+}
+
+void treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
+{
+    subtree_sums(n, parent, order, out);
+}
+
+/* tree_potential of _kernels.py, into u (zero on entry). */
+void treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
+                           const double *wpar, const double *xi_cum, double sign_at_zero,
+                           double *u)
+{
+    for (int64_t i = n - 1; i >= 0; i--) {
+        const int64_t v = order[i], p = parent[v];
+        if (p < 0)
+            continue;
+        const double s = xi_cum[v] == 0.0 ? sign_at_zero : (xi_cum[v] > 0.0 ? 1.0 : -1.0);
+        u[v] = u[p] + wpar[v] * s;
+    }
+}
+
+/* balanced_subtree of _kernels.py: *found is 1 when one of the samples
+ * Wilson trees has a non-root vertex whose subtree sum of xi is at most tol
+ * in magnitude, else 0. work_i holds 7n + 1 slots (parent, order, depth and
+ * tree_order's work), work_d 2n (wpar and the sums) and in_tree n bytes.
+ * Returns Wilson's status. */
+int treeot_balanced_subtree(
+    int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
+    bitgen_t *bg, const double *xi, int64_t samples, double tol, int64_t *work_i,
+    double *work_d, uint8_t *in_tree, int64_t *found)
+{
+    int64_t *parent = work_i, *order = work_i + n, *depth = work_i + 2 * n;
+    double *wpar = work_d, *sums = work_d + n;
+    *found = 0;
+    for (int64_t k = 0; k < samples; k++) {
+        int64_t root;
+        const int status = wilson(n, indptr, indices, adj_w, bg, parent, wpar, in_tree, &root);
+        if (status != CHAIN_OK)
+            return status;
+        tree_order(n, parent, root, order, depth, work_i + 3 * n); /* a Wilson tree is rooted at root */
+        memcpy(sums, xi, (size_t)n * sizeof *sums);
+        subtree_sums(n, parent, order, sums);
+        for (int64_t v = 0; v < n; v++)
+            if (v != root && fabs(sums[v]) <= tol) {
+                *found = 1;
+                return CHAIN_OK;
+            }
+    }
     return CHAIN_OK;
 }
 

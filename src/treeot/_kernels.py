@@ -1,28 +1,34 @@
-"""The annealing, random-tree, transport-plan and exact-flow kernels and the
-backends that run them.
+"""The annealing, random-tree, tree-pass, transport-plan and exact-flow
+kernels and the backends that run them.
 
-``anneal_chain``, ``wilson_tree``, ``dp_plan`` and ``exact_flow`` below are
-the reference kernels in plain Python. ``anneal_chain`` moves between rooted
-spanning trees through four step functions, the one statement of the swap
-arithmetic: ``propose_root`` draws the candidate root, ``swap_delta`` scores
-the swap on its cycle, ``apply_swap`` makes it, and ``update_beta`` adapts
-the temperature. ``exact_flow`` is the exact oracle's min-cost flow:
+``anneal_chain``, ``wilson_tree``, ``tree_order``, ``subtree_sums``,
+``tree_potential``, ``balanced_subtree``, ``dp_plan`` and ``exact_flow``
+below are the reference kernels in plain Python. ``anneal_chain`` moves
+between rooted spanning trees through four step functions, the one statement
+of the swap arithmetic: ``propose_root`` draws the candidate root,
+``swap_delta`` scores the swap on its cycle, ``apply_swap`` makes it, and
+``update_beta`` adapts the temperature. ``tree_order`` orients a tree given
+by parent links (leaves-first order and depths), ``subtree_sums`` is the
+leaves-to-root pass and ``tree_potential`` the root-to-leaves one;
+``balanced_subtree`` runs Wilson, ``tree_order`` and ``subtree_sums`` on a
+number of sampled trees. ``exact_flow`` is the exact oracle's min-cost flow:
 successive shortest paths, then zero-cost cycle cancelling. Two backends run
 the kernels:
 
-- ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
-  helpers) built on first use with the system C compiler and loaded through
-  ``ctypes``, which releases the GIL;
+- ``c``: ``_kernel.c``, a transcription (the step functions and the tree
+  passes as ``static`` helpers) built on first use with the system C
+  compiler and loaded through ``ctypes``, which releases the GIL;
 - ``python``: the function bodies as they stand.
 
 ``TREEOT_BACKEND`` names the backend. Unset, c is used if it loads, else
 python with a warning. A named backend that cannot load, or an unknown name,
 raises :class:`KernelBackendError`; there is no silent fallback. Traces,
-trees, plans and exact flows are bit-identical between backends: both draw
-from the caller's numpy bit generator in the same way, and do the same
-arithmetic in the same order without fused multiply-adds. The python backend
-runs ``dp_plan`` over lists, which Python indexes faster than arrays, and
-``exact_flow`` over whole numpy arrays.
+trees, orders, sums, potentials, plans and exact flows are bit-identical
+between backends: both draw from the caller's numpy bit generator in the
+same way, and do the same arithmetic in the same order without fused
+multiply-adds. The python backend runs the tree passes and ``dp_plan`` over
+lists, which Python indexes faster than arrays, and ``exact_flow`` over
+whole numpy arrays.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import KernelBackendError
+from .errors import KernelBackendError, NotSpanningError
 
 C_SOURCE = Path(__file__).with_name("_kernel.c")
 C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -58,14 +65,52 @@ _FLOW_ERRORS = {
     8: "augmenting-path budget exhausted",
     9: "support forest lost connectivity",
 }
+# tree_order's statuses besides 0, shared with _kernel.c
+TREE_NOT_ROOTED = 10
+TREE_BAD_PARENT = 11
+TREE_UNREACHED = 12
+_TREE_ERRORS = {
+    TREE_NOT_ROOTED: "the root is out of range or has a parent link",
+    TREE_BAD_PARENT: "a parent link is out of range",
+    TREE_UNREACHED: "parent links do not reach every vertex",
+}
+
+
+class Kernels(NamedTuple):
+    """One backend's kernels. ``anneal_chain``, ``wilson_tree``,
+    ``exact_flow`` and ``balanced_subtree`` have the signatures of the
+    reference kernels below; the others wrap theirs:
+
+    - ``dp_plan(parent, order, xi, zero_tol) -> (rows, cols, mass)``: the
+      off-diagonal entries that :func:`dp_plan` writes, in its order. Raises
+      ``RuntimeError`` when an entry is written twice, when no match exists
+      or when 4n + 16 transfers do not finish.
+    - ``tree_order(root, parent) -> (order, depth)``, both int64 arrays.
+      Raises ``NotSpanningError`` unless the parent links are a spanning
+      tree rooted at ``root``.
+    - ``subtree_sums(parent, order, values) -> sums``, a new float64 array.
+    - ``tree_potential(parent, order, wpar, xi_cum, sign_at_zero) -> u``, a
+      new float64 array.
+    """
+
+    name: str
+    anneal_chain: Callable
+    wilson_tree: Callable
+    dp_plan: Callable
+    exact_flow: Callable
+    tree_order: Callable
+    subtree_sums: Callable
+    tree_potential: Callable
+    balanced_subtree: Callable
+
 
 _lock = threading.Lock()
-_backend: tuple[str, object, object, object, object] | None = None
+_backend: Kernels | None = None
 
 
 def kernel_backend() -> str:
     """Name of the backend that runs the kernels in this process."""
-    return _resolve()[0]
+    return kernels().name
 
 
 def numba_enabled() -> bool:
@@ -74,30 +119,9 @@ def numba_enabled() -> bool:
     return False
 
 
-def chain_kernel():
-    """The backend's ``anneal_chain``, with the signature of the one below."""
-    return _resolve()[1]
-
-
-def tree_kernel():
-    """The backend's ``wilson_tree``, with the signature of the one below."""
-    return _resolve()[2]
-
-
-def plan_kernel():
-    """The backend's transport-plan DP: ``(parent, order, xi, zero_tol) ->
-    (rows, cols, mass)``, the off-diagonal entries that ``dp_plan`` below
-    writes, in its order. Raises ``RuntimeError`` when an entry is written
-    twice, when no match exists or when 4n + 16 transfers do not finish."""
-    return _resolve()[3]
-
-
-def flow_kernel():
-    """The backend's ``exact_flow``, with the signature of the one below."""
-    return _resolve()[4]
-
-
-def _resolve():
+def kernels() -> Kernels:
+    """The kernels of the backend that runs them in this process, selected
+    on the first call."""
     global _backend
     with _lock:
         if _backend is None:
@@ -105,24 +129,24 @@ def _resolve():
         return _backend
 
 
-def _select(name: str):
+def _select(name: str) -> Kernels:
     if name == "":
         try:
-            return "c", *_load_c()
+            return _load_c()
         except KernelBackendError as exc:
             warnings.warn(f"treeot runs the plain-Python kernels (c: {exc})",
                           RuntimeWarning, stacklevel=4)
-        return "python", *_load_python()
+        return _load_python()
     if name not in _LOADERS:
         raise KernelBackendError(
             f"TREEOT_BACKEND={name!r} is not one of {', '.join(_LOADERS)}")
     try:
-        return name, *_LOADERS[name]()
+        return _LOADERS[name]()
     except KernelBackendError as exc:
         raise KernelBackendError(f"TREEOT_BACKEND={name}: {exc}") from exc
 
 
-def _load_python():
+def _load_python() -> Kernels:
     def dp_plan_lists(parent, order, child_ptr, child_idx, xi, zero_tol):
         n = parent.shape[0]
         cap = 4 * n + 16
@@ -136,7 +160,27 @@ def _load_python():
         return (status, count, u, np.array(out_x[:count], dtype=np.int64),
                 np.array(out_y[:count], dtype=np.int64), np.array(out_m[:count], dtype=np.float64))
 
-    return anneal_chain, wilson_tree, _plan_runner(dp_plan_lists), exact_flow
+    def tree_order_lists(root, parent):
+        n = parent.shape[0]
+        order = [0] * n
+        depth = [0] * n
+        status = tree_order(root, parent, order, depth)
+        return status, np.array(order, dtype=np.int64), np.array(depth, dtype=np.int64)
+
+    def subtree_sums_lists(parent, order, values):
+        out = values.tolist()
+        subtree_sums(parent.tolist(), order.tolist(), out)
+        return np.array(out, dtype=np.float64)
+
+    def tree_potential_lists(parent, order, wpar, xi_cum, sign_at_zero):
+        u = [0.0] * parent.shape[0]
+        tree_potential(parent.tolist(), order.tolist(), wpar.tolist(), xi_cum.tolist(),
+                       sign_at_zero, u)
+        return np.array(u, dtype=np.float64)
+
+    return Kernels("python", anneal_chain, wilson_tree, _plan_runner(dp_plan_lists), exact_flow,
+                   _order_runner(tree_order_lists), subtree_sums_lists, tree_potential_lists,
+                   balanced_subtree)
 
 
 def child_csr(parent):
@@ -149,6 +193,21 @@ def child_csr(parent):
     child_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(parent[child_idx], minlength=n), out=child_ptr[1:])
     return child_ptr, child_idx
+
+
+def _order_runner(run):
+    """The backend's ``tree_order``: calls ``run(root, parent)`` and turns its
+    ``(status, order, depth)`` into the arrays or a ``NotSpanningError``."""
+
+    def tree_order_checked(root, parent):
+        _check_arrays(((parent, parent.shape[0]),), (), "tree")
+        status, order, depth = run(int(root), parent)
+        if status != 0:
+            raise NotSpanningError(f"parent links are not a tree rooted at {root}: "
+                                   f"{_TREE_ERRORS[status]}")
+        return order, depth
+
+    return tree_order_checked
 
 
 def _plan_runner(run):
@@ -205,26 +264,39 @@ def _check_csr(n: int, indptr, indices) -> None:
         raise ValueError("C kernel: neighbour index out of range")
 
 
-def _load_c():
+def _check_links(n: int, parent, order) -> None:
+    """Raise unless ``parent`` and ``order`` hold n links each and every
+    entry indexes a vertex (or is -1, for a parent)."""
+    _check_arrays(((parent, n), (order, n)), (), "tree")
+    if n and not (-1 <= parent.min() and parent.max() < n and 0 <= order.min() and order.max() < n):
+        raise ValueError("C kernel: parent or order index out of range")
+
+
+def _load_c() -> Kernels:
     try:
         lib = ctypes.CDLL(str(build_c_kernel()))
     except OSError as exc:
         raise KernelBackendError(f"cannot load the C kernel ({exc})") from exc
-    fn = lib.treeot_anneal_chain
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr,
-                   i64, f64, f64, f64, i64, i64, i64, f64, ptr,
-                   ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    fn.restype = ctypes.c_int
-    wilson = lib.treeot_wilson
-    wilson.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    wilson.restype = ctypes.c_int
-    plan = lib.treeot_dp_plan
-    plan.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    plan.restype = ctypes.c_int
-    flow_fn = lib.treeot_exact_flow
-    flow_fn.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    flow_fn.restype = ctypes.c_int
+    i64, f64, ptr, c_int = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
+    signatures = {
+        "treeot_anneal_chain": (c_int, [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr,
+                                        i64, f64, f64, f64, i64, i64, i64, f64, ptr, ptr, ptr,
+                                        ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
+        "treeot_wilson": (c_int, [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
+        "treeot_dp_plan": (c_int, [i64, ptr, ptr, ptr, ptr, ptr, f64, ptr, ptr, ptr, ptr, ptr,
+                                   ptr, ptr]),
+        "treeot_exact_flow": (c_int, [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
+        "treeot_tree_order": (c_int, [i64, ptr, i64, ptr, ptr, ptr]),
+        "treeot_subtree_sums": (None, [i64, ptr, ptr, ptr]),
+        "treeot_tree_potential": (None, [i64, ptr, ptr, ptr, ptr, f64, ptr]),
+        "treeot_balanced_subtree": (c_int, [i64, ptr, ptr, ptr, ptr, ptr, i64, f64, ptr, ptr,
+                                            ptr, ptr]),
+    }
+    for name, (restype, argtypes) in signatures.items():
+        getattr(lib, name).restype = restype
+        getattr(lib, name).argtypes = argtypes
+    fn, wilson, plan, flow_fn = (lib.treeot_anneal_chain, lib.treeot_wilson, lib.treeot_dp_plan,
+                                 lib.treeot_exact_flow)
 
     def anneal_chain_c(parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
                        max_iters, beta0, target_accept, eta, window, record_every,
@@ -280,6 +352,51 @@ def _load_c():
             raise ValueError(f"C kernel stopped: {_C_STATUS.get(status, status)}")
         return int(root[0])
 
+    def tree_order_c(root, parent):
+        n = parent.shape[0]
+        order = np.empty(n, dtype=np.int64)
+        depth = np.empty(n, dtype=np.int64)
+        work_i = np.empty(4 * n + 1, dtype=np.int64)
+        status = lib.treeot_tree_order(n, parent.ctypes.data, root, order.ctypes.data,
+                                       depth.ctypes.data, work_i.ctypes.data)
+        return status, order, depth
+
+    def subtree_sums_c(parent, order, values):
+        n = parent.shape[0]
+        _check_links(n, parent, order)
+        out = np.array(values, dtype=np.float64)
+        _check_arrays((), ((out, n),), "tree")
+        lib.treeot_subtree_sums(n, parent.ctypes.data, order.ctypes.data, out.ctypes.data)
+        return out
+
+    def tree_potential_c(parent, order, wpar, xi_cum, sign_at_zero):
+        n = parent.shape[0]
+        _check_links(n, parent, order)
+        _check_arrays((), ((wpar, n), (xi_cum, n)), "tree")
+        u = np.zeros(n)
+        lib.treeot_tree_potential(n, parent.ctypes.data, order.ctypes.data, wpar.ctypes.data,
+                                  xi_cum.ctypes.data, float(sign_at_zero), u.ctypes.data)
+        return u
+
+    def balanced_subtree_c(indptr, indices, adj_w, rng, xi, samples, tol):
+        n = xi.shape[0]
+        m = indices.shape[0]
+        _check_arrays(((indptr, n + 1), (indices, m)), ((adj_w, m), (xi, n)), "graph")
+        _check_csr(n, indptr, indices)
+        work_i = np.empty(7 * n + 1, dtype=np.int64)
+        work_d = np.empty(2 * n)
+        in_tree = np.empty(n, dtype=np.uint8)
+        found = np.zeros(1, dtype=np.int64)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            status = lib.treeot_balanced_subtree(
+                n, indptr.ctypes.data, indices.ctypes.data, adj_w.ctypes.data,
+                bitgen.ctypes.bit_generator.value, xi.ctypes.data, samples, tol,
+                work_i.ctypes.data, work_d.ctypes.data, in_tree.ctypes.data, found.ctypes.data)
+        if status != 0:
+            raise ValueError(f"C kernel stopped: {_C_STATUS.get(status, status)}")
+        return bool(found[0])
+
     def dp_plan_c(parent, order, child_ptr, child_idx, xi, zero_tol):
         n = parent.shape[0]
         cap = 4 * n + 16
@@ -314,7 +431,9 @@ def _load_c():
             raise RuntimeError(_FLOW_ERRORS[status])
         return flow, alpha, beta
 
-    return anneal_chain_c, wilson_tree_c, _plan_runner(dp_plan_c), exact_flow_c
+    return Kernels("c", anneal_chain_c, wilson_tree_c, _plan_runner(dp_plan_c), exact_flow_c,
+                   _order_runner(tree_order_c), subtree_sums_c, tree_potential_c,
+                   balanced_subtree_c)
 
 
 def _compiler() -> list[str]:
@@ -620,6 +739,82 @@ def wilson_tree(indptr, indices, adj_w, rng, parent, wpar):
             in_tree[v] = True
             v = parent[v]
     return root
+
+
+def tree_order(root, parent, order, depth):
+    """Write the leaves-first ``order`` (root last) and the ``depth`` of the
+    tree that the int64 array ``parent`` roots at ``root``; return 0 or a
+    ``TREE_*`` status.
+
+    A depth-first walk pops a vertex, gives it the last free slot of
+    ``order`` and pushes its children in increasing id order (the
+    :func:`child_csr`, which ``_kernel.c`` builds by counting sort). With
+    ``parent[root] == -1`` and every other link in range, a vertex is pushed
+    only when its parent is popped, so at most once: the walk stops within n
+    pops, and ``TREE_UNREACHED`` reports the vertices it missed.
+    """
+    n = parent.shape[0]
+    if not 0 <= root < n or parent[root] != -1:
+        return TREE_NOT_ROOTED
+    if not (-1 <= parent.min() and parent.max() < n):
+        return TREE_BAD_PARENT
+    child_ptr, child_idx = (a.tolist() for a in child_csr(parent))
+    depth[root] = 0
+    stack = [root]
+    pos = n
+    while stack:
+        v = stack.pop()
+        pos -= 1
+        order[pos] = v
+        for j in range(child_ptr[v], child_ptr[v + 1]):
+            c = child_idx[j]
+            depth[c] = depth[v] + 1
+            stack.append(c)
+    return TREE_UNREACHED if pos else 0
+
+
+def subtree_sums(parent, order, out):
+    """Turn the vertex values in ``out`` into subtree sums, in place: along
+    ``order`` (leaves first), each vertex adds its entry into its parent's."""
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            out[p] += out[v]
+
+
+def tree_potential(parent, order, wpar, xi_cum, sign_at_zero, u):
+    """The tree potential into ``u`` (zero on entry): walking ``order``
+    backwards (root first), u[v] = u[parent] + wpar[v] * s, where s is the
+    sign of ``xi_cum[v]``, or ``sign_at_zero`` where it is exactly 0."""
+    for i in range(len(order) - 1, -1, -1):
+        v = order[i]
+        p = parent[v]
+        if p < 0:
+            continue
+        s = sign_at_zero if xi_cum[v] == 0.0 else (1.0 if xi_cum[v] > 0.0 else -1.0)
+        u[v] = u[p] + wpar[v] * s
+
+
+def balanced_subtree(indptr, indices, adj_w, rng, xi, samples, tol):
+    """Whether one of ``samples`` spanning trees, drawn one after the other
+    by :func:`wilson_tree` from ``rng``, has a non-root vertex whose subtree
+    sum of ``xi`` (a float64 array, summed by :func:`subtree_sums` along
+    :func:`tree_order`) is at most ``tol`` in magnitude. Stops drawing at the
+    first such tree."""
+    n = xi.shape[0]
+    parent = np.empty(n, dtype=np.int64)
+    wpar = np.empty(n)
+    order = [0] * n
+    depth = [0] * n
+    for _ in range(samples):
+        root = wilson_tree(indptr, indices, adj_w, rng, parent, wpar)
+        tree_order(root, parent, order, depth)  # 0: a Wilson tree is rooted at its root
+        sums = xi.tolist()
+        subtree_sums(parent.tolist(), order, sums)
+        for v in range(n):
+            if v != root and abs(sums[v]) <= tol:
+                return True
+    return False
 
 
 def _heap_push(heap, size, v):

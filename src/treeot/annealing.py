@@ -15,6 +15,7 @@ cycle closed by the swapped edges, so a step costs O(cycle length).
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,6 +48,14 @@ class AnnealConfig:
     recompute_every: int = 100_000
 
     def __post_init__(self):
+        for name in ("max_iters", "seed", "window", "record_every", "recompute_every"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):  # operator.index takes True as 1
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, not {value!r}") from None
         if self.max_iters < 0 or self.seed < 0 or self.window < 1 or self.record_every < 1:
             raise ValueError("max_iters and seed must be non-negative, window and record_every positive")
         # NaN fails every comparison, so it is rejected here too
@@ -119,7 +128,7 @@ def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResul
     trace_beta = np.zeros(rows)
     trace_acc = np.zeros(rows)
 
-    best, current, final_root, best_root, records, iters_done, max_drift = _kernels.chain_kernel()(
+    best, current, final_root, best_root, records, iters_done, max_drift = _kernels.kernels().anneal_chain(
         parent,
         wpar,
         xi_cum,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -55,7 +56,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it
+    unchanged (an ``append`` action copies its default before appending)."""
     parser = argparse.ArgumentParser(prog="treeot")
     sub = parser.add_subparsers(required=True)
 

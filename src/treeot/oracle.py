@@ -18,7 +18,7 @@ from . import _kernels
 from .errors import NonFiniteWeightError, NonPositiveWeightError, TooLargeError, VertexRangeError
 from .graphs import WeightedGraph
 from .transport import Potential, TransportPlan, _assemble_plan, _support_distances, as_measure, imbalance
-from .trees import RootedTree, random_spanning_tree, subtree_aggregate
+from .trees import RootedTree
 
 #: Default tolerance for optimality and duality identities.
 VALUE_TOL = 1e-9
@@ -77,7 +77,7 @@ def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> Exac
     supply = xi[srcs].copy()
     demand = -xi[snks].copy()
     cost = np.ascontiguousarray(dist[np.ix_(srcs, snks)])
-    flow, alpha, beta = _kernels.flow_kernel()(cost, supply, demand)
+    flow, alpha, beta = _kernels.kernels().exact_flow(cost, supply, demand)
 
     i, j = np.nonzero(flow > 0.0)
     plan = _assemble_plan(n, np.concatenate([on_diag, srcs[i]]), np.concatenate([on_diag, snks[j]]),
@@ -135,8 +135,10 @@ def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> NondegeneracyVerdi
     exhaustively (meet-in-the-middle). Beyond that, only a necessary condition
     is tested: nonzero cumulative imbalance at every non-root vertex over
     ``TREE_SAMPLES`` random spanning trees of ``graph``, drawn from
-    ``default_rng(0)``; the verdict is then labelled ``"necessary-only"``.
-    Imbalances up to ``BALANCE_TOL`` count as zero.
+    ``default_rng(0)`` as :func:`treeot.trees.random_spanning_tree` draws
+    them, in one call of the backend's
+    :func:`treeot._kernels.balanced_subtree`; the verdict is then labelled
+    ``"necessary-only"``. Imbalances up to ``BALANCE_TOL`` count as zero.
     """
     xi = imbalance(mu, nu)
     n = xi.shape[0]
@@ -153,14 +155,10 @@ def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> NondegeneracyVerdi
         trivial = 1 + (1 if abs(float(xi.sum())) <= BALANCE_TOL else 0)
         return NondegeneracyVerdict(holds=ties <= trivial, mode="exhaustive")
 
-    rng = np.random.default_rng(0)
-    for _ in range(TREE_SAMPLES):
-        t = random_spanning_tree(graph, rng)
-        xi_cum = subtree_aggregate(t, xi)
-        mask = np.arange(n) != t.root
-        if np.any(np.abs(xi_cum[mask]) <= BALANCE_TOL):
-            return NondegeneracyVerdict(holds=False, mode="necessary-only")
-    return NondegeneracyVerdict(holds=True, mode="necessary-only")
+    balanced = _kernels.kernels().balanced_subtree(graph.indptr, graph.indices, graph.weights,
+                                                   np.random.default_rng(0), xi, TREE_SAMPLES,
+                                                   BALANCE_TOL)
+    return NondegeneracyVerdict(holds=not balanced, mode="necessary-only")
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:

@@ -86,18 +86,14 @@ def tree_potential(t: RootedTree, mu, nu, sign_at_zero: int = +1) -> "Potential"
 
     Walking root-to-leaves, each vertex adds w(x, parent) * sign(cumulative
     imbalance at x) to its parent's value. ``sign_at_zero`` (+1 or -1) resolves
-    vertices with exactly zero cumulative imbalance.
+    vertices with exactly zero cumulative imbalance. The walk is
+    :func:`treeot._kernels.tree_potential`, run on the kernel backend.
     """
     if sign_at_zero not in (+1, -1):
         raise ValueError("sign_at_zero must be +1 or -1")
     xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
-    u = np.zeros(t.n)
-    for v in t.order[::-1]:
-        p = t.parent[v]
-        if p < 0:
-            continue
-        s = sign_at_zero if xi_cum[v] == 0.0 else (1.0 if xi_cum[v] > 0.0 else -1.0)
-        u[v] = u[p] + t.weight_to_parent[v] * s
+    u = _kernels.kernels().tree_potential(t.parent, t.order, t.weight_to_parent, xi_cum,
+                                          sign_at_zero)
     u.setflags(write=False)
     return Potential(values=u, anchor=t.root)
 
@@ -306,7 +302,7 @@ def dp_transport_plan(t: RootedTree, mu, nu) -> TransportPlan:
     # exact unit sums so supply and demand cancel to rounding noise, not to the
     # 1e-9 ingestion tolerance, which would strand a leaf without a match
     xi = mu / mu.sum() - nu / nu.sum()
-    rows, cols, mass = _kernels.plan_kernel()(t.parent, t.order, xi, ZERO_SNAP)
+    rows, cols, mass = _kernels.kernels().dp_plan(t.parent, t.order, xi, ZERO_SNAP)
     diag = np.minimum(mu, nu)
     on_diag = np.flatnonzero(diag > 0.0)
     return _assemble_plan(n, np.concatenate([rows, on_diag]), np.concatenate([cols, on_diag]),

@@ -42,26 +42,12 @@ class RootedTree:
 
 
 def _from_parent_array(root: int, parent: np.ndarray, weight_to_parent: np.ndarray) -> RootedTree:
-    n = parent.shape[0]
-    child_ptr, child_idx = (a.tolist() for a in _kernels.child_csr(parent))
-    depth = [0] * n
-    order = [0] * n
-    stack = [root]
-    pos = n
-    while stack:
-        v = stack.pop()
-        pos -= 1
-        order[pos] = v
-        kids = child_idx[child_ptr[v]:child_ptr[v + 1]]
-        for c in kids:
-            depth[c] = depth[v] + 1
-        stack += kids
-    if pos != 0:
-        raise NotSpanningError("parent links do not reach every vertex")
+    """The :class:`RootedTree` of the parent links, which must root a
+    spanning tree at ``root`` (else ``NotSpanningError``); ``order`` and
+    ``depth`` come from the backend's ``tree_order``."""
+    order, depth = _kernels.kernels().tree_order(root, parent)
     parent = parent.copy()
     weight_to_parent = weight_to_parent.copy()
-    order = np.array(order, dtype=np.int64)
-    depth = np.array(depth, dtype=np.int64)
     for arr in (parent, weight_to_parent, order, depth):
         arr.setflags(write=False)
     return RootedTree(root=int(root), parent=parent, weight_to_parent=weight_to_parent,
@@ -142,16 +128,13 @@ def reroot(t: RootedTree, new_root: int) -> RootedTree:
 def subtree_aggregate(t: RootedTree, values) -> np.ndarray:
     """For each vertex x, the sum of ``values`` over the subtree hanging at x.
 
-    One leaves-to-root pass, O(n).
+    One leaves-to-root pass, O(n), on the kernel backend
+    (:func:`treeot._kernels.subtree_sums`).
     """
-    out = np.asarray(values, dtype=np.float64).copy()
-    if out.shape != (t.n,):
-        raise VertexRangeError(f"expected {t.n} values, got shape {out.shape}")
-    for v in t.order:
-        p = t.parent[v]
-        if p >= 0:
-            out[p] += out[v]
-    return out
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (t.n,):
+        raise VertexRangeError(f"expected {t.n} values, got shape {values.shape}")
+    return _kernels.kernels().subtree_sums(t.parent, t.order, values)
 
 
 def _climb(t: RootedTree, x: np.ndarray, y: np.ndarray):
@@ -233,5 +216,5 @@ def random_spanning_tree(g: WeightedGraph, rng: np.random.Generator) -> RootedTr
     """
     parent = np.empty(g.n, dtype=np.int64)
     wpar = np.empty(g.n, dtype=np.float64)
-    root = _kernels.tree_kernel()(g.indptr, g.indices, g.weights, rng, parent, wpar)
+    root = _kernels.kernels().wilson_tree(g.indptr, g.indices, g.weights, rng, parent, wpar)
     return _from_parent_array(int(root), parent, wpar)

@@ -168,6 +168,51 @@ def reference_order_depth(root, parent):
     return order, depth
 
 
+def reference_subtree_sums(parent, order, values):
+    """Subtree sums by the loop ``subtree_aggregate`` ran before the tree
+    passes moved to the kernel backends: along ``order`` (leaves first), each
+    vertex adds its running sum into its parent's."""
+    out = np.asarray(values, dtype=np.float64).copy()
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            out[p] += out[v]
+    return out
+
+
+def reference_tree_potential(parent, order, wpar, xi_cum, sign_at_zero):
+    """The tree potential by ``tree_potential``'s former loop: root-to-leaves
+    along ``order`` reversed, each vertex adds its edge weight, signed by its
+    cumulative imbalance (``sign_at_zero`` where that is exactly 0), to its
+    parent's value."""
+    u = np.zeros(len(parent))
+    for v in order[::-1]:
+        p = parent[v]
+        if p < 0:
+            continue
+        s = sign_at_zero if xi_cum[v] == 0.0 else (1.0 if xi_cum[v] > 0.0 else -1.0)
+        u[v] = u[p] + wpar[v] * s
+    return u
+
+
+def reference_balanced_subtree(g, xi, rng, samples=32, tol=1e-12):
+    """The sampled weak non-degeneracy loop as it ran before it became one
+    kernel call: draw ``samples`` Wilson trees from ``rng`` one after the
+    other, orient each, sum ``xi`` over its subtrees and stop at the first
+    tree with a non-root subtree sum of magnitude at most ``tol``. Returns
+    whether such a tree was found."""
+    parent = np.empty(g.n, dtype=np.int64)
+    wpar = np.empty(g.n)
+    for _ in range(samples):
+        root = _kernels.wilson_tree(g.indptr, g.indices, g.weights, rng, parent, wpar)
+        order, _ = reference_order_depth(root, parent.tolist())
+        xi_cum = reference_subtree_sums(parent, order, xi)
+        mask = np.arange(g.n) != root
+        if np.any(np.abs(xi_cum[mask]) <= tol):
+            return True
+    return False
+
+
 def reference_tree_path(t, x, y):
     """The scalar three-phase walk: deeper end up, the other end up, then both
     ends up until they meet. Test-only copy of the walk the library replaced

@@ -6,7 +6,7 @@ import pytest
 
 import treeot as ot
 from treeot import fileio
-from treeot.cli import export_dot, main
+from treeot.cli import _build_parser, export_dot, main
 
 from conftest import LINE6_XI, line6_edges, run_python
 
@@ -71,6 +71,37 @@ class TestGrid:
         img.write_text("1,2\n", encoding="utf-8")
         assert run_cli("grid", "--p", "2", "--image-csv", str(img),
                        "--out-dir", str(tmp_path / "g")) == 2
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; later calls must act as
+    they would in a fresh process."""
+
+    def test_calls_share_one_parser(self):
+        assert _build_parser() is _build_parser()
+
+    def test_image_files_do_not_leak_into_the_next_call(self, tmp_path):
+        for name, text in (("mu.csv", "1,0\n0,0\n"), ("nu.csv", "0,0\n0,3\n")):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        images = ["--image-csv", str(tmp_path / "mu.csv"), "--image-csv", str(tmp_path / "nu.csv")]
+        assert run_cli("grid", "--p", "2", *images, "--out-dir", str(tmp_path / "a")) == 0
+        assert run_cli("grid", "--p", "2", "--out-dir", str(tmp_path / "b")) == 0
+        fresh = tmp_path / "fresh"
+        argv = ["grid", "--p", "2", "--out-dir", str(fresh)]
+        proc = run_python(f"import sys; from treeot.cli import main; sys.exit(main({argv!r}))")
+        assert proc.returncode == 0, proc.stderr
+        for name in ("graph.json", "mu.json", "nu.json"):
+            assert (tmp_path / "b" / name).read_bytes() == (fresh / name).read_bytes()
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["inputs"] == {"image_csv": []}
+        assert fileio.load_measure(tmp_path / "a" / "mu.json", 4).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_bad_arguments_then_good_ones(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--p", "two", "--out-dir", str(tmp_path / "a")])
+        assert exc.value.code == 2
+        assert run_cli("grid", "--p", "2", "--out-dir", str(tmp_path / "b")) == 0
+        assert (tmp_path / "b" / "mu.json").exists() and not (tmp_path / "a").exists()
 
 
 class TestAnnealCommand:
@@ -301,6 +332,22 @@ def test_bad_argument_exits_2(line6_files, capsys, command, flag, value):
     assert run_cli(*argv) == 2  # an exception escaping main would be a traceback
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["true", "1.5"])
+@pytest.mark.parametrize("field", ["max_iters", "seed", "window", "record_every", "recompute_every"])
+def test_non_integer_config_field_exits_2(line6_files, capsys, field, value):
+    d = line6_files
+    (d / "cfg.json").write_text(f'{{"{field}": {value}}}', encoding="utf-8")
+    argv = ["anneal", "--config", str(d / "cfg.json"), "--out-dir", str(d / "run"),
+            "--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")]
+    if field != "max_iters":
+        argv += ["--iters", "10"]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: bad annealing config: {field} must be an integer, not {json.loads(value)!r}"]
 
 
 class TestPlanPotentialCommands:

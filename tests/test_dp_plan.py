@@ -380,7 +380,7 @@ errors = []
 t = line_tree(3, 2)
 for xi in INCONSISTENT:
     try:
-        _kernels.plan_kernel()(t.parent, t.order, np.array(xi), 1e-14)
+        _kernels.kernels().dp_plan(t.parent, t.order, np.array(xi), 1e-14)
         errors.append(None)
     except RuntimeError as exc:
         errors.append(str(exc))
@@ -506,7 +506,7 @@ class TestPlanGuards:
         ([3, 2, -1], [0, 1, 2]),   # parent out of range
     ])
     def test_malformed_tree_is_rejected(self, parent, order):
-        kernel = _kernels.plan_kernel()
+        kernel = _kernels.kernels().dp_plan
         with pytest.raises(ValueError, match="plan kernel"):
             kernel(np.array(parent, dtype=np.int64), np.array(order, dtype=np.int64), np.zeros(3), 0.0)
 

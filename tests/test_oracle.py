@@ -266,10 +266,10 @@ from treeot import _kernels
 from test_oracle import bits, flow_inputs, solution_bits, unreachable_inputs
 with open(sys.argv[1], "rb") as f:
     corpus = pickle.load(f)
-flows = [bits(*_kernels.flow_kernel()(*flow_inputs(d, mu, nu))) for d, mu, nu in corpus]
+flows = [bits(*_kernels.kernels().exact_flow(*flow_inputs(d, mu, nu))) for d, mu, nu in corpus]
 solutions = [solution_bits(ot.exact_k_distance(d, mu, nu)) for d, mu, nu in corpus]
 try:
-    _kernels.flow_kernel()(*unreachable_inputs())
+    _kernels.kernels().exact_flow(*unreachable_inputs())
     error = None
 except RuntimeError as exc:
     error = str(exc)
@@ -289,7 +289,7 @@ def flow_parity_runs(tmp_path_factory):
     path = tmp_path_factory.mktemp("flow-parity") / "corpus.pickle"
     path.write_bytes(pickle.dumps(corpus))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernels, "flow_kernel", lambda: _kernels.exact_flow)
+        patch.setattr(_kernels, "kernels", _kernels._load_python)
         solutions = [solution_bits(ot.exact_k_distance(d, mu, nu)) for d, mu, nu in corpus]
     with pytest.raises(RuntimeError) as info:
         _kernels.exact_flow(*unreachable_inputs())

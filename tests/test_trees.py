@@ -1,21 +1,66 @@
 
+import hashlib
+import json
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import treeot as ot
 from treeot import _kernels
 from treeot.errors import EdgeNotInGraphError, HasCycleError, NotSpanningError
+from treeot.trees import _from_parent_array
 
 from conftest import (
     c_compiler_found,
+    compiled_backends,
     line6_edges,
     line_graph,
     random_connected_graph,
+    random_measure_pair,
     random_tree_graph,
+    reference_balanced_subtree,
     reference_order_depth,
+    reference_subtree_sums,
     reference_tree_distance,
     reference_tree_path,
+    reference_tree_potential,
+    run_python,
 )
+
+
+def pass_measures(rng, n, kind):
+    """A measure pair on n vertices: random masses, integer masses with
+    zero-mass vertices (exact zero subtree sums), or mu == nu."""
+    if kind == 0:
+        return random_measure_pair(rng, n)
+    if kind == 1:
+        mu = rng.integers(0, 3, n).astype(float)
+        nu = rng.integers(0, 3, n).astype(float)
+        mu[0] += mu.sum() == 0.0
+        nu[-1] += nu.sum() == 0.0
+        return mu / mu.sum(), nu / nu.sum()
+    mu = random_measure_pair(rng, n)[0]
+    return mu, mu
+
+
+@pytest.fixture(scope="module")
+def pass_trees():
+    """(tree, mu, nu) for the tree-pass checks: trees of random graphs with
+    n = 1..80, each also rerooted at a random vertex, and Wilson trees of the
+    8x8, 10x10 and 32x32 lattices; 1020 trees."""
+    rng = np.random.default_rng(3)
+    trees = []
+    for n in range(1, 81):
+        for _ in range(5):
+            g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n + 1)) * (n > 1))
+            t = ot.random_spanning_tree(g, rng)
+            trees += [t, ot.reroot(t, int(rng.integers(0, n)))]
+    for p, count in ((8, 100), (10, 100), (32, 20)):
+        g = ot.grid_graph(p)
+        trees += [ot.random_spanning_tree(g, rng) for _ in range(count)]
+    return [(t, *pass_measures(rng, t.n, k % 3)) for k, t in enumerate(trees)]
 
 
 class TestRootTree:
@@ -61,17 +106,8 @@ class TestRootTree:
         below = t.parent >= 0
         assert np.all(rank[t.parent[below]] > rank[below])
 
-    def test_order_and_depth_match_the_child_list_walk(self):
-        rng = np.random.default_rng(3)
-        trees = []
-        for n in range(1, 81):
-            for _ in range(5):
-                g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n + 1)) * (n > 1))
-                t = ot.random_spanning_tree(g, rng)
-                trees += [t, ot.reroot(t, int(rng.integers(0, n)))]
-        for p, count in ((8, 100), (10, 100), (32, 20)):
-            g = ot.grid_graph(p)
-            trees += [ot.random_spanning_tree(g, rng) for _ in range(count)]
+    def test_order_and_depth_match_the_child_list_walk(self, pass_trees):
+        trees = [t for t, _, _ in pass_trees]
         assert len(trees) >= 1000
         for t in trees:
             order, depth = reference_order_depth(t.root, t.parent.tolist())
@@ -257,7 +293,7 @@ def draw_tree(kernel, g, seed):
 def c_wilson():
     if not c_compiler_found():
         pytest.skip("no C compiler on PATH")
-    return _kernels._load_c()[1]
+    return _kernels._load_c().wilson_tree
 
 
 class TestWilsonBackends:
@@ -290,3 +326,168 @@ class TestWilsonBackends:
         with pytest.raises(ValueError, match="indptr"):
             c_wilson(indptr, np.array([1, 2], dtype=np.int64), np.ones(2), np.random.default_rng(0),
                      np.empty(3, dtype=np.int64), np.empty(3))
+
+
+def bits(*arrays):
+    """Bit-exact fingerprint of arrays (float64 values compared as their bit
+    patterns, so -0.0 and 0.0 differ)."""
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()[:20]
+
+
+def sampler_instances():
+    """(graph, mu, nu) for the sampled weak non-degeneracy check: lattices and
+    random graphs with 23 to 40 vertices, above the exhaustive scan's cap.
+    Random masses hold; integer masses, zero-mass vertices and mu == nu on a
+    vertex subset give balanced subtrees."""
+    out = []
+    for i in range(320):
+        rng = np.random.default_rng(9000 + i)
+        if i % 4 == 0:
+            g = ot.grid_graph(5 + i % 3)
+        else:
+            n = int(rng.integers(23, 41))
+            g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
+        n = g.n
+        kind = i % 5
+        mu, nu = random_measure_pair(rng, n)
+        if kind == 2:
+            mu = rng.integers(0, 4, n).astype(float)
+            nu = rng.integers(0, 4, n).astype(float)
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+        elif kind == 3:
+            zero = rng.random(n) < 0.2
+            mu[zero] = nu[zero] = 0.0
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+        elif kind == 4:
+            rest = rng.random(n) < 0.5
+            nu = mu.copy()
+            nu[rest] = rng.random(int(rest.sum())) + 1e-3
+            nu[rest] *= mu[rest].sum() / nu[rest].sum()
+        out.append((g, mu, nu))
+    return out
+
+
+TREE_PASS_SCRIPT = """
+import json, pickle, sys
+import numpy as np
+sys.path.insert(0, TESTS_DIR)
+import treeot as ot
+from treeot import _kernels
+from treeot.trees import _from_parent_array
+from test_trees import bits
+with open(sys.argv[1], "rb") as f:
+    trees, samplers = pickle.load(f)
+passes = []
+for root, parent, wpar, mu, nu in trees:
+    t = _from_parent_array(root, parent, wpar)
+    sums = ot.subtree_aggregate(t, ot.imbalance(mu, nu))
+    potentials = [ot.tree_potential(t, mu, nu, sign_at_zero=s).values for s in (1, -1)]
+    passes.append(bits(t.order, t.depth, sums, *potentials))
+verdicts = []
+for g, mu, nu in samplers:
+    rng = np.random.default_rng(0)
+    found = _kernels.kernels().balanced_subtree(g.indptr, g.indices, g.weights, rng,
+                                                ot.imbalance(mu, nu), 32, 1e-12)
+    verdicts.append([ot.check_weak_nondegeneracy(mu, nu, g).holds, found, rng.random()])
+print(json.dumps({"backend": ot.kernel_backend(), "passes": passes, "verdicts": verdicts}))
+"""
+
+
+@pytest.fixture(scope="module")
+def tree_pass_runs(tmp_path_factory, pass_trees):
+    """The reference loops' fingerprints and verdicts, and a function that
+    runs the tree-pass script on a backend (once per backend) and returns its
+    output and, for the python backend, the empty kernel cache it ran with."""
+    samplers = sampler_instances()
+    trees = [(t.root, t.parent, t.weight_to_parent, mu, nu) for t, mu, nu in pass_trees]
+    path = tmp_path_factory.mktemp("tree-pass") / "corpus.pickle"
+    path.write_bytes(pickle.dumps((trees, samplers)))
+    passes = []
+    for root, parent, wpar, mu, nu in trees:
+        order, depth = reference_order_depth(root, parent.tolist())
+        sums = reference_subtree_sums(parent, order, ot.imbalance(mu, nu))
+        potentials = [reference_tree_potential(parent, order, wpar, sums, s) for s in (1, -1)]
+        passes.append(bits(order, depth, sums, *potentials))
+    verdicts = []
+    for g, mu, nu in samplers:
+        # check_weak_nondegeneracy draws from default_rng(0); where the
+        # draws stop shows in the generator's next number
+        rng = np.random.default_rng(0)
+        found = reference_balanced_subtree(g, ot.imbalance(mu, nu), rng)
+        verdicts.append([not found, found, rng.random()])
+    reference = {"passes": passes, "verdicts": verdicts}
+    runs = {}
+
+    def run(backend):
+        if backend not in runs:
+            env = {}
+            if backend == "python":
+                env["TREEOT_CACHE_DIR"] = str(tmp_path_factory.mktemp("cache-python"))
+            proc = run_python(TREE_PASS_SCRIPT, backend, argv=[str(path)], **env)
+            assert proc.returncode == 0, proc.stderr
+            runs[backend] = json.loads(proc.stdout), env.get("TREEOT_CACHE_DIR")
+        return runs[backend]
+
+    return reference, run
+
+
+BACKENDS = ["python", *compiled_backends()]
+
+
+class TestTreePassParity:
+    """``tree_order``, ``subtree_sums``, ``tree_potential`` and
+    ``balanced_subtree`` give the former Python loops' results bit for bit on
+    every backend."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_orders_sums_and_potentials_match_the_loops(self, backend, tree_pass_runs):
+        reference, run = tree_pass_runs
+        out, _ = run(backend)
+        assert out["backend"] == backend
+        assert len(out["passes"]) == len(reference["passes"]) >= 1000
+        mismatched = [i for i, (a, b) in enumerate(zip(out["passes"], reference["passes"])) if a != b]
+        assert not mismatched, f"{len(mismatched)} trees differ, first at corpus index {mismatched[0]}"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sampled_verdicts_match_the_loop(self, backend, tree_pass_runs):
+        reference, run = tree_pass_runs
+        out, _ = run(backend)
+        assert out["verdicts"] == reference["verdicts"]
+        holds = [v[0] for v in reference["verdicts"]]
+        assert len(holds) >= 300 and sum(holds) >= 100 and len(holds) - sum(holds) >= 100
+
+    def test_python_backend_builds_nothing(self, tree_pass_runs):
+        out, cache = tree_pass_runs[1]("python")
+        assert out["backend"] == "python"
+        assert not any(Path(cache).iterdir())
+
+
+MALFORMED_LINKS = [
+    pytest.param(0, [1, 0], id="two-cycle-through-the-root"),
+    pytest.param(0, [1, 0, 0], id="root-with-a-parent"),
+    pytest.param(0, [-1, 2, 1], id="cycle-away-from-the-root"),
+    pytest.param(0, [-1, -1, 0], id="second-root"),
+    pytest.param(1, [-1, 0], id="root-not-the-top"),
+    pytest.param(0, [-1, 3, 0], id="link-out-of-range"),
+    pytest.param(0, [-1, -2], id="negative-link"),
+    pytest.param(3, [-1, 0], id="root-out-of-range"),
+]
+
+
+@pytest.fixture(scope="module", params=BACKENDS)
+def order_kernel(request):
+    if request.param == "python":
+        return _kernels._load_python().tree_order
+    return _kernels._load_c().tree_order
+
+
+class TestMalformedLinks:
+    @pytest.mark.parametrize("root, parent", MALFORMED_LINKS)
+    def test_backend_reports_not_spanning(self, order_kernel, root, parent):
+        with pytest.raises(NotSpanningError, match="not a tree rooted at"):
+            order_kernel(root, np.array(parent, dtype=np.int64))
+
+    @pytest.mark.parametrize("root, parent", MALFORMED_LINKS)
+    def test_tree_build_reports_not_spanning(self, root, parent):
+        with pytest.raises(NotSpanningError):
+            _from_parent_array(root, np.array(parent, dtype=np.int64), np.ones(len(parent)))
