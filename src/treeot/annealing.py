@@ -157,11 +157,8 @@ def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResul
     if max_drift > 1e-6:
         raise RuntimeError(f"incremental cost drifted by {max_drift:.3e}")
 
-    trace = [
-        TraceRecord(int(trace_iter[k]), float(trace_cur[k]), float(trace_best[k]),
-                    float(trace_beta[k]), float(trace_acc[k]))
-        for k in range(records)
-    ]
+    columns = (trace_iter, trace_cur, trace_best, trace_beta, trace_acc)
+    trace = list(map(TraceRecord._make, zip(*(a[:records].tolist() for a in columns))))
     return AnnealResult(
         best_tree=_from_parent_array(int(best_root), best_parent, best_wpar),
         best_cost=float(best),

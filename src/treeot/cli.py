@@ -33,12 +33,12 @@ from .oracle import (
     potential_match_up_to_constant,
 )
 from .transport import (
+    _plan_from_entries,
     as_measure,
     beckmann_flow,
     cumulative_imbalance,
     dp_transport_plan,
     imbalance,
-    make_plan,
     plan_cost,
     plan_to_flow,
     tree_k_distance,
@@ -136,7 +136,7 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, config: dict, out
         "wall_clock_s": time.time() - started,
         "outputs": outputs,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    fileio._write_text(out_dir / "manifest.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_grid(args) -> int:
@@ -257,15 +257,15 @@ def cmd_plan(args) -> int:
     flow = plan_to_flow(plan, t)
     lines = ["vertex,parent,up,down"]
     lines.extend(
-        f"{v},{int(t.parent[v])},{float(flow.up[v])!r},{float(flow.down[v])!r}"
-        for v in range(t.n)
-        if t.parent[v] >= 0
+        f"{v},{p},{up!r},{down!r}"
+        for v, (p, up, down) in enumerate(zip(t.parent.tolist(), flow.up.tolist(), flow.down.tolist()))
+        if p >= 0
     )
-    (out_dir / "flow.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fileio._write_text(out_dir / "flow.csv", "\n".join(lines) + "\n")
     xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
     lines = ["vertex,xi_cum"]
-    lines.extend(f"{v},{float(xi_cum[v])!r}" for v in range(t.n))
-    (out_dir / "xi.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend(f"{v},{x!r}" for v, x in enumerate(xi_cum.tolist()))
+    fileio._write_text(out_dir / "xi.csv", "\n".join(lines) + "\n")
     cost = tree_k_distance(t, mu, nu)
     _write_manifest(
         out_dir,
@@ -324,7 +324,7 @@ def cmd_verify(args) -> int:
     text = json.dumps(verdict, sort_keys=True, indent=2)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        fileio._write_text(args.out, text + "\n")
     return 0 if verdict["all_passed"] else 3
 
 
@@ -363,7 +363,7 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         neg = max(0.0, -float(masses.min())) if masses.size else 0.0
         add("plan_nonnegative", neg, 0.0)
         if neg == 0.0:
-            plan = make_plan(g.n, triplets)
+            plan = _plan_from_entries(g.n, triplets)
     # graph distances: only the plan's checks and the exact solver read them
     dist = all_pairs_shortest_paths(g) if plan is not None or exact else None
     if plan is not None:
@@ -435,10 +435,10 @@ def cmd_export_dot(args) -> int:
     tree = fileio.load_tree(args.tree, g) if args.tree else None
     plan = None
     if args.plan:
-        plan = make_plan(g.n, fileio.load_plan_triplets(args.plan))
+        plan = _plan_from_entries(g.n, fileio.load_plan_triplets(args.plan))
     text = export_dot(g, tree, plan)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        fileio._write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

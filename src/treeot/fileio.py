@@ -8,13 +8,16 @@ Potential (CSV):   header "vertex,u"
 Trace (CSV):       header "iter,current_cost,best_cost,beta,accept_rate"
 
 Numbers are written in shortest round-trip decimal form and files end with a
-newline. Parsers reject trailing garbage.
+newline. Parsers reject trailing garbage. Every output is written by
+:func:`_write_text`: in place, then cut to length.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,32 @@ from .trees import RootedTree, root_tree
 
 def _read_text(path) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``: over the old bytes in place, then
+    cut the file to the length written where it was longer. Truncating a
+    file to zero before writing it makes some file systems (ext4 with
+    ``auto_da_alloc``) flush it on close; cutting it afterwards does not. As
+    with truncation, a write that fails part way leaves the prefix of the new
+    text written so far and no old bytes after it. Symlinks are followed, a
+    new file gets mode 0o666 less the umask, and a file that is not regular
+    (a FIFO, ``/dev/null``) is never cut."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = old_size = 0
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode):
+            old_size = info.st_size
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if old_size > written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def _parse_json(path):
@@ -45,9 +74,15 @@ def _integer(path, value, what: str) -> int:
 
 def _edge_rows(path, edges, fields: str) -> list[list]:
     """The rows of ``edges`` as lists of ``len(fields)`` entries: integer
-    endpoints u and v, and a number w where ``fields`` is "uvw"."""
+    endpoints u and v, and a number w where ``fields`` is "uvw". Rows and
+    columns are checked by type; only a failed check searches the rows, for
+    the first bad one."""
     if not isinstance(edges, list):
         raise FormatError(f"{path}: 'edges' must be a list, got {edges!r}")
+    if {type(row) for row in edges} <= {list} and {len(row) for row in edges} <= {len(fields)}:
+        allowed = ({int}, {int}, {int, float})
+        if all({type(x) for x in column} <= ok for column, ok in zip(zip(*edges), allowed)):
+            return edges
     for row in edges:
         if not isinstance(row, list) or len(row) != len(fields):
             raise FormatError(f"{path}: edge {row!r} is not a list [{', '.join(fields)}]")
@@ -62,7 +97,7 @@ def save_graph(path, g: WeightedGraph, labels: list[str] | None = None) -> None:
     doc = {"n": g.n, "edges": [[u, v, w] for u, v, w in g.edges]}
     if labels is not None:
         doc["labels"] = list(labels)
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(doc) + "\n")
 
 
 def load_graph(path) -> WeightedGraph:
@@ -80,9 +115,8 @@ def load_graph(path) -> WeightedGraph:
 
 
 def save_tree(path, t: RootedTree) -> None:
-    edges = sorted((int(u), int(v)) for u, v in t.edge_set())
-    doc = {"root": int(t.root), "edges": [[u, v] for u, v in edges]}
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    doc = {"root": int(t.root), "edges": sorted(t.edge_set())}
+    _write_text(path, json.dumps(doc) + "\n")
 
 
 def load_tree(path, g: WeightedGraph) -> RootedTree:
@@ -94,12 +128,11 @@ def load_tree(path, g: WeightedGraph) -> RootedTree:
 
 
 def save_measure(path, values) -> None:
-    path = Path(path)
     values = [float(v) for v in values]
-    if path.suffix == ".csv":
-        path.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
+    if Path(path).suffix == ".csv":
+        _write_text(path, "".join(f"{v!r}\n" for v in values))
     else:
-        path.write_text(json.dumps(values) + "\n", encoding="utf-8")
+        _write_text(path, json.dumps(values) + "\n")
 
 
 def load_measure_raw(path, n: int) -> np.ndarray:
@@ -116,9 +149,10 @@ def load_measure_raw(path, n: int) -> np.ndarray:
         values = _parse_json(path)
         if not isinstance(values, list):
             raise FormatError(f"{path}: expected a JSON array")
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise FormatError(f"{path}: measure entry must be a number, got {v!r}")
+        if not {type(v) for v in values} <= {int, float}:
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise FormatError(f"{path}: measure entry must be a number, got {v!r}")
     if len(values) != n:
         raise BadDimensionsError(f"{path}: {len(values)} values for {n} vertices")
     values = np.asarray(values, dtype=np.float64)
@@ -134,7 +168,7 @@ def load_measure(path, n: int, normalize: bool = True) -> np.ndarray:
 def save_plan(path, plan: TransportPlan) -> None:
     lines = ["x,y,mass"]
     lines.extend(f"{x},{y},{m!r}" for x, y, m in plan.entries())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_plan_triplets(path) -> list[tuple[int, int, float]]:
@@ -162,8 +196,8 @@ def load_plan_triplets(path) -> list[tuple[int, int, float]]:
 
 def save_potential(path, u: Potential) -> None:
     lines = ["vertex,u"]
-    lines.extend(f"{v},{float(val)!r}" for v, val in enumerate(u.values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend(f"{v},{val!r}" for v, val in enumerate(np.asarray(u.values, dtype=np.float64).tolist()))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_potential(path, n: int) -> Potential:
@@ -198,11 +232,8 @@ def load_potential(path, n: int) -> Potential:
 
 def save_trace(path, trace: list[TraceRecord]) -> None:
     lines = ["iter,current_cost,best_cost,beta,accept_rate"]
-    lines.extend(
-        f"{r.iter},{r.current_cost!r},{r.best_cost!r},{r.beta!r},{r.accept_rate!r}"
-        for r in trace
-    )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend(f"{i},{cur!r},{best!r},{beta!r},{rate!r}" for i, cur, best, beta, rate in trace)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_image_csv(path, p: int) -> np.ndarray:

@@ -210,8 +210,8 @@ def check_vertex_support(plan: TransportPlan) -> dict:
     """
     n = plan.n
     proper = {
-        (int(min(x, y)), int(max(x, y)))
-        for x, y in zip(plan.rows, plan.cols)
+        (x, y) if x < y else (y, x)
+        for x, y in zip(plan.rows.tolist(), plan.cols.tolist())
         if x != y
     }
     root_of = list(range(n))

@@ -176,7 +176,7 @@ class TransportPlan:
         return out
 
     def entries(self) -> list[tuple[int, int, float]]:
-        return [(int(x), int(y), float(m)) for x, y, m in zip(self.rows, self.cols, self.mass)]
+        return list(zip(self.rows.tolist(), self.cols.tolist(), self.mass.tolist()))
 
 
 def make_plan(n: int, triplets) -> TransportPlan:
@@ -184,7 +184,11 @@ def make_plan(n: int, triplets) -> TransportPlan:
     zeros, rejects negative and non-finite masses, sorts lexicographically.
     Indices must be Python or numpy integers; a float or bool index raises
     ``VertexRangeError`` before any other check."""
-    entries = [(*_indices(x, y), float(m)) for x, y, m in triplets]
+    return _plan_from_entries(n, [(*_indices(x, y), float(m)) for x, y, m in triplets])
+
+
+def _plan_from_entries(n: int, entries) -> TransportPlan:
+    """:func:`make_plan` over (int, int, float) triplets."""
     try:
         columns = np.array(entries, dtype=np.float64).reshape(-1, 3)
     except OverflowError:  # an index beyond float range, hence out of range

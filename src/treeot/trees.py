@@ -36,7 +36,7 @@ class RootedTree:
         """Undirected edges as canonical (min, max) pairs."""
         return {
             (v, p) if v < p else (p, v)
-            for v, p in enumerate(self.parent)
+            for v, p in enumerate(self.parent.tolist())
             if p >= 0
         }
 
@@ -69,38 +69,40 @@ def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
         raise HasCycleError(f"{len(pairs)} edges on {n} vertices cannot be acyclic")
     if len(pairs) < n - 1:
         raise NotSpanningError(f"{len(pairs)} edges cannot span {n} vertices")
-    adjacency: list[list[int]] = [[] for _ in range(n)]
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     seen_pairs = set()
     for u, v in pairs:
-        g.edge_weight(u, v)  # raises EdgeNotInGraphError (also rejects u == v)
         key = (u, v) if u < v else (v, u)
+        w = g.weight_map.get(key)
+        if w is None:
+            g.edge_weight(u, v)  # raises EdgeNotInGraphError (also for u == v)
         if key in seen_pairs:
             raise HasCycleError(f"edge {{{u},{v}}} repeated")
         seen_pairs.add(key)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
 
-    parent = np.full(n, -1, dtype=np.int64)
-    wpar = np.zeros(n, dtype=np.float64)
-    visited = np.zeros(n, dtype=bool)
+    parent = [-1] * n
+    wpar = [0.0] * n
+    visited = [False] * n
     visited[root] = True
     stack = [int(root)]
     reached = 1
     while stack:
         v = stack.pop()
-        for nb in adjacency[v]:
+        for nb, w in adjacency[v]:
             if nb == parent[v]:
                 continue
             if visited[nb]:
                 raise HasCycleError("tree edges contain a cycle")
             visited[nb] = True
             parent[nb] = v
-            wpar[nb] = g.edge_weight(nb, v)
+            wpar[nb] = w
             stack.append(nb)
             reached += 1
     if reached != n:
         raise NotSpanningError("tree edges do not reach every vertex")
-    return _from_parent_array(root, parent, wpar)
+    return _from_parent_array(root, np.array(parent, dtype=np.int64), np.array(wpar, dtype=np.float64))
 
 
 def reroot(t: RootedTree, new_root: int) -> RootedTree:

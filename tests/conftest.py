@@ -21,6 +21,18 @@ import pytest
 
 import treeot as ot
 from treeot import _kernels
+from treeot.errors import (
+    DisconnectedError,
+    DuplicateEdgeError,
+    FormatError,
+    HasCycleError,
+    NonFiniteWeightError,
+    NonPositiveWeightError,
+    NotSpanningError,
+    SelfLoopError,
+    VertexRangeError,
+)
+from treeot.graphs import WeightedGraph
 from treeot.trees import _from_parent_array
 
 LINE6_XI = np.array([0.05, 0.05, -0.2, -0.1, -0.1, 0.3])
@@ -263,6 +275,127 @@ def reference_plan_to_flow(plan, t):
             else:
                 down[b] += m
     return up, down
+
+
+def reference_build_graph(vertex_count, edge_list):
+    """``build_graph`` as one loop over the rows, the way it ran before it
+    checked whole columns: each row is read, range-checked, loop-checked,
+    weight-checked and looked up among the rows before it, in that order, so
+    the first bad row raises."""
+    n = int(vertex_count)
+    if n <= 0:
+        raise VertexRangeError("vertex_count must be positive")
+    weight_map = {}
+    canonical = []
+    for u, v, w in edge_list:
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(f"edge ({u},{v}) has weight {w}")
+        if w <= 0.0:
+            raise NonPositiveWeightError(f"edge ({u},{v}) has weight {w}")
+        key = (u, v) if u < v else (v, u)
+        if key in weight_map:
+            raise DuplicateEdgeError(f"duplicate edge {{{u},{v}}}")
+        weight_map[key] = w
+        canonical.append((key[0], key[1], w))
+    ends = np.array([(u, v) for u, v, _ in canonical], dtype=np.int64).reshape(-1, 2)
+    tail = np.concatenate([ends[:, 0], ends[:, 1]])
+    head = np.concatenate([ends[:, 1], ends[:, 0]])
+    arcs = np.lexsort((head, tail))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    weights = np.tile(np.array([w for _, _, w in canonical], dtype=np.float64), 2)[arcs]
+    g = WeightedGraph(n=n, edges=tuple(canonical), indptr=indptr, indices=head[arcs],
+                      weights=weights, weight_map=weight_map)
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        for nb in g.neighbors(v):
+            if not seen[nb]:
+                seen[nb] = True
+                stack.append(int(nb))
+    if not seen.all():
+        raise DisconnectedError("graph is not connected")
+    return g
+
+
+def reference_edge_rows(path, edges, fields):
+    """``fileio._edge_rows`` as one loop over the rows: the first row that is
+    not a list of ``len(fields)`` entries, or whose endpoint is not an int or
+    whose weight is not a number (bools excluded), raises."""
+    if not isinstance(edges, list):
+        raise FormatError(f"{path}: 'edges' must be a list, got {edges!r}")
+    for row in edges:
+        if not isinstance(row, list) or len(row) != len(fields):
+            raise FormatError(f"{path}: edge {row!r} is not a list [{', '.join(fields)}]")
+        for x in row[:2]:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise FormatError(f"{path}: an edge endpoint must be an integer, got {x!r}")
+        if fields == "uvw" and (isinstance(row[2], bool) or not isinstance(row[2], (int, float))):
+            raise FormatError(f"{path}: edge weight must be a number, got {row[2]!r}")
+    return edges
+
+
+def reference_root_tree(g, tree_edges, root):
+    """``root_tree`` as it ran over numpy arrays: read the pairs, count them,
+    look each up in the graph and among the pairs before it, then orient by
+    a depth-first walk from ``root`` that raises on the first vertex reached
+    twice and on vertices never reached."""
+    n = g.n
+    if not (0 <= root < n):
+        raise VertexRangeError(f"root {root} out of range")
+    pairs = [(int(u), int(v)) for u, v in tree_edges]
+    if len(pairs) > n - 1:
+        raise HasCycleError(f"{len(pairs)} edges on {n} vertices cannot be acyclic")
+    if len(pairs) < n - 1:
+        raise NotSpanningError(f"{len(pairs)} edges cannot span {n} vertices")
+    adjacency = [[] for _ in range(n)]
+    seen_pairs = set()
+    for u, v in pairs:
+        g.edge_weight(u, v)
+        key = (u, v) if u < v else (v, u)
+        if key in seen_pairs:
+            raise HasCycleError(f"edge {{{u},{v}}} repeated")
+        seen_pairs.add(key)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    parent = np.full(n, -1, dtype=np.int64)
+    wpar = np.zeros(n, dtype=np.float64)
+    visited = np.zeros(n, dtype=bool)
+    visited[root] = True
+    stack = [int(root)]
+    reached = 1
+    while stack:
+        v = stack.pop()
+        for nb in adjacency[v]:
+            if nb == parent[v]:
+                continue
+            if visited[nb]:
+                raise HasCycleError("tree edges contain a cycle")
+            visited[nb] = True
+            parent[nb] = v
+            wpar[nb] = g.edge_weight(nb, v)
+            stack.append(nb)
+            reached += 1
+    if reached != n:
+        raise NotSpanningError("tree edges do not reach every vertex")
+    return _from_parent_array(root, parent, wpar)
+
+
+def raised(func, *args):
+    """``(type, message)`` of the exception ``func(*args)`` raises, or
+    ``None`` when it returns."""
+    try:
+        func(*args)
+    except Exception as exc:  # the type itself is what the callers compare
+        return type(exc), str(exc)
+    return None
 
 
 def blob_image(p, cx, cy, spread):

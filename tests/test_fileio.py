@@ -1,8 +1,16 @@
+import errno
+import io
+import os
+import re
+import stat
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 
 import treeot as ot
 from treeot import fileio
+from treeot.cli import main
 from treeot.errors import (
     BadDimensionsError,
     FormatError,
@@ -10,7 +18,37 @@ from treeot.errors import (
     NonFiniteMassError,
 )
 
-from conftest import random_connected_graph, random_measure_pair
+from conftest import raised, random_connected_graph, random_measure_pair, reference_edge_rows
+
+# (edges, fields) as json.loads gives them; each but the first breaks a
+# rule of _edge_rows, some in several rows or entries
+EDGE_ROWS = {
+    "valid": ([[0, 1, 1.0], [1, 2, 2], [2, 3, 10**30]], "uvw"),
+    "valid-tree": ([[0, 1], [1, 2]], "uv"),
+    "empty": ([], "uvw"),
+    "not-a-list": ({"0": [0, 1, 1.0]}, "uvw"),
+    "null": (None, "uv"),
+    "row-dict": ([[0, 1, 1.0], {"u": 0}], "uvw"),
+    "row-number": ([[0, 1], 3], "uv"),
+    "row-text": ([[0, 1], "01"], "uv"),
+    "row-short": ([[0, 1, 1.0], [1, 2]], "uvw"),
+    "row-long": ([[0, 1], [1, 2, 3.0]], "uv"),
+    "row-empty": ([[0, 1], []], "uv"),
+    "endpoint-bool": ([[0, 1, 1.0], [True, 2, 1.0]], "uvw"),
+    "endpoint-float": ([[0, 1], [1, 2.0]], "uv"),
+    "endpoint-text": ([[0, "1", 1.0]], "uvw"),
+    "endpoint-null": ([[0, 1], [None, 2]], "uv"),
+    "endpoint-list": ([[0, [1], 1.0]], "uvw"),
+    "weight-bool": ([[0, 1, 1.0], [1, 2, False]], "uvw"),
+    "weight-text": ([[0, 1, "1.0"]], "uvw"),
+    "weight-null": ([[0, 1, None]], "uvw"),
+    "v-before-w": ([[0, 1.5, "w"]], "uvw"),
+    "u-before-v": ([[0, 1, 1.0], [True, None, 1.0]], "uvw"),
+    "shape-before-type": ([[0, 1], [1, 2, 3], [True, 2]], "uv"),
+    "type-before-shape": ([[0, 1], [True, 2], [1, 2, 3]], "uv"),
+    "weight-before-endpoint": ([[0, 1, None], [1.5, 2, 1.0]], "uvw"),
+    "endpoint-before-weight": ([[0, 1.5, 1.0], [1, 2, None]], "uvw"),
+}
 
 
 class TestGraphFiles:
@@ -32,6 +70,23 @@ class TestGraphFiles:
         path = tmp_path / "graph.json"
         path.write_text('{"n": 2, "edges": [[0, 1, 1.0]], "labels": ["a"]}', encoding="utf-8")
         with pytest.raises(BadDimensionsError):
+            fileio.load_graph(path)
+
+
+class TestEdgeRows:
+    @pytest.mark.parametrize("name", EDGE_ROWS)
+    def test_rows_are_checked_as_the_row_loop_checked_them(self, name):
+        edges, fields = EDGE_ROWS[name]
+        expected = raised(reference_edge_rows, "g.json", edges, fields)
+        assert raised(fileio._edge_rows, "g.json", edges, fields) == expected
+        if expected is None:
+            assert fileio._edge_rows("g.json", edges, fields) is edges
+
+    def test_graph_file_reports_the_first_bad_row(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2.0, 1.0], [1, true, 1.0]]}',
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=r"an edge endpoint must be an integer, got 2\.0$"):
             fileio.load_graph(path)
 
 
@@ -65,6 +120,14 @@ class TestMeasureFiles:
         path = tmp_path / "m.json"
         path.write_text("[2.0, 2.0]\n", encoding="utf-8")
         assert fileio.load_measure(path, 2).tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("body, bad", [("[0.5, true]", "True"), ('[1, "2", null]', "'2'"),
+                                           ("[null, 1.0]", "None"), ("[[0.5], 0.5]", "[0.5]")])
+    def test_first_non_number_named(self, tmp_path, body, bad):
+        path = tmp_path / "m.json"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"measure entry must be a number, got {re.escape(bad)}$"):
+            fileio.load_measure_raw(path, 2)
 
     def test_wrong_length(self, tmp_path):
         path = tmp_path / "m.json"
@@ -151,3 +214,77 @@ class TestImageCsv:
         path.write_text("1,2\n3,4\n", encoding="utf-8")
         img = fileio.load_image_csv(path, 2)
         assert img.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+class TestWriter:
+    """``fileio._write_text`` writes in place and then cuts the file to the
+    length written."""
+
+    @pytest.mark.parametrize("new", ["vertex,u\n0,0.0\n", "vertex,u\n" + "0,0.125\n" * 499 + "0,0.25\n"])
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path, new):
+        path = tmp_path / "potential.csv"
+        fileio._write_text(path, "vertex,u\n" + "0,0.125\n" * 500)
+        fileio._write_text(path, new)
+        assert path.read_bytes() == new.encode("utf-8")
+
+    def test_longer_rewrite_is_written_in_full(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text("[]\n", encoding="utf-8")
+        text = '{"labels": ["' + "é中" * 200_000 + '"]}\n'
+        fileio._write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_write_through_a_symlink_updates_its_target(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("x,y,mass\n0,1,0.5\n1,0,0.5\n", encoding="utf-8")
+        link = tmp_path / "plan.csv"
+        link.symlink_to(target)
+        fileio._write_text(link, "x,y,mass\n")
+        assert link.is_symlink() and target.read_bytes() == b"x,y,mass\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_modes_match_a_plain_text_write(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            fileio._write_text(tmp_path / "new.json", "{}\n")
+            (tmp_path / "plain.json").write_text("{}\n", encoding="utf-8")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "new.json").stat().st_mode)
+        assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.json").stat().st_mode)
+        os.chmod(tmp_path / "new.json", 0o600)
+        fileio._write_text(tmp_path / "new.json", "[]\n")
+        assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o600
+
+    def test_failed_write_keeps_the_bytes_written(self, tmp_path, monkeypatch):
+        argv = ["grid", "--p", "3", "--seed", "4", "--noise-sigma", "auto", "--out-dir"]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv + [str(tmp_path / "fresh")]) == 0
+        full = (tmp_path / "fresh" / "graph.json").read_bytes()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "graph.json").write_bytes(b"#" * (3 * len(full)))
+        real_write, calls = os.write, []
+
+        def write_part_then_fail(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[:10])
+
+        monkeypatch.setattr(os, "write", write_part_then_fail)
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(argv + [str(out)])
+        monkeypatch.undo()
+        assert code == 2 and len(calls) == 2
+        assert stderr.getvalue().splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert (out / "graph.json").read_bytes() == full[:10]
+
+    def test_outputs_to_a_device(self, tmp_path):
+        with redirect_stdout(io.StringIO()):
+            assert main(["grid", "--p", "2", "--out-dir", str(tmp_path)]) == 0
+            files = ["--graph", str(tmp_path / "graph.json"), "--mu", str(tmp_path / "mu.json"),
+                     "--nu", str(tmp_path / "nu.json")]
+            assert main(["verify", *files, "--out", os.devnull]) == 0
+            assert main(["export-dot", "--graph", str(tmp_path / "graph.json"), "--out", os.devnull]) == 0

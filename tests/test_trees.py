@@ -19,9 +19,11 @@ from conftest import (
     line_graph,
     random_connected_graph,
     random_measure_pair,
+    raised,
     random_tree_graph,
     reference_balanced_subtree,
     reference_order_depth,
+    reference_root_tree,
     reference_subtree_sums,
     reference_tree_distance,
     reference_tree_path,
@@ -63,7 +65,63 @@ def pass_trees():
     return [(t, *pass_measures(rng, t.n, k % 3)) for k, t in enumerate(trees)]
 
 
+CHORDED_RING = [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 1.0), (3, 4, 2.0), (4, 5, 0.75), (5, 0, 1.5),
+                (1, 4, 3.0), (0, 3, 0.125)]
+RING_PATH = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+
+# (tree edges, root) on CHORDED_RING that root_tree rejects; several break
+# more than one rule, so the order of its checks decides the error
+MALFORMED_TREES = {
+    "root-n": (RING_PATH, 6),
+    "root-negative": (RING_PATH, -1),
+    "too-many-edges": (RING_PATH + [(5, 0)], 0),
+    "too-few-edges": (RING_PATH[:4], 0),
+    "foreign-edge": ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)], 0),
+    "foreign-vertex": ([(0, 1), (1, 2), (2, 9), (3, 4), (4, 5)], 0),
+    "self-edge": ([(0, 1), (1, 2), (3, 3), (3, 4), (4, 5)], 0),
+    "repeated-same-way": ([(0, 1), (1, 2), (0, 1), (3, 4), (4, 5)], 0),
+    "repeated-reversed": ([(0, 1), (1, 2), (2, 1), (3, 4), (4, 5)], 0),
+    "repeated-before-foreign": ([(0, 1), (1, 0), (0, 2), (3, 4), (4, 5)], 0),
+    "foreign-before-repeated": ([(0, 2), (0, 1), (1, 0), (3, 4), (4, 5)], 0),
+    "cycle-at-root": ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], 0),
+    "cycle-below-root": ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], 2),
+    "cycle-away-from-root": ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], 5),
+    "chord-cycle": ([(0, 1), (1, 4), (3, 4), (0, 3), (4, 5)], 4),
+    "unreached": ([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)], 4),
+    "short-row": ([(0, 1), (1,), (2, 3), (3, 4), (4, 5)], 0),
+    "long-row": ([(0, 1), (1, 2, 3), (2, 3), (3, 4), (4, 5)], 0),
+    "row-not-iterable": ([(0, 1), 7, (2, 3), (3, 4), (4, 5)], 0),
+    "endpoint-none": ([(0, 1), (None, 2), (2, 3), (3, 4), (4, 5)], 0),
+}
+
+
 class TestRootTree:
+    @pytest.mark.parametrize("name", MALFORMED_TREES)
+    def test_malformed_trees_raise_as_before(self, name):
+        g = ot.build_graph(6, CHORDED_RING)
+        edges, root = MALFORMED_TREES[name]
+        expected = raised(reference_root_tree, g, edges, root)
+        assert expected is not None
+        assert raised(ot.root_tree, g, edges, root) == expected
+
+    def test_valid_trees_orient_as_before(self):
+        rng = np.random.default_rng(29)
+        cases = [(ot.build_graph(6, CHORDED_RING), [(True, 2.7), (1, 0), (3.0, 2), (4, 3), (5, 4)], 0),
+                 (ot.build_graph(6, CHORDED_RING), RING_PATH, np.int64(3)),
+                 (ot.build_graph(1, []), [], 0)]
+        for _ in range(200):
+            g = random_connected_graph(rng, int(rng.integers(2, 40)), extra_edges=5)
+            t = ot.random_spanning_tree(g, rng)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edge_set()]
+            cases.append((g, [edges[i] for i in rng.permutation(len(edges))], int(rng.integers(g.n))))
+        for g, edges, root in cases:
+            t, ref = ot.root_tree(g, edges, root), reference_root_tree(g, edges, root)
+            assert t.root == ref.root and type(t.root) is int
+            for name in ("parent", "weight_to_parent", "order", "depth"):
+                a, b = getattr(t, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+
+
     def test_line_rooted_at_end(self):
         g = line_graph(6)
         t = ot.root_tree(g, line6_edges(), 5)
