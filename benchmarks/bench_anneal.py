@@ -2,8 +2,10 @@
 
 The backend is chosen by TREEOT_BACKEND when the kernel is first used, so
 each backend runs in a subprocess. The C backend, where it loads, is timed
-against the plain-Python kernel, and its trace must equal the Python trace bit
-for bit. Usage:
+against the plain-Python kernel, and its trace, iterations run and stop
+reason must equal the Python ones bit for bit. ``--iters`` is a budget: a
+chain stops sooner once its best tree is certified optimal, so iterations/s
+count the iterations run. Usage:
 
     python benchmarks/bench_anneal.py [--p 7] [--iters 200000] [--seed 0]
 
@@ -37,7 +39,9 @@ dt = time.perf_counter() - t0
 print(json.dumps({
     "backend": ot.kernel_backend(),
     "seconds": dt,
-    "iters_per_second": iters / dt,
+    "iters_run": res.iters_run,
+    "stop_reason": res.stop_reason,
+    "iters_per_second": res.iters_run / dt,
     "trace": [[r.iter, r.current_cost.hex(), r.best_cost.hex(), r.beta.hex(), r.accept_rate.hex()]
               for r in res.trace],
 }))
@@ -64,7 +68,8 @@ def run_backend(name: str, payload) -> dict | None:
     report = json.loads(proc.stdout)
     if report["backend"] != name:
         raise RuntimeError(f"asked for backend {name}, ran {report['backend']}")
-    print(f"  {name:8} : {report['seconds']:8.3f} s  ({report['iters_per_second']:12.0f} it/s)")
+    print(f"  {name:8} : {report['seconds']:8.3f} s  ({report['iters_per_second']:12.0f} it/s), "
+          f"{report['iters_run']} iterations, stopped: {report['stop_reason']}")
     return report
 
 
@@ -83,7 +88,7 @@ def main() -> int:
         report = run_backend(name, payload)
         if report is None:
             continue
-        same = report["trace"] == plain["trace"]
+        same = all(report[k] == plain[k] for k in ("trace", "iters_run", "stop_reason"))
         print(f"  {name:8} : {plain['seconds'] / report['seconds']:8.1f}x the Python kernel, "
               f"trace identical: {same}")
         if not same:

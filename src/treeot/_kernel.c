@@ -36,6 +36,9 @@ enum {
     TREE_NOT_ROOTED = 10,
     TREE_BAD_PARENT = 11,
     TREE_UNREACHED = 12,
+    STOP_MAX_ITERS = 13,
+    STOP_TARGET = 14,
+    STOP_CERTIFIED = 15,
 };
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
@@ -58,7 +61,8 @@ static int64_t bounded_index(bitgen_t *bg, int64_t deg)
     return (int64_t)(m >> 32);
 }
 
-/* Fresh subtree sums of xi_node into out; pending and queue hold n each. */
+/* Fresh subtree sums of xi_node into out; pending and queue hold n each, and
+ * queue ends as the leaves-first order (root last) of the sums. */
 static void recompute_cumulative(int64_t n, const int64_t *parent, const double *xi_node,
                                  double *out, int64_t *pending, int64_t *queue)
 {
@@ -135,6 +139,39 @@ static void apply_swap(int64_t *parent, double *wpar, double *xi_cum, int64_t ro
     wpar[new_root] = 0.0;
 }
 
+/* tree_potential of _kernels.py, into u (zero on entry). */
+static void tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
+                           const double *wpar, const double *xi_cum, double sign_at_zero,
+                           double *u)
+{
+    for (int64_t i = n - 1; i >= 0; i--) {
+        const int64_t v = order[i], p = parent[v];
+        if (p < 0)
+            continue;
+        const double s = xi_cum[v] == 0.0 ? sign_at_zero : (xi_cum[v] > 0.0 ? 1.0 : -1.0);
+        u[v] = u[p] + wpar[v] * s;
+    }
+}
+
+/* certify of _kernels.py: 1 when the tree potential of the spanning tree
+ * (parent, wpar) is 1-Lipschitz within cert_rtol on every CSR arc, else 0.
+ * work_d holds 2n (the sums, then the potential) and work_i 2n. */
+static int certify(int64_t n, const int64_t *parent, const double *wpar, const int64_t *indptr,
+                   const int64_t *indices, const double *adj_w, const double *xi_node,
+                   double cert_rtol, double *work_d, int64_t *work_i)
+{
+    double *xi_cum = work_d, *u = work_d + n;
+    const int64_t *queue = work_i + n;
+    recompute_cumulative(n, parent, xi_node, xi_cum, work_i, work_i + n);
+    memset(u, 0, (size_t)n * sizeof *u);
+    tree_potential(n, parent, queue, wpar, xi_cum, 1.0, u);
+    for (int64_t a = 0; a < n; a++)
+        for (int64_t j = indptr[a]; j < indptr[a + 1]; j++)
+            if (fabs(u[a] - u[indices[j]]) > adj_w[j] * (1.0 + cert_rtol))
+                return 0;
+    return 1;
+}
+
 /* exp(x) as the Metropolis test of anneal_chain reads it. Below -746,
  * e^x is under half the least subnormal, so exp returns +0, but only after
  * glibc's slow underflow path; 0.0 is returned directly there. (The draw u
@@ -156,9 +193,10 @@ static double update_beta(double beta, int64_t bits_sum, int64_t bits_seen, int6
     return beta;
 }
 
-/* anneal_chain of _kernels.py. bits holds window slots, work_i 2n and
- * work_d n. Results: out_d = {best, current, max_drift} and
- * out_i = {root, best_root, records, iters_done}. Returns a CHAIN_* code.
+/* anneal_chain of _kernels.py, with certify's cert_rtol passed in. bits
+ * holds window slots, work_i 2n and work_d 2n. Results: out_d = {best,
+ * current, max_drift} and out_i = {root, best_root, records, iters_done,
+ * stop}, stop a STOP_* code. Returns a CHAIN_* code.
  * The window slot and the record and recompute schedules are counters, not
  * remainders of it: slot == (it - 1) % window, and to_record (to_recompute)
  * reaches 0 exactly when it is a multiple of record_every (recompute_every,
@@ -167,7 +205,8 @@ int treeot_anneal_chain(
     int64_t n, int64_t *parent, double *wpar, double *xi_cum, int64_t root,
     const int64_t *indptr, const int64_t *indices, const double *adj_w, const double *xi_node,
     int64_t max_iters, double beta0, double target_accept, double eta, int64_t window,
-    int64_t record_every, int64_t recompute_every, double target_cost, bitgen_t *bg,
+    int64_t record_every, int64_t recompute_every, double target_cost, double cert_rtol,
+    bitgen_t *bg,
     int64_t *best_parent, double *best_wpar, int64_t *trace_iter, double *trace_cur,
     double *trace_best, double *trace_beta, double *trace_acc, int64_t *bits, int64_t *work_i,
     double *work_d, double *out_d, int64_t *out_i)
@@ -195,7 +234,14 @@ int treeot_anneal_chain(
 
     int64_t iters_done = 0, slot = 0, to_record = record_every, to_recompute = recompute_every;
     const int have_target = !isnan(target_cost);
-    if (!(have_target && best <= target_cost + 1e-9)) {
+    int stop = STOP_MAX_ITERS;
+    if (have_target && best <= target_cost + 1e-9)
+        stop = STOP_TARGET;
+    else if (certify(n, best_parent, best_wpar, indptr, indices, adj_w, xi_node, cert_rtol,
+                     work_d, work_i))
+        stop = STOP_CERTIFIED;
+    if (stop == STOP_MAX_ITERS) {
+        double checked = best;
         for (int64_t it = 1; it <= max_iters; it++) {
             int64_t new_root;
             double w_added;
@@ -246,11 +292,11 @@ int treeot_anneal_chain(
                 }
             }
 
-            const int stop = have_target && best <= target_cost + 1e-9;
+            const int on_target = have_target && best <= target_cost + 1e-9;
             const int due = --to_record == 0;
             if (due)
                 to_record = record_every;
-            if (due || it == max_iters || stop) {
+            if (due || it == max_iters || on_target) {
                 double rate_now = 0.0;
                 if (bits_seen > 0) {
                     const int64_t seen = bits_seen < window ? bits_seen : window;
@@ -262,9 +308,19 @@ int treeot_anneal_chain(
                 trace_beta[records] = beta;
                 trace_acc[records] = rate_now;
                 records++;
+                if (on_target) {
+                    stop = STOP_TARGET;
+                    break;
+                }
+                if (best < checked) {
+                    checked = best;
+                    if (certify(n, best_parent, best_wpar, indptr, indices, adj_w, xi_node,
+                                cert_rtol, work_d, work_i)) {
+                        stop = STOP_CERTIFIED;
+                        break;
+                    }
+                }
             }
-            if (stop)
-                break;
         }
     }
 
@@ -275,6 +331,7 @@ int treeot_anneal_chain(
     out_i[1] = best_root;
     out_i[2] = records;
     out_i[3] = iters_done;
+    out_i[4] = stop;
     return status;
 }
 
@@ -381,18 +438,11 @@ void treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order,
     subtree_sums(n, parent, order, out);
 }
 
-/* tree_potential of _kernels.py, into u (zero on entry). */
 void treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
                            const double *wpar, const double *xi_cum, double sign_at_zero,
                            double *u)
 {
-    for (int64_t i = n - 1; i >= 0; i--) {
-        const int64_t v = order[i], p = parent[v];
-        if (p < 0)
-            continue;
-        const double s = xi_cum[v] == 0.0 ? sign_at_zero : (xi_cum[v] > 0.0 ? 1.0 : -1.0);
-        u[v] = u[p] + wpar[v] * s;
-    }
+    tree_potential(n, parent, order, wpar, xi_cum, sign_at_zero, u);
 }
 
 /* balanced_subtree of _kernels.py: *found is 1 when one of the samples

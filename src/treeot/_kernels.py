@@ -4,10 +4,12 @@ kernels and the backends that run them.
 ``anneal_chain``, ``wilson_tree``, ``tree_order``, ``subtree_sums``,
 ``tree_potential``, ``balanced_subtree``, ``dp_plan`` and ``exact_flow``
 below are the reference kernels in plain Python. ``anneal_chain`` moves
-between rooted spanning trees through four step functions, the one statement
-of the swap arithmetic: ``propose_root`` draws the candidate root,
-``swap_delta`` scores the swap on its cycle, ``apply_swap`` makes it, and
-``update_beta`` adapts the temperature. ``tree_order`` orients a tree given
+between rooted spanning trees through five step functions, the one statement
+of the swap arithmetic and of the stop: ``propose_root`` draws the candidate
+root, ``swap_delta`` scores the swap on its cycle, ``apply_swap`` makes it,
+``update_beta`` adapts the temperature, and ``certify`` proves the best tree
+optimal (its tree potential is 1-Lipschitz on every graph edge), which ends
+the chain. ``tree_order`` orients a tree given
 by parent links (leaves-first order and depths), ``subtree_sums`` is the
 leaves-to-root pass and ``tree_potential`` the root-to-leaves one;
 ``balanced_subtree`` runs Wilson, ``tree_order`` and ``subtree_sums`` on a
@@ -74,6 +76,14 @@ _TREE_ERRORS = {
     TREE_BAD_PARENT: "a parent link is out of range",
     TREE_UNREACHED: "parent links do not reach every vertex",
 }
+# why anneal_chain stopped, shared with _kernel.c
+STOP_MAX_ITERS = 13
+STOP_TARGET = 14
+STOP_CERTIFIED = 15
+STOP_REASONS = {STOP_MAX_ITERS: "max_iters", STOP_TARGET: "target", STOP_CERTIFIED: "certified"}
+# relative slack of certify's Lipschitz test: a certified tree costs at most
+# (1 + CERT_RTOL) * W1
+CERT_RTOL = 1e-12
 
 
 class Kernels(NamedTuple):
@@ -280,8 +290,8 @@ def _load_c() -> Kernels:
     i64, f64, ptr, c_int = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
     signatures = {
         "treeot_anneal_chain": (c_int, [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr,
-                                        i64, f64, f64, f64, i64, i64, i64, f64, ptr, ptr, ptr,
-                                        ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
+                                        i64, f64, f64, f64, i64, i64, i64, f64, f64, ptr, ptr,
+                                        ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
         "treeot_wilson": (c_int, [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
         "treeot_dp_plan": (c_int, [i64, ptr, ptr, ptr, ptr, ptr, f64, ptr, ptr, ptr, ptr, ptr,
                                    ptr, ptr]),
@@ -316,15 +326,15 @@ def _load_c() -> Kernels:
             raise ValueError("C kernel: parent index out of range")
         bits = np.empty(window, dtype=np.int64)
         work_i = np.empty(2 * n, dtype=np.int64)
-        work_d = np.empty(n)
+        work_d = np.empty(2 * n)
         out_d = np.empty(3)
-        out_i = np.empty(4, dtype=np.int64)
+        out_i = np.empty(5, dtype=np.int64)
         bitgen = rng.bit_generator
         with bitgen.lock:
             status = fn(n, parent.ctypes.data, wpar.ctypes.data, xi_cum.ctypes.data, root,
                         indptr.ctypes.data, indices.ctypes.data, adj_w.ctypes.data,
                         xi_node.ctypes.data, max_iters, beta0, target_accept, eta, window,
-                        record_every, recompute_every, target_cost,
+                        record_every, recompute_every, target_cost, CERT_RTOL,
                         bitgen.ctypes.bit_generator.value, best_parent.ctypes.data,
                         best_wpar.ctypes.data, trace_iter.ctypes.data, trace_cur.ctypes.data,
                         trace_best.ctypes.data, trace_beta.ctypes.data, trace_acc.ctypes.data,
@@ -333,8 +343,8 @@ def _load_c() -> Kernels:
         if status != 0:
             raise ValueError(f"C kernel stopped: {_C_STATUS.get(status, status)}")
         best, current, max_drift = out_d.tolist()
-        final_root, best_root, records, iters_done = out_i.tolist()
-        return best, current, final_root, best_root, records, iters_done, max_drift
+        final_root, best_root, records, iters_done, stop = out_i.tolist()
+        return best, current, final_root, best_root, records, iters_done, max_drift, stop
 
     def wilson_tree_c(indptr, indices, adj_w, rng, parent, wpar):
         n = parent.shape[0]
@@ -501,7 +511,8 @@ _LOADERS = {"c": _load_c, "python": _load_python}
 
 
 def recompute_cumulative(parent, xi_node):
-    """Fresh subtree sums of xi_node for the tree given by parent links."""
+    """Fresh subtree sums of xi_node for the tree given by parent links, and
+    the leaves-first queue (root last) that summed them."""
     n = parent.shape[0]
     pending = np.zeros(n, dtype=np.int64)
     for v in range(n):
@@ -526,7 +537,7 @@ def recompute_cumulative(parent, xi_node):
             if pending[p] == 0:
                 queue[tail] = p
                 tail += 1
-    return out
+    return out, queue
 
 
 def tree_cost(parent, wpar, xi_cum):
@@ -584,6 +595,28 @@ def apply_swap(parent, wpar, xi_cum, root, new_root, w_added):
     wpar[new_root] = 0.0
 
 
+def certify(parent, wpar, indptr, indices, adj_w, xi_node):
+    """Whether the spanning tree given by parent links is optimal by its own
+    certificate: its tree potential is 1-Lipschitz, within ``CERT_RTOL``, on
+    every arc of the CSR graph.
+
+    The cumulative imbalance is summed afresh by ``recompute_cumulative``,
+    whose queue orders ``tree_potential`` (sign +1 where it is exactly 0).
+    Summation by parts makes the potential's value the tree's cost, so a
+    potential that passes proves, by Kantorovich-Rubinstein duality, that
+    W1 >= cost / (1 + CERT_RTOL). Where a cumulative imbalance is 0 an
+    optimal tree may fail.
+    """
+    xi_cum, queue = recompute_cumulative(parent, xi_node)
+    u = np.zeros(parent.shape[0])
+    tree_potential(parent, queue, wpar, xi_cum, 1.0, u)
+    for a in range(parent.shape[0]):
+        for j in range(indptr[a], indptr[a + 1]):
+            if abs(u[a] - u[indices[j]]) > adj_w[j] * (1.0 + CERT_RTOL):
+                return False
+    return True
+
+
 def update_beta(beta, bits_sum, bits_seen, window, eta, target_accept):
     """Scale ``beta`` by ``1 + eta * (rate - target_accept)``, where ``rate``
     is the acceptance rate over the last ``window`` steps; unchanged until the
@@ -625,8 +658,15 @@ def anneal_chain(
     Per iteration: draw a candidate root, score the edge swap by
     ``swap_delta``, accept with probability min(1, exp(beta * H)), and adapt
     beta towards the target acceptance rate once the window has filled. The
-    best tree is copied into ``best_parent`` and ``best_wpar``. Returns
-    (best_cost, current_cost, root, best_root, records, iters_done, max_drift).
+    best tree is copied into ``best_parent`` and ``best_wpar``.
+
+    ``max_iters`` is a budget. The chain stops early with ``STOP_TARGET``
+    once the best cost is within 1e-9 of ``target_cost`` (unless NaN), or
+    with ``STOP_CERTIFIED`` once ``certify`` proves the best tree optimal.
+    ``certify`` runs on the initial tree and then on each trace row where the
+    best cost has dropped since its last run; the target stop is tested
+    first. Returns (best_cost, current_cost, root, best_root, records,
+    iters_done, max_drift, stop), ``stop`` one of the ``STOP_*`` codes.
     """
     current = tree_cost(parent, wpar, xi_cum)
     best = current
@@ -650,8 +690,14 @@ def anneal_chain(
 
     iters_done = 0
     have_target = not math.isnan(target_cost)
+    stop = STOP_MAX_ITERS
     if have_target and best <= target_cost + 1e-9:
-        return best, current, root, best_root, records, iters_done, max_drift
+        stop = STOP_TARGET
+    elif certify(best_parent, best_wpar, indptr, indices, adj_w, xi_node):
+        stop = STOP_CERTIFIED
+    if stop != STOP_MAX_ITERS:
+        return best, current, root, best_root, records, iters_done, max_drift, stop
+    checked = best
 
     for it in range(1, max_iters + 1):
         new_root, w_added = propose_root(indptr, indices, adj_w, root, rng)
@@ -679,7 +725,7 @@ def anneal_chain(
         iters_done = it
 
         if recompute_every > 0 and it % recompute_every == 0:
-            fresh = recompute_cumulative(parent, xi_node)
+            fresh, _ = recompute_cumulative(parent, xi_node)
             fresh_cost = tree_cost(parent, wpar, fresh)
             drift = abs(fresh_cost - current)
             if drift > max_drift:
@@ -692,8 +738,8 @@ def anneal_chain(
                 best_parent[:] = parent
                 best_wpar[:] = wpar
 
-        stop = have_target and best <= target_cost + 1e-9
-        if it % record_every == 0 or it == max_iters or stop:
+        on_target = have_target and best <= target_cost + 1e-9
+        if it % record_every == 0 or it == max_iters or on_target:
             rate_now = 0.0
             if bits_seen > 0:
                 seen = bits_seen if bits_seen < window else window
@@ -704,10 +750,16 @@ def anneal_chain(
             trace_beta[records] = beta
             trace_acc[records] = rate_now
             records += 1
-        if stop:
-            break
+            if on_target:
+                stop = STOP_TARGET
+                break
+            if best < checked:
+                checked = best
+                if certify(best_parent, best_wpar, indptr, indices, adj_w, xi_node):
+                    stop = STOP_CERTIFIED
+                    break
 
-    return best, current, root, best_root, records, iters_done, max_drift
+    return best, current, root, best_root, records, iters_done, max_drift, stop
 
 
 def wilson_tree(indptr, indices, adj_w, rng, parent, wpar):

@@ -9,7 +9,9 @@ cycle closed by the swapped edges, so a step costs O(cycle length).
 ``anneal_chain`` of :mod:`treeot._kernels` on the backend that
 ``TREEOT_BACKEND`` selects (C or plain Python; see
 :func:`treeot.kernel_backend`). The step arithmetic lives there, in
-``propose_root``, ``swap_delta``, ``apply_swap`` and ``update_beta``.
+``propose_root``, ``swap_delta``, ``apply_swap`` and ``update_beta``, and so
+does the stop: ``certify`` ends a chain whose best tree its tree potential
+proves optimal.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class AnnealResult:
     trace: list[TraceRecord]
     iters_run: int
     max_drift: float
+    stop_reason: str  # "max_iters", "target" or "certified"
 
 
 def anneal(
@@ -96,10 +99,15 @@ def anneal(
 ) -> AnnealResult:
     """Minimize the tree transport cost over rooted spanning trees of ``g``.
 
-    Starts from a random spanning tree (or ``initial_tree``), runs
-    ``config.max_iters`` steps, and is fully determined by ``config.seed``.
-    ``target_cost`` enables early stopping once the best cost is within 1e-9
-    of it.
+    Starts from a random spanning tree (or ``initial_tree``) and is fully
+    determined by ``config.seed``. ``config.max_iters`` is a budget: the
+    chain stops early, with ``stop_reason`` ``"certified"``, once the tree
+    potential of its best tree is 1-Lipschitz on every graph edge, which
+    proves that tree optimal. It checks on the initial tree and on each trace
+    row where the best cost has dropped, so it stops at most
+    ``config.record_every`` steps after it first holds a tree that passes.
+    ``target_cost`` stops it (``"target"``) once the best cost is within 1e-9
+    of it; on the same row the target wins.
     """
     mu = as_measure(mu, g.n)
     nu = as_measure(nu, g.n)
@@ -128,7 +136,7 @@ def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResul
     trace_beta = np.zeros(rows)
     trace_acc = np.zeros(rows)
 
-    best, current, final_root, best_root, records, iters_done, max_drift = _kernels.kernels().anneal_chain(
+    best, current, final_root, best_root, records, iters_done, max_drift, stop = _kernels.kernels().anneal_chain(
         parent,
         wpar,
         xi_cum,
@@ -167,6 +175,7 @@ def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResul
         trace=trace,
         iters_run=int(iters_done),
         max_drift=float(max_drift),
+        stop_reason=_kernels.STOP_REASONS[stop],
     )
 
 

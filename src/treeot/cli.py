@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
     p.add_argument("--tree", default=None, help="initial spanning tree (default: random)")
     p.add_argument("--config", default=None, help="JSON file with config defaults")
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--iters", type=int, default=None,
+                   help="iteration budget (default 100000); a certified optimum stops the chain sooner")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--beta0", type=float, default=None)
     p.add_argument("--target-accept", type=float, default=None)
@@ -127,7 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(out_dir: Path, command: str, inputs: dict, config: dict, outputs: list[str], started: float) -> None:
+def _write_manifest(out_dir: Path, command: str, inputs: dict, config: dict, outputs: list[str],
+                    started: float, **fields) -> None:
+    """``manifest.json`` in ``out_dir``; ``fields`` are the command's own
+    top-level entries."""
     doc = {
         "command": command,
         "inputs": inputs,
@@ -135,6 +139,7 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, config: dict, out
         "version": __version__,
         "wall_clock_s": time.time() - started,
         "outputs": outputs,
+        **fields,
     }
     fileio._write_text(out_dir / "manifest.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -239,6 +244,8 @@ def cmd_anneal(args) -> int:
         {**cfg.__dict__, "chains": args.chains, "target_cost": args.target_cost},
         ["best_tree.json", "trace.csv"],
         started,
+        stop_reason=result.stop_reason,
+        iters_run=result.iters_run,
     )
     print(repr(result.best_cost))
     return 0

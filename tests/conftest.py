@@ -15,6 +15,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ import pytest
 import treeot as ot
 from treeot import _kernels
 from treeot.errors import (
+    BadDimensionsError,
     DisconnectedError,
     DuplicateEdgeError,
     FormatError,
     HasCycleError,
+    NonFiniteMassError,
     NonFiniteWeightError,
     NonPositiveWeightError,
     NotSpanningError,
@@ -147,6 +150,22 @@ def random_measure_pair(rng, n, floor=1e-3):
     mu = rng.random(n) + floor
     nu = rng.random(n) + floor
     return mu / mu.sum(), nu / nu.sum()
+
+
+def degenerate_measures(rng, n):
+    """Integer masses (zero-mass vertices included) over one common total,
+    with ``mu == nu`` on a random subset of the vertices other than 0 and
+    n - 1 (n >= 2): cumulative imbalances of exactly 0 are common."""
+    mu = rng.integers(0, 3, n).astype(float)
+    nu = rng.integers(0, 3, n).astype(float)
+    same = rng.random(n) < 0.4
+    same[[0, n - 1]] = False
+    nu[same] = mu[same]
+    mu[0] += 1.0  # neither measure is all zero
+    gap = mu.sum() - nu.sum()
+    (nu if gap > 0 else mu)[n - 1] += abs(gap)
+    total = mu.sum()
+    return mu / total, nu / total
 
 
 def children_lists(parent) -> list[list[int]]:
@@ -342,6 +361,62 @@ def reference_edge_rows(path, edges, fields):
     return edges
 
 
+def reference_load_plan_triplets(path):
+    """``fileio.load_plan_triplets`` as one loop over the rows: the first row
+    that is not three fields, does not convert to (int, int, float) or has a
+    non-finite mass raises."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != "x,y,mass":
+        raise FormatError(f"{path}: missing 'x,y,mass' header")
+    out = []
+    for ln in lines[1:]:
+        if not ln.strip():
+            continue
+        parts = ln.split(",")
+        if len(parts) != 3:
+            raise FormatError(f"{path}: bad row {ln!r}")
+        try:
+            x, y, m = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        if not math.isfinite(m):
+            raise NonFiniteMassError(f"{path}: plan entry ({x},{y}) has a NaN or infinite mass")
+        out.append((x, y, m))
+    return out
+
+
+def reference_load_potential(path, n):
+    """``fileio.load_potential`` as one loop over the rows: the first row that
+    is not two fields, does not convert to (int, float), or names a vertex out
+    of range or a second time raises; then missing vertices, then non-finite
+    values."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != "vertex,u":
+        raise FormatError(f"{path}: missing 'vertex,u' header")
+    values = np.zeros(n)
+    seen = np.zeros(n, dtype=bool)
+    for ln in lines[1:]:
+        if not ln.strip():
+            continue
+        parts = ln.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"{path}: bad row {ln!r}")
+        try:
+            v, value = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        if not (0 <= v < n) or seen[v]:
+            raise FormatError(f"{path}: bad or repeated vertex {v}")
+        values[v] = value
+        seen[v] = True
+    if not seen.all():
+        raise BadDimensionsError(f"{path}: missing vertices")
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteMassError(f"{path}: potential has a NaN or infinite value")
+    anchored = np.flatnonzero(np.abs(values) == 0.0)
+    return values, int(anchored[0]) if anchored.size else 0
+
+
 def reference_root_tree(g, tree_edges, root):
     """``root_tree`` as it ran over numpy arrays: read the pairs, count them,
     look each up in the graph and among the pairs before it, then orient by
@@ -417,9 +492,10 @@ def noisy_grid_measures(p, seed, img_mu=None, img_nu=None, sigma=1e-3):
 
 class SwapChain:
     """One annealing chain moved by the kernel's own step functions
-    (``propose_root``, ``swap_delta``, ``apply_swap``, ``update_beta``), with
-    the Metropolis rule and acceptance window of ``_kernels.anneal_chain``
-    spelled out: a step-by-step reference for the fused kernel."""
+    (``propose_root``, ``swap_delta``, ``apply_swap``, ``update_beta``,
+    ``certify``), with the Metropolis rule, acceptance window and stop test
+    of ``_kernels.anneal_chain`` spelled out: a step-by-step reference for
+    the fused kernel."""
 
     def __init__(self, g, tree, mu, nu, config):
         self.g = g
@@ -427,11 +503,14 @@ class SwapChain:
         self.parent = tree.parent.copy()
         self.wpar = tree.weight_to_parent.copy()
         self.root = tree.root
-        xi = ot.imbalance(ot.as_measure(mu, tree.n), ot.as_measure(nu, tree.n))
-        self.xi_cum = ot.subtree_aggregate(tree, xi)
+        self.xi = ot.imbalance(ot.as_measure(mu, tree.n), ot.as_measure(nu, tree.n))
+        self.xi_cum = ot.subtree_aggregate(tree, self.xi)
         # the kernel's summation order, so costs agree bit for bit
         self.cost = _kernels.tree_cost(self.parent, self.wpar, self.xi_cum)
         self.best_cost = self.cost
+        self.best_parent = self.parent.copy()
+        self.best_wpar = self.wpar.copy()
+        self.checked = None  # best cost at the last certify call
         self.beta = config.beta0
         self.bits = np.zeros(config.window, dtype=np.int64)
         self.bits_sum = 0
@@ -459,6 +538,8 @@ class SwapChain:
             self.cost -= h
             if self.cost < self.best_cost:
                 self.best_cost = self.cost
+                self.best_parent = self.parent.copy()
+                self.best_wpar = self.wpar.copy()
         window = self.config.window
         slot = self.bits_seen % window
         if self.bits_seen >= window:
@@ -471,6 +552,16 @@ class SwapChain:
         self.beta = _kernels.update_beta(self.beta, self.bits_sum, self.bits_seen,
                                          self.config.window, self.config.eta,
                                          self.config.target_accept)
+
+    def certify(self):
+        """The kernel's stop test at a trace row: ``certify`` on the best
+        tree on the first call, and afterwards only where the best cost has
+        dropped since the last call (``False`` otherwise)."""
+        if self.checked is not None and not self.best_cost < self.checked:
+            return False
+        self.checked = self.best_cost
+        return _kernels.certify(self.best_parent, self.best_wpar, self.g.indptr, self.g.indices,
+                                self.g.weights, self.xi)
 
     def tree(self):
         return _from_parent_array(self.root, self.parent, self.wpar)

@@ -221,6 +221,18 @@ def test_criterion_6_sa_convergence(grid4_runs):
             f"7x7 smoke run converged ({elapsed:.1f} s)")
 
 
+def test_criterion_6_certified_stops_are_exact(grid4_runs):
+    """A chain that stops on its certificate holds the exact value, and
+    stops on the first trace row where its best cost is exact."""
+    certified = [(sol, res) for *_, sol, res in grid4_runs if res.stop_reason == "certified"]
+    assert len(certified) >= 10
+    for sol, res in certified:
+        assert abs(res.best_cost - sol.value) <= 1e-9
+        assert len(res.trace) == res.iters_run // 10_000 + 1
+        assert all(row.best_cost - sol.value > 1e-9 for row in res.trace[:-1])
+    _report(f"criterion 6: {len(certified)}/20 chains stopped on a certified optimum")
+
+
 def test_criterion_7_plan_lift_to_graph(grid4_runs):
     checked = 0
     for seed, g, d, mu, nu, sol, res in grid4_runs:

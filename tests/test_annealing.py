@@ -13,8 +13,11 @@ from conftest import (
     SwapChain,
     c_compiler_found,
     compiled_backends,
+    degenerate_measures,
     noisy_grid_measures,
+    random_connected_graph,
     random_measure_pair,
+    random_tree_graph,
     run_python,
 )
 
@@ -168,12 +171,20 @@ class TestAcceptStep:
         g = ot.grid_graph(3)
         mu, nu = random_measure_pair(np.random.default_rng(4), 9)
         res = ot.anneal(g, mu, nu, ot.AnnealConfig(max_iters=300, seed=7, record_every=1))
-        assert len(res.trace) == 301
-        best_seen = res.trace[0].best_cost
-        for row in res.trace:
-            assert row.best_cost <= best_seen + 1e-15
-            assert row.best_cost <= row.current_cost + 1e-12
-            best_seen = row.best_cost
+        assert len(res.trace) == res.iters_run + 1
+        assert res.stop_reason == "certified"  # the initial tree is optimal
+        # two Diracs moved to the other corners: a degenerate chain that runs its budget
+        corners, across = np.zeros(9), np.zeros(9)
+        corners[[0, 8]] = across[[2, 6]] = 0.5
+        full = ot.anneal(g, corners, across, ot.AnnealConfig(max_iters=300, seed=1, record_every=1))
+        assert len(full.trace) == full.iters_run + 1 == 301
+        assert full.stop_reason == "max_iters"
+        for trace in (res.trace, full.trace):
+            best_seen = trace[0].best_cost
+            for row in trace:
+                assert row.best_cost <= best_seen + 1e-15
+                assert row.best_cost <= row.current_cost + 1e-12
+                best_seen = row.best_cost
 
 
 class TestTemperature:
@@ -247,12 +258,12 @@ class TestAnneal:
         exact = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu).value
         res = ot.anneal(g, mu, nu, ot.AnnealConfig(max_iters=200_000, seed=3),
                         target_cost=exact)
-        assert res.iters_run < 200_000
+        assert res.iters_run < 200_000 and res.stop_reason == "target"
         assert abs(res.best_cost - exact) <= 1e-9
 
     def test_matches_stepwise_reference_loop(self):
         # the fused kernel and its step functions, called one at a time, must
-        # walk in lockstep
+        # walk in lockstep and stop on the same trace row
         g = ot.grid_graph(4)
         mu, nu = random_measure_pair(np.random.default_rng(12), 16)
         cfg = ot.AnnealConfig(max_iters=2500, seed=21, record_every=250)
@@ -261,15 +272,22 @@ class TestAnneal:
         rng = np.random.default_rng(cfg.seed)
         tree = ot.random_spanning_tree(g, rng)
         state = SwapChain(g, tree, mu, nu, cfg)
-        for _ in range(cfg.max_iters):
+        it = 0
+        stop = "certified" if state.certify() else "max_iters"
+        while stop == "max_iters" and it < cfg.max_iters:
+            it += 1
             new_root, w_added = state.propose(rng)
             u = rng.random()
             state.step(new_root, w_added, u)
             state.adapt()
+            if (it % cfg.record_every == 0 or it == cfg.max_iters) and state.certify():
+                stop = "certified"
+        assert (it, stop) == (res.iters_run, res.stop_reason) == (1750, "certified")
         assert state.cost == res.final_cost
         assert state.best_cost == res.best_cost
         assert state.root == res.final_tree.root
         assert np.array_equal(state.parent, res.final_tree.parent)
+        assert np.array_equal(state.best_parent, res.best_tree.parent)
         assert state.beta == res.trace[-1].beta
 
     def test_multi_chain_returns_best(self):
@@ -287,6 +305,89 @@ class TestAnneal:
         assert res.best_cost == 0.0 and res.iters_run == 0
 
 
+class TestCertifiedStop:
+    """The chain's stop at a certified optimum: ``certify`` passes only on
+    trees whose cost is W1, so every ``"certified"`` result is exact against
+    the independent exact solver."""
+
+    @staticmethod
+    def stops(instances, max_iters, record_every):
+        """``(stop_reason, best_cost, tree cost, exact value, iters_run)`` of
+        one chain per ``(g, mu, nu)``, chain k seeded with k."""
+        out = []
+        for k, (g, mu, nu) in enumerate(instances):
+            res = ot.anneal(g, mu, nu, ot.AnnealConfig(max_iters=max_iters, seed=k,
+                                                       record_every=record_every))
+            exact = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu).value
+            assert len(res.trace) == (res.iters_run + record_every - 1) // record_every + 1
+            out.append((res.stop_reason, res.best_cost, ot.tree_k_distance(res.best_tree, mu, nu),
+                        exact, res.iters_run))
+        return out
+
+    def test_certified_stops_are_exact_on_random_graphs(self):
+        rng = np.random.default_rng(2024)
+        instances = []
+        for _ in range(200):
+            n = int(rng.integers(3, 31))
+            g = random_connected_graph(rng, n, extra_edges=int(rng.integers(1, n)))
+            instances.append((g, *random_measure_pair(rng, n)))
+        stops = self.stops(instances, 2000, 50)
+        certified = [s for s in stops if s[0] == "certified"]
+        assert len(certified) >= 100
+        for _, best, tree_cost, exact, _ in certified:
+            assert abs(best - exact) <= 1e-9 and abs(tree_cost - exact) <= 1e-9
+        assert {s[0] for s in stops} == {"certified", "max_iters"}
+        assert all(s[4] == 2000 for s in stops if s[0] == "max_iters")
+
+    def test_certified_stops_are_exact_on_degenerate_measures(self):
+        rng = np.random.default_rng(77)
+        instances = []
+        for k in range(120):
+            if k % 3 == 2:
+                n = int(rng.integers(3, 25))
+                g = random_connected_graph(rng, n, extra_edges=int(rng.integers(1, n)))
+            else:
+                g = ot.grid_graph(3 + k % 3)
+            instances.append((g, *degenerate_measures(rng, g.n)))
+        stops = self.stops(instances, 1000, 25)
+        certified = [s for s in stops if s[0] == "certified"]
+        assert len(certified) >= 20
+        for _, best, tree_cost, exact, _ in certified:
+            assert abs(best - exact) <= 1e-9 and abs(tree_cost - exact) <= 1e-9
+        # some optimal trees fail the check where a cumulative imbalance is 0
+        assert any(s[0] == "max_iters" and abs(s[1] - s[3]) <= 1e-9 for s in stops)
+
+    def test_degenerate_chain_runs_its_full_budget(self):
+        # mu == nu: every tree costs 0, so the best cost never drops and only
+        # the initial tree is checked. Its potential is one edge weight per
+        # tree level, which breaks Lipschitz on a graph edge whose ends lie
+        # two or more levels apart, as on this seed's initial tree
+        g = ot.grid_graph(3)
+        mu = np.full(9, 1 / 9)
+        res = ot.anneal(g, mu, mu, ot.AnnealConfig(max_iters=3000, seed=0, record_every=100))
+        assert res.stop_reason == "max_iters"
+        assert res.iters_run == 3000 and len(res.trace) == 31
+        assert res.best_cost == 0.0
+
+    def test_single_tree_graph_stops_at_iteration_0(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 32):
+            g = random_tree_graph(rng, n)
+            mu, nu = random_measure_pair(rng, n)
+            res = ot.anneal(g, mu, nu, ot.AnnealConfig(max_iters=500, seed=n))
+            assert (res.stop_reason, res.iters_run, len(res.trace)) == ("certified", 0, 1)
+
+    def test_target_wins_over_the_certificate(self):
+        g = ot.build_graph(3, [(0, 1, 0.5), (1, 2, 0.25)])
+        mu, nu = [0.5, 0.5, 0.0], [0.0, 0.25, 0.75]
+        t = ot.root_tree(g, [(0, 1), (1, 2)], 0)
+        cost = ot.tree_k_distance(t, mu, nu)
+        cfg = ot.AnnealConfig(max_iters=100, seed=0)
+        res = ot.anneal(g, mu, nu, cfg, target_cost=cost)
+        assert (res.stop_reason, res.iters_run) == ("target", 0)
+        assert ot.anneal(g, mu, nu, cfg).stop_reason == "certified"
+
+
 KERNEL_PARITY_SCRIPT = """
 import json, sys
 import numpy as np
@@ -299,7 +400,8 @@ cfg = ot.AnnealConfig(max_iters=3000, seed=14, record_every=100)
 res = ot.anneal(g, mu, nu, cfg)
 rows = [[r.iter, r.current_cost.hex(), r.best_cost.hex(), r.beta.hex(), r.accept_rate.hex()]
         for r in res.trace]
-print(json.dumps({"backend": ot.kernel_backend(), "rows": rows, "best": res.best_cost.hex()}))
+print(json.dumps({"backend": ot.kernel_backend(), "rows": rows, "best": res.best_cost.hex(),
+                  "stop": [res.stop_reason, res.iters_run]}))
 """
 
 # chains on threads, switching often, before the backend is first used
@@ -313,48 +415,56 @@ mu, nu = noisy_grid_measures(5, seed=2)
 cfg = ot.AnnealConfig(max_iters=4000, seed=9, record_every=500)
 res, k = ot.anneal_chains(ot.grid_graph(5), mu, nu, cfg, chains=6)
 print(json.dumps([ot.kernel_backend(), k, res.best_cost.hex(), res.best_tree.parent.tolist(),
-                  [[r.current_cost.hex(), r.beta.hex()] for r in res.trace]]))
+                  [[r.current_cost.hex(), r.beta.hex()] for r in res.trace],
+                  res.stop_reason, res.iters_run]))
 """
 
-# vertices of degree one (no draw for the neighbour), recomputation and drift
+# vertices of degree one (no draw for the neighbour), recomputation and drift,
+# degenerate measures, and stops of every kind: the budget, the target, and a
+# certificate at iteration 0 or later
 RANDOM_GRAPHS_SCRIPT = """
 import json, sys
 import numpy as np
 import treeot as ot
 sys.path.insert(0, TESTS_DIR)
-from conftest import random_connected_graph, random_measure_pair
+from conftest import degenerate_measures, random_connected_graph, random_measure_pair
 out = [ot.kernel_backend()]
-for s in range(5):
+for s in range(10):
     rng = np.random.default_rng(500 + s)
     n = int(rng.integers(6, 40))
     g = random_connected_graph(rng, n, extra_edges=int(rng.integers(1, n)))
-    mu, nu = random_measure_pair(rng, n)
+    mu, nu = random_measure_pair(rng, n) if s < 5 else degenerate_measures(rng, n)
+    exact = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu).value
     cfg = ot.AnnealConfig(max_iters=3000, seed=s, window=7, recompute_every=299, record_every=37)
-    res = ot.anneal(g, mu, nu, cfg)
-    for t in (res.final_tree, res.best_tree):
-        for v in range(n):
-            p = int(t.parent[v])
-            assert t.weight_to_parent[v] == (g.edge_weight(v, p) if p >= 0 else 0.0), (s, v)
-    out.append([res.iters_run, res.max_drift.hex(), res.final_tree.parent.tolist(),
-                res.best_tree.parent.tolist(),
-                [[r.iter, r.current_cost.hex(), r.best_cost.hex(), r.beta.hex(), r.accept_rate.hex()]
-                 for r in res.trace]])
+    # chain 2 also reaches the target on a row where its certificate holds
+    for target in (None, exact) if s in (2, 7) else (None,):
+        res = ot.anneal(g, mu, nu, cfg, target_cost=target)
+        for t in (res.final_tree, res.best_tree):
+            for v in range(n):
+                p = int(t.parent[v])
+                assert t.weight_to_parent[v] == (g.edge_weight(v, p) if p >= 0 else 0.0), (s, v)
+        out.append([res.stop_reason, res.iters_run, res.max_drift.hex(),
+                    res.final_tree.parent.tolist(), res.best_tree.parent.tolist(),
+                    [[r.iter, r.current_cost.hex(), r.best_cost.hex(), r.beta.hex(),
+                      r.accept_rate.hex()] for r in res.trace]])
 print(json.dumps(out))
 """
 
 # long chains on threads that overlap inside the kernel, against the same
-# chains run one after another
+# chains run one after another; on the 20x20 lattice no chain reaches a
+# certified optimum within its budget, so each runs all of it
 THREADS_SCRIPT = """
 import json, sys, threading
 import treeot as ot
 sys.path.insert(0, TESTS_DIR)
 from conftest import noisy_grid_measures
-g = ot.grid_graph(7)
-mu, nu = noisy_grid_measures(7, seed=4)
+g = ot.grid_graph(20)
+mu, nu = noisy_grid_measures(20, seed=4)
 cfgs = [ot.AnnealConfig(max_iters=300_000, seed=s, record_every=10_000) for s in range(6)]
 
 def summary(res):
-    return [res.best_cost.hex(), res.iters_run, [[r.current_cost.hex(), r.beta.hex()] for r in res.trace]]
+    return [res.best_cost.hex(), res.iters_run, res.stop_reason,
+            [[r.current_cost.hex(), r.beta.hex()] for r in res.trace]]
 
 sys.setswitchinterval(1e-6)
 threaded = [None] * len(cfgs)
@@ -367,7 +477,8 @@ for t in threads:
     t.join(timeout=120)
 finished = not any(t.is_alive() for t in threads)
 sequential = [summary(ot.anneal(g, mu, nu, cfg)) for cfg in cfgs]
-print(json.dumps([ot.kernel_backend(), finished, threaded == sequential]))
+print(json.dumps([ot.kernel_backend(), finished, threaded == sequential,
+                  sorted({s[1:3] == [300_000, "max_iters"] for s in sequential})]))
 """
 
 class TestNumbaFallback:
@@ -386,6 +497,7 @@ class TestNumbaFallback:
         for backend in compiled:
             assert out[backend]["rows"] == out["python"]["rows"]
             assert out[backend]["best"] == out["python"]["best"]
+            assert out[backend]["stop"] == out["python"]["stop"] == ["certified", 800]
 
 
 class TestKernelBackendSelection:
@@ -463,9 +575,13 @@ class TestKernelBackendSelection:
             out[backend] = json.loads(proc.stdout)
             assert out[backend][0] == backend
         assert out["c"][1:] == out["python"][1:]
+        if script is RANDOM_GRAPHS_SCRIPT:
+            stops = [(chain[0], chain[1]) for chain in out["c"][1:]]
+            assert stops[2:4] == [("certified", 37), ("target", 3)]
+            assert ("certified", 0) in stops and ("max_iters", 3000) in stops
 
     @pytest.mark.skipif(not c_compiler_found(), reason="no C compiler on PATH")
     def test_c_chains_on_threads_share_no_state(self):
         proc = run_python(THREADS_SCRIPT, "c")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == ["c", True, True]
+        assert json.loads(proc.stdout) == ["c", True, True, [True]]

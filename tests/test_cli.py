@@ -125,6 +125,34 @@ class TestAnnealCommand:
         best_col = [float(ln.split(",")[2]) for ln in lines[1:]]
         assert all(abs(b - best_col[0]) <= 1e-15 for b in best_col)
 
+    @pytest.mark.parametrize("graph, mu, nu, extra, stop, iters", [
+        # the only spanning tree is optimal and certified before any step
+        (ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]), [0.6, 0.2, 0.2], [0.2, 0.2, 0.6], [],
+         "certified", 0),
+        # mu == nu: the initial tree fails the check, and no tree costs less
+        (ot.grid_graph(3), [1 / 9] * 9, [1 / 9] * 9, [], "max_iters", 400),
+        (ot.grid_graph(3), [1 / 9] * 9, [1 / 9] * 9, ["--target-cost", "0.5"], "target", 0),
+    ], ids=["certified", "max_iters", "target"])
+    def test_manifest_records_why_the_run_stopped(self, tmp_path, capsys, graph, mu, nu, extra,
+                                                   stop, iters):
+        fileio.save_graph(tmp_path / "graph.json", graph)
+        fileio.save_measure(tmp_path / "mu.json", mu)
+        fileio.save_measure(tmp_path / "nu.json", nu)
+        out = tmp_path / "run"
+        assert run_cli(
+            "anneal", "--graph", str(tmp_path / "graph.json"),
+            "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+            "--iters", "400", "--record-every", "100", "--seed", "0", *extra,
+            "--out-dir", str(out),
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["stop_reason"], manifest["iters_run"]) == (stop, iters)
+        assert manifest["config"]["max_iters"] == 400
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert int(rows[-1].split(",")[0]) == iters and len(rows) == iters // 100 + 1
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1 and float(printed[0]) == float(rows[-1].split(",")[2])
+
     def test_missing_measure_file_exit_2(self, tmp_path, capsys):
         g = ot.build_graph(2, [(0, 1, 1.0)])
         fileio.save_graph(tmp_path / "graph.json", g)

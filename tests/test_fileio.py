@@ -18,7 +18,14 @@ from treeot.errors import (
     NonFiniteMassError,
 )
 
-from conftest import raised, random_connected_graph, random_measure_pair, reference_edge_rows
+from conftest import (
+    raised,
+    random_connected_graph,
+    random_measure_pair,
+    reference_edge_rows,
+    reference_load_plan_triplets,
+    reference_load_potential,
+)
 
 # (edges, fields) as json.loads gives them; each but the first breaks a
 # rule of _edge_rows, some in several rows or entries
@@ -194,6 +201,127 @@ class TestPotentialFiles:
         path.write_text("vertex,u\n0,0.0\n1,abc\n", encoding="utf-8")
         with pytest.raises(FormatError):
             fileio.load_potential(path, 2)
+
+
+# plan.csv bodies, each but the first few breaking a rule of
+# load_plan_triplets, some in several rows
+PLAN_BODIES = {
+    "valid": "x,y,mass\n0,1,0.5\n1,0,0.25\n2,2,0.25\n",
+    "valid-odd-ints": "x,y,mass\n +3,-1,1e-300\n1_0,0010,-0.0\n%d,0,5\n" % 10**30,
+    "valid-blank-lines-crlf": "x,y,mass\r\n\r\n0,1,0.5\r\n   \r\n1,2,0.5\r\n",
+    "header-only": "x,y,mass\n",
+    "header-padded": "  x,y,mass \n0,1,1\n",
+    "empty-file": "",
+    "no-header": "0,1,0.5\n",
+    "short-row": "x,y,mass\n0,1,0.5\n0,1\n",
+    "long-row": "x,y,mass\n0,1,0.5\n0,1,0.5,\n",
+    "empty-row": "x,y,mass\n0,1,0.5\n,\n",
+    "x-text": "x,y,mass\n0,1,0.5\na,1,0.5\n",
+    "y-float": "x,y,mass\n0,1.5,0.5\n",
+    "mass-text": "x,y,mass\n0,1,abc\n",
+    "mass-nan": "x,y,mass\n0,2,1.0\n0,1,nan\n",
+    "mass-overflow": "x,y,mass\n0,1,1e400\n",
+    "mass-minus-inf": "x,y,mass\n3,4,-inf\n",
+    "nan-before-bad-int": "x,y,mass\n0,1,nan\n0,x,1\n",
+    "bad-int-before-nan": "x,y,mass\n0,x,1\n0,1,nan\n",
+    "nan-before-short-row": "x,y,mass\n0,1,inf\n0,1\n",
+    "short-row-before-bad-mass": "x,y,mass\n0\n0,1,zz\n",
+    "x-before-mass": "x,y,mass\nq,1,zz\n",
+}
+
+# potential.csv bodies and vertex counts
+POTENTIAL_BODIES = {
+    "valid": ("vertex,u\n0,0.0\n1,1.5\n2,-0.75\n", 3),
+    "valid-shuffled": ("vertex,u\n2,0.25\n\n0,-0.0\n1,0.0\n", 3),
+    "valid-empty": ("vertex,u\n", 0),
+    "valid-no-zero": ("vertex,u\n0,1.0\n1,2.0\n", 2),
+    "no-header": ("0,0.0\n", 1),
+    "empty-file": ("", 1),
+    "missing": ("vertex,u\n0,0.0\n", 2),
+    "empty-for-two": ("vertex,u\n", 2),
+    "repeated": ("vertex,u\n0,0.0\n0,1.0\n1,2.0\n", 2),
+    "too-large": ("vertex,u\n0,0.0\n2,1.0\n", 2),
+    "negative": ("vertex,u\n-1,0.0\n0,1.0\n", 2),
+    "huge": ("vertex,u\n%d,0.0\n" % 10**30, 1),
+    "short-row": ("vertex,u\n0\n", 1),
+    "long-row": ("vertex,u\n0,1.0,2.0\n", 1),
+    "value-text": ("vertex,u\n0,0.0\n1,abc\n", 2),
+    "vertex-float": ("vertex,u\n0.0,0.0\n", 1),
+    "nan": ("vertex,u\n0,0.0\n1,nan\n2,-2.0\n", 3),
+    "nan-and-missing": ("vertex,u\n0,nan\n", 2),
+    "repeat-before-bad-value": ("vertex,u\n0,0.0\n0,1.0\n1,x\n", 2),
+    "bad-value-before-repeat": ("vertex,u\n0,x\n0,1.0\n0,1.0\n", 2),
+    "range-before-short-row": ("vertex,u\n5,0.0\n1\n", 2),
+    "short-row-before-range": ("vertex,u\n1\n5,0.0\n", 2),
+}
+
+
+def load_outcome(load, reference, path, *args):
+    """``(type, message)`` of what ``load`` raises, or its result as
+    ``reference`` gives it; both must agree."""
+    expected = raised(reference, path, *args)
+    assert raised(load, path, *args) == expected
+    return expected
+
+
+class TestColumnParsersMatchTheRowLoops:
+    """``load_plan_triplets`` and ``load_potential`` check whole columns and
+    read the rows one by one only to name the first bad one; they raise and
+    return what the former row-by-row loops did."""
+
+    @pytest.mark.parametrize("name", PLAN_BODIES)
+    def test_plan_files(self, tmp_path, name):
+        path = tmp_path / "plan.csv"
+        path.write_bytes(PLAN_BODIES[name].encode("utf-8"))
+        if load_outcome(fileio.load_plan_triplets, reference_load_plan_triplets, path) is None:
+            got = fileio.load_plan_triplets(path)
+            assert repr(got) == repr(reference_load_plan_triplets(path))
+            assert name.startswith(("valid", "header"))
+
+    @pytest.mark.parametrize("name", POTENTIAL_BODIES)
+    def test_potential_files(self, tmp_path, name):
+        body, n = POTENTIAL_BODIES[name]
+        path = tmp_path / "u.csv"
+        path.write_bytes(body.encode("utf-8"))
+        if load_outcome(fileio.load_potential, reference_load_potential, path, n) is None:
+            u = fileio.load_potential(path, n)
+            values, anchor = reference_load_potential(path, n)
+            assert u.values.tobytes() == values.tobytes() and u.anchor == anchor
+            assert name.startswith("valid")
+
+    def test_random_corruptions(self, tmp_path):
+        rng = np.random.default_rng(515)
+        junk = ["", "x", "1.5", "nan", "inf", "-1", "7", "99", "1e400", " 2", "0,0"]
+        path = tmp_path / "f.csv"
+        outcomes = set()
+        for trial in range(300):
+            n = int(rng.integers(1, 9))
+            if trial % 2:
+                rows = [[str(v), repr(float(x))] for v, x in zip(rng.permutation(n).tolist(),
+                                                                   rng.normal(size=n).tolist())]
+            else:
+                rows = [[str(int(a)), str(int(b)), repr(float(m))]
+                        for a, b, m in zip(*rng.integers(0, n, (2, n)), rng.random(n))]
+            for _ in range(int(rng.integers(0, 3))):
+                row = rows[int(rng.integers(0, len(rows)))]
+                row[int(rng.integers(0, len(row)))] = junk[int(rng.integers(0, len(junk)))]
+            if rng.random() < 0.2:
+                del rows[int(rng.integers(0, len(rows)))]
+            header = "vertex,u" if trial % 2 else "x,y,mass"
+            path.write_text("\n".join([header, *map(",".join, rows)]) + "\n", encoding="utf-8")
+            if trial % 2:
+                outcome = load_outcome(fileio.load_potential, reference_load_potential, path, n)
+                if outcome is None:
+                    values, anchor = reference_load_potential(path, n)
+                    u = fileio.load_potential(path, n)
+                    assert u.values.tobytes() == values.tobytes() and u.anchor == anchor
+            else:
+                outcome = load_outcome(fileio.load_plan_triplets, reference_load_plan_triplets, path)
+                if outcome is None:
+                    assert (repr(fileio.load_plan_triplets(path))
+                            == repr(reference_load_plan_triplets(path)))
+            outcomes.add(outcome[0] if outcome else None)
+        assert outcomes == {None, FormatError, NonFiniteMassError, BadDimensionsError}
 
 
 class TestImageCsv:

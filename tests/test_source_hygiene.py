@@ -1,6 +1,8 @@
 """Source hygiene, checked with ``ast``: no imported name goes unused in the
 package or its tests, no function in the package ignores a parameter, and
-the package writes files only through ``fileio._write_text``.
+the package writes files only through ``fileio._write_text``. Also, the
+status and stop codes of ``_kernel.c``'s enum are those ``_kernels.py``
+reads.
 
 Re-exports in ``__init__.py`` and ``from __future__`` imports are exempt.
 Parameters are checked in the package only: pytest reads test parameters
@@ -8,9 +10,12 @@ Parameters are checked in the package only: pytest reads test parameters
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from treeot import _kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "treeot").glob("*.py"))
@@ -137,3 +142,63 @@ def test_the_write_scan_flags_what_it_looks_for():
         "line 9: write_text", "line 10: write_bytes", "line 11: open", "line 12: open",
         "line 13: open", "line 14: open", "line 15: os.open", "line 16: os.open"]
     assert file_writes(source)[:2] == ["line 5: os.open", "line 6: write_text"]
+
+
+#: the C names of the codes that ``_kernels`` keys by message
+CODE_MESSAGES = {
+    "CHAIN_NO_NEIGHBOUR": "the root has no graph neighbour",
+    "CHAIN_DEGREE_TOO_LARGE": "a vertex degree of 2^32 or more is not supported",
+    "WILSON_BAD_VERTEX_COUNT": "a vertex count of 0 or of 2^32 or more is not supported",
+    "WILSON_NO_NEIGHBOUR": "a random walk reached a vertex with no graph neighbour",
+    "FLOW_NO_PATH": "no sink with demand is reachable",
+    "FLOW_BUDGET": "augmenting-path budget exhausted",
+    "FLOW_FOREST": "support forest lost connectivity",
+}
+
+
+def c_enum(source: str) -> dict[str, int]:
+    """Names and values of the first ``enum { ... };`` of a C source."""
+    body = re.search(r"\benum\s*\{(.*?)\};", source, re.S).group(1)
+    return {name: int(value) for name, value in re.findall(r"(\w+)\s*=\s*(-?\d+)", body)}
+
+
+def python_codes() -> dict[str, int]:
+    """Every status and stop code that ``_kernels`` reads, by its C name:
+    ``_C_STATUS`` and ``_FLOW_ERRORS`` by message, the ``PLAN_*``,
+    ``TREE_*`` and ``STOP_*`` constants by name, and the tables keyed by
+    them."""
+    by_message = {m: c for table in (_kernels._C_STATUS, _kernels._FLOW_ERRORS)
+                  for c, m in table.items()}
+    codes = {"CHAIN_OK": 0, **{name: by_message.pop(m) for name, m in CODE_MESSAGES.items()}}
+    assert not by_message, f"codes with no C name: {by_message}"
+    codes.update({name: value for name, value in vars(_kernels).items()
+                  if name.startswith(("PLAN_", "TREE_", "STOP_")) and isinstance(value, int)})
+    assert set(_kernels._TREE_ERRORS) == {v for k, v in codes.items() if k.startswith("TREE_")}
+    assert set(_kernels.STOP_REASONS) == {v for k, v in codes.items() if k.startswith("STOP_")}
+    return codes
+
+
+def code_mismatches(source: str) -> list[str]:
+    c, py = c_enum(source), python_codes()
+    return [f"{name}: C {c.get(name)}, python {py.get(name)}"
+            for name in sorted(c.keys() | py.keys()) if c.get(name) != py.get(name)]
+
+
+def test_kernel_codes_match_the_c_enum():
+    source = _kernels.C_SOURCE.read_text(encoding="utf-8")
+    assert len(c_enum(source)) == 16
+    assert code_mismatches(source) == []
+
+
+def test_the_code_check_flags_a_mismatched_copy():
+    source = _kernels.C_SOURCE.read_text(encoding="utf-8")
+    mutants = {
+        "STOP_CERTIFIED = 15": "STOP_CERTIFIED = 16",
+        "FLOW_NO_PATH = 7,\n    FLOW_BUDGET = 8,": "FLOW_NO_PATH = 8,\n    FLOW_BUDGET = 7,",
+        "    TREE_UNREACHED = 12,\n": "",
+        "    STOP_MAX_ITERS = 13,\n": "    STOP_MAX_ITERS = 13,\n    STOP_EXTRA = 16,\n",
+        "CHAIN_NO_NEIGHBOUR = 1": "CHAIN_NO_NEIGHBOR = 1",
+    }
+    for old, new in mutants.items():
+        assert source.count(old) == 1
+        assert code_mismatches(source.replace(old, new)) != [], old
