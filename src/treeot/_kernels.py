@@ -81,8 +81,8 @@ STOP_MAX_ITERS = 13
 STOP_TARGET = 14
 STOP_CERTIFIED = 15
 STOP_REASONS = {STOP_MAX_ITERS: "max_iters", STOP_TARGET: "target", STOP_CERTIFIED: "certified"}
-# relative slack of certify's Lipschitz test: a certified tree costs at most
-# (1 + CERT_RTOL) * W1
+# relative slack of certify's Lipschitz test; it absorbs last-ulp differences
+# in the edge comparison, not the rounding of u summed down the tree
 CERT_RTOL = 1e-12
 
 
@@ -602,10 +602,13 @@ def certify(parent, wpar, indptr, indices, adj_w, xi_node):
 
     The cumulative imbalance is summed afresh by ``recompute_cumulative``,
     whose queue orders ``tree_potential`` (sign +1 where it is exactly 0).
-    Summation by parts makes the potential's value the tree's cost, so a
-    potential that passes proves, by Kantorovich-Rubinstein duality, that
-    W1 >= cost / (1 + CERT_RTOL). Where a cumulative imbalance is 0 an
-    optimal tree may fail.
+    Summation by parts makes the potential's value the tree's cost, so in
+    exact arithmetic a potential that passes proves, by Kantorovich-Rubinstein
+    duality, that W1 >= cost / (1 + CERT_RTOL). In floating point the test is
+    exact only up to the rounding of u, which is summed along tree paths and
+    so can err by about depth * eps * max|u|; that error can exceed the slack
+    w * CERT_RTOL on deep trees, so a violation below it can pass. Where a
+    cumulative imbalance is 0 an optimal tree may fail.
     """
     xi_cum, queue = recompute_cumulative(parent, xi_node)
     u = np.zeros(parent.shape[0])

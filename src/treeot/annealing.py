@@ -103,7 +103,7 @@ def anneal(
     determined by ``config.seed``. ``config.max_iters`` is a budget: the
     chain stops early, with ``stop_reason`` ``"certified"``, once the tree
     potential of its best tree is 1-Lipschitz on every graph edge, which
-    proves that tree optimal. It checks on the initial tree and on each trace
+    proves that tree optimal up to floating-point rounding. It checks on the initial tree and on each trace
     row where the best cost has dropped, so it stops at most
     ``config.record_every`` steps after it first holds a tree that passes.
     ``target_cost`` stops it (``"target"``) once the best cost is within 1e-9

@@ -171,47 +171,27 @@ def save_plan(path, plan: TransportPlan) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _csv_rows(path, header: str) -> list[list[str]]:
-    """The non-blank lines after ``header``, split at commas."""
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0].strip() != header:
-        raise FormatError(f"{path}: missing {header!r} header")
-    return [ln.split(",") for ln in lines[1:] if ln.strip()]
-
-
-def _columns(rows, types) -> list[list] | None:
-    """The columns of ``rows``, each converted by its entry of ``types``, or
-    ``None`` when a row has another width or a field does not convert."""
-    if not {len(row) for row in rows} <= {len(types)}:
-        return None
-    try:
-        return [list(map(kind, column)) for kind, column in zip(types, zip(*rows))] or [[] for _ in types]
-    except ValueError:
-        return None
-
-
-def _row_fields(path, row, types) -> list:
-    """One row converted by ``types``: the slow path that names a bad row."""
-    if len(row) != len(types):
-        raise FormatError(f"{path}: bad row {','.join(row)!r}")
-    try:
-        return [kind(field) for kind, field in zip(types, row)]
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
 def load_plan_triplets(path) -> list[tuple[int, int, float]]:
     """Raw triplets, unvalidated beyond finite masses, so checkers can report
-    on bad plans. Whole columns are converted and checked; only a failed
-    check reads the rows one by one, to name the first bad one."""
-    rows = _csv_rows(path, "x,y,mass")
-    columns = _columns(rows, (int, int, float))
-    if columns is None or not all(map(math.isfinite, columns[2])):
-        for row in rows:
-            x, y, m = _row_fields(path, row, (int, int, float))
-            if not math.isfinite(m):
-                raise NonFiniteMassError(f"{path}: plan entry ({x},{y}) has a NaN or infinite mass")
-    return list(zip(*columns))
+    on bad plans."""
+    lines = _read_text(path).splitlines()
+    if not lines or lines[0].strip() != "x,y,mass":
+        raise FormatError(f"{path}: missing 'x,y,mass' header")
+    out = []
+    for ln in lines[1:]:
+        if not ln.strip():
+            continue
+        parts = ln.split(",")
+        if len(parts) != 3:
+            raise FormatError(f"{path}: bad row {ln!r}")
+        try:
+            x, y, m = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        if not math.isfinite(m):
+            raise NonFiniteMassError(f"{path}: plan entry ({x},{y}) has a NaN or infinite mass")
+        out.append((x, y, m))
+    return out
 
 
 def save_potential(path, u: Potential) -> None:
@@ -221,23 +201,27 @@ def save_potential(path, u: Potential) -> None:
 
 
 def load_potential(path, n: int) -> Potential:
-    """The potential of every vertex, its rows checked by whole columns first
-    as :func:`load_plan_triplets` checks a plan's."""
-    rows = _csv_rows(path, "vertex,u")
-    columns = _columns(rows, (int, float))
-    if columns is None or not (min(columns[0], default=0) >= 0 and max(columns[0], default=-1) < n
-                               and len(set(columns[0])) == len(rows)):
-        seen = set()
-        for row in rows:
-            v, _ = _row_fields(path, row, (int, float))
-            if not (0 <= v < n) or v in seen:
-                raise FormatError(f"{path}: bad or repeated vertex {v}")
-            seen.add(v)
-    vertices, found = columns
-    if len(vertices) != n:
-        raise BadDimensionsError(f"{path}: missing vertices")
+    lines = _read_text(path).splitlines()
+    if not lines or lines[0].strip() != "vertex,u":
+        raise FormatError(f"{path}: missing 'vertex,u' header")
     values = np.zeros(n)
-    values[vertices] = found
+    seen = np.zeros(n, dtype=bool)
+    for ln in lines[1:]:
+        if not ln.strip():
+            continue
+        parts = ln.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"{path}: bad row {ln!r}")
+        try:
+            v, value = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        if not (0 <= v < n) or seen[v]:
+            raise FormatError(f"{path}: bad or repeated vertex {v}")
+        values[v] = value
+        seen[v] = True
+    if not seen.all():
+        raise BadDimensionsError(f"{path}: missing vertices")
     if not np.all(np.isfinite(values)):
         raise NonFiniteMassError(f"{path}: potential has a NaN or infinite value")
     anchored = np.flatnonzero(np.abs(values) == 0.0)

@@ -264,10 +264,10 @@ def load_outcome(load, reference, path, *args):
     return expected
 
 
-class TestColumnParsersMatchTheRowLoops:
-    """``load_plan_triplets`` and ``load_potential`` check whole columns and
-    read the rows one by one only to name the first bad one; they raise and
-    return what the former row-by-row loops did."""
+class TestLoadersMatchTheRowLoops:
+    """``load_plan_triplets`` and ``load_potential`` raise and return what the
+    reference row loops of ``conftest.py`` do: the same exception type and
+    message for the first bad row, or the same result bit for bit."""
 
     @pytest.mark.parametrize("name", PLAN_BODIES)
     def test_plan_files(self, tmp_path, name):
