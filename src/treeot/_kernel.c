@@ -1,5 +1,5 @@
 /* C transcription of the annealing, random-tree, tree-pass, transport-plan
- * and exact-flow kernels in _kernels.py.
+ * and network-simplex kernels in _kernels.py.
  *
  * Every floating-point operation happens in the same order as in the Python
  * kernels, and the library is built with -ffp-contract=off and without
@@ -30,9 +30,9 @@ enum {
     WILSON_NO_NEIGHBOUR = 4,
     PLAN_NO_MATCH = 5,
     PLAN_NO_END = 6,
-    FLOW_NO_PATH = 7,
+    FLOW_BAD_COST = 7,
     FLOW_BUDGET = 8,
-    FLOW_FOREST = 9,
+    FLOW_INFEASIBLE = 9,
     TREE_NOT_ROOTED = 10,
     TREE_BAD_PARENT = 11,
     TREE_UNREACHED = 12,
@@ -660,300 +660,169 @@ int treeot_dp_plan(
     return status;
 }
 
-
-/* numpy's pairwise summation (pairwise_sum in numpy's loops_utils.h.src):
- * a plain loop below 8 entries, eight interleaved accumulators up to 128,
- * and halves at multiples of 8 beyond. */
-static double pairwise_sum(const double *a, int64_t n)
+/* network_simplex of _kernels.py. Nodes 0..n-1 have supply (negative for
+ * demand), arc k runs tail[k] -> head[k] at cost[k]; the artificial root is
+ * node n and arc m + v is v's artificial arc. Writes the m arc flows into
+ * flow, the n potentials into pi and the pivot count into out_pivots.
+ * work_d holds m + 2 n + 1 slots (all flows, then the potentials' real
+ * parts), work_i 7 (n + 1) (parent, pred, up, M counts, depth, seen,
+ * stack). Returns CHAIN_OK, FLOW_BAD_COST, FLOW_BUDGET or FLOW_INFEASIBLE. */
+int treeot_network_simplex(int64_t n, int64_t m, const double *supply, const int64_t *tail,
+                           const int64_t *head, const double *cost, double price_rtol,
+                           double *flow, double *pi, double *work_d, int64_t *work_i,
+                           int64_t *out_pivots)
 {
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
+    double cmax = 0.0;
+    *out_pivots = 0;
+    for (int64_t k = 0; k < m; k++) {
+        if (!(cost[k] >= 0.0 && cost[k] < INFINITY))
+            return FLOW_BAD_COST;
+        if (cost[k] > cmax)
+            cmax = cost[k];
     }
-    if (n <= 128) {
-        double r[8];
-        for (int k = 0; k < 8; k++)
-            r[k] = a[k];
-        int64_t i = 8;
-        for (; i < n - n % 8; i += 8)
-            for (int k = 0; k < 8; k++)
-                r[k] += a[i + k];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
+    const double tol = price_rtol * cmax;
+    const int64_t root = n;
+    double *fl = work_d, *pr = work_d + m + n;
+    int64_t *parent = work_i, *pred = parent + (n + 1), *up = pred + (n + 1);
+    int64_t *pm = up + (n + 1), *depth = pm + (n + 1), *seen = depth + (n + 1);
+    int64_t *stack = seen + (n + 1);
+    memset(fl, 0, (size_t)m * sizeof *fl);
+    for (int64_t v = 0; v < n; v++) {
+        parent[v] = root;
+        pred[v] = m + v;
+        up[v] = supply[v] >= 0.0;
+        fl[m + v] = up[v] ? supply[v] : -supply[v];
     }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
-}
-
-/* ndarray.sum() of the contiguous float64 array a[0..n): the identity 0.0
- * plus the pairwise sum, so the exact flow's stop test decides as the
- * reference's does. */
-double treeot_array_sum(const double *a, int64_t n)
-{
-    return 0.0 + pairwise_sum(a, n);
-}
-
-/* _successive_shortest_paths of _kernels.py, into the zeroed flow, alpha and
- * beta. work_d holds ns * nd + ns + 2 nd slots, work_i ns + 2 nd. Each round
- * of the label-correcting search sweeps sources to sinks (argmin over the
- * sources of ls + reduced, ties to the lowest source, rows with an infinite
- * label skipped since they never win a strict comparison) and then sinks
- * back to sources over the flow-carrying pairs. Returns CHAIN_OK,
- * FLOW_NO_PATH or FLOW_BUDGET. */
-static int successive_shortest_paths(int64_t ns, int64_t nd, const double *cost, double *supply,
-                                     double *demand, double *flow, double *alpha, double *beta,
-                                     double *work_d, int64_t *work_i)
-{
-    const double eps = 1e-15;
-    double *reduced = work_d, *ls = work_d + ns * nd, *lt = ls + ns, *reach = lt + nd;
-    int64_t *pred_s = work_i, *pred_t = work_i + ns, *via = pred_t + nd;
-    const int64_t guard = 50 * (ns + nd) + 200;
-    for (int64_t step = 0; step < guard; step++) {
-        if (treeot_array_sum(supply, ns) <= 1e-12 || treeot_array_sum(demand, nd) <= 1e-12)
-            return CHAIN_OK;
-        for (int64_t i = 0; i < ns; i++) {
-            const double *c = cost + i * nd;
-            double *r = reduced + i * nd;
-            for (int64_t j = 0; j < nd; j++) {
-                const double x = (c[j] - alpha[i]) - beta[j];
-                r[j] = x > 0.0 ? x : 0.0;
-            }
-            ls[i] = supply[i] > eps ? 0.0 : INFINITY;
-            pred_s[i] = -1;
-        }
-        for (int64_t j = 0; j < nd; j++) {
-            lt[j] = INFINITY;
-            pred_t[j] = -1;
-        }
-        for (;;) {
-            for (int64_t j = 0; j < nd; j++) {
-                reach[j] = ls[0] + reduced[j];
-                via[j] = 0;
-            }
-            for (int64_t i = 1; i < ns; i++) {
-                const double l = ls[i];
-                if (l == INFINITY)
-                    continue;
-                const double *r = reduced + i * nd;
-                for (int64_t j = 0; j < nd; j++) {
-                    const double c = l + r[j];
-                    if (c < reach[j]) {
-                        reach[j] = c;
-                        via[j] = i;
-                    }
-                }
-            }
-            int improved = 0;
-            for (int64_t j = 0; j < nd; j++)
-                if (reach[j] < lt[j]) {
-                    lt[j] = reach[j];
-                    pred_t[j] = via[j];
-                    improved = 1;
-                }
-            if (!improved)
-                break;
-            improved = 0;
-            for (int64_t i = 0; i < ns; i++) {
-                const double *f = flow + i * nd;
-                double best = INFINITY;
-                int64_t v = 0;
-                for (int64_t j = 0; j < nd; j++)
-                    if (f[j] > 0.0 && lt[j] < best) {
-                        best = lt[j];
-                        v = j;
-                    }
-                if (best < ls[i]) {
-                    ls[i] = best;
-                    pred_s[i] = v;
-                    improved = 1;
-                }
-            }
-            if (!improved)
-                break;
-        }
-
-        int64_t target = 0;
-        double delta = INFINITY;
-        for (int64_t j = 0; j < nd; j++) {
-            const double open = demand[j] > eps ? lt[j] : INFINITY;
-            if (open < delta) {
-                delta = open;
-                target = j;
-            }
-        }
-        if (!isfinite(delta))
-            return FLOW_NO_PATH;
-        for (int64_t i = 0; i < ns; i++)
-            alpha[i] += delta - (ls[i] < delta ? ls[i] : delta);
-        for (int64_t j = 0; j < nd; j++)
-            beta[j] -= delta - (lt[j] < delta ? lt[j] : delta);
-
-        /* the path's pairs are distinct, so the amount is found on a first
-         * walk from the target and applied on a second */
-        int64_t i = pred_t[target];
-        double amount = demand[target];
-        for (int64_t j = pred_s[i]; j >= 0; j = pred_s[i]) {
-            if (flow[i * nd + j] < amount)
-                amount = flow[i * nd + j];
-            i = pred_t[j];
-        }
-        if (supply[i] < amount)
-            amount = supply[i];
-        for (int64_t j = target;;) {
-            i = pred_t[j];
-            flow[i * nd + j] += amount;
-            j = pred_s[i];
-            if (j < 0)
-                break;
-            double *back = flow + i * nd + j;
-            *back -= amount;
-            if (*back <= eps)
-                *back = 0.0;
-        }
-        supply[i] -= amount;
-        demand[target] -= amount;
-        if (supply[i] <= eps)
-            supply[i] = 0.0;
-        if (demand[target] <= eps)
-            demand[target] = 0.0;
+    parent[root] = -1;
+    pred[root] = -1;
+    up[root] = 0;
+    for (int64_t v = 0; v <= n; v++) {
+        pr[v] = 0.0;
+        pm[v] = 0;
+        depth[v] = 0;
+        seen[v] = 0;
     }
-    return FLOW_BUDGET;
-}
-
-/* find of _kernels._find_support_cycle: root with path halving. */
-static int64_t find_root(int64_t *root_of, int64_t v)
-{
-    while (root_of[v] != v) {
-        root_of[v] = root_of[root_of[v]];
-        v = root_of[v];
-    }
-    return v;
-}
-
-/* Append arc number `arc`, u -> v, to u's adjacency list (head, tail, next,
- * to), which keeps insertion order. */
-static void append_arc(int64_t *head, int64_t *tail, int64_t *next, int64_t *to, int64_t arc,
-                       int64_t u, int64_t v)
-{
-    to[arc] = v;
-    next[arc] = -1;
-    if (head[u] < 0)
-        head[u] = arc;
-    else
-        next[tail[u]] = arc;
-    tail[u] = arc;
-}
-
-/* _find_support_cycle and _forest_path of _kernels.py over the nv = ns + nd
- * support vertices, sink j being ns + j. Writes the cycle a, b, ..., a into
- * nodes (nv + 1 slots) and returns its arc count; returns 0 when the support
- * is a forest and -1 when the forest path is not found. work_i holds 9 nv
- * slots: union-find roots, adjacency lists in insertion order (head, tail,
- * and 2 nv next and target slots), BFS predecessors and queue. */
-static int64_t find_support_cycle(int64_t ns, int64_t nd, const double *flow, int64_t *work_i,
-                                  int64_t *nodes)
-{
-    const int64_t nv = ns + nd;
-    int64_t *root_of = work_i, *head = work_i + nv, *tail = work_i + 2 * nv;
-    int64_t *prev = work_i + 3 * nv, *queue = work_i + 4 * nv;
-    int64_t *next = work_i + 5 * nv, *to = work_i + 7 * nv;
-    for (int64_t v = 0; v < nv; v++) {
-        root_of[v] = v;
-        head[v] = -1;
-    }
-    int64_t arcs = 0;
-    for (int64_t i = 0; i < ns; i++)
-        for (int64_t j = 0; j < nd; j++) {
-            if (!(flow[i * nd + j] > 0.0))
-                continue;
-            const int64_t a = i, b = ns + j;
-            const int64_t ra = find_root(root_of, a), rb = find_root(root_of, b);
-            if (ra != rb) {
-                root_of[ra] = rb;
-                append_arc(head, tail, next, to, arcs++, a, b);
-                append_arc(head, tail, next, to, arcs++, b, a);
-                continue;
-            }
-            /* breadth-first from b to a through the forest; -2 marks unseen */
-            for (int64_t v = 0; v < nv; v++)
-                prev[v] = -2;
-            prev[b] = -1;
-            queue[0] = b;
-            int64_t qhead = 0, qtail = 1;
-            while (qhead < qtail && queue[qhead] != a) {
-                const int64_t v = queue[qhead++];
-                for (int64_t e = head[v]; e >= 0; e = next[e])
-                    if (prev[to[e]] == -2) {
-                        prev[to[e]] = v;
-                        queue[qtail++] = to[e];
-                    }
-            }
-            if (qhead == qtail)
-                return -1;
-            int64_t len = 1;
-            for (int64_t v = a; v != b; v = prev[v])
-                len++;
-            nodes[0] = a;
-            int64_t k = len;
-            for (int64_t v = a;; v = prev[v]) {
-                nodes[k--] = v;
-                if (v == b)
-                    break;
-            }
-            return len;
-        }
-    return 0;
-}
-
-/* _cancel_zero_cost_cycles of _kernels.py: push theta, the smallest flow on
- * the cycle's odd arcs, forward on its even arcs and back on its odd ones,
- * until the support is a forest. work_i holds 10 (ns + nd) + 1 slots.
- * Returns CHAIN_OK or FLOW_FOREST. */
-static int cancel_zero_cost_cycles(int64_t ns, int64_t nd, double *flow, int64_t *work_i)
-{
-    int64_t *nodes = work_i + 9 * (ns + nd);
+    int64_t block = 1; /* ceil(sqrt(m)), at least 1 */
+    while (block * block < m)
+        block++;
+    const int64_t blocks = (m + block - 1) / block;
+    int64_t next_block = 0;
+    const int64_t guard = 10 * (n + m) + 100;
+    int64_t pivots = 0;
     for (;;) {
-        const int64_t len = find_support_cycle(ns, nd, flow, work_i, nodes);
-        if (len < 0)
-            return FLOW_FOREST;
-        if (len == 0)
-            return CHAIN_OK;
-        double theta = INFINITY;
-        for (int64_t k = 1; k < len; k += 2) {
-            const int64_t u = nodes[k], v = nodes[k + 1];
-            const double f = u < ns ? flow[u * nd + (v - ns)] : flow[v * nd + (u - ns)];
-            if (f < theta)
-                theta = f;
+        /* potentials and depths, each node after its parent */
+        seen[root] = pivots + 1;
+        for (int64_t v = 0; v < n; v++) {
+            int64_t k = 0;
+            for (int64_t u = v; seen[u] != pivots + 1; u = parent[u])
+                stack[k++] = u;
+            while (k) {
+                const int64_t u = stack[--k], p = parent[u], e = pred[u];
+                if (e >= m) {
+                    pr[u] = pr[p];
+                    pm[u] = up[u] ? pm[p] + 1 : pm[p] - 1;
+                } else if (up[u]) {
+                    pr[u] = cost[e] + pr[p];
+                    pm[u] = pm[p];
+                } else {
+                    pr[u] = pr[p] - cost[e];
+                    pm[u] = pm[p];
+                }
+                depth[u] = depth[p] + 1;
+                seen[u] = pivots + 1;
+            }
         }
-        for (int64_t k = 0; k < len; k++) {
-            const int64_t u = nodes[k], v = nodes[k + 1];
-            double *f = u < ns ? flow + u * nd + (v - ns) : flow + v * nd + (u - ns);
-            *f += (k % 2 == 0 ? 1.0 : -1.0) * theta;
-            if (*f <= 1e-15)
-                *f = 0.0;
+
+        int64_t enter = -1, best_m = 0;
+        double best_r = -tol;
+        for (int64_t step = 0; step < blocks; step++) {
+            const int64_t b = (next_block + step) % blocks;
+            const int64_t end = (b + 1) * block < m ? (b + 1) * block : m;
+            for (int64_t e = b * block; e < end; e++) {
+                const int64_t t = tail[e], h = head[e];
+                const int64_t rm = pm[h] - pm[t];
+                if (rm > best_m)
+                    continue;
+                const double rr = cost[e] - pr[t] + pr[h];
+                if (rm < best_m || rr < best_r) {
+                    best_m = rm;
+                    best_r = rr;
+                    enter = e;
+                }
+            }
+            if (enter >= 0) {
+                next_block = (b + 1) % blocks;
+                break;
+            }
+        }
+        if (enter < 0)
+            break;
+        if (pivots == guard) {
+            *out_pivots = pivots;
+            return FLOW_BUDGET;
+        }
+        pivots++;
+
+        const int64_t p = tail[enter], q = head[enter];
+        int64_t a = p, b = q;
+        while (a != b) {
+            if (depth[a] >= depth[b])
+                a = parent[a];
+            if (depth[b] > depth[a])
+                b = parent[b];
+        }
+        const int64_t join = a;
+        /* Cunningham's leaving arc: on q's side the blocking arc nearest the
+         * join, else on p's the one nearest p */
+        double delta = INFINITY;
+        int64_t out = -1, cut = p, graft = q;
+        for (int64_t u = p; u != join; u = parent[u])
+            if (up[u] && fl[pred[u]] < delta) {
+                delta = fl[pred[u]];
+                out = u;
+            }
+        for (int64_t u = q; u != join; u = parent[u])
+            if (!up[u] && fl[pred[u]] <= delta) {
+                delta = fl[pred[u]];
+                out = u;
+                cut = q;
+                graft = p;
+            }
+        if (delta > 0.0) {
+            fl[enter] += delta;
+            for (int64_t u = p; u != join; u = parent[u]) {
+                if (up[u])
+                    fl[pred[u]] -= delta;
+                else
+                    fl[pred[u]] += delta;
+            }
+            for (int64_t u = q; u != join; u = parent[u]) {
+                if (up[u])
+                    fl[pred[u]] += delta;
+                else
+                    fl[pred[u]] -= delta;
+            }
+        }
+        /* hang the cut side from the entering arc */
+        int64_t v = cut, new_parent = graft, new_arc = enter;
+        for (;;) {
+            const int64_t old_parent = parent[v], old_arc = pred[v];
+            parent[v] = new_parent;
+            pred[v] = new_arc;
+            up[v] = tail[new_arc] == v;
+            if (v == out)
+                break;
+            new_parent = v;
+            new_arc = old_arc;
+            v = old_parent;
         }
     }
-}
 
-/* exact_flow of _kernels.py: successive shortest paths, then zero-cost cycle
- * cancelling. supply and demand are consumed in place; flow (ns * nd), alpha
- * and beta are written. work_d holds ns * nd + 2 (ns + nd) slots and work_i
- * 10 (ns + nd) + 1. Returns CHAIN_OK, FLOW_NO_PATH, FLOW_BUDGET or
- * FLOW_FOREST. */
-int treeot_exact_flow(int64_t ns, int64_t nd, const double *cost, double *supply, double *demand,
-                      double *flow, double *alpha, double *beta, double *work_d, int64_t *work_i)
-{
-    memset(flow, 0, (size_t)(ns * nd) * sizeof *flow);
-    memset(alpha, 0, (size_t)ns * sizeof *alpha);
-    memset(beta, 0, (size_t)nd * sizeof *beta);
-    const int status = successive_shortest_paths(ns, nd, cost, supply, demand, flow, alpha, beta,
-                                                 work_d, work_i);
-    if (status != CHAIN_OK)
-        return status;
-    return cancel_zero_cost_cycles(ns, nd, flow, work_i);
+    *out_pivots = pivots;
+    for (int64_t v = 0; v < n; v++)
+        if (pm[v] != pm[0])
+            return FLOW_INFEASIBLE;
+    memcpy(flow, fl, (size_t)m * sizeof *flow);
+    memcpy(pi, pr, (size_t)n * sizeof *pi);
+    return CHAIN_OK;
 }

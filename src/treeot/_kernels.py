@@ -2,20 +2,22 @@
 kernels and the backends that run them.
 
 ``anneal_chain``, ``wilson_tree``, ``tree_order``, ``subtree_sums``,
-``tree_potential``, ``balanced_subtree``, ``dp_plan`` and ``exact_flow``
-below are the reference kernels in plain Python. ``anneal_chain`` moves
-between rooted spanning trees through five step functions, the one statement
-of the swap arithmetic and of the stop: ``propose_root`` draws the candidate
-root, ``swap_delta`` scores the swap on its cycle, ``apply_swap`` makes it,
-``update_beta`` adapts the temperature, and ``certify`` proves the best tree
-optimal (its tree potential is 1-Lipschitz on every graph edge), which ends
-the chain. ``tree_order`` orients a tree given
-by parent links (leaves-first order and depths), ``subtree_sums`` is the
-leaves-to-root pass and ``tree_potential`` the root-to-leaves one;
-``balanced_subtree`` runs Wilson, ``tree_order`` and ``subtree_sums`` on a
-number of sampled trees. ``exact_flow`` is the exact oracle's min-cost flow:
-successive shortest paths, then zero-cost cycle cancelling. Two backends run
-the kernels:
+``tree_potential``, ``balanced_subtree``, ``dp_plan`` and
+``network_simplex`` below are the reference kernels in plain Python.
+``anneal_chain`` moves between rooted spanning trees through five step
+functions, the one statement of the swap arithmetic and of the stop:
+``propose_root`` draws the candidate root, ``swap_delta`` scores the swap on
+its cycle, ``apply_swap`` makes it, ``update_beta`` adapts the temperature,
+and ``certify`` proves the best tree optimal (its tree potential is
+1-Lipschitz on every graph edge), which ends the chain. ``tree_order``
+orients a tree given by parent links (leaves-first order and depths),
+``subtree_sums`` is the leaves-to-root pass and ``tree_potential`` the
+root-to-leaves one; ``balanced_subtree`` runs Wilson, ``tree_order`` and
+``subtree_sums`` on a number of sampled trees. ``network_simplex`` is the
+exact oracle's min-cost flow: primal network simplex, which moves between
+spanning trees of the flow network (here the source-to-sink transportation
+network) with a dual potential at every step, and whose optimal flow is
+basic, so its support is a forest. Two backends run the kernels:
 
 - ``c``: ``_kernel.c``, a transcription (the step functions and the tree
   passes as ``static`` helpers) built on first use with the system C
@@ -28,9 +30,8 @@ raises :class:`KernelBackendError`; there is no silent fallback. Traces,
 trees, orders, sums, potentials, plans and exact flows are bit-identical
 between backends: both draw from the caller's numpy bit generator in the
 same way, and do the same arithmetic in the same order without fused
-multiply-adds. The python backend runs the tree passes and ``dp_plan`` over
-lists, which Python indexes faster than arrays, and ``exact_flow`` over
-whole numpy arrays.
+multiply-adds. The python backend runs the tree passes, ``dp_plan`` and
+``network_simplex`` over lists, which Python indexes faster than arrays.
 """
 
 from __future__ import annotations
@@ -61,11 +62,14 @@ _C_STATUS = {
 # dp_plan's statuses besides 0, shared with _kernel.c
 PLAN_NO_MATCH = 5
 PLAN_NO_END = 6
-# treeot_exact_flow's statuses besides 0 and the reference's errors for them
+# network_simplex's statuses besides 0, shared with _kernel.c, and their errors
+FLOW_BAD_COST = 7
+FLOW_BUDGET = 8
+FLOW_INFEASIBLE = 9
 _FLOW_ERRORS = {
-    7: "no sink with demand is reachable",
-    8: "augmenting-path budget exhausted",
-    9: "support forest lost connectivity",
+    FLOW_BAD_COST: "an arc cost is negative or not finite",
+    FLOW_BUDGET: "pivot budget exhausted",
+    FLOW_INFEASIBLE: "the supplies cannot be met on these arcs",
 }
 # tree_order's statuses besides 0, shared with _kernel.c
 TREE_NOT_ROOTED = 10
@@ -84,12 +88,16 @@ STOP_REASONS = {STOP_MAX_ITERS: "max_iters", STOP_TARGET: "target", STOP_CERTIFI
 # relative slack of certify's Lipschitz test; it absorbs last-ulp differences
 # in the edge comparison, not the rounding of u summed down the tree
 CERT_RTOL = 1e-12
+# an arc enters the network simplex's tree when its reduced cost is below
+# -PRICE_RTOL * (largest arc cost): potentials summed down the tree round at
+# about 1e-16 of it, and ties priced on that noise would pivot without end
+PRICE_RTOL = 1e-12
 
 
 class Kernels(NamedTuple):
-    """One backend's kernels. ``anneal_chain``, ``wilson_tree``,
-    ``exact_flow`` and ``balanced_subtree`` have the signatures of the
-    reference kernels below; the others wrap theirs:
+    """One backend's kernels. ``anneal_chain``, ``wilson_tree`` and
+    ``balanced_subtree`` have the signatures of the reference kernels below;
+    the others wrap theirs:
 
     - ``dp_plan(parent, order, xi, zero_tol) -> (rows, cols, mass)``: the
       off-diagonal entries that :func:`dp_plan` writes, in its order. Raises
@@ -101,13 +109,17 @@ class Kernels(NamedTuple):
     - ``subtree_sums(parent, order, values) -> sums``, a new float64 array.
     - ``tree_potential(parent, order, wpar, xi_cum, sign_at_zero) -> u``, a
       new float64 array.
+    - ``network_simplex(supply, tail, head, cost) -> (flow, pi, pivots)``:
+      the arc flows and node potentials of :func:`network_simplex` at
+      ``PRICE_RTOL`` as float64 arrays, and its pivot count. Raises
+      ``RuntimeError`` for its failure statuses.
     """
 
     name: str
     anneal_chain: Callable
     wilson_tree: Callable
     dp_plan: Callable
-    exact_flow: Callable
+    network_simplex: Callable
     tree_order: Callable
     subtree_sums: Callable
     tree_potential: Callable
@@ -188,9 +200,13 @@ def _load_python() -> Kernels:
                        sign_at_zero, u)
         return np.array(u, dtype=np.float64)
 
-    return Kernels("python", anneal_chain, wilson_tree, _plan_runner(dp_plan_lists), exact_flow,
-                   _order_runner(tree_order_lists), subtree_sums_lists, tree_potential_lists,
-                   balanced_subtree)
+    def network_simplex_lists(supply, tail, head, cost):
+        return network_simplex(supply.tolist(), tail.tolist(), head.tolist(), cost.tolist(),
+                               PRICE_RTOL)
+
+    return Kernels("python", anneal_chain, wilson_tree, _plan_runner(dp_plan_lists),
+                   _simplex_runner(network_simplex_lists), _order_runner(tree_order_lists),
+                   subtree_sums_lists, tree_potential_lists, balanced_subtree)
 
 
 def child_csr(parent):
@@ -257,6 +273,24 @@ def _plan_runner(run):
     return dp_plan_entries
 
 
+def _simplex_runner(run):
+    """The backend's network simplex: checks the network, calls
+    ``run(supply, tail, head, cost)`` and turns its ``(status, pivots,
+    flow, pi)`` into ``(flow, pi, pivots)`` or a ``RuntimeError``."""
+
+    def network_simplex_checked(supply, tail, head, cost):
+        n, m = supply.shape[0], cost.shape[0]
+        _check_arrays(((tail, m), (head, m)), ((supply, n), (cost, m)), "network")
+        if m and not (0 <= min(tail.min(), head.min()) and max(tail.max(), head.max()) < n):
+            raise ValueError("network simplex: arc endpoint out of range")
+        status, pivots, flow, pi = run(supply, tail, head, cost)
+        if status != 0:
+            raise RuntimeError(_FLOW_ERRORS[status])
+        return np.asarray(flow, dtype=np.float64), np.asarray(pi, dtype=np.float64), pivots
+
+    return network_simplex_checked
+
+
 def _check_arrays(ints, floats, what: str) -> None:
     """Raise unless every ``(array, size)`` pair is a contiguous 1-D array of
     the dtype and at least the size the kernels index."""
@@ -282,31 +316,34 @@ def _check_links(n: int, parent, order) -> None:
         raise ValueError("C kernel: parent or order index out of range")
 
 
+_I64, _F64, _PTR, _INT = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
+#: ``(restype, argtypes)`` of every function that ``_kernel.c`` exports
+C_SIGNATURES = {
+    "treeot_anneal_chain": (_INT, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _F64,
+                                   _F64, _F64, _I64, _I64, _I64, _F64, _F64, _PTR, _PTR, _PTR, _PTR,
+                                   _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
+    "treeot_wilson": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
+    "treeot_dp_plan": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR, _PTR,
+                              _PTR, _PTR]),
+    "treeot_network_simplex": (_INT, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR,
+                                      _PTR, _PTR]),
+    "treeot_tree_order": (_INT, [_I64, _PTR, _I64, _PTR, _PTR, _PTR]),
+    "treeot_subtree_sums": (None, [_I64, _PTR, _PTR, _PTR]),
+    "treeot_tree_potential": (None, [_I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR]),
+    "treeot_balanced_subtree": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR, _PTR,
+                                       _PTR, _PTR]),
+}
+
+
 def _load_c() -> Kernels:
     try:
         lib = ctypes.CDLL(str(build_c_kernel()))
     except OSError as exc:
         raise KernelBackendError(f"cannot load the C kernel ({exc})") from exc
-    i64, f64, ptr, c_int = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
-    signatures = {
-        "treeot_anneal_chain": (c_int, [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr,
-                                        i64, f64, f64, f64, i64, i64, i64, f64, f64, ptr, ptr,
-                                        ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
-        "treeot_wilson": (c_int, [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
-        "treeot_dp_plan": (c_int, [i64, ptr, ptr, ptr, ptr, ptr, f64, ptr, ptr, ptr, ptr, ptr,
-                                   ptr, ptr]),
-        "treeot_exact_flow": (c_int, [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
-        "treeot_tree_order": (c_int, [i64, ptr, i64, ptr, ptr, ptr]),
-        "treeot_subtree_sums": (None, [i64, ptr, ptr, ptr]),
-        "treeot_tree_potential": (None, [i64, ptr, ptr, ptr, ptr, f64, ptr]),
-        "treeot_balanced_subtree": (c_int, [i64, ptr, ptr, ptr, ptr, ptr, i64, f64, ptr, ptr,
-                                            ptr, ptr]),
-    }
-    for name, (restype, argtypes) in signatures.items():
+    for name, (restype, argtypes) in C_SIGNATURES.items():
         getattr(lib, name).restype = restype
         getattr(lib, name).argtypes = argtypes
-    fn, wilson, plan, flow_fn = (lib.treeot_anneal_chain, lib.treeot_wilson, lib.treeot_dp_plan,
-                                 lib.treeot_exact_flow)
+    fn, wilson, plan = lib.treeot_anneal_chain, lib.treeot_wilson, lib.treeot_dp_plan
 
     def anneal_chain_c(parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
                        max_iters, beta0, target_accept, eta, window, record_every,
@@ -424,26 +461,22 @@ def _load_c() -> Kernels:
         count, u = out_k.tolist()
         return status, count, u, out_x, out_y, out_m
 
-    def exact_flow_c(cost, supply, demand):
-        ns, nd = cost.shape
-        if cost.dtype != np.float64 or not cost.flags.c_contiguous:
-            raise ValueError("C kernel needs a contiguous float64 cost matrix")
-        _check_arrays((), ((supply, ns), (demand, nd)), "cost matrix")
-        flow = np.empty((ns, nd))
-        alpha = np.empty(ns)
-        beta = np.empty(nd)
-        work_d = np.empty(ns * nd + 2 * (ns + nd))
-        work_i = np.empty(10 * (ns + nd) + 1, dtype=np.int64)
-        status = flow_fn(ns, nd, cost.ctypes.data, supply.ctypes.data, demand.ctypes.data,
-                         flow.ctypes.data, alpha.ctypes.data, beta.ctypes.data,
-                         work_d.ctypes.data, work_i.ctypes.data)
-        if status != 0:
-            raise RuntimeError(_FLOW_ERRORS[status])
-        return flow, alpha, beta
+    def network_simplex_c(supply, tail, head, cost):
+        n, m = supply.shape[0], cost.shape[0]
+        flow = np.empty(m)
+        pi = np.empty(n)
+        work_d = np.empty(m + 2 * n + 1)
+        work_i = np.empty(7 * (n + 1), dtype=np.int64)
+        pivots = np.zeros(1, dtype=np.int64)
+        status = lib.treeot_network_simplex(n, m, supply.ctypes.data, tail.ctypes.data,
+                                            head.ctypes.data, cost.ctypes.data, PRICE_RTOL,
+                                            flow.ctypes.data, pi.ctypes.data, work_d.ctypes.data,
+                                            work_i.ctypes.data, pivots.ctypes.data)
+        return status, int(pivots[0]), flow, pi
 
-    return Kernels("c", anneal_chain_c, wilson_tree_c, _plan_runner(dp_plan_c), exact_flow_c,
-                   _order_runner(tree_order_c), subtree_sums_c, tree_potential_c,
-                   balanced_subtree_c)
+    return Kernels("c", anneal_chain_c, wilson_tree_c, _plan_runner(dp_plan_c),
+                   _simplex_runner(network_simplex_c), _order_runner(tree_order_c),
+                   subtree_sums_c, tree_potential_c, balanced_subtree_c)
 
 
 def _compiler() -> list[str]:
@@ -1065,176 +1098,183 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol, xi_cum, alive, ac
     return PLAN_NO_END, count, -1
 
 
-def exact_flow(cost, supply, demand):
-    """Min-cost flow on the dense bipartite network with all-pairs arcs
-    ``cost`` from sources with ``supply`` to sinks with ``demand`` (both
-    consumed, in place): successive shortest paths, then zero-cost cycle
-    cancelling, so the flow is a vertex of the transportation polytope.
-    Returns ``(flow, alpha, beta)``, the flow and the duals with
-    cost[i,j] - alpha[i] - beta[j] >= 0, equal on every arc of the
-    augmentations' flow. Raises ``RuntimeError`` when no sink with demand is
-    reachable, when 50 (ns + nd) + 200 augmentations do not finish, or when
-    the support forest loses connectivity.
+def network_simplex(supply, tail, head, cost, price_rtol):
+    """Min-cost flow by primal network simplex over spanning trees.
+
+    Nodes 0..n-1 have ``supply`` (negative for demand); arc k runs from
+    ``tail[k]`` to ``head[k]`` at ``cost[k]``, uncapacitated. Returns
+    ``(status, pivots, flow, pi)``: 0 or a ``FLOW_*`` status, the pivots
+    made, the m arc flows and n node potentials with
+    cost[k] - pi[tail[k]] + pi[head[k]] >= -price_rtol * max(cost) on every
+    arc, and pi[tail] - pi[head] = cost on the final tree's arcs (up to
+    the rounding of pi summed down the tree), which hold the support, so
+    the flow is basic. ``flow`` and ``pi`` are None unless the status is 0.
+
+    The initial tree hangs every node v from an artificial root n by the
+    artificial arc m + v, of symbolic cost M: v -> root carrying supply[v]
+    when it is >= 0, else root -> v carrying -supply[v]. The root absorbs
+    the float residual of sum(supply), no flow goes negative, and
+    artificial arcs never enter again. A potential is a real part and a
+    count of M, compared lexicographically, so M needs no numeric value and
+    never rounds the real part. After every pivot the tree is re-walked
+    from the root, so potentials and depths are a function of the tree
+    alone.
+
+    Pricing scans blocks of ceil(sqrt(m)) arcs, aligned at multiples of the
+    block size, from the block after the last entering arc's, cyclically;
+    the first block holding an arc of reduced cost below
+    -price_rtol * max(cost) gives the most negative one, ties to the lowest
+    arc index. The leaving arc is Cunningham's: the last blocking arc met
+    when the cycle is walked along the entering arc from the join. That
+    keeps every tree strongly feasible (zero-flow arcs point to the root),
+    so degenerate pivots cannot cycle. Statuses: ``FLOW_BAD_COST`` when a
+    cost is negative or not finite, ``FLOW_BUDGET`` after
+    10 (n + m) + 100 pivots, ``FLOW_INFEASIBLE`` when the final tree keeps
+    artificial arcs of both directions, so the potentials' M counts differ
+    (some supply cannot reach a demand).
     """
-    flow, alpha, beta = _successive_shortest_paths(cost, supply, demand)
-    _cancel_zero_cost_cycles(flow)
-    return flow, alpha, beta
-
-
-def _successive_shortest_paths(cost, supply, demand):
-    """Min-cost flow on a dense bipartite network with all-pairs arcs.
-
-    Maintains duals (alpha, beta) with cost[i,j] - alpha[i] - beta[j] >= 0 and
-    equality on arcs carrying flow; each augmentation follows a reduced-cost
-    shortest path and saturates a supply, a demand, or a flow-carrying arc.
-
-    Shortest paths come from label correcting, one round being two numpy
-    sweeps: sources to sinks over every arc at its clamped reduced cost, then
-    sinks back to sources over the flow-carrying pairs at cost zero. Every arc
-    cost is non-negative, so the rounds stop, when no label improves, at exact
-    distances; relaxations are strict, so the predecessors form a forest.
-    The stop test sums supply and demand with ``ndarray.sum``, whose pairwise
-    order ``_kernel.c`` transcribes.
-    """
-    ns, nd = cost.shape
-    alpha = np.zeros(ns)
-    beta = np.zeros(nd)
-    flow = np.zeros((ns, nd))
-    eps = 1e-15
-    all_sources = np.arange(ns)
-    all_sinks = np.arange(nd)
-    guard = 50 * (ns + nd) + 200
-    for _ in range(guard):
-        if supply.sum() <= 1e-12 or demand.sum() <= 1e-12:
-            break
-        reduced = np.maximum(cost - alpha[:, None] - beta[None, :], 0.0)
-        carrying = flow > 0.0
-        ls = np.where(supply > eps, 0.0, np.inf)
-        lt = np.full(nd, np.inf)
-        pred_s = np.full(ns, -1)  # sink whose flow-carrying pair reaches source i
-        pred_t = np.full(nd, -1)  # source whose arc reaches sink j
-        while True:
-            cand = ls[:, None] + reduced
-            via = cand.argmin(axis=0)
-            reach = cand[via, all_sinks]
-            better = reach < lt
-            if not better.any():
-                break
-            lt[better] = reach[better]
-            pred_t[better] = via[better]
-            back = np.where(carrying, lt[None, :], np.inf)
-            via = back.argmin(axis=1)
-            reach = back[all_sources, via]
-            better = reach < ls
-            if not better.any():
-                break
-            ls[better] = reach[better]
-            pred_s[better] = via[better]
-
-        open_lt = np.where(demand > eps, lt, np.inf)
-        target = int(open_lt.argmin())
-        delta = open_lt[target]
-        if not np.isfinite(delta):
-            # on the complete network every sink is reachable at finite cost
-            raise RuntimeError("no sink with demand is reachable")
-        alpha += delta - np.minimum(ls, delta)
-        beta -= delta - np.minimum(lt, delta)
-
-        forward = []  # (source, sink) arcs gaining flow, from the target back
-        backward = []  # flow-carrying pairs losing flow
-        j = target
-        while True:
-            i = int(pred_t[j])
-            forward.append((i, j))
-            j = int(pred_s[i])
-            if j < 0:
-                break
-            backward.append((i, j))
-        amount = min(supply[i], demand[target], *(flow[p] for p in backward))
-        for p in forward:
-            flow[p] += amount
-        for p in backward:
-            flow[p] -= amount
-            if flow[p] <= eps:
-                flow[p] = 0.0
-        supply[i] -= amount
-        demand[target] -= amount
-        if supply[i] <= eps:
-            supply[i] = 0.0
-        if demand[target] <= eps:
-            demand[target] = 0.0
-    else:
-        raise RuntimeError("augmenting-path budget exhausted")
-    return flow, alpha, beta
-
-
-def _cancel_zero_cost_cycles(flow):
-    """Cancel cycles in the bipartite support so the plan becomes basic.
-
-    On an optimal flow every support cycle has zero net cost in both
-    directions, so cancellation changes neither cost nor marginals.
-    """
+    n = len(supply)
+    m = len(cost)
+    cmax = 0.0
+    for c in cost:
+        if not (c >= 0.0 and c < math.inf):
+            return FLOW_BAD_COST, 0, None, None
+        if c > cmax:
+            cmax = c
+    tol = price_rtol * cmax
+    root = n
+    # arc m + v is v's artificial arc; up[v]: v's tree arc points to its parent
+    flow = [0.0] * (m + n)
+    parent = [root] * n + [-1]
+    pred = [m + v for v in range(n)] + [-1]
+    up = [supply[v] >= 0.0 for v in range(n)] + [False]
+    for v in range(n):
+        flow[m + v] = supply[v] if up[v] else -supply[v]
+    pr = [0.0] * (n + 1)  # real part of the potential
+    pm = [0] * (n + 1)  # count of M in the potential
+    depth = [0] * (n + 1)
+    seen = [0] * (n + 1)
+    stack = [0] * (n + 1)
+    block = math.isqrt(m - 1) + 1 if m else 1
+    blocks = (m + block - 1) // block
+    next_block = 0
+    guard = 10 * (n + m) + 100
+    pivots = 0
     while True:
-        cycle = _find_support_cycle(flow)
-        if cycle is None:
-            return
-        signed = [(edge, +1 if k % 2 == 0 else -1) for k, edge in enumerate(cycle)]
-        theta = min(flow[i, j] for (i, j), s in signed if s < 0)
-        for (i, j), s in signed:
-            flow[i, j] += s * theta
-            if flow[i, j] <= 1e-15:
-                flow[i, j] = 0.0
+        # potentials and depths, each node after its parent: tree arcs have
+        # reduced cost 0, pi[tail] - pi[head] = cost
+        seen[root] = pivots + 1
+        for v in range(n):
+            k = 0
+            u = v
+            while seen[u] != pivots + 1:
+                stack[k] = u
+                k += 1
+                u = parent[u]
+            while k:
+                k -= 1
+                u = stack[k]
+                p = parent[u]
+                e = pred[u]
+                if e >= m:
+                    pr[u] = pr[p]
+                    pm[u] = pm[p] + 1 if up[u] else pm[p] - 1
+                elif up[u]:
+                    pr[u] = cost[e] + pr[p]
+                    pm[u] = pm[p]
+                else:
+                    pr[u] = pr[p] - cost[e]
+                    pm[u] = pm[p]
+                depth[u] = depth[p] + 1
+                seen[u] = pivots + 1
 
+        enter = -1
+        best_m = 0
+        best_r = -tol
+        for step in range(blocks):
+            b = (next_block + step) % blocks
+            for e in range(b * block, min(m, (b + 1) * block)):
+                t = tail[e]
+                h = head[e]
+                rm = pm[h] - pm[t]
+                if rm > best_m:
+                    continue
+                rr = cost[e] - pr[t] + pr[h]
+                if rm < best_m or rr < best_r:
+                    best_m = rm
+                    best_r = rr
+                    enter = e
+            if enter >= 0:
+                next_block = (b + 1) % blocks
+                break
+        if enter < 0:
+            break
+        if pivots == guard:
+            return FLOW_BUDGET, pivots, None, None
+        pivots += 1
 
-def _find_support_cycle(flow):
-    """One cycle of the undirected bipartite support graph, as a list of (i, j)
-    arcs in traversal order, or None.
+        p = tail[enter]
+        q = head[enter]
+        a, b = p, q
+        while a != b:
+            if depth[a] >= depth[b]:
+                a = parent[a]
+            if depth[b] > depth[a]:
+                b = parent[b]
+        join = a
+        # blocking arcs lose flow: up arcs on p's side, down arcs on q's.
+        # The last one met from the join along the entering arc leaves: on
+        # q's side the one nearest the join, else on p's the one nearest p.
+        delta = math.inf
+        out = -1
+        u = p
+        while u != join:
+            if up[u] and flow[pred[u]] < delta:
+                delta = flow[pred[u]]
+                out = u
+            u = parent[u]
+        cut, graft = p, q
+        u = q
+        while u != join:
+            if not up[u] and flow[pred[u]] <= delta:
+                delta = flow[pred[u]]
+                out = u
+                cut, graft = q, p
+            u = parent[u]
+        if delta > 0.0:
+            flow[enter] += delta
+            u = p
+            while u != join:
+                if up[u]:
+                    flow[pred[u]] -= delta
+                else:
+                    flow[pred[u]] += delta
+                u = parent[u]
+            u = q
+            while u != join:
+                if up[u]:
+                    flow[pred[u]] += delta
+                else:
+                    flow[pred[u]] -= delta
+                u = parent[u]
+        # hang the cut side from the entering arc: reverse the links from
+        # its endpoint up to the leaving arc's lower node
+        v = cut
+        new_parent = graft
+        new_arc = enter
+        while True:
+            old_parent = parent[v]
+            old_arc = pred[v]
+            parent[v] = new_parent
+            pred[v] = new_arc
+            up[v] = tail[new_arc] == v
+            if v == out:
+                break
+            new_parent = v
+            new_arc = old_arc
+            v = old_parent
 
-    Edges are inserted into a union-find forest; the first edge closing a
-    component yields the cycle: that edge plus the forest path between its ends.
-    """
-    ns, _ = flow.shape
-    root_of: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        root_of.setdefault(v, v)
-        while root_of[v] != v:
-            root_of[v] = root_of[root_of[v]]
-            v = root_of[v]
-        return v
-
-    tails, heads = [], []  # forest arcs, both directions of each edge
-    for i, j in zip(*np.nonzero(flow > 0.0)):
-        a, b = int(i), ns + int(j)
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            chain = _forest_path(np.array(tails), np.array(heads), sum(flow.shape), b, a)
-            nodes = [a] + chain  # cycle: a -> b -> ... -> a
-            arcs = []
-            for u, v in zip(nodes, nodes[1:]):
-                arcs.append((u, v - ns) if u < ns else (v, u - ns))
-            return arcs
-        root_of[ra] = rb
-        tails += [a, b]
-        heads += [b, a]
-    return None
-
-
-def _forest_path(tails, heads, size, start, goal):
-    """Vertex chain from start to goal in the forest on ``size`` vertices
-    whose arcs are ``tails[k] -> heads[k]``. The walk grows the set reached
-    from ``start`` one layer at a time; in a forest each newly reached vertex
-    has exactly one reached neighbour, its predecessor."""
-    prev = np.full(size, -1, dtype=np.int64)
-    seen = np.zeros(size, dtype=bool)
-    seen[start] = True
-    while not seen[goal]:
-        step = seen[tails] & ~seen[heads]
-        if not step.any():
-            raise RuntimeError("support forest lost connectivity")
-        prev[heads[step]] = tails[step]
-        seen[heads[step]] = True
-    chain = [goal]
-    while chain[-1] != start:
-        chain.append(int(prev[chain[-1]]))
-    return chain[::-1]
+    for v in range(n):
+        if pm[v] != pm[0]:
+            return FLOW_INFEASIBLE, pivots, None, None
+    return 0, pivots, flow[:m], pr[:n]

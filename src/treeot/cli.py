@@ -130,8 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict, config: dict, outputs: list[str],
                     started: float, **fields) -> None:
-    """``manifest.json`` in ``out_dir``; ``fields`` are the command's own
-    top-level entries."""
+    """``<command>.manifest.json`` in ``out_dir``, so commands that share an
+    output directory keep one manifest each; ``fields`` are the command's
+    own top-level entries."""
     doc = {
         "command": command,
         "inputs": inputs,
@@ -141,7 +142,8 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, config: dict, out
         "outputs": outputs,
         **fields,
     }
-    fileio._write_text(out_dir / "manifest.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    fileio._write_text(out_dir / f"{command}.manifest.json",
+                       json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_grid(args) -> int:
@@ -415,6 +417,7 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         solution = exact_k_distance(dist, as_measure(mu, g.n, normalize=True),
                                     as_measure(nu, g.n, normalize=True))
         metrics["exact_value"] = solution.value
+        metrics["exact_pivots"] = solution.pivots
         if tree is not None:
             gap = metrics["tree_cost"] - solution.value
             metrics["tree_gap_vs_exact"] = gap

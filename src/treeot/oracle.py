@@ -1,11 +1,11 @@
 """Exact desk-scale solver and invariant checkers used as ground truth.
 
 The solver reduces by the zero-cost diagonal, then runs the kernel backend's
-``exact_flow`` (see ``_kernels``) on the dense bipartite network between
-excess-supply and excess-demand vertices: successive shortest augmenting
-paths, found by a label-correcting search, with node potentials, and then
-zero-cost cycle cancelling, so the returned plan is a vertex of the
-transportation polytope.
+``network_simplex`` (see ``_kernels``) on the dense bipartite network from
+excess-supply to excess-demand vertices. Network simplex pivots from one
+spanning tree of that network to the next with a dual potential at every
+step, so the returned plan is basic (a vertex of the transportation
+polytope) and the potential certifies it.
 """
 
 from __future__ import annotations
@@ -32,11 +32,13 @@ BALANCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Optimal value, a basic optimal plan, and a dual potential anchored at 0."""
+    """Optimal value, a basic optimal plan, a dual potential anchored at 0,
+    and the pivots the network simplex made."""
 
     value: float
     plan: TransportPlan
     dual: Potential
+    pivots: int
 
 
 def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> ExactSolution:
@@ -72,23 +74,28 @@ def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> Exac
         dual = np.zeros(n)
         dual.setflags(write=False)
         plan = _assemble_plan(n, on_diag, on_diag, diag[on_diag])
-        return ExactSolution(0.0, plan, Potential(dual, anchor=0))
+        return ExactSolution(0.0, plan, Potential(dual, anchor=0), 0)
 
-    supply = xi[srcs].copy()
-    demand = -xi[snks].copy()
+    ns, nd = srcs.size, snks.size
     cost = np.ascontiguousarray(dist[np.ix_(srcs, snks)])
-    flow, alpha, beta = _kernels.kernels().exact_flow(cost, supply, demand)
+    # arc i * nd + j runs from source i to sink ns + j
+    tail = np.repeat(np.arange(ns, dtype=np.int64), nd)
+    head = np.tile(np.arange(ns, ns + nd, dtype=np.int64), ns)
+    flow, pi, pivots = _kernels.kernels().network_simplex(
+        np.concatenate([xi[srcs], xi[snks]]), tail, head, cost.ravel())
+    flow = flow.reshape(ns, nd)
 
     i, j = np.nonzero(flow > 0.0)
     plan = _assemble_plan(n, np.concatenate([on_diag, srcs[i]]), np.concatenate([on_diag, snks[j]]),
                           np.concatenate([diag[on_diag], flow[i, j]]))
     value = float(np.sum(flow * cost))
 
-    # Lipschitz extension of the sink-side duals to every vertex
-    dual = (dist[:, snks] - beta[None, :]).min(axis=1)
+    # Lipschitz extension of the sink potentials to every vertex; the
+    # transport duals are alpha = pi on sources and beta = -pi on sinks
+    dual = (dist[:, snks] + pi[None, ns:]).min(axis=1)
     dual = dual - dual[0]
     dual.setflags(write=False)
-    return ExactSolution(value, plan, Potential(dual, anchor=0))
+    return ExactSolution(value, plan, Potential(dual, anchor=0), pivots)
 
 
 def lipschitz_violation(u: Potential, g: WeightedGraph) -> float:

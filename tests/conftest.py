@@ -296,6 +296,95 @@ def reference_plan_to_flow(plan, t):
     return up, down
 
 
+def successive_shortest_paths(cost, supply, demand):
+    """Min-cost flow on a dense bipartite network with all-pairs arcs, from
+    sources with ``supply`` to sinks with ``demand`` (both consumed, in
+    place); returns ``(flow, alpha, beta)``. An independent reference for the
+    network simplex: it augments along shortest paths instead of pivoting on
+    trees, and its flow need not be basic.
+
+    Maintains duals (alpha, beta) with cost[i,j] - alpha[i] - beta[j] >= 0 and
+    equality on arcs carrying flow; each augmentation follows a reduced-cost
+    shortest path and saturates a supply, a demand, or a flow-carrying arc.
+
+    Shortest paths come from label correcting, one round being two numpy
+    sweeps: sources to sinks over every arc at its clamped reduced cost, then
+    sinks back to sources over the flow-carrying pairs at cost zero. Every arc
+    cost is non-negative, so the rounds stop, when no label improves, at exact
+    distances; relaxations are strict, so the predecessors form a forest.
+    """
+    ns, nd = cost.shape
+    alpha = np.zeros(ns)
+    beta = np.zeros(nd)
+    flow = np.zeros((ns, nd))
+    eps = 1e-15
+    all_sources = np.arange(ns)
+    all_sinks = np.arange(nd)
+    guard = 50 * (ns + nd) + 200
+    for _ in range(guard):
+        if supply.sum() <= 1e-12 or demand.sum() <= 1e-12:
+            break
+        reduced = np.maximum(cost - alpha[:, None] - beta[None, :], 0.0)
+        carrying = flow > 0.0
+        ls = np.where(supply > eps, 0.0, np.inf)
+        lt = np.full(nd, np.inf)
+        pred_s = np.full(ns, -1)  # sink whose flow-carrying pair reaches source i
+        pred_t = np.full(nd, -1)  # source whose arc reaches sink j
+        while True:
+            cand = ls[:, None] + reduced
+            via = cand.argmin(axis=0)
+            reach = cand[via, all_sinks]
+            better = reach < lt
+            if not better.any():
+                break
+            lt[better] = reach[better]
+            pred_t[better] = via[better]
+            back = np.where(carrying, lt[None, :], np.inf)
+            via = back.argmin(axis=1)
+            reach = back[all_sources, via]
+            better = reach < ls
+            if not better.any():
+                break
+            ls[better] = reach[better]
+            pred_s[better] = via[better]
+
+        open_lt = np.where(demand > eps, lt, np.inf)
+        target = int(open_lt.argmin())
+        delta = open_lt[target]
+        if not np.isfinite(delta):
+            # on the complete network every sink is reachable at finite cost
+            raise RuntimeError("no sink with demand is reachable")
+        alpha += delta - np.minimum(ls, delta)
+        beta -= delta - np.minimum(lt, delta)
+
+        forward = []  # (source, sink) arcs gaining flow, from the target back
+        backward = []  # flow-carrying pairs losing flow
+        j = target
+        while True:
+            i = int(pred_t[j])
+            forward.append((i, j))
+            j = int(pred_s[i])
+            if j < 0:
+                break
+            backward.append((i, j))
+        amount = min(supply[i], demand[target], *(flow[p] for p in backward))
+        for p in forward:
+            flow[p] += amount
+        for p in backward:
+            flow[p] -= amount
+            if flow[p] <= eps:
+                flow[p] = 0.0
+        supply[i] -= amount
+        demand[target] -= amount
+        if supply[i] <= eps:
+            supply[i] = 0.0
+        if demand[target] <= eps:
+            demand[target] = 0.0
+    else:
+        raise RuntimeError("augmenting-path budget exhausted")
+    return flow, alpha, beta
+
+
 def reference_build_graph(vertex_count, edge_list):
     """``build_graph`` as one loop over the rows, the way it ran before it
     checked whole columns: each row is read, range-checked, loop-checked,

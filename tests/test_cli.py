@@ -38,7 +38,7 @@ class TestGrid:
         assert all(w == 0.25 for _, _, w in g.edges)
         mu = fileio.load_measure(out / "mu.json", 4)
         assert np.allclose(mu, 0.25)
-        assert (out / "nu.json").exists() and (out / "manifest.json").exists()
+        assert (out / "nu.json").exists() and (out / "grid.manifest.json").exists()
 
     def test_7x7_counts(self, tmp_path):
         out = tmp_path / "g"
@@ -92,7 +92,7 @@ class TestParserReuse:
         assert proc.returncode == 0, proc.stderr
         for name in ("graph.json", "mu.json", "nu.json"):
             assert (tmp_path / "b" / name).read_bytes() == (fresh / name).read_bytes()
-        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "b" / "grid.manifest.json").read_text())
         assert manifest["inputs"] == {"image_csv": []}
         assert fileio.load_measure(tmp_path / "a" / "mu.json", 4).tolist() == [1.0, 0.0, 0.0, 0.0]
 
@@ -145,7 +145,7 @@ class TestAnnealCommand:
             "--iters", "400", "--record-every", "100", "--seed", "0", *extra,
             "--out-dir", str(out),
         ) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "anneal.manifest.json").read_text())
         assert (manifest["stop_reason"], manifest["iters_run"]) == (stop, iters)
         assert manifest["config"]["max_iters"] == 400
         rows = (out / "trace.csv").read_text().splitlines()[1:]
@@ -192,7 +192,7 @@ class TestAnnealCommand:
             "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
             "--config", str(cfg), "--iters", "20", "--out-dir", str(out),
         ) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "anneal.manifest.json").read_text())
         assert manifest["config"]["max_iters"] == 20  # flag beats file
         assert manifest["config"]["seed"] == 9
         assert manifest["config"]["recompute_every"] == 7
@@ -207,7 +207,7 @@ class TestAnnealCommand:
             "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
             "--out-dir", str(out),
         ) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "anneal.manifest.json").read_text())
         assert manifest["config"] == {
             "max_iters": 100_000, "seed": 0, "beta0": 0.1, "target_accept": 0.01, "eta": 0.01,
             "window": 100, "record_every": 1000, "recompute_every": 100_000,
@@ -440,6 +440,25 @@ class TestPlanPotentialCommands:
         assert np.array_equal(u1.values, -u2.values)
 
 
+class TestSharedOutDir:
+    def test_every_command_keeps_its_manifest(self, tmp_path, capsys):
+        d = tmp_path
+        files = ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")]
+        tree = ["--tree", str(d / "best_tree.json")]
+        assert run_cli("grid", "--p", "4", "--noise-sigma", "1e-3", "--seed", "2", "--out-dir", str(d)) == 0
+        assert run_cli("anneal", *files, "--iters", "3000", "--seed", "2", "--out-dir", str(d)) == 0
+        assert run_cli("plan", *files, *tree, "--out-dir", str(d)) == 0
+        assert run_cli("potential", *files, *tree, "--out-dir", str(d)) == 0
+        capsys.readouterr()
+        for command in ("grid", "anneal", "plan", "potential"):
+            manifest = json.loads((d / f"{command}.manifest.json").read_text())
+            assert manifest["command"] == command
+        anneal = json.loads((d / "anneal.manifest.json").read_text())
+        assert anneal["stop_reason"] in ("max_iters", "target", "certified")
+        assert 0 <= anneal["iters_run"] <= 3000
+        assert not (d / "manifest.json").exists()
+
+
 class TestVerifyCommand:
     def test_self_consistent_pipeline_passes(self, line6_files, capsys):
         run_cli(
@@ -467,6 +486,11 @@ class TestVerifyCommand:
         assert code == 0
         assert verdict["all_passed"]
         assert abs(verdict["metrics"]["exact_value"] - 0.75) <= 1e-9
+        g = fileio.load_graph(line6_files / "graph.json")
+        mu = fileio.load_measure(line6_files / "mu.json", 6)
+        nu = fileio.load_measure(line6_files / "nu.json", 6)
+        pivots = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu).pivots
+        assert verdict["metrics"]["exact_pivots"] == pivots > 0
         assert verdict["weak_nondegeneracy"]["holds"] is False
 
     def test_tree_checks_build_no_dense_tree_matrix(self, tmp_path, capsys, monkeypatch):

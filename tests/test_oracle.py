@@ -20,12 +20,15 @@ from treeot.oracle import (
 from conftest import (
     brute_force_weak_nondegeneracy,
     compiled_backends,
+    degenerate_measures,
     line_graph,
     noisy_grid_measures,
     random_connected_graph,
     random_measure_pair,
     random_tree_graph,
+    raised,
     run_python,
+    successive_shortest_paths,
 )
 
 
@@ -191,28 +194,31 @@ class TestExactSolverCrossCheck:
             assert complementary_violation(sol.plan, sol.dual, d) <= 1e-9, k
         assert all(count >= 30 for count in seen.values()), seen
 
-    def test_unreachable_sink_raises(self, flow_parity_runs):
-        # an all-inf column: supply is left but the sink with demand is unreachable
+    def test_bad_arc_cost_and_unmet_supply_raise_on_every_backend(self, flow_parity_runs):
         reference, run = flow_parity_runs
-        assert reference["error"] == "no sink with demand is reachable"
+        assert reference["errors"] == ["RuntimeError: an arc cost is negative or not finite"] * 3 + [
+            "RuntimeError: the supplies cannot be met on these arcs"]
         for backend in BACKENDS:
-            assert run(backend)["error"] == reference["error"], backend
+            assert run(backend)["errors"] == reference["errors"], backend
 
 
-def unreachable_inputs():
-    """Kernel inputs whose second sink, the one with demand left after the
-    first augmentation, sits behind an all-inf cost column."""
-    return (np.array([[1.0, np.inf], [2.0, np.inf]]), np.array([0.5, 0.5]),
-            np.array([0.5, 0.5]))
+def failing_inputs():
+    """Kernel inputs that fail: an infinite, a NaN and a negative arc cost,
+    then a sink with no arc into it."""
+    supply = np.array([0.5, 0.5, -0.5, -0.5])
+    tail = np.array([0, 0, 1, 1], dtype=np.int64)
+    head = np.array([2, 3, 2, 3], dtype=np.int64)
+    cases = [(supply, tail, head, np.array([1.0, 2.0, bad, 1.0])) for bad in (np.inf, np.nan, -1.0)]
+    return cases + [(supply, tail, np.array([2, 2, 2, 2], dtype=np.int64), np.ones(4))]
 
 
 def exact_parity_corpus():
     """Distance matrices and measure pairs whose exact solve exercises the
     kernel's tie-breaking: unit lattices with integer masses (tied distances
-    and tied labels, zero-mass vertices), mu = nu on a subset, single-source
-    and single-sink instances, random graphs with random masses, and four
-    noisy 10x10 lattice instances (more than 8 sources, so the supply sums
-    take numpy's blocked order)."""
+    and tied reduced costs, zero-mass vertices), mu = nu on a subset,
+    single-source and single-sink instances, random graphs with random
+    masses, and four noisy 10x10 lattice instances (more than 2000 arcs, so
+    pricing runs over many blocks)."""
     rng = np.random.default_rng(4242)
     for k in range(48):
         p = 3 + k % 4
@@ -239,22 +245,43 @@ def exact_parity_corpus():
         yield ot.all_pairs_shortest_paths(ot.grid_graph(10)), mu, nu
 
 
+def degenerate_corpus():
+    """40 unit 6x6 lattices with integer masses and mu == nu on random
+    subsets: zero cumulative imbalances and tied reduced costs everywhere."""
+    dist = ot.all_pairs_shortest_paths(ot.grid_graph(6, weight=1.0))
+    rng = np.random.default_rng(4343)
+    for _ in range(40):
+        yield dist, *degenerate_measures(rng, 36)
+
+
 def bits(*arrays):
     """Bit-exact fingerprint of float and int arrays."""
     data = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
     return hashlib.sha256(data).hexdigest()[:20]
 
 
-def flow_inputs(dist, mu, nu):
+def simplex_inputs(dist, mu, nu):
     """The kernel's inputs for this instance, as ``exact_k_distance`` makes them."""
     xi = mu - nu
     srcs, snks = np.flatnonzero(xi > 0.0), np.flatnonzero(xi < 0.0)
-    return np.ascontiguousarray(dist[np.ix_(srcs, snks)]), xi[srcs].copy(), -xi[snks].copy()
+    ns, nd = srcs.size, snks.size
+    return (np.concatenate([xi[srcs], xi[snks]]), np.repeat(np.arange(ns), nd),
+            np.tile(np.arange(ns, ns + nd), ns), np.ascontiguousarray(dist[np.ix_(srcs, snks)]).ravel())
+
+
+def simplex_bits(flow, pi, pivots):
+    return bits(flow, pi, np.array([pivots]))
 
 
 def solution_bits(sol):
     return bits(np.array([sol.value]), sol.plan.rows, sol.plan.cols, sol.plan.mass,
-                sol.dual.values)
+                sol.dual.values, np.array([sol.pivots]))
+
+
+def errors(simplex):
+    """``"Type: message"`` of what ``simplex`` raises on each failing input."""
+    return [f"{kind.__name__}: {message}"
+            for kind, message in (raised(simplex, *args) for args in failing_inputs())]
 
 
 FLOW_PARITY_SCRIPT = """
@@ -263,18 +290,14 @@ import numpy as np
 sys.path.insert(0, TESTS_DIR)
 import treeot as ot
 from treeot import _kernels
-from test_oracle import bits, flow_inputs, solution_bits, unreachable_inputs
+from test_oracle import errors, simplex_bits, simplex_inputs, solution_bits
 with open(sys.argv[1], "rb") as f:
     corpus = pickle.load(f)
-flows = [bits(*_kernels.kernels().exact_flow(*flow_inputs(d, mu, nu))) for d, mu, nu in corpus]
+simplex = _kernels.kernels().network_simplex
+flows = [simplex_bits(*simplex(*simplex_inputs(d, mu, nu))) for d, mu, nu in corpus]
 solutions = [solution_bits(ot.exact_k_distance(d, mu, nu)) for d, mu, nu in corpus]
-try:
-    _kernels.kernels().exact_flow(*unreachable_inputs())
-    error = None
-except RuntimeError as exc:
-    error = str(exc)
 print(json.dumps({"backend": ot.kernel_backend(), "flows": flows, "solutions": solutions,
-                  "error": error}))
+                  "errors": errors(simplex)}))
 """
 
 BACKENDS = ["python", *compiled_backends()]
@@ -282,21 +305,20 @@ BACKENDS = ["python", *compiled_backends()]
 
 @pytest.fixture(scope="module")
 def flow_parity_runs(tmp_path_factory):
-    """The plain-Python reference's flow and solution fingerprints and error,
-    and a function that runs the parity script on a backend (once per
-    backend) and returns its output."""
+    """The plain-Python reference's flow and solution fingerprints and
+    errors, and a function that runs the parity script on a backend (once
+    per backend) and returns its output."""
     corpus = list(exact_parity_corpus())
     path = tmp_path_factory.mktemp("flow-parity") / "corpus.pickle"
     path.write_bytes(pickle.dumps(corpus))
+    simplex = _kernels._load_python().network_simplex
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "kernels", _kernels._load_python)
         solutions = [solution_bits(ot.exact_k_distance(d, mu, nu)) for d, mu, nu in corpus]
-    with pytest.raises(RuntimeError) as info:
-        _kernels.exact_flow(*unreachable_inputs())
     reference = {
-        "flows": [bits(*_kernels.exact_flow(*flow_inputs(d, mu, nu))) for d, mu, nu in corpus],
+        "flows": [simplex_bits(*simplex(*simplex_inputs(d, mu, nu))) for d, mu, nu in corpus],
         "solutions": solutions,
-        "error": str(info.value),
+        "errors": errors(simplex),
     }
     runs = {}
 
@@ -337,19 +359,33 @@ class TestFlowKernelParity:
             seen["single_sink"] += int(np.count_nonzero(xi < 0.0) == 1)
         assert all(count >= 10 for count in seen.values()), seen
 
-    @pytest.mark.skipif(not compiled_backends(), reason="no C compiler")
-    def test_c_stop_test_sums_as_ndarray_sum(self):
-        import ctypes
+    def test_values_match_successive_shortest_paths(self):
+        for k, (d, mu, nu) in enumerate(exact_parity_corpus()):
+            xi = mu - nu
+            srcs, snks = np.flatnonzero(xi > 0.0), np.flatnonzero(xi < 0.0)
+            cost = d[np.ix_(srcs, snks)]
+            flow, _, _ = successive_shortest_paths(cost, xi[srcs].copy(), -xi[snks].copy())
+            expected = float(np.sum(flow * cost))
+            value = ot.exact_k_distance(d, mu, nu).value
+            assert abs(value - expected) <= 1e-12 * max(1.0, expected), k
 
-        lib = ctypes.CDLL(str(_kernels.build_c_kernel()))
-        array_sum = lib.treeot_array_sum
-        array_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-        array_sum.restype = ctypes.c_double
-        rng = np.random.default_rng(31)
-        for n in [*range(0, 300), 511, 1000, 1025, 4099]:
-            a = rng.random(n) * 10.0 ** rng.integers(-18, 3, n)
-            a[rng.random(n) < 0.3] = 0.0
-            assert array_sum(a.ctypes.data, n).hex() == float(a.sum()).hex(), n
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_degenerate_corpus_finishes_basic_and_exact(self, backend, monkeypatch):
+        monkeypatch.setattr(_kernels, "kernels", _kernels._LOADERS[backend])
+        g = ot.grid_graph(6, weight=1.0)
+        for k, (d, mu, nu) in enumerate(degenerate_corpus()):
+            sol = ot.exact_k_distance(d, mu, nu)  # raises if the pivot guard is hit
+            xi = mu - nu
+            srcs, snks = np.flatnonzero(xi > 0.0), np.flatnonzero(xi < 0.0)
+            cost = d[np.ix_(srcs, snks)]
+            flow, _, _ = successive_shortest_paths(cost, xi[srcs].copy(), -xi[snks].copy())
+            expected = float(np.sum(flow * cost))
+            assert abs(sol.value - expected) <= 1e-12 * max(1.0, expected), k
+            assert ot.check_vertex_support(sol.plan)["is_forest"], k
+            assert np.max(np.abs(sol.plan.diagonal() - np.minimum(mu, nu))) <= 1e-12, k
+            assert lipschitz_violation(sol.dual, g) <= 1e-12, k
+            assert complementary_violation(sol.plan, sol.dual, d) <= 1e-12, k
+            assert sol.pivots > 0, k
 
 
 class TestLipschitzCheck:

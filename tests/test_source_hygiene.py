@@ -2,7 +2,8 @@
 package or its tests, no function in the package ignores a parameter, and
 the package writes files only through ``fileio._write_text``. Also, the
 status and stop codes of ``_kernel.c``'s enum are those ``_kernels.py``
-reads.
+reads, ``_kernel.c`` compiles without a warning, and it exports exactly the
+functions that ``_kernels.py`` declares.
 
 Re-exports in ``__init__.py`` and ``from __future__`` imports are exempt.
 Parameters are checked in the package only: pytest reads test parameters
@@ -11,11 +12,14 @@ Parameters are checked in the package only: pytest reads test parameters
 
 import ast
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
 
 from treeot import _kernels
+
+from conftest import c_compiler_found
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "treeot").glob("*.py"))
@@ -150,9 +154,6 @@ CODE_MESSAGES = {
     "CHAIN_DEGREE_TOO_LARGE": "a vertex degree of 2^32 or more is not supported",
     "WILSON_BAD_VERTEX_COUNT": "a vertex count of 0 or of 2^32 or more is not supported",
     "WILSON_NO_NEIGHBOUR": "a random walk reached a vertex with no graph neighbour",
-    "FLOW_NO_PATH": "no sink with demand is reachable",
-    "FLOW_BUDGET": "augmenting-path budget exhausted",
-    "FLOW_FOREST": "support forest lost connectivity",
 }
 
 
@@ -164,15 +165,14 @@ def c_enum(source: str) -> dict[str, int]:
 
 def python_codes() -> dict[str, int]:
     """Every status and stop code that ``_kernels`` reads, by its C name:
-    ``_C_STATUS`` and ``_FLOW_ERRORS`` by message, the ``PLAN_*``,
-    ``TREE_*`` and ``STOP_*`` constants by name, and the tables keyed by
-    them."""
-    by_message = {m: c for table in (_kernels._C_STATUS, _kernels._FLOW_ERRORS)
-                  for c, m in table.items()}
+    ``_C_STATUS`` by message, the ``PLAN_*``, ``FLOW_*``, ``TREE_*`` and
+    ``STOP_*`` constants by name, and the tables keyed by them."""
+    by_message = {m: c for c, m in _kernels._C_STATUS.items()}
     codes = {"CHAIN_OK": 0, **{name: by_message.pop(m) for name, m in CODE_MESSAGES.items()}}
     assert not by_message, f"codes with no C name: {by_message}"
     codes.update({name: value for name, value in vars(_kernels).items()
-                  if name.startswith(("PLAN_", "TREE_", "STOP_")) and isinstance(value, int)})
+                  if name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_")) and isinstance(value, int)})
+    assert set(_kernels._FLOW_ERRORS) == {v for k, v in codes.items() if k.startswith("FLOW_")}
     assert set(_kernels._TREE_ERRORS) == {v for k, v in codes.items() if k.startswith("TREE_")}
     assert set(_kernels.STOP_REASONS) == {v for k, v in codes.items() if k.startswith("STOP_")}
     return codes
@@ -194,7 +194,7 @@ def test_the_code_check_flags_a_mismatched_copy():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
     mutants = {
         "STOP_CERTIFIED = 15": "STOP_CERTIFIED = 16",
-        "FLOW_NO_PATH = 7,\n    FLOW_BUDGET = 8,": "FLOW_NO_PATH = 8,\n    FLOW_BUDGET = 7,",
+        "FLOW_BAD_COST = 7,\n    FLOW_BUDGET = 8,": "FLOW_BAD_COST = 8,\n    FLOW_BUDGET = 7,",
         "    TREE_UNREACHED = 12,\n": "",
         "    STOP_MAX_ITERS = 13,\n": "    STOP_MAX_ITERS = 13,\n    STOP_EXTRA = 16,\n",
         "CHAIN_NO_NEIGHBOUR = 1": "CHAIN_NO_NEIGHBOR = 1",
@@ -202,3 +202,30 @@ def test_the_code_check_flags_a_mismatched_copy():
     for old, new in mutants.items():
         assert source.count(old) == 1
         assert code_mismatches(source.replace(old, new)) != [], old
+
+
+@pytest.mark.skipif(not c_compiler_found(), reason="no C compiler")
+def test_c_kernel_compiles_without_warnings(tmp_path):
+    proc = subprocess.run([*_kernels._compiler(), *_kernels.C_FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "kernel.so"), str(_kernels.C_SOURCE), "-lm"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def exported_functions(source: str) -> set[str]:
+    """Names of the ``treeot_*`` functions a C source defines without
+    ``static``, from definitions that start a line."""
+    return set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(treeot_\w+)\s*\(", source, re.M))
+
+
+def test_every_exported_c_function_is_declared():
+    source = _kernels.C_SOURCE.read_text(encoding="utf-8")
+    assert exported_functions(source) == set(_kernels.C_SIGNATURES)
+
+
+def test_the_export_scan_flags_what_it_looks_for():
+    source = ("static double helper(int x)\n{\n    return treeot_inner(x);\n}\n"
+              "static int treeot_private(int64_t n)\n{\n}\n"
+              "double treeot_array_sum(const double *a, int64_t n)\n{\n}\n"
+              "int treeot_wilson(int64_t n,\n                  double *w)\n{\n}\n")
+    assert exported_functions(source) == {"treeot_array_sum", "treeot_wilson"}
