@@ -17,12 +17,13 @@ from .graphs import (
     WeightedGraph,
     all_pairs_shortest_paths,
     build_graph,
-    geodesic_edges,
     grid_graph,
+    pair_distances,
 )
 from .oracle import (
     ExactSolution,
     NondegeneracyVerdict,
+    Solution,
     check_complementary,
     check_cyclical_monotonicity,
     check_geodesic_support,
@@ -31,6 +32,7 @@ from .oracle import (
     check_weak_nondegeneracy,
     exact_k_distance,
     potential_match_up_to_constant,
+    solve,
 )
 from .transport import (
     Flow,
@@ -38,7 +40,6 @@ from .transport import (
     TransportPlan,
     as_measure,
     beckmann_flow,
-    canonicalize_diagonal,
     check_alternating_condition,
     closed_form_plan,
     cumulative_imbalance,

@@ -1,5 +1,5 @@
-/* C transcription of the annealing, random-tree, tree-pass, transport-plan
- * and network-simplex kernels in _kernels.py.
+/* C transcription of the annealing, random-tree, tree-pass, transport-plan,
+ * network-simplex and pair-distance kernels in _kernels.py.
  *
  * Every floating-point operation happens in the same order as in the Python
  * kernels, and the library is built with -ffp-contract=off and without
@@ -39,6 +39,9 @@ enum {
     STOP_MAX_ITERS = 13,
     STOP_TARGET = 14,
     STOP_CERTIFIED = 15,
+    TREE_PAIR_APART = 16,
+    PATH_BAD_WEIGHT = 17,
+    PATH_UNREACHED = 18,
 };
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
@@ -824,5 +827,145 @@ int treeot_network_simplex(int64_t n, int64_t m, const double *supply, const int
             return FLOW_INFEASIBLE;
     memcpy(flow, fl, (size_t)m * sizeof *flow);
     memcpy(pi, pr, (size_t)n * sizeof *pi);
+    return CHAIN_OK;
+}
+
+/* tree_pairs of _kernels.py. With mass NULL, out[i] is the tree distance of
+ * pair i; otherwise out holds 2 n zeros and gains mass[i] at out[a] for
+ * every edge pair i climbs from child a and at out[n + b] for every edge it
+ * descends to child b. Returns CHAIN_OK or TREE_PAIR_APART. */
+int treeot_tree_pairs(int64_t n, const int64_t *parent, const int64_t *depth, const double *wpar,
+                      int64_t k, const int64_t *xs, const int64_t *ys, const double *mass,
+                      double *out)
+{
+    for (int64_t i = 0; i < k; i++) {
+        int64_t a = xs[i], b = ys[i], rounds = 0;
+        double total = 0.0;
+        while (a != b) {
+            const int move_a = depth[a] >= depth[b], move_b = depth[b] >= depth[a];
+            if ((move_a && parent[a] < 0) || (move_b && parent[b] < 0) || rounds == n)
+                return TREE_PAIR_APART;
+            rounds++;
+            if (mass == NULL) {
+                total += (move_a ? wpar[a] : 0.0) + (move_b ? wpar[b] : 0.0);
+            } else {
+                if (move_a)
+                    out[a] += mass[i];
+                if (move_b)
+                    out[n + b] += mass[i];
+            }
+            if (move_a)
+                a = parent[a];
+            if (move_b)
+                b = parent[b];
+        }
+        if (mass == NULL)
+            out[i] = total;
+    }
+    return CHAIN_OK;
+}
+
+/* (da, va) before (db, vb): distance first, then vertex id. */
+static int key_before(double da, int64_t va, double db, int64_t vb)
+{
+    return da < db || (da == db && va < vb);
+}
+
+/* Push (d, v) onto the binary min-heap of keys hd/hv[0..size). */
+static int64_t key_push(double *hd, int64_t *hv, int64_t size, double d, int64_t v)
+{
+    int64_t i = size;
+    while (i > 0) {
+        const int64_t up = (i - 1) / 2;
+        if (!key_before(d, v, hd[up], hv[up]))
+            break;
+        hd[i] = hd[up];
+        hv[i] = hv[up];
+        i = up;
+    }
+    hd[i] = d;
+    hv[i] = v;
+    return size + 1;
+}
+
+/* Drop the smallest key of the binary min-heap hd/hv[0..size). */
+static int64_t key_pop(double *hd, int64_t *hv, int64_t size)
+{
+    size--;
+    const double d = hd[size];
+    const int64_t v = hv[size];
+    int64_t i = 0;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= size)
+            break;
+        if (c + 1 < size && key_before(hd[c + 1], hv[c + 1], hd[c], hv[c]))
+            c++;
+        if (!key_before(hd[c], hv[c], d, v))
+            break;
+        hd[i] = hd[c];
+        hv[i] = hv[c];
+        i = c;
+    }
+    if (size > 0) {
+        hd[i] = d;
+        hv[i] = v;
+    }
+    return size;
+}
+
+/* pair_distances of _kernels.py: out[by_source[q]] is the shortest-path
+ * distance of that pair. dist holds n slots, stamps 3 n zeros (seen,
+ * settled, wanted) and heap_d/heap_v m + 1 keys: a run pushes its source
+ * and then at most once per arc, since each vertex is settled once.
+ * Returns CHAIN_OK, PATH_BAD_WEIGHT or PATH_UNREACHED. */
+int treeot_pair_distances(int64_t n, const int64_t *indptr, const int64_t *indices,
+                          const double *adj_w, int64_t k, const int64_t *xs, const int64_t *ys,
+                          const int64_t *by_source, double *dist, int64_t *stamps, double *heap_d,
+                          int64_t *heap_v, double *out)
+{
+    for (int64_t e = 0; e < indptr[n]; e++)
+        if (!(adj_w[e] >= 0.0 && adj_w[e] < INFINITY))
+            return PATH_BAD_WEIGHT;
+    int64_t *seen = stamps, *settled = stamps + n, *wanted = stamps + 2 * n;
+    int64_t run = 0;
+    for (int64_t i = 0, j; i < k; i = j) {
+        run++;
+        const int64_t s = xs[by_source[i]];
+        int64_t left = 0;
+        for (j = i; j < k && xs[by_source[j]] == s; j++) {
+            const int64_t t = ys[by_source[j]];
+            if (wanted[t] != run) {
+                wanted[t] = run;
+                left++;
+            }
+        }
+        dist[s] = 0.0;
+        seen[s] = run;
+        int64_t size = key_push(heap_d, heap_v, 0, 0.0, s);
+        while (left > 0) {
+            if (size == 0)
+                return PATH_UNREACHED;
+            const double d = heap_d[0];
+            const int64_t v = heap_v[0];
+            size = key_pop(heap_d, heap_v, size);
+            if (settled[v] == run)
+                continue;
+            settled[v] = run;
+            if (wanted[v] == run && --left == 0)
+                break;
+            for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
+                const int64_t u = indices[e];
+                const double nd = d + adj_w[e];
+                if (seen[u] != run || nd < dist[u]) {
+                    seen[u] = run;
+                    dist[u] = nd;
+                    size = key_push(heap_d, heap_v, size, nd, u);
+                }
+            }
+        }
+        for (int64_t q = i; q < j; q++)
+            out[by_source[q]] = dist[ys[by_source[q]]];
+    }
     return CHAIN_OK;
 }

@@ -1,9 +1,10 @@
-"""The annealing, random-tree, tree-pass, transport-plan and exact-flow
-kernels and the backends that run them.
+"""The annealing, random-tree, tree-pass, transport-plan, exact-flow and
+pair-distance kernels and the backends that run them.
 
 ``anneal_chain``, ``wilson_tree``, ``tree_order``, ``subtree_sums``,
-``tree_potential``, ``balanced_subtree``, ``dp_plan`` and
-``network_simplex`` below are the reference kernels in plain Python.
+``tree_potential``, ``balanced_subtree``, ``dp_plan``, ``network_simplex``,
+``tree_pairs`` and ``pair_distances`` below are the reference kernels in
+plain Python.
 ``anneal_chain`` moves between rooted spanning trees through five step
 functions, the one statement of the swap arithmetic and of the stop:
 ``propose_root`` draws the candidate root, ``swap_delta`` scores the swap on
@@ -16,8 +17,11 @@ root-to-leaves one; ``balanced_subtree`` runs Wilson, ``tree_order`` and
 ``subtree_sums`` on a number of sampled trees. ``network_simplex`` is the
 exact oracle's min-cost flow: primal network simplex, which moves between
 spanning trees of the flow network (here the source-to-sink transportation
-network) with a dual potential at every step, and whose optimal flow is
-basic, so its support is a forest. Two backends run the kernels:
+network, or the graph's own arcs) with a dual potential at every step, and
+whose optimal flow is basic, so its support is a forest. ``tree_pairs``
+walks vertex pairs to their lowest common ancestor for tree distances or
+plan flows, and ``pair_distances`` runs Dijkstra from each distinct source
+of a list of vertex pairs. Two backends run the kernels:
 
 - ``c``: ``_kernel.c``, a transcription (the step functions and the tree
   passes as ``static`` helpers) built on first use with the system C
@@ -27,16 +31,18 @@ basic, so its support is a forest. Two backends run the kernels:
 ``TREEOT_BACKEND`` names the backend. Unset, c is used if it loads, else
 python with a warning. A named backend that cannot load, or an unknown name,
 raises :class:`KernelBackendError`; there is no silent fallback. Traces,
-trees, orders, sums, potentials, plans and exact flows are bit-identical
-between backends: both draw from the caller's numpy bit generator in the
-same way, and do the same arithmetic in the same order without fused
-multiply-adds. The python backend runs the tree passes, ``dp_plan`` and
-``network_simplex`` over lists, which Python indexes faster than arrays.
+trees, orders, sums, potentials, plans, exact flows and distances are
+bit-identical between backends: both draw from the caller's numpy bit
+generator in the same way, and do the same arithmetic in the same order
+without fused multiply-adds. The python backend runs the tree passes, ``dp_plan``,
+``network_simplex`` and the pair kernels over lists, which Python indexes
+faster than arrays.
 """
 
 from __future__ import annotations
 
 import ctypes
+import heapq
 import math
 import os
 import platform
@@ -49,7 +55,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import KernelBackendError, NotSpanningError
+from .errors import KernelBackendError, NotSpanningError, VertexRangeError
 
 C_SOURCE = Path(__file__).with_name("_kernel.c")
 C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -75,10 +81,20 @@ _FLOW_ERRORS = {
 TREE_NOT_ROOTED = 10
 TREE_BAD_PARENT = 11
 TREE_UNREACHED = 12
+# tree_pairs' status besides 0, shared with _kernel.c
+TREE_PAIR_APART = 16
 _TREE_ERRORS = {
     TREE_NOT_ROOTED: "the root is out of range or has a parent link",
     TREE_BAD_PARENT: "a parent link is out of range",
     TREE_UNREACHED: "parent links do not reach every vertex",
+    TREE_PAIR_APART: "a pair's walk does not meet within the tree",
+}
+# pair_distances' statuses besides 0, shared with _kernel.c, and their errors
+PATH_BAD_WEIGHT = 17
+PATH_UNREACHED = 18
+_PATH_ERRORS = {
+    PATH_BAD_WEIGHT: "an arc weight is negative or not finite",
+    PATH_UNREACHED: "a target cannot be reached from its source",
 }
 # why anneal_chain stopped, shared with _kernel.c
 STOP_MAX_ITERS = 13
@@ -113,6 +129,14 @@ class Kernels(NamedTuple):
       the arc flows and node potentials of :func:`network_simplex` at
       ``PRICE_RTOL`` as float64 arrays, and its pivot count. Raises
       ``RuntimeError`` for its failure statuses.
+    - ``tree_pairs(parent, depth, wpar, xs, ys, mass) -> out``: with
+      ``mass`` None the tree distance of every pair, else the 2n edge flows
+      of :func:`tree_pairs`. Raises ``VertexRangeError`` for a pair vertex
+      out of range and ``NotSpanningError`` for ``TREE_PAIR_APART``.
+    - ``pair_distances(indptr, indices, adj_w, xs, ys) -> out``: the
+      shortest-path distance of every pair. Raises ``VertexRangeError`` for
+      a pair vertex out of range and ``ValueError`` for its failure
+      statuses.
     """
 
     name: str
@@ -124,6 +148,8 @@ class Kernels(NamedTuple):
     subtree_sums: Callable
     tree_potential: Callable
     balanced_subtree: Callable
+    tree_pairs: Callable
+    pair_distances: Callable
 
 
 _lock = threading.Lock()
@@ -204,9 +230,24 @@ def _load_python() -> Kernels:
         return network_simplex(supply.tolist(), tail.tolist(), head.tolist(), cost.tolist(),
                                PRICE_RTOL)
 
+    def tree_pairs_lists(parent, depth, wpar, xs, ys, mass, out):
+        out = out.tolist()
+        status = tree_pairs(parent.tolist(), depth.tolist(), wpar.tolist(), xs.tolist(),
+                            ys.tolist(), None if mass is None else mass.tolist(), out)
+        return status, np.array(out, dtype=np.float64)
+
+    def pair_distances_lists(indptr, indices, adj_w, xs, ys, by_source):
+        n = indptr.shape[0] - 1
+        out = [0.0] * xs.shape[0]
+        status = pair_distances(indptr.tolist(), indices.tolist(), adj_w.tolist(), xs.tolist(),
+                                ys.tolist(), by_source.tolist(), [0.0] * n, [0] * n, [0] * n,
+                                [0] * n, out)
+        return status, np.array(out, dtype=np.float64)
+
     return Kernels("python", anneal_chain, wilson_tree, _plan_runner(dp_plan_lists),
                    _simplex_runner(network_simplex_lists), _order_runner(tree_order_lists),
-                   subtree_sums_lists, tree_potential_lists, balanced_subtree)
+                   subtree_sums_lists, tree_potential_lists, balanced_subtree,
+                   _pairs_runner(tree_pairs_lists), _distances_runner(pair_distances_lists))
 
 
 def child_csr(parent):
@@ -291,6 +332,51 @@ def _simplex_runner(run):
     return network_simplex_checked
 
 
+def _pairs_runner(run):
+    """The backend's tree-pair walk: checks the tree and the pairs, calls
+    ``run(parent, depth, wpar, xs, ys, mass, out)`` on a zeroed ``out`` (k
+    slots for distances, 2n for flows) and turns its ``(status, out)`` into
+    ``out`` or a ``NotSpanningError``."""
+
+    def tree_pairs_checked(parent, depth, wpar, xs, ys, mass):
+        n, k = parent.shape[0], xs.shape[0]
+        _check_arrays(((parent, n), (depth, n), (xs, k), (ys, k)),
+                      ((wpar, n),) + (() if mass is None else ((mass, k),)), "tree")
+        if n and not (-1 <= parent.min() and parent.max() < n):
+            raise ValueError("C kernel: parent index out of range")
+        _check_pairs(n, xs, ys)
+        status, out = run(parent, depth, wpar, xs, ys, mass, np.zeros(k if mass is None else 2 * n))
+        if status != 0:
+            raise NotSpanningError(f"tree pair walk: {_TREE_ERRORS[status]}")
+        return out
+
+    return tree_pairs_checked
+
+
+def _distances_runner(run):
+    """The backend's pair distances: checks the CSR graph and the pairs,
+    orders the pairs by source (stably) and calls ``run(indptr, indices,
+    adj_w, xs, ys, by_source)``, whose ``(status, out)`` it turns into
+    ``out`` or a ``ValueError``."""
+
+    def pair_distances_checked(indptr, indices, adj_w, xs, ys):
+        n, m, k = indptr.shape[0] - 1, indices.shape[0], xs.shape[0]
+        _check_arrays(((indptr, n + 1), (indices, m), (xs, k), (ys, k)), ((adj_w, m),), "graph")
+        _check_csr(n, indptr, indices)
+        _check_pairs(n, xs, ys)
+        status, out = run(indptr, indices, adj_w, xs, ys, np.argsort(xs, kind="stable"))
+        if status != 0:
+            raise ValueError(f"shortest paths: {_PATH_ERRORS[status]}")
+        return out
+
+    return pair_distances_checked
+
+
+def _check_pairs(n: int, xs, ys) -> None:
+    if xs.shape[0] and not (0 <= min(xs.min(), ys.min()) and max(xs.max(), ys.max()) < n):
+        raise VertexRangeError(f"a pair vertex is out of range for n={n}")
+
+
 def _check_arrays(ints, floats, what: str) -> None:
     """Raise unless every ``(array, size)`` pair is a contiguous 1-D array of
     the dtype and at least the size the kernels index."""
@@ -332,6 +418,9 @@ C_SIGNATURES = {
     "treeot_tree_potential": (None, [_I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR]),
     "treeot_balanced_subtree": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR, _PTR,
                                        _PTR, _PTR]),
+    "treeot_tree_pairs": (_INT, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]),
+    "treeot_pair_distances": (_INT, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                                     _PTR, _PTR]),
 }
 
 
@@ -474,9 +563,30 @@ def _load_c() -> Kernels:
                                             work_i.ctypes.data, pivots.ctypes.data)
         return status, int(pivots[0]), flow, pi
 
+    def tree_pairs_c(parent, depth, wpar, xs, ys, mass, out):
+        status = lib.treeot_tree_pairs(parent.shape[0], parent.ctypes.data, depth.ctypes.data,
+                                       wpar.ctypes.data, xs.shape[0], xs.ctypes.data, ys.ctypes.data,
+                                       None if mass is None else mass.ctypes.data, out.ctypes.data)
+        return status, out
+
+    def pair_distances_c(indptr, indices, adj_w, xs, ys, by_source):
+        n, m, k = indptr.shape[0] - 1, indices.shape[0], xs.shape[0]
+        dist = np.empty(n)
+        stamps = np.zeros(3 * n, dtype=np.int64)
+        heap_d = np.empty(m + 1)
+        heap_v = np.empty(m + 1, dtype=np.int64)
+        out = np.empty(k)
+        status = lib.treeot_pair_distances(n, indptr.ctypes.data, indices.ctypes.data,
+                                           adj_w.ctypes.data, k, xs.ctypes.data, ys.ctypes.data,
+                                           by_source.ctypes.data, dist.ctypes.data,
+                                           stamps.ctypes.data, heap_d.ctypes.data,
+                                           heap_v.ctypes.data, out.ctypes.data)
+        return status, out
+
     return Kernels("c", anneal_chain_c, wilson_tree_c, _plan_runner(dp_plan_c),
                    _simplex_runner(network_simplex_c), _order_runner(tree_order_c),
-                   subtree_sums_c, tree_potential_c, balanced_subtree_c)
+                   subtree_sums_c, tree_potential_c, balanced_subtree_c,
+                   _pairs_runner(tree_pairs_c), _distances_runner(pair_distances_c))
 
 
 def _compiler() -> list[str]:
@@ -1278,3 +1388,103 @@ def network_simplex(supply, tail, head, cost, price_rtol):
         if pm[v] != pm[0]:
             return FLOW_INFEASIBLE, pivots, None, None
     return 0, pivots, flow[:m], pr[:n]
+
+
+def tree_pairs(parent, depth, wpar, xs, ys, mass, out):
+    """Walk every pair ``(xs[k], ys[k])`` to its lowest common ancestor in
+    the tree given by ``parent`` and ``depth``: each round moves the deeper
+    end to its parent, or both ends at equal depth. With ``mass`` None,
+    ``out[k]`` gets the pair's tree distance, each round adding the weights
+    ``wpar`` of both ends' moves as one sum. Otherwise ``out`` holds 2n
+    zeros, and every edge a pair climbs from child ``a`` adds ``mass[k]`` to
+    ``out[a]`` (up), every edge it descends to child ``b`` to ``out[n + b]``
+    (down), so each edge adds its pairs' masses in pair order. Returns 0, or
+    ``TREE_PAIR_APART`` when an end must move from a vertex with no parent
+    or a walk takes n rounds (the links hold a second root or a cycle).
+    """
+    n = len(parent)
+    for k in range(len(xs)):
+        a = xs[k]
+        b = ys[k]
+        total = 0.0
+        rounds = 0
+        while a != b:
+            move_a = depth[a] >= depth[b]
+            move_b = depth[b] >= depth[a]
+            if (move_a and parent[a] < 0) or (move_b and parent[b] < 0) or rounds == n:
+                return TREE_PAIR_APART
+            rounds += 1
+            if mass is None:
+                total += (wpar[a] if move_a else 0.0) + (wpar[b] if move_b else 0.0)
+            else:
+                if move_a:
+                    out[a] += mass[k]
+                if move_b:
+                    out[n + b] += mass[k]
+            if move_a:
+                a = parent[a]
+            if move_b:
+                b = parent[b]
+        if mass is None:
+            out[k] = total
+    return 0
+
+
+def pair_distances(indptr, indices, adj_w, xs, ys, by_source, dist, seen, settled, wanted, out):
+    """Shortest-path distance of every pair ``(xs[k], ys[k])`` in the CSR
+    graph into ``out[k]``: one Dijkstra run per distinct source, taking the
+    pairs in the order ``by_source`` lists them (grouped by source). A run
+    settles vertices in increasing (distance, id) order, relaxes an arc only
+    to a strictly shorter distance d[v] + w, and stops when its last target
+    is settled. ``dist`` and the run stamps ``seen`` (dist current),
+    ``settled`` and ``wanted`` (a target of this run) are n-slot work lists,
+    the stamps zero on entry. Returns 0, ``PATH_BAD_WEIGHT`` when an arc
+    weight is negative or not finite, or ``PATH_UNREACHED`` when a run runs
+    out of vertices before it settles its targets.
+
+    The (distance, id) keys in the heap are distinct, since a vertex is
+    pushed again only at a strictly shorter distance, so every binary heap
+    pops them in the same order.
+    """
+    for w in adj_w:
+        if not (w >= 0.0 and w < math.inf):
+            return PATH_BAD_WEIGHT
+    k = len(by_source)
+    run = 0
+    i = 0
+    while i < k:
+        run += 1
+        s = xs[by_source[i]]
+        left = 0
+        j = i
+        while j < k and xs[by_source[j]] == s:
+            t = ys[by_source[j]]
+            if wanted[t] != run:
+                wanted[t] = run
+                left += 1
+            j += 1
+        dist[s] = 0.0
+        seen[s] = run
+        heap = [(0.0, s)]
+        while left > 0:
+            if not heap:
+                return PATH_UNREACHED
+            d, v = heapq.heappop(heap)
+            if settled[v] == run:
+                continue
+            settled[v] = run
+            if wanted[v] == run:
+                left -= 1
+                if left == 0:
+                    break
+            for e in range(indptr[v], indptr[v + 1]):
+                u = indices[e]
+                nd = d + adj_w[e]
+                if seen[u] != run or nd < dist[u]:
+                    seen[u] = run
+                    dist[u] = nd
+                    heapq.heappush(heap, (nd, u))
+        for q in range(i, j):
+            out[by_source[q]] = dist[ys[by_source[q]]]
+        i = j
+    return 0

@@ -17,20 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fileio
+from . import __version__, fileio, graphs
 from .annealing import AnnealConfig, anneal, anneal_chains
 from .errors import InputError, TreeOTError
-from .graphs import WeightedGraph, all_pairs_shortest_paths, grid_graph
+from .graphs import WeightedGraph, grid_graph, pair_distances
 from .oracle import (
     VALUE_TOL,
     check_cyclical_monotonicity,
     check_weak_nondegeneracy,
     complementary_violation,
     check_vertex_support,
-    exact_k_distance,
     geodesic_support_violation,
     lipschitz_violation,
     potential_match_up_to_constant,
+    solve,
 )
 from .transport import (
     _plan_from_entries,
@@ -44,6 +44,11 @@ from .transport import (
     tree_k_distance,
     tree_potential,
 )
+from .trees import tree_distance
+
+#: No command builds the dense Floyd-Warshall matrix any more; the name stays
+#: bound here because perfbench's tracer test reads it from this module.
+all_pairs_shortest_paths = graphs.all_pairs_shortest_paths
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -373,9 +378,10 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         add("plan_nonnegative", neg, 0.0)
         if neg == 0.0:
             plan = _plan_from_entries(g.n, triplets)
-    # graph distances: only the plan's checks and the exact solver read them
-    dist = all_pairs_shortest_paths(g) if plan is not None or exact else None
     if plan is not None:
+        # graph and tree distances are read only at the support pairs
+        on_graph = pair_distances(g, plan.rows, plan.cols)
+        on_tree = tree_distance(tree, plan.rows, plan.cols) if tree is not None else None
         add("plan_marginals", max(
             float(np.max(np.abs(plan.row_sums() - mu))),
             float(np.max(np.abs(plan.col_sums() - nu))),
@@ -388,13 +394,13 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         support = check_vertex_support(plan)
         add("plan_support_forest", 0.0 if support["is_forest"] else 1.0, 0.0)
         add("plan_cyclically_monotone",
-            0.0 if check_cyclical_monotonicity(plan, g, dist) else 1.0, 0.0)
-        metrics["plan_cost_graph"] = plan_cost(plan, dist)
+            0.0 if check_cyclical_monotonicity(plan, g, on_graph) else 1.0, 0.0)
+        metrics["plan_cost_graph"] = plan_cost(plan, on_graph)
         if tree is not None:
-            metrics["plan_cost_tree"] = plan_cost(plan, tree)
+            metrics["plan_cost_tree"] = plan_cost(plan, on_tree)
             add("plan_cost_tree_matches_tree_cost",
                 abs(metrics["plan_cost_tree"] - metrics["tree_cost"]))
-            add("plan_geodesic_support", geodesic_support_violation(plan, dist, tree))
+            add("plan_geodesic_support", geodesic_support_violation(plan, on_graph, on_tree))
             ref = beckmann_flow(tree, mu, nu)
             got = plan_to_flow(plan, tree)
             add("flow_matches_cumulative", max(
@@ -411,11 +417,10 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
                 abs(metrics["potential_duality_value"] - metrics["tree_cost"]))
         if plan is not None:
             add("complementary_slackness",
-                complementary_violation(plan, potential, tree if tree is not None else dist))
+                complementary_violation(plan, potential, on_tree if tree is not None else on_graph))
 
     if exact:
-        solution = exact_k_distance(dist, as_measure(mu, g.n, normalize=True),
-                                    as_measure(nu, g.n, normalize=True))
+        solution = solve(g, as_measure(mu, g.n, normalize=True), as_measure(nu, g.n, normalize=True))
         metrics["exact_value"] = solution.value
         metrics["exact_pivots"] = solution.pivots
         if tree is not None:
@@ -429,7 +434,7 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
                 abs(metrics["potential_duality_value"] - solution.value))
             if nd.holds:
                 add("potential_matches_exact_dual",
-                    0.0 if potential_match_up_to_constant(potential, solution.dual) else 1.0,
+                    0.0 if potential_match_up_to_constant(potential, solution.potential) else 1.0,
                     0.0)
 
     return {

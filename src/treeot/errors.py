@@ -73,10 +73,6 @@ class ConditionViolatedError(PlanError):
     """The sign-alternation condition required by the closed-form plan fails."""
 
 
-class NotImprovableError(PlanError):
-    """Diagonal rewrite could not find a donor/receiver pair."""
-
-
 class TooLargeError(TreeOTError):
     """Instance exceeds the configured size cap."""
 

@@ -1,4 +1,4 @@
-"""Weighted-graph primitives: validation, shortest paths, geodesic edges, grids."""
+"""Weighted-graph primitives: validation, shortest paths, grids."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -16,9 +17,6 @@ from .errors import (
     SelfLoopError,
     VertexRangeError,
 )
-
-#: Absolute tolerance for metric identities (symmetry, triangle inequality, ...).
-METRIC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,11 @@ class WeightedGraph:
 
     def neighbor_weights(self, v: int) -> np.ndarray:
         return self.weights[self.indptr[v] : self.indptr[v + 1]]
+
+    def arc_tails(self) -> np.ndarray:
+        """Tail of every CSR arc, aligned with ``indices`` (the heads) and
+        ``weights``: each vertex repeated once per neighbour."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -198,11 +201,16 @@ def all_pairs_shortest_paths(g: WeightedGraph) -> np.ndarray:
     return d
 
 
-def geodesic_edges(g: WeightedGraph, dist: np.ndarray, tol: float = METRIC_TOL) -> set[tuple[int, int]]:
-    """Edges lying on at least one shortest path between some vertex pair.
+def pair_distances(g: WeightedGraph, xs, ys) -> np.ndarray:
+    """Shortest-path distances of the vertex pairs ``(xs[k], ys[k])``.
 
-    Edge {x,y} qualifies iff d(s,x) + w(x,y) + d(y,t) == d(s,t) for some
-    (s,t). By the triangle inequality that slack is at least w(x,y) - d(x,y),
-    and s = x, t = y attain it, so the test is w(x,y) <= d(x,y) + tol, O(E).
+    One Dijkstra run per distinct source, which stops once that source's
+    targets are settled (:func:`treeot._kernels.pair_distances`, on the
+    kernel backend); nothing of size n x n is built. Raises
+    ``VertexRangeError`` for a vertex out of range.
     """
-    return {(u, v) for u, v, w in g.edges if w - dist[u, v] <= tol}
+    xs = np.ascontiguousarray(xs, dtype=np.int64)
+    ys = np.ascontiguousarray(ys, dtype=np.int64)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise VertexRangeError(f"pair ends of shapes {xs.shape} and {ys.shape}")
+    return _kernels.kernels().pair_distances(g.indptr, g.indices, g.weights, xs, ys)

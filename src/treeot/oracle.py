@@ -1,11 +1,12 @@
-"""Exact desk-scale solver and invariant checkers used as ground truth.
+"""Exact solvers and invariant checkers used as ground truth.
 
-The solver reduces by the zero-cost diagonal, then runs the kernel backend's
-``network_simplex`` (see ``_kernels``) on the dense bipartite network from
-excess-supply to excess-demand vertices. Network simplex pivots from one
-spanning tree of that network to the next with a dual potential at every
-step, so the returned plan is basic (a vertex of the transportation
-polytope) and the potential certifies it.
+Both solvers run the kernel backend's ``network_simplex`` (see
+``_kernels``), which pivots from one spanning tree of a flow network to the
+next with a dual potential at every step. :func:`solve` gives it the
+graph's own arcs, so it needs O(E) memory. :func:`exact_k_distance`
+reduces by the zero-cost diagonal and gives it the dense bipartite network
+from excess-supply to excess-demand vertices under a distance matrix, so
+its plan is basic (a vertex of the transportation polytope).
 """
 
 from __future__ import annotations
@@ -39,6 +40,34 @@ class ExactSolution:
     plan: TransportPlan
     dual: Potential
     pivots: int
+
+
+@dataclass(frozen=True)
+class Solution:
+    """W1 by network simplex on the graph's arcs: the optimal value, the
+    simplex dual as a potential anchored at vertex 0, and the pivots made."""
+
+    value: float
+    potential: Potential
+    pivots: int
+
+
+def solve(g: WeightedGraph, mu, nu) -> Solution:
+    """Solve the graph transport LP exactly on the graph's own arcs.
+
+    W1 is the min-cost uncapacitated flow of mu - nu over the edges, each in
+    both directions: the CSR arcs (tail, ``indices``, ``weights``) go to
+    the backend's ``network_simplex`` as they are, so memory is O(E) and
+    there is no vertex cap. The potential is the simplex dual pi - pi[0]:
+    1-Lipschitz on every edge up to the pricing tolerance
+    (``_kernels.PRICE_RTOL`` of the largest weight) and tight on every edge
+    that carries flow, so its duality value is the optimal value.
+    """
+    xi = imbalance(as_measure(mu, g.n), as_measure(nu, g.n))
+    flow, pi, pivots = _kernels.kernels().network_simplex(xi, g.arc_tails(), g.indices, g.weights)
+    potential = pi - pi[0]
+    potential.setflags(write=False)
+    return Solution(float(np.sum(flow * g.weights)), Potential(potential, anchor=0), pivots)
 
 
 def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> ExactSolution:
@@ -100,10 +129,10 @@ def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> Exac
 
 def lipschitz_violation(u: Potential, g: WeightedGraph) -> float:
     """Largest excess of a potential jump over its edge weight, floored at 0;
-    NaN when a potential value on an edge is NaN."""
-    edges = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
-    a, b = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
-    return float(np.max(np.abs(u.values[a] - u.values[b]) - edges[:, 2], initial=0.0))
+    NaN when a potential value on an edge is NaN. Reads the CSR arcs, so
+    each edge is tested in both directions."""
+    jumps = np.abs(u.values[g.arc_tails()] - u.values[g.indices]) - g.weights
+    return float(np.max(jumps, initial=0.0))
 
 
 def check_lipschitz(u: Potential, g: WeightedGraph, tol: float = VALUE_TOL) -> bool:
@@ -113,7 +142,8 @@ def check_lipschitz(u: Potential, g: WeightedGraph, tol: float = VALUE_TOL) -> b
 
 def complementary_violation(plan: TransportPlan, u: Potential, dist) -> float:
     """Largest |u(x) - u(y) - d(x,y)| over the support of the plan; ``dist``
-    is a dense distance matrix or a :class:`RootedTree`."""
+    is a dense distance matrix, a :class:`RootedTree` or the distances at the
+    support pairs (see :func:`treeot.transport.plan_cost`)."""
     gaps = u.values[plan.rows] - u.values[plan.cols] - _support_distances(plan, dist)
     return float(np.max(np.abs(gaps), initial=0.0))
 
@@ -176,7 +206,7 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
 
 
 def check_cyclical_monotonicity(
-    plan: TransportPlan, g: WeightedGraph, dist: np.ndarray, tol: float = VALUE_TOL
+    plan: TransportPlan, g: WeightedGraph, dist, tol: float = VALUE_TOL
 ) -> bool:
     """Exact cyclical monotonicity of the plan's support, over every family size.
 
@@ -188,17 +218,17 @@ def check_cyclical_monotonicity(
     x->y of weight -d(x, y) + tol/s for each of the s off-diagonal support
     pairs. A family of k pairs therefore fails only when permuting its targets
     saves more than k*tol/s <= tol. ``dist`` must be the shortest-path metric
-    of ``g``. Bellman-Ford from u = 0 looks for the cycle: with none, a round
-    changes nothing within n rounds.
+    of ``g``, as a dense matrix or as the distances at the support pairs.
+    Bellman-Ford from u = 0 looks for the cycle: with none, a round changes
+    nothing within n rounds.
     """
     off = plan.rows != plan.cols
     s = int(np.count_nonzero(off))
     if s == 0:
         return True
-    xs, ys = plan.rows[off], plan.cols[off]
-    src = np.concatenate([np.repeat(np.arange(g.n), np.diff(g.indptr)), xs])
-    dst = np.concatenate([g.indices, ys])
-    weight = np.concatenate([g.weights, tol / s - dist[xs, ys]])
+    src = np.concatenate([g.arc_tails(), plan.rows[off]])
+    dst = np.concatenate([g.indices, plan.cols[off]])
+    weight = np.concatenate([g.weights, tol / s - _support_distances(plan, dist)[off]])
     u = np.zeros(g.n)
     for _ in range(g.n + 1):
         relaxed = u.copy()
@@ -246,15 +276,15 @@ def check_vertex_support(plan: TransportPlan) -> dict:
     }
 
 
-def geodesic_support_violation(plan: TransportPlan, dist_graph: np.ndarray, dist_tree) -> float:
+def geodesic_support_violation(plan: TransportPlan, dist_graph, dist_tree) -> float:
     """Largest gap between graph distance and tree distance over the support;
-    ``dist_tree`` is a :class:`RootedTree` or its dense distance matrix."""
+    each metric is given as :func:`treeot.transport.plan_cost` takes it."""
     gaps = _support_distances(plan, dist_tree) - _support_distances(plan, dist_graph)
     return float(np.max(np.abs(gaps), initial=0.0))
 
 
 def check_geodesic_support(
-    plan: TransportPlan, dist_graph: np.ndarray, t: RootedTree, tol: float = VALUE_TOL
+    plan: TransportPlan, dist_graph, t: RootedTree, tol: float = VALUE_TOL
 ) -> bool:
     """Support pairs must realize the graph distance inside the tree."""
     return geodesic_support_violation(plan, dist_graph, t) <= tol

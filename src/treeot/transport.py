@@ -19,10 +19,9 @@ from .errors import (
     MassMismatchError,
     NegativeMassError,
     NonFiniteMassError,
-    NotImprovableError,
     VertexRangeError,
 )
-from .trees import RootedTree, _climb, subtree_aggregate, tree_distance
+from .trees import RootedTree, subtree_aggregate, tree_distance
 
 #: Tolerance on total measure mass.
 MASS_TOL = 1e-9
@@ -237,17 +236,23 @@ def _assemble_plan(n: int, rows, cols, mass, entries=None) -> TransportPlan:
 
 
 def plan_cost(plan: TransportPlan, dist) -> float:
-    """Total cost of a plan under a dense distance matrix or a tree metric
-    (a :class:`RootedTree`, read on the support pairs only)."""
+    """Total cost of a plan under a dense distance matrix, a tree metric (a
+    :class:`RootedTree`, read on the support pairs only) or the distances at
+    the support pairs themselves (a vector aligned with ``plan.rows``)."""
     return float(np.sum(plan.mass * _support_distances(plan, dist)))
 
 
 def _support_distances(plan: TransportPlan, dist) -> np.ndarray:
-    """Distances at the support pairs, from a dense matrix or a tree."""
+    """Distances at the support pairs, from a dense matrix, a tree or a
+    vector that already holds them."""
     if isinstance(dist, RootedTree):
         if dist.n != plan.n:
             raise VertexRangeError("tree size does not match plan")
         return tree_distance(dist, plan.rows, plan.cols)
+    if dist.ndim == 1:
+        if dist.shape != (plan.support_size,):
+            raise VertexRangeError("support distances do not match the plan's support")
+        return dist
     if dist.shape != (plan.n, plan.n):
         raise VertexRangeError("distance matrix shape does not match plan")
     return dist[plan.rows, plan.cols]
@@ -315,48 +320,13 @@ def dp_transport_plan(t: RootedTree, mu, nu) -> TransportPlan:
 
 def plan_to_flow(plan: TransportPlan, t: RootedTree) -> Flow:
     """Total plan mass crossing each directed tree edge, accumulated over the
-    tree paths of all support pairs: the pairs climb the tree together (as in
-    :func:`treeot.trees.tree_path`), then each edge adds the masses of the
-    pairs crossing it in support order."""
-    slots, pairs = [], []  # per crossing: edge slot (child end, +n going down), support index
-    for k, a, b, move_a, move_b in _climb(t, plan.rows, plan.cols):
-        slots += [a[move_a], b[move_b] + t.n]
-        pairs += [k[move_a], k[move_b]]
-    sums = np.zeros(2 * t.n)
-    if pairs:
-        pairs = np.concatenate(pairs)
-        in_order = np.argsort(pairs, kind="stable")
-        np.add.at(sums, np.concatenate(slots)[in_order], plan.mass[pairs[in_order]])
+    tree paths of all support pairs: each pair walks to its lowest common
+    ancestor (as in :func:`treeot.trees.tree_path`), and each edge adds the
+    masses of the pairs crossing it in support order. The walk is
+    :func:`treeot._kernels.tree_pairs`, run on the kernel backend."""
+    sums = _kernels.kernels().tree_pairs(t.parent, t.depth, t.weight_to_parent, plan.rows,
+                                         plan.cols, plan.mass)
     return Flow(up=sums[:t.n], down=sums[t.n:])
-
-
-def canonicalize_diagonal(plan: TransportPlan, mu, nu) -> TransportPlan:
-    """Rewrite an optimal plan so every diagonal entry reaches min(mu, nu).
-
-    Repeatedly reroutes a donor pair gamma(x, y1) and gamma(y2, x) into
-    gamma(x, x) and gamma(y2, y1); each step strictly increases the diagonal
-    and, on an optimal input, keeps the cost unchanged.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    dense = plan.to_dense()
-    target = np.minimum(mu, nu)
-    for x in range(plan.n):
-        while dense[x, x] < target[x] - MASS_TOL:
-            row = [y for y in range(plan.n) if y != x and dense[x, y] > 0.0]
-            col = [y for y in range(plan.n) if y != x and dense[y, x] > 0.0]
-            if not row or not col:
-                raise NotImprovableError(
-                    f"vertex {x} lacks a donor pair; the plan is not admissible-optimal"
-                )
-            y1, y2 = row[0], col[0]
-            m = min(dense[x, y1], dense[y2, x], target[x] - dense[x, x])
-            dense[x, y1] -= m
-            dense[y2, x] -= m
-            dense[x, x] += m
-            dense[y2, y1] += m
-    rows, cols = np.nonzero(dense > 0.0)
-    return _assemble_plan(plan.n, rows, cols, dense[rows, cols])
 
 
 def line_w1(points, mu, nu) -> float:

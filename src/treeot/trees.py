@@ -139,46 +139,36 @@ def subtree_aggregate(t: RootedTree, values) -> np.ndarray:
     return _kernels.kernels().subtree_sums(t.parent, t.order, values)
 
 
-def _climb(t: RootedTree, x: np.ndarray, y: np.ndarray):
-    """Walk the vertex pairs ``(x[k], y[k])`` to their lowest common ancestors
-    in lockstep rounds: each pair still apart moves its deeper end to its
-    parent, or both ends at equal depth. Yields each round, before its move,
-    as ``(k, a, b, move_a, move_b)``: the pairs still apart, their ends and
-    which ends move."""
-    k = np.flatnonzero(x != y)
-    a, b = x[k], y[k]
-    while k.size:
-        move_a, move_b = t.depth[a] >= t.depth[b], t.depth[b] >= t.depth[a]
-        yield k, a, b, move_a, move_b
-        a = np.where(move_a, t.parent[a], a)
-        b = np.where(move_b, t.parent[b], b)
-        apart = a != b
-        k, a, b = k[apart], a[apart], b[apart]
-
-
 def tree_path(t: RootedTree, x: int, y: int) -> list[tuple[int, int, str]]:
     """Steps of the unique tree path from x to y as ``(from, to, "up"|"down")``.
 
-    "up" steps move child -> parent until the lowest common ancestor, then
-    "down" steps move parent -> child.
+    The ends walk to their lowest common ancestor: each round moves the
+    deeper end to its parent, or both ends at equal depth. "up" steps move
+    child -> parent until the lowest common ancestor, then "down" steps move
+    parent -> child.
     """
     up_part, down_part = [], []
-    for _, a, b, move_a, move_b in _climb(t, np.array([x]), np.array([y])):
-        up_part += [(v, int(t.parent[v]), "up") for v in a[move_a].tolist()]
-        down_part += [(int(t.parent[v]), v, "down") for v in b[move_b].tolist()]
+    a, b = int(x), int(y)
+    while a != b:
+        move_a, move_b = t.depth[a] >= t.depth[b], t.depth[b] >= t.depth[a]
+        if move_a:
+            up_part.append((a, int(t.parent[a]), "up"))
+            a = int(t.parent[a])
+        if move_b:
+            down_part.append((int(t.parent[b]), b, "down"))
+            b = int(t.parent[b])
     return up_part + down_part[::-1]
 
 
 def tree_distance(t: RootedTree, x, y):
     """Weighted length of the unique tree path between x and y: a Python
     float for two vertices, the array of pairwise lengths for index arrays of
-    one shape (O(path length) per pair)."""
+    one shape (O(path length) per pair, on the kernel backend's
+    :func:`treeot._kernels.tree_pairs`). Raises ``VertexRangeError`` for a
+    vertex out of range."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
-    total = np.zeros(x.shape)
-    w = t.weight_to_parent
-    for k, a, b, move_a, move_b in _climb(t, x.ravel(), y.ravel()):
-        # both ends' weights enter as one sum, which keeps a scalar walk's rounding
-        total.flat[k] += np.where(move_a, w[a], 0.0) + np.where(move_b, w[b], 0.0)
+    total = _kernels.kernels().tree_pairs(t.parent, t.depth, t.weight_to_parent, x.ravel(),
+                                          y.ravel(), None).reshape(x.shape)
     return float(total) if total.ndim == 0 else total
 
 

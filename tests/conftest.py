@@ -15,6 +15,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -246,8 +247,8 @@ def reference_balanced_subtree(g, xi, rng, samples=32, tol=1e-12):
 
 def reference_tree_path(t, x, y):
     """The scalar three-phase walk: deeper end up, the other end up, then both
-    ends up until they meet. Test-only copy of the walk the library replaced
-    with its lockstep climb."""
+    ends up until they meet. An independent reference for the library's
+    round-by-round walks (``tree_path`` and the ``tree_pairs`` kernel)."""
     up_part, down_part = [], []
     a, b = int(x), int(y)
     while t.depth[a] > t.depth[b]:
@@ -294,6 +295,62 @@ def reference_plan_to_flow(plan, t):
             else:
                 down[b] += m
     return up, down
+
+
+def lockstep_climb(t, x, y):
+    """Walk the vertex pairs ``(x[k], y[k])`` to their lowest common
+    ancestors in lockstep rounds of numpy calls: each pair still apart moves
+    its deeper end to its parent, or both ends at equal depth. Yields each
+    round, before its move, as ``(k, a, b, move_a, move_b)``. Test-only copy
+    of the climb the library replaced with its tree-pair kernel."""
+    k = np.flatnonzero(x != y)
+    a, b = x[k], y[k]
+    while k.size:
+        move_a, move_b = t.depth[a] >= t.depth[b], t.depth[b] >= t.depth[a]
+        yield k, a, b, move_a, move_b
+        a = np.where(move_a, t.parent[a], a)
+        b = np.where(move_b, t.parent[b], b)
+        apart = a != b
+        k, a, b = k[apart], a[apart], b[apart]
+
+
+def lockstep_plan_to_flow(plan, t):
+    """(up, down) edge flows from the lockstep climb: each edge adds the
+    masses of the pairs crossing it in support order."""
+    slots, pairs = [], []  # per crossing: edge slot (child end, +n going down), support index
+    for k, a, b, move_a, move_b in lockstep_climb(t, plan.rows, plan.cols):
+        slots += [a[move_a], b[move_b] + t.n]
+        pairs += [k[move_a], k[move_b]]
+    sums = np.zeros(2 * t.n)
+    if pairs:
+        pairs = np.concatenate(pairs)
+        in_order = np.argsort(pairs, kind="stable")
+        np.add.at(sums, np.concatenate(slots)[in_order], plan.mass[pairs[in_order]])
+    return sums[:t.n], sums[t.n:]
+
+
+def network_simplex_w1(g: ot.WeightedGraph, mu, nu) -> float:
+    """Independent W1: networkx network simplex on the graph's own edges.
+
+    Demands are the floats' exact binary values scaled by 2**96 and weights by
+    2**64; the float residual of sum(mu) - sum(nu) moves onto the vertex with
+    the largest demand.
+    """
+    import networkx as nx
+
+    demand = [round(Fraction(float(nu[v])) * 2**96) - round(Fraction(float(mu[v])) * 2**96)
+              for v in range(g.n)]
+    heaviest = max(range(g.n), key=lambda v: abs(demand[v]))
+    demand[heaviest] -= sum(demand)
+    net = nx.DiGraph()
+    for v in range(g.n):
+        net.add_node(v, demand=demand[v])
+    for a, b, w in g.edges:
+        cost = round(Fraction(w) * 2**64)
+        net.add_edge(a, b, weight=cost)
+        net.add_edge(b, a, weight=cost)
+    flow_cost, _ = nx.network_simplex(net)
+    return float(Fraction(flow_cost, 2**160))
 
 
 def successive_shortest_paths(cost, supply, demand):

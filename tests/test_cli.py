@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 import treeot as ot
 from treeot import fileio
 from treeot.cli import _build_parser, export_dot, main
+from treeot.oracle import geodesic_support_violation
 
-from conftest import LINE6_XI, line6_edges, run_python
+from conftest import LINE6_XI, line6_edges, network_simplex_w1, run_python
 
 
 def run_cli(*argv):
@@ -325,6 +327,19 @@ def line6_files(tmp_path):
     return tmp_path
 
 
+def annealed_4x4_verify(d) -> list[str]:
+    """Run grid, anneal, plan and potential on a noisy 4x4 lattice into
+    ``d``; return the argv of ``verify`` on every output."""
+    files = ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")]
+    tree = ["--tree", str(d / "best_tree.json")]
+    assert run_cli("grid", "--p", "4", "--noise-sigma", "1e-3", "--seed", "2", "--out-dir", str(d)) == 0
+    assert run_cli("anneal", *files, "--iters", "3000", "--seed", "2", "--out-dir", str(d)) == 0
+    assert run_cli("plan", *files, *tree, "--out-dir", str(d)) == 0
+    assert run_cli("potential", *files, *tree, "--out-dir", str(d)) == 0
+    return ["verify", *files, *tree, "--plan", str(d / "plan.csv"),
+            "--potential", str(d / "potential.csv")]
+
+
 BAD_ARGUMENTS = [
     ("grid", "--noise-sigma", "abc"),
     ("grid", "--noise-sigma", "nan"),
@@ -489,20 +504,11 @@ class TestVerifyCommand:
         g = fileio.load_graph(line6_files / "graph.json")
         mu = fileio.load_measure(line6_files / "mu.json", 6)
         nu = fileio.load_measure(line6_files / "nu.json", 6)
-        pivots = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu).pivots
-        assert verdict["metrics"]["exact_pivots"] == pivots > 0
+        assert verdict["metrics"]["exact_pivots"] == ot.solve(g, mu, nu).pivots > 0
         assert verdict["weak_nondegeneracy"]["holds"] is False
 
     def test_tree_checks_build_no_dense_tree_matrix(self, tmp_path, capsys, monkeypatch):
-        d = tmp_path
-        files = ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")]
-        tree = ["--tree", str(d / "best_tree.json")]
-        assert run_cli("grid", "--p", "4", "--noise-sigma", "1e-3", "--seed", "2", "--out-dir", str(d)) == 0
-        assert run_cli("anneal", *files, "--iters", "3000", "--seed", "2", "--out-dir", str(d)) == 0
-        assert run_cli("plan", *files, *tree, "--out-dir", str(d)) == 0
-        assert run_cli("potential", *files, *tree, "--out-dir", str(d)) == 0
-        argv = ["verify", *files, *tree, "--plan", str(d / "plan.csv"),
-                "--potential", str(d / "potential.csv")]
+        argv = annealed_4x4_verify(tmp_path)
         capsys.readouterr()
         code = run_cli(*argv)
         plain = json.loads(capsys.readouterr().out)
@@ -529,6 +535,63 @@ class TestVerifyCommand:
         assert run_cli(*argv) == code
         assert json.loads(capsys.readouterr().out) == plain
         assert {"potential_lipschitz", "potential_duality_tree"} <= {c["name"] for c in plain["checks"]}
+
+    def test_full_verify_builds_no_dense_matrix(self, tmp_path, capsys, monkeypatch):
+        # verify reads graph distances at the plan's support pairs and solves
+        # on the graph's arcs; its figures match the dense matrix's
+        argv = [*annealed_4x4_verify(tmp_path), "--exact"]
+        capsys.readouterr()
+        code = run_cli(*argv)
+        plain = json.loads(capsys.readouterr().out)
+        for func in (ot.all_pairs_shortest_paths, ot.exact_k_distance, ot.tree_distance_matrix):
+            refuse_everywhere(monkeypatch, func)
+        assert run_cli(*argv) == code
+        patched = json.loads(capsys.readouterr().out)
+        assert patched == plain
+        monkeypatch.undo()
+
+        g = fileio.load_graph(tmp_path / "graph.json")
+        mu = fileio.load_measure(tmp_path / "mu.json", g.n)
+        nu = fileio.load_measure(tmp_path / "nu.json", g.n)
+        t = fileio.load_tree(tmp_path / "best_tree.json", g)
+        plan = ot.make_plan(g.n, fileio.load_plan_triplets(tmp_path / "plan.csv"))
+        dist = ot.all_pairs_shortest_paths(g)
+        exact = ot.exact_k_distance(dist, mu, nu).value
+        metrics = patched["metrics"]
+        named = {c["name"]: c for c in patched["checks"]}
+        assert abs(metrics["exact_value"] - exact) <= 1e-12
+        assert abs(metrics["tree_gap_vs_exact"] - (metrics["tree_cost"] - exact)) <= 1e-12
+        assert abs(metrics["plan_cost_graph"] - ot.plan_cost(plan, dist)) <= 1e-12
+        assert abs(named["plan_geodesic_support"]["violation"]
+                   - geodesic_support_violation(plan, dist, t)) <= 1e-12
+        assert {"plan_cyclically_monotone", "plan_cost_matches_exact", "complementary_slackness",
+                "potential_duality_exact", "tree_cost_matches_exact"} <= named.keys()
+
+    def test_exact_verify_at_1024_vertices_stays_small(self, tmp_path, capsys):
+        pytest.importorskip("networkx")
+        d = tmp_path
+        files = ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")]
+        tree = ["--tree", str(d / "tree.json")]
+        assert run_cli("grid", "--p", "32", "--noise-sigma", "auto", "--seed", "1", "--out-dir", str(d)) == 0
+        g = fileio.load_graph(d / "graph.json")
+        fileio.save_tree(d / "tree.json", ot.random_spanning_tree(g, np.random.default_rng(1)))
+        assert run_cli("plan", *files, *tree, "--out-dir", str(d)) == 0
+        assert run_cli("potential", *files, *tree, "--out-dir", str(d)) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run_cli("verify", *files, *tree, "--plan", str(d / "plan.csv"),
+                           "--potential", str(d / "potential.csv"), "--exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        verdict = json.loads(capsys.readouterr().out)
+        assert code in (0, 3)
+        assert peak < 2 * 2**20  # the 1024 x 1024 distance matrix alone takes 8 MiB
+        mu = fileio.load_measure(d / "mu.json", g.n)
+        nu = fileio.load_measure(d / "nu.json", g.n)
+        w1 = network_simplex_w1(g, mu, nu)
+        assert abs(verdict["metrics"]["exact_value"] - w1) <= 1e-9 * w1
 
     def test_invalid_measure_reported_not_crashed(self, line6_files, capsys):
         bad = line6_files / "bad_mu.json"

@@ -23,6 +23,16 @@ from conftest import (
 NAN, INF = float("nan"), float("inf")
 LINE4 = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)]
 
+
+def geodesic_edges(g: ot.WeightedGraph, tol: float = 1e-12) -> set[tuple[int, int]]:
+    """Edges lying on at least one shortest path, from ``pair_distances`` at
+    the edges' ends: by the triangle inequality, edge {x,y} is on a shortest
+    path exactly when w(x,y) <= d(x,y)."""
+    ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
+    dist = ot.pair_distances(g, ends[:, 0], ends[:, 1])
+    return {(u, v) for (u, v, w), d in zip(g.edges, dist.tolist()) if w - d <= tol}
+
+
 # (n, rows): each breaks build_graph's checks, some in several rows, so the
 # first bad row in input order must name the error
 MALFORMED_EDGE_LISTS = {
@@ -208,38 +218,35 @@ class TestShortestPaths:
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 10, extra_edges=5)
         d = ot.all_pairs_shortest_paths(g)
-        for u, v in ot.geodesic_edges(g, d):
+        for u, v in geodesic_edges(g):
             assert abs(d[u, v] - g.edge_weight(u, v)) <= 1e-12
 
 
 class TestGeodesicEdges:
+    """Edges on shortest paths, found from ``pair_distances`` at their ends."""
+
     def test_tree_input_all_edges(self):
         g = ot.build_graph(4, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 2.0)])
-        d = ot.all_pairs_shortest_paths(g)
-        assert ot.geodesic_edges(g, d) == {(0, 1), (1, 2), (1, 3)}
+        assert geodesic_edges(g) == {(0, 1), (1, 2), (1, 3)}
 
     def test_heavy_cycle_edge_excluded(self):
         g = ot.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 10.0)])
-        d = ot.all_pairs_shortest_paths(g)
-        assert ot.geodesic_edges(g, d) == {(0, 1), (1, 2), (2, 3)}
+        assert geodesic_edges(g) == {(0, 1), (1, 2), (2, 3)}
 
     def test_complete_graph_unit_weights(self):
         g = ot.build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
-        d = ot.all_pairs_shortest_paths(g)
-        assert ot.geodesic_edges(g, d) == {(0, 1), (0, 2), (1, 2)}
+        assert geodesic_edges(g) == {(0, 1), (0, 2), (1, 2)}
 
     def test_matches_path_enumeration(self):
         rng = np.random.default_rng(5)
         for _ in range(6):
             g = random_connected_graph(rng, int(rng.integers(4, 9)), extra_edges=3)
-            d = ot.all_pairs_shortest_paths(g)
-            assert ot.geodesic_edges(g, d) == brute_force_geodesic_edges(g)
+            assert geodesic_edges(g) == brute_force_geodesic_edges(g)
 
     def test_contains_spanning_connected_subgraph(self):
         rng = np.random.default_rng(9)
         for _ in range(6):
             g = random_connected_graph(rng, 15, extra_edges=8)
-            d = ot.all_pairs_shortest_paths(g)
-            kept = ot.geodesic_edges(g, d)
+            kept = geodesic_edges(g)
             sub = ot.build_graph(g.n, [(u, v, g.edge_weight(u, v)) for u, v in kept])
             assert sub.n == g.n  # build_graph verifies connectivity

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import pickle
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from conftest import (
     compiled_backends,
     degenerate_measures,
     line_graph,
+    network_simplex_w1,
     noisy_grid_measures,
     random_connected_graph,
     random_measure_pair,
@@ -121,30 +121,6 @@ class TestExactSolver:
         assert hits >= 15
 
 
-def network_simplex_w1(g: ot.WeightedGraph, mu, nu) -> float:
-    """Independent W1: networkx network simplex on the graph's own edges.
-
-    Demands are the floats' exact binary values scaled by 2**96 and weights by
-    2**64; the float residual of sum(mu) - sum(nu) moves onto the vertex with
-    the largest demand.
-    """
-    import networkx as nx
-
-    demand = [round(Fraction(float(nu[v])) * 2**96) - round(Fraction(float(mu[v])) * 2**96)
-              for v in range(g.n)]
-    heaviest = max(range(g.n), key=lambda v: abs(demand[v]))
-    demand[heaviest] -= sum(demand)
-    net = nx.DiGraph()
-    for v in range(g.n):
-        net.add_node(v, demand=demand[v])
-    for a, b, w in g.edges:
-        cost = round(Fraction(w) * 2**64)
-        net.add_edge(a, b, weight=cost)
-        net.add_edge(b, a, weight=cost)
-    flow_cost, _ = nx.network_simplex(net)
-    return float(Fraction(flow_cost, 2**160))
-
-
 def cross_check_instance(rng, kind):
     """A random connected graph on 2..30 vertices and a measure pair.
 
@@ -187,7 +163,9 @@ class TestExactSolverCrossCheck:
             seen["zero_mass"] += bool(np.any(mu == 0.0) or np.any(nu == 0.0))
             seen["single_source"] += int(np.count_nonzero(xi > 0.0) == 1)
             seen["single_sink"] += int(np.count_nonzero(xi < 0.0) == 1)
-            assert abs(sol.value - network_simplex_w1(g, mu, nu)) <= 1e-9, k
+            w1 = network_simplex_w1(g, mu, nu)
+            assert abs(sol.value - w1) <= 1e-9, k
+            assert abs(ot.solve(g, mu, nu).value - w1) <= 1e-9, k
             assert ot.check_vertex_support(sol.plan)["is_forest"], k
             assert np.max(np.abs(sol.plan.diagonal() - np.minimum(mu, nu))) <= 1e-12, k
             assert lipschitz_violation(sol.dual, g) <= 1e-9, k

@@ -3,14 +3,18 @@
 W1 on a graph is the minimum of the tree distance over its spanning trees,
 so the exact value is at most the tree distance of any Wilson tree, equals
 it on a tree graph (whose only spanning tree is itself), and, being a
-distance, does not change when mu and nu are swapped. The examples are
-derandomized, so every run checks the same ones.
+distance, does not change when mu and nu are swapped. ``solve``, the
+network simplex on the graph's own arcs, finds the dense oracle's value, and
+its potential certifies that value: it is 1-Lipschitz on every edge and its
+duality value is the optimum. The examples are derandomized, so every run
+checks the same ones.
 """
 
 import numpy as np
 import pytest
 
 import treeot as ot
+from treeot.oracle import lipschitz_violation
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -68,3 +72,28 @@ def test_exact_value_is_symmetric_in_mu_and_nu(instance):
     g, mu, nu = instance
     value = exact_value(g, mu, nu)
     assert abs(exact_value(g, nu, mu) - value) <= 1e-12 * max(1.0, value)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances())
+def test_solve_on_graph_arcs_finds_the_dense_oracle_value(instance):
+    g, mu, nu = instance
+    value = exact_value(g, mu, nu)
+    assert abs(ot.solve(g, mu, nu).value - value) <= 1e-12 * max(1.0, value)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances())
+def test_solve_potential_is_lipschitz_on_every_edge(instance):
+    g, mu, nu = instance
+    assert lipschitz_violation(ot.solve(g, mu, nu).potential, g) <= 1e-12 * g.weights.max()
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances())
+def test_solve_potential_duality_value_is_the_solve_value(instance):
+    g, mu, nu = instance
+    sol = ot.solve(g, mu, nu)
+    assert sol.potential.values[0] == 0.0
+    duality = float(np.dot(sol.potential.values, mu - nu))
+    assert abs(duality - sol.value) <= 1e-12 * max(1.0, sol.value)

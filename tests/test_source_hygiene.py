@@ -1,6 +1,8 @@
 """Source hygiene, checked with ``ast``: no imported name goes unused in the
-package or its tests, no function in the package ignores a parameter, and
-the package writes files only through ``fileio._write_text``. Also, the
+package or its tests, no function in the package ignores a parameter, the
+package writes files only through ``fileio._write_text``, and it imports
+only the standard library, numpy and itself, which is also all that
+``pyproject.toml`` lists as dependencies. Also, the
 status and stop codes of ``_kernel.c``'s enum are those ``_kernels.py``
 reads, ``_kernel.c`` compiles without a warning, and it exports exactly the
 functions that ``_kernels.py`` declares.
@@ -13,6 +15,7 @@ Parameters are checked in the package only: pytest reads test parameters
 import ast
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +60,47 @@ def unused_parameters(source: str) -> list[str]:
         found += [f"line {fn.lineno}: {name}({p.arg})" for p in params
                   if p.arg not in read and p.arg not in ("self", "cls")]
     return found
+
+
+#: top-level modules the package may import besides the standard library
+ALLOWED_IMPORTS = {"numpy", "treeot"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of a module outside the standard library and
+    ``ALLOWED_IMPORTS``; relative imports are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.partition(".")[0] not in sys.stdlib_module_names | ALLOWED_IMPORTS]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]]
+    assert names == ["numpy"]
+
+
+def test_the_import_scan_flags_scipy():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "import scipy\nimport scipy.sparse as sp\nfrom scipy.sparse import csgraph\n"
+              "from . import graphs\nfrom .graphs import build_graph\nfrom treeot import cli\n"
+              "def f():\n    import networkx\n")
+    assert foreign_imports(source) == ["line 4: scipy", "line 5: scipy.sparse",
+                                       "line 6: scipy.sparse", "line 11: networkx"]
 
 
 #: ``os.open`` flags that open a file for writing
@@ -165,16 +209,19 @@ def c_enum(source: str) -> dict[str, int]:
 
 def python_codes() -> dict[str, int]:
     """Every status and stop code that ``_kernels`` reads, by its C name:
-    ``_C_STATUS`` by message, the ``PLAN_*``, ``FLOW_*``, ``TREE_*`` and
-    ``STOP_*`` constants by name, and the tables keyed by them."""
+    ``_C_STATUS`` by message, the ``PLAN_*``, ``FLOW_*``, ``TREE_*``,
+    ``STOP_*`` and ``PATH_*`` constants by name, and the tables keyed by
+    them."""
     by_message = {m: c for c, m in _kernels._C_STATUS.items()}
     codes = {"CHAIN_OK": 0, **{name: by_message.pop(m) for name, m in CODE_MESSAGES.items()}}
     assert not by_message, f"codes with no C name: {by_message}"
     codes.update({name: value for name, value in vars(_kernels).items()
-                  if name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_")) and isinstance(value, int)})
+                  if name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_", "PATH_"))
+                  and isinstance(value, int)})
     assert set(_kernels._FLOW_ERRORS) == {v for k, v in codes.items() if k.startswith("FLOW_")}
     assert set(_kernels._TREE_ERRORS) == {v for k, v in codes.items() if k.startswith("TREE_")}
     assert set(_kernels.STOP_REASONS) == {v for k, v in codes.items() if k.startswith("STOP_")}
+    assert set(_kernels._PATH_ERRORS) == {v for k, v in codes.items() if k.startswith("PATH_")}
     return codes
 
 
@@ -186,7 +233,7 @@ def code_mismatches(source: str) -> list[str]:
 
 def test_kernel_codes_match_the_c_enum():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert len(c_enum(source)) == 16
+    assert len(c_enum(source)) == 19
     assert code_mismatches(source) == []
 
 
@@ -198,6 +245,7 @@ def test_the_code_check_flags_a_mismatched_copy():
         "    TREE_UNREACHED = 12,\n": "",
         "    STOP_MAX_ITERS = 13,\n": "    STOP_MAX_ITERS = 13,\n    STOP_EXTRA = 16,\n",
         "CHAIN_NO_NEIGHBOUR = 1": "CHAIN_NO_NEIGHBOR = 1",
+        "PATH_BAD_WEIGHT = 17,\n    PATH_UNREACHED = 18,": "PATH_BAD_WEIGHT = 18,\n    PATH_UNREACHED = 17,",
     }
     for old, new in mutants.items():
         assert source.count(old) == 1

@@ -246,9 +246,6 @@ class TestClosedFormPlan:
         assert np.max(np.abs(plan.col_sums() - nu)) <= 1e-12
         dense = plan.to_dense()
         assert dense[0, 0] < min(mu[0], nu[0])  # mass transits the root
-        fixed = ot.canonicalize_diagonal(plan, mu, nu)
-        assert np.max(np.abs(fixed.diagonal() - np.minimum(mu, nu))) <= 1e-12
-        assert abs(ot.plan_cost(fixed, d_t) - ot.plan_cost(plan, d_t)) <= 1e-12
 
 
 class TestPlanUtilities:
@@ -294,34 +291,6 @@ class TestPlanUtilities:
         t = ot.root_tree(g, [(0, 1), (1, 2)], 2)
         f = ot.plan_to_flow(ot.make_plan(3, [(0, 2, 1.0)]), t)
         assert f.up[0] == 1.0 and f.up[1] == 1.0
-
-
-class TestCanonicalizeDiagonal:
-    def test_fixpoint(self):
-        plan = ot.make_plan(2, [(0, 0, 0.4), (0, 1, 0.2), (1, 1, 0.4)])
-        out = ot.canonicalize_diagonal(plan, [0.6, 0.4], [0.4, 0.6])
-        assert out.entries() == plan.entries()
-
-    def test_single_rewrite_on_line(self):
-        g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        d = ot.all_pairs_shortest_paths(g)
-        plan = ot.make_plan(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        out = ot.canonicalize_diagonal(plan, [0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
-        dense = out.to_dense()
-        assert abs(dense[1, 1] - 0.5) <= 1e-15
-        assert abs(dense[0, 2] - 0.5) <= 1e-15
-        assert abs(ot.plan_cost(out, d) - ot.plan_cost(plan, d)) <= 1e-9
-
-    def test_dp_plan_already_canonical(self):
-        rng = np.random.default_rng(41)
-        for _ in range(10):
-            n = int(rng.integers(2, 12))
-            g = random_tree_graph(rng, n)
-            t = ot.random_spanning_tree(g, rng)
-            mu, nu = random_measure_pair(rng, n)
-            plan = ot.dp_transport_plan(t, mu, nu)
-            out = ot.canonicalize_diagonal(plan, mu, nu)
-            assert out.entries() == plan.entries()
 
 
 class TestLineW1:
