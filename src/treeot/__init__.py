@@ -24,13 +24,13 @@ from .oracle import (
     ExactSolution,
     NondegeneracyVerdict,
     Solution,
-    check_complementary,
     check_cyclical_monotonicity,
-    check_geodesic_support,
-    check_lipschitz,
     check_vertex_support,
     check_weak_nondegeneracy,
+    complementary_violation,
     exact_k_distance,
+    geodesic_support_violation,
+    lipschitz_violation,
     potential_match_up_to_constant,
     solve,
 )

@@ -73,10 +73,6 @@ class ConditionViolatedError(PlanError):
     """The sign-alternation condition required by the closed-form plan fails."""
 
 
-class TooLargeError(TreeOTError):
-    """Instance exceeds the configured size cap."""
-
-
 class InputError(TreeOTError):
     """Malformed input file or CLI argument."""
 

@@ -38,9 +38,6 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
@@ -187,16 +184,9 @@ def grid_graph(p: int, weight: float | None = None) -> WeightedGraph:
 
 
 def all_pairs_shortest_paths(g: WeightedGraph) -> np.ndarray:
-    """Floyd-Warshall distance matrix of shape ``(n, n)``."""
-    n = g.n
-    d = np.full((n, n), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for u, v, w in g.edges:
-        if w < d[u, v]:
-            d[u, v] = w
-            d[v, u] = w
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    """Read-only ``(n, n)`` matrix of shortest-path distances: one
+    :func:`pair_distances` call over every ordered vertex pair."""
+    d = pair_distances(g, *(ends.ravel() for ends in np.indices((g.n, g.n)))).reshape(g.n, g.n)
     d.setflags(write=False)
     return d
 
@@ -207,10 +197,20 @@ def pair_distances(g: WeightedGraph, xs, ys) -> np.ndarray:
     One Dijkstra run per distinct source, which stops once that source's
     targets are settled (:func:`treeot._kernels.pair_distances`, on the
     kernel backend); nothing of size n x n is built. Raises
-    ``VertexRangeError`` for a vertex out of range.
+    ``VertexRangeError`` for a vertex out of range or a float or bool index.
     """
-    xs = np.ascontiguousarray(xs, dtype=np.int64)
-    ys = np.ascontiguousarray(ys, dtype=np.int64)
+    xs, ys = (np.ascontiguousarray(_vertex_indices(ends)) for ends in (xs, ys))
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise VertexRangeError(f"pair ends of shapes {xs.shape} and {ys.shape}")
     return _kernels.kernels().pair_distances(g.indptr, g.indices, g.weights, xs, ys)
+
+
+def _vertex_indices(values) -> np.ndarray:
+    """``values`` as an int64 array (0-d for one index); raises
+    ``VertexRangeError`` unless they are integers, where a float or bool index
+    would otherwise be cast silently. An empty input passes whatever its
+    dtype."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise VertexRangeError(f"vertex indices must be integers, not {values.dtype}")
+    return values.astype(np.int64, copy=False)

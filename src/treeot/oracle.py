@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NonFiniteWeightError, NonPositiveWeightError, TooLargeError, VertexRangeError
+from .errors import NonFiniteWeightError, NonPositiveWeightError, VertexRangeError
 from .graphs import WeightedGraph
 from .transport import Potential, TransportPlan, _assemble_plan, _support_distances, as_measure, imbalance
-from .trees import RootedTree
 
 #: Default tolerance for optimality and duality identities.
 VALUE_TOL = 1e-9
@@ -70,7 +69,7 @@ def solve(g: WeightedGraph, mu, nu) -> Solution:
     return Solution(float(np.sum(flow * g.weights)), Potential(potential, anchor=0), pivots)
 
 
-def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> ExactSolution:
+def exact_k_distance(dist: np.ndarray, mu, nu) -> ExactSolution:
     """Solve the transport LP exactly for a dense ground metric.
 
     Returns the optimal value, a plan whose support is a forest with maximal
@@ -82,8 +81,6 @@ def exact_k_distance(dist: np.ndarray, mu, nu, max_vertices: int = 1000) -> Exac
     n = dist.shape[0]
     if dist.shape != (n, n):
         raise VertexRangeError("distance matrix must be square")
-    if n > max_vertices:
-        raise TooLargeError(f"{n} vertices exceeds the cap of {max_vertices}")
     # checked before solving: the kernel backends agree only on finite costs
     dist = np.asarray(dist, dtype=np.float64)
     for bad, error in ((~np.isfinite(dist), NonFiniteWeightError), (dist < 0.0, NonPositiveWeightError)):
@@ -135,22 +132,12 @@ def lipschitz_violation(u: Potential, g: WeightedGraph) -> float:
     return float(np.max(jumps, initial=0.0))
 
 
-def check_lipschitz(u: Potential, g: WeightedGraph, tol: float = VALUE_TOL) -> bool:
-    """Edge check suffices: |u(x) - u(y)| <= w(x,y) on every edge."""
-    return lipschitz_violation(u, g) <= tol
-
-
 def complementary_violation(plan: TransportPlan, u: Potential, dist) -> float:
     """Largest |u(x) - u(y) - d(x,y)| over the support of the plan; ``dist``
-    is a dense distance matrix, a :class:`RootedTree` or the distances at the
-    support pairs (see :func:`treeot.transport.plan_cost`)."""
+    is a dense distance matrix, a rooted tree or the distances at the support
+    pairs (see :func:`treeot.transport.plan_cost`)."""
     gaps = u.values[plan.rows] - u.values[plan.cols] - _support_distances(plan, dist)
     return float(np.max(np.abs(gaps), initial=0.0))
-
-
-def check_complementary(plan: TransportPlan, u: Potential, dist, tol: float = VALUE_TOL) -> bool:
-    """Positive mass forces the potential drop to equal the distance."""
-    return complementary_violation(plan, u, dist) <= tol
 
 
 @dataclass(frozen=True)
@@ -281,13 +268,6 @@ def geodesic_support_violation(plan: TransportPlan, dist_graph, dist_tree) -> fl
     each metric is given as :func:`treeot.transport.plan_cost` takes it."""
     gaps = _support_distances(plan, dist_tree) - _support_distances(plan, dist_graph)
     return float(np.max(np.abs(gaps), initial=0.0))
-
-
-def check_geodesic_support(
-    plan: TransportPlan, dist_graph, t: RootedTree, tol: float = VALUE_TOL
-) -> bool:
-    """Support pairs must realize the graph distance inside the tree."""
-    return geodesic_support_violation(plan, dist_graph, t) <= tol
 
 
 def potential_match_up_to_constant(u1: Potential, u2: Potential, tol: float = 1e-6) -> bool:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import HasCycleError, NotSpanningError, VertexRangeError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _vertex_indices
 
 
 @dataclass(frozen=True)
@@ -165,37 +165,17 @@ def tree_distance(t: RootedTree, x, y):
     float for two vertices, the array of pairwise lengths for index arrays of
     one shape (O(path length) per pair, on the kernel backend's
     :func:`treeot._kernels.tree_pairs`). Raises ``VertexRangeError`` for a
-    vertex out of range."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
+    vertex out of range or a float or bool index."""
+    x, y = np.broadcast_arrays(_vertex_indices(x), _vertex_indices(y))
     total = _kernels.kernels().tree_pairs(t.parent, t.depth, t.weight_to_parent, x.ravel(),
                                           y.ravel(), None).reshape(x.shape)
     return float(total) if total.ndim == 0 else total
 
 
 def tree_distance_matrix(t: RootedTree) -> np.ndarray:
-    """Dense ``(n, n)`` matrix of tree distances (O(n^2))."""
-    n = t.n
-    d = np.zeros((n, n))
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for v in range(n):
-        p = t.parent[v]
-        if p >= 0:
-            w = float(t.weight_to_parent[v])
-            adjacency[v].append((int(p), w))
-            adjacency[int(p)].append((v, w))
-    for s in range(n):
-        row = d[s]
-        stack = [s]
-        seen = np.zeros(n, dtype=bool)
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            for nb, w in adjacency[v]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    row[nb] = row[v] + w
-                    stack.append(nb)
-    return d
+    """Dense ``(n, n)`` matrix of tree distances: one :func:`tree_distance`
+    call over every ordered vertex pair."""
+    return tree_distance(t, *np.indices((t.n, t.n)))
 
 
 def random_spanning_tree(g: WeightedGraph, rng: np.random.Generator) -> RootedTree:

@@ -80,6 +80,21 @@ def dijkstra_all_pairs(g: ot.WeightedGraph) -> np.ndarray:
     return out
 
 
+def floyd_warshall(g: ot.WeightedGraph) -> np.ndarray:
+    """Reference all-pairs distances via Floyd-Warshall, one numpy update of
+    the whole matrix per intermediate vertex."""
+    n = g.n
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for u, v, w in g.edges:
+        if w < d[u, v]:
+            d[u, v] = w
+            d[v, u] = w
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
+
+
 def brute_force_geodesic_edges(g: ot.WeightedGraph) -> set[tuple[int, int]]:
     """Edges on some shortest path, found by enumerating all simple paths."""
     n = g.n
@@ -280,6 +295,33 @@ def reference_tree_distance(t, x, y):
         a = int(t.parent[a])
         b = int(t.parent[b])
     return float(total)
+
+
+def dfs_tree_distance_matrix(t) -> np.ndarray:
+    """Reference tree distances: a depth-first search from every vertex over
+    the tree's adjacency, each path summed from its source end."""
+    n = t.n
+    d = np.zeros((n, n))
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for v in range(n):
+        p = t.parent[v]
+        if p >= 0:
+            w = float(t.weight_to_parent[v])
+            adjacency[v].append((int(p), w))
+            adjacency[int(p)].append((v, w))
+    for s in range(n):
+        row = d[s]
+        stack = [s]
+        seen = np.zeros(n, dtype=bool)
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            for nb, w in adjacency[v]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    row[nb] = row[v] + w
+                    stack.append(nb)
+    return d
 
 
 def reference_plan_to_flow(plan, t):

@@ -12,7 +12,9 @@ from treeot.errors import VertexRangeError
 
 from conftest import (
     compiled_backends,
+    dfs_tree_distance_matrix,
     dijkstra_all_pairs,
+    floyd_warshall,
     lockstep_plan_to_flow,
     random_connected_graph,
     random_measure_pair,
@@ -26,6 +28,12 @@ BACKENDS = ["python", *compiled_backends()]
 
 def all_pairs(n):
     return np.divmod(np.arange(n * n, dtype=np.int64), n)
+
+
+def use_backend(monkeypatch, backend):
+    """Route the library's kernel calls to ``backend`` for one test."""
+    k = _kernels._LOADERS[backend]()
+    monkeypatch.setattr(_kernels, "kernels", lambda: k)
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +87,18 @@ class TestTreePairs:
     def test_distances_match_the_dense_tree_matrix(self, backend, instances, runs):
         # the matrix sums each path from one end, so it agrees up to rounding
         for i, ((_, t, _), (dist, _, _)) in enumerate(zip(instances, runs[backend])):
-            dense = ot.tree_distance_matrix(t).ravel()
+            dense = dfs_tree_distance_matrix(t).ravel()
             assert np.all(np.abs(dist - dense) <= 1e-12 * np.maximum(dense, 1.0)), i
+
+    def test_tree_distance_matrix_is_the_walk_over_every_pair(self, backend, instances, monkeypatch):
+        use_backend(monkeypatch, backend)
+        for i, (_, t, _) in enumerate(instances):
+            got = ot.tree_distance_matrix(t)
+            ref = [reference_tree_distance(t, x, y) for x, y in zip(*all_pairs(t.n))]
+            assert got.shape == (t.n, t.n), i
+            assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in ref], i
+            dense = dfs_tree_distance_matrix(t)
+            assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(dense, 1.0)), i
 
     def test_flows_match_the_lockstep_climb_bit_for_bit(self, backend, instances, runs):
         for i, ((_, t, plan), (_, flow, _)) in enumerate(zip(instances, runs[backend])):
@@ -99,8 +117,18 @@ class TestPairDistances:
 
     def test_distances_match_floyd_warshall(self, backend, instances, runs):
         for i, ((g, _, _), (_, _, dist)) in enumerate(zip(instances, runs[backend])):
-            dense = ot.all_pairs_shortest_paths(g).ravel()
+            dense = floyd_warshall(g).ravel()
             assert np.all(np.abs(dist - dense) <= 1e-12 * np.maximum(dense, 1.0)), i
+
+    def test_all_pairs_shortest_paths_is_the_kernel_over_every_pair(self, backend, instances,
+                                                                     monkeypatch):
+        use_backend(monkeypatch, backend)
+        for i, (g, _, _) in enumerate(instances):
+            got = ot.all_pairs_shortest_paths(g)
+            assert got.shape == (g.n, g.n) and not got.flags.writeable, i
+            assert got.tobytes() == dijkstra_all_pairs(g).tobytes(), i
+            dense = floyd_warshall(g)
+            assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(dense, 1.0)), i
 
     def test_pairs_in_any_order_and_repeated(self, backend, instances):
         k = _kernels._LOADERS[backend]()
@@ -160,3 +188,21 @@ def test_tree_distance_and_pair_distances_reject_a_vertex_out_of_range():
         ot.pair_distances(g, [0, 1], [9, 0])
     with pytest.raises(VertexRangeError):
         ot.pair_distances(g, [0, 1], [0])
+
+
+def test_tree_distance_and_pair_distances_reject_a_non_integer_index():
+    # a float or bool index is refused, not truncated or read as 0 and 1
+    g = ot.grid_graph(3)
+    t = ot.random_spanning_tree(g, np.random.default_rng(0))
+    for xs, ys in (([0.9], [2]), ([0], [2.5]), ([True], [2]), (np.array([0.0, 1.0]), [2, 3])):
+        with pytest.raises(VertexRangeError, match="integers"):
+            ot.pair_distances(g, xs, ys)
+        with pytest.raises(VertexRangeError, match="integers"):
+            ot.tree_distance(t, xs, ys)
+    for x, y in ((0.9, 2.5), (True, 2), (0, np.float64(2.0))):
+        with pytest.raises(VertexRangeError, match="integers"):
+            ot.tree_distance(t, x, y)
+    # unsigned and empty index arrays still work
+    assert ot.pair_distances(g, np.array([0], dtype=np.uint8), [2]).tolist() == [2 / 9]
+    assert ot.pair_distances(g, [], []).shape == (0,)
+    assert ot.tree_distance(t, [], []).shape == (0,)

@@ -5,7 +5,9 @@ only the standard library, numpy and itself, which is also all that
 ``pyproject.toml`` lists as dependencies. Also, the
 status and stop codes of ``_kernel.c``'s enum are those ``_kernels.py``
 reads, ``_kernel.c`` compiles without a warning, and it exports exactly the
-functions that ``_kernels.py`` declares.
+functions that ``_kernels.py`` declares. Every package name that the
+benchmark harness (``perfbench/``) reads still resolves, so removing one
+fails here rather than in the benchmark.
 
 Re-exports in ``__init__.py`` and ``from __future__`` imports are exempt.
 Parameters are checked in the package only: pytest reads test parameters
@@ -13,6 +15,7 @@ Parameters are checked in the package only: pytest reads test parameters
 """
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -20,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import treeot
 from treeot import _kernels
 
 from conftest import c_compiler_found
@@ -277,3 +281,46 @@ def test_the_export_scan_flags_what_it_looks_for():
               "double treeot_array_sum(const double *a, int64_t n)\n{\n}\n"
               "int treeot_wilson(int64_t n,\n                  double *w)\n{\n}\n")
     assert exported_functions(source) == {"treeot_array_sum", "treeot_wilson"}
+
+
+def layer_functions(source: str) -> list[str]:
+    """``module.name`` of every function in the ``LAYER_FUNCTIONS`` literal
+    of a perfbench ``spans.py`` source."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_FUNCTIONS"]:
+            layers = ast.literal_eval(node.value)
+            return [f"{module}.{name}" for module, names in layers.values() for name in names]
+    raise AssertionError("no LAYER_FUNCTIONS assignment")
+
+
+def unresolved(names) -> list[str]:
+    """The ``module.name`` entries that are not attributes of ``treeot.module``."""
+    missing = []
+    for entry in names:
+        module, name = entry.rsplit(".", 1)
+        if not hasattr(importlib.import_module(f"treeot.{module}"), name):
+            missing.append(entry)
+    return missing
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    import treeot.cli
+
+    names = layer_functions((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    assert {"graphs.all_pairs_shortest_paths", "trees.tree_distance_matrix",
+            "oracle.exact_k_distance", "oracle.lipschitz_violation"} <= set(names)
+    assert unresolved(names) == []
+    assert callable(treeot.numba_enabled)
+    assert treeot.cli.all_pairs_shortest_paths is treeot.graphs.all_pairs_shortest_paths
+    g = treeot.grid_graph(2)
+    exact = treeot.exact_k_distance(treeot.all_pairs_shortest_paths(g), [1, 0, 0, 0], [0, 0, 0, 1])
+    assert abs(exact.value - 0.5) <= 1e-12
+
+
+def test_the_name_scan_flags_what_it_looks_for():
+    source = ('"""doc"""\nOTHER = {"x": ("graphs", ("nope",))}\n'
+              'LAYER_FUNCTIONS = {"graphs": ("graphs", ("build_graph", "floyd_warshall")),\n'
+              '                   "oracle": ("oracle", ("check_lipschitz",))}\n')
+    names = layer_functions(source)
+    assert names == ["graphs.build_graph", "graphs.floyd_warshall", "oracle.check_lipschitz"]
+    assert unresolved(names) == ["graphs.floyd_warshall", "oracle.check_lipschitz"]
