@@ -143,7 +143,7 @@ static void apply_swap(int64_t *parent, double *wpar, double *xi_cum, int64_t ro
 }
 
 /* tree_potential of _kernels.py, into u (zero on entry). */
-static void tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
+void treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
                            const double *wpar, const double *xi_cum, double sign_at_zero,
                            double *u)
 {
@@ -167,7 +167,7 @@ static int certify(int64_t n, const int64_t *parent, const double *wpar, const i
     const int64_t *queue = work_i + n;
     recompute_cumulative(n, parent, xi_node, xi_cum, work_i, work_i + n);
     memset(u, 0, (size_t)n * sizeof *u);
-    tree_potential(n, parent, queue, wpar, xi_cum, 1.0, u);
+    treeot_tree_potential(n, parent, queue, wpar, xi_cum, 1.0, u);
     for (int64_t a = 0; a < n; a++)
         for (int64_t j = indptr[a]; j < indptr[a + 1]; j++)
             if (fabs(u[a] - u[indices[j]]) > adj_w[j] * (1.0 + cert_rtol))
@@ -341,7 +341,7 @@ int treeot_anneal_chain(
 /* wilson_tree of _kernels.py: a uniform random spanning tree of the CSR graph
  * into parent and wpar. in_tree holds n bytes; *root_out receives the root.
  * Returns CHAIN_OK or a WILSON_* / CHAIN_DEGREE_TOO_LARGE code. */
-static int wilson(int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
+int treeot_wilson(int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
                   bitgen_t *bg, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *root_out)
 {
     if (n < 1 || n > (int64_t)UINT32_MAX)
@@ -370,20 +370,13 @@ static int wilson(int64_t n, const int64_t *indptr, const int64_t *indices, cons
     return CHAIN_OK;
 }
 
-int treeot_wilson(
-    int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
-    bitgen_t *bg, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *root_out)
-{
-    return wilson(n, indptr, indices, adj_w, bg, parent, wpar, in_tree, root_out);
-}
-
 /* tree_order of _kernels.py: order (leaves first, root last) and depth of
  * the tree that parent roots at root. work_i holds 4n + 1 slots: the child
  * CSR (child_ptr, child_idx), the counting sort's fill cursors and the
  * walk's stack. Returns CHAIN_OK or a TREE_* code; with parent[root] == -1
  * and every link in range no vertex is pushed twice, so the stack and order
  * stay within n slots. */
-static int tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
+int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
                       int64_t *depth, int64_t *work_i)
 {
     if (root < 0 || root >= n || parent[root] != -1)
@@ -420,32 +413,14 @@ static int tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *o
     return pos ? TREE_UNREACHED : CHAIN_OK;
 }
 
-int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
-                      int64_t *depth, int64_t *work_i)
-{
-    return tree_order(n, parent, root, order, depth, work_i);
-}
-
 /* subtree_sums of _kernels.py: out goes from vertex values to subtree sums. */
-static void subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
+void treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
 {
     for (int64_t i = 0; i < n; i++) {
         const int64_t v = order[i], p = parent[v];
         if (p >= 0)
             out[p] += out[v];
     }
-}
-
-void treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
-{
-    subtree_sums(n, parent, order, out);
-}
-
-void treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
-                           const double *wpar, const double *xi_cum, double sign_at_zero,
-                           double *u)
-{
-    tree_potential(n, parent, order, wpar, xi_cum, sign_at_zero, u);
 }
 
 /* balanced_subtree of _kernels.py: *found is 1 when one of the samples
@@ -463,12 +438,14 @@ int treeot_balanced_subtree(
     *found = 0;
     for (int64_t k = 0; k < samples; k++) {
         int64_t root;
-        const int status = wilson(n, indptr, indices, adj_w, bg, parent, wpar, in_tree, &root);
+        const int status =
+            treeot_wilson(n, indptr, indices, adj_w, bg, parent, wpar, in_tree, &root);
         if (status != CHAIN_OK)
             return status;
-        tree_order(n, parent, root, order, depth, work_i + 3 * n); /* a Wilson tree is rooted at root */
+        /* a Wilson tree is rooted at root */
+        treeot_tree_order(n, parent, root, order, depth, work_i + 3 * n);
         memcpy(sums, xi, (size_t)n * sizeof *sums);
-        subtree_sums(n, parent, order, sums);
+        treeot_subtree_sums(n, parent, order, sums);
         for (int64_t v = 0; v < n; v++)
             if (v != root && fabs(sums[v]) <= tol) {
                 *found = 1;
@@ -478,7 +455,7 @@ int treeot_balanced_subtree(
     return CHAIN_OK;
 }
 
-/* _heap_push of _kernels.py: push v onto the min-heap heap[0..size). */
+/* Push v onto the binary min-heap heap[0..size). */
 static int64_t heap_push(int64_t *heap, int64_t size, int64_t v)
 {
     int64_t i = size;
@@ -493,7 +470,7 @@ static int64_t heap_push(int64_t *heap, int64_t size, int64_t v)
     return size + 1;
 }
 
-/* _heap_pop of _kernels.py: drop the smallest entry of heap[0..size). */
+/* Drop the smallest entry of the binary min-heap heap[0..size). */
 static int64_t heap_pop(int64_t *heap, int64_t size)
 {
     size--;

@@ -21,11 +21,13 @@ network, or the graph's own arcs) with a dual potential at every step, and
 whose optimal flow is basic, so its support is a forest. ``tree_pairs``
 walks vertex pairs to their lowest common ancestor for tree distances or
 plan flows, and ``pair_distances`` runs Dijkstra from each distinct source
-of a list of vertex pairs. Two backends run the kernels:
+of a list of vertex pairs. Two backends run the kernels, each kernel behind
+one runner that both share, which checks its inputs and turns a failure
+status into the exception of the one table ``_STATUS_ERRORS``:
 
-- ``c``: ``_kernel.c``, a transcription (the step functions and the tree
-  passes as ``static`` helpers) built on first use with the system C
-  compiler and loaded through ``ctypes``, which releases the GIL;
+- ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
+  helpers) built on first use with the system C compiler and loaded through
+  ``ctypes``, which releases the GIL; ``_c_call`` passes it the arrays;
 - ``python``: the function bodies as they stand.
 
 ``TREEOT_BACKEND`` names the backend. Unset, c is used if it loads, else
@@ -41,6 +43,7 @@ faster than arrays.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import heapq
 import math
@@ -59,42 +62,42 @@ from .errors import KernelBackendError, NotSpanningError, VertexRangeError
 
 C_SOURCE = Path(__file__).with_name("_kernel.c")
 C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_C_STATUS = {
-    1: "the root has no graph neighbour",
-    2: "a vertex degree of 2^32 or more is not supported",
-    3: "a vertex count of 0 or of 2^32 or more is not supported",
-    4: "a random walk reached a vertex with no graph neighbour",
-}
 # dp_plan's statuses besides 0, shared with _kernel.c
 PLAN_NO_MATCH = 5
 PLAN_NO_END = 6
-# network_simplex's statuses besides 0, shared with _kernel.c, and their errors
+# network_simplex's statuses besides 0, shared with _kernel.c
 FLOW_BAD_COST = 7
 FLOW_BUDGET = 8
 FLOW_INFEASIBLE = 9
-_FLOW_ERRORS = {
-    FLOW_BAD_COST: "an arc cost is negative or not finite",
-    FLOW_BUDGET: "pivot budget exhausted",
-    FLOW_INFEASIBLE: "the supplies cannot be met on these arcs",
-}
 # tree_order's statuses besides 0, shared with _kernel.c
 TREE_NOT_ROOTED = 10
 TREE_BAD_PARENT = 11
 TREE_UNREACHED = 12
 # tree_pairs' status besides 0, shared with _kernel.c
 TREE_PAIR_APART = 16
-_TREE_ERRORS = {
-    TREE_NOT_ROOTED: "the root is out of range or has a parent link",
-    TREE_BAD_PARENT: "a parent link is out of range",
-    TREE_UNREACHED: "parent links do not reach every vertex",
-    TREE_PAIR_APART: "a pair's walk does not meet within the tree",
-}
-# pair_distances' statuses besides 0, shared with _kernel.c, and their errors
+# pair_distances' statuses besides 0, shared with _kernel.c
 PATH_BAD_WEIGHT = 17
 PATH_UNREACHED = 18
-_PATH_ERRORS = {
-    PATH_BAD_WEIGHT: "an arc weight is negative or not finite",
-    PATH_UNREACHED: "a target cannot be reached from its source",
+_NOT_A_TREE = "parent links are not a tree rooted at {root}: "
+#: the exception type and message of every failure status, the only place a
+#: status becomes an exception (``root`` and ``u`` come from the runner);
+#: 1 to 4 come only from _kernel.c's random walks, past the runners' checks
+_STATUS_ERRORS = {
+    1: (ValueError, "C kernel stopped: the root has no graph neighbour"),
+    2: (ValueError, "C kernel stopped: a vertex degree of 2^32 or more is not supported"),
+    3: (ValueError, "C kernel stopped: a vertex count of 0 or of 2^32 or more is not supported"),
+    4: (ValueError, "C kernel stopped: a random walk reached a vertex with no graph neighbour"),
+    PLAN_NO_MATCH: (RuntimeError, "no matching vertex below {u}; residuals are inconsistent"),
+    PLAN_NO_END: (RuntimeError, "plan construction did not terminate"),
+    FLOW_BAD_COST: (RuntimeError, "an arc cost is negative or not finite"),
+    FLOW_BUDGET: (RuntimeError, "pivot budget exhausted"),
+    FLOW_INFEASIBLE: (RuntimeError, "the supplies cannot be met on these arcs"),
+    TREE_NOT_ROOTED: (NotSpanningError, _NOT_A_TREE + "the root is out of range or has a parent link"),
+    TREE_BAD_PARENT: (NotSpanningError, _NOT_A_TREE + "a parent link is out of range"),
+    TREE_UNREACHED: (NotSpanningError, _NOT_A_TREE + "parent links do not reach every vertex"),
+    TREE_PAIR_APART: (NotSpanningError, "tree pair walk: a pair's walk does not meet within the tree"),
+    PATH_BAD_WEIGHT: (ValueError, "shortest paths: an arc weight is negative or not finite"),
+    PATH_UNREACHED: (ValueError, "shortest paths: a target cannot be reached from its source"),
 }
 # why anneal_chain stopped, shared with _kernel.c
 STOP_MAX_ITERS = 13
@@ -111,32 +114,29 @@ PRICE_RTOL = 1e-12
 
 
 class Kernels(NamedTuple):
-    """One backend's kernels. ``anneal_chain``, ``wilson_tree`` and
-    ``balanced_subtree`` have the signatures of the reference kernels below;
-    the others wrap theirs:
+    """One backend's kernels, each behind the runner that both backends
+    share. A runner checks the inputs, so that a malformed one raises the
+    same exception with the same message on either backend (``ValueError``,
+    or ``VertexRangeError`` for a pair vertex out of range), calls the
+    backend and raises the ``_STATUS_ERRORS`` entry of a failure status.
+    ``anneal_chain``, ``wilson_tree`` and ``balanced_subtree`` have the
+    signatures of the reference kernels below; the others wrap theirs:
 
     - ``dp_plan(parent, order, xi, zero_tol) -> (rows, cols, mass)``: the
-      off-diagonal entries that :func:`dp_plan` writes, in its order. Raises
-      ``RuntimeError`` when an entry is written twice, when no match exists
-      or when 4n + 16 transfers do not finish.
+      off-diagonal entries that :func:`dp_plan` writes, in its order; an
+      entry written twice raises ``RuntimeError``.
     - ``tree_order(root, parent) -> (order, depth)``, both int64 arrays.
-      Raises ``NotSpanningError`` unless the parent links are a spanning
-      tree rooted at ``root``.
     - ``subtree_sums(parent, order, values) -> sums``, a new float64 array.
     - ``tree_potential(parent, order, wpar, xi_cum, sign_at_zero) -> u``, a
       new float64 array.
     - ``network_simplex(supply, tail, head, cost) -> (flow, pi, pivots)``:
       the arc flows and node potentials of :func:`network_simplex` at
-      ``PRICE_RTOL`` as float64 arrays, and its pivot count. Raises
-      ``RuntimeError`` for its failure statuses.
+      ``PRICE_RTOL`` as float64 arrays, and its pivot count.
     - ``tree_pairs(parent, depth, wpar, xs, ys, mass) -> out``: with
       ``mass`` None the tree distance of every pair, else the 2n edge flows
-      of :func:`tree_pairs`. Raises ``VertexRangeError`` for a pair vertex
-      out of range and ``NotSpanningError`` for ``TREE_PAIR_APART``.
+      of :func:`tree_pairs`.
     - ``pair_distances(indptr, indices, adj_w, xs, ys) -> out``: the
-      shortest-path distance of every pair. Raises ``VertexRangeError`` for
-      a pair vertex out of range and ``ValueError`` for its failure
-      statuses.
+      shortest-path distance of every pair.
     """
 
     name: str
@@ -195,28 +195,22 @@ def _select(name: str) -> Kernels:
 
 
 def _load_python() -> Kernels:
+    def no_status(kernel):
+        return lambda *args: (0, kernel(*args))
+
     def dp_plan_lists(parent, order, child_ptr, child_idx, xi, zero_tol):
-        n = parent.shape[0]
-        cap = 4 * n + 16
-        out_x = [0] * cap
-        out_y = [0] * cap
-        out_m = [0.0] * cap
-        status, count, u = dp_plan(parent.tolist(), order.tolist(), child_ptr.tolist(),
-                                   child_idx.tolist(), xi.tolist(), zero_tol,
-                                   [0.0] * n, [False] * n, [0] * n, [0] * n, [0] * n, [0] * n,
-                                   out_x, out_y, out_m)
-        return (status, count, u, np.array(out_x[:count], dtype=np.int64),
-                np.array(out_y[:count], dtype=np.int64), np.array(out_m[:count], dtype=np.float64))
+        status, u, rows, cols, mass = dp_plan(parent.tolist(), order.tolist(), child_ptr.tolist(),
+                                              child_idx.tolist(), xi.tolist(), zero_tol)
+        return (status, len(rows), u, np.array(rows, dtype=np.int64),
+                np.array(cols, dtype=np.int64), np.array(mass, dtype=np.float64))
 
     def tree_order_lists(root, parent):
-        n = parent.shape[0]
-        order = [0] * n
-        depth = [0] * n
+        order, depth = [0] * parent.shape[0], [0] * parent.shape[0]
         status = tree_order(root, parent, order, depth)
         return status, np.array(order, dtype=np.int64), np.array(depth, dtype=np.int64)
 
-    def subtree_sums_lists(parent, order, values):
-        out = values.tolist()
+    def subtree_sums_lists(parent, order, out):
+        out = out.tolist()
         subtree_sums(parent.tolist(), order.tolist(), out)
         return np.array(out, dtype=np.float64)
 
@@ -244,10 +238,12 @@ def _load_python() -> Kernels:
                                 [0] * n, out)
         return status, np.array(out, dtype=np.float64)
 
-    return Kernels("python", anneal_chain, wilson_tree, _plan_runner(dp_plan_lists),
+    return Kernels("python", _chain_runner(no_status(anneal_chain)),
+                   _wilson_runner(no_status(wilson_tree)), _plan_runner(dp_plan_lists),
                    _simplex_runner(network_simplex_lists), _order_runner(tree_order_lists),
-                   subtree_sums_lists, tree_potential_lists, balanced_subtree,
-                   _pairs_runner(tree_pairs_lists), _distances_runner(pair_distances_lists))
+                   _sums_runner(subtree_sums_lists), _potential_runner(tree_potential_lists),
+                   _balanced_runner(no_status(balanced_subtree)), _pairs_runner(tree_pairs_lists),
+                   _distances_runner(pair_distances_lists))
 
 
 def child_csr(parent):
@@ -262,38 +258,111 @@ def child_csr(parent):
     return child_ptr, child_idx
 
 
+# The runners: each checks the inputs in O(n + E), calls the backend's ``run``
+# (which returns the status first, where it has one) and ``_check_status``.
+
+
+def _chain_runner(run):
+    """The backend's ``anneal_chain``: checks the arrays, the root, window
+    and record interval, the CSR graph and the parent links' range, then
+    returns the result of ``run(*args)``'s ``(status, result)``."""
+
+    def anneal_chain_checked(*args):
+        (parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node, max_iters, _, _, _, window,
+         record_every, _, _, _, best_parent, best_wpar, trace_iter, *trace_floats) = args
+        n, m = parent.shape[0], indices.shape[0]
+        rows = max_iters // record_every + 2 if record_every >= 1 else 0
+        _check_arrays("annealing chain", ((parent, n), (best_parent, n), (indptr, n + 1),
+                                          (indices, m), (trace_iter, rows)),
+                      ((wpar, n), (best_wpar, n), (xi_cum, n), (xi_node, n), (adj_w, m),
+                       *((a, rows) for a in trace_floats)))
+        if window < 1 or record_every < 1 or not 0 <= root < n:
+            raise ValueError("annealing chain: window, record_every or root out of range")
+        _check_graph("annealing chain", n, indptr, indices, walks=True)
+        _check_parents("annealing chain", parent)
+        status, result = run(*args)
+        _check_status(status)
+        return result
+
+    return anneal_chain_checked
+
+
+def _wilson_runner(run):
+    """The backend's ``wilson_tree``: checks the arrays and the CSR graph,
+    then returns the root of ``run(*args)``'s ``(status, root)``."""
+
+    def wilson_tree_checked(indptr, indices, adj_w, rng, parent, wpar):
+        n, m = parent.shape[0], indices.shape[0]
+        _check_arrays("Wilson tree", ((parent, n), (indptr, n + 1), (indices, m)),
+                      ((wpar, n), (adj_w, m)))
+        _check_graph("Wilson tree", n, indptr, indices, walks=True)
+        status, root = run(indptr, indices, adj_w, rng, parent, wpar)
+        _check_status(status)
+        return root
+
+    return wilson_tree_checked
+
+
+def _balanced_runner(run):
+    """The backend's ``balanced_subtree``: checks the arrays and the CSR
+    graph, then returns the verdict of ``run(*args)``'s ``(status, found)``."""
+
+    def balanced_subtree_checked(indptr, indices, adj_w, rng, xi, samples, tol):
+        n, m = xi.shape[0], indices.shape[0]
+        _check_arrays("balanced subtree", ((indptr, n + 1), (indices, m)), ((adj_w, m), (xi, n)))
+        _check_graph("balanced subtree", n, indptr, indices, walks=True)
+        status, found = run(indptr, indices, adj_w, rng, xi, int(samples), float(tol))
+        _check_status(status)
+        return found
+
+    return balanced_subtree_checked
+
+
 def _order_runner(run):
     """The backend's ``tree_order``: calls ``run(root, parent)`` and turns its
     ``(status, order, depth)`` into the arrays or a ``NotSpanningError``."""
 
     def tree_order_checked(root, parent):
-        _check_arrays(((parent, parent.shape[0]),), (), "tree")
+        _check_arrays("tree order", ((parent, parent.shape[0]),), ())
         status, order, depth = run(int(root), parent)
-        if status != 0:
-            raise NotSpanningError(f"parent links are not a tree rooted at {root}: "
-                                   f"{_TREE_ERRORS[status]}")
+        _check_status(status, root=root)
         return order, depth
 
     return tree_order_checked
 
 
+def _sums_runner(run):
+    """The backend's ``subtree_sums``: checks the tree, then calls
+    ``run(parent, order, out)`` on a float64 copy ``out`` of the values."""
+
+    def subtree_sums_checked(parent, order, values):
+        out = np.array(values, dtype=np.float64)
+        _check_tree("subtree sums", parent, order, ((out, parent.shape[0]),))
+        return run(parent, order, out)
+
+    return subtree_sums_checked
+
+
+def _potential_runner(run):
+    """The backend's ``tree_potential``: checks the tree, then calls ``run``."""
+
+    def tree_potential_checked(parent, order, wpar, xi_cum, sign_at_zero):
+        n = parent.shape[0]
+        _check_tree("tree potential", parent, order, ((wpar, n), (xi_cum, n)))
+        return run(parent, order, wpar, xi_cum, float(sign_at_zero))
+
+    return tree_potential_checked
+
+
 def _plan_runner(run):
     """The backend's plan kernel: checks the tree, builds its
-    :func:`child_csr`, calls ``run`` with the reference's first six arguments
-    and turns its ``(status, count, u, out_x, out_y, out_m)`` into entries or
-    a ``RuntimeError``."""
+    :func:`child_csr`, calls ``run`` with the reference's first four
+    arguments and the child CSR, and turns its ``(status, count, u, out_x,
+    out_y, out_m)`` into entries or a ``RuntimeError``."""
 
     def dp_plan_entries(parent, order, xi, zero_tol):
         n = parent.shape[0]
-        _check_arrays(((parent, n), (order, n)), ((xi, n),), "tree")
-        if n and not (np.array_equal(np.sort(order), np.arange(n)) and parent[order[-1]] == -1):
-            raise ValueError("plan kernel: order is not a permutation ending at the root")
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        below = order[:-1]
-        up = parent[below]
-        if np.any(up < 0) or np.any(up >= n) or np.any(rank[up] <= rank[below]):
-            raise ValueError("plan kernel: parent links do not climb along order to the root")
+        _check_tree("plan kernel", parent, order, ((xi, n),))
         child_ptr, child_idx = child_csr(parent)
         status, count, u, out_x, out_y, out_m = run(parent, order, child_ptr, child_idx,
                                                      np.array(xi, dtype=np.float64), float(zero_tol))
@@ -305,10 +374,7 @@ def _plan_runner(run):
             j = int(again.min())
             raise RuntimeError("plan construction wrote off-diagonal entry "
                                f"{(int(rows[j]), int(cols[j]))} twice")
-        if status == PLAN_NO_MATCH:
-            raise RuntimeError(f"no matching vertex below {u}; residuals are inconsistent")
-        if status == PLAN_NO_END:
-            raise RuntimeError("plan construction did not terminate")
+        _check_status(status, u=u)
         return rows, cols, mass
 
     return dp_plan_entries
@@ -321,12 +387,11 @@ def _simplex_runner(run):
 
     def network_simplex_checked(supply, tail, head, cost):
         n, m = supply.shape[0], cost.shape[0]
-        _check_arrays(((tail, m), (head, m)), ((supply, n), (cost, m)), "network")
+        _check_arrays("network simplex", ((tail, m), (head, m)), ((supply, n), (cost, m)))
         if m and not (0 <= min(tail.min(), head.min()) and max(tail.max(), head.max()) < n):
             raise ValueError("network simplex: arc endpoint out of range")
         status, pivots, flow, pi = run(supply, tail, head, cost)
-        if status != 0:
-            raise RuntimeError(_FLOW_ERRORS[status])
+        _check_status(status)
         return np.asarray(flow, dtype=np.float64), np.asarray(pi, dtype=np.float64), pivots
 
     return network_simplex_checked
@@ -340,14 +405,12 @@ def _pairs_runner(run):
 
     def tree_pairs_checked(parent, depth, wpar, xs, ys, mass):
         n, k = parent.shape[0], xs.shape[0]
-        _check_arrays(((parent, n), (depth, n), (xs, k), (ys, k)),
-                      ((wpar, n),) + (() if mass is None else ((mass, k),)), "tree")
-        if n and not (-1 <= parent.min() and parent.max() < n):
-            raise ValueError("C kernel: parent index out of range")
+        _check_arrays("tree pair walk", ((parent, n), (depth, n), (xs, k), (ys, k)),
+                      ((wpar, n),) + (() if mass is None else ((mass, k),)))
+        _check_parents("tree pair walk", parent)
         _check_pairs(n, xs, ys)
         status, out = run(parent, depth, wpar, xs, ys, mass, np.zeros(k if mass is None else 2 * n))
-        if status != 0:
-            raise NotSpanningError(f"tree pair walk: {_TREE_ERRORS[status]}")
+        _check_status(status)
         return out
 
     return tree_pairs_checked
@@ -361,15 +424,71 @@ def _distances_runner(run):
 
     def pair_distances_checked(indptr, indices, adj_w, xs, ys):
         n, m, k = indptr.shape[0] - 1, indices.shape[0], xs.shape[0]
-        _check_arrays(((indptr, n + 1), (indices, m), (xs, k), (ys, k)), ((adj_w, m),), "graph")
-        _check_csr(n, indptr, indices)
+        _check_arrays("shortest paths", ((indptr, n + 1), (indices, m), (xs, k), (ys, k)),
+                      ((adj_w, m),))
+        _check_graph("shortest paths", n, indptr, indices)
         _check_pairs(n, xs, ys)
         status, out = run(indptr, indices, adj_w, xs, ys, np.argsort(xs, kind="stable"))
-        if status != 0:
-            raise ValueError(f"shortest paths: {_PATH_ERRORS[status]}")
+        _check_status(status)
         return out
 
     return pair_distances_checked
+
+
+def _check_status(status: int, **context) -> None:
+    """Raise the ``_STATUS_ERRORS`` entry of a nonzero kernel status, its
+    message formatted with ``context``."""
+    if status:
+        kind, message = _STATUS_ERRORS[status]
+        raise kind(message.format(**context))
+
+
+def _check_arrays(kernel: str, ints, floats) -> None:
+    """Raise unless every ``(array, size)`` pair is a contiguous 1-D array of
+    the dtype and at least the size the kernels index."""
+    for arrays, dtype in ((ints, np.int64), (floats, np.float64)):
+        for a, size in arrays:
+            if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous or a.shape[0] < size:
+                raise ValueError(f"{kernel}: needs contiguous {dtype.__name__} arrays of the "
+                                 "input's sizes")
+
+
+def _check_graph(kernel: str, n: int, indptr, indices, walks: bool = False) -> None:
+    """Raise unless ``indptr`` and ``indices`` are the CSR of a graph on n
+    vertices; for a random walk (``walks``) also unless n >= 1 and, for
+    n > 1, every vertex has a neighbour to step to."""
+    m = indices.shape[0]
+    if int(indptr[0]) != 0 or int(indptr[-1]) != m or (indptr[1:] < indptr[:-1]).any():
+        raise ValueError(f"{kernel}: indptr out of range")
+    if m and not (0 <= indices.min() and indices.max() < n):
+        raise ValueError(f"{kernel}: neighbour index out of range")
+    if walks and (n < 1 or n > 1 and (indptr[1:n + 1] == indptr[:n]).any()):
+        raise ValueError(f"{kernel}: the graph has no vertex or a vertex with no neighbour")
+
+
+def _check_parents(kernel: str, parent) -> None:
+    n = parent.shape[0]
+    if n and not (-1 <= parent.min() and parent.max() < n):
+        raise ValueError(f"{kernel}: parent index out of range")
+
+
+def _check_tree(kernel: str, parent, order, floats) -> None:
+    """Raise unless ``parent`` and ``order`` hold n int64 links each, the
+    ``floats`` pairs pass :func:`_check_arrays`, ``order`` lists every vertex
+    once with the root (parent -1) last, and every other vertex's parent
+    comes later in ``order``: the leaves-first order the tree passes walk."""
+    n = parent.shape[0]
+    _check_arrays(kernel, ((parent, n), (order, n)), floats)
+    if not n:
+        return
+    rank = np.full(n, -1)
+    if order.shape[0] == n and 0 <= order.min() and order.max() < n:
+        rank[order] = np.arange(n)
+    if rank.min() < 0 or parent[order[-1]] != -1:
+        raise ValueError(f"{kernel}: order is not a permutation ending at the root")
+    up = parent[order[:-1]]
+    if n > 1 and (up.min() < 0 or up.max() >= n or (rank[up] <= np.arange(n - 1)).any()):
+        raise ValueError(f"{kernel}: parent links do not climb along order to the root")
 
 
 def _check_pairs(n: int, xs, ys) -> None:
@@ -377,29 +496,21 @@ def _check_pairs(n: int, xs, ys) -> None:
         raise VertexRangeError(f"a pair vertex is out of range for n={n}")
 
 
-def _check_arrays(ints, floats, what: str) -> None:
-    """Raise unless every ``(array, size)`` pair is a contiguous 1-D array of
-    the dtype and at least the size the kernels index."""
-    for arrays, dtype in ((ints, np.int64), (floats, np.float64)):
-        for a, size in arrays:
-            if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous or a.shape[0] < size:
-                raise ValueError(f"C kernel needs contiguous {dtype.__name__} arrays of the {what}'s sizes")
-
-
-def _check_csr(n: int, indptr, indices) -> None:
-    m = indices.shape[0]
-    if int(indptr[0]) != 0 or int(indptr[-1]) != m or np.any(indptr[1:] < indptr[:-1]):
-        raise ValueError("C kernel: indptr out of range")
-    if m and not (0 <= indices.min() and indices.max() < n):
-        raise ValueError("C kernel: neighbour index out of range")
-
-
-def _check_links(n: int, parent, order) -> None:
-    """Raise unless ``parent`` and ``order`` hold n links each and every
-    entry indexes a vertex (or is -1, for a parent)."""
-    _check_arrays(((parent, n), (order, n)), (), "tree")
-    if n and not (-1 <= parent.min() and parent.max() < n and 0 <= order.min() and order.max() < n):
-        raise ValueError("C kernel: parent or order index out of range")
+def _c_call(fn, *args):
+    """Call the C function ``fn``, passing an array as the address of its
+    data and a numpy ``Generator`` as its bit generator, whose lock is held
+    for the call so that no other thread draws from it meanwhile."""
+    lock = contextlib.nullcontext()
+    c_args = []
+    for a in args:
+        if isinstance(a, np.ndarray):
+            a = a.ctypes.data
+        elif isinstance(a, np.random.Generator):
+            lock = a.bit_generator.lock
+            a = a.bit_generator.ctypes.bit_generator.value
+        c_args.append(a)
+    with lock:
+        return fn(*c_args)
 
 
 _I64, _F64, _PTR, _INT = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
@@ -432,106 +543,51 @@ def _load_c() -> Kernels:
     for name, (restype, argtypes) in C_SIGNATURES.items():
         getattr(lib, name).restype = restype
         getattr(lib, name).argtypes = argtypes
-    fn, wilson, plan = lib.treeot_anneal_chain, lib.treeot_wilson, lib.treeot_dp_plan
 
-    def anneal_chain_c(parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
-                       max_iters, beta0, target_accept, eta, window, record_every,
-                       recompute_every, target_cost, rng, best_parent, best_wpar,
-                       trace_iter, trace_cur, trace_best, trace_beta, trace_acc):
-        n = parent.shape[0]
-        m = indices.shape[0]
-        rows = max_iters // record_every + 2 if record_every >= 1 else 0
-        _check_arrays(((parent, n), (best_parent, n), (indptr, n + 1), (indices, m), (trace_iter, rows)),
-                      ((wpar, n), (best_wpar, n), (xi_cum, n), (xi_node, n), (adj_w, m),
-                       (trace_cur, rows), (trace_best, rows), (trace_beta, rows), (trace_acc, rows)),
-                      "chain")
-        if window < 1 or record_every < 1 or not 0 <= root < n:
-            raise ValueError("C kernel: window, record_every or root out of range")
-        _check_csr(n, indptr, indices)
-        if n and not (-1 <= parent.min() and parent.max() < n):
-            raise ValueError("C kernel: parent index out of range")
-        bits = np.empty(window, dtype=np.int64)
-        work_i = np.empty(2 * n, dtype=np.int64)
-        work_d = np.empty(2 * n)
+    def anneal_chain_c(*args):
+        n, window = args[0].shape[0], args[12]
         out_d = np.empty(3)
         out_i = np.empty(5, dtype=np.int64)
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            status = fn(n, parent.ctypes.data, wpar.ctypes.data, xi_cum.ctypes.data, root,
-                        indptr.ctypes.data, indices.ctypes.data, adj_w.ctypes.data,
-                        xi_node.ctypes.data, max_iters, beta0, target_accept, eta, window,
-                        record_every, recompute_every, target_cost, CERT_RTOL,
-                        bitgen.ctypes.bit_generator.value, best_parent.ctypes.data,
-                        best_wpar.ctypes.data, trace_iter.ctypes.data, trace_cur.ctypes.data,
-                        trace_best.ctypes.data, trace_beta.ctypes.data, trace_acc.ctypes.data,
-                        bits.ctypes.data, work_i.ctypes.data, work_d.ctypes.data,
-                        out_d.ctypes.data, out_i.ctypes.data)
-        if status != 0:
-            raise ValueError(f"C kernel stopped: {_C_STATUS.get(status, status)}")
+        # certify's slack goes in before the generator, then the bits, work_i and work_d scratch
+        status = _c_call(lib.treeot_anneal_chain, n, *args[:16], CERT_RTOL, *args[16:],
+                         np.empty(window, dtype=np.int64), np.empty(2 * n, dtype=np.int64),
+                         np.empty(2 * n), out_d, out_i)
         best, current, max_drift = out_d.tolist()
         final_root, best_root, records, iters_done, stop = out_i.tolist()
-        return best, current, final_root, best_root, records, iters_done, max_drift, stop
+        return status, (best, current, final_root, best_root, records, iters_done, max_drift, stop)
 
     def wilson_tree_c(indptr, indices, adj_w, rng, parent, wpar):
         n = parent.shape[0]
-        m = indices.shape[0]
-        _check_arrays(((parent, n), (indptr, n + 1), (indices, m)), ((wpar, n), (adj_w, m)), "tree")
-        _check_csr(n, indptr, indices)
-        in_tree = np.empty(n, dtype=np.uint8)
         root = np.empty(1, dtype=np.int64)
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            status = wilson(n, indptr.ctypes.data, indices.ctypes.data, adj_w.ctypes.data,
-                            bitgen.ctypes.bit_generator.value, parent.ctypes.data,
-                            wpar.ctypes.data, in_tree.ctypes.data, root.ctypes.data)
-        if status != 0:
-            raise ValueError(f"C kernel stopped: {_C_STATUS.get(status, status)}")
-        return int(root[0])
+        status = _c_call(lib.treeot_wilson, n, indptr, indices, adj_w, rng, parent, wpar,
+                         np.empty(n, dtype=np.uint8), root)
+        return status, int(root[0])
 
     def tree_order_c(root, parent):
         n = parent.shape[0]
         order = np.empty(n, dtype=np.int64)
         depth = np.empty(n, dtype=np.int64)
-        work_i = np.empty(4 * n + 1, dtype=np.int64)
-        status = lib.treeot_tree_order(n, parent.ctypes.data, root, order.ctypes.data,
-                                       depth.ctypes.data, work_i.ctypes.data)
+        status = _c_call(lib.treeot_tree_order, n, parent, root, order, depth,
+                         np.empty(4 * n + 1, dtype=np.int64))
         return status, order, depth
 
-    def subtree_sums_c(parent, order, values):
-        n = parent.shape[0]
-        _check_links(n, parent, order)
-        out = np.array(values, dtype=np.float64)
-        _check_arrays((), ((out, n),), "tree")
-        lib.treeot_subtree_sums(n, parent.ctypes.data, order.ctypes.data, out.ctypes.data)
+    def subtree_sums_c(parent, order, out):
+        _c_call(lib.treeot_subtree_sums, parent.shape[0], parent, order, out)
         return out
 
     def tree_potential_c(parent, order, wpar, xi_cum, sign_at_zero):
-        n = parent.shape[0]
-        _check_links(n, parent, order)
-        _check_arrays((), ((wpar, n), (xi_cum, n)), "tree")
-        u = np.zeros(n)
-        lib.treeot_tree_potential(n, parent.ctypes.data, order.ctypes.data, wpar.ctypes.data,
-                                  xi_cum.ctypes.data, float(sign_at_zero), u.ctypes.data)
+        u = np.zeros(parent.shape[0])
+        _c_call(lib.treeot_tree_potential, parent.shape[0], parent, order, wpar, xi_cum,
+                sign_at_zero, u)
         return u
 
     def balanced_subtree_c(indptr, indices, adj_w, rng, xi, samples, tol):
         n = xi.shape[0]
-        m = indices.shape[0]
-        _check_arrays(((indptr, n + 1), (indices, m)), ((adj_w, m), (xi, n)), "graph")
-        _check_csr(n, indptr, indices)
-        work_i = np.empty(7 * n + 1, dtype=np.int64)
-        work_d = np.empty(2 * n)
-        in_tree = np.empty(n, dtype=np.uint8)
         found = np.zeros(1, dtype=np.int64)
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            status = lib.treeot_balanced_subtree(
-                n, indptr.ctypes.data, indices.ctypes.data, adj_w.ctypes.data,
-                bitgen.ctypes.bit_generator.value, xi.ctypes.data, samples, tol,
-                work_i.ctypes.data, work_d.ctypes.data, in_tree.ctypes.data, found.ctypes.data)
-        if status != 0:
-            raise ValueError(f"C kernel stopped: {_C_STATUS.get(status, status)}")
-        return bool(found[0])
+        status = _c_call(lib.treeot_balanced_subtree, n, indptr, indices, adj_w, rng, xi, samples,
+                         tol, np.empty(7 * n + 1, dtype=np.int64), np.empty(2 * n),
+                         np.empty(n, dtype=np.uint8), found)
+        return status, bool(found[0])
 
     def dp_plan_c(parent, order, child_ptr, child_idx, xi, zero_tol):
         n = parent.shape[0]
@@ -540,13 +596,9 @@ def _load_c() -> Kernels:
         out_y = np.empty(cap, dtype=np.int64)
         out_m = np.empty(cap)
         out_k = np.empty(2, dtype=np.int64)
-        xi_cum = np.empty(n)
-        alive = np.empty(n, dtype=np.uint8)
-        work_i = np.empty(4 * n, dtype=np.int64)
-        status = plan(n, parent.ctypes.data, order.ctypes.data, child_ptr.ctypes.data,
-                      child_idx.ctypes.data, xi.ctypes.data, zero_tol, xi_cum.ctypes.data,
-                      alive.ctypes.data, work_i.ctypes.data, out_x.ctypes.data,
-                      out_y.ctypes.data, out_m.ctypes.data, out_k.ctypes.data)
+        status = _c_call(lib.treeot_dp_plan, n, parent, order, child_ptr, child_idx, xi, zero_tol,
+                         np.empty(n), np.empty(n, dtype=np.uint8), np.empty(4 * n, dtype=np.int64),
+                         out_x, out_y, out_m, out_k)
         count, u = out_k.tolist()
         return status, count, u, out_x, out_y, out_m
 
@@ -554,38 +606,28 @@ def _load_c() -> Kernels:
         n, m = supply.shape[0], cost.shape[0]
         flow = np.empty(m)
         pi = np.empty(n)
-        work_d = np.empty(m + 2 * n + 1)
-        work_i = np.empty(7 * (n + 1), dtype=np.int64)
         pivots = np.zeros(1, dtype=np.int64)
-        status = lib.treeot_network_simplex(n, m, supply.ctypes.data, tail.ctypes.data,
-                                            head.ctypes.data, cost.ctypes.data, PRICE_RTOL,
-                                            flow.ctypes.data, pi.ctypes.data, work_d.ctypes.data,
-                                            work_i.ctypes.data, pivots.ctypes.data)
+        status = _c_call(lib.treeot_network_simplex, n, m, supply, tail, head, cost, PRICE_RTOL,
+                         flow, pi, np.empty(m + 2 * n + 1), np.empty(7 * (n + 1), dtype=np.int64),
+                         pivots)
         return status, int(pivots[0]), flow, pi
 
     def tree_pairs_c(parent, depth, wpar, xs, ys, mass, out):
-        status = lib.treeot_tree_pairs(parent.shape[0], parent.ctypes.data, depth.ctypes.data,
-                                       wpar.ctypes.data, xs.shape[0], xs.ctypes.data, ys.ctypes.data,
-                                       None if mass is None else mass.ctypes.data, out.ctypes.data)
-        return status, out
+        return _c_call(lib.treeot_tree_pairs, parent.shape[0], parent, depth, wpar, xs.shape[0],
+                       xs, ys, mass, out), out
 
     def pair_distances_c(indptr, indices, adj_w, xs, ys, by_source):
         n, m, k = indptr.shape[0] - 1, indices.shape[0], xs.shape[0]
-        dist = np.empty(n)
-        stamps = np.zeros(3 * n, dtype=np.int64)
-        heap_d = np.empty(m + 1)
-        heap_v = np.empty(m + 1, dtype=np.int64)
         out = np.empty(k)
-        status = lib.treeot_pair_distances(n, indptr.ctypes.data, indices.ctypes.data,
-                                           adj_w.ctypes.data, k, xs.ctypes.data, ys.ctypes.data,
-                                           by_source.ctypes.data, dist.ctypes.data,
-                                           stamps.ctypes.data, heap_d.ctypes.data,
-                                           heap_v.ctypes.data, out.ctypes.data)
+        status = _c_call(lib.treeot_pair_distances, n, indptr, indices, adj_w, k, xs, ys,
+                         by_source, np.empty(n), np.zeros(3 * n, dtype=np.int64), np.empty(m + 1),
+                         np.empty(m + 1, dtype=np.int64), out)
         return status, out
 
-    return Kernels("c", anneal_chain_c, wilson_tree_c, _plan_runner(dp_plan_c),
-                   _simplex_runner(network_simplex_c), _order_runner(tree_order_c),
-                   subtree_sums_c, tree_potential_c, balanced_subtree_c,
+    return Kernels("c", _chain_runner(anneal_chain_c), _wilson_runner(wilson_tree_c),
+                   _plan_runner(dp_plan_c), _simplex_runner(network_simplex_c),
+                   _order_runner(tree_order_c), _sums_runner(subtree_sums_c),
+                   _potential_runner(tree_potential_c), _balanced_runner(balanced_subtree_c),
                    _pairs_runner(tree_pairs_c), _distances_runner(pair_distances_c))
 
 
@@ -1015,64 +1057,27 @@ def balanced_subtree(indptr, indices, adj_w, rng, xi, samples, tol):
     return False
 
 
-def _heap_push(heap, size, v):
-    """Push ``v`` onto the binary min-heap ``heap[:size]``; return the new size."""
-    i = size
-    while i > 0:
-        up = (i - 1) // 2
-        if heap[up] <= v:
-            break
-        heap[i] = heap[up]
-        i = up
-    heap[i] = v
-    return size + 1
-
-
-def _heap_pop(heap, size):
-    """Drop the smallest entry of the binary min-heap ``heap[:size]``; return
-    the new size."""
-    size -= 1
-    v = heap[size]
-    i = 0
-    while True:
-        c = 2 * i + 1
-        if c >= size:
-            break
-        if c + 1 < size and heap[c + 1] < heap[c]:
-            c += 1
-        if v <= heap[c]:
-            break
-        heap[i] = heap[c]
-        i = c
-    if size > 0:
-        heap[i] = v
-    return size
-
-
-def _prune(v, parent, xi, alive, active, heap, size):
+def _prune(v, parent, xi, alive, active, heap):
     """Discard ``v`` and then its ancestors while each is a balanced leaf, so
     their parents become visible leaves; push a parent that becomes a leaf
-    with a residual. Return the heap size."""
+    with a residual onto the min-heap ``heap``."""
     while v >= 0 and alive[v] and active[v] == 0 and xi[v] == 0.0:
         alive[v] = False
         v = parent[v]
         if v >= 0:
             active[v] -= 1
             if active[v] == 0 and xi[v] != 0.0:
-                size = _heap_push(heap, size, v)
-    return size
+                heapq.heappush(heap, v)
 
 
-def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol, xi_cum, alive, active,
-            heap, layer, next_layer, out_x, out_y, out_m):
+def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol):
     """Off-diagonal entries of the dynamic-programming optimal plan on the
     tree given by ``parent``, ``order`` (leaves first, root last) and the
     child CSR ``child_ptr``/``child_idx``, for the residuals ``xi`` (mu - nu,
-    changed in place). Returns ``(status, count, u)``: ``out_x``, ``out_y`` and
-    ``out_m`` (4n + 16 slots) hold ``count`` entries; status 0 is success,
-    ``PLAN_NO_MATCH`` means no match was found below ``u`` and
-    ``PLAN_NO_END`` that 4n + 16 transfers did not finish. The other
-    arguments are n-slot work buffers.
+    changed in place). Returns ``(status, u, rows, cols, mass)``, the entries
+    as three lists: status 0 is success, ``PLAN_NO_MATCH`` means no match was
+    found below ``u`` and ``PLAN_NO_END`` that 4n + 16 transfers did not
+    finish.
 
     Residues of magnitude at most ``zero_tol`` count as zero. The cumulative
     imbalance ``xi_cum`` is summed along ``order``. A leaf is a live vertex
@@ -1088,48 +1093,41 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol, xi_cum, alive, ac
     candidate leaf only when its last live child is discarded; the min-heap
     of candidates therefore yields the smallest candidate id, with discarded
     entries skipped when they reach the top. Each vertex is pushed at most
-    once.
+    once, so the keys are distinct and every binary heap (``_kernel.c``'s
+    too) pops them in the same order.
     """
     n = len(parent)
+    rows, cols, mass = [], [], []
     if n == 0:
-        return 0, 0, -1
+        return 0, -1, rows, cols, mass
     root = order[n - 1]
-    for v in range(n):
-        if abs(xi[v]) <= zero_tol:
-            xi[v] = 0.0
-        xi_cum[v] = xi[v]
-    for i in range(n):
-        v = order[i]
+    xi[:] = [0.0 if abs(x) <= zero_tol else x for x in xi]
+    xi_cum = list(xi)
+    for v in order:
         p = parent[v]
         if p >= 0:
             xi_cum[p] += xi_cum[v]
-    for v in range(n):
-        if abs(xi_cum[v]) <= zero_tol:
-            xi_cum[v] = 0.0
+    xi_cum = [0.0 if abs(c) <= zero_tol else c for c in xi_cum]
     xi_cum[root] = 0.0
 
-    size = 0
+    alive = [True] * n
+    active = [child_ptr[v + 1] - child_ptr[v] for v in range(n)]
+    heap = [v for v in range(n) if active[v] == 0 and xi[v] != 0.0]
     for v in range(n):
-        alive[v] = True
-        active[v] = child_ptr[v + 1] - child_ptr[v]
-        if active[v] == 0 and xi[v] != 0.0:
-            size = _heap_push(heap, size, v)
-    for v in range(n):
-        size = _prune(v, parent, xi, alive, active, heap, size)
+        _prune(v, parent, xi, alive, active, heap)
 
-    count = 0
     for _ in range(4 * n + 16):
-        while size > 0 and not alive[heap[0]]:
-            size = _heap_pop(heap, size)
-        if size == 0:
-            return 0, count, -1
+        while heap and not alive[heap[0]]:
+            heapq.heappop(heap)
+        if not heap:
+            return 0, -1, rows, cols, mass
         x = heap[0]
         if x == root:
-            return PLAN_NO_MATCH, count, -1
+            return PLAN_NO_MATCH, -1, rows, cols, mass
         s = 1.0 if xi[x] > 0.0 else -1.0
         m = abs(xi[x])
 
-        # climb while nothing of the opposite sign branches off: stop where the
+    # climb while nothing of the opposite sign branches off: stop where the
         # cumulative imbalance vanishes or where the step difference (what the
         # rest of the subtree at u contributes) carries the opposite sign
         below = x
@@ -1145,28 +1143,17 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol, xi_cum, alive, ac
 
         # breadth-first below u, one layer at a time; a tree visits no
         # vertex twice, so the smallest hit of the first layer with one wins
-        y = -1
-        layer[0] = u
-        width = 1
-        while width > 0:
-            for i in range(width):
-                v = layer[i]
-                if s * xi[v] < 0.0 and (y < 0 or v < y):
-                    y = v
-            if y >= 0:
+        layer = [u]
+        hits = []
+        while layer:
+            hits = [v for v in layer if s * xi[v] < 0.0]
+            if hits:
                 break
-            grown = 0
-            for i in range(width):
-                v = layer[i]
-                for j in range(child_ptr[v], child_ptr[v + 1]):
-                    c = child_idx[j]
-                    if alive[c] and s * xi_cum[c] < 0.0:
-                        next_layer[grown] = c
-                        grown += 1
-            layer, next_layer = next_layer, layer
-            width = grown
-        if y < 0:
-            return PLAN_NO_MATCH, count, u
+            layer = [c for v in layer for c in child_idx[child_ptr[v]:child_ptr[v + 1]]
+                     if alive[c] and s * xi_cum[c] < 0.0]
+        if not hits:
+            return PLAN_NO_MATCH, u, rows, cols, mass
+        y = min(hits)
 
         # cap by the descent chain and the target's residual
         v = y
@@ -1177,14 +1164,9 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol, xi_cum, alive, ac
         if abs(xi[y]) < m:
             m = abs(xi[y])
 
-        if s > 0.0:
-            out_x[count] = x
-            out_y[count] = y
-        else:
-            out_x[count] = y
-            out_y[count] = x
-        out_m[count] = m
-        count += 1
+        rows.append(x if s > 0.0 else y)
+        cols.append(y if s > 0.0 else x)
+        mass.append(m)
         xi[x] -= s * m
         xi[y] += s * m
         if abs(xi[x]) <= zero_tol:
@@ -1203,9 +1185,9 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol, xi_cum, alive, ac
             if abs(xi_cum[v]) <= zero_tol:
                 xi_cum[v] = 0.0
             v = parent[v]
-        size = _prune(x, parent, xi, alive, active, heap, size)
-        size = _prune(y, parent, xi, alive, active, heap, size)
-    return PLAN_NO_END, count, -1
+        _prune(x, parent, xi, alive, active, heap)
+        _prune(y, parent, xi, alive, active, heap)
+    return PLAN_NO_END, -1, rows, cols, mass
 
 
 def network_simplex(supply, tail, head, cost, price_rtol):

@@ -23,7 +23,8 @@ from .errors import (
 class WeightedGraph:
     """Undirected connected graph on dense vertex ids ``0..n-1`` with positive weights.
 
-    Immutable after construction. Adjacency is kept in CSR form
+    Immutable after construction, which raises ``DisconnectedError`` unless
+    the graph is connected. Adjacency is kept in CSR form
     (``indptr``/``indices``/``weights``) so that hot loops can index it directly.
     """
 
@@ -33,6 +34,10 @@ class WeightedGraph:
     indices: np.ndarray
     weights: np.ndarray
     weight_map: dict = field(repr=False)
+
+    def __post_init__(self):
+        if self.n and not _is_connected(self):
+            raise DisconnectedError("graph is not connected")
 
     @property
     def edge_count(self) -> int:
@@ -98,8 +103,6 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
         weights=np.concatenate([w, w])[arcs],
         weight_map=dict(zip(zip(*ends), w_list)),
     )
-    if not _is_connected(g):
-        raise DisconnectedError("graph is not connected")
     for arr in (g.indptr, g.indices, g.weights):
         arr.setflags(write=False)
     return g

@@ -110,6 +110,13 @@ class TestBuildGraph:
         with pytest.raises(DisconnectedError):
             ot.build_graph(3, [(0, 1, 1.0)])
 
+    def test_direct_construction_checks_connectivity(self):
+        # a Wilson walk from vertex 0 or 1 never reaches a root drawn at 2
+        with pytest.raises(DisconnectedError, match="not connected"):
+            ot.WeightedGraph(n=3, edges=((0, 1, 1.0),), indptr=np.array([0, 1, 2, 2]),
+                             indices=np.array([1, 0]), weights=np.array([1.0, 1.0]),
+                             weight_map={(0, 1): 1.0})
+
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
             ot.build_graph(2, [(0, 0, 1.0), (0, 1, 1.0)])

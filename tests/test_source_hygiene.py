@@ -4,8 +4,9 @@ package writes files only through ``fileio._write_text``, and it imports
 only the standard library, numpy and itself, which is also all that
 ``pyproject.toml`` lists as dependencies. Also, the
 status and stop codes of ``_kernel.c``'s enum are those ``_kernels.py``
-reads, ``_kernel.c`` compiles without a warning, and it exports exactly the
-functions that ``_kernels.py`` declares. Every package name that the
+reads, only ``_kernels._c_call`` turns arrays and generators into C
+pointers, ``_kernel.c`` compiles without a warning, and it exports exactly
+the functions that ``_kernels.py`` declares. Every package name that the
 benchmark harness (``perfbench/``) reads still resolves, so removing one
 fails here rather than in the benchmark.
 
@@ -198,10 +199,12 @@ def test_the_write_scan_flags_what_it_looks_for():
 
 #: the C names of the codes that ``_kernels`` keys by message
 CODE_MESSAGES = {
-    "CHAIN_NO_NEIGHBOUR": "the root has no graph neighbour",
-    "CHAIN_DEGREE_TOO_LARGE": "a vertex degree of 2^32 or more is not supported",
-    "WILSON_BAD_VERTEX_COUNT": "a vertex count of 0 or of 2^32 or more is not supported",
-    "WILSON_NO_NEIGHBOUR": "a random walk reached a vertex with no graph neighbour",
+    "CHAIN_NO_NEIGHBOUR": "C kernel stopped: the root has no graph neighbour",
+    "CHAIN_DEGREE_TOO_LARGE": "C kernel stopped: a vertex degree of 2^32 or more is not supported",
+    "WILSON_BAD_VERTEX_COUNT":
+        "C kernel stopped: a vertex count of 0 or of 2^32 or more is not supported",
+    "WILSON_NO_NEIGHBOUR":
+        "C kernel stopped: a random walk reached a vertex with no graph neighbour",
 }
 
 
@@ -212,20 +215,19 @@ def c_enum(source: str) -> dict[str, int]:
 
 
 def python_codes() -> dict[str, int]:
-    """Every status and stop code that ``_kernels`` reads, by its C name:
-    ``_C_STATUS`` by message, the ``PLAN_*``, ``FLOW_*``, ``TREE_*``,
-    ``STOP_*`` and ``PATH_*`` constants by name, and the tables keyed by
-    them."""
-    by_message = {m: c for c, m in _kernels._C_STATUS.items()}
-    codes = {"CHAIN_OK": 0, **{name: by_message.pop(m) for name, m in CODE_MESSAGES.items()}}
+    """Every status and stop code that ``_kernels`` reads, by its C name: the
+    ``PLAN_*``, ``FLOW_*``, ``TREE_*``, ``STOP_*`` and ``PATH_*`` constants
+    by name, the other keys of the one status table ``_STATUS_ERRORS`` by
+    message, and the stop reasons. The table holds every failure status."""
+    codes = {name: value for name, value in vars(_kernels).items()
+             if name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_", "PATH_"))
+             and isinstance(value, int)}
+    by_message = {m: c for c, (_, m) in _kernels._STATUS_ERRORS.items() if c not in codes.values()}
+    codes.update({"CHAIN_OK": 0, **{name: by_message.pop(m) for name, m in CODE_MESSAGES.items()}})
     assert not by_message, f"codes with no C name: {by_message}"
-    codes.update({name: value for name, value in vars(_kernels).items()
-                  if name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_", "PATH_"))
-                  and isinstance(value, int)})
-    assert set(_kernels._FLOW_ERRORS) == {v for k, v in codes.items() if k.startswith("FLOW_")}
-    assert set(_kernels._TREE_ERRORS) == {v for k, v in codes.items() if k.startswith("TREE_")}
-    assert set(_kernels.STOP_REASONS) == {v for k, v in codes.items() if k.startswith("STOP_")}
-    assert set(_kernels._PATH_ERRORS) == {v for k, v in codes.items() if k.startswith("PATH_")}
+    stops = {v for k, v in codes.items() if k.startswith("STOP_")}
+    assert set(_kernels.STOP_REASONS) == stops
+    assert set(_kernels._STATUS_ERRORS) == set(codes.values()) - stops - {0}
     return codes
 
 
@@ -254,6 +256,35 @@ def test_the_code_check_flags_a_mismatched_copy():
     for old, new in mutants.items():
         assert source.count(old) == 1
         assert code_mismatches(source.replace(old, new)) != [], old
+
+
+def ctypes_pointers(source: str, marshal: str = "_c_call") -> list[str]:
+    """Reads of ``.ctypes.data`` or ``.ctypes.bit_generator`` outside the
+    function named ``marshal``, the one place that turns arrays and
+    generators into C pointers."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == marshal for node in ast.walk(fn)}
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("data", "bit_generator")
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "ctypes"
+             and id(node) not in exempt]
+    return [f"line {node.lineno}: .ctypes.{node.attr}"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_marshalling_helper_takes_pointers(path):
+    assert ctypes_pointers(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_pointer_scan_flags_a_stray_one():
+    source = ("def _c_call(fn, a, rng):\n"
+              "    return fn(a.ctypes.data, rng.bit_generator.ctypes.bit_generator.value)\n\n"
+              "def run(fn, a, rng):\n"
+              "    return fn(a.ctypes.data, rng.bit_generator.ctypes.bit_generator, a.ctypes.shape)\n")
+    assert ctypes_pointers(source) == ["line 5: .ctypes.data", "line 5: .ctypes.bit_generator"]
+    assert len(ctypes_pointers(source, marshal="run")) == 2
 
 
 @pytest.mark.skipif(not c_compiler_found(), reason="no C compiler")
