@@ -39,9 +39,7 @@ enum {
     STOP_MAX_ITERS = 13,
     STOP_TARGET = 14,
     STOP_CERTIFIED = 15,
-    TREE_PAIR_APART = 16,
     PATH_BAD_WEIGHT = 17,
-    PATH_UNREACHED = 18,
 };
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
@@ -370,19 +368,13 @@ int treeot_wilson(int64_t n, const int64_t *indptr, const int64_t *indices, cons
     return CHAIN_OK;
 }
 
-/* tree_order of _kernels.py: order (leaves first, root last) and depth of
- * the tree that parent roots at root. work_i holds 4n + 1 slots: the child
- * CSR (child_ptr, child_idx), the counting sort's fill cursors and the
- * walk's stack. Returns CHAIN_OK or a TREE_* code; with parent[root] == -1
- * and every link in range no vertex is pushed twice, so the stack and order
- * stay within n slots. */
-int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
-                      int64_t *depth, int64_t *work_i)
+/* child_csr of _kernels.py, by counting sort: the children of v, in
+ * increasing id order, are child_idx[child_ptr[v] .. child_ptr[v + 1]). fill
+ * holds n slots. Returns TREE_BAD_PARENT, before it writes child_idx, when a
+ * link is below -1 or not below n, else CHAIN_OK. */
+static int child_lists(int64_t n, const int64_t *parent, int64_t *child_ptr, int64_t *child_idx,
+                       int64_t *fill)
 {
-    if (root < 0 || root >= n || parent[root] != -1)
-        return TREE_NOT_ROOTED;
-    int64_t *child_ptr = work_i, *child_idx = work_i + n + 1;
-    int64_t *fill = child_idx + n, *stack = fill + n;
     memset(child_ptr, 0, (size_t)(n + 1) * sizeof *child_ptr);
     for (int64_t v = 0; v < n; v++) {
         const int64_t p = parent[v];
@@ -397,6 +389,22 @@ int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *o
     for (int64_t v = 0; v < n; v++)
         if (parent[v] >= 0)
             child_idx[fill[parent[v]]++] = v;
+    return CHAIN_OK;
+}
+
+/* tree_order of _kernels.py: order (leaves first, root last) and depth of
+ * the tree that parent roots at root. work_i holds 4n + 1 slots: the child
+ * lists, child_lists' fill cursors and the walk's stack. Returns CHAIN_OK or
+ * a TREE_* code; with parent[root] == -1 and every link in range no vertex
+ * is pushed twice, so the stack and order stay within n slots. */
+int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
+                      int64_t *depth, int64_t *work_i)
+{
+    if (root < 0 || root >= n || parent[root] != -1)
+        return TREE_NOT_ROOTED;
+    int64_t *child_ptr = work_i, *child_idx = work_i + n + 1, *stack = child_idx + 2 * n;
+    if (child_lists(n, parent, child_ptr, child_idx, child_idx + n) != CHAIN_OK)
+        return TREE_BAD_PARENT;
 
     depth[root] = 0;
     stack[0] = root;
@@ -455,46 +463,58 @@ int treeot_balanced_subtree(
     return CHAIN_OK;
 }
 
-/* Push v onto the binary min-heap heap[0..size). */
-static int64_t heap_push(int64_t *heap, int64_t size, int64_t v)
+/* (da, va) before (db, vb): distance first, then vertex id. */
+static int key_before(double da, int64_t va, double db, int64_t vb)
+{
+    return da < db || (da == db && va < vb);
+}
+
+/* Push (d, v) onto the binary min-heap of keys hd/hv[0..size). */
+static int64_t key_push(double *hd, int64_t *hv, int64_t size, double d, int64_t v)
 {
     int64_t i = size;
     while (i > 0) {
         const int64_t up = (i - 1) / 2;
-        if (heap[up] <= v)
+        if (!key_before(d, v, hd[up], hv[up]))
             break;
-        heap[i] = heap[up];
+        hd[i] = hd[up];
+        hv[i] = hv[up];
         i = up;
     }
-    heap[i] = v;
+    hd[i] = d;
+    hv[i] = v;
     return size + 1;
 }
 
-/* Drop the smallest entry of the binary min-heap heap[0..size). */
-static int64_t heap_pop(int64_t *heap, int64_t size)
+/* Drop the smallest key of the binary min-heap hd/hv[0..size). */
+static int64_t key_pop(double *hd, int64_t *hv, int64_t size)
 {
     size--;
-    const int64_t v = heap[size];
+    const double d = hd[size];
+    const int64_t v = hv[size];
     int64_t i = 0;
     for (;;) {
         int64_t c = 2 * i + 1;
         if (c >= size)
             break;
-        if (c + 1 < size && heap[c + 1] < heap[c])
+        if (c + 1 < size && key_before(hd[c + 1], hv[c + 1], hd[c], hv[c]))
             c++;
-        if (v <= heap[c])
+        if (!key_before(hd[c], hv[c], d, v))
             break;
-        heap[i] = heap[c];
+        hd[i] = hd[c];
+        hv[i] = hv[c];
         i = c;
     }
-    if (size > 0)
-        heap[i] = v;
+    if (size > 0) {
+        hd[i] = d;
+        hv[i] = v;
+    }
     return size;
 }
 
-/* _prune of _kernels.py. */
+/* _prune of _kernels.py; the heap's keys are (0.0, vertex id). */
 static int64_t prune(int64_t v, const int64_t *parent, const double *xi, uint8_t *alive,
-                     int64_t *active, int64_t *heap, int64_t size)
+                     int64_t *active, double *heap_d, int64_t *heap, int64_t size)
 {
     while (v >= 0 && alive[v] && active[v] == 0 && xi[v] == 0.0) {
         alive[v] = 0;
@@ -502,39 +522,38 @@ static int64_t prune(int64_t v, const int64_t *parent, const double *xi, uint8_t
         if (v >= 0) {
             active[v] -= 1;
             if (active[v] == 0 && xi[v] != 0.0)
-                size = heap_push(heap, size, v);
+                size = key_push(heap_d, heap, size, 0.0, v);
         }
     }
     return size;
 }
 
-/* dp_plan of _kernels.py. xi is changed in place; xi_cum and alive hold n
- * slots, work_i 4n (live child counts, heap and two BFS layers), out_x, out_y
- * and out_m 4n + 16. out_k receives {count, u}. Returns 0, PLAN_NO_MATCH or
- * PLAN_NO_END. */
-int treeot_dp_plan(
-    int64_t n, const int64_t *parent, const int64_t *order, const int64_t *child_ptr,
-    const int64_t *child_idx, double *xi, double zero_tol, double *xi_cum, uint8_t *alive,
-    int64_t *work_i, int64_t *out_x, int64_t *out_y, double *out_m, int64_t *out_k)
+/* dp_plan of _kernels.py, on a tree that tree_order has proven, whose order
+ * it walks. xi is changed in place; work_d holds 2n slots (xi_cum and the
+ * heap's keys), alive n, work_i 6n + 1 (the child lists, live child counts,
+ * heap and two BFS layers), out_x, out_y and out_m 4n + 16. out_k receives
+ * {count, u}. The heap is keyed by vertex id alone, as heapq orders the
+ * reference's. Returns 0, PLAN_NO_MATCH or PLAN_NO_END. */
+int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, double *xi,
+                   double zero_tol, double *work_d, uint8_t *alive, int64_t *work_i,
+                   int64_t *out_x, int64_t *out_y, double *out_m, int64_t *out_k)
 {
     int64_t count = 0;
     out_k[0] = 0;
     out_k[1] = -1;
     if (n == 0)
         return CHAIN_OK;
-    int64_t *active = work_i, *heap = work_i + n;
-    int64_t *layer = work_i + 2 * n, *next_layer = work_i + 3 * n;
+    double *xi_cum = work_d, *heap_d = work_d + n;
+    int64_t *child_ptr = work_i, *child_idx = work_i + n + 1, *active = child_idx + n;
+    int64_t *heap = active + n, *layer = heap + n, *next_layer = layer + n;
+    child_lists(n, parent, child_ptr, child_idx, heap); /* a proven tree's links are in range */
     const int64_t root = order[n - 1];
     for (int64_t v = 0; v < n; v++) {
         if (fabs(xi[v]) <= zero_tol)
             xi[v] = 0.0;
         xi_cum[v] = xi[v];
     }
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t v = order[i], p = parent[v];
-        if (p >= 0)
-            xi_cum[p] += xi_cum[v];
-    }
+    treeot_subtree_sums(n, parent, order, xi_cum);
     for (int64_t v = 0; v < n; v++)
         if (fabs(xi_cum[v]) <= zero_tol)
             xi_cum[v] = 0.0;
@@ -545,15 +564,15 @@ int treeot_dp_plan(
         alive[v] = 1;
         active[v] = child_ptr[v + 1] - child_ptr[v];
         if (active[v] == 0 && xi[v] != 0.0)
-            size = heap_push(heap, size, v);
+            size = key_push(heap_d, heap, size, 0.0, v);
     }
     for (int64_t v = 0; v < n; v++)
-        size = prune(v, parent, xi, alive, active, heap, size);
+        size = prune(v, parent, xi, alive, active, heap_d, heap, size);
 
     int status = PLAN_NO_END;
     for (int64_t step = 0; step < 4 * n + 16; step++) {
         while (size > 0 && !alive[heap[0]])
-            size = heap_pop(heap, size);
+            size = key_pop(heap_d, heap, size);
         if (size == 0) {
             status = CHAIN_OK;
             break;
@@ -633,8 +652,8 @@ int treeot_dp_plan(
             if (fabs(xi_cum[v]) <= zero_tol)
                 xi_cum[v] = 0.0;
         }
-        size = prune(x, parent, xi, alive, active, heap, size);
-        size = prune(y, parent, xi, alive, active, heap, size);
+        size = prune(x, parent, xi, alive, active, heap_d, heap, size);
+        size = prune(y, parent, xi, alive, active, heap_d, heap, size);
     }
     out_k[0] = count;
     return status;
@@ -807,22 +826,19 @@ int treeot_network_simplex(int64_t n, int64_t m, const double *supply, const int
     return CHAIN_OK;
 }
 
-/* tree_pairs of _kernels.py. With mass NULL, out[i] is the tree distance of
- * pair i; otherwise out holds 2 n zeros and gains mass[i] at out[a] for
- * every edge pair i climbs from child a and at out[n + b] for every edge it
- * descends to child b. Returns CHAIN_OK or TREE_PAIR_APART. */
-int treeot_tree_pairs(int64_t n, const int64_t *parent, const int64_t *depth, const double *wpar,
-                      int64_t k, const int64_t *xs, const int64_t *ys, const double *mass,
-                      double *out)
+/* tree_pairs of _kernels.py, on a tree that tree_order has proven. With mass
+ * NULL, out[i] is the tree distance of pair i; otherwise out holds 2 n zeros
+ * and gains mass[i] at out[a] for every edge pair i climbs from child a and
+ * at out[n + b] for every edge it descends to child b. */
+void treeot_tree_pairs(int64_t n, const int64_t *parent, const int64_t *depth, const double *wpar,
+                       int64_t k, const int64_t *xs, const int64_t *ys, const double *mass,
+                       double *out)
 {
     for (int64_t i = 0; i < k; i++) {
-        int64_t a = xs[i], b = ys[i], rounds = 0;
+        int64_t a = xs[i], b = ys[i];
         double total = 0.0;
         while (a != b) {
             const int move_a = depth[a] >= depth[b], move_b = depth[b] >= depth[a];
-            if ((move_a && parent[a] < 0) || (move_b && parent[b] < 0) || rounds == n)
-                return TREE_PAIR_APART;
-            rounds++;
             if (mass == NULL) {
                 total += (move_a ? wpar[a] : 0.0) + (move_b ? wpar[b] : 0.0);
             } else {
@@ -839,63 +855,14 @@ int treeot_tree_pairs(int64_t n, const int64_t *parent, const int64_t *depth, co
         if (mass == NULL)
             out[i] = total;
     }
-    return CHAIN_OK;
-}
-
-/* (da, va) before (db, vb): distance first, then vertex id. */
-static int key_before(double da, int64_t va, double db, int64_t vb)
-{
-    return da < db || (da == db && va < vb);
-}
-
-/* Push (d, v) onto the binary min-heap of keys hd/hv[0..size). */
-static int64_t key_push(double *hd, int64_t *hv, int64_t size, double d, int64_t v)
-{
-    int64_t i = size;
-    while (i > 0) {
-        const int64_t up = (i - 1) / 2;
-        if (!key_before(d, v, hd[up], hv[up]))
-            break;
-        hd[i] = hd[up];
-        hv[i] = hv[up];
-        i = up;
-    }
-    hd[i] = d;
-    hv[i] = v;
-    return size + 1;
-}
-
-/* Drop the smallest key of the binary min-heap hd/hv[0..size). */
-static int64_t key_pop(double *hd, int64_t *hv, int64_t size)
-{
-    size--;
-    const double d = hd[size];
-    const int64_t v = hv[size];
-    int64_t i = 0;
-    for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= size)
-            break;
-        if (c + 1 < size && key_before(hd[c + 1], hv[c + 1], hd[c], hv[c]))
-            c++;
-        if (!key_before(hd[c], hv[c], d, v))
-            break;
-        hd[i] = hd[c];
-        hv[i] = hv[c];
-        i = c;
-    }
-    if (size > 0) {
-        hd[i] = d;
-        hv[i] = v;
-    }
-    return size;
 }
 
 /* pair_distances of _kernels.py: out[by_source[q]] is the shortest-path
  * distance of that pair. dist holds n slots, stamps 3 n zeros (seen,
  * settled, wanted) and heap_d/heap_v m + 1 keys: a run pushes its source
- * and then at most once per arc, since each vertex is settled once.
- * Returns CHAIN_OK, PATH_BAD_WEIGHT or PATH_UNREACHED. */
+ * and then at most once per arc, since each vertex is settled once. The
+ * graph is connected, so a run settles its targets before the heap empties.
+ * Returns CHAIN_OK or PATH_BAD_WEIGHT. */
 int treeot_pair_distances(int64_t n, const int64_t *indptr, const int64_t *indices,
                           const double *adj_w, int64_t k, const int64_t *xs, const int64_t *ys,
                           const int64_t *by_source, double *dist, int64_t *stamps, double *heap_d,
@@ -921,8 +888,6 @@ int treeot_pair_distances(int64_t n, const int64_t *indptr, const int64_t *indic
         seen[s] = run;
         int64_t size = key_push(heap_d, heap_v, 0, 0.0, s);
         while (left > 0) {
-            if (size == 0)
-                return PATH_UNREACHED;
             const double d = heap_d[0];
             const int64_t v = heap_v[0];
             size = key_pop(heap_d, heap_v, size);

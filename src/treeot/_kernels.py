@@ -23,7 +23,10 @@ walks vertex pairs to their lowest common ancestor for tree distances or
 plan flows, and ``pair_distances`` runs Dijkstra from each distinct source
 of a list of vertex pairs. Two backends run the kernels, each kernel behind
 one runner that both share, which checks its inputs and turns a failure
-status into the exception of the one table ``_STATUS_ERRORS``:
+status into the exception of the one table ``_STATUS_ERRORS``. A kernel
+that walks a graph or a tree takes a ``WeightedGraph`` or ``RootedTree``,
+whose construction proved it, and the chain proves its parent links with
+``tree_order`` before its first step:
 
 - ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
   helpers) built on first use with the system C compiler and loaded through
@@ -59,6 +62,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import KernelBackendError, NotSpanningError, VertexRangeError
+# graphs and trees import this module in turn; treeot/__init__ imports it
+# first, so both are complete before any runner reads these names
+from .graphs import WeightedGraph
+from .trees import RootedTree
 
 C_SOURCE = Path(__file__).with_name("_kernel.c")
 C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -73,11 +80,8 @@ FLOW_INFEASIBLE = 9
 TREE_NOT_ROOTED = 10
 TREE_BAD_PARENT = 11
 TREE_UNREACHED = 12
-# tree_pairs' status besides 0, shared with _kernel.c
-TREE_PAIR_APART = 16
-# pair_distances' statuses besides 0, shared with _kernel.c
+# pair_distances' status besides 0, shared with _kernel.c
 PATH_BAD_WEIGHT = 17
-PATH_UNREACHED = 18
 _NOT_A_TREE = "parent links are not a tree rooted at {root}: "
 #: the exception type and message of every failure status, the only place a
 #: status becomes an exception (``root`` and ``u`` come from the runner);
@@ -95,9 +99,7 @@ _STATUS_ERRORS = {
     TREE_NOT_ROOTED: (NotSpanningError, _NOT_A_TREE + "the root is out of range or has a parent link"),
     TREE_BAD_PARENT: (NotSpanningError, _NOT_A_TREE + "a parent link is out of range"),
     TREE_UNREACHED: (NotSpanningError, _NOT_A_TREE + "parent links do not reach every vertex"),
-    TREE_PAIR_APART: (NotSpanningError, "tree pair walk: a pair's walk does not meet within the tree"),
     PATH_BAD_WEIGHT: (ValueError, "shortest paths: an arc weight is negative or not finite"),
-    PATH_UNREACHED: (ValueError, "shortest paths: a target cannot be reached from its source"),
 }
 # why anneal_chain stopped, shared with _kernel.c
 STOP_MAX_ITERS = 13
@@ -115,28 +117,32 @@ PRICE_RTOL = 1e-12
 
 class Kernels(NamedTuple):
     """One backend's kernels, each behind the runner that both backends
-    share. A runner checks the inputs, so that a malformed one raises the
-    same exception with the same message on either backend (``ValueError``,
-    or ``VertexRangeError`` for a pair vertex out of range), calls the
-    backend and raises the ``_STATUS_ERRORS`` entry of a failure status.
-    ``anneal_chain``, ``wilson_tree`` and ``balanced_subtree`` have the
-    signatures of the reference kernels below; the others wrap theirs:
+    share. A kernel that walks a graph takes a :class:`WeightedGraph`, one
+    that walks a tree a :class:`RootedTree` (each proven when it was built),
+    and raises ``TypeError`` for anything else. A runner checks the other
+    inputs, so that a malformed one raises the same exception with the same
+    message on either backend (``ValueError``, or ``VertexRangeError`` for a
+    pair vertex out of range), calls the backend on the object's arrays and
+    raises the ``_STATUS_ERRORS`` entry of a failure status. The entries:
 
-    - ``dp_plan(parent, order, xi, zero_tol) -> (rows, cols, mass)``: the
+    - ``anneal_chain``: the reference kernel's arguments, with ``graph`` in
+      place of its CSR arrays. ``tree_order`` proves the chain's raw parent
+      links rooted at ``root`` before the first step.
+    - ``wilson_tree(graph, rng) -> (root, parent, wpar)``.
+    - ``balanced_subtree(graph, rng, xi, samples, tol) -> found``.
+    - ``dp_plan(tree, xi, zero_tol) -> (rows, cols, mass)``: the
       off-diagonal entries that :func:`dp_plan` writes, in its order; an
       entry written twice raises ``RuntimeError``.
     - ``tree_order(root, parent) -> (order, depth)``, both int64 arrays.
-    - ``subtree_sums(parent, order, values) -> sums``, a new float64 array.
-    - ``tree_potential(parent, order, wpar, xi_cum, sign_at_zero) -> u``, a
-      new float64 array.
+    - ``subtree_sums(tree, values) -> sums``, a new float64 array.
+    - ``tree_potential(tree, xi_cum, sign_at_zero) -> u``, a new float64 array.
     - ``network_simplex(supply, tail, head, cost) -> (flow, pi, pivots)``:
       the arc flows and node potentials of :func:`network_simplex` at
       ``PRICE_RTOL`` as float64 arrays, and its pivot count.
-    - ``tree_pairs(parent, depth, wpar, xs, ys, mass) -> out``: with
-      ``mass`` None the tree distance of every pair, else the 2n edge flows
-      of :func:`tree_pairs`.
-    - ``pair_distances(indptr, indices, adj_w, xs, ys) -> out``: the
-      shortest-path distance of every pair.
+    - ``tree_pairs(tree, xs, ys, mass) -> out``: with ``mass`` None the tree
+      distance of every pair, else the 2n edge flows of :func:`tree_pairs`.
+    - ``pair_distances(graph, xs, ys) -> out``: the shortest-path distance of
+      every pair.
     """
 
     name: str
@@ -198,7 +204,8 @@ def _load_python() -> Kernels:
     def no_status(kernel):
         return lambda *args: (0, kernel(*args))
 
-    def dp_plan_lists(parent, order, child_ptr, child_idx, xi, zero_tol):
+    def dp_plan_lists(parent, order, xi, zero_tol):
+        child_ptr, child_idx = child_csr(parent)
         status, u, rows, cols, mass = dp_plan(parent.tolist(), order.tolist(), child_ptr.tolist(),
                                               child_idx.tolist(), xi.tolist(), zero_tol)
         return (status, len(rows), u, np.array(rows, dtype=np.int64),
@@ -226,9 +233,9 @@ def _load_python() -> Kernels:
 
     def tree_pairs_lists(parent, depth, wpar, xs, ys, mass, out):
         out = out.tolist()
-        status = tree_pairs(parent.tolist(), depth.tolist(), wpar.tolist(), xs.tolist(),
-                            ys.tolist(), None if mass is None else mass.tolist(), out)
-        return status, np.array(out, dtype=np.float64)
+        tree_pairs(parent.tolist(), depth.tolist(), wpar.tolist(), xs.tolist(), ys.tolist(),
+                   None if mass is None else mass.tolist(), out)
+        return np.array(out, dtype=np.float64)
 
     def pair_distances_lists(indptr, indices, adj_w, xs, ys, by_source):
         n = indptr.shape[0] - 1
@@ -238,9 +245,10 @@ def _load_python() -> Kernels:
                                 [0] * n, out)
         return status, np.array(out, dtype=np.float64)
 
-    return Kernels("python", _chain_runner(no_status(anneal_chain)),
+    order = _order_runner(tree_order_lists)
+    return Kernels("python", _chain_runner(no_status(anneal_chain), order),
                    _wilson_runner(no_status(wilson_tree)), _plan_runner(dp_plan_lists),
-                   _simplex_runner(network_simplex_lists), _order_runner(tree_order_lists),
+                   _simplex_runner(network_simplex_lists), order,
                    _sums_runner(subtree_sums_lists), _potential_runner(tree_potential_lists),
                    _balanced_runner(no_status(balanced_subtree)), _pairs_runner(tree_pairs_lists),
                    _distances_runner(pair_distances_lists))
@@ -262,25 +270,24 @@ def child_csr(parent):
 # (which returns the status first, where it has one) and ``_check_status``.
 
 
-def _chain_runner(run):
-    """The backend's ``anneal_chain``: checks the arrays, the root, window
-    and record interval, the CSR graph and the parent links' range, then
-    returns the result of ``run(*args)``'s ``(status, result)``."""
+def _chain_runner(run, orient):
+    """The backend's ``anneal_chain``: checks the graph, the arrays, window
+    and record interval, proves the parent links with ``orient`` (its
+    ``tree_order``), then returns ``run``'s result on the graph's CSR."""
 
     def anneal_chain_checked(*args):
-        (parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node, max_iters, _, _, _, window,
-         record_every, _, _, _, best_parent, best_wpar, trace_iter, *trace_floats) = args
-        n, m = parent.shape[0], indices.shape[0]
+        (parent, wpar, xi_cum, root, graph, xi_node, max_iters, _, _, _, window, record_every, _, _,
+         _, best_parent, best_wpar, trace_iter, *trace_floats) = args
+        _proven("annealing chain", graph, WeightedGraph)
+        n = graph.n
         rows = max_iters // record_every + 2 if record_every >= 1 else 0
-        _check_arrays("annealing chain", ((parent, n), (best_parent, n), (indptr, n + 1),
-                                          (indices, m), (trace_iter, rows)),
-                      ((wpar, n), (best_wpar, n), (xi_cum, n), (xi_node, n), (adj_w, m),
+        _check_arrays("annealing chain", ((parent, n), (best_parent, n), (trace_iter, rows)),
+                      ((wpar, n), (best_wpar, n), (xi_cum, n), (xi_node, n),
                        *((a, rows) for a in trace_floats)))
-        if window < 1 or record_every < 1 or not 0 <= root < n:
-            raise ValueError("annealing chain: window, record_every or root out of range")
-        _check_graph("annealing chain", n, indptr, indices, walks=True)
-        _check_parents("annealing chain", parent)
-        status, result = run(*args)
+        if window < 1 or record_every < 1 or parent.shape[0] != n:
+            raise ValueError("annealing chain: window, record_every or parent count out of range")
+        orient(root, parent)
+        status, result = run(*args[:4], graph.indptr, graph.indices, graph.weights, *args[5:])
         _check_status(status)
         return result
 
@@ -288,30 +295,29 @@ def _chain_runner(run):
 
 
 def _wilson_runner(run):
-    """The backend's ``wilson_tree``: checks the arrays and the CSR graph,
-    then returns the root of ``run(*args)``'s ``(status, root)``."""
+    """The backend's ``wilson_tree``: returns the root, parent links and
+    weights of ``run``'s draw on the graph's CSR, or raises its status."""
 
-    def wilson_tree_checked(indptr, indices, adj_w, rng, parent, wpar):
-        n, m = parent.shape[0], indices.shape[0]
-        _check_arrays("Wilson tree", ((parent, n), (indptr, n + 1), (indices, m)),
-                      ((wpar, n), (adj_w, m)))
-        _check_graph("Wilson tree", n, indptr, indices, walks=True)
-        status, root = run(indptr, indices, adj_w, rng, parent, wpar)
+    def wilson_tree_checked(graph, rng):
+        _proven("Wilson tree", graph, WeightedGraph)
+        parent = np.empty(graph.n, dtype=np.int64)
+        wpar = np.empty(graph.n)
+        status, root = run(graph.indptr, graph.indices, graph.weights, rng, parent, wpar)
         _check_status(status)
-        return root
+        return root, parent, wpar
 
     return wilson_tree_checked
 
 
 def _balanced_runner(run):
-    """The backend's ``balanced_subtree``: checks the arrays and the CSR
-    graph, then returns the verdict of ``run(*args)``'s ``(status, found)``."""
+    """The backend's ``balanced_subtree``: checks ``xi``, then returns the
+    verdict of ``run``'s ``(status, found)`` on the graph's CSR."""
 
-    def balanced_subtree_checked(indptr, indices, adj_w, rng, xi, samples, tol):
-        n, m = xi.shape[0], indices.shape[0]
-        _check_arrays("balanced subtree", ((indptr, n + 1), (indices, m)), ((adj_w, m), (xi, n)))
-        _check_graph("balanced subtree", n, indptr, indices, walks=True)
-        status, found = run(indptr, indices, adj_w, rng, xi, int(samples), float(tol))
+    def balanced_subtree_checked(graph, rng, xi, samples, tol):
+        _proven("balanced subtree", graph, WeightedGraph)
+        _check_arrays("balanced subtree", (), ((xi, graph.n),))
+        status, found = run(graph.indptr, graph.indices, graph.weights, rng, xi[:graph.n],
+                            int(samples), float(tol))
         _check_status(status)
         return found
 
@@ -332,39 +338,40 @@ def _order_runner(run):
 
 
 def _sums_runner(run):
-    """The backend's ``subtree_sums``: checks the tree, then calls
-    ``run(parent, order, out)`` on a float64 copy ``out`` of the values."""
+    """The backend's ``subtree_sums``: calls ``run(parent, order, out)`` on
+    the tree and a float64 copy ``out`` of the values."""
 
-    def subtree_sums_checked(parent, order, values):
+    def subtree_sums_checked(tree, values):
+        _proven("subtree sums", tree, RootedTree)
         out = np.array(values, dtype=np.float64)
-        _check_tree("subtree sums", parent, order, ((out, parent.shape[0]),))
-        return run(parent, order, out)
+        _check_arrays("subtree sums", (), ((out, tree.n),))
+        return run(tree.parent, tree.order, out)
 
     return subtree_sums_checked
 
 
 def _potential_runner(run):
-    """The backend's ``tree_potential``: checks the tree, then calls ``run``."""
+    """The backend's ``tree_potential``: checks ``xi_cum``, then calls ``run``
+    on the tree's links, order and weights."""
 
-    def tree_potential_checked(parent, order, wpar, xi_cum, sign_at_zero):
-        n = parent.shape[0]
-        _check_tree("tree potential", parent, order, ((wpar, n), (xi_cum, n)))
-        return run(parent, order, wpar, xi_cum, float(sign_at_zero))
+    def tree_potential_checked(tree, xi_cum, sign_at_zero):
+        _proven("tree potential", tree, RootedTree)
+        _check_arrays("tree potential", (), ((xi_cum, tree.n),))
+        return run(tree.parent, tree.order, tree.weight_to_parent, xi_cum, float(sign_at_zero))
 
     return tree_potential_checked
 
 
 def _plan_runner(run):
-    """The backend's plan kernel: checks the tree, builds its
-    :func:`child_csr`, calls ``run`` with the reference's first four
-    arguments and the child CSR, and turns its ``(status, count, u, out_x,
+    """The backend's plan kernel: checks ``xi``, calls ``run(parent, order,
+    xi, zero_tol)`` on the tree and turns its ``(status, count, u, out_x,
     out_y, out_m)`` into entries or a ``RuntimeError``."""
 
-    def dp_plan_entries(parent, order, xi, zero_tol):
-        n = parent.shape[0]
-        _check_tree("plan kernel", parent, order, ((xi, n),))
-        child_ptr, child_idx = child_csr(parent)
-        status, count, u, out_x, out_y, out_m = run(parent, order, child_ptr, child_idx,
+    def dp_plan_entries(tree, xi, zero_tol):
+        _proven("plan kernel", tree, RootedTree)
+        n = tree.n
+        _check_arrays("plan kernel", (), ((xi, n),))
+        status, count, u, out_x, out_y, out_m = run(tree.parent, tree.order,
                                                      np.array(xi, dtype=np.float64), float(zero_tol))
         rows, cols, mass = out_x[:count], out_y[:count], out_m[:count]
         keys = rows * n + cols
@@ -398,41 +405,45 @@ def _simplex_runner(run):
 
 
 def _pairs_runner(run):
-    """The backend's tree-pair walk: checks the tree and the pairs, calls
-    ``run(parent, depth, wpar, xs, ys, mass, out)`` on a zeroed ``out`` (k
-    slots for distances, 2n for flows) and turns its ``(status, out)`` into
-    ``out`` or a ``NotSpanningError``."""
+    """The backend's tree-pair walk: checks the pairs, then returns what
+    ``run(parent, depth, wpar, xs, ys, mass, out)`` fills on the tree and a
+    zeroed ``out`` (k slots for distances, 2n for flows)."""
 
-    def tree_pairs_checked(parent, depth, wpar, xs, ys, mass):
-        n, k = parent.shape[0], xs.shape[0]
-        _check_arrays("tree pair walk", ((parent, n), (depth, n), (xs, k), (ys, k)),
-                      ((wpar, n),) + (() if mass is None else ((mass, k),)))
-        _check_parents("tree pair walk", parent)
+    def tree_pairs_checked(tree, xs, ys, mass):
+        _proven("tree pair walk", tree, RootedTree)
+        n, k = tree.n, xs.shape[0]
+        _check_arrays("tree pair walk", ((xs, k), (ys, k)), () if mass is None else ((mass, k),))
         _check_pairs(n, xs, ys)
-        status, out = run(parent, depth, wpar, xs, ys, mass, np.zeros(k if mass is None else 2 * n))
-        _check_status(status)
-        return out
+        return run(tree.parent, tree.depth, tree.weight_to_parent, xs, ys, mass,
+                   np.zeros(k if mass is None else 2 * n))
 
     return tree_pairs_checked
 
 
 def _distances_runner(run):
-    """The backend's pair distances: checks the CSR graph and the pairs,
-    orders the pairs by source (stably) and calls ``run(indptr, indices,
-    adj_w, xs, ys, by_source)``, whose ``(status, out)`` it turns into
-    ``out`` or a ``ValueError``."""
+    """The backend's pair distances: checks the pairs, orders them by source
+    (stably) and calls ``run(indptr, indices, adj_w, xs, ys, by_source)`` on
+    the graph's CSR, whose ``(status, out)`` it turns into ``out`` or a
+    ``ValueError``."""
 
-    def pair_distances_checked(indptr, indices, adj_w, xs, ys):
-        n, m, k = indptr.shape[0] - 1, indices.shape[0], xs.shape[0]
-        _check_arrays("shortest paths", ((indptr, n + 1), (indices, m), (xs, k), (ys, k)),
-                      ((adj_w, m),))
-        _check_graph("shortest paths", n, indptr, indices)
-        _check_pairs(n, xs, ys)
-        status, out = run(indptr, indices, adj_w, xs, ys, np.argsort(xs, kind="stable"))
+    def pair_distances_checked(graph, xs, ys):
+        _proven("shortest paths", graph, WeightedGraph)
+        k = xs.shape[0]
+        _check_arrays("shortest paths", ((xs, k), (ys, k)), ())
+        _check_pairs(graph.n, xs, ys)
+        status, out = run(graph.indptr, graph.indices, graph.weights, xs, ys,
+                          np.argsort(xs, kind="stable"))
         _check_status(status)
         return out
 
     return pair_distances_checked
+
+
+def _proven(kernel: str, obj, kind: type) -> None:
+    """Raise ``TypeError`` unless ``obj`` is a ``kind``, whose construction
+    proved the graph or tree that the kernel walks."""
+    if not isinstance(obj, kind):
+        raise TypeError(f"{kernel}: needs a {kind.__name__}, not {type(obj).__name__}")
 
 
 def _check_status(status: int, **context) -> None:
@@ -451,44 +462,6 @@ def _check_arrays(kernel: str, ints, floats) -> None:
             if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous or a.shape[0] < size:
                 raise ValueError(f"{kernel}: needs contiguous {dtype.__name__} arrays of the "
                                  "input's sizes")
-
-
-def _check_graph(kernel: str, n: int, indptr, indices, walks: bool = False) -> None:
-    """Raise unless ``indptr`` and ``indices`` are the CSR of a graph on n
-    vertices; for a random walk (``walks``) also unless n >= 1 and, for
-    n > 1, every vertex has a neighbour to step to."""
-    m = indices.shape[0]
-    if int(indptr[0]) != 0 or int(indptr[-1]) != m or (indptr[1:] < indptr[:-1]).any():
-        raise ValueError(f"{kernel}: indptr out of range")
-    if m and not (0 <= indices.min() and indices.max() < n):
-        raise ValueError(f"{kernel}: neighbour index out of range")
-    if walks and (n < 1 or n > 1 and (indptr[1:n + 1] == indptr[:n]).any()):
-        raise ValueError(f"{kernel}: the graph has no vertex or a vertex with no neighbour")
-
-
-def _check_parents(kernel: str, parent) -> None:
-    n = parent.shape[0]
-    if n and not (-1 <= parent.min() and parent.max() < n):
-        raise ValueError(f"{kernel}: parent index out of range")
-
-
-def _check_tree(kernel: str, parent, order, floats) -> None:
-    """Raise unless ``parent`` and ``order`` hold n int64 links each, the
-    ``floats`` pairs pass :func:`_check_arrays`, ``order`` lists every vertex
-    once with the root (parent -1) last, and every other vertex's parent
-    comes later in ``order``: the leaves-first order the tree passes walk."""
-    n = parent.shape[0]
-    _check_arrays(kernel, ((parent, n), (order, n)), floats)
-    if not n:
-        return
-    rank = np.full(n, -1)
-    if order.shape[0] == n and 0 <= order.min() and order.max() < n:
-        rank[order] = np.arange(n)
-    if rank.min() < 0 or parent[order[-1]] != -1:
-        raise ValueError(f"{kernel}: order is not a permutation ending at the root")
-    up = parent[order[:-1]]
-    if n > 1 and (up.min() < 0 or up.max() >= n or (rank[up] <= np.arange(n - 1)).any()):
-        raise ValueError(f"{kernel}: parent links do not climb along order to the root")
 
 
 def _check_pairs(n: int, xs, ys) -> None:
@@ -520,8 +493,7 @@ C_SIGNATURES = {
                                    _F64, _F64, _I64, _I64, _I64, _F64, _F64, _PTR, _PTR, _PTR, _PTR,
                                    _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
     "treeot_wilson": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
-    "treeot_dp_plan": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR, _PTR,
-                              _PTR, _PTR]),
+    "treeot_dp_plan": (_INT, [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
     "treeot_network_simplex": (_INT, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR,
                                       _PTR, _PTR]),
     "treeot_tree_order": (_INT, [_I64, _PTR, _I64, _PTR, _PTR, _PTR]),
@@ -529,7 +501,7 @@ C_SIGNATURES = {
     "treeot_tree_potential": (None, [_I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR]),
     "treeot_balanced_subtree": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR, _PTR,
                                        _PTR, _PTR]),
-    "treeot_tree_pairs": (_INT, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]),
+    "treeot_tree_pairs": (None, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]),
     "treeot_pair_distances": (_INT, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
                                      _PTR, _PTR]),
 }
@@ -589,15 +561,15 @@ def _load_c() -> Kernels:
                          np.empty(n, dtype=np.uint8), found)
         return status, bool(found[0])
 
-    def dp_plan_c(parent, order, child_ptr, child_idx, xi, zero_tol):
+    def dp_plan_c(parent, order, xi, zero_tol):
         n = parent.shape[0]
         cap = 4 * n + 16
         out_x = np.empty(cap, dtype=np.int64)
         out_y = np.empty(cap, dtype=np.int64)
         out_m = np.empty(cap)
         out_k = np.empty(2, dtype=np.int64)
-        status = _c_call(lib.treeot_dp_plan, n, parent, order, child_ptr, child_idx, xi, zero_tol,
-                         np.empty(n), np.empty(n, dtype=np.uint8), np.empty(4 * n, dtype=np.int64),
+        status = _c_call(lib.treeot_dp_plan, n, parent, order, xi, zero_tol, np.empty(2 * n),
+                         np.empty(n, dtype=np.uint8), np.empty(6 * n + 1, dtype=np.int64),
                          out_x, out_y, out_m, out_k)
         count, u = out_k.tolist()
         return status, count, u, out_x, out_y, out_m
@@ -613,8 +585,9 @@ def _load_c() -> Kernels:
         return status, int(pivots[0]), flow, pi
 
     def tree_pairs_c(parent, depth, wpar, xs, ys, mass, out):
-        return _c_call(lib.treeot_tree_pairs, parent.shape[0], parent, depth, wpar, xs.shape[0],
-                       xs, ys, mass, out), out
+        _c_call(lib.treeot_tree_pairs, parent.shape[0], parent, depth, wpar, xs.shape[0], xs, ys,
+                mass, out)
+        return out
 
     def pair_distances_c(indptr, indices, adj_w, xs, ys, by_source):
         n, m, k = indptr.shape[0] - 1, indices.shape[0], xs.shape[0]
@@ -624,11 +597,12 @@ def _load_c() -> Kernels:
                          np.empty(m + 1, dtype=np.int64), out)
         return status, out
 
-    return Kernels("c", _chain_runner(anneal_chain_c), _wilson_runner(wilson_tree_c),
-                   _plan_runner(dp_plan_c), _simplex_runner(network_simplex_c),
-                   _order_runner(tree_order_c), _sums_runner(subtree_sums_c),
-                   _potential_runner(tree_potential_c), _balanced_runner(balanced_subtree_c),
-                   _pairs_runner(tree_pairs_c), _distances_runner(pair_distances_c))
+    order = _order_runner(tree_order_c)
+    return Kernels("c", _chain_runner(anneal_chain_c, order), _wilson_runner(wilson_tree_c),
+                   _plan_runner(dp_plan_c), _simplex_runner(network_simplex_c), order,
+                   _sums_runner(subtree_sums_c), _potential_runner(tree_potential_c),
+                   _balanced_runner(balanced_subtree_c), _pairs_runner(tree_pairs_c),
+                   _distances_runner(pair_distances_c))
 
 
 def _compiler() -> list[str]:
@@ -1380,22 +1354,17 @@ def tree_pairs(parent, depth, wpar, xs, ys, mass, out):
     ``wpar`` of both ends' moves as one sum. Otherwise ``out`` holds 2n
     zeros, and every edge a pair climbs from child ``a`` adds ``mass[k]`` to
     ``out[a]`` (up), every edge it descends to child ``b`` to ``out[n + b]``
-    (down), so each edge adds its pairs' masses in pair order. Returns 0, or
-    ``TREE_PAIR_APART`` when an end must move from a vertex with no parent
-    or a walk takes n rounds (the links hold a second root or a cycle).
+    (down), so each edge adds its pairs' masses in pair order. The links
+    must be a tree that ``tree_order`` has proven, so every walk meets.
     """
     n = len(parent)
     for k in range(len(xs)):
         a = xs[k]
         b = ys[k]
         total = 0.0
-        rounds = 0
         while a != b:
             move_a = depth[a] >= depth[b]
             move_b = depth[b] >= depth[a]
-            if (move_a and parent[a] < 0) or (move_b and parent[b] < 0) or rounds == n:
-                return TREE_PAIR_APART
-            rounds += 1
             if mass is None:
                 total += (wpar[a] if move_a else 0.0) + (wpar[b] if move_b else 0.0)
             else:
@@ -1409,7 +1378,6 @@ def tree_pairs(parent, depth, wpar, xs, ys, mass, out):
                 b = parent[b]
         if mass is None:
             out[k] = total
-    return 0
 
 
 def pair_distances(indptr, indices, adj_w, xs, ys, by_source, dist, seen, settled, wanted, out):
@@ -1420,9 +1388,9 @@ def pair_distances(indptr, indices, adj_w, xs, ys, by_source, dist, seen, settle
     to a strictly shorter distance d[v] + w, and stops when its last target
     is settled. ``dist`` and the run stamps ``seen`` (dist current),
     ``settled`` and ``wanted`` (a target of this run) are n-slot work lists,
-    the stamps zero on entry. Returns 0, ``PATH_BAD_WEIGHT`` when an arc
-    weight is negative or not finite, or ``PATH_UNREACHED`` when a run runs
-    out of vertices before it settles its targets.
+    the stamps zero on entry. Returns 0, or ``PATH_BAD_WEIGHT`` when an arc
+    weight is negative or not finite. The graph must be connected, so every
+    run settles its targets.
 
     The (distance, id) keys in the heap are distinct, since a vertex is
     pushed again only at a strictly shorter distance, so every binary heap
@@ -1449,8 +1417,6 @@ def pair_distances(indptr, indices, adj_w, xs, ys, by_source, dist, seen, settle
         seen[s] = run
         heap = [(0.0, s)]
         while left > 0:
-            if not heap:
-                return PATH_UNREACHED
             d, v = heapq.heappop(heap)
             if settled[v] == run:
                 continue

@@ -28,7 +28,7 @@ from . import _kernels
 from .errors import VertexRangeError
 from .graphs import WeightedGraph
 from .transport import as_measure, imbalance
-from .trees import RootedTree, _from_parent_array, random_spanning_tree, subtree_aggregate
+from .trees import RootedTree, random_spanning_tree, subtree_aggregate
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,7 @@ def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResul
         wpar,
         xi_cum,
         root,
-        g.indptr,
-        g.indices,
-        g.weights,
+        g,
         xi,
         max_iters,
         config.beta0,
@@ -168,9 +166,9 @@ def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResul
     columns = (trace_iter, trace_cur, trace_best, trace_beta, trace_acc)
     trace = list(map(TraceRecord._make, zip(*(a[:records].tolist() for a in columns))))
     return AnnealResult(
-        best_tree=_from_parent_array(int(best_root), best_parent, best_wpar),
+        best_tree=RootedTree(best_root, best_parent, best_wpar),
         best_cost=float(best),
-        final_tree=_from_parent_array(int(final_root), parent, wpar),
+        final_tree=RootedTree(final_root, parent, wpar),
         final_cost=float(current),
         trace=trace,
         iters_run=int(iters_done),

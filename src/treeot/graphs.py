@@ -23,9 +23,12 @@ from .errors import (
 class WeightedGraph:
     """Undirected connected graph on dense vertex ids ``0..n-1`` with positive weights.
 
-    Immutable after construction, which raises ``DisconnectedError`` unless
-    the graph is connected. Adjacency is kept in CSR form
-    (``indptr``/``indices``/``weights``) so that hot loops can index it directly.
+    Adjacency is kept in CSR form (``indptr``/``indices``/``weights``) so that
+    hot loops can index it directly. Construction proves the CSR once for
+    every kernel that walks it (n >= 1, int64 ``indptr`` rising from 0 to the
+    arc count, int64 ``indices`` in range, no self-loop, every arc's reverse
+    present, float64 ``weights``; else ``ValueError``) and that the graph is
+    connected (else ``DisconnectedError``); then the arrays are read-only.
     """
 
     n: int
@@ -36,8 +39,31 @@ class WeightedGraph:
     weight_map: dict = field(repr=False)
 
     def __post_init__(self):
-        if self.n and not _is_connected(self):
+        n, indptr, indices, weights = self.n, self.indptr, self.indices, self.weights
+        m = indices.shape[0]
+        _kernels._check_arrays("graph CSR", ((indptr, n + 1), (indices, m)), ((weights, m),))
+        if (n < 1 or indptr.shape[0] != n + 1 or weights.shape[0] != m or indptr[0] != 0
+                or indptr[n] != m or (indptr[1:] < indptr[:-1]).any()):
+            raise ValueError("graph CSR: no vertex, or indptr or weights out of range")
+        if m and not (0 <= indices.min() and indices.max() < n):
+            raise ValueError("graph CSR: neighbour index out of range")
+        tails = self.arc_tails()
+        if (tails == indices).any() or not np.array_equal(np.sort(tails * n + indices),
+                                                          np.sort(indices * n + tails)):
+            raise ValueError("graph CSR: an arc is a self-loop or has no reverse arc")
+        ptr, heads = indptr.tolist(), indices.tolist()
+        seen = [True] + [False] * (n - 1)
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for nb in heads[ptr[v]:ptr[v + 1]]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    stack.append(nb)
+        if not all(seen):
             raise DisconnectedError("graph is not connected")
+        for a in (indptr, indices, weights):
+            a.setflags(write=False)
 
     @property
     def edge_count(self) -> int:
@@ -95,7 +121,7 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
     ends, w_list = (lo.tolist(), hi.tolist()), w.tolist()
-    g = WeightedGraph(
+    return WeightedGraph(
         n=n,
         edges=tuple(zip(*ends, w_list)),
         indptr=indptr,
@@ -103,9 +129,6 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
         weights=np.concatenate([w, w])[arcs],
         weight_map=dict(zip(zip(*ends), w_list)),
     )
-    for arr in (g.indptr, g.indices, g.weights):
-        arr.setflags(write=False)
-    return g
 
 
 def _read_edge(row) -> tuple[int, int, float]:
@@ -151,22 +174,6 @@ def _raise_for_edge(n: int, row) -> None:
     raise DuplicateEdgeError(f"duplicate edge {{{u},{v}}}")
 
 
-def _is_connected(g: WeightedGraph) -> bool:
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        v = stack.pop()
-        for nb in indices[indptr[v]:indptr[v + 1]]:
-            if not seen[nb]:
-                seen[nb] = True
-                stack.append(nb)
-                reached += 1
-    return reached == g.n
-
-
 def grid_graph(p: int, weight: float | None = None) -> WeightedGraph:
     """Four-neighbour lattice on ``p*p`` vertices, id ``i*p + j`` for row i, col j.
 
@@ -205,7 +212,7 @@ def pair_distances(g: WeightedGraph, xs, ys) -> np.ndarray:
     xs, ys = (np.ascontiguousarray(_vertex_indices(ends)) for ends in (xs, ys))
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise VertexRangeError(f"pair ends of shapes {xs.shape} and {ys.shape}")
-    return _kernels.kernels().pair_distances(g.indptr, g.indices, g.weights, xs, ys)
+    return _kernels.kernels().pair_distances(g, xs, ys)
 
 
 def _vertex_indices(values) -> np.ndarray:

@@ -179,9 +179,8 @@ def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> NondegeneracyVerdi
         trivial = 1 + (1 if abs(float(xi.sum())) <= BALANCE_TOL else 0)
         return NondegeneracyVerdict(holds=ties <= trivial, mode="exhaustive")
 
-    balanced = _kernels.kernels().balanced_subtree(graph.indptr, graph.indices, graph.weights,
-                                                   np.random.default_rng(0), xi, TREE_SAMPLES,
-                                                   BALANCE_TOL)
+    balanced = _kernels.kernels().balanced_subtree(graph, np.random.default_rng(0), xi,
+                                                   TREE_SAMPLES, BALANCE_TOL)
     return NondegeneracyVerdict(holds=not balanced, mode="necessary-only")
 
 

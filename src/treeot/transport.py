@@ -91,8 +91,7 @@ def tree_potential(t: RootedTree, mu, nu, sign_at_zero: int = +1) -> "Potential"
     if sign_at_zero not in (+1, -1):
         raise ValueError("sign_at_zero must be +1 or -1")
     xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
-    u = _kernels.kernels().tree_potential(t.parent, t.order, t.weight_to_parent, xi_cum,
-                                          sign_at_zero)
+    u = _kernels.kernels().tree_potential(t, xi_cum, sign_at_zero)
     u.setflags(write=False)
     return Potential(values=u, anchor=t.root)
 
@@ -311,7 +310,7 @@ def dp_transport_plan(t: RootedTree, mu, nu) -> TransportPlan:
     # exact unit sums so supply and demand cancel to rounding noise, not to the
     # 1e-9 ingestion tolerance, which would strand a leaf without a match
     xi = mu / mu.sum() - nu / nu.sum()
-    rows, cols, mass = _kernels.kernels().dp_plan(t.parent, t.order, xi, ZERO_SNAP)
+    rows, cols, mass = _kernels.kernels().dp_plan(t, xi, ZERO_SNAP)
     diag = np.minimum(mu, nu)
     on_diag = np.flatnonzero(diag > 0.0)
     return _assemble_plan(n, np.concatenate([rows, on_diag]), np.concatenate([cols, on_diag]),
@@ -324,8 +323,7 @@ def plan_to_flow(plan: TransportPlan, t: RootedTree) -> Flow:
     ancestor (as in :func:`treeot.trees.tree_path`), and each edge adds the
     masses of the pairs crossing it in support order. The walk is
     :func:`treeot._kernels.tree_pairs`, run on the kernel backend."""
-    sums = _kernels.kernels().tree_pairs(t.parent, t.depth, t.weight_to_parent, plan.rows,
-                                         plan.cols, plan.mass)
+    sums = _kernels.kernels().tree_pairs(t, plan.rows, plan.cols, plan.mass)
     return Flow(up=sums[:t.n], down=sums[t.n:])
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,17 +16,34 @@ class RootedTree:
     """Spanning tree with edges oriented towards a distinguished root.
 
     ``parent[v]`` is the unique out-neighbour of ``v`` (-1 at the root) and
-    ``weight_to_parent[v]`` the weight of that edge. ``order`` lists vertices
-    leaves-first, so a single forward pass aggregates child values into parents.
-    ``depth[v]`` counts edges from ``v`` to the root. No child lists are kept;
+    ``weight_to_parent[v]`` the weight of that edge. Construction copies both
+    read-only and proves once, by the backend's ``tree_order``, that the links
+    root a spanning tree at ``root`` (else ``NotSpanningError``, or
+    ``VertexRangeError`` for links that are not integers or shapes that
+    differ). That walk derives ``order``, the vertices leaves-first, so one
+    forward pass aggregates child values into parents, and ``depth[v]``, the
+    edges from ``v`` to the root. No child lists are kept;
     :func:`treeot._kernels.child_csr` derives them from ``parent``.
     """
 
     root: int
     parent: np.ndarray
     weight_to_parent: np.ndarray
-    order: np.ndarray
-    depth: np.ndarray
+    order: np.ndarray = field(init=False)
+    depth: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        parent = np.array(_vertex_indices(self.parent))
+        wpar = np.array(self.weight_to_parent, dtype=np.float64)
+        if parent.ndim != 1 or wpar.shape != parent.shape:
+            raise VertexRangeError(f"parent links of shape {parent.shape} do not match weights "
+                                   f"of shape {wpar.shape}")
+        order, depth = _kernels.kernels().tree_order(self.root, parent)
+        object.__setattr__(self, "root", int(self.root))
+        for name, a in (("parent", parent), ("weight_to_parent", wpar), ("order", order),
+                        ("depth", depth)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -39,19 +56,6 @@ class RootedTree:
             for v, p in enumerate(self.parent.tolist())
             if p >= 0
         }
-
-
-def _from_parent_array(root: int, parent: np.ndarray, weight_to_parent: np.ndarray) -> RootedTree:
-    """The :class:`RootedTree` of the parent links, which must root a
-    spanning tree at ``root`` (else ``NotSpanningError``); ``order`` and
-    ``depth`` come from the backend's ``tree_order``."""
-    order, depth = _kernels.kernels().tree_order(root, parent)
-    parent = parent.copy()
-    weight_to_parent = weight_to_parent.copy()
-    for arr in (parent, weight_to_parent, order, depth):
-        arr.setflags(write=False)
-    return RootedTree(root=int(root), parent=parent, weight_to_parent=weight_to_parent,
-                      order=order, depth=depth)
 
 
 def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
@@ -102,7 +106,7 @@ def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
             reached += 1
     if reached != n:
         raise NotSpanningError("tree edges do not reach every vertex")
-    return _from_parent_array(root, np.array(parent, dtype=np.int64), np.array(wpar, dtype=np.float64))
+    return RootedTree(root, parent, wpar)
 
 
 def reroot(t: RootedTree, new_root: int) -> RootedTree:
@@ -124,7 +128,7 @@ def reroot(t: RootedTree, new_root: int) -> RootedTree:
         wpar[upper] = t.weight_to_parent[lower]
     parent[new_root] = -1
     wpar[new_root] = 0.0
-    return _from_parent_array(new_root, parent, wpar)
+    return RootedTree(new_root, parent, wpar)
 
 
 def subtree_aggregate(t: RootedTree, values) -> np.ndarray:
@@ -136,7 +140,7 @@ def subtree_aggregate(t: RootedTree, values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (t.n,):
         raise VertexRangeError(f"expected {t.n} values, got shape {values.shape}")
-    return _kernels.kernels().subtree_sums(t.parent, t.order, values)
+    return _kernels.kernels().subtree_sums(t, values)
 
 
 def tree_path(t: RootedTree, x: int, y: int) -> list[tuple[int, int, str]]:
@@ -167,8 +171,7 @@ def tree_distance(t: RootedTree, x, y):
     :func:`treeot._kernels.tree_pairs`). Raises ``VertexRangeError`` for a
     vertex out of range or a float or bool index."""
     x, y = np.broadcast_arrays(_vertex_indices(x), _vertex_indices(y))
-    total = _kernels.kernels().tree_pairs(t.parent, t.depth, t.weight_to_parent, x.ravel(),
-                                          y.ravel(), None).reshape(x.shape)
+    total = _kernels.kernels().tree_pairs(t, x.ravel(), y.ravel(), None).reshape(x.shape)
     return float(total) if total.ndim == 0 else total
 
 
@@ -186,7 +189,4 @@ def random_spanning_tree(g: WeightedGraph, rng: np.random.Generator) -> RootedTr
     Deterministic for a given generator state, and the same tree on every
     kernel backend (see :func:`treeot._kernels.wilson_tree`).
     """
-    parent = np.empty(g.n, dtype=np.int64)
-    wpar = np.empty(g.n, dtype=np.float64)
-    root = _kernels.kernels().wilson_tree(g.indptr, g.indices, g.weights, rng, parent, wpar)
-    return _from_parent_array(int(root), parent, wpar)
+    return RootedTree(*_kernels.kernels().wilson_tree(g, rng))

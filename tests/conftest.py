@@ -37,7 +37,7 @@ from treeot.errors import (
     VertexRangeError,
 )
 from treeot.graphs import WeightedGraph
-from treeot.trees import _from_parent_array
+from treeot.trees import RootedTree
 
 LINE6_XI = np.array([0.05, 0.05, -0.2, -0.1, -0.1, 0.3])
 
@@ -197,8 +197,12 @@ def reference_order_depth(root, parent):
     """``order`` and ``depth`` of a rooted tree by a depth-first walk over
     per-vertex child lists: children are pushed in increasing id order, and
     each popped vertex takes the last free slot of ``order``, so leaves come
-    first and the root last."""
+    first and the root last. ``None`` unless the links root a spanning tree at
+    ``root``: the root in range with link -1, every link in -1..n-1 and every
+    vertex reached by the walk."""
     n = len(parent)
+    if not (0 <= root < n and parent[root] == -1 and all(-1 <= p < n for p in parent)):
+        return None
     kids = children_lists(parent)
     depth = np.zeros(n, dtype=np.int64)
     order = np.empty(n, dtype=np.int64)
@@ -211,8 +215,27 @@ def reference_order_depth(root, parent):
         for c in kids[v]:
             depth[c] = depth[v] + 1
             stack.append(c)
-    assert pos == 0
-    return order, depth
+    return None if pos else (order, depth)
+
+
+def reference_csr_verdict(n, indptr, indices):
+    """What building a ``WeightedGraph`` on the CSR arrays should raise, by
+    plain loops over the arcs: ``ValueError`` for a graph with no vertex, a
+    neighbour out of range, a self-loop or an arc listed more often than its
+    reverse, ``DisconnectedError`` when a walk over the arcs from vertex 0
+    misses a vertex, else ``None``."""
+    arcs = [(v, int(indices[j])) for v in range(n) for j in range(indptr[v], indptr[v + 1])]
+    if n < 1 or any(not 0 <= b < n or a == b or arcs.count((a, b)) != arcs.count((b, a))
+                    for a, b in arcs):
+        return ValueError
+    reached, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for a, b in arcs:
+            if a == v and b not in reached:
+                reached.add(b)
+                stack.append(b)
+    return None if len(reached) == n else DisconnectedError
 
 
 def reference_subtree_sums(parent, order, values):
@@ -648,7 +671,7 @@ def reference_root_tree(g, tree_edges, root):
             reached += 1
     if reached != n:
         raise NotSpanningError("tree edges do not reach every vertex")
-    return _from_parent_array(root, parent, wpar)
+    return RootedTree(root, parent, wpar)
 
 
 def raised(func, *args):
@@ -752,7 +775,7 @@ class SwapChain:
                                 self.g.weights, self.xi)
 
     def tree(self):
-        return _from_parent_array(self.root, self.parent, self.wpar)
+        return RootedTree(self.root, self.parent, self.wpar)
 
 
 def c_compiler_found() -> bool:
@@ -767,9 +790,10 @@ def compiled_backends() -> list[str]:
     return ["c"] if c_compiler_found() else []
 
 
-def run_python(code: str, backend: str | None = None, argv=(), **env_overrides):
+def run_python(code: str, backend: str | None = None, argv=(), timeout=None, **env_overrides):
     """Run ``code`` in a fresh interpreter on ``backend`` (default: unset),
-    with ``argv`` as its arguments; ``TESTS_DIR`` in the code names this
+    with ``argv`` as its arguments, killing it after ``timeout`` seconds
+    (``subprocess.TimeoutExpired``); ``TESTS_DIR`` in the code names this
     directory. The child imports the same treeot as this process, also when
     only pytest's ``pythonpath`` put it on ``sys.path``."""
     env = dict(os.environ, **env_overrides)
@@ -780,7 +804,7 @@ def run_python(code: str, backend: str | None = None, argv=(), **env_overrides):
         env["TREEOT_BACKEND"] = backend
     code = code.replace("TESTS_DIR", repr(os.path.dirname(os.path.abspath(__file__))))
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env)
+                          env=env, timeout=timeout)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -12,9 +12,16 @@ import pytest
 
 import treeot as ot
 from treeot import _kernels
-from treeot.errors import NegativeMassError, NonFiniteMassError, TreeOTError, VertexRangeError
+from treeot.errors import (
+    NegativeMassError,
+    NonFiniteMassError,
+    NotSpanningError,
+    TreeOTError,
+    VertexRangeError,
+)
 from treeot.oracle import complementary_violation
 from treeot.transport import ZERO_SNAP
+from treeot.trees import RootedTree
 
 from conftest import (
     children_lists,
@@ -24,6 +31,7 @@ from conftest import (
     random_connected_graph,
     random_measure_pair,
     random_tree_graph,
+    raised,
     reference_plan_to_flow,
     run_python,
 )
@@ -380,7 +388,7 @@ errors = []
 t = line_tree(3, 2)
 for xi in INCONSISTENT:
     try:
-        _kernels.kernels().dp_plan(t.parent, t.order, np.array(xi), 1e-14)
+        _kernels.kernels().dp_plan(t, np.array(xi), 1e-14)
         errors.append(None)
     except RuntimeError as exc:
         errors.append(str(exc))
@@ -473,7 +481,7 @@ class TestTreeMetricOnTheSupport:
 
 class TestPlanGuards:
     def fake_kernel(self, status, rows, cols, u=-1):
-        def run(parent, order, child_ptr, child_idx, xi, zero_tol):
+        def run(parent, order, xi, zero_tol):
             k = len(rows)
             return (status, k, u, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                     np.full(k, 0.25))
@@ -483,20 +491,20 @@ class TestPlanGuards:
         t = line_tree(4, 3)
         kernel = self.fake_kernel(0, [0, 2, 1, 2, 0], [3, 3, 3, 3, 3])
         with pytest.raises(RuntimeError, match=r"wrote off-diagonal entry \(2, 3\) twice"):
-            kernel(t.parent, t.order, np.zeros(4), 1e-14)
+            kernel(t, np.zeros(4), 1e-14)
 
     def test_repeat_is_reported_before_a_failed_status(self):
         t = line_tree(4, 3)
         kernel = self.fake_kernel(_kernels.PLAN_NO_END, [1, 1], [3, 3])
         with pytest.raises(RuntimeError, match="twice"):
-            kernel(t.parent, t.order, np.zeros(4), 1e-14)
+            kernel(t, np.zeros(4), 1e-14)
 
     def test_statuses_map_to_the_loop_messages(self):
         t = line_tree(4, 3)
         with pytest.raises(RuntimeError, match="^plan construction did not terminate$"):
-            self.fake_kernel(_kernels.PLAN_NO_END, [0], [3])(t.parent, t.order, np.zeros(4), 0.0)
+            self.fake_kernel(_kernels.PLAN_NO_END, [0], [3])(t, np.zeros(4), 0.0)
         with pytest.raises(RuntimeError, match="^no matching vertex below 2; residuals are inconsistent$"):
-            self.fake_kernel(_kernels.PLAN_NO_MATCH, [], [], u=2)(t.parent, t.order, np.zeros(4), 0.0)
+            self.fake_kernel(_kernels.PLAN_NO_MATCH, [], [], u=2)(t, np.zeros(4), 0.0)
 
     @pytest.mark.parametrize("parent, order", [
         ([1, 2, -1], [0, 2, 1]),   # parent after its child in order
@@ -506,9 +514,17 @@ class TestPlanGuards:
         ([3, 2, -1], [0, 1, 2]),   # parent out of range
     ])
     def test_malformed_tree_is_rejected(self, parent, order):
+        # the kernel walks only a RootedTree, whose order it derives; links
+        # that are not a tree cannot build one
         kernel = _kernels.kernels().dp_plan
-        with pytest.raises(ValueError, match="plan kernel"):
-            kernel(np.array(parent, dtype=np.int64), np.array(order, dtype=np.int64), np.zeros(3), 0.0)
+        with pytest.raises(TypeError, match="plan kernel: needs a RootedTree"):
+            kernel((np.array(parent, dtype=np.int64), np.array(order, dtype=np.int64)), np.zeros(3),
+                   0.0)
+        root = parent.index(-1)
+        tree = raised(RootedTree, root, np.array(parent, dtype=np.int64), np.ones(3))
+        assert tree is None or tree[0] is NotSpanningError
+        if tree is None:
+            assert RootedTree(root, parent, np.ones(3)).order.tolist() != order
 
 
 def old_make_plan_outcome(n, triplets):

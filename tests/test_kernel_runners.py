@@ -1,6 +1,9 @@
 """Every ``Kernels`` entry checks its inputs in one runner that both backends
 share, so a malformed call raises the same exception with the same message on
-every backend, the plain-Python reference included."""
+every backend, the plain-Python reference included. A kernel that walks a
+graph or a tree takes only a ``WeightedGraph`` or ``RootedTree``, proven when
+it was built: a malformed CSR or parent link raises at construction, the same
+way on every backend."""
 
 import numpy as np
 import pytest
@@ -8,33 +11,35 @@ import pytest
 import treeot as ot
 from treeot import _kernels
 from treeot.errors import TreeOTError
+from treeot.trees import RootedTree
 
-from conftest import compiled_backends, raised
+from conftest import compiled_backends, raised, run_python
 
 N = 9  # vertices of the 3x3 lattice that every call runs on
 
 #: every kernel's arguments, by name, in order
 SIGNATURES = {
-    "anneal_chain": "parent wpar xi_cum root indptr indices adj_w xi_node max_iters beta0 "
-                    "target_accept eta window record_every recompute_every target_cost rng "
-                    "best_parent best_wpar trace_iter trace_cur trace_best trace_beta trace_acc",
-    "wilson_tree": "indptr indices adj_w rng parent wpar",
-    "dp_plan": "parent order xi zero_tol",
+    "anneal_chain": "parent wpar xi_cum root graph xi_node max_iters beta0 target_accept eta "
+                    "window record_every recompute_every target_cost rng best_parent best_wpar "
+                    "trace_iter trace_cur trace_best trace_beta trace_acc",
+    "wilson_tree": "graph rng",
+    "dp_plan": "tree xi zero_tol",
     "network_simplex": "supply tail head cost",
     "tree_order": "root parent",
-    "subtree_sums": "parent order values",
-    "tree_potential": "parent order wpar xi_cum sign_at_zero",
-    "balanced_subtree": "indptr indices adj_w rng xi samples tol",
-    "tree_pairs": "parent depth wpar xs ys mass",
-    "pair_distances": "indptr indices adj_w xs ys",
+    "subtree_sums": "tree values",
+    "tree_potential": "tree xi_cum sign_at_zero",
+    "balanced_subtree": "graph rng xi samples tol",
+    "tree_pairs": "tree xs ys mass",
+    "pair_distances": "graph xs ys",
 }
 
 #: case: the argument it breaks and the malformed value made from the good one
-#: (besides the ``int32-<argument>`` and ``short-<argument>`` cases)
+#: (besides the ``int32-<argument>`` and ``short-<argument>`` cases); a
+#: ``graph`` argument is built from ``indptr``, ``indices`` and ``adj_w``, and a
+#: ``tree`` from ``root``, ``parent`` and ``wpar``
 CASES = {
     "parent-link-minus-2": ("parent", lambda p: np.where(p == p.max(), -2, p)),
     "parent-link-out-of-range": ("parent", lambda p: np.where(p == p.max(), N, p)),
-    "order-not-a-permutation": ("order", lambda o: np.r_[o[1], o[1:]]),
     "neighbour-out-of-range": ("indices", lambda a: a + 1),
     "vertex-without-neighbour": ("indptr", lambda a: np.r_[0, 0, a[2:]]),
     "arc-endpoint-out-of-range": ("head", lambda a: a + 1),
@@ -51,16 +56,14 @@ KERNEL_CASES = {
                      "int32-parent", "short-xi_node"],
     "wilson_tree": ["neighbour-out-of-range", "vertex-without-neighbour", "int32-indptr",
                     "short-adj_w"],
-    "dp_plan": ["parent-link-minus-2", "parent-link-out-of-range", "order-not-a-permutation",
-                "int32-order", "short-xi"],
+    "dp_plan": ["parent-link-minus-2", "parent-link-out-of-range", "short-xi"],
     "network_simplex": ["arc-endpoint-out-of-range", "negative-arc-cost", "int32-tail",
                         "short-tail"],
     "tree_order": ["parent-link-minus-2", "parent-link-out-of-range", "root-out-of-range",
                    "int32-parent"],
-    "subtree_sums": ["parent-link-minus-2", "parent-link-out-of-range", "order-not-a-permutation",
-                     "int32-order", "short-values"],
-    "tree_potential": ["parent-link-minus-2", "parent-link-out-of-range",
-                       "order-not-a-permutation", "short-wpar", "short-xi_cum"],
+    "subtree_sums": ["parent-link-minus-2", "parent-link-out-of-range", "short-values"],
+    "tree_potential": ["parent-link-minus-2", "parent-link-out-of-range", "short-wpar",
+                       "short-xi_cum"],
     "balanced_subtree": ["neighbour-out-of-range", "vertex-without-neighbour", "int32-indices",
                          "short-adj_w"],
     "tree_pairs": ["parent-link-minus-2", "parent-link-out-of-range", "pair-vertex-out-of-range",
@@ -79,11 +82,11 @@ def arguments() -> dict:
     xi = np.linspace(-0.4, 0.4, N)
     rows = 50 // 10 + 2
     return {
-        "parent": t.parent.copy(), "wpar": t.weight_to_parent.copy(), "order": t.order.copy(),
-        "depth": t.depth.copy(), "root": t.root, "xi_cum": ot.subtree_aggregate(t, xi),
-        "xi_node": xi.copy(), "xi": xi.copy(), "values": xi.copy(), "supply": xi.copy(),
-        "indptr": g.indptr.copy(), "indices": g.indices.copy(), "adj_w": g.weights.copy(),
-        "tail": g.arc_tails(), "head": g.indices.copy(), "cost": g.weights.copy(),
+        "parent": t.parent.copy(), "wpar": t.weight_to_parent.copy(), "root": t.root,
+        "xi_cum": ot.subtree_aggregate(t, xi), "xi_node": xi.copy(), "xi": xi.copy(),
+        "values": xi.copy(), "supply": xi.copy(), "indptr": g.indptr.copy(),
+        "indices": g.indices.copy(), "adj_w": g.weights.copy(), "tail": g.arc_tails(),
+        "head": g.indices.copy(), "cost": g.weights.copy(),
         "xs": np.arange(N, dtype=np.int64), "ys": np.arange(N, dtype=np.int64)[::-1].copy(),
         "mass": None, "max_iters": 50, "beta0": 1.0, "target_accept": 0.3, "eta": 0.05,
         "window": 10, "record_every": 10, "recompute_every": 0, "target_cost": np.nan,
@@ -95,18 +98,39 @@ def arguments() -> dict:
     }
 
 
-def call_args(kernel: str, case: str | None = None) -> list:
-    """The arguments of ``kernel``, with the one that ``case`` breaks broken."""
+def call(kernel_fn, kernel: str, case: str | None = None):
+    """``kernel_fn`` (the entry ``kernel`` of some backend) on the arguments
+    of ``kernel``, the one that ``case`` breaks broken. A ``graph`` or
+    ``tree`` is built here, in the call, from its arrays (the raw arrays
+    themselves for ``raw-structure``), on the backend that ``kernels()``
+    returns."""
     args = arguments()
     kind, _, name = (case or "").partition("-")
     if kind == "int32":
         args[name] = args[name].astype(np.int32)
     elif kind == "short":
         args[name] = args[name][:-1]
-    elif case:
+    elif case and case != "raw-structure":
         name, bad = CASES[case]
         args[name] = bad(args[name])
-    return [args[a] for a in SIGNATURES[kernel].split()]
+    names = SIGNATURES[kernel].split()
+    raw = {"graph": ("indptr", "indices", "adj_w"), "tree": ("root", "parent", "wpar")}
+    if case == "raw-structure":
+        args.update({key: tuple(args[a] for a in parts) for key, parts in raw.items()})
+    elif "graph" in names:
+        args["graph"] = ot.WeightedGraph(n=N, edges=(), weight_map={}, indptr=args["indptr"],
+                                         indices=args["indices"], weights=args["adj_w"])
+    elif "tree" in names:
+        args["tree"] = RootedTree(args["root"], args["parent"], args["wpar"])
+    return kernel_fn(*[args[a] for a in names])
+
+
+def outcome(loaded, backend: str, kernel: str, case: str | None = None):
+    """What ``call`` raises with ``backend``'s entry, the graph or tree built
+    on that backend too: ``(type, message)``, or ``None``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "kernels", lambda: loaded[backend])
+        return raised(call, getattr(loaded[backend], kernel), kernel, case)
 
 
 @pytest.fixture(scope="module")
@@ -114,15 +138,82 @@ def loaded():
     return {backend: _kernels._LOADERS[backend]() for backend in ["python", *compiled_backends()]}
 
 
-def test_every_kernel_has_cases():
+def test_every_kernel_has_cases(loaded):
     assert set(KERNEL_CASES) == set(SIGNATURES) == set(_kernels.Kernels._fields) - {"name"}
+    assert len(WALKS) == 8
     for kernel in SIGNATURES:
-        assert raised(getattr(_kernels._load_python(), kernel), *call_args(kernel)) is None
+        assert outcome(loaded, "python", kernel) is None
 
 
 @pytest.mark.parametrize("kernel, case", [(k, c) for k, cases in KERNEL_CASES.items() for c in cases])
 def test_malformed_input_raises_alike_on_every_backend(kernel, case, loaded):
-    expected = raised(getattr(loaded["python"], kernel), *call_args(kernel, case))
+    expected = outcome(loaded, "python", kernel, case)
     assert expected is not None and issubclass(expected[0], (ValueError, RuntimeError, TreeOTError))
     for backend in compiled_backends():
-        assert raised(getattr(loaded[backend], kernel), *call_args(kernel, case)) == expected
+        assert outcome(loaded, backend, kernel, case) == expected
+
+
+WALKS = [k for k, names in SIGNATURES.items() if {"graph", "tree"} & set(names.split())]
+
+
+@pytest.mark.parametrize("kernel", WALKS)
+def test_walks_take_only_a_proven_graph_or_tree(kernel, loaded):
+    expected = outcome(loaded, "python", kernel, "raw-structure")
+    kind = "WeightedGraph" if "graph" in SIGNATURES[kernel].split() else "RootedTree"
+    assert expected[0] is TypeError and expected[1].endswith(f"needs a {kind}, not tuple")
+    for backend in compiled_backends():
+        assert outcome(loaded, backend, kernel, "raw-structure") == expected
+
+
+# Two inputs that once crashed or hung a kernel, each run in a child
+# interpreter under a time limit, so a crash or a hang fails one test.
+CHAIN_ON_A_TWO_CYCLE = """
+import numpy as np
+import treeot as ot
+from treeot import _kernels
+g = ot.grid_graph(3)
+t = ot.random_spanning_tree(g, np.random.default_rng(0))
+a, b = [v for v in range(g.n) if v != t.root][:2]
+parent = t.parent.copy()
+parent[a], parent[b] = b, a
+xi = np.linspace(-0.4, 0.4, g.n)
+try:
+    _kernels.kernels().anneal_chain(
+        parent, t.weight_to_parent.copy(), ot.subtree_aggregate(t, xi), t.root, g, xi, 50, 1.0,
+        0.3, 0.05, 10, 10, 0, np.nan, np.random.default_rng(1), np.empty(g.n, dtype=np.int64),
+        np.empty(g.n), np.zeros(7, dtype=np.int64), *(np.zeros(7) for _ in range(4)))
+except Exception as exc:
+    print(type(exc).__name__, t.root, exc)
+"""
+
+DISCONNECTED_CSR = """
+import numpy as np
+import treeot as ot
+from treeot import _kernels
+csr = np.array([0, 1, 2, 3, 4]), np.array([1, 0, 3, 2]), np.ones(4)
+for build in (lambda: ot.WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)), indptr=csr[0],
+                                       indices=csr[1], weights=csr[2],
+                                       weight_map={(0, 1): 1.0, (2, 3): 1.0}),
+              lambda: _kernels.kernels().wilson_tree(csr, np.random.default_rng(0))):
+    try:
+        build()
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", *compiled_backends()])
+def test_chain_on_two_linked_vertices_raises_not_spanning(backend):
+    proc = run_python(CHAIN_ON_A_TWO_CYCLE, backend, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    kind, root, message = proc.stdout.strip().split(" ", 2)
+    assert kind == "NotSpanningError"
+    assert message == f"parent links are not a tree rooted at {root}: parent links do not reach every vertex"
+
+
+@pytest.mark.parametrize("backend", ["python", *compiled_backends()])
+def test_disconnected_csr_is_refused_before_any_walk(backend):
+    proc = run_python(DISCONNECTED_CSR, backend, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["DisconnectedError graph is not connected",
+                                        "TypeError Wilson tree: needs a WeightedGraph, not tuple"]

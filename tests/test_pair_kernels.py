@@ -9,6 +9,7 @@ import pytest
 import treeot as ot
 from treeot import _kernels
 from treeot.errors import VertexRangeError
+from treeot.trees import RootedTree
 
 from conftest import (
     compiled_backends,
@@ -64,9 +65,9 @@ def runs(instances):
         for g, t, plan in instances:
             xs, ys = all_pairs(g.n)
             out[backend].append((
-                k.tree_pairs(t.parent, t.depth, t.weight_to_parent, xs, ys, None),
-                k.tree_pairs(t.parent, t.depth, t.weight_to_parent, plan.rows, plan.cols, plan.mass),
-                k.pair_distances(g.indptr, g.indices, g.weights, xs, ys),
+                k.tree_pairs(t, xs, ys, None),
+                k.tree_pairs(t, plan.rows, plan.cols, plan.mass),
+                k.pair_distances(g, xs, ys),
             ))
     return out
 
@@ -135,37 +136,45 @@ class TestPairDistances:
         rng = np.random.default_rng(3)
         for g, _, _ in instances:
             xs, ys = (rng.integers(0, g.n, size=3 * g.n) for _ in range(2))
-            got = k.pair_distances(g.indptr, g.indices, g.weights, xs, ys)
+            got = k.pair_distances(g, xs, ys)
             assert got.tobytes() == dijkstra_all_pairs(g)[xs, ys].tobytes()
 
 
 def kernel_errors(backend):
-    """``(type, message)`` of what each malformed call raises on ``backend``."""
+    """``(type, message)`` of what each malformed call raises on ``backend``,
+    building the malformed trees and graphs included."""
     k = _kernels._LOADERS[backend]()
     g = ot.grid_graph(3)
     t = ot.random_spanning_tree(g, np.random.default_rng(0))
-    walk = (t.parent, t.depth, t.weight_to_parent)
-    csr = (g.indptr, g.indices, g.weights)
     pair = np.array([0], dtype=np.int64)
     bad = [np.array([v], dtype=np.int64) for v in (-1, 9)]
-    calls = [(k.tree_pairs, *walk, b, pair, None) for b in bad]
-    calls += [(k.tree_pairs, *walk, pair, b, np.ones(1)) for b in bad]
-    calls += [(k.pair_distances, *csr, b, pair) for b in bad]
-    calls += [(k.pair_distances, *csr, pair, b) for b in bad]
-    # two roots: the walk from 0 to 1 meets no common ancestor
-    two_roots = np.array([-1, -1], dtype=np.int64)
-    calls.append((k.tree_pairs, two_roots, np.zeros(2, dtype=np.int64), np.ones(2),
-                  pair, np.array([1], dtype=np.int64), None))
+    calls = [(k.tree_pairs, t, b, pair, None) for b in bad]
+    calls += [(k.tree_pairs, t, pair, b, np.ones(1)) for b in bad]
+    calls += [(k.pair_distances, g, b, pair) for b in bad]
+    calls += [(k.pair_distances, g, pair, b) for b in bad]
+
+    def walk(parent):
+        tree = RootedTree(0, np.array(parent, dtype=np.int64), np.ones(len(parent)))
+        return k.tree_pairs(tree, pair, np.array([1], dtype=np.int64), None)
+
+    def paths(indptr, indices, weights, ys):
+        graph = ot.WeightedGraph(n=len(indptr) - 1, edges=(), weight_map={},
+                                 indptr=np.array(indptr, dtype=np.int64),
+                                 indices=np.array(indices, dtype=np.int64),
+                                 weights=np.array(weights, dtype=np.float64))
+        return k.pair_distances(graph, pair, np.array(ys, dtype=np.int64))
+
+    # two roots: the walk from 0 to 1 would meet no common ancestor
+    calls.append((walk, [-1, -1]))
     # a cycle above vertex 1 that never reaches the root 0
-    cycle = np.array([-1, 2, 1], dtype=np.int64)
-    calls.append((k.tree_pairs, cycle, np.array([0, 1, 1], dtype=np.int64), np.ones(3),
-                  pair, np.array([1], dtype=np.int64), None))
+    calls.append((walk, [-1, 2, 1]))
     # a negative weight; a CSR whose vertex 1 has no arc; indices out of range
-    one_arc = (np.array([0, 1, 1], dtype=np.int64), np.array([0], dtype=np.int64))
-    calls.append((k.pair_distances, g.indptr, g.indices, -g.weights, pair, pair))
-    calls.append((k.pair_distances, *one_arc, np.ones(1), pair, np.array([1], dtype=np.int64)))
-    calls.append((k.pair_distances, g.indptr, g.indices + 9, g.weights, pair, pair))
-    return [raised(call[0], *call[1:]) for call in calls]
+    calls.append((paths, g.indptr, g.indices, -g.weights, pair))
+    calls.append((paths, [0, 1, 1], [0], [1.0], [1]))
+    calls.append((paths, g.indptr, g.indices + 9, g.weights, pair))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "kernels", lambda: k)
+        return [raised(call[0], *call[1:]) for call in calls]
 
 
 def test_bad_pairs_and_graphs_raise_alike_on_every_backend():
@@ -173,8 +182,8 @@ def test_bad_pairs_and_graphs_raise_alike_on_every_backend():
     assert all(e is not None for e in expected)
     kinds = [kind.__name__ for kind, _ in expected]
     assert kinds == ["VertexRangeError"] * 8 + ["NotSpanningError"] * 2 + ["ValueError"] * 3
-    assert "does not meet" in expected[8][1] and "negative or not finite" in expected[10][1]
-    assert "cannot be reached" in expected[11][1]
+    assert "not a tree rooted at 0" in expected[8][1] and "negative or not finite" in expected[10][1]
+    assert "self-loop" in expected[11][1]
     for backend in compiled_backends():
         assert kernel_errors(backend) == expected
 

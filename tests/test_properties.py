@@ -6,21 +6,32 @@ it on a tree graph (whose only spanning tree is itself), and, being a
 distance, does not change when mu and nu are swapped. ``solve``, the
 network simplex on the graph's own arcs, finds the dense oracle's value, and
 its potential certifies that value: it is 1-Lipschitz on every edge and its
-duality value is the optimum. The examples are derandomized, so every run
-checks the same ones.
+duality value is the optimum. A ``RootedTree`` built from random parent
+links, and a ``WeightedGraph`` from random CSR arrays, is proven the same way
+on every backend, as plain-loop references in ``conftest.py`` decide. The
+examples are derandomized, so every run checks the same ones.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 import treeot as ot
+from treeot import _kernels
+from treeot.errors import NotSpanningError
 from treeot.oracle import lipschitz_violation
+from treeot.trees import RootedTree
+
+from conftest import compiled_backends, reference_csr_verdict, reference_order_depth
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 PROPERTY_SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
                                         database=None)
+# the proofs are cheap, and most random links or arrays fail them
+PROOF_SETTINGS = hypothesis.settings(PROPERTY_SETTINGS, max_examples=300)
 # integer weights and masses tie distances and balance vertex sets
 WEIGHTS = st.one_of(st.integers(1, 3).map(float), st.floats(0.05, 1.0))
 MASSES = st.one_of(st.integers(0, 3).map(float), st.floats(0.001, 3.0))
@@ -97,3 +108,98 @@ def test_solve_potential_duality_value_is_the_solve_value(instance):
     assert sol.potential.values[0] == 0.0
     duality = float(np.dot(sol.potential.values, mu - nu))
     assert abs(duality - sol.value) <= 1e-12 * max(1.0, sol.value)
+
+
+@functools.cache
+def backends() -> dict:
+    """Every backend's kernels, loaded on first use (inside the session's
+    kernel cache)."""
+    return {b: _kernels._LOADERS[b]() for b in ["python", *compiled_backends()]}
+
+
+def built_on_every_backend(build) -> list:
+    """What ``build()`` returns with each backend's kernels, or the ``(type,
+    message)`` it raises."""
+    out = []
+    for k in backends().values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "kernels", lambda k=k: k)
+            try:
+                out.append(build())
+            except Exception as exc:  # the type itself is what is compared
+                out.append((type(exc), str(exc)))
+    return out
+
+
+@st.composite
+def parent_links(draw):
+    """A root and parent links on 1..9 vertices: a random rooted tree with up
+    to three links rewritten (a cycle, a self-link, a second root, a link out
+    of range or a parent for the root), sometimes a root out of range, as
+    int64 or int32 links."""
+    n = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(n)))
+    parent = [-1] * n
+    for i in range(1, n):
+        parent[order[i]] = order[draw(st.integers(0, i - 1))]
+    for v, p in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, n + 1)),
+                              max_size=3)):
+        parent[v] = p
+    root = draw(st.one_of(st.just(order[0]), st.integers(-1, n)))
+    return root, np.array(parent, dtype=draw(st.sampled_from([np.int64, np.int32])))
+
+
+@PROOF_SETTINGS
+@hypothesis.given(parent_links())
+def test_rooted_tree_is_proven_alike_on_every_backend(links):
+    root, parent = links
+
+    def orient():
+        t = RootedTree(root, parent, np.ones(parent.shape[0]))
+        return t.order.tolist(), t.depth.tolist()
+
+    outcomes = built_on_every_backend(orient)
+    assert all(o == outcomes[0] for o in outcomes)
+    expected = reference_order_depth(root, parent.tolist())
+    if expected is None:
+        assert outcomes[0][0] is NotSpanningError
+        assert outcomes[0][1].startswith(f"parent links are not a tree rooted at {root}: ")
+    else:
+        assert outcomes[0] == tuple(a.tolist() for a in expected)
+
+
+@st.composite
+def csr_arrays(draw):
+    """CSR arrays on 1..7 vertices holding both arcs of n - 1 to 12 random
+    edges (repeats included; self-loops only on one vertex), one time in four
+    with one arc dropped or its head moved, possibly out of range."""
+    n = draw(st.integers(1, 7))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)))
+    pairs = [(a, (a + d) % n) for a, d in draw(st.lists(ends, min_size=n - 1, max_size=12))]
+    arcs = sorted(pairs + [(b, a) for a, b in pairs])
+    if arcs and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(arcs) - 1))
+        head = draw(st.one_of(st.none(), st.integers(-1, n)))
+        arcs[k:k + 1] = [] if head is None else [(arcs[k][0], head)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount([a for a, _ in arcs], minlength=n), out=indptr[1:])
+    return n, indptr, np.array([b for _, b in arcs], dtype=np.int64)
+
+
+@PROOF_SETTINGS
+@hypothesis.given(csr_arrays())
+def test_weighted_graph_is_proven_alike_on_every_backend(csr):
+    n, indptr, indices = csr
+
+    def build():
+        g = ot.WeightedGraph(n=n, edges=(), indptr=indptr.copy(), indices=indices.copy(),
+                             weights=np.ones(indices.shape[0]), weight_map={})
+        return "built", ot.random_spanning_tree(g, np.random.default_rng(0)).n
+
+    outcomes = built_on_every_backend(build)
+    assert all(o == outcomes[0] for o in outcomes)
+    expected = reference_csr_verdict(n, indptr, indices)
+    if expected is None:
+        assert outcomes[0] == ("built", n)
+    else:
+        assert outcomes[0][0] is expected

@@ -16,6 +16,7 @@ Parameters are checked in the package only: pytest reads test parameters
 """
 
 import ast
+import ctypes
 import importlib
 import re
 import subprocess
@@ -239,7 +240,7 @@ def code_mismatches(source: str) -> list[str]:
 
 def test_kernel_codes_match_the_c_enum():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert len(c_enum(source)) == 19
+    assert len(c_enum(source)) == 17
     assert code_mismatches(source) == []
 
 
@@ -251,7 +252,7 @@ def test_the_code_check_flags_a_mismatched_copy():
         "    TREE_UNREACHED = 12,\n": "",
         "    STOP_MAX_ITERS = 13,\n": "    STOP_MAX_ITERS = 13,\n    STOP_EXTRA = 16,\n",
         "CHAIN_NO_NEIGHBOUR = 1": "CHAIN_NO_NEIGHBOR = 1",
-        "PATH_BAD_WEIGHT = 17,\n    PATH_UNREACHED = 18,": "PATH_BAD_WEIGHT = 18,\n    PATH_UNREACHED = 17,",
+        "PATH_BAD_WEIGHT = 17,": "PATH_BAD_WEIGHT = 18,",
     }
     for old, new in mutants.items():
         assert source.count(old) == 1
@@ -304,6 +305,50 @@ def exported_functions(source: str) -> set[str]:
 def test_every_exported_c_function_is_declared():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
     assert exported_functions(source) == set(_kernels.C_SIGNATURES)
+
+
+#: the ctypes type that each C return type and non-pointer parameter type
+#: is declared with; every pointer is ``c_void_p``
+C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int, "void": None}
+
+
+def c_prototypes(source: str) -> dict[str, tuple]:
+    """``(restype, argtypes)`` of every exported ``treeot_*`` function of a C
+    source, read off its definition as ``C_SIGNATURES`` declares them."""
+    found = {}
+    for ret, name, params in re.findall(r"^(?!static\b)(\w+)\s+(treeot_\w+)\s*\(([^)]*)\)",
+                                        source, re.M):
+        kinds = [ctypes.c_void_p if "*" in p else C_TYPES[p.split()[-2]] for p in params.split(",")]
+        found[name] = (C_TYPES[ret], kinds)
+    return found
+
+
+def signature_mismatches(source: str) -> list[str]:
+    declared, defined = _kernels.C_SIGNATURES, c_prototypes(source)
+    return [f"{name}: declared {declared.get(name)}, defined {defined.get(name)}"
+            for name in sorted(declared.keys() | defined.keys())
+            if declared.get(name) != defined.get(name)]
+
+
+def test_every_c_prototype_matches_its_declaration():
+    source = _kernels.C_SOURCE.read_text(encoding="utf-8")
+    assert len(c_prototypes(source)) == len(_kernels.C_SIGNATURES) == 10
+    assert signature_mismatches(source) == []
+
+
+def test_the_prototype_check_flags_a_mismatched_copy():
+    source = _kernels.C_SOURCE.read_text(encoding="utf-8")
+    mutants = {
+        # a parameter dropped
+        " double sign_at_zero,\n": "\n",
+        # double and int64_t swapped
+        "int64_t samples, double tol": "double samples, int64_t tol",
+        # the return type changed
+        "void treeot_subtree_sums(": "int treeot_subtree_sums(",
+    }
+    for old, new in mutants.items():
+        assert source.count(old) == 1
+        assert signature_mismatches(source.replace(old, new)) != [], old
 
 
 def test_the_export_scan_flags_what_it_looks_for():

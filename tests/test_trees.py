@@ -9,8 +9,8 @@ import pytest
 
 import treeot as ot
 from treeot import _kernels
-from treeot.errors import EdgeNotInGraphError, HasCycleError, NotSpanningError
-from treeot.trees import _from_parent_array
+from treeot.errors import DisconnectedError, EdgeNotInGraphError, HasCycleError, NotSpanningError
+from treeot.trees import RootedTree
 
 from conftest import (
     c_compiler_found,
@@ -339,13 +339,17 @@ def wilson_graphs():
     return graphs
 
 
-def draw_tree(kernel, g, seed):
-    """(root, parent, wpar, next uniform) of one draw with ``kernel``."""
+def draw_tree(g, seed, kernel=None):
+    """(root, parent, wpar, next uniform) of one draw with the ``Kernels``
+    entry ``kernel``, or with the reference walk on the raw CSR."""
     rng = np.random.default_rng(seed)
-    parent = np.empty(g.n, dtype=np.int64)
-    wpar = np.empty(g.n)
-    root = int(kernel(g.indptr, g.indices, g.weights, rng, parent, wpar))
-    return root, parent, wpar, rng.random()
+    if kernel is not None:
+        root, parent, wpar = kernel(g, rng)
+    else:
+        parent = np.empty(g.n, dtype=np.int64)
+        wpar = np.empty(g.n)
+        root = _kernels.wilson_tree(g.indptr, g.indices, g.weights, rng, parent, wpar)
+    return int(root), parent, wpar, rng.random()
 
 
 @pytest.fixture(scope="module")
@@ -359,8 +363,8 @@ class TestWilsonBackends:
     @pytest.mark.parametrize("g", wilson_graphs())
     def test_c_matches_python(self, c_wilson, g):
         for seed in range(6):
-            root, parent, wpar, after = draw_tree(c_wilson, g, seed)
-            ref_root, ref_parent, ref_wpar, ref_after = draw_tree(_kernels.wilson_tree, g, seed)
+            root, parent, wpar, after = draw_tree(g, seed, c_wilson)
+            ref_root, ref_parent, ref_wpar, ref_after = draw_tree(g, seed)
             assert root == ref_root
             assert np.array_equal(parent, ref_parent)
             assert np.array_equal(wpar, ref_wpar)
@@ -372,19 +376,28 @@ class TestWilsonBackends:
             assert np.array_equal(t.weight_to_parent, wpar)
 
     def test_c_rejects_what_python_rejects(self, c_wilson):
+        # the reference walk raises on a graph with no vertex or with an
+        # isolated one; no WeightedGraph holds either, and the kernel takes
+        # nothing else
         empty = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
         isolated = (np.zeros(3, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
         for (indptr, indices, weights), n in ((empty, 0), (isolated, 2)):
-            for kernel in (c_wilson, _kernels.wilson_tree):
-                with pytest.raises(ValueError):
-                    kernel(indptr, indices, weights, np.random.default_rng(0),
-                           np.empty(n, dtype=np.int64), np.empty(n))
+            with pytest.raises(ValueError):
+                _kernels.wilson_tree(indptr, indices, weights, np.random.default_rng(0),
+                                     np.empty(n, dtype=np.int64), np.empty(n))
+            with pytest.raises((ValueError, DisconnectedError)):
+                ot.WeightedGraph(n=n, edges=(), indptr=indptr, indices=indices, weights=weights,
+                                 weight_map={})
+            with pytest.raises(TypeError, match="needs a WeightedGraph"):
+                c_wilson((indptr, indices, weights), np.random.default_rng(0))
 
     def test_c_rejects_malformed_csr(self, c_wilson):
-        indptr = np.array([0, 2, 1, 2], dtype=np.int64)
+        csr = dict(indptr=np.array([0, 2, 1, 2], dtype=np.int64),
+                   indices=np.array([1, 2], dtype=np.int64), weights=np.ones(2))
         with pytest.raises(ValueError, match="indptr"):
-            c_wilson(indptr, np.array([1, 2], dtype=np.int64), np.ones(2), np.random.default_rng(0),
-                     np.empty(3, dtype=np.int64), np.empty(3))
+            ot.WeightedGraph(n=3, edges=(), weight_map={}, **csr)
+        with pytest.raises(TypeError, match="needs a WeightedGraph"):
+            c_wilson(csr, np.random.default_rng(0))
 
 
 def bits(*arrays):
@@ -432,21 +445,20 @@ import numpy as np
 sys.path.insert(0, TESTS_DIR)
 import treeot as ot
 from treeot import _kernels
-from treeot.trees import _from_parent_array
+from treeot.trees import RootedTree
 from test_trees import bits
 with open(sys.argv[1], "rb") as f:
     trees, samplers = pickle.load(f)
 passes = []
 for root, parent, wpar, mu, nu in trees:
-    t = _from_parent_array(root, parent, wpar)
+    t = RootedTree(root, parent, wpar)
     sums = ot.subtree_aggregate(t, ot.imbalance(mu, nu))
     potentials = [ot.tree_potential(t, mu, nu, sign_at_zero=s).values for s in (1, -1)]
     passes.append(bits(t.order, t.depth, sums, *potentials))
 verdicts = []
 for g, mu, nu in samplers:
     rng = np.random.default_rng(0)
-    found = _kernels.kernels().balanced_subtree(g.indptr, g.indices, g.weights, rng,
-                                                ot.imbalance(mu, nu), 32, 1e-12)
+    found = _kernels.kernels().balanced_subtree(g, rng, ot.imbalance(mu, nu), 32, 1e-12)
     verdicts.append([ot.check_weak_nondegeneracy(mu, nu, g).holds, found, rng.random()])
 print(json.dumps({"backend": ot.kernel_backend(), "passes": passes, "verdicts": verdicts}))
 """
@@ -549,4 +561,4 @@ class TestMalformedLinks:
     @pytest.mark.parametrize("root, parent", MALFORMED_LINKS)
     def test_tree_build_reports_not_spanning(self, root, parent):
         with pytest.raises(NotSpanningError):
-            _from_parent_array(root, np.array(parent, dtype=np.int64), np.ones(len(parent)))
+            RootedTree(root, np.array(parent, dtype=np.int64), np.ones(len(parent)))
