@@ -39,7 +39,6 @@ enum {
     STOP_MAX_ITERS = 13,
     STOP_TARGET = 14,
     STOP_CERTIFIED = 15,
-    PATH_BAD_WEIGHT = 17,
 };
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
@@ -861,16 +860,13 @@ void treeot_tree_pairs(int64_t n, const int64_t *parent, const int64_t *depth, c
  * distance of that pair. dist holds n slots, stamps 3 n zeros (seen,
  * settled, wanted) and heap_d/heap_v m + 1 keys: a run pushes its source
  * and then at most once per arc, since each vertex is settled once. The
- * graph is connected, so a run settles its targets before the heap empties.
- * Returns CHAIN_OK or PATH_BAD_WEIGHT. */
-int treeot_pair_distances(int64_t n, const int64_t *indptr, const int64_t *indices,
-                          const double *adj_w, int64_t k, const int64_t *xs, const int64_t *ys,
-                          const int64_t *by_source, double *dist, int64_t *stamps, double *heap_d,
-                          int64_t *heap_v, double *out)
+ * graph is a proven WeightedGraph: connected, so a run settles its targets
+ * before the heap empties, and with positive finite weights. */
+void treeot_pair_distances(int64_t n, const int64_t *indptr, const int64_t *indices,
+                           const double *adj_w, int64_t k, const int64_t *xs, const int64_t *ys,
+                           const int64_t *by_source, double *dist, int64_t *stamps, double *heap_d,
+                           int64_t *heap_v, double *out)
 {
-    for (int64_t e = 0; e < indptr[n]; e++)
-        if (!(adj_w[e] >= 0.0 && adj_w[e] < INFINITY))
-            return PATH_BAD_WEIGHT;
     int64_t *seen = stamps, *settled = stamps + n, *wanted = stamps + 2 * n;
     int64_t run = 0;
     for (int64_t i = 0, j; i < k; i = j) {
@@ -909,5 +905,4 @@ int treeot_pair_distances(int64_t n, const int64_t *indptr, const int64_t *indic
         for (int64_t q = i; q < j; q++)
             out[by_source[q]] = dist[ys[by_source[q]]];
     }
-    return CHAIN_OK;
 }

@@ -80,8 +80,6 @@ FLOW_INFEASIBLE = 9
 TREE_NOT_ROOTED = 10
 TREE_BAD_PARENT = 11
 TREE_UNREACHED = 12
-# pair_distances' status besides 0, shared with _kernel.c
-PATH_BAD_WEIGHT = 17
 _NOT_A_TREE = "parent links are not a tree rooted at {root}: "
 #: the exception type and message of every failure status, the only place a
 #: status becomes an exception (``root`` and ``u`` come from the runner);
@@ -99,7 +97,6 @@ _STATUS_ERRORS = {
     TREE_NOT_ROOTED: (NotSpanningError, _NOT_A_TREE + "the root is out of range or has a parent link"),
     TREE_BAD_PARENT: (NotSpanningError, _NOT_A_TREE + "a parent link is out of range"),
     TREE_UNREACHED: (NotSpanningError, _NOT_A_TREE + "parent links do not reach every vertex"),
-    PATH_BAD_WEIGHT: (ValueError, "shortest paths: an arc weight is negative or not finite"),
 }
 # why anneal_chain stopped, shared with _kernel.c
 STOP_MAX_ITERS = 13
@@ -237,13 +234,12 @@ def _load_python() -> Kernels:
                    None if mass is None else mass.tolist(), out)
         return np.array(out, dtype=np.float64)
 
-    def pair_distances_lists(indptr, indices, adj_w, xs, ys, by_source):
+    def pair_distances_lists(indptr, indices, adj_w, xs, ys, by_source, out):
         n = indptr.shape[0] - 1
-        out = [0.0] * xs.shape[0]
-        status = pair_distances(indptr.tolist(), indices.tolist(), adj_w.tolist(), xs.tolist(),
-                                ys.tolist(), by_source.tolist(), [0.0] * n, [0] * n, [0] * n,
-                                [0] * n, out)
-        return status, np.array(out, dtype=np.float64)
+        out = out.tolist()
+        pair_distances(indptr.tolist(), indices.tolist(), adj_w.tolist(), xs.tolist(), ys.tolist(),
+                       by_source.tolist(), [0.0] * n, [0] * n, [0] * n, [0] * n, out)
+        return np.array(out, dtype=np.float64)
 
     order = _order_runner(tree_order_lists)
     return Kernels("python", _chain_runner(no_status(anneal_chain), order),
@@ -422,19 +418,16 @@ def _pairs_runner(run):
 
 def _distances_runner(run):
     """The backend's pair distances: checks the pairs, orders them by source
-    (stably) and calls ``run(indptr, indices, adj_w, xs, ys, by_source)`` on
-    the graph's CSR, whose ``(status, out)`` it turns into ``out`` or a
-    ``ValueError``."""
+    (stably) and returns what ``run(indptr, indices, adj_w, xs, ys, by_source,
+    out)`` fills on the graph's CSR and a k-slot ``out``."""
 
     def pair_distances_checked(graph, xs, ys):
         _proven("shortest paths", graph, WeightedGraph)
         k = xs.shape[0]
         _check_arrays("shortest paths", ((xs, k), (ys, k)), ())
         _check_pairs(graph.n, xs, ys)
-        status, out = run(graph.indptr, graph.indices, graph.weights, xs, ys,
-                          np.argsort(xs, kind="stable"))
-        _check_status(status)
-        return out
+        return run(graph.indptr, graph.indices, graph.weights, xs, ys,
+                   np.argsort(xs, kind="stable"), np.empty(k))
 
     return pair_distances_checked
 
@@ -502,7 +495,7 @@ C_SIGNATURES = {
     "treeot_balanced_subtree": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR, _PTR,
                                        _PTR, _PTR]),
     "treeot_tree_pairs": (None, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]),
-    "treeot_pair_distances": (_INT, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+    "treeot_pair_distances": (None, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
                                      _PTR, _PTR]),
 }
 
@@ -589,13 +582,12 @@ def _load_c() -> Kernels:
                 mass, out)
         return out
 
-    def pair_distances_c(indptr, indices, adj_w, xs, ys, by_source):
+    def pair_distances_c(indptr, indices, adj_w, xs, ys, by_source, out):
         n, m, k = indptr.shape[0] - 1, indices.shape[0], xs.shape[0]
-        out = np.empty(k)
-        status = _c_call(lib.treeot_pair_distances, n, indptr, indices, adj_w, k, xs, ys,
-                         by_source, np.empty(n), np.zeros(3 * n, dtype=np.int64), np.empty(m + 1),
-                         np.empty(m + 1, dtype=np.int64), out)
-        return status, out
+        _c_call(lib.treeot_pair_distances, n, indptr, indices, adj_w, k, xs, ys, by_source,
+                np.empty(n), np.zeros(3 * n, dtype=np.int64), np.empty(m + 1),
+                np.empty(m + 1, dtype=np.int64), out)
+        return out
 
     order = _order_runner(tree_order_c)
     return Kernels("c", _chain_runner(anneal_chain_c, order), _wilson_runner(wilson_tree_c),
@@ -1388,17 +1380,14 @@ def pair_distances(indptr, indices, adj_w, xs, ys, by_source, dist, seen, settle
     to a strictly shorter distance d[v] + w, and stops when its last target
     is settled. ``dist`` and the run stamps ``seen`` (dist current),
     ``settled`` and ``wanted`` (a target of this run) are n-slot work lists,
-    the stamps zero on entry. Returns 0, or ``PATH_BAD_WEIGHT`` when an arc
-    weight is negative or not finite. The graph must be connected, so every
-    run settles its targets.
+    the stamps zero on entry. The graph is a proven :class:`WeightedGraph`:
+    connected, so every run settles its targets, and with positive finite
+    weights.
 
     The (distance, id) keys in the heap are distinct, since a vertex is
     pushed again only at a strictly shorter distance, so every binary heap
     pops them in the same order.
     """
-    for w in adj_w:
-        if not (w >= 0.0 and w < math.inf):
-            return PATH_BAD_WEIGHT
     k = len(by_source)
     run = 0
     i = 0
@@ -1435,4 +1424,3 @@ def pair_distances(indptr, indices, adj_w, xs, ys, by_source, dist, seen, settle
         for q in range(i, j):
             out[by_source[q]] = dist[ys[by_source[q]]]
         i = j
-    return 0

@@ -1,9 +1,10 @@
-"""Weighted-graph primitives: validation, shortest paths, grids."""
+"""Weighted graphs, each one proven CSR: edge lookups, shortest paths, grids."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,20 +24,22 @@ from .errors import (
 class WeightedGraph:
     """Undirected connected graph on dense vertex ids ``0..n-1`` with positive weights.
 
-    Adjacency is kept in CSR form (``indptr``/``indices``/``weights``) so that
-    hot loops can index it directly. Construction proves the CSR once for
-    every kernel that walks it (n >= 1, int64 ``indptr`` rising from 0 to the
-    arc count, int64 ``indices`` in range, no self-loop, every arc's reverse
-    present, float64 ``weights``; else ``ValueError``) and that the graph is
-    connected (else ``DisconnectedError``); then the arrays are read-only.
+    The graph is its adjacency in CSR form (``indptr``/``indices``/``weights``),
+    which hot loops index directly; ``edges`` and the edge lookups read it.
+    Construction proves the CSR once for every kernel and cost that reads it,
+    then makes the arrays read-only: n >= 1, int64 ``indptr`` rising from 0 to
+    the arc count, int64 ``indices`` in range, float64 ``weights`` (else
+    ``ValueError``); every weight finite (else ``NonFiniteWeightError``) and
+    positive (else ``NonPositiveWeightError``); no self-loop, arc keys
+    ``tail * n + head`` strictly increasing (rows sorted, no arc repeated) and
+    every arc's reverse present with the same weight (else ``ValueError``);
+    the graph connected (else ``DisconnectedError``).
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    weight_map: dict = field(repr=False)
 
     def __post_init__(self):
         n, indptr, indices, weights = self.n, self.indptr, self.indices, self.weights
@@ -47,10 +50,16 @@ class WeightedGraph:
             raise ValueError("graph CSR: no vertex, or indptr or weights out of range")
         if m and not (0 <= indices.min() and indices.max() < n):
             raise ValueError("graph CSR: neighbour index out of range")
+        if not np.isfinite(weights).all():
+            raise NonFiniteWeightError("graph CSR: an arc weight is not finite")
+        if not (weights > 0.0).all():
+            raise NonPositiveWeightError("graph CSR: an arc weight is zero or negative")
         tails = self.arc_tails()
-        if (tails == indices).any() or not np.array_equal(np.sort(tails * n + indices),
-                                                          np.sort(indices * n + tails)):
-            raise ValueError("graph CSR: an arc is a self-loop or has no reverse arc")
+        if (tails == indices).any() or (np.diff(tails * n + indices) <= 0).any():
+            raise ValueError("graph CSR: a self-loop, or a row unsorted or repeating an arc")
+        reverse = self.arc_index(indices, tails)
+        if (reverse < 0).any() or (weights[reverse] != weights).any():
+            raise ValueError("graph CSR: an arc has no reverse arc of the same weight")
         ptr, heads = indptr.tolist(), indices.tolist()
         seen = [True] + [False] * (n - 1)
         stack = [0]
@@ -65,9 +74,16 @@ class WeightedGraph:
         for a in (indptr, indices, weights):
             a.setflags(write=False)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Every edge once, as ``(u, v, w)`` with u < v, in increasing ``(u, v)`` order."""
+        tails = self.arc_tails()
+        upper = tails < self.indices
+        return tuple(zip(*(a[upper].tolist() for a in (tails, self.indices, self.weights))))
+
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.indices.shape[0] // 2
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -80,18 +96,25 @@ class WeightedGraph:
         ``weights``: each vertex repeated once per neighbour."""
         return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
+    def arc_index(self, tails, heads) -> np.ndarray:
+        """CSR position of every arc ``tails[k] -> heads[k]`` (0-d for one), or -1
+        where there is none: a ``searchsorted`` of the sorted keys ``tail * n + head``."""
+        tails, heads, n = np.asarray(tails), np.asarray(heads), self.n
+        inside = (0 <= tails) & (tails < n) & (0 <= heads) & (heads < n)
+        # a pair out of range looks up the self-loop 0 -> 0, which no graph holds
+        tails, heads = (np.where(inside, ends, 0).astype(np.int64) for ends in (tails, heads))
+        keys, wanted = self.arc_tails() * n + self.indices, tails * n + heads
+        at = np.searchsorted(keys, wanted)
+        return np.where(np.append(keys, -1)[at] == wanted, at, -1)
+
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        key = (u, v) if u < v else (v, u)
-        return key in self.weight_map
+        return bool(self.arc_index(u, v) >= 0)
 
     def edge_weight(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.weight_map[key]
-        except KeyError:
-            raise EdgeNotInGraphError(f"{{{u},{v}}} is not an edge of the graph") from None
+        arc = int(self.arc_index(u, v))
+        if arc < 0:
+            raise EdgeNotInGraphError(f"{{{u},{v}}} is not an edge of the graph")
+        return float(self.weights[arc])
 
 
 def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
@@ -120,15 +143,7 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
     arcs = np.lexsort((head, tail))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-    ends, w_list = (lo.tolist(), hi.tolist()), w.tolist()
-    return WeightedGraph(
-        n=n,
-        edges=tuple(zip(*ends, w_list)),
-        indptr=indptr,
-        indices=head[arcs],
-        weights=np.concatenate([w, w])[arcs],
-        weight_map=dict(zip(zip(*ends), w_list)),
-    )
+    return WeightedGraph(n, indptr, head[arcs], np.concatenate([w, w])[arcs])
 
 
 def _read_edge(row) -> tuple[int, int, float]:
@@ -177,8 +192,7 @@ def _raise_for_edge(n: int, row) -> None:
 def grid_graph(p: int, weight: float | None = None) -> WeightedGraph:
     """Four-neighbour lattice on ``p*p`` vertices, id ``i*p + j`` for row i, col j.
 
-    Every edge carries the same weight, ``1/p**2`` unless overridden. Edges
-    are listed by vertex id, each vertex's right edge before its lower one.
+    Every edge carries the same weight, ``1/p**2`` unless overridden.
     """
     if p < 2:
         raise VertexRangeError("grid side must be at least 2")

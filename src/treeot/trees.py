@@ -75,10 +75,10 @@ def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
         raise NotSpanningError(f"{len(pairs)} edges cannot span {n} vertices")
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     seen_pairs = set()
-    for u, v in pairs:
+    arcs = g.arc_index([u for u, _ in pairs], [v for _, v in pairs])
+    for (u, v), arc, w in zip(pairs, arcs.tolist(), g.weights[arcs].tolist()):
         key = (u, v) if u < v else (v, u)
-        w = g.weight_map.get(key)
-        if w is None:
+        if arc < 0:
             g.edge_weight(u, v)  # raises EdgeNotInGraphError (also for u == v)
         if key in seen_pairs:
             raise HasCycleError(f"edge {{{u},{v}}} repeated")

@@ -218,20 +218,34 @@ def reference_order_depth(root, parent):
     return None if pos else (order, depth)
 
 
-def reference_csr_verdict(n, indptr, indices):
+def reference_csr_verdict(n, indptr, indices, weights):
     """What building a ``WeightedGraph`` on the CSR arrays should raise, by
-    plain loops over the arcs: ``ValueError`` for a graph with no vertex, a
-    neighbour out of range, a self-loop or an arc listed more often than its
-    reverse, ``DisconnectedError`` when a walk over the arcs from vertex 0
-    misses a vertex, else ``None``."""
-    arcs = [(v, int(indices[j])) for v in range(n) for j in range(indptr[v], indptr[v + 1])]
-    if n < 1 or any(not 0 <= b < n or a == b or arcs.count((a, b)) != arcs.count((b, a))
-                    for a, b in arcs):
+    plain loops over the arcs, in this order: ``ValueError`` for a graph with
+    no vertex or a neighbour out of range; ``NonFiniteWeightError`` for a NaN
+    or infinite weight; ``NonPositiveWeightError`` for a weight of zero or
+    less; ``ValueError`` for a self-loop, a row not in increasing head order
+    (a repeated arc included), or an arc whose reverse is missing or weighs
+    otherwise; ``DisconnectedError`` when a walk over the arcs from vertex 0
+    misses a vertex; else ``None``."""
+    arcs = [(v, int(indices[j]), float(weights[j]))
+            for v in range(n) for j in range(indptr[v], indptr[v + 1])]
+    if n < 1 or any(not 0 <= b < n for _, b, _ in arcs):
+        return ValueError
+    if any(not math.isfinite(w) for _, _, w in arcs):
+        return NonFiniteWeightError
+    if any(w <= 0.0 for _, _, w in arcs):
+        return NonPositiveWeightError
+    for v in range(n):
+        row = [b for a, b, _ in arcs if a == v]
+        if v in row or any(x >= y for x, y in zip(row, row[1:])):
+            return ValueError
+    weight = {(a, b): w for a, b, w in arcs}
+    if any(weight.get((b, a)) != w for a, b, w in arcs):
         return ValueError
     reached, stack = {0}, [0]
     while stack:
         v = stack.pop()
-        for a, b in arcs:
+        for a, b, _ in arcs:
             if a == v and b not in reached:
                 reached.add(b)
                 stack.append(b)
@@ -516,7 +530,6 @@ def reference_build_graph(vertex_count, edge_list):
     if n <= 0:
         raise VertexRangeError("vertex_count must be positive")
     weight_map = {}
-    canonical = []
     for u, v, w in edge_list:
         u, v, w = int(u), int(v), float(w)
         if not (0 <= u < n and 0 <= v < n):
@@ -531,16 +544,14 @@ def reference_build_graph(vertex_count, edge_list):
         if key in weight_map:
             raise DuplicateEdgeError(f"duplicate edge {{{u},{v}}}")
         weight_map[key] = w
-        canonical.append((key[0], key[1], w))
-    ends = np.array([(u, v) for u, v, _ in canonical], dtype=np.int64).reshape(-1, 2)
-    tail = np.concatenate([ends[:, 0], ends[:, 1]])
-    head = np.concatenate([ends[:, 1], ends[:, 0]])
-    arcs = np.lexsort((head, tail))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-    weights = np.tile(np.array([w for _, _, w in canonical], dtype=np.float64), 2)[arcs]
-    g = WeightedGraph(n=n, edges=tuple(canonical), indptr=indptr, indices=head[arcs],
-                      weights=weights, weight_map=weight_map)
+    adjacency = [[] for _ in range(n)]
+    for (u, v), w in weight_map.items():
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+    arcs = [arc for nbs in adjacency for arc in sorted(nbs)]
+    indptr = np.cumsum([0] + [len(nbs) for nbs in adjacency], dtype=np.int64)
+    g = WeightedGraph(n=n, indptr=indptr, indices=np.array([v for v, _ in arcs], dtype=np.int64),
+                      weights=np.array([w for _, w in arcs], dtype=np.float64))
     seen = np.zeros(n, dtype=bool)
     stack = [0]
     seen[0] = True

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import treeot as ot
+from treeot import _kernels
 from treeot.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -14,6 +17,7 @@ from treeot.errors import (
 
 from conftest import (
     brute_force_geodesic_edges,
+    compiled_backends,
     dijkstra_all_pairs,
     raised,
     random_connected_graph,
@@ -113,9 +117,8 @@ class TestBuildGraph:
     def test_direct_construction_checks_connectivity(self):
         # a Wilson walk from vertex 0 or 1 never reaches a root drawn at 2
         with pytest.raises(DisconnectedError, match="not connected"):
-            ot.WeightedGraph(n=3, edges=((0, 1, 1.0),), indptr=np.array([0, 1, 2, 2]),
-                             indices=np.array([1, 0]), weights=np.array([1.0, 1.0]),
-                             weight_map={(0, 1): 1.0})
+            ot.WeightedGraph(n=3, indptr=np.array([0, 1, 2, 2]), indices=np.array([1, 0]),
+                             weights=np.array([1.0, 1.0]))
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -151,7 +154,7 @@ class TestBuildGraph:
                 adjacency[u].append((v, w))
                 adjacency[v].append((u, w))
             arcs = [arc for nbs in adjacency for arc in sorted(nbs)]
-            assert g.edges == tuple((min(u, v), max(u, v), w) for u, v, w in edges)
+            assert g.edges == tuple(sorted((min(u, v), max(u, v), w) for u, v, w in edges))
             assert g.indptr.dtype == g.indices.dtype == np.int64 and g.weights.dtype == np.float64
             assert g.indptr.tolist() == np.cumsum([0] + [len(nbs) for nbs in adjacency]).tolist()
             assert g.indices.tolist() == [v for v, _ in arcs]
@@ -167,7 +170,7 @@ class TestBuildGraph:
     def test_valid_edge_lists_build_what_the_row_loop_built(self):
         for n, rows in valid_edge_lists():
             g, ref = ot.build_graph(n, rows), reference_build_graph(n, rows)
-            assert g.n == ref.n and g.edges == ref.edges and g.weight_map == ref.weight_map
+            assert g.n == ref.n and g.edges == ref.edges
             assert all(type(x) is t for e in g.edges for x, t in zip(e, (int, int, float)))
             for name in ("indptr", "indices", "weights"):
                 a, b = getattr(g, name), getattr(ref, name)
@@ -187,6 +190,58 @@ class TestBuildGraph:
         g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(EdgeNotInGraphError):
             g.edge_weight(0, 2)
+
+
+#: hand-built CSRs of graphs the paper's ground cost cannot have, and what
+#: building each raises: (error, n, indptr, indices, weights)
+BAD_CSRS = {
+    # vertex 0 lists arc 0 -> 1 twice, and vertex 1 its reverse twice
+    "parallel-arcs": (ValueError, 3, [0, 2, 5, 6], [1, 1, 0, 0, 2, 1], [1.0] * 6),
+    "asymmetric": (ValueError, 2, [0, 1, 2], [1, 0], [1.0, 3.0]),
+    "nan": (NonFiniteWeightError, 2, [0, 1, 2], [1, 0], [NAN, -1.0]),
+    "negative": (NonPositiveWeightError, 2, [0, 1, 2], [1, 0], [-1.0, -1.0]),
+}
+
+
+def csr_graph(n, indptr, indices, weights) -> ot.WeightedGraph:
+    return ot.WeightedGraph(n, np.array(indptr, dtype=np.int64),
+                            np.array(indices, dtype=np.int64), np.array(weights, dtype=np.float64))
+
+
+@pytest.fixture(params=["python", *compiled_backends()])
+def backend(request, monkeypatch):
+    """Run the test on each backend's kernels."""
+    kernels = _kernels._LOADERS[request.param]()
+    monkeypatch.setattr(_kernels, "kernels", lambda: kernels)
+    return request.param
+
+
+class TestProvenCsr:
+    def test_a_graph_is_its_csr(self):
+        assert [f.name for f in dataclasses.fields(ot.WeightedGraph)] == [
+            "n", "indptr", "indices", "weights"]
+        g = ot.build_graph(4, [(2, 3, 0.5), (1, 0, 2.0), (0, 2, 1.0)])
+        assert g.edges == ((0, 1, 2.0), (0, 2, 1.0), (2, 3, 0.5)) and g.edge_count == 3
+        assert g.has_edge(3, 2) and not g.has_edge(1, 2) and not g.has_edge(0, 4)
+        assert not g.has_edge(-1, 0) and not g.has_edge(10**30, 0)
+        assert g.edge_weight(1, 0) == 2.0 and type(g.edge_weight(1, 0)) is float
+        assert g.arc_index([0, 1, 3, 3], [1, 0, 2, 1]).tolist() == [0, 2, 5, -1]
+
+    @pytest.mark.parametrize("name", BAD_CSRS)
+    def test_parallel_arcs_and_bad_weights_are_refused(self, backend, name):
+        error, *csr = BAD_CSRS[name]
+        with pytest.raises(error):
+            csr_graph(*csr)
+
+    def test_an_unsorted_row_is_refused(self):
+        with pytest.raises(ValueError, match="unsorted"):
+            csr_graph(3, [0, 2, 3, 4], [2, 1, 0, 0], [1.0] * 4)
+
+    def test_root_tree_prices_the_arcs_that_solve_walks(self, backend):
+        g = csr_graph(2, [0, 1, 2], [1, 0], [1.0, 1.0])
+        t = ot.root_tree(g, [(0, 1)], 0)
+        mu, nu = [1.0, 0.0], [0.0, 1.0]
+        assert ot.tree_k_distance(t, mu, nu) == ot.solve(g, mu, nu).value == 1.0
 
 
 class TestShortestPaths:

@@ -118,8 +118,8 @@ def call(kernel_fn, kernel: str, case: str | None = None):
     if case == "raw-structure":
         args.update({key: tuple(args[a] for a in parts) for key, parts in raw.items()})
     elif "graph" in names:
-        args["graph"] = ot.WeightedGraph(n=N, edges=(), weight_map={}, indptr=args["indptr"],
-                                         indices=args["indices"], weights=args["adj_w"])
+        args["graph"] = ot.WeightedGraph(n=N, indptr=args["indptr"], indices=args["indices"],
+                                         weights=args["adj_w"])
     elif "tree" in names:
         args["tree"] = RootedTree(args["root"], args["parent"], args["wpar"])
     return kernel_fn(*[args[a] for a in names])
@@ -191,9 +191,7 @@ import numpy as np
 import treeot as ot
 from treeot import _kernels
 csr = np.array([0, 1, 2, 3, 4]), np.array([1, 0, 3, 2]), np.ones(4)
-for build in (lambda: ot.WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)), indptr=csr[0],
-                                       indices=csr[1], weights=csr[2],
-                                       weight_map={(0, 1): 1.0, (2, 3): 1.0}),
+for build in (lambda: ot.WeightedGraph(n=4, indptr=csr[0], indices=csr[1], weights=csr[2]),
               lambda: _kernels.kernels().wilson_tree(csr, np.random.default_rng(0))):
     try:
         build()

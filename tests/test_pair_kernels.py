@@ -158,8 +158,7 @@ def kernel_errors(backend):
         return k.tree_pairs(tree, pair, np.array([1], dtype=np.int64), None)
 
     def paths(indptr, indices, weights, ys):
-        graph = ot.WeightedGraph(n=len(indptr) - 1, edges=(), weight_map={},
-                                 indptr=np.array(indptr, dtype=np.int64),
+        graph = ot.WeightedGraph(n=len(indptr) - 1, indptr=np.array(indptr, dtype=np.int64),
                                  indices=np.array(indices, dtype=np.int64),
                                  weights=np.array(weights, dtype=np.float64))
         return k.pair_distances(graph, pair, np.array(ys, dtype=np.int64))
@@ -168,7 +167,8 @@ def kernel_errors(backend):
     calls.append((walk, [-1, -1]))
     # a cycle above vertex 1 that never reaches the root 0
     calls.append((walk, [-1, 2, 1]))
-    # a negative weight; a CSR whose vertex 1 has no arc; indices out of range
+    # a negative weight, refused when the graph is built; a CSR whose vertex 1
+    # has no arc; indices out of range
     calls.append((paths, g.indptr, g.indices, -g.weights, pair))
     calls.append((paths, [0, 1, 1], [0], [1.0], [1]))
     calls.append((paths, g.indptr, g.indices + 9, g.weights, pair))
@@ -181,8 +181,9 @@ def test_bad_pairs_and_graphs_raise_alike_on_every_backend():
     expected = kernel_errors("python")
     assert all(e is not None for e in expected)
     kinds = [kind.__name__ for kind, _ in expected]
-    assert kinds == ["VertexRangeError"] * 8 + ["NotSpanningError"] * 2 + ["ValueError"] * 3
-    assert "not a tree rooted at 0" in expected[8][1] and "negative or not finite" in expected[10][1]
+    assert kinds == (["VertexRangeError"] * 8 + ["NotSpanningError"] * 2
+                     + ["NonPositiveWeightError"] + ["ValueError"] * 2)
+    assert "not a tree rooted at 0" in expected[8][1] and "zero or negative" in expected[10][1]
     assert "self-loop" in expected[11][1]
     for backend in compiled_backends():
         assert kernel_errors(backend) == expected

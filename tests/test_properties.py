@@ -7,12 +7,13 @@ distance, does not change when mu and nu are swapped. ``solve``, the
 network simplex on the graph's own arcs, finds the dense oracle's value, and
 its potential certifies that value: it is 1-Lipschitz on every edge and its
 duality value is the optimum. A ``RootedTree`` built from random parent
-links, and a ``WeightedGraph`` from random CSR arrays, is proven the same way
-on every backend, as plain-loop references in ``conftest.py`` decide. The
-examples are derandomized, so every run checks the same ones.
+links, and a ``WeightedGraph`` from random CSR arrays and weights, is proven
+the same way on every backend, as plain-loop references in ``conftest.py``
+decide. The examples are derandomized, so every run checks the same ones.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ PROOF_SETTINGS = hypothesis.settings(PROPERTY_SETTINGS, max_examples=300)
 # integer weights and masses tie distances and balance vertex sets
 WEIGHTS = st.one_of(st.integers(1, 3).map(float), st.floats(0.05, 1.0))
 MASSES = st.one_of(st.integers(0, 3).map(float), st.floats(0.001, 3.0))
+# what a proven graph refuses
+BAD_WEIGHTS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
 
 
 @st.composite
@@ -171,34 +174,50 @@ def test_rooted_tree_is_proven_alike_on_every_backend(links):
 @st.composite
 def csr_arrays(draw):
     """CSR arrays on 1..7 vertices holding both arcs of n - 1 to 12 random
-    edges (repeats included; self-loops only on one vertex), one time in four
-    with one arc dropped or its head moved, possibly out of range."""
+    edges (one time in four with repeats; self-loops only on one vertex), the
+    two arcs of an edge with one weight, one time in four an edge's not
+    finite or not positive. One time in four, one arc is dropped, has its
+    head moved (possibly out of range), its weight redrawn, or swaps places
+    with the next arc."""
     n = draw(st.integers(1, 7))
-    ends = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)))
-    pairs = [(a, (a + d) % n) for a, d in draw(st.lists(ends, min_size=n - 1, max_size=12))]
-    arcs = sorted(pairs + [(b, a) for a, b in pairs])
+    ends = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)), WEIGHTS)
+    edges = [(a, (a + d) % n, w) for a, d, w in draw(st.lists(ends, min_size=n - 1, max_size=12))]
+    if draw(st.integers(0, 3)):  # three times in four, no edge repeats
+        edges = list({(min(a, b), max(a, b)): (a, b, w) for a, b, w in edges}.values())
+    if edges and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(edges) - 1))
+        edges[k] = (*edges[k][:2], draw(BAD_WEIGHTS))
+    arcs = sorted(edges + [(b, a, w) for a, b, w in edges])
     if arcs and draw(st.integers(0, 3)) == 0:
         k = draw(st.integers(0, len(arcs) - 1))
-        head = draw(st.one_of(st.none(), st.integers(-1, n)))
-        arcs[k:k + 1] = [] if head is None else [(arcs[k][0], head)]
+        tail, head, w = arcs[k]
+        change = draw(st.sampled_from(["drop", "head", "weight", "swap"]))
+        if change == "drop":
+            del arcs[k]
+        elif change == "head":
+            arcs[k] = (tail, draw(st.integers(-1, n)), w)
+        elif change == "weight":
+            arcs[k] = (tail, head, draw(st.one_of(WEIGHTS, BAD_WEIGHTS)))
+        else:
+            arcs[k:k + 2] = arcs[k:k + 2][::-1]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount([a for a, _ in arcs], minlength=n), out=indptr[1:])
-    return n, indptr, np.array([b for _, b in arcs], dtype=np.int64)
+    np.cumsum(np.bincount([a for a, _, _ in arcs], minlength=n), out=indptr[1:])
+    return (n, indptr, np.array([b for _, b, _ in arcs], dtype=np.int64),
+            np.array([w for _, _, w in arcs], dtype=np.float64))
 
 
 @PROOF_SETTINGS
 @hypothesis.given(csr_arrays())
 def test_weighted_graph_is_proven_alike_on_every_backend(csr):
-    n, indptr, indices = csr
+    n, indptr, indices, weights = csr
 
     def build():
-        g = ot.WeightedGraph(n=n, edges=(), indptr=indptr.copy(), indices=indices.copy(),
-                             weights=np.ones(indices.shape[0]), weight_map={})
+        g = ot.WeightedGraph(n, indptr.copy(), indices.copy(), weights.copy())
         return "built", ot.random_spanning_tree(g, np.random.default_rng(0)).n
 
     outcomes = built_on_every_backend(build)
     assert all(o == outcomes[0] for o in outcomes)
-    expected = reference_csr_verdict(n, indptr, indices)
+    expected = reference_csr_verdict(n, indptr, indices, weights)
     if expected is None:
         assert outcomes[0] == ("built", n)
     else:

@@ -2,7 +2,8 @@
 package or its tests, no function in the package ignores a parameter, the
 package writes files only through ``fileio._write_text``, and it imports
 only the standard library, numpy and itself, which is also all that
-``pyproject.toml`` lists as dependencies. Also, the
+``pyproject.toml`` lists as dependencies; its ``test`` extra lists every
+module that a test skips without. Also, the
 status and stop codes of ``_kernel.c``'s enum are those ``_kernels.py``
 reads, only ``_kernels._c_call`` turns arrays and generators into C
 pointers, ``_kernel.c`` compiles without a warning, and it exports exactly
@@ -93,11 +94,32 @@ def test_package_imports_only_the_standard_library_and_numpy(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_numpy_is_the_only_dependency():
+def project_requirements(key: str | None = None) -> list[str]:
+    """Names of the ``pyproject.toml`` dependencies, or of its optional
+    ``key`` extra."""
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]]
-    assert names == ["numpy"]
+    deps = project["dependencies"] if key is None else project["optional-dependencies"][key]
+    return [re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in deps]
+
+
+def test_numpy_is_the_only_dependency():
+    assert project_requirements() == ["numpy"]
+
+
+def importorskip_modules(source: str) -> set[str]:
+    """The modules named by a string literal passed to ``importorskip``."""
+    return {call.args[0].value for call in ast.walk(ast.parse(source))
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "importorskip"
+            and call.args and isinstance(call.args[0], ast.Constant)}
+
+
+def test_every_module_a_test_may_skip_on_is_in_the_test_extra():
+    """``pip install -e .[test]`` installs what the tests need, so none of
+    them skips for a missing module; ``tomllib`` is standard from 3.11."""
+    skipped = set().union(*(importorskip_modules(p.read_text(encoding="utf-8")) for p in TESTS))
+    assert {"hypothesis", "networkx", "tomllib"} <= skipped
+    assert skipped - {"tomllib"} <= set(project_requirements("test"))
 
 
 def test_the_import_scan_flags_scipy():
@@ -217,11 +239,11 @@ def c_enum(source: str) -> dict[str, int]:
 
 def python_codes() -> dict[str, int]:
     """Every status and stop code that ``_kernels`` reads, by its C name: the
-    ``PLAN_*``, ``FLOW_*``, ``TREE_*``, ``STOP_*`` and ``PATH_*`` constants
+    ``PLAN_*``, ``FLOW_*``, ``TREE_*`` and ``STOP_*`` constants
     by name, the other keys of the one status table ``_STATUS_ERRORS`` by
     message, and the stop reasons. The table holds every failure status."""
     codes = {name: value for name, value in vars(_kernels).items()
-             if name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_", "PATH_"))
+             if name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_"))
              and isinstance(value, int)}
     by_message = {m: c for c, (_, m) in _kernels._STATUS_ERRORS.items() if c not in codes.values()}
     codes.update({"CHAIN_OK": 0, **{name: by_message.pop(m) for name, m in CODE_MESSAGES.items()}})
@@ -240,7 +262,7 @@ def code_mismatches(source: str) -> list[str]:
 
 def test_kernel_codes_match_the_c_enum():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert len(c_enum(source)) == 17
+    assert len(c_enum(source)) == 16
     assert code_mismatches(source) == []
 
 
@@ -252,7 +274,7 @@ def test_the_code_check_flags_a_mismatched_copy():
         "    TREE_UNREACHED = 12,\n": "",
         "    STOP_MAX_ITERS = 13,\n": "    STOP_MAX_ITERS = 13,\n    STOP_EXTRA = 16,\n",
         "CHAIN_NO_NEIGHBOUR = 1": "CHAIN_NO_NEIGHBOR = 1",
-        "PATH_BAD_WEIGHT = 17,": "PATH_BAD_WEIGHT = 18,",
+        "TREE_BAD_PARENT = 11,": "TREE_BAD_PARENT = 17,",
     }
     for old, new in mutants.items():
         assert source.count(old) == 1

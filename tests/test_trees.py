@@ -386,8 +386,7 @@ class TestWilsonBackends:
                 _kernels.wilson_tree(indptr, indices, weights, np.random.default_rng(0),
                                      np.empty(n, dtype=np.int64), np.empty(n))
             with pytest.raises((ValueError, DisconnectedError)):
-                ot.WeightedGraph(n=n, edges=(), indptr=indptr, indices=indices, weights=weights,
-                                 weight_map={})
+                ot.WeightedGraph(n=n, indptr=indptr, indices=indices, weights=weights)
             with pytest.raises(TypeError, match="needs a WeightedGraph"):
                 c_wilson((indptr, indices, weights), np.random.default_rng(0))
 
@@ -395,7 +394,7 @@ class TestWilsonBackends:
         csr = dict(indptr=np.array([0, 2, 1, 2], dtype=np.int64),
                    indices=np.array([1, 2], dtype=np.int64), weights=np.ones(2))
         with pytest.raises(ValueError, match="indptr"):
-            ot.WeightedGraph(n=3, edges=(), weight_map={}, **csr)
+            ot.WeightedGraph(n=3, **csr)
         with pytest.raises(TypeError, match="needs a WeightedGraph"):
             c_wilson(csr, np.random.default_rng(0))
 
