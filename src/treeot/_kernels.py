@@ -25,8 +25,7 @@ of a list of vertex pairs. Two backends run the kernels, each kernel behind
 one runner that both share, which checks its inputs and turns a failure
 status into the exception of the one table ``_STATUS_ERRORS``. A kernel
 that walks a graph or a tree takes a ``WeightedGraph`` or ``RootedTree``,
-whose construction proved it, and the chain proves its parent links with
-``tree_order`` before its first step:
+whose construction proved it; the chain takes both:
 
 - ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
   helpers) built on first use with the system C compiler and loaded through
@@ -122,9 +121,12 @@ class Kernels(NamedTuple):
     pair vertex out of range), calls the backend on the object's arrays and
     raises the ``_STATUS_ERRORS`` entry of a failure status. The entries:
 
-    - ``anneal_chain``: the reference kernel's arguments, with ``graph`` in
-      place of its CSR arrays. ``tree_order`` proves the chain's raw parent
-      links rooted at ``root`` before the first step.
+    - ``anneal_chain(tree, graph, xi, max_iters, beta0, target_accept, eta,
+      window, record_every, recompute_every, target_cost, rng) -> (stats,
+      (best_parent, best_wpar), (parent, wpar), trace)``: the chain of
+      :func:`anneal_chain` from the tree, on copies of its links (the final
+      tree's on return) and its ``subtree_sums`` of ``xi``; ``stats`` is that
+      kernel's return tuple, ``trace`` its five columns cut to the rows written.
     - ``wilson_tree(graph, rng) -> (root, parent, wpar)``.
     - ``balanced_subtree(graph, rng, xi, samples, tol) -> found``.
     - ``dp_plan(tree, xi, zero_tol) -> (rows, cols, mass)``: the
@@ -241,11 +243,11 @@ def _load_python() -> Kernels:
                        by_source.tolist(), [0.0] * n, [0] * n, [0] * n, [0] * n, out)
         return np.array(out, dtype=np.float64)
 
-    order = _order_runner(tree_order_lists)
-    return Kernels("python", _chain_runner(no_status(anneal_chain), order),
+    sums = _sums_runner(subtree_sums_lists)
+    return Kernels("python", _chain_runner(no_status(anneal_chain), sums),
                    _wilson_runner(no_status(wilson_tree)), _plan_runner(dp_plan_lists),
-                   _simplex_runner(network_simplex_lists), order,
-                   _sums_runner(subtree_sums_lists), _potential_runner(tree_potential_lists),
+                   _simplex_runner(network_simplex_lists), _order_runner(tree_order_lists),
+                   sums, _potential_runner(tree_potential_lists),
                    _balanced_runner(no_status(balanced_subtree)), _pairs_runner(tree_pairs_lists),
                    _distances_runner(pair_distances_lists))
 
@@ -266,26 +268,30 @@ def child_csr(parent):
 # (which returns the status first, where it has one) and ``_check_status``.
 
 
-def _chain_runner(run, orient):
-    """The backend's ``anneal_chain``: checks the graph, the arrays, window
-    and record interval, proves the parent links with ``orient`` (its
-    ``tree_order``), then returns ``run``'s result on the graph's CSR."""
+def _chain_runner(run, sums):
+    """The backend's ``anneal_chain``: checks ``xi``, window and record
+    interval, starts ``run`` on the graph's CSR from copies of the tree's
+    links and their subtree sums of ``xi`` (by ``sums``, the backend's
+    ``subtree_sums``) and allocates the best links and the trace for it."""
 
-    def anneal_chain_checked(*args):
-        (parent, wpar, xi_cum, root, graph, xi_node, max_iters, _, _, _, window, record_every, _, _,
-         _, best_parent, best_wpar, trace_iter, *trace_floats) = args
+    def anneal_chain_checked(tree, graph, xi, max_iters, beta0, target_accept, eta, window,
+                             record_every, recompute_every, target_cost, rng):
+        _proven("annealing chain", tree, RootedTree)
         _proven("annealing chain", graph, WeightedGraph)
         n = graph.n
-        rows = max_iters // record_every + 2 if record_every >= 1 else 0
-        _check_arrays("annealing chain", ((parent, n), (best_parent, n), (trace_iter, rows)),
-                      ((wpar, n), (best_wpar, n), (xi_cum, n), (xi_node, n),
-                       *((a, rows) for a in trace_floats)))
-        if window < 1 or record_every < 1 or parent.shape[0] != n:
+        _check_arrays("annealing chain", (), ((xi, n),))
+        if window < 1 or record_every < 1 or tree.n != n:
             raise ValueError("annealing chain: window, record_every or parent count out of range")
-        orient(root, parent)
-        status, result = run(*args[:4], graph.indptr, graph.indices, graph.weights, *args[5:])
+        parent, wpar = tree.parent.copy(), tree.weight_to_parent.copy()
+        best_parent, best_wpar = np.empty_like(parent), np.empty_like(wpar)
+        rows = max(max_iters, 0) // record_every + 2
+        trace = (np.zeros(rows, dtype=np.int64), *(np.zeros(rows) for _ in range(4)))
+        status, stats = run(parent, wpar, sums(tree, xi), tree.root, graph.indptr, graph.indices,
+                            graph.weights, xi, max_iters, beta0, target_accept, eta, window,
+                            record_every, recompute_every, target_cost, rng, best_parent, best_wpar,
+                            *trace)
         _check_status(status)
-        return result
+        return stats, (best_parent, best_wpar), (parent, wpar), tuple(a[:stats[4]] for a in trace)
 
     return anneal_chain_checked
 
@@ -589,10 +595,10 @@ def _load_c() -> Kernels:
                 np.empty(m + 1, dtype=np.int64), out)
         return out
 
-    order = _order_runner(tree_order_c)
-    return Kernels("c", _chain_runner(anneal_chain_c, order), _wilson_runner(wilson_tree_c),
-                   _plan_runner(dp_plan_c), _simplex_runner(network_simplex_c), order,
-                   _sums_runner(subtree_sums_c), _potential_runner(tree_potential_c),
+    sums = _sums_runner(subtree_sums_c)
+    return Kernels("c", _chain_runner(anneal_chain_c, sums), _wilson_runner(wilson_tree_c),
+                   _plan_runner(dp_plan_c), _simplex_runner(network_simplex_c),
+                   _order_runner(tree_order_c), sums, _potential_runner(tree_potential_c),
                    _balanced_runner(balanced_subtree_c), _pairs_runner(tree_pairs_c),
                    _distances_runner(pair_distances_c))
 

@@ -5,18 +5,20 @@ neighbour of the current root becomes the new root, gaining the connecting
 edge and dropping its old parent edge. The cost difference only involves the
 cycle closed by the swapped edges, so a step costs O(cycle length).
 
-:func:`anneal` and :func:`anneal_chains` set up the chain and run
-``anneal_chain`` of :mod:`treeot._kernels` on the backend that
-``TREEOT_BACKEND`` selects (C or plain Python; see
-:func:`treeot.kernel_backend`). The step arithmetic lives there, in
-``propose_root``, ``swap_delta``, ``apply_swap`` and ``update_beta``, and so
-does the stop: ``certify`` ends a chain whose best tree its tree potential
-proves optimal.
+:func:`anneal` and :func:`anneal_chains` validate the measures once, then
+give each chain its initial tree (drawn by Wilson's algorithm, or the given
+one), proven when it was built, to ``anneal_chain`` of
+:mod:`treeot._kernels`, on the backend that ``TREEOT_BACKEND`` selects (C or
+plain Python; see :func:`treeot.kernel_backend`). The step arithmetic lives
+there, in ``propose_root``, ``swap_delta``, ``apply_swap`` and
+``update_beta``, and so does the stop: ``certify`` ends a chain whose best
+tree its tree potential proves optimal.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from . import _kernels
 from .errors import VertexRangeError
 from .graphs import WeightedGraph
 from .transport import as_measure, imbalance
-from .trees import RootedTree, random_spanning_tree, subtree_aggregate
+from .trees import RootedTree, random_spanning_tree
 
 
 @dataclass(frozen=True)
@@ -106,75 +108,14 @@ def anneal(
     proves that tree optimal up to floating-point rounding. It checks on the initial tree and on each trace
     row where the best cost has dropped, so it stops at most
     ``config.record_every`` steps after it first holds a tree that passes.
-    ``target_cost`` stops it (``"target"``) once the best cost is within 1e-9
-    of it; on the same row the target wins.
+    ``target_cost``, a finite real number (else ``ValueError``), stops it
+    (``"target"``) once the best cost is within 1e-9 of it; on the same row
+    the target wins.
     """
-    mu = as_measure(mu, g.n)
-    nu = as_measure(nu, g.n)
-    rng = np.random.default_rng(config.seed)
-    if initial_tree is None:
-        initial_tree = random_spanning_tree(g, rng)
-    elif initial_tree.n != g.n:
+    xi, target = _chain_inputs(g, mu, nu, target_cost)
+    if initial_tree is not None and initial_tree.n != g.n:
         raise VertexRangeError("initial tree does not match the graph")
-    return _run_chain(g, mu, nu, config, initial_tree, rng, target_cost)
-
-
-def _run_chain(g, mu, nu, config, initial_tree, rng, target_cost) -> AnnealResult:
-    xi = imbalance(mu, nu)
-    parent = initial_tree.parent.copy()
-    wpar = initial_tree.weight_to_parent.copy()
-    xi_cum = subtree_aggregate(initial_tree, xi)
-    root = initial_tree.root
-    best_parent = np.empty_like(parent)
-    best_wpar = np.empty_like(wpar)
-
-    max_iters = config.max_iters if g.n > 1 else 0
-    rows = max_iters // config.record_every + 4
-    trace_iter = np.zeros(rows, dtype=np.int64)
-    trace_cur = np.zeros(rows)
-    trace_best = np.zeros(rows)
-    trace_beta = np.zeros(rows)
-    trace_acc = np.zeros(rows)
-
-    best, current, final_root, best_root, records, iters_done, max_drift, stop = _kernels.kernels().anneal_chain(
-        parent,
-        wpar,
-        xi_cum,
-        root,
-        g,
-        xi,
-        max_iters,
-        config.beta0,
-        config.target_accept,
-        config.eta,
-        config.window,
-        config.record_every,
-        config.recompute_every,
-        math.nan if target_cost is None else float(target_cost),
-        rng,
-        best_parent,
-        best_wpar,
-        trace_iter,
-        trace_cur,
-        trace_best,
-        trace_beta,
-        trace_acc,
-    )
-    if max_drift > 1e-6:
-        raise RuntimeError(f"incremental cost drifted by {max_drift:.3e}")
-
-    columns = (trace_iter, trace_cur, trace_best, trace_beta, trace_acc)
-    trace = list(map(TraceRecord._make, zip(*(a[:records].tolist() for a in columns))))
-    return AnnealResult(
-        best_tree=RootedTree(best_root, best_parent, best_wpar),
-        best_cost=float(best),
-        final_tree=RootedTree(final_root, parent, wpar),
-        final_cost=float(current),
-        trace=trace,
-        iters_run=int(iters_done),
-        max_drift=float(max_drift),
-        stop_reason=_kernels.STOP_REASONS[stop],
-    )
+    return _run_chain(g, xi, config, target, np.random.default_rng(config.seed), initial_tree)
 
 
 def anneal_chains(
@@ -192,14 +133,47 @@ def anneal_chains(
         raise ValueError("chains must be >= 1")
     if chains == 1:
         return anneal(g, mu, nu, config, target_cost=target_cost), 0
+    xi, target = _chain_inputs(g, mu, nu, target_cost)
     seeds = np.random.SeedSequence(config.seed).spawn(chains)
 
     def run(k: int) -> AnnealResult:
-        rng = np.random.default_rng(seeds[k])
-        tree = random_spanning_tree(g, rng)
-        return _run_chain(g, as_measure(mu, g.n), as_measure(nu, g.n), config, tree, rng, target_cost)
+        return _run_chain(g, xi, config, target, np.random.default_rng(seeds[k]))
 
     with ThreadPoolExecutor(max_workers=chains) as pool:
         results = list(pool.map(run, range(chains)))
     best_k = min(range(chains), key=lambda k: (results[k].best_cost, k))
     return results[best_k], best_k
+
+
+def _chain_inputs(g: WeightedGraph, mu, nu, target_cost) -> tuple[np.ndarray, float]:
+    """The imbalance of the validated measures, and ``target_cost`` as the
+    kernel reads it (NaN for none)."""
+    xi = imbalance(as_measure(mu, g.n), as_measure(nu, g.n))
+    if target_cost is None:
+        return xi, math.nan
+    if (isinstance(target_cost, bool) or not isinstance(target_cost, numbers.Real)
+            or not math.isfinite(target_cost)):
+        raise ValueError(f"target_cost must be a finite real number, not {target_cost!r}")
+    return xi, float(target_cost)
+
+
+def _run_chain(g, xi, config, target, rng, tree=None) -> AnnealResult:
+    """One chain from ``tree``, or from a random spanning tree drawn from ``rng``."""
+    if tree is None:
+        tree = random_spanning_tree(g, rng)
+    stats, best_links, links, trace = _kernels.kernels().anneal_chain(
+        tree, g, xi, config.max_iters if g.n > 1 else 0, config.beta0, config.target_accept,
+        config.eta, config.window, config.record_every, config.recompute_every, target, rng)
+    best, current, final_root, best_root, _, iters_done, max_drift, stop = stats
+    if max_drift > 1e-6:
+        raise RuntimeError(f"incremental cost drifted by {max_drift:.3e}")
+    return AnnealResult(
+        best_tree=RootedTree(best_root, *best_links),
+        best_cost=float(best),
+        final_tree=RootedTree(final_root, *links),
+        final_cost=float(current),
+        trace=list(map(TraceRecord._make, zip(*(a.tolist() for a in trace)))),
+        iters_run=int(iters_done),
+        max_drift=float(max_drift),
+        stop_reason=_kernels.STOP_REASONS[stop],
+    )

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio, graphs
+from ._kernels import kernel_backend
 from .annealing import AnnealConfig, anneal, anneal_chains
 from .errors import InputError, TreeOTError
 from .graphs import WeightedGraph, grid_graph, pair_distances
@@ -143,6 +144,7 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, config: dict, out
         "inputs": inputs,
         "config": config,
         "version": __version__,
+        "kernel_backend": kernel_backend(),
         "wall_clock_s": time.time() - started,
         "outputs": outputs,
         **fields,
@@ -235,6 +237,8 @@ def cmd_anneal(args) -> int:
     cfg = _anneal_config(args)
     if args.chains < 1:
         raise InputError(f"--chains must be at least 1, not {args.chains}")
+    if args.target_cost is not None and not math.isfinite(args.target_cost):
+        raise InputError(f"--target-cost must be a finite number, not {args.target_cost!r}")
     initial = fileio.load_tree(args.tree, g) if args.tree else None
     if args.chains > 1:
         if initial is not None:

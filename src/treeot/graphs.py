@@ -33,7 +33,8 @@ class WeightedGraph:
     positive (else ``NonPositiveWeightError``); no self-loop, arc keys
     ``tail * n + head`` strictly increasing (rows sorted, no arc repeated) and
     every arc's reverse present with the same weight (else ``ValueError``);
-    the graph connected (else ``DisconnectedError``).
+    the graph connected (else ``DisconnectedError``). It keeps the sorted arc
+    keys, which ``arc_index`` and so the edge lookups search.
     """
 
     n: int
@@ -55,10 +56,14 @@ class WeightedGraph:
         if not (weights > 0.0).all():
             raise NonPositiveWeightError("graph CSR: an arc weight is zero or negative")
         tails = self.arc_tails()
-        if (tails == indices).any() or (np.diff(tails * n + indices) <= 0).any():
+        keys = tails * n + indices
+        if (tails == indices).any() or (np.diff(keys) <= 0).any():
             raise ValueError("graph CSR: a self-loop, or a row unsorted or repeating an arc")
-        reverse = self.arc_index(indices, tails)
-        if (reverse < 0).any() or (weights[reverse] != weights).any():
+        # the keys are distinct, so the reversed keys sort onto them exactly
+        # when every arc's reverse is present, and perm pairs each arc with it
+        rkeys = indices * n + tails
+        perm = np.argsort(rkeys, kind="stable")
+        if not (np.array_equal(rkeys[perm], keys) and np.array_equal(weights[perm], weights)):
             raise ValueError("graph CSR: an arc has no reverse arc of the same weight")
         ptr, heads = indptr.tolist(), indices.tolist()
         seen = [True] + [False] * (n - 1)
@@ -71,7 +76,9 @@ class WeightedGraph:
                     stack.append(nb)
         if not all(seen):
             raise DisconnectedError("graph is not connected")
-        for a in (indptr, indices, weights):
+        # the sorted keys, and past them n * n, above every key, for arc_index
+        object.__setattr__(self, "_keys", np.append(keys, n * n))
+        for a in (indptr, indices, weights, self._keys):
             a.setflags(write=False)
 
     @cached_property
@@ -98,14 +105,15 @@ class WeightedGraph:
 
     def arc_index(self, tails, heads) -> np.ndarray:
         """CSR position of every arc ``tails[k] -> heads[k]`` (0-d for one), or -1
-        where there is none: a ``searchsorted`` of the sorted keys ``tail * n + head``."""
+        where there is none: a ``searchsorted`` of the arc keys ``tail * n + head``,
+        which construction proved sorted and kept."""
         tails, heads, n = np.asarray(tails), np.asarray(heads), self.n
         inside = (0 <= tails) & (tails < n) & (0 <= heads) & (heads < n)
         # a pair out of range looks up the self-loop 0 -> 0, which no graph holds
         tails, heads = (np.where(inside, ends, 0).astype(np.int64) for ends in (tails, heads))
-        keys, wanted = self.arc_tails() * n + self.indices, tails * n + heads
-        at = np.searchsorted(keys, wanted)
-        return np.where(np.append(keys, -1)[at] == wanted, at, -1)
+        wanted = tails * n + heads
+        at = np.searchsorted(self._keys, wanted)
+        return np.where(self._keys[at] == wanted, at, -1)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.arc_index(u, v) >= 0)

@@ -252,6 +252,21 @@ def reference_csr_verdict(n, indptr, indices, weights):
     return None if len(reached) == n else DisconnectedError
 
 
+def reference_reverse_arcs(n, indptr, indices, weights):
+    """The check that every arc's reverse is present with the same weight, as
+    ``WeightedGraph`` made it before it kept its arc keys: ``arc_index``
+    rebuilt the sorted keys ``tail * n + head`` and found every reversed arc
+    by ``searchsorted``. Takes a CSR that passes the checks before it (heads
+    in range, rows sorted, no arc repeated) and raises what construction
+    raises."""
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    keys, wanted = tails * n + indices, indices * n + tails
+    at = np.searchsorted(keys, wanted)
+    reverse = np.where(np.append(keys, -1)[at] == wanted, at, -1)
+    if (reverse < 0).any() or (weights[reverse] != weights).any():
+        raise ValueError("graph CSR: an arc has no reverse arc of the same weight")
+
+
 def reference_subtree_sums(parent, order, values):
     """Subtree sums by the loop ``subtree_aggregate`` ran before the tree
     passes moved to the kernel backends: along ``order`` (leaves first), each
@@ -799,6 +814,14 @@ def c_compiler_found() -> bool:
 def compiled_backends() -> list[str]:
     """The compiled kernel backends this machine can run."""
     return ["c"] if c_compiler_found() else []
+
+
+@pytest.fixture(params=["python", *compiled_backends()])
+def backend(request, monkeypatch):
+    """Run the test on each backend's kernels."""
+    kernels = _kernels._LOADERS[request.param]()
+    monkeypatch.setattr(_kernels, "kernels", lambda: kernels)
+    return request.param
 
 
 def run_python(code: str, backend: str | None = None, argv=(), timeout=None, **env_overrides):

@@ -305,6 +305,57 @@ class TestAnneal:
         assert res.best_cost == 0.0 and res.iters_run == 0
 
 
+class TestChainEntry:
+    """``anneal`` and ``anneal_chains`` hand the kernel a proven tree and a
+    checked target: no tree is proven twice, and a target that is not a
+    finite real number is refused on every backend."""
+
+    @pytest.mark.parametrize("backend_name", ["python", *compiled_backends()])
+    def test_one_anneal_proves_three_trees(self, backend_name, monkeypatch):
+        proofs = []
+        order_runner = _kernels._order_runner
+
+        def counted(run):
+            return order_runner(lambda *args: proofs.append(args[0]) or run(*args))
+
+        monkeypatch.setattr(_kernels, "_order_runner", counted)
+        kernels = _kernels._LOADERS[backend_name]()
+        monkeypatch.setattr(_kernels, "kernels", lambda: kernels)
+        g = ot.grid_graph(4)
+        mu, nu = noisy_grid_measures(4, seed=1)
+        cfg = ot.AnnealConfig(max_iters=2000, seed=3, record_every=100)
+        # the random tree, then the best and the final tree
+        res = ot.anneal(g, mu, nu, cfg)
+        assert proofs == [proofs[0], res.best_tree.root, res.final_tree.root]
+        proofs.clear()
+        ot.anneal(g, mu, nu, cfg, initial_tree=res.final_tree)
+        assert len(proofs) == 2
+
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan, "0.5", True, [0.5]],
+                             ids=["inf", "-inf", "nan", "string", "bool", "list"])
+    def test_target_cost_must_be_a_finite_real_number(self, backend, target):
+        g = ot.grid_graph(3)
+        mu, nu = noisy_grid_measures(3, seed=10)
+        cfg = ot.AnnealConfig(max_iters=100, seed=0)
+        for chains in (1, 2):
+            with pytest.raises(ValueError, match="target_cost must be a finite real number"):
+                ot.anneal_chains(g, mu, nu, cfg, chains, target_cost=target)
+
+    def test_integer_and_numpy_targets_are_read_as_floats(self, backend):
+        g = ot.grid_graph(3)
+        flat = np.full(9, 1 / 9)
+        cfg = ot.AnnealConfig(max_iters=100, seed=0)
+        for target in (1, np.float64(0.5), np.int64(2)):
+            assert ot.anneal(g, flat, flat, cfg, target_cost=target).stop_reason == "target"
+
+    def test_a_tree_of_another_size_is_refused(self, backend):
+        g = ot.grid_graph(3)
+        t = ot.random_spanning_tree(ot.grid_graph(2), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="parent count out of range"):
+            _kernels.kernels().anneal_chain(t, g, np.zeros(9), 10, 1.0, 0.3, 0.05, 10, 10, 0,
+                                            math.nan, np.random.default_rng(1))
+
+
 class TestCertifiedStop:
     """The chain's stop at a certified optimum: ``certify`` passes only on
     trees whose cost is W1, so every ``"certified"`` result is exact against

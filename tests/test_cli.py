@@ -377,6 +377,19 @@ def test_bad_argument_exits_2(line6_files, capsys, command, flag, value):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("chains", ["1", "2"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_target_cost_exits_2(line6_files, capsys, value, chains):
+    d = line6_files
+    assert run_cli("anneal", f"--target-cost={value}", "--chains", chains, "--iters", "10",
+                   "--out-dir", str(d / "run"), "--graph", str(d / "graph.json"),
+                   "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (d / "run" / "best_tree.json").exists()
+    assert captured.err.splitlines() == [
+        f"error: --target-cost must be a finite number, not {float(value)!r}"]
+
+
 @pytest.mark.parametrize("value", ["true", "1.5"])
 @pytest.mark.parametrize("field", ["max_iters", "seed", "window", "record_every", "recompute_every"])
 def test_non_integer_config_field_exits_2(line6_files, capsys, field, value):
@@ -472,6 +485,21 @@ class TestSharedOutDir:
         assert anneal["stop_reason"] in ("max_iters", "target", "certified")
         assert 0 <= anneal["iters_run"] <= 3000
         assert not (d / "manifest.json").exists()
+
+
+    def test_every_manifest_records_the_kernel_backend(self, tmp_path, capsys, backend):
+        d = tmp_path
+        files = ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")]
+        tree = ["--tree", str(d / "best_tree.json")]
+        assert run_cli("grid", "--p", "3", "--seed", "1", "--out-dir", str(d)) == 0
+        assert run_cli("anneal", *files, "--iters", "100", "--out-dir", str(d)) == 0
+        assert run_cli("plan", *files, *tree, "--out-dir", str(d)) == 0
+        assert run_cli("potential", *files, *tree, "--out-dir", str(d)) == 0
+        capsys.readouterr()
+        manifests = sorted(d.glob("*.manifest.json"))
+        assert [m.name.split(".")[0] for m in manifests] == ["anneal", "grid", "plan", "potential"]
+        for m in manifests:
+            assert json.loads(m.read_text())["kernel_backend"] == backend
 
 
 class TestVerifyCommand:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import treeot as ot
-from treeot import _kernels
 from treeot.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -17,7 +16,6 @@ from treeot.errors import (
 
 from conftest import (
     brute_force_geodesic_edges,
-    compiled_backends,
     dijkstra_all_pairs,
     raised,
     random_connected_graph,
@@ -206,14 +204,6 @@ BAD_CSRS = {
 def csr_graph(n, indptr, indices, weights) -> ot.WeightedGraph:
     return ot.WeightedGraph(n, np.array(indptr, dtype=np.int64),
                             np.array(indices, dtype=np.int64), np.array(weights, dtype=np.float64))
-
-
-@pytest.fixture(params=["python", *compiled_backends()])
-def backend(request, monkeypatch):
-    """Run the test on each backend's kernels."""
-    kernels = _kernels._LOADERS[request.param]()
-    monkeypatch.setattr(_kernels, "kernels", lambda: kernels)
-    return request.param
 
 
 class TestProvenCsr:

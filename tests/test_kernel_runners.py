@@ -19,9 +19,8 @@ N = 9  # vertices of the 3x3 lattice that every call runs on
 
 #: every kernel's arguments, by name, in order
 SIGNATURES = {
-    "anneal_chain": "parent wpar xi_cum root graph xi_node max_iters beta0 target_accept eta "
-                    "window record_every recompute_every target_cost rng best_parent best_wpar "
-                    "trace_iter trace_cur trace_best trace_beta trace_acc",
+    "anneal_chain": "tree graph xi_node max_iters beta0 target_accept eta window record_every "
+                    "recompute_every target_cost rng",
     "wilson_tree": "graph rng",
     "dp_plan": "tree xi zero_tol",
     "network_simplex": "supply tail head cost",
@@ -53,7 +52,7 @@ CASES = {
 KERNEL_CASES = {
     "anneal_chain": ["parent-link-minus-2", "parent-link-out-of-range", "root-out-of-range",
                      "window-0", "neighbour-out-of-range", "vertex-without-neighbour",
-                     "int32-parent", "short-xi_node"],
+                     "int32-xi_node", "short-xi_node"],
     "wilson_tree": ["neighbour-out-of-range", "vertex-without-neighbour", "int32-indptr",
                     "short-adj_w"],
     "dp_plan": ["parent-link-minus-2", "parent-link-out-of-range", "short-xi"],
@@ -80,7 +79,6 @@ def arguments() -> dict:
     g = ot.grid_graph(3)
     t = ot.random_spanning_tree(g, np.random.default_rng(0))
     xi = np.linspace(-0.4, 0.4, N)
-    rows = 50 // 10 + 2
     return {
         "parent": t.parent.copy(), "wpar": t.weight_to_parent.copy(), "root": t.root,
         "xi_cum": ot.subtree_aggregate(t, xi), "xi_node": xi.copy(), "xi": xi.copy(),
@@ -90,20 +88,17 @@ def arguments() -> dict:
         "xs": np.arange(N, dtype=np.int64), "ys": np.arange(N, dtype=np.int64)[::-1].copy(),
         "mass": None, "max_iters": 50, "beta0": 1.0, "target_accept": 0.3, "eta": 0.05,
         "window": 10, "record_every": 10, "recompute_every": 0, "target_cost": np.nan,
-        "rng": np.random.default_rng(1), "best_parent": np.empty(N, dtype=np.int64),
-        "best_wpar": np.empty(N), "trace_iter": np.zeros(rows, dtype=np.int64),
-        "trace_cur": np.zeros(rows), "trace_best": np.zeros(rows), "trace_beta": np.zeros(rows),
-        "trace_acc": np.zeros(rows), "sign_at_zero": 1, "zero_tol": 1e-14, "samples": 4,
+        "rng": np.random.default_rng(1), "sign_at_zero": 1, "zero_tol": 1e-14, "samples": 4,
         "tol": 1e-12,
     }
 
 
 def call(kernel_fn, kernel: str, case: str | None = None):
     """``kernel_fn`` (the entry ``kernel`` of some backend) on the arguments
-    of ``kernel``, the one that ``case`` breaks broken. A ``graph`` or
-    ``tree`` is built here, in the call, from its arrays (the raw arrays
-    themselves for ``raw-structure``), on the backend that ``kernels()``
-    returns."""
+    of ``kernel``, the one that ``case`` breaks broken. A ``graph`` and a
+    ``tree``, each where the kernel takes one, are built here, in the call,
+    from their arrays (the raw arrays themselves for ``raw-structure``), on
+    the backend that ``kernels()`` returns."""
     args = arguments()
     kind, _, name = (case or "").partition("-")
     if kind == "int32":
@@ -117,11 +112,12 @@ def call(kernel_fn, kernel: str, case: str | None = None):
     raw = {"graph": ("indptr", "indices", "adj_w"), "tree": ("root", "parent", "wpar")}
     if case == "raw-structure":
         args.update({key: tuple(args[a] for a in parts) for key, parts in raw.items()})
-    elif "graph" in names:
-        args["graph"] = ot.WeightedGraph(n=N, indptr=args["indptr"], indices=args["indices"],
-                                         weights=args["adj_w"])
-    elif "tree" in names:
-        args["tree"] = RootedTree(args["root"], args["parent"], args["wpar"])
+    else:
+        if "graph" in names:
+            args["graph"] = ot.WeightedGraph(n=N, indptr=args["indptr"], indices=args["indices"],
+                                             weights=args["adj_w"])
+        if "tree" in names:
+            args["tree"] = RootedTree(args["root"], args["parent"], args["wpar"])
     return kernel_fn(*[args[a] for a in names])
 
 
@@ -159,29 +155,28 @@ WALKS = [k for k, names in SIGNATURES.items() if {"graph", "tree"} & set(names.s
 @pytest.mark.parametrize("kernel", WALKS)
 def test_walks_take_only_a_proven_graph_or_tree(kernel, loaded):
     expected = outcome(loaded, "python", kernel, "raw-structure")
-    kind = "WeightedGraph" if "graph" in SIGNATURES[kernel].split() else "RootedTree"
+    # the chain, which takes both, checks its tree first
+    kind = "RootedTree" if "tree" in SIGNATURES[kernel].split() else "WeightedGraph"
     assert expected[0] is TypeError and expected[1].endswith(f"needs a {kind}, not tuple")
     for backend in compiled_backends():
         assert outcome(loaded, backend, kernel, "raw-structure") == expected
 
 
 # Two inputs that once crashed or hung a kernel, each run in a child
-# interpreter under a time limit, so a crash or a hang fails one test.
+# interpreter under a time limit, so a crash or a hang fails one test. The
+# chain, which once took raw parent links, now starts only from a RootedTree,
+# so links with a two-cycle are refused when that tree is built.
 CHAIN_ON_A_TWO_CYCLE = """
 import numpy as np
 import treeot as ot
-from treeot import _kernels
+from treeot.trees import RootedTree
 g = ot.grid_graph(3)
 t = ot.random_spanning_tree(g, np.random.default_rng(0))
 a, b = [v for v in range(g.n) if v != t.root][:2]
 parent = t.parent.copy()
 parent[a], parent[b] = b, a
-xi = np.linspace(-0.4, 0.4, g.n)
 try:
-    _kernels.kernels().anneal_chain(
-        parent, t.weight_to_parent.copy(), ot.subtree_aggregate(t, xi), t.root, g, xi, 50, 1.0,
-        0.3, 0.05, 10, 10, 0, np.nan, np.random.default_rng(1), np.empty(g.n, dtype=np.int64),
-        np.empty(g.n), np.zeros(7, dtype=np.int64), *(np.zeros(7) for _ in range(4)))
+    RootedTree(t.root, parent, t.weight_to_parent)
 except Exception as exc:
     print(type(exc).__name__, t.root, exc)
 """

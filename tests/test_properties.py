@@ -20,11 +20,17 @@ import pytest
 
 import treeot as ot
 from treeot import _kernels
-from treeot.errors import NotSpanningError
+from treeot.errors import DisconnectedError, NotSpanningError
 from treeot.oracle import lipschitz_violation
 from treeot.trees import RootedTree
 
-from conftest import compiled_backends, reference_csr_verdict, reference_order_depth
+from conftest import (
+    compiled_backends,
+    raised,
+    reference_csr_verdict,
+    reference_order_depth,
+    reference_reverse_arcs,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -222,3 +228,27 @@ def test_weighted_graph_is_proven_alike_on_every_backend(csr):
         assert outcomes[0] == ("built", n)
     else:
         assert outcomes[0][0] is expected
+
+
+REVERSE_ARC_MISSING = (ValueError, "graph CSR: an arc has no reverse arc of the same weight")
+
+
+def csr_of(n, indptr, indices, weights):
+    return (n, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(weights, dtype=np.float64))
+
+
+@PROOF_SETTINGS
+@hypothesis.given(csr_arrays())
+# the drawn CSRs that reach the reverse-arc check all lack an arc; these
+# examples have every arc, with one weight asymmetric or none
+@hypothesis.example(csr_of(2, [0, 1, 2], [1, 0], [1.0, 3.0]))
+@hypothesis.example(csr_of(3, [0, 2, 4, 6], [1, 2, 0, 2, 0, 1], [1.0, 2.0, 1.0, 0.5, 2.0, 0.25]))
+@hypothesis.example(csr_of(3, [0, 2, 4, 6], [1, 2, 0, 2, 0, 1], [1.0, 2.0, 1.0, 0.5, 2.0, 0.5]))
+def test_reverse_arc_check_agrees_with_the_lookup_reference(csr):
+    n, indptr, indices, weights = csr
+    got = raised(ot.WeightedGraph, n, indptr.copy(), indices.copy(), weights.copy())
+    # the CSRs that pass every check before the reverse-arc one reach it
+    if got is None or got[0] is DisconnectedError or got == REVERSE_ARC_MISSING:
+        expected = raised(reference_reverse_arcs, n, indptr, indices, weights)
+        assert (got if got == REVERSE_ARC_MISSING else None) == expected
