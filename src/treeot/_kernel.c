@@ -1,6 +1,13 @@
 /* C transcription of the annealing, random-tree, tree-pass, transport-plan,
  * network-simplex and pair-distance kernels in _kernels.py.
  *
+ * One ABI: treeot_<name> takes the argument list of the reference kernel
+ * <name>, in order and by name (the numpy Generator rng stands for the
+ * bit-generator pointer rng): n first, then the inputs, then the outputs the
+ * caller allocates. It returns an int status, 0 on success. Each exported
+ * function allocates its own scratch and frees it on every return, or
+ * returns NO_MEMORY; the static helpers take theirs from the caller.
+ *
  * Every floating-point operation happens in the same order as in the Python
  * kernels, and the library is built with -ffp-contract=off and without
  * fast-math, so no multiply-add is fused and the results are bit-identical.
@@ -11,6 +18,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Layout of numpy's bitgen_t (numpy/random/bitgen.h). */
@@ -39,7 +47,16 @@ enum {
     STOP_MAX_ITERS = 13,
     STOP_TARGET = 14,
     STOP_CERTIFIED = 15,
+    NO_MEMORY = 16,
 };
+
+/* count slots of size bytes each, zeroed if asked; never 0 bytes, so NULL
+ * means only that the allocation failed */
+static void *scratch(int64_t count, size_t size, int zeroed)
+{
+    const size_t slots = count > 0 ? (size_t)count : 1;
+    return zeroed ? calloc(slots, size) : malloc(slots * size);
+}
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
  * when deg == 1, otherwise Lemire's bounded rejection on 32-bit draws
@@ -140,9 +157,9 @@ static void apply_swap(int64_t *parent, double *wpar, double *xi_cum, int64_t ro
 }
 
 /* tree_potential of _kernels.py, into u (zero on entry). */
-void treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
-                           const double *wpar, const double *xi_cum, double sign_at_zero,
-                           double *u)
+int treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
+                          const double *wpar, const double *xi_cum, double sign_at_zero,
+                          double *u)
 {
     for (int64_t i = n - 1; i >= 0; i--) {
         const int64_t v = order[i], p = parent[v];
@@ -151,6 +168,7 @@ void treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *orde
         const double s = xi_cum[v] == 0.0 ? sign_at_zero : (xi_cum[v] > 0.0 ? 1.0 : -1.0);
         u[v] = u[p] + wpar[v] * s;
     }
+    return CHAIN_OK;
 }
 
 /* certify of _kernels.py: 1 when the tree potential of the spanning tree
@@ -193,10 +211,10 @@ static double update_beta(double beta, int64_t bits_sum, int64_t bits_seen, int6
     return beta;
 }
 
-/* anneal_chain of _kernels.py, with certify's cert_rtol passed in. bits
- * holds window slots, work_i 2n and work_d 2n. Results: out_d = {best,
- * current, max_drift} and out_i = {root, best_root, records, iters_done,
- * stop}, stop a STOP_* code. Returns a CHAIN_* code.
+/* anneal_chain of _kernels.py. Its scratch: bits holds window slots, work_i
+ * 2n and work_d 2n. Results: out_d = {best, current, max_drift} and out_i =
+ * {root, best_root, records, iters_done, stop}, stop a STOP_* code. Returns
+ * a CHAIN_* code or NO_MEMORY.
  * The window slot and the record and recompute schedules are counters, not
  * remainders of it: slot == (it - 1) % window, and to_record (to_recompute)
  * reaches 0 exactly when it is a multiple of record_every (recompute_every,
@@ -206,11 +224,16 @@ int treeot_anneal_chain(
     const int64_t *indptr, const int64_t *indices, const double *adj_w, const double *xi_node,
     int64_t max_iters, double beta0, double target_accept, double eta, int64_t window,
     int64_t record_every, int64_t recompute_every, double target_cost, double cert_rtol,
-    bitgen_t *bg,
-    int64_t *best_parent, double *best_wpar, int64_t *trace_iter, double *trace_cur,
-    double *trace_best, double *trace_beta, double *trace_acc, int64_t *bits, int64_t *work_i,
-    double *work_d, double *out_d, int64_t *out_i)
+    bitgen_t *rng, int64_t *best_parent, double *best_wpar, int64_t *trace_iter,
+    double *trace_cur, double *trace_best, double *trace_beta, double *trace_acc, double *out_d,
+    int64_t *out_i)
 {
+    int64_t *bits = scratch(window, sizeof *bits, 1), *work_i = scratch(2 * n, sizeof *work_i, 0);
+    double *work_d = scratch(2 * n, sizeof *work_d, 0);
+    int status = NO_MEMORY;
+    if (!bits || !work_i || !work_d)
+        goto done;
+    status = CHAIN_OK;
     const size_t parent_bytes = (size_t)n * sizeof *parent;
     const size_t wpar_bytes = (size_t)n * sizeof *wpar;
     double current = tree_cost(n, parent, wpar, xi_cum);
@@ -219,10 +242,8 @@ int treeot_anneal_chain(
     memcpy(best_parent, parent, parent_bytes);
     memcpy(best_wpar, wpar, wpar_bytes);
 
-    memset(bits, 0, (size_t)window * sizeof *bits);
     int64_t bits_sum = 0, bits_seen = 0;
     double beta = beta0, max_drift = 0.0;
-    int status = CHAIN_OK;
 
     int64_t records = 0;
     trace_iter[records] = 0;
@@ -245,10 +266,10 @@ int treeot_anneal_chain(
         for (int64_t it = 1; it <= max_iters; it++) {
             int64_t new_root;
             double w_added;
-            status = propose_root(indptr, indices, adj_w, root, bg, &new_root, &w_added);
+            status = propose_root(indptr, indices, adj_w, root, rng, &new_root, &w_added);
             if (status != CHAIN_OK)
                 break;
-            const double u = bg->next_double(bg->state);
+            const double u = rng->next_double(rng->state);
             const double h = swap_delta(parent, wpar, xi_cum, root, new_root, w_added);
 
             const int accept = h >= 0.0 || u <= accept_bound(beta * h);
@@ -332,14 +353,18 @@ int treeot_anneal_chain(
     out_i[2] = records;
     out_i[3] = iters_done;
     out_i[4] = stop;
+done:
+    free(bits);
+    free(work_i);
+    free(work_d);
     return status;
 }
 
 /* wilson_tree of _kernels.py: a uniform random spanning tree of the CSR graph
- * into parent and wpar. in_tree holds n bytes; *root_out receives the root.
+ * into parent and wpar. in_tree holds n bytes; *out_root receives the root.
  * Returns CHAIN_OK or a WILSON_* / CHAIN_DEGREE_TOO_LARGE code. */
-int treeot_wilson(int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
-                  bitgen_t *bg, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *root_out)
+static int wilson(int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
+                  bitgen_t *bg, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *out_root)
 {
     if (n < 1 || n > (int64_t)UINT32_MAX)
         return WILSON_BAD_VERTEX_COUNT;
@@ -363,8 +388,20 @@ int treeot_wilson(int64_t n, const int64_t *indptr, const int64_t *indices, cons
         for (int64_t v = start; !in_tree[v]; v = parent[v])
             in_tree[v] = 1;
     }
-    *root_out = root;
+    *out_root = root;
     return CHAIN_OK;
+}
+
+int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
+                       const double *adj_w, bitgen_t *rng, int64_t *parent, double *wpar,
+                       int64_t *out_root)
+{
+    uint8_t *in_tree = scratch(n, 1, 0);
+    const int status = in_tree ? wilson(n, indptr, indices, adj_w, rng, parent, wpar, in_tree,
+                                        out_root)
+                               : NO_MEMORY;
+    free(in_tree);
+    return status;
 }
 
 /* child_csr of _kernels.py, by counting sort: the children of v, in
@@ -396,8 +433,8 @@ static int child_lists(int64_t n, const int64_t *parent, int64_t *child_ptr, int
  * lists, child_lists' fill cursors and the walk's stack. Returns CHAIN_OK or
  * a TREE_* code; with parent[root] == -1 and every link in range no vertex
  * is pushed twice, so the stack and order stay within n slots. */
-int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
-                      int64_t *depth, int64_t *work_i)
+static int orient(int64_t n, const int64_t *parent, int64_t root, int64_t *order, int64_t *depth,
+                  int64_t *work_i)
 {
     if (root < 0 || root >= n || parent[root] != -1)
         return TREE_NOT_ROOTED;
@@ -420,46 +457,56 @@ int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *o
     return pos ? TREE_UNREACHED : CHAIN_OK;
 }
 
+int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
+                      int64_t *depth)
+{
+    int64_t *work_i = scratch(4 * n + 1, sizeof *work_i, 0);
+    const int status = work_i ? orient(n, parent, root, order, depth, work_i) : NO_MEMORY;
+    free(work_i);
+    return status;
+}
+
 /* subtree_sums of _kernels.py: out goes from vertex values to subtree sums. */
-void treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
+int treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
 {
     for (int64_t i = 0; i < n; i++) {
         const int64_t v = order[i], p = parent[v];
         if (p >= 0)
             out[p] += out[v];
     }
+    return CHAIN_OK;
 }
 
 /* balanced_subtree of _kernels.py: *found is 1 when one of the samples
  * Wilson trees has a non-root vertex whose subtree sum of xi is at most tol
- * in magnitude, else 0. work_i holds 7n + 1 slots (parent, order, depth and
- * tree_order's work), work_d 2n (wpar and the sums) and in_tree n bytes.
- * Returns Wilson's status. */
-int treeot_balanced_subtree(
-    int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
-    bitgen_t *bg, const double *xi, int64_t samples, double tol, int64_t *work_i,
-    double *work_d, uint8_t *in_tree, int64_t *found)
+ * in magnitude, else 0. Its scratch: work_i holds 7n + 1 slots (parent,
+ * order, depth and orient's work), work_d 2n (wpar and the sums) and in_tree
+ * n bytes. Returns Wilson's status or NO_MEMORY. */
+int treeot_balanced_subtree(int64_t n, const int64_t *indptr, const int64_t *indices,
+                            const double *adj_w, bitgen_t *rng, const double *xi,
+                            int64_t samples, double tol, int64_t *found)
 {
-    int64_t *parent = work_i, *order = work_i + n, *depth = work_i + 2 * n;
-    double *wpar = work_d, *sums = work_d + n;
+    int64_t *work_i = scratch(7 * n + 1, sizeof *work_i, 0);
+    double *work_d = scratch(2 * n, sizeof *work_d, 0);
+    uint8_t *in_tree = scratch(n, 1, 0);
+    int status = work_i && work_d && in_tree ? CHAIN_OK : NO_MEMORY;
     *found = 0;
-    for (int64_t k = 0; k < samples; k++) {
-        int64_t root;
-        const int status =
-            treeot_wilson(n, indptr, indices, adj_w, bg, parent, wpar, in_tree, &root);
+    for (int64_t k = 0; status == CHAIN_OK && !*found && k < samples; k++) {
+        int64_t *parent = work_i, *order = work_i + n, *depth = work_i + 2 * n, root;
+        double *wpar = work_d, *sums = work_d + n;
+        status = wilson(n, indptr, indices, adj_w, rng, parent, wpar, in_tree, &root);
         if (status != CHAIN_OK)
-            return status;
-        /* a Wilson tree is rooted at root */
-        treeot_tree_order(n, parent, root, order, depth, work_i + 3 * n);
+            break;
+        orient(n, parent, root, order, depth, work_i + 3 * n); /* a Wilson tree is rooted at root */
         memcpy(sums, xi, (size_t)n * sizeof *sums);
         treeot_subtree_sums(n, parent, order, sums);
-        for (int64_t v = 0; v < n; v++)
-            if (v != root && fabs(sums[v]) <= tol) {
-                *found = 1;
-                return CHAIN_OK;
-            }
+        for (int64_t v = 0; v < n && !*found; v++)
+            *found = v != root && fabs(sums[v]) <= tol;
     }
-    return CHAIN_OK;
+    free(work_i);
+    free(work_d);
+    free(in_tree);
+    return status;
 }
 
 /* (da, va) before (db, vb): distance first, then vertex id. */
@@ -528,20 +575,26 @@ static int64_t prune(int64_t v, const int64_t *parent, const double *xi, uint8_t
 }
 
 /* dp_plan of _kernels.py, on a tree that tree_order has proven, whose order
- * it walks. xi is changed in place; work_d holds 2n slots (xi_cum and the
- * heap's keys), alive n, work_i 6n + 1 (the child lists, live child counts,
- * heap and two BFS layers), out_x, out_y and out_m 4n + 16. out_k receives
- * {count, u}. The heap is keyed by vertex id alone, as heapq orders the
- * reference's. Returns 0, PLAN_NO_MATCH or PLAN_NO_END. */
+ * it walks. xi is changed in place; out_x, out_y and out_m hold 4n + 16
+ * slots, and out_k receives {count, u}. Its scratch: work_d holds 2n slots
+ * (xi_cum and the heap's keys), alive n, work_i 6n + 1 (the child lists,
+ * live child counts, heap and two BFS layers). The heap is keyed by vertex
+ * id alone, as heapq orders the reference's. Returns 0, PLAN_NO_MATCH,
+ * PLAN_NO_END or NO_MEMORY. */
 int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, double *xi,
-                   double zero_tol, double *work_d, uint8_t *alive, int64_t *work_i,
-                   int64_t *out_x, int64_t *out_y, double *out_m, int64_t *out_k)
+                   double zero_tol, int64_t *out_x, int64_t *out_y, double *out_m, int64_t *out_k)
 {
     int64_t count = 0;
     out_k[0] = 0;
     out_k[1] = -1;
     if (n == 0)
         return CHAIN_OK;
+    double *work_d = scratch(2 * n, sizeof *work_d, 0);
+    uint8_t *alive = scratch(n, 1, 0);
+    int64_t *work_i = scratch(6 * n + 1, sizeof *work_i, 0);
+    int status = NO_MEMORY;
+    if (!work_d || !alive || !work_i)
+        goto done;
     double *xi_cum = work_d, *heap_d = work_d + n;
     int64_t *child_ptr = work_i, *child_idx = work_i + n + 1, *active = child_idx + n;
     int64_t *heap = active + n, *layer = heap + n, *next_layer = layer + n;
@@ -568,7 +621,7 @@ int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, doubl
     for (int64_t v = 0; v < n; v++)
         size = prune(v, parent, xi, alive, active, heap_d, heap, size);
 
-    int status = PLAN_NO_END;
+    status = PLAN_NO_END;
     for (int64_t step = 0; step < 4 * n + 16; step++) {
         while (size > 0 && !alive[heap[0]])
             size = key_pop(heap_d, heap, size);
@@ -655,20 +708,24 @@ int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, doubl
         size = prune(y, parent, xi, alive, active, heap_d, heap, size);
     }
     out_k[0] = count;
+done:
+    free(work_d);
+    free(alive);
+    free(work_i);
     return status;
 }
 
 /* network_simplex of _kernels.py. Nodes 0..n-1 have supply (negative for
  * demand), arc k runs tail[k] -> head[k] at cost[k]; the artificial root is
  * node n and arc m + v is v's artificial arc. Writes the m arc flows into
- * flow, the n potentials into pi and the pivot count into out_pivots.
- * work_d holds m + 2 n + 1 slots (all flows, then the potentials' real
- * parts), work_i 7 (n + 1) (parent, pred, up, M counts, depth, seen,
- * stack). Returns CHAIN_OK, FLOW_BAD_COST, FLOW_BUDGET or FLOW_INFEASIBLE. */
+ * flow, the n potentials into pi and the pivot count into out_pivots. Its
+ * scratch: work_d holds m + 2 n + 1 slots (all flows, then the potentials'
+ * real parts), work_i 7 (n + 1) (parent, pred, up, M counts, depth, seen,
+ * stack). Returns CHAIN_OK, FLOW_BAD_COST, FLOW_BUDGET, FLOW_INFEASIBLE or
+ * NO_MEMORY. */
 int treeot_network_simplex(int64_t n, int64_t m, const double *supply, const int64_t *tail,
                            const int64_t *head, const double *cost, double price_rtol,
-                           double *flow, double *pi, double *work_d, int64_t *work_i,
-                           int64_t *out_pivots)
+                           double *flow, double *pi, int64_t *out_pivots)
 {
     double cmax = 0.0;
     *out_pivots = 0;
@@ -678,6 +735,11 @@ int treeot_network_simplex(int64_t n, int64_t m, const double *supply, const int
         if (cost[k] > cmax)
             cmax = cost[k];
     }
+    double *work_d = scratch(m + 2 * n + 1, sizeof *work_d, 0);
+    int64_t *work_i = scratch(7 * (n + 1), sizeof *work_i, 0), pivots = 0;
+    int status = NO_MEMORY;
+    if (!work_d || !work_i)
+        goto done;
     const double tol = price_rtol * cmax;
     const int64_t root = n;
     double *fl = work_d, *pr = work_d + m + n;
@@ -706,7 +768,6 @@ int treeot_network_simplex(int64_t n, int64_t m, const double *supply, const int
     const int64_t blocks = (m + block - 1) / block;
     int64_t next_block = 0;
     const int64_t guard = 10 * (n + m) + 100;
-    int64_t pivots = 0;
     for (;;) {
         /* potentials and depths, each node after its parent */
         seen[root] = pivots + 1;
@@ -756,8 +817,8 @@ int treeot_network_simplex(int64_t n, int64_t m, const double *supply, const int
         if (enter < 0)
             break;
         if (pivots == guard) {
-            *out_pivots = pivots;
-            return FLOW_BUDGET;
+            status = FLOW_BUDGET;
+            goto done;
         }
         pivots++;
 
@@ -816,22 +877,28 @@ int treeot_network_simplex(int64_t n, int64_t m, const double *supply, const int
         }
     }
 
-    *out_pivots = pivots;
+    status = CHAIN_OK;
     for (int64_t v = 0; v < n; v++)
         if (pm[v] != pm[0])
-            return FLOW_INFEASIBLE;
-    memcpy(flow, fl, (size_t)m * sizeof *flow);
-    memcpy(pi, pr, (size_t)n * sizeof *pi);
-    return CHAIN_OK;
+            status = FLOW_INFEASIBLE;
+    if (status == CHAIN_OK) {
+        memcpy(flow, fl, (size_t)m * sizeof *flow);
+        memcpy(pi, pr, (size_t)n * sizeof *pi);
+    }
+done:
+    *out_pivots = pivots;
+    free(work_d);
+    free(work_i);
+    return status;
 }
 
 /* tree_pairs of _kernels.py, on a tree that tree_order has proven. With mass
  * NULL, out[i] is the tree distance of pair i; otherwise out holds 2 n zeros
  * and gains mass[i] at out[a] for every edge pair i climbs from child a and
  * at out[n + b] for every edge it descends to child b. */
-void treeot_tree_pairs(int64_t n, const int64_t *parent, const int64_t *depth, const double *wpar,
-                       int64_t k, const int64_t *xs, const int64_t *ys, const double *mass,
-                       double *out)
+int treeot_tree_pairs(int64_t n, const int64_t *parent, const int64_t *depth, const double *wpar,
+                      int64_t k, const int64_t *xs, const int64_t *ys, const double *mass,
+                      double *out)
 {
     for (int64_t i = 0; i < k; i++) {
         int64_t a = xs[i], b = ys[i];
@@ -854,19 +921,27 @@ void treeot_tree_pairs(int64_t n, const int64_t *parent, const int64_t *depth, c
         if (mass == NULL)
             out[i] = total;
     }
+    return CHAIN_OK;
 }
 
 /* pair_distances of _kernels.py: out[by_source[q]] is the shortest-path
- * distance of that pair. dist holds n slots, stamps 3 n zeros (seen,
- * settled, wanted) and heap_d/heap_v m + 1 keys: a run pushes its source
- * and then at most once per arc, since each vertex is settled once. The
- * graph is a proven WeightedGraph: connected, so a run settles its targets
- * before the heap empties, and with positive finite weights. */
-void treeot_pair_distances(int64_t n, const int64_t *indptr, const int64_t *indices,
-                           const double *adj_w, int64_t k, const int64_t *xs, const int64_t *ys,
-                           const int64_t *by_source, double *dist, int64_t *stamps, double *heap_d,
-                           int64_t *heap_v, double *out)
+ * distance of that pair. Its scratch: dist holds n slots, stamps 3 n zeros
+ * (seen, settled, wanted) and heap_d/heap_v m + 1 keys: a run pushes its
+ * source and then at most once per arc, since each vertex is settled once.
+ * The graph is a proven WeightedGraph: connected, so a run settles its
+ * targets before the heap empties, and with positive finite weights.
+ * Returns CHAIN_OK or NO_MEMORY. */
+int treeot_pair_distances(int64_t n, const int64_t *indptr, const int64_t *indices,
+                          const double *adj_w, int64_t k, const int64_t *xs, const int64_t *ys,
+                          const int64_t *by_source, double *out)
 {
+    double *dist = scratch(n, sizeof *dist, 0), *heap_d = scratch(indptr[n] + 1, sizeof *heap_d, 0);
+    int64_t *stamps = scratch(3 * n, sizeof *stamps, 1);
+    int64_t *heap_v = scratch(indptr[n] + 1, sizeof *heap_v, 0);
+    int status = NO_MEMORY;
+    if (!dist || !heap_d || !stamps || !heap_v)
+        goto done;
+    status = CHAIN_OK;
     int64_t *seen = stamps, *settled = stamps + n, *wanted = stamps + 2 * n;
     int64_t run = 0;
     for (int64_t i = 0, j; i < k; i = j) {
@@ -905,4 +980,10 @@ void treeot_pair_distances(int64_t n, const int64_t *indptr, const int64_t *indi
         for (int64_t q = i; q < j; q++)
             out[by_source[q]] = dist[ys[by_source[q]]];
     }
+done:
+    free(dist);
+    free(heap_d);
+    free(stamps);
+    free(heap_v);
+    return status;
 }

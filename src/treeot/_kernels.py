@@ -21,16 +21,27 @@ network, or the graph's own arcs) with a dual potential at every step, and
 whose optimal flow is basic, so its support is a forest. ``tree_pairs``
 walks vertex pairs to their lowest common ancestor for tree distances or
 plan flows, and ``pair_distances`` runs Dijkstra from each distinct source
-of a list of vertex pairs. Two backends run the kernels, each kernel behind
-one runner that both share, which checks its inputs and turns a failure
-status into the exception of the one table ``_STATUS_ERRORS``. A kernel
-that walks a graph or a tree takes a ``WeightedGraph`` or ``RootedTree``,
-whose construction proved it; the chain takes both:
+of a list of vertex pairs.
+
+One ABI: each kernel has one argument list, shared by its reference here
+and by ``treeot_<name>`` in ``_kernel.c``, whose ctypes argtypes
+``C_SIGNATURES`` lists. It is ``n`` first, then the inputs, then the output
+arrays that the caller allocates, and the kernel returns an int status, 0
+on success. A numpy ``Generator`` stands for C's bit-generator pointer. Each
+implementation owns its scratch space: the references convert hot arrays
+to lists at entry, which Python indexes faster, and the C functions
+allocate theirs and free it on every return (``NO_MEMORY`` when that
+fails). Two backends run the kernels behind the methods of one class,
+``Kernels``, that both share: a method checks its inputs, allocates the
+outputs, calls the backend and turns a failure status into the exception
+of the one table ``_STATUS_ERRORS``. A kernel that walks a graph or a tree
+takes a ``WeightedGraph`` or ``RootedTree``, whose construction proved it;
+the chain takes both:
 
 - ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
   helpers) built on first use with the system C compiler and loaded through
   ``ctypes``, which releases the GIL; ``_c_call`` passes it the arrays;
-- ``python``: the function bodies as they stand.
+- ``python``: the reference functions themselves.
 
 ``TREEOT_BACKEND`` names the backend. Unset, c is used if it loads, else
 python with a warning. A named backend that cannot load, or an unknown name,
@@ -38,15 +49,14 @@ raises :class:`KernelBackendError`; there is no silent fallback. Traces,
 trees, orders, sums, potentials, plans, exact flows and distances are
 bit-identical between backends: both draw from the caller's numpy bit
 generator in the same way, and do the same arithmetic in the same order
-without fused multiply-adds. The python backend runs the tree passes, ``dp_plan``,
-``network_simplex`` and the pair kernels over lists, which Python indexes
-faster than arrays.
+without fused multiply-adds.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import heapq
 import math
 import os
@@ -56,13 +66,12 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import KernelBackendError, NotSpanningError, VertexRangeError
 # graphs and trees import this module in turn; treeot/__init__ imports it
-# first, so both are complete before any runner reads these names
+# first, so both are complete before any method reads these names
 from .graphs import WeightedGraph
 from .trees import RootedTree
 
@@ -80,9 +89,11 @@ TREE_NOT_ROOTED = 10
 TREE_BAD_PARENT = 11
 TREE_UNREACHED = 12
 _NOT_A_TREE = "parent links are not a tree rooted at {root}: "
+# a C kernel's status when it cannot allocate its scratch, shared with _kernel.c
+NO_MEMORY = 16
 #: the exception type and message of every failure status, the only place a
-#: status becomes an exception (``root`` and ``u`` come from the runner);
-#: 1 to 4 come only from _kernel.c's random walks, past the runners' checks
+#: status becomes an exception (``root`` and ``u`` come from the method);
+#: 1 to 4 and ``NO_MEMORY`` come only from _kernel.c, past the methods' checks
 _STATUS_ERRORS = {
     1: (ValueError, "C kernel stopped: the root has no graph neighbour"),
     2: (ValueError, "C kernel stopped: a vertex degree of 2^32 or more is not supported"),
@@ -96,6 +107,7 @@ _STATUS_ERRORS = {
     TREE_NOT_ROOTED: (NotSpanningError, _NOT_A_TREE + "the root is out of range or has a parent link"),
     TREE_BAD_PARENT: (NotSpanningError, _NOT_A_TREE + "a parent link is out of range"),
     TREE_UNREACHED: (NotSpanningError, _NOT_A_TREE + "parent links do not reach every vertex"),
+    NO_MEMORY: (MemoryError, "C kernel stopped: its scratch space could not be allocated"),
 }
 # why anneal_chain stopped, shared with _kernel.c
 STOP_MAX_ITERS = 13
@@ -111,50 +123,158 @@ CERT_RTOL = 1e-12
 PRICE_RTOL = 1e-12
 
 
-class Kernels(NamedTuple):
-    """One backend's kernels, each behind the runner that both backends
-    share. A kernel that walks a graph takes a :class:`WeightedGraph`, one
-    that walks a tree a :class:`RootedTree` (each proven when it was built),
-    and raises ``TypeError`` for anything else. A runner checks the other
-    inputs, so that a malformed one raises the same exception with the same
-    message on either backend (``ValueError``, or ``VertexRangeError`` for a
-    pair vertex out of range), calls the backend on the object's arrays and
-    raises the ``_STATUS_ERRORS`` entry of a failure status. The entries:
+class Kernels:
+    """One backend's kernels, behind the methods that both backends share.
+    ``run`` maps each kernel's name to the backend's function of the one
+    argument list (see the module docstring). A method that walks a graph
+    takes a :class:`WeightedGraph`, one that walks a tree a
+    :class:`RootedTree` (each proven when it was built), and raises
+    ``TypeError`` for anything else. A method checks the other inputs, so
+    that a malformed one raises the same exception with the same message on
+    either backend (``ValueError``, or ``VertexRangeError`` for a pair vertex
+    out of range), allocates the outputs, calls ``run`` on the object's
+    arrays and raises the ``_STATUS_ERRORS`` entry of a failure status."""
 
-    - ``anneal_chain(tree, graph, xi, max_iters, beta0, target_accept, eta,
-      window, record_every, recompute_every, target_cost, rng) -> (stats,
-      (best_parent, best_wpar), (parent, wpar), trace)``: the chain of
-      :func:`anneal_chain` from the tree, on copies of its links (the final
-      tree's on return) and its ``subtree_sums`` of ``xi``; ``stats`` is that
-      kernel's return tuple, ``trace`` its five columns cut to the rows written.
-    - ``wilson_tree(graph, rng) -> (root, parent, wpar)``.
-    - ``balanced_subtree(graph, rng, xi, samples, tol) -> found``.
-    - ``dp_plan(tree, xi, zero_tol) -> (rows, cols, mass)``: the
-      off-diagonal entries that :func:`dp_plan` writes, in its order; an
-      entry written twice raises ``RuntimeError``.
-    - ``tree_order(root, parent) -> (order, depth)``, both int64 arrays.
-    - ``subtree_sums(tree, values) -> sums``, a new float64 array.
-    - ``tree_potential(tree, xi_cum, sign_at_zero) -> u``, a new float64 array.
-    - ``network_simplex(supply, tail, head, cost) -> (flow, pi, pivots)``:
-      the arc flows and node potentials of :func:`network_simplex` at
-      ``PRICE_RTOL`` as float64 arrays, and its pivot count.
-    - ``tree_pairs(tree, xs, ys, mass) -> out``: with ``mass`` None the tree
-      distance of every pair, else the 2n edge flows of :func:`tree_pairs`.
-    - ``pair_distances(graph, xs, ys) -> out``: the shortest-path distance of
-      every pair.
-    """
+    def __init__(self, name: str, run: dict):
+        self.name = name
+        self._run = run
 
-    name: str
-    anneal_chain: Callable
-    wilson_tree: Callable
-    dp_plan: Callable
-    network_simplex: Callable
-    tree_order: Callable
-    subtree_sums: Callable
-    tree_potential: Callable
-    balanced_subtree: Callable
-    tree_pairs: Callable
-    pair_distances: Callable
+    def anneal_chain(self, tree, graph, xi, max_iters, beta0, target_accept, eta, window,
+                     record_every, recompute_every, target_cost, rng):
+        """The chain of :func:`anneal_chain` on the graph from copies of the
+        tree's links and their ``subtree_sums`` of ``xi``, as ``(stats,
+        (best_parent, best_wpar), (parent, wpar), trace)``: ``stats`` is
+        (best_cost, current_cost, root, best_root, records, iters_done,
+        max_drift, stop), the links are the best and the final tree's, and
+        ``trace`` is the five columns cut to the rows written."""
+        _proven("annealing chain", tree, RootedTree)
+        _proven("annealing chain", graph, WeightedGraph)
+        n = graph.n
+        _check_arrays("annealing chain", (), ((xi, n),))
+        if window < 1 or record_every < 1 or tree.n != n:
+            raise ValueError("annealing chain: window, record_every or parent count out of range")
+        parent, wpar = tree.parent.copy(), tree.weight_to_parent.copy()
+        best_parent, best_wpar = np.empty_like(parent), np.empty_like(wpar)
+        rows = max(max_iters, 0) // record_every + 2
+        trace = (np.zeros(rows, dtype=np.int64), *(np.zeros(rows) for _ in range(4)))
+        out_d, out_i = np.empty(3), np.empty(5, dtype=np.int64)
+        _check_status(self._run["anneal_chain"](
+            n, parent, wpar, self.subtree_sums(tree, xi), tree.root, graph.indptr, graph.indices,
+            graph.weights, xi, max_iters, beta0, target_accept, eta, window, record_every,
+            recompute_every, target_cost, CERT_RTOL, rng, best_parent, best_wpar, *trace, out_d,
+            out_i))
+        best, current, max_drift = out_d.tolist()
+        root, best_root, records, iters_done, stop = out_i.tolist()
+        return ((best, current, root, best_root, records, iters_done, max_drift, stop),
+                (best_parent, best_wpar), (parent, wpar), tuple(a[:records] for a in trace))
+
+    def wilson_tree(self, graph, rng):
+        """``(root, parent, wpar)`` of :func:`wilson_tree`'s draw."""
+        _proven("Wilson tree", graph, WeightedGraph)
+        n = graph.n
+        parent, wpar, root = np.empty(n, dtype=np.int64), np.empty(n), np.empty(1, dtype=np.int64)
+        _check_status(self._run["wilson_tree"](n, graph.indptr, graph.indices, graph.weights, rng,
+                                               parent, wpar, root))
+        return int(root[0]), parent, wpar
+
+    def balanced_subtree(self, graph, rng, xi, samples, tol):
+        """The verdict of :func:`balanced_subtree`."""
+        _proven("balanced subtree", graph, WeightedGraph)
+        _check_arrays("balanced subtree", (), ((xi, graph.n),))
+        found = np.zeros(1, dtype=np.int64)
+        _check_status(self._run["balanced_subtree"](graph.n, graph.indptr, graph.indices,
+                                                    graph.weights, rng, xi, int(samples),
+                                                    float(tol), found))
+        return bool(found[0])
+
+    def tree_order(self, root, parent):
+        """``(order, depth)`` of :func:`tree_order`, both int64 arrays, or a
+        ``NotSpanningError``."""
+        n = parent.shape[0]
+        _check_arrays("tree order", ((parent, n),), ())
+        order, depth = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        _check_status(self._run["tree_order"](n, parent, int(root), order, depth), root=root)
+        return order, depth
+
+    def subtree_sums(self, tree, values):
+        """:func:`subtree_sums` of ``values`` on the tree, a new float64 array."""
+        _proven("subtree sums", tree, RootedTree)
+        out = np.array(values, dtype=np.float64)
+        _check_arrays("subtree sums", (), ((out, tree.n),))
+        _check_status(self._run["subtree_sums"](tree.n, tree.parent, tree.order, out))
+        return out
+
+    def tree_potential(self, tree, xi_cum, sign_at_zero):
+        """:func:`tree_potential` on the tree, a new float64 array."""
+        _proven("tree potential", tree, RootedTree)
+        _check_arrays("tree potential", (), ((xi_cum, tree.n),))
+        u = np.zeros(tree.n)
+        _check_status(self._run["tree_potential"](tree.n, tree.parent, tree.order,
+                                                  tree.weight_to_parent, xi_cum,
+                                                  float(sign_at_zero), u))
+        return u
+
+    def dp_plan(self, tree, xi, zero_tol):
+        """``(rows, cols, mass)``: the off-diagonal entries that
+        :func:`dp_plan` writes, in its order; an entry written twice raises
+        ``RuntimeError``."""
+        _proven("plan kernel", tree, RootedTree)
+        n = tree.n
+        _check_arrays("plan kernel", (), ((xi, n),))
+        cap = 4 * n + 16  # one entry per transfer
+        rows, cols, mass = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64), np.empty(cap)
+        out_k = np.empty(2, dtype=np.int64)
+        status = self._run["dp_plan"](n, tree.parent, tree.order, np.array(xi, dtype=np.float64),
+                                      float(zero_tol), rows, cols, mass, out_k)
+        count, u = out_k.tolist()
+        rows, cols, mass = rows[:count], cols[:count], mass[:count]
+        keys = rows * n + cols
+        by_key = np.argsort(keys, kind="stable")
+        again = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
+        if again.size:
+            j = int(again.min())
+            raise RuntimeError("plan construction wrote off-diagonal entry "
+                               f"{(int(rows[j]), int(cols[j]))} twice")
+        _check_status(status, u=u)
+        return rows, cols, mass
+
+    def network_simplex(self, supply, tail, head, cost):
+        """``(flow, pi, pivots)``: the arc flows and node potentials of
+        :func:`network_simplex` at ``PRICE_RTOL`` as float64 arrays, and its
+        pivot count."""
+        n, m = supply.shape[0], cost.shape[0]
+        _check_arrays("network simplex", ((tail, m), (head, m)), ((supply, n), (cost, m)))
+        if m and not (0 <= min(tail.min(), head.min()) and max(tail.max(), head.max()) < n):
+            raise ValueError("network simplex: arc endpoint out of range")
+        flow, pi, pivots = np.empty(m), np.empty(n), np.zeros(1, dtype=np.int64)
+        _check_status(self._run["network_simplex"](n, m, supply, tail, head, cost, PRICE_RTOL, flow,
+                                                   pi, pivots))
+        return flow, pi, int(pivots[0])
+
+    def tree_pairs(self, tree, xs, ys, mass):
+        """With ``mass`` None the tree distance of every pair, else the 2n
+        edge flows of :func:`tree_pairs`."""
+        _proven("tree pair walk", tree, RootedTree)
+        n, k = tree.n, xs.shape[0]
+        _check_arrays("tree pair walk", ((xs, k), (ys, k)), () if mass is None else ((mass, k),))
+        _check_pairs(n, xs, ys)
+        out = np.zeros(k if mass is None else 2 * n)
+        _check_status(self._run["tree_pairs"](n, tree.parent, tree.depth, tree.weight_to_parent, k,
+                                              xs, ys, mass, out))
+        return out
+
+    def pair_distances(self, graph, xs, ys):
+        """The shortest-path distance of every pair, by :func:`pair_distances`
+        on the pairs ordered by source (stably)."""
+        _proven("shortest paths", graph, WeightedGraph)
+        k = xs.shape[0]
+        _check_arrays("shortest paths", ((xs, k), (ys, k)), ())
+        _check_pairs(graph.n, xs, ys)
+        out = np.empty(k)
+        _check_status(self._run["pair_distances"](graph.n, graph.indptr, graph.indices,
+                                                  graph.weights, k, xs, ys,
+                                                  np.argsort(xs, kind="stable"), out))
+        return out
 
 
 _lock = threading.Lock()
@@ -200,56 +320,7 @@ def _select(name: str) -> Kernels:
 
 
 def _load_python() -> Kernels:
-    def no_status(kernel):
-        return lambda *args: (0, kernel(*args))
-
-    def dp_plan_lists(parent, order, xi, zero_tol):
-        child_ptr, child_idx = child_csr(parent)
-        status, u, rows, cols, mass = dp_plan(parent.tolist(), order.tolist(), child_ptr.tolist(),
-                                              child_idx.tolist(), xi.tolist(), zero_tol)
-        return (status, len(rows), u, np.array(rows, dtype=np.int64),
-                np.array(cols, dtype=np.int64), np.array(mass, dtype=np.float64))
-
-    def tree_order_lists(root, parent):
-        order, depth = [0] * parent.shape[0], [0] * parent.shape[0]
-        status = tree_order(root, parent, order, depth)
-        return status, np.array(order, dtype=np.int64), np.array(depth, dtype=np.int64)
-
-    def subtree_sums_lists(parent, order, out):
-        out = out.tolist()
-        subtree_sums(parent.tolist(), order.tolist(), out)
-        return np.array(out, dtype=np.float64)
-
-    def tree_potential_lists(parent, order, wpar, xi_cum, sign_at_zero):
-        u = [0.0] * parent.shape[0]
-        tree_potential(parent.tolist(), order.tolist(), wpar.tolist(), xi_cum.tolist(),
-                       sign_at_zero, u)
-        return np.array(u, dtype=np.float64)
-
-    def network_simplex_lists(supply, tail, head, cost):
-        return network_simplex(supply.tolist(), tail.tolist(), head.tolist(), cost.tolist(),
-                               PRICE_RTOL)
-
-    def tree_pairs_lists(parent, depth, wpar, xs, ys, mass, out):
-        out = out.tolist()
-        tree_pairs(parent.tolist(), depth.tolist(), wpar.tolist(), xs.tolist(), ys.tolist(),
-                   None if mass is None else mass.tolist(), out)
-        return np.array(out, dtype=np.float64)
-
-    def pair_distances_lists(indptr, indices, adj_w, xs, ys, by_source, out):
-        n = indptr.shape[0] - 1
-        out = out.tolist()
-        pair_distances(indptr.tolist(), indices.tolist(), adj_w.tolist(), xs.tolist(), ys.tolist(),
-                       by_source.tolist(), [0.0] * n, [0] * n, [0] * n, [0] * n, out)
-        return np.array(out, dtype=np.float64)
-
-    sums = _sums_runner(subtree_sums_lists)
-    return Kernels("python", _chain_runner(no_status(anneal_chain), sums),
-                   _wilson_runner(no_status(wilson_tree)), _plan_runner(dp_plan_lists),
-                   _simplex_runner(network_simplex_lists), _order_runner(tree_order_lists),
-                   sums, _potential_runner(tree_potential_lists),
-                   _balanced_runner(no_status(balanced_subtree)), _pairs_runner(tree_pairs_lists),
-                   _distances_runner(pair_distances_lists))
+    return Kernels("python", {name: globals()[name] for name in C_SIGNATURES})
 
 
 def child_csr(parent):
@@ -262,180 +333,6 @@ def child_csr(parent):
     child_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(parent[child_idx], minlength=n), out=child_ptr[1:])
     return child_ptr, child_idx
-
-
-# The runners: each checks the inputs in O(n + E), calls the backend's ``run``
-# (which returns the status first, where it has one) and ``_check_status``.
-
-
-def _chain_runner(run, sums):
-    """The backend's ``anneal_chain``: checks ``xi``, window and record
-    interval, starts ``run`` on the graph's CSR from copies of the tree's
-    links and their subtree sums of ``xi`` (by ``sums``, the backend's
-    ``subtree_sums``) and allocates the best links and the trace for it."""
-
-    def anneal_chain_checked(tree, graph, xi, max_iters, beta0, target_accept, eta, window,
-                             record_every, recompute_every, target_cost, rng):
-        _proven("annealing chain", tree, RootedTree)
-        _proven("annealing chain", graph, WeightedGraph)
-        n = graph.n
-        _check_arrays("annealing chain", (), ((xi, n),))
-        if window < 1 or record_every < 1 or tree.n != n:
-            raise ValueError("annealing chain: window, record_every or parent count out of range")
-        parent, wpar = tree.parent.copy(), tree.weight_to_parent.copy()
-        best_parent, best_wpar = np.empty_like(parent), np.empty_like(wpar)
-        rows = max(max_iters, 0) // record_every + 2
-        trace = (np.zeros(rows, dtype=np.int64), *(np.zeros(rows) for _ in range(4)))
-        status, stats = run(parent, wpar, sums(tree, xi), tree.root, graph.indptr, graph.indices,
-                            graph.weights, xi, max_iters, beta0, target_accept, eta, window,
-                            record_every, recompute_every, target_cost, rng, best_parent, best_wpar,
-                            *trace)
-        _check_status(status)
-        return stats, (best_parent, best_wpar), (parent, wpar), tuple(a[:stats[4]] for a in trace)
-
-    return anneal_chain_checked
-
-
-def _wilson_runner(run):
-    """The backend's ``wilson_tree``: returns the root, parent links and
-    weights of ``run``'s draw on the graph's CSR, or raises its status."""
-
-    def wilson_tree_checked(graph, rng):
-        _proven("Wilson tree", graph, WeightedGraph)
-        parent = np.empty(graph.n, dtype=np.int64)
-        wpar = np.empty(graph.n)
-        status, root = run(graph.indptr, graph.indices, graph.weights, rng, parent, wpar)
-        _check_status(status)
-        return root, parent, wpar
-
-    return wilson_tree_checked
-
-
-def _balanced_runner(run):
-    """The backend's ``balanced_subtree``: checks ``xi``, then returns the
-    verdict of ``run``'s ``(status, found)`` on the graph's CSR."""
-
-    def balanced_subtree_checked(graph, rng, xi, samples, tol):
-        _proven("balanced subtree", graph, WeightedGraph)
-        _check_arrays("balanced subtree", (), ((xi, graph.n),))
-        status, found = run(graph.indptr, graph.indices, graph.weights, rng, xi[:graph.n],
-                            int(samples), float(tol))
-        _check_status(status)
-        return found
-
-    return balanced_subtree_checked
-
-
-def _order_runner(run):
-    """The backend's ``tree_order``: calls ``run(root, parent)`` and turns its
-    ``(status, order, depth)`` into the arrays or a ``NotSpanningError``."""
-
-    def tree_order_checked(root, parent):
-        _check_arrays("tree order", ((parent, parent.shape[0]),), ())
-        status, order, depth = run(int(root), parent)
-        _check_status(status, root=root)
-        return order, depth
-
-    return tree_order_checked
-
-
-def _sums_runner(run):
-    """The backend's ``subtree_sums``: calls ``run(parent, order, out)`` on
-    the tree and a float64 copy ``out`` of the values."""
-
-    def subtree_sums_checked(tree, values):
-        _proven("subtree sums", tree, RootedTree)
-        out = np.array(values, dtype=np.float64)
-        _check_arrays("subtree sums", (), ((out, tree.n),))
-        return run(tree.parent, tree.order, out)
-
-    return subtree_sums_checked
-
-
-def _potential_runner(run):
-    """The backend's ``tree_potential``: checks ``xi_cum``, then calls ``run``
-    on the tree's links, order and weights."""
-
-    def tree_potential_checked(tree, xi_cum, sign_at_zero):
-        _proven("tree potential", tree, RootedTree)
-        _check_arrays("tree potential", (), ((xi_cum, tree.n),))
-        return run(tree.parent, tree.order, tree.weight_to_parent, xi_cum, float(sign_at_zero))
-
-    return tree_potential_checked
-
-
-def _plan_runner(run):
-    """The backend's plan kernel: checks ``xi``, calls ``run(parent, order,
-    xi, zero_tol)`` on the tree and turns its ``(status, count, u, out_x,
-    out_y, out_m)`` into entries or a ``RuntimeError``."""
-
-    def dp_plan_entries(tree, xi, zero_tol):
-        _proven("plan kernel", tree, RootedTree)
-        n = tree.n
-        _check_arrays("plan kernel", (), ((xi, n),))
-        status, count, u, out_x, out_y, out_m = run(tree.parent, tree.order,
-                                                     np.array(xi, dtype=np.float64), float(zero_tol))
-        rows, cols, mass = out_x[:count], out_y[:count], out_m[:count]
-        keys = rows * n + cols
-        by_key = np.argsort(keys, kind="stable")
-        again = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
-        if again.size:
-            j = int(again.min())
-            raise RuntimeError("plan construction wrote off-diagonal entry "
-                               f"{(int(rows[j]), int(cols[j]))} twice")
-        _check_status(status, u=u)
-        return rows, cols, mass
-
-    return dp_plan_entries
-
-
-def _simplex_runner(run):
-    """The backend's network simplex: checks the network, calls
-    ``run(supply, tail, head, cost)`` and turns its ``(status, pivots,
-    flow, pi)`` into ``(flow, pi, pivots)`` or a ``RuntimeError``."""
-
-    def network_simplex_checked(supply, tail, head, cost):
-        n, m = supply.shape[0], cost.shape[0]
-        _check_arrays("network simplex", ((tail, m), (head, m)), ((supply, n), (cost, m)))
-        if m and not (0 <= min(tail.min(), head.min()) and max(tail.max(), head.max()) < n):
-            raise ValueError("network simplex: arc endpoint out of range")
-        status, pivots, flow, pi = run(supply, tail, head, cost)
-        _check_status(status)
-        return np.asarray(flow, dtype=np.float64), np.asarray(pi, dtype=np.float64), pivots
-
-    return network_simplex_checked
-
-
-def _pairs_runner(run):
-    """The backend's tree-pair walk: checks the pairs, then returns what
-    ``run(parent, depth, wpar, xs, ys, mass, out)`` fills on the tree and a
-    zeroed ``out`` (k slots for distances, 2n for flows)."""
-
-    def tree_pairs_checked(tree, xs, ys, mass):
-        _proven("tree pair walk", tree, RootedTree)
-        n, k = tree.n, xs.shape[0]
-        _check_arrays("tree pair walk", ((xs, k), (ys, k)), () if mass is None else ((mass, k),))
-        _check_pairs(n, xs, ys)
-        return run(tree.parent, tree.depth, tree.weight_to_parent, xs, ys, mass,
-                   np.zeros(k if mass is None else 2 * n))
-
-    return tree_pairs_checked
-
-
-def _distances_runner(run):
-    """The backend's pair distances: checks the pairs, orders them by source
-    (stably) and returns what ``run(indptr, indices, adj_w, xs, ys, by_source,
-    out)`` fills on the graph's CSR and a k-slot ``out``."""
-
-    def pair_distances_checked(graph, xs, ys):
-        _proven("shortest paths", graph, WeightedGraph)
-        k = xs.shape[0]
-        _check_arrays("shortest paths", ((xs, k), (ys, k)), ())
-        _check_pairs(graph.n, xs, ys)
-        return run(graph.indptr, graph.indices, graph.weights, xs, ys,
-                   np.argsort(xs, kind="stable"), np.empty(k))
-
-    return pair_distances_checked
 
 
 def _proven(kernel: str, obj, kind: type) -> None:
@@ -485,24 +382,22 @@ def _c_call(fn, *args):
         return fn(*c_args)
 
 
-_I64, _F64, _PTR, _INT = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
-#: ``(restype, argtypes)`` of every function that ``_kernel.c`` exports
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+#: the argtypes of ``treeot_<name>`` in ``_kernel.c``, the C function of the
+#: reference kernel ``<name>`` below; each returns an ``int`` status
 C_SIGNATURES = {
-    "treeot_anneal_chain": (_INT, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _F64,
-                                   _F64, _F64, _I64, _I64, _I64, _F64, _F64, _PTR, _PTR, _PTR, _PTR,
-                                   _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
-    "treeot_wilson": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
-    "treeot_dp_plan": (_INT, [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
-    "treeot_network_simplex": (_INT, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR,
-                                      _PTR, _PTR]),
-    "treeot_tree_order": (_INT, [_I64, _PTR, _I64, _PTR, _PTR, _PTR]),
-    "treeot_subtree_sums": (None, [_I64, _PTR, _PTR, _PTR]),
-    "treeot_tree_potential": (None, [_I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR]),
-    "treeot_balanced_subtree": (_INT, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR, _PTR,
-                                       _PTR, _PTR]),
-    "treeot_tree_pairs": (None, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]),
-    "treeot_pair_distances": (None, [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                                     _PTR, _PTR]),
+    "anneal_chain": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _F64,
+                     _I64, _I64, _I64, _F64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                     _PTR, _PTR],
+    "wilson_tree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+    "dp_plan": [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
+    "network_simplex": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR],
+    "tree_order": [_I64, _PTR, _I64, _PTR, _PTR],
+    "subtree_sums": [_I64, _PTR, _PTR, _PTR],
+    "tree_potential": [_I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR],
+    "balanced_subtree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR],
+    "tree_pairs": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
+    "pair_distances": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
 }
 
 
@@ -511,96 +406,12 @@ def _load_c() -> Kernels:
         lib = ctypes.CDLL(str(build_c_kernel()))
     except OSError as exc:
         raise KernelBackendError(f"cannot load the C kernel ({exc})") from exc
-    for name, (restype, argtypes) in C_SIGNATURES.items():
-        getattr(lib, name).restype = restype
-        getattr(lib, name).argtypes = argtypes
-
-    def anneal_chain_c(*args):
-        n, window = args[0].shape[0], args[12]
-        out_d = np.empty(3)
-        out_i = np.empty(5, dtype=np.int64)
-        # certify's slack goes in before the generator, then the bits, work_i and work_d scratch
-        status = _c_call(lib.treeot_anneal_chain, n, *args[:16], CERT_RTOL, *args[16:],
-                         np.empty(window, dtype=np.int64), np.empty(2 * n, dtype=np.int64),
-                         np.empty(2 * n), out_d, out_i)
-        best, current, max_drift = out_d.tolist()
-        final_root, best_root, records, iters_done, stop = out_i.tolist()
-        return status, (best, current, final_root, best_root, records, iters_done, max_drift, stop)
-
-    def wilson_tree_c(indptr, indices, adj_w, rng, parent, wpar):
-        n = parent.shape[0]
-        root = np.empty(1, dtype=np.int64)
-        status = _c_call(lib.treeot_wilson, n, indptr, indices, adj_w, rng, parent, wpar,
-                         np.empty(n, dtype=np.uint8), root)
-        return status, int(root[0])
-
-    def tree_order_c(root, parent):
-        n = parent.shape[0]
-        order = np.empty(n, dtype=np.int64)
-        depth = np.empty(n, dtype=np.int64)
-        status = _c_call(lib.treeot_tree_order, n, parent, root, order, depth,
-                         np.empty(4 * n + 1, dtype=np.int64))
-        return status, order, depth
-
-    def subtree_sums_c(parent, order, out):
-        _c_call(lib.treeot_subtree_sums, parent.shape[0], parent, order, out)
-        return out
-
-    def tree_potential_c(parent, order, wpar, xi_cum, sign_at_zero):
-        u = np.zeros(parent.shape[0])
-        _c_call(lib.treeot_tree_potential, parent.shape[0], parent, order, wpar, xi_cum,
-                sign_at_zero, u)
-        return u
-
-    def balanced_subtree_c(indptr, indices, adj_w, rng, xi, samples, tol):
-        n = xi.shape[0]
-        found = np.zeros(1, dtype=np.int64)
-        status = _c_call(lib.treeot_balanced_subtree, n, indptr, indices, adj_w, rng, xi, samples,
-                         tol, np.empty(7 * n + 1, dtype=np.int64), np.empty(2 * n),
-                         np.empty(n, dtype=np.uint8), found)
-        return status, bool(found[0])
-
-    def dp_plan_c(parent, order, xi, zero_tol):
-        n = parent.shape[0]
-        cap = 4 * n + 16
-        out_x = np.empty(cap, dtype=np.int64)
-        out_y = np.empty(cap, dtype=np.int64)
-        out_m = np.empty(cap)
-        out_k = np.empty(2, dtype=np.int64)
-        status = _c_call(lib.treeot_dp_plan, n, parent, order, xi, zero_tol, np.empty(2 * n),
-                         np.empty(n, dtype=np.uint8), np.empty(6 * n + 1, dtype=np.int64),
-                         out_x, out_y, out_m, out_k)
-        count, u = out_k.tolist()
-        return status, count, u, out_x, out_y, out_m
-
-    def network_simplex_c(supply, tail, head, cost):
-        n, m = supply.shape[0], cost.shape[0]
-        flow = np.empty(m)
-        pi = np.empty(n)
-        pivots = np.zeros(1, dtype=np.int64)
-        status = _c_call(lib.treeot_network_simplex, n, m, supply, tail, head, cost, PRICE_RTOL,
-                         flow, pi, np.empty(m + 2 * n + 1), np.empty(7 * (n + 1), dtype=np.int64),
-                         pivots)
-        return status, int(pivots[0]), flow, pi
-
-    def tree_pairs_c(parent, depth, wpar, xs, ys, mass, out):
-        _c_call(lib.treeot_tree_pairs, parent.shape[0], parent, depth, wpar, xs.shape[0], xs, ys,
-                mass, out)
-        return out
-
-    def pair_distances_c(indptr, indices, adj_w, xs, ys, by_source, out):
-        n, m, k = indptr.shape[0] - 1, indices.shape[0], xs.shape[0]
-        _c_call(lib.treeot_pair_distances, n, indptr, indices, adj_w, k, xs, ys, by_source,
-                np.empty(n), np.zeros(3 * n, dtype=np.int64), np.empty(m + 1),
-                np.empty(m + 1, dtype=np.int64), out)
-        return out
-
-    sums = _sums_runner(subtree_sums_c)
-    return Kernels("c", _chain_runner(anneal_chain_c, sums), _wilson_runner(wilson_tree_c),
-                   _plan_runner(dp_plan_c), _simplex_runner(network_simplex_c),
-                   _order_runner(tree_order_c), sums, _potential_runner(tree_potential_c),
-                   _balanced_runner(balanced_subtree_c), _pairs_runner(tree_pairs_c),
-                   _distances_runner(pair_distances_c))
+    run = {}
+    for name, argtypes in C_SIGNATURES.items():
+        fn = getattr(lib, f"treeot_{name}")
+        fn.restype, fn.argtypes = ctypes.c_int, argtypes
+        run[name] = functools.partial(_c_call, fn)
+    return Kernels("c", run)
 
 
 def _compiler() -> list[str]:
@@ -752,27 +563,27 @@ def apply_swap(parent, wpar, xi_cum, root, new_root, w_added):
     wpar[new_root] = 0.0
 
 
-def certify(parent, wpar, indptr, indices, adj_w, xi_node):
+def certify(n, parent, wpar, indptr, indices, adj_w, xi_node, cert_rtol):
     """Whether the spanning tree given by parent links is optimal by its own
-    certificate: its tree potential is 1-Lipschitz, within ``CERT_RTOL``, on
-    every arc of the CSR graph.
+    certificate: its tree potential is 1-Lipschitz, within ``cert_rtol``
+    (``CERT_RTOL`` in the chain), on every arc of the CSR graph.
 
     The cumulative imbalance is summed afresh by ``recompute_cumulative``,
     whose queue orders ``tree_potential`` (sign +1 where it is exactly 0).
     Summation by parts makes the potential's value the tree's cost, so in
     exact arithmetic a potential that passes proves, by Kantorovich-Rubinstein
-    duality, that W1 >= cost / (1 + CERT_RTOL). In floating point the test is
+    duality, that W1 >= cost / (1 + cert_rtol). In floating point the test is
     exact only up to the rounding of u, which is summed along tree paths and
     so can err by about depth * eps * max|u|; that error can exceed the slack
-    w * CERT_RTOL on deep trees, so a violation below it can pass. Where a
+    w * cert_rtol on deep trees, so a violation below it can pass. Where a
     cumulative imbalance is 0 an optimal tree may fail.
     """
     xi_cum, queue = recompute_cumulative(parent, xi_node)
-    u = np.zeros(parent.shape[0])
-    tree_potential(parent, queue, wpar, xi_cum, 1.0, u)
-    for a in range(parent.shape[0]):
+    u = np.zeros(n)
+    tree_potential(n, parent, queue, wpar, xi_cum, 1.0, u)
+    for a in range(n):
         for j in range(indptr[a], indptr[a + 1]):
-            if abs(u[a] - u[indices[j]]) > adj_w[j] * (1.0 + CERT_RTOL):
+            if abs(u[a] - u[indices[j]]) > adj_w[j] * (1.0 + cert_rtol):
                 return False
     return True
 
@@ -787,32 +598,10 @@ def update_beta(beta, bits_sum, bits_seen, window, eta, target_accept):
     return beta
 
 
-def anneal_chain(
-    parent,
-    wpar,
-    xi_cum,
-    root,
-    indptr,
-    indices,
-    adj_w,
-    xi_node,
-    max_iters,
-    beta0,
-    target_accept,
-    eta,
-    window,
-    record_every,
-    recompute_every,
-    target_cost,
-    rng,
-    best_parent,
-    best_wpar,
-    trace_iter,
-    trace_cur,
-    trace_best,
-    trace_beta,
-    trace_acc,
-):
+def anneal_chain(n, parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node, max_iters, beta0,
+                 target_accept, eta, window, record_every, recompute_every, target_cost,
+                 cert_rtol, rng, best_parent, best_wpar, trace_iter, trace_cur, trace_best,
+                 trace_beta, trace_acc, out_d, out_i):
     """Run one annealing chain over rooted spanning trees, in place.
 
     Per iteration: draw a candidate root, score the edge swap by
@@ -825,8 +614,9 @@ def anneal_chain(
     with ``STOP_CERTIFIED`` once ``certify`` proves the best tree optimal.
     ``certify`` runs on the initial tree and then on each trace row where the
     best cost has dropped since its last run; the target stop is tested
-    first. Returns (best_cost, current_cost, root, best_root, records,
-    iters_done, max_drift, stop), ``stop`` one of the ``STOP_*`` codes.
+    first. Writes ``out_d`` = (best_cost, current_cost, max_drift) and
+    ``out_i`` = (root, best_root, records, iters_done, stop), ``stop`` one of
+    the ``STOP_*`` codes, and returns 0.
     """
     current = tree_cost(parent, wpar, xi_cum)
     best = current
@@ -853,10 +643,10 @@ def anneal_chain(
     stop = STOP_MAX_ITERS
     if have_target and best <= target_cost + 1e-9:
         stop = STOP_TARGET
-    elif certify(best_parent, best_wpar, indptr, indices, adj_w, xi_node):
+    elif certify(n, best_parent, best_wpar, indptr, indices, adj_w, xi_node, cert_rtol):
         stop = STOP_CERTIFIED
     if stop != STOP_MAX_ITERS:
-        return best, current, root, best_root, records, iters_done, max_drift, stop
+        max_iters = 0  # the chain stops where it starts
     checked = best
 
     for it in range(1, max_iters + 1):
@@ -915,16 +705,19 @@ def anneal_chain(
                 break
             if best < checked:
                 checked = best
-                if certify(best_parent, best_wpar, indptr, indices, adj_w, xi_node):
+                if certify(n, best_parent, best_wpar, indptr, indices, adj_w, xi_node, cert_rtol):
                     stop = STOP_CERTIFIED
                     break
 
-    return best, current, root, best_root, records, iters_done, max_drift, stop
+    out_d[:] = best, current, max_drift
+    out_i[:] = root, best_root, records, iters_done, stop
+    return 0
 
 
-def wilson_tree(indptr, indices, adj_w, rng, parent, wpar):
+def wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_root):
     """Draw a uniform random spanning tree by loop-erased random walks
-    (Wilson, STOC 1996) into ``parent`` and ``wpar``, in place; return the root.
+    (Wilson, STOC 1996) into ``parent`` and ``wpar``, and its root into
+    ``out_root[0]``; return 0.
 
     The root is ``rng.integers(0, n)``. Walks start from each vertex not yet
     in the tree, in increasing order, and step to the neighbour at CSR
@@ -932,7 +725,6 @@ def wilson_tree(indptr, indices, adj_w, rng, parent, wpar):
     the tree; overwriting a vertex's parent link erases any loop through it.
     ``wpar[v]`` is the CSR weight of the edge to ``parent[v]``.
     """
-    n = parent.shape[0]
     root = rng.integers(0, n)
     in_tree = np.zeros(n, dtype=np.bool_)
     in_tree[root] = True
@@ -950,10 +742,11 @@ def wilson_tree(indptr, indices, adj_w, rng, parent, wpar):
         while not in_tree[v]:
             in_tree[v] = True
             v = parent[v]
-    return root
+    out_root[0] = root
+    return 0
 
 
-def tree_order(root, parent, order, depth):
+def tree_order(n, parent, root, order, depth):
     """Write the leaves-first ``order`` (root last) and the ``depth`` of the
     tree that the int64 array ``parent`` roots at ``root``; return 0 or a
     ``TREE_*`` status.
@@ -965,68 +758,78 @@ def tree_order(root, parent, order, depth):
     only when its parent is popped, so at most once: the walk stops within n
     pops, and ``TREE_UNREACHED`` reports the vertices it missed.
     """
-    n = parent.shape[0]
     if not 0 <= root < n or parent[root] != -1:
         return TREE_NOT_ROOTED
     if not (-1 <= parent.min() and parent.max() < n):
         return TREE_BAD_PARENT
     child_ptr, child_idx = (a.tolist() for a in child_csr(parent))
-    depth[root] = 0
+    walk, levels = [0] * n, [0] * n
     stack = [root]
     pos = n
     while stack:
         v = stack.pop()
         pos -= 1
-        order[pos] = v
+        walk[pos] = v
         for j in range(child_ptr[v], child_ptr[v + 1]):
             c = child_idx[j]
-            depth[c] = depth[v] + 1
+            levels[c] = levels[v] + 1
             stack.append(c)
+    order[:], depth[:] = walk, levels
     return TREE_UNREACHED if pos else 0
 
 
-def subtree_sums(parent, order, out):
+def subtree_sums(n, parent, order, out):
     """Turn the vertex values in ``out`` into subtree sums, in place: along
-    ``order`` (leaves first), each vertex adds its entry into its parent's."""
-    for v in order:
+    the n entries of ``order`` (leaves first), each vertex adds its entry
+    into its parent's. Returns 0."""
+    parent, sums = parent.tolist(), out.tolist()
+    for v in order[:n].tolist():
         p = parent[v]
         if p >= 0:
-            out[p] += out[v]
+            sums[p] += sums[v]
+    out[:] = sums
+    return 0
 
 
-def tree_potential(parent, order, wpar, xi_cum, sign_at_zero, u):
-    """The tree potential into ``u`` (zero on entry): walking ``order``
-    backwards (root first), u[v] = u[parent] + wpar[v] * s, where s is the
-    sign of ``xi_cum[v]``, or ``sign_at_zero`` where it is exactly 0."""
-    for i in range(len(order) - 1, -1, -1):
+def tree_potential(n, parent, order, wpar, xi_cum, sign_at_zero, u):
+    """The tree potential into ``u`` (zero on entry): walking the n entries
+    of ``order`` backwards (root first), u[v] = u[parent] + wpar[v] * s, where
+    s is the sign of ``xi_cum[v]``, or ``sign_at_zero`` where it is exactly
+    0. Returns 0."""
+    parent, order, wpar, xi_cum, values = (a.tolist() for a in (parent, order, wpar, xi_cum, u))
+    for i in range(n - 1, -1, -1):
         v = order[i]
         p = parent[v]
         if p < 0:
             continue
         s = sign_at_zero if xi_cum[v] == 0.0 else (1.0 if xi_cum[v] > 0.0 else -1.0)
-        u[v] = u[p] + wpar[v] * s
+        values[v] = values[p] + wpar[v] * s
+    u[:] = values
+    return 0
 
 
-def balanced_subtree(indptr, indices, adj_w, rng, xi, samples, tol):
+def balanced_subtree(n, indptr, indices, adj_w, rng, xi, samples, tol, found):
     """Whether one of ``samples`` spanning trees, drawn one after the other
     by :func:`wilson_tree` from ``rng``, has a non-root vertex whose subtree
     sum of ``xi`` (a float64 array, summed by :func:`subtree_sums` along
-    :func:`tree_order`) is at most ``tol`` in magnitude. Stops drawing at the
-    first such tree."""
-    n = xi.shape[0]
-    parent = np.empty(n, dtype=np.int64)
-    wpar = np.empty(n)
-    order = [0] * n
-    depth = [0] * n
+    :func:`tree_order`) is at most ``tol`` in magnitude: ``found[0]`` is 1 if
+    so, else 0. Stops drawing at the first such tree. Returns 0."""
+    parent, order, depth, root = (np.empty(k, dtype=np.int64) for k in (n, n, n, 1))
+    wpar, sums = np.empty(n), np.empty(n)
+    found[0] = 0
     for _ in range(samples):
-        root = wilson_tree(indptr, indices, adj_w, rng, parent, wpar)
-        tree_order(root, parent, order, depth)  # 0: a Wilson tree is rooted at its root
-        sums = xi.tolist()
-        subtree_sums(parent.tolist(), order, sums)
-        for v in range(n):
-            if v != root and abs(sums[v]) <= tol:
-                return True
-    return False
+        # both return 0: the walk reaches every vertex of a proven graph, and
+        # a Wilson tree is rooted at its root
+        wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, root)
+        tree_order(n, parent, root[0], order, depth)
+        sums[:] = xi[:n]
+        subtree_sums(n, parent, order, sums)
+        balanced = np.abs(sums) <= tol
+        balanced[root[0]] = False
+        if balanced.any():
+            found[0] = 1
+            break
+    return 0
 
 
 def _prune(v, parent, xi, alive, active, heap):
@@ -1042,13 +845,13 @@ def _prune(v, parent, xi, alive, active, heap):
                 heapq.heappush(heap, v)
 
 
-def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol):
+def dp_plan(n, parent, order, xi, zero_tol, out_x, out_y, out_m, out_k):
     """Off-diagonal entries of the dynamic-programming optimal plan on the
-    tree given by ``parent``, ``order`` (leaves first, root last) and the
-    child CSR ``child_ptr``/``child_idx``, for the residuals ``xi`` (mu - nu,
-    changed in place). Returns ``(status, u, rows, cols, mass)``, the entries
-    as three lists: status 0 is success, ``PLAN_NO_MATCH`` means no match was
-    found below ``u`` and ``PLAN_NO_END`` that 4n + 16 transfers did not
+    tree given by ``parent`` and ``order`` (leaves first, root last), for
+    the residuals ``xi`` (mu - nu), into ``out_x``, ``out_y`` and ``out_m``
+    (4n + 16 slots, one per transfer). ``out_k`` receives (count, u). Returns
+    0 on success, ``PLAN_NO_MATCH`` when no match was found below ``u`` (-1
+    where there is none) and ``PLAN_NO_END`` when 4n + 16 transfers did not
     finish.
 
     Residues of magnitude at most ``zero_tol`` count as zero. The cumulative
@@ -1068,12 +871,14 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol):
     once, so the keys are distinct and every binary heap (``_kernel.c``'s
     too) pops them in the same order.
     """
-    n = len(parent)
     rows, cols, mass = [], [], []
+    out_k[:] = 0, -1
     if n == 0:
-        return 0, -1, rows, cols, mass
+        return 0
+    child_ptr, child_idx = (a.tolist() for a in child_csr(parent))
+    parent, order = parent.tolist(), order.tolist()
     root = order[n - 1]
-    xi[:] = [0.0 if abs(x) <= zero_tol else x for x in xi]
+    xi = [0.0 if abs(x) <= zero_tol else x for x in xi[:n].tolist()]
     xi_cum = list(xi)
     for v in order:
         p = parent[v]
@@ -1088,14 +893,17 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol):
     for v in range(n):
         _prune(v, parent, xi, alive, active, heap)
 
+    status = PLAN_NO_END
     for _ in range(4 * n + 16):
         while heap and not alive[heap[0]]:
             heapq.heappop(heap)
         if not heap:
-            return 0, -1, rows, cols, mass
+            status = 0
+            break
         x = heap[0]
         if x == root:
-            return PLAN_NO_MATCH, -1, rows, cols, mass
+            status = PLAN_NO_MATCH
+            break
         s = 1.0 if xi[x] > 0.0 else -1.0
         m = abs(xi[x])
 
@@ -1124,7 +932,9 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol):
             layer = [c for v in layer for c in child_idx[child_ptr[v]:child_ptr[v + 1]]
                      if alive[c] and s * xi_cum[c] < 0.0]
         if not hits:
-            return PLAN_NO_MATCH, u, rows, cols, mass
+            out_k[1] = u
+            status = PLAN_NO_MATCH
+            break
         y = min(hits)
 
         # cap by the descent chain and the target's residual
@@ -1159,20 +969,22 @@ def dp_plan(parent, order, child_ptr, child_idx, xi, zero_tol):
             v = parent[v]
         _prune(x, parent, xi, alive, active, heap)
         _prune(y, parent, xi, alive, active, heap)
-    return PLAN_NO_END, -1, rows, cols, mass
+    count = out_k[0] = len(rows)
+    out_x[:count], out_y[:count], out_m[:count] = rows, cols, mass
+    return status
 
 
-def network_simplex(supply, tail, head, cost, price_rtol):
+def network_simplex(n, m, supply, tail, head, cost, price_rtol, flow, pi, out_pivots):
     """Min-cost flow by primal network simplex over spanning trees.
 
-    Nodes 0..n-1 have ``supply`` (negative for demand); arc k runs from
-    ``tail[k]`` to ``head[k]`` at ``cost[k]``, uncapacitated. Returns
-    ``(status, pivots, flow, pi)``: 0 or a ``FLOW_*`` status, the pivots
-    made, the m arc flows and n node potentials with
-    cost[k] - pi[tail[k]] + pi[head[k]] >= -price_rtol * max(cost) on every
-    arc, and pi[tail] - pi[head] = cost on the final tree's arcs (up to
-    the rounding of pi summed down the tree), which hold the support, so
-    the flow is basic. ``flow`` and ``pi`` are None unless the status is 0.
+    Nodes 0..n-1 have ``supply`` (negative for demand); arc k < m runs from
+    ``tail[k]`` to ``head[k]`` at ``cost[k]``, uncapacitated. Returns 0 or a
+    ``FLOW_*`` status, and writes the pivots made into ``out_pivots[0]``. On
+    success ``flow`` and ``pi`` receive the m arc flows and n node
+    potentials, with cost[k] - pi[tail[k]] + pi[head[k]] >= -price_rtol *
+    max(cost) on every arc, and pi[tail] - pi[head] = cost on the final
+    tree's arcs (up to the rounding of pi summed down the tree), which hold
+    the support, so the flow is basic.
 
     The initial tree hangs every node v from an artificial root n by the
     artificial arc m + v, of symbolic cost M: v -> root carrying supply[v]
@@ -1197,23 +1009,23 @@ def network_simplex(supply, tail, head, cost, price_rtol):
     artificial arcs of both directions, so the potentials' M counts differ
     (some supply cannot reach a demand).
     """
-    n = len(supply)
-    m = len(cost)
+    supply, tail, head, cost = (a.tolist() for a in (supply, tail, head, cost))
+    out_pivots[0] = 0
     cmax = 0.0
-    for c in cost:
+    for c in cost[:m]:
         if not (c >= 0.0 and c < math.inf):
-            return FLOW_BAD_COST, 0, None, None
+            return FLOW_BAD_COST
         if c > cmax:
             cmax = c
     tol = price_rtol * cmax
     root = n
     # arc m + v is v's artificial arc; up[v]: v's tree arc points to its parent
-    flow = [0.0] * (m + n)
+    fl = [0.0] * (m + n)
     parent = [root] * n + [-1]
     pred = [m + v for v in range(n)] + [-1]
     up = [supply[v] >= 0.0 for v in range(n)] + [False]
     for v in range(n):
-        flow[m + v] = supply[v] if up[v] else -supply[v]
+        fl[m + v] = supply[v] if up[v] else -supply[v]
     pr = [0.0] * (n + 1)  # real part of the potential
     pm = [0] * (n + 1)  # count of M in the potential
     depth = [0] * (n + 1)
@@ -1274,7 +1086,8 @@ def network_simplex(supply, tail, head, cost, price_rtol):
         if enter < 0:
             break
         if pivots == guard:
-            return FLOW_BUDGET, pivots, None, None
+            out_pivots[0] = pivots
+            return FLOW_BUDGET
         pivots += 1
 
         p = tail[enter]
@@ -1293,33 +1106,33 @@ def network_simplex(supply, tail, head, cost, price_rtol):
         out = -1
         u = p
         while u != join:
-            if up[u] and flow[pred[u]] < delta:
-                delta = flow[pred[u]]
+            if up[u] and fl[pred[u]] < delta:
+                delta = fl[pred[u]]
                 out = u
             u = parent[u]
         cut, graft = p, q
         u = q
         while u != join:
-            if not up[u] and flow[pred[u]] <= delta:
-                delta = flow[pred[u]]
+            if not up[u] and fl[pred[u]] <= delta:
+                delta = fl[pred[u]]
                 out = u
                 cut, graft = q, p
             u = parent[u]
         if delta > 0.0:
-            flow[enter] += delta
+            fl[enter] += delta
             u = p
             while u != join:
                 if up[u]:
-                    flow[pred[u]] -= delta
+                    fl[pred[u]] -= delta
                 else:
-                    flow[pred[u]] += delta
+                    fl[pred[u]] += delta
                 u = parent[u]
             u = q
             while u != join:
                 if up[u]:
-                    flow[pred[u]] += delta
+                    fl[pred[u]] += delta
                 else:
-                    flow[pred[u]] -= delta
+                    fl[pred[u]] -= delta
                 u = parent[u]
         # hang the cut side from the entering arc: reverse the links from
         # its endpoint up to the leaving arc's lower node
@@ -1338,27 +1151,31 @@ def network_simplex(supply, tail, head, cost, price_rtol):
             new_arc = old_arc
             v = old_parent
 
+    out_pivots[0] = pivots
     for v in range(n):
         if pm[v] != pm[0]:
-            return FLOW_INFEASIBLE, pivots, None, None
-    return 0, pivots, flow[:m], pr[:n]
+            return FLOW_INFEASIBLE
+    flow[:], pi[:] = fl[:m], pr[:n]
+    return 0
 
 
-def tree_pairs(parent, depth, wpar, xs, ys, mass, out):
-    """Walk every pair ``(xs[k], ys[k])`` to its lowest common ancestor in
-    the tree given by ``parent`` and ``depth``: each round moves the deeper
-    end to its parent, or both ends at equal depth. With ``mass`` None,
-    ``out[k]`` gets the pair's tree distance, each round adding the weights
-    ``wpar`` of both ends' moves as one sum. Otherwise ``out`` holds 2n
-    zeros, and every edge a pair climbs from child ``a`` adds ``mass[k]`` to
-    ``out[a]`` (up), every edge it descends to child ``b`` to ``out[n + b]``
-    (down), so each edge adds its pairs' masses in pair order. The links
-    must be a tree that ``tree_order`` has proven, so every walk meets.
+def tree_pairs(n, parent, depth, wpar, k, xs, ys, mass, out):
+    """Walk each of the k pairs ``(xs[i], ys[i])`` to its lowest common
+    ancestor in the tree given by ``parent`` and ``depth``: each round moves
+    the deeper end to its parent, or both ends at equal depth. With ``mass``
+    None, ``out[i]`` gets the pair's tree distance, each round adding the
+    weights ``wpar`` of both ends' moves as one sum. Otherwise ``out`` holds
+    2n zeros, and every edge a pair climbs from child ``a`` adds ``mass[i]``
+    to ``out[a]`` (up), every edge it descends to child ``b`` to
+    ``out[n + b]`` (down), so each edge adds its pairs' masses in pair
+    order. The links must be a tree that ``tree_order`` has proven, so every
+    walk meets. Returns 0.
     """
-    n = len(parent)
-    for k in range(len(xs)):
-        a = xs[k]
-        b = ys[k]
+    parent, depth, wpar, xs, ys, values = (a.tolist() for a in (parent, depth, wpar, xs, ys, out))
+    mass = None if mass is None else mass.tolist()
+    for i in range(k):
+        a = xs[i]
+        b = ys[i]
         total = 0.0
         while a != b:
             move_a = depth[a] >= depth[b]
@@ -1367,34 +1184,39 @@ def tree_pairs(parent, depth, wpar, xs, ys, mass, out):
                 total += (wpar[a] if move_a else 0.0) + (wpar[b] if move_b else 0.0)
             else:
                 if move_a:
-                    out[a] += mass[k]
+                    values[a] += mass[i]
                 if move_b:
-                    out[n + b] += mass[k]
+                    values[n + b] += mass[i]
             if move_a:
                 a = parent[a]
             if move_b:
                 b = parent[b]
         if mass is None:
-            out[k] = total
+            values[i] = total
+    out[:] = values
+    return 0
 
 
-def pair_distances(indptr, indices, adj_w, xs, ys, by_source, dist, seen, settled, wanted, out):
-    """Shortest-path distance of every pair ``(xs[k], ys[k])`` in the CSR
-    graph into ``out[k]``: one Dijkstra run per distinct source, taking the
-    pairs in the order ``by_source`` lists them (grouped by source). A run
-    settles vertices in increasing (distance, id) order, relaxes an arc only
-    to a strictly shorter distance d[v] + w, and stops when its last target
-    is settled. ``dist`` and the run stamps ``seen`` (dist current),
-    ``settled`` and ``wanted`` (a target of this run) are n-slot work lists,
-    the stamps zero on entry. The graph is a proven :class:`WeightedGraph`:
+def pair_distances(n, indptr, indices, adj_w, k, xs, ys, by_source, out):
+    """Shortest-path distance of each of the k pairs ``(xs[i], ys[i])`` in
+    the CSR graph into ``out[i]``: one Dijkstra run per distinct source,
+    taking the pairs in the order ``by_source`` lists them (grouped by
+    source). A run settles vertices in increasing (distance, id) order,
+    relaxes an arc only to a strictly shorter distance d[v] + w, and stops
+    when its last target is settled. ``dist`` and the run stamps ``seen``
+    (dist current), ``settled`` and ``wanted`` (a target of this run) are
+    n-slot work lists. The graph is a proven :class:`WeightedGraph`:
     connected, so every run settles its targets, and with positive finite
-    weights.
+    weights. Returns 0.
 
     The (distance, id) keys in the heap are distinct, since a vertex is
     pushed again only at a strictly shorter distance, so every binary heap
     pops them in the same order.
     """
-    k = len(by_source)
+    indptr, indices, adj_w, xs, ys, by_source = (
+        a.tolist() for a in (indptr, indices, adj_w, xs, ys, by_source))
+    dist, values = [0.0] * n, [0.0] * k
+    seen, settled, wanted = [0] * n, [0] * n, [0] * n
     run = 0
     i = 0
     while i < k:
@@ -1428,5 +1250,7 @@ def pair_distances(indptr, indices, adj_w, xs, ys, by_source, dist, seen, settle
                     dist[u] = nd
                     heapq.heappush(heap, (nd, u))
         for q in range(i, j):
-            out[by_source[q]] = dist[ys[by_source[q]]]
+            values[by_source[q]] = dist[ys[by_source[q]]]
         i = j
+    out[:] = values
+    return 0

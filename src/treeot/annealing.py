@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -127,8 +128,10 @@ def anneal_chains(
     target_cost: float | None = None,
 ) -> tuple[AnnealResult, int]:
     """Run ``chains`` independent chains on threads; return the best result and
-    its chain index. Chain seeds are spawned from ``config.seed``. The threads
-    run in parallel only on the C backend, whose calls release the GIL."""
+    its chain index. Chain seeds are spawned from ``config.seed``, so the
+    results do not depend on the thread count: one thread per CPU at most.
+    The threads run in parallel only on the C backend, whose calls release
+    the GIL."""
     if chains < 1:
         raise ValueError("chains must be >= 1")
     if chains == 1:
@@ -139,7 +142,7 @@ def anneal_chains(
     def run(k: int) -> AnnealResult:
         return _run_chain(g, xi, config, target, np.random.default_rng(seeds[k]))
 
-    with ThreadPoolExecutor(max_workers=chains) as pool:
+    with ThreadPoolExecutor(max_workers=min(chains, os.cpu_count() or 1)) as pool:
         results = list(pool.map(run, range(chains)))
     best_k = min(range(chains), key=lambda k: (results[k].best_cost, k))
     return results[best_k], best_k

@@ -207,6 +207,8 @@ def _anneal_config(args) -> AnnealConfig:
     base = {"max_iters": 100_000}  # every other default is AnnealConfig's
     if args.config:
         overrides_file = fileio._parse_json(args.config)
+        if not isinstance(overrides_file, dict):
+            raise InputError(f"{args.config}: expected a JSON object of annealing settings")
         unknown = set(overrides_file) - {f.name for f in dataclasses.fields(AnnealConfig)}
         if unknown:
             raise TreeOTError(f"unknown config keys: {sorted(unknown)}")

@@ -11,6 +11,7 @@ its plan is basic (a vertex of the transportation polytope).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,23 +207,52 @@ def check_cyclical_monotonicity(
     saves more than k*tol/s <= tol. ``dist`` must be the shortest-path metric
     of ``g``, as a dense matrix or as the distances at the support pairs.
     Bellman-Ford from u = 0 looks for the cycle: with none, a round changes
-    nothing within n rounds.
+    nothing within n rounds. Each vertex keeps as its parent the tail of the
+    arc that last lowered it, and every ceil(sqrt(n)) rounds the parent
+    graph is searched for a cycle; any such cycle is negative (Cherkassky &
+    Goldberg, "Negative-cycle detection algorithms", Math. Programming 85,
+    1999), so the search stops there.
     """
     off = plan.rows != plan.cols
     s = int(np.count_nonzero(off))
     if s == 0:
         return True
+    n = g.n
+    if plan.n != n:
+        raise VertexRangeError("plan size does not match graph")
     src = np.concatenate([g.arc_tails(), plan.rows[off]])
     dst = np.concatenate([g.indices, plan.cols[off]])
     weight = np.concatenate([g.weights, tol / s - _support_distances(plan, dist)[off]])
-    u = np.zeros(g.n)
-    for _ in range(g.n + 1):
-        relaxed = u.copy()
-        np.minimum.at(relaxed, dst, u[src] + weight)
+    # arcs grouped by head; a proven graph is connected, so every vertex heads one
+    by_head = np.argsort(dst, kind="stable")
+    src, dst, weight = src[by_head], dst[by_head], weight[by_head]
+    first = np.searchsorted(dst, np.arange(n))
+    u = np.zeros(n)
+    parent = np.full(n, -1)
+    period = math.isqrt(n - 1) + 1
+    for rounds in range(1, n + 2):
+        reach = u[src] + weight
+        low = np.minimum.reduceat(reach, first)
+        relaxed = np.minimum(u, low)
         if np.array_equal(relaxed, u):
             return True
+        lowered = (low < u)[dst] & (reach == low[dst])
+        parent[dst[lowered]] = src[lowered]
         u = relaxed
+        if rounds % period == 0 and _has_cycle(parent):
+            return False
     return False
+
+
+def _has_cycle(parent: np.ndarray) -> bool:
+    """Whether the links ``parent`` (-1 for none) close a cycle: after
+    2^k >= n hops by pointer doubling, a vertex whose links end at a root
+    has reached the sink n, and one whose links run into a cycle has not."""
+    n = parent.shape[0]
+    hop = np.append(np.where(parent < 0, n, parent), n)
+    for _ in range(n.bit_length()):
+        hop = hop[hop]
+    return bool(np.any(hop[:n] != n))
 
 
 def check_vertex_support(plan: TransportPlan) -> dict:

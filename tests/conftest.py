@@ -302,8 +302,10 @@ def reference_balanced_subtree(g, xi, rng, samples=32, tol=1e-12):
     whether such a tree was found."""
     parent = np.empty(g.n, dtype=np.int64)
     wpar = np.empty(g.n)
+    out_root = np.empty(1, dtype=np.int64)
     for _ in range(samples):
-        root = _kernels.wilson_tree(g.indptr, g.indices, g.weights, rng, parent, wpar)
+        _kernels.wilson_tree(g.n, g.indptr, g.indices, g.weights, rng, parent, wpar, out_root)
+        root = int(out_root[0])
         order, _ = reference_order_depth(root, parent.tolist())
         xi_cum = reference_subtree_sums(parent, order, xi)
         mask = np.arange(g.n) != root
@@ -389,6 +391,29 @@ def reference_plan_to_flow(plan, t):
             else:
                 down[b] += m
     return up, down
+
+
+def reference_cyclically_monotone(plan, g, dist, tol=1e-9):
+    """``oracle.check_cyclical_monotonicity`` as it ran before it stopped at
+    the first negative cycle: Bellman-Ford from u = 0 on the same difference
+    constraints, round after round, for up to n + 1 rounds; the support is
+    monotone exactly when a round changes nothing."""
+    off = plan.rows != plan.cols
+    s = int(np.count_nonzero(off))
+    if s == 0:
+        return True
+    distances = dist[plan.rows, plan.cols] if dist.ndim == 2 else dist
+    src = np.concatenate([g.arc_tails(), plan.rows[off]])
+    dst = np.concatenate([g.indices, plan.cols[off]])
+    weight = np.concatenate([g.weights, tol / s - distances[off]])
+    u = np.zeros(g.n)
+    for _ in range(g.n + 1):
+        relaxed = u.copy()
+        np.minimum.at(relaxed, dst, u[src] + weight)
+        if np.array_equal(relaxed, u):
+            return True
+        u = relaxed
+    return False
 
 
 def lockstep_climb(t, x, y):
@@ -797,8 +822,8 @@ class SwapChain:
         if self.checked is not None and not self.best_cost < self.checked:
             return False
         self.checked = self.best_cost
-        return _kernels.certify(self.best_parent, self.best_wpar, self.g.indptr, self.g.indices,
-                                self.g.weights, self.xi)
+        return _kernels.certify(self.g.n, self.best_parent, self.best_wpar, self.g.indptr,
+                                self.g.indices, self.g.weights, self.xi, _kernels.CERT_RTOL)
 
     def tree(self):
         return RootedTree(self.root, self.parent, self.wpar)

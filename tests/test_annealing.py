@@ -7,7 +7,7 @@ import pytest
 
 import treeot as ot
 
-from treeot import _kernels
+from treeot import _kernels, annealing
 
 from conftest import (
     SwapChain,
@@ -299,6 +299,26 @@ class TestAnneal:
         single, _ = ot.anneal_chains(g, mu, nu, cfg, chains=1)
         assert result.best_cost <= single.best_cost + 1e-12
 
+    @pytest.mark.parametrize("cpus", [1, 2, None])
+    def test_chains_run_on_at_most_one_thread_per_cpu(self, monkeypatch, cpus):
+        workers = []
+
+        class Recorded(annealing.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        g = ot.grid_graph(3)
+        mu, nu = noisy_grid_measures(3, seed=13)
+        cfg = ot.AnnealConfig(max_iters=2000, seed=7)
+        unpatched = ot.anneal_chains(g, mu, nu, cfg, chains=3)
+        monkeypatch.setattr(annealing, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(annealing.os, "cpu_count", lambda: cpus)
+        result, k = ot.anneal_chains(g, mu, nu, cfg, chains=3)
+        assert workers == [min(3, cpus or 1)]
+        assert (k, result.best_cost, result.trace) == (unpatched[1], unpatched[0].best_cost,
+                                                      unpatched[0].trace)
+
     def test_single_vertex_graph(self):
         g = ot.build_graph(1, [])
         res = ot.anneal(g, [1.0], [1.0], ot.AnnealConfig(max_iters=100, seed=0))
@@ -313,13 +333,11 @@ class TestChainEntry:
     @pytest.mark.parametrize("backend_name", ["python", *compiled_backends()])
     def test_one_anneal_proves_three_trees(self, backend_name, monkeypatch):
         proofs = []
-        order_runner = _kernels._order_runner
-
-        def counted(run):
-            return order_runner(lambda *args: proofs.append(args[0]) or run(*args))
-
-        monkeypatch.setattr(_kernels, "_order_runner", counted)
         kernels = _kernels._LOADERS[backend_name]()
+        order = kernels._run["tree_order"]
+        # tree_order(n, parent, root, order, depth): record the root of each proof
+        monkeypatch.setitem(kernels._run, "tree_order",
+                            lambda *args: proofs.append(args[2]) or order(*args))
         monkeypatch.setattr(_kernels, "kernels", lambda: kernels)
         g = ot.grid_graph(4)
         mu, nu = noisy_grid_measures(4, seed=1)

@@ -406,6 +406,19 @@ def test_non_integer_config_field_exits_2(line6_files, capsys, field, value):
         f"error: bad annealing config: {field} must be an integer, not {json.loads(value)!r}"]
 
 
+@pytest.mark.parametrize("text", ["5", "null", '["max_iters"]', '[["max_iters", 10]]'])
+def test_config_that_is_not_an_object_exits_2(line6_files, capsys, text):
+    d = line6_files
+    (d / "cfg.json").write_text(text, encoding="utf-8")
+    assert run_cli("anneal", "--config", str(d / "cfg.json"), "--out-dir", str(d / "run"),
+                   "--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"),
+                   "--nu", str(d / "nu.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {d / 'cfg.json'}: expected a JSON object of annealing settings"]
+
+
 class TestPlanPotentialCommands:
     def test_plan_on_a_missing_backend_exits_2(self, line6_files):
         argv = ["plan", "--graph", str(line6_files / "graph.json"),

@@ -481,11 +481,11 @@ class TestTreeMetricOnTheSupport:
 
 class TestPlanGuards:
     def fake_kernel(self, status, rows, cols, u=-1):
-        def run(parent, order, xi, zero_tol):
+        def run(n, parent, order, xi, zero_tol, out_x, out_y, out_m, out_k):
             k = len(rows)
-            return (status, k, u, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                    np.full(k, 0.25))
-        return _kernels._plan_runner(run)
+            out_x[:k], out_y[:k], out_m[:k], out_k[:] = rows, cols, 0.25, (k, u)
+            return status
+        return _kernels.Kernels("fake", {"dp_plan": run}).dp_plan
 
     def test_repeated_entry_raises(self):
         t = line_tree(4, 3)

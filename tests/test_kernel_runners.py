@@ -1,4 +1,4 @@
-"""Every ``Kernels`` entry checks its inputs in one runner that both backends
+"""Every ``Kernels`` method checks its inputs in one place that both backends
 share, so a malformed call raises the same exception with the same message on
 every backend, the plain-Python reference included. A kernel that walks a
 graph or a tree takes only a ``WeightedGraph`` or ``RootedTree``, proven when
@@ -135,7 +135,7 @@ def loaded():
 
 
 def test_every_kernel_has_cases(loaded):
-    assert set(KERNEL_CASES) == set(SIGNATURES) == set(_kernels.Kernels._fields) - {"name"}
+    assert set(KERNEL_CASES) == set(SIGNATURES) == set(_kernels.C_SIGNATURES)
     assert len(WALKS) == 8
     for kernel in SIGNATURES:
         assert outcome(loaded, "python", kernel) is None
@@ -210,3 +210,16 @@ def test_disconnected_csr_is_refused_before_any_walk(backend):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["DisconnectedError graph is not connected",
                                         "TypeError Wilson tree: needs a WeightedGraph, not tuple"]
+
+
+@pytest.mark.parametrize("backend", ["python", *compiled_backends()])
+def test_scratch_that_cannot_be_allocated_raises_memory_error(backend, loaded):
+    # a window of 2^56 slots asks for 512 PiB of acceptance bits, more than an
+    # address space holds, so the allocation fails at once and takes nothing
+    g = ot.grid_graph(3)
+    t = ot.random_spanning_tree(g, np.random.default_rng(0))
+    with pytest.raises(MemoryError) as caught:
+        loaded[backend].anneal_chain(t, g, np.zeros(N), 10, 1.0, 0.3, 0.05, 2**56, 10, 0,
+                                     float("nan"), np.random.default_rng(1))
+    if backend == "c":
+        assert str(caught.value) == "C kernel stopped: its scratch space could not be allocated"

@@ -11,6 +11,7 @@ from treeot import _kernels
 from treeot.errors import NonFiniteWeightError, NonPositiveWeightError, VertexRangeError
 from treeot.oracle import (
     VALUE_TOL,
+    _has_cycle,
     complementary_violation,
     geodesic_support_violation,
     lipschitz_violation,
@@ -28,6 +29,7 @@ from conftest import (
     random_measure_pair,
     random_tree_graph,
     raised,
+    reference_cyclically_monotone,
     run_python,
     successive_shortest_paths,
 )
@@ -546,6 +548,45 @@ class TestCyclicalMonotonicity:
                 verdicts.append(got)
         # both verdicts occur often on supports with a permutation to try
         assert min(sum(verdicts), len(verdicts) - sum(verdicts)) >= 50
+
+    def test_agrees_with_the_full_round_reference(self, backend):
+        """The early stop at a parent-graph cycle gives the verdict of every
+        round run out: on the enumeration corpus above, and on lattice plans
+        of Wilson trees (rarely monotone) and of annealed trees, with the
+        distances at the support pairs as ``verify`` passes them."""
+        rng = np.random.default_rng(64)
+        cases = []
+        for trial in range(240):
+            n = int(rng.integers(2, 10))
+            g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 4)))
+            k = int(rng.integers(1, 7))
+            triplets = [(int(x), int(y), float(rng.random()) + 0.1)
+                        for x, y in rng.integers(0, n, size=(k, 2))]
+            cases.append((ot.make_plan(n, triplets), g, ot.all_pairs_shortest_paths(g)))
+        for p, seed in [(4, 1), (6, 2), (8, 3), (12, 4), (16, 5), (20, 6)]:
+            g = ot.grid_graph(p)
+            mu, nu = noisy_grid_measures(p, seed=seed)
+            trees = [ot.random_spanning_tree(g, np.random.default_rng(s)) for s in range(3)]
+            if p <= 8:  # annealed to an optimal tree, whose plan is monotone
+                trees.append(ot.anneal(g, mu, nu, ot.AnnealConfig(max_iters=20_000, seed=seed)).best_tree)
+            for t in trees:
+                plan = ot.dp_transport_plan(t, mu, nu)
+                cases.append((plan, g, ot.pair_distances(g, plan.rows, plan.cols)))
+        verdicts = [ot.check_cyclical_monotonicity(*case) for case in cases]
+        assert verdicts == [reference_cyclically_monotone(*case) for case in cases]
+        assert 20 <= sum(verdicts) <= len(verdicts) - 20
+
+    def test_a_plan_on_another_vertex_count_is_refused(self):
+        g = ot.grid_graph(2)
+        with pytest.raises(VertexRangeError, match="plan size does not match graph"):
+            ot.check_cyclical_monotonicity(ot.make_plan(5, [(0, 4, 1.0)]), g, np.array([1.0]))
+
+    @pytest.mark.parametrize("parent, cycle", [
+        ([-1], False), ([-1, 0, 1, 2], False), ([1, 0], True), ([0], True),
+        ([-1, 2, 3, 1, 3], True), ([-1, 0, 0, 1, 1], False),
+    ])
+    def test_parent_cycle_search(self, parent, cycle):
+        assert _has_cycle(np.array(parent, dtype=np.int64)) is cycle
 
 
 class TestVertexSupport:

@@ -177,33 +177,41 @@ def test_rooted_tree_is_proven_alike_on_every_backend(links):
         assert outcomes[0] == tuple(a.tolist() for a in expected)
 
 
+#: what ``csr_arrays`` breaks, one kind drawn per example
+CSR_DEFECTS = ("none", "bad weight", "repeated edge", "dropped arc", "moved head",
+               "asymmetric weight", "swapped arcs")
+
+
 @st.composite
 def csr_arrays(draw):
     """CSR arrays on 1..7 vertices holding both arcs of n - 1 to 12 random
-    edges (one time in four with repeats; self-loops only on one vertex), the
-    two arcs of an edge with one weight, one time in four an edge's not
-    finite or not positive. One time in four, one arc is dropped, has its
-    head moved (possibly out of range), its weight redrawn, or swaps places
-    with the next arc."""
+    edges (self-loops only on one vertex), the two arcs of an edge with one
+    weight, and one defect of ``CSR_DEFECTS``, its kind drawn once: an edge's
+    weight not finite or not positive, an edge listed twice (with a weight of
+    its own), or one arc dropped, its head moved (possibly out of range), its
+    weight changed to another valid weight, or its place swapped with the next
+    arc's."""
     n = draw(st.integers(1, 7))
     ends = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)), WEIGHTS)
     edges = [(a, (a + d) % n, w) for a, d, w in draw(st.lists(ends, min_size=n - 1, max_size=12))]
-    if draw(st.integers(0, 3)):  # three times in four, no edge repeats
-        edges = list({(min(a, b), max(a, b)): (a, b, w) for a, b, w in edges}.values())
-    if edges and draw(st.integers(0, 3)) == 0:
+    edges = list({(min(a, b), max(a, b)): (a, b, w) for a, b, w in edges}.values())
+    defect = draw(st.sampled_from(CSR_DEFECTS))
+    if edges and defect == "bad weight":
         k = draw(st.integers(0, len(edges) - 1))
         edges[k] = (*edges[k][:2], draw(BAD_WEIGHTS))
+    elif edges and defect == "repeated edge":
+        edges.append((*edges[draw(st.integers(0, len(edges) - 1))][:2], draw(WEIGHTS)))
     arcs = sorted(edges + [(b, a, w) for a, b, w in edges])
-    if arcs and draw(st.integers(0, 3)) == 0:
-        k = draw(st.integers(0, len(arcs) - 1))
+    if arcs and defect in CSR_DEFECTS[3:]:
+        # the last arc has no next one to swap with
+        k = draw(st.integers(0, len(arcs) - (2 if defect == "swapped arcs" else 1)))
         tail, head, w = arcs[k]
-        change = draw(st.sampled_from(["drop", "head", "weight", "swap"]))
-        if change == "drop":
+        if defect == "dropped arc":
             del arcs[k]
-        elif change == "head":
-            arcs[k] = (tail, draw(st.integers(-1, n)), w)
-        elif change == "weight":
-            arcs[k] = (tail, head, draw(st.one_of(WEIGHTS, BAD_WEIGHTS)))
+        elif defect == "moved head":
+            arcs[k] = (tail, draw(st.integers(-1, n).filter(lambda h: h != head)), w)
+        elif defect == "asymmetric weight":
+            arcs[k] = (tail, head, draw(WEIGHTS.filter(lambda x: x != w)))
         else:
             arcs[k:k + 2] = arcs[k:k + 2][::-1]
     indptr = np.zeros(n + 1, dtype=np.int64)

@@ -7,7 +7,8 @@ module that a test skips without. Also, the
 status and stop codes of ``_kernel.c``'s enum are those ``_kernels.py``
 reads, only ``_kernels._c_call`` turns arrays and generators into C
 pointers, ``_kernel.c`` compiles without a warning, and it exports exactly
-the functions that ``_kernels.py`` declares. Every package name that the
+the functions that ``_kernels.py`` declares, each returning an ``int``
+status and taking its reference kernel's argument list. Every package name that the
 benchmark harness (``perfbench/``) reads still resolves, so removing one
 fails here rather than in the benchmark.
 
@@ -239,11 +240,11 @@ def c_enum(source: str) -> dict[str, int]:
 
 def python_codes() -> dict[str, int]:
     """Every status and stop code that ``_kernels`` reads, by its C name: the
-    ``PLAN_*``, ``FLOW_*``, ``TREE_*`` and ``STOP_*`` constants
-    by name, the other keys of the one status table ``_STATUS_ERRORS`` by
+    ``PLAN_*``, ``FLOW_*``, ``TREE_*`` and ``STOP_*`` constants and
+    ``NO_MEMORY`` by name, the other keys of the one status table ``_STATUS_ERRORS`` by
     message, and the stop reasons. The table holds every failure status."""
     codes = {name: value for name, value in vars(_kernels).items()
-             if name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_"))
+             if (name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_")) or name == "NO_MEMORY")
              and isinstance(value, int)}
     by_message = {m: c for c, (_, m) in _kernels._STATUS_ERRORS.items() if c not in codes.values()}
     codes.update({"CHAIN_OK": 0, **{name: by_message.pop(m) for name, m in CODE_MESSAGES.items()}})
@@ -262,7 +263,7 @@ def code_mismatches(source: str) -> list[str]:
 
 def test_kernel_codes_match_the_c_enum():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert len(c_enum(source)) == 16
+    assert len(c_enum(source)) == 17
     assert code_mismatches(source) == []
 
 
@@ -326,36 +327,108 @@ def exported_functions(source: str) -> set[str]:
 
 def test_every_exported_c_function_is_declared():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert exported_functions(source) == set(_kernels.C_SIGNATURES)
+    assert exported_functions(source) == {f"treeot_{name}" for name in _kernels.C_SIGNATURES}
 
 
-#: the ctypes type that each C return type and non-pointer parameter type
-#: is declared with; every pointer is ``c_void_p``
-C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int, "void": None}
+#: the ctypes type that each C non-pointer parameter type is declared with;
+#: every pointer is ``c_void_p``
+C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
 
 
-def c_prototypes(source: str) -> dict[str, tuple]:
-    """``(restype, argtypes)`` of every exported ``treeot_*`` function of a C
-    source, read off its definition as ``C_SIGNATURES`` declares them."""
+def c_prototypes(source: str) -> dict[str, tuple[str, list[tuple[str, str]]]]:
+    """``(return type, [(type, name), ...])`` of every exported
+    ``treeot_<name>`` function of a C source, by ``<name>``, read off its
+    definition."""
     found = {}
-    for ret, name, params in re.findall(r"^(?!static\b)(\w+)\s+(treeot_\w+)\s*\(([^)]*)\)",
+    for ret, name, params in re.findall(r"^(?!static\b)(\w+)\s+treeot_(\w+)\s*\(([^)]*)\)",
                                         source, re.M):
-        kinds = [ctypes.c_void_p if "*" in p else C_TYPES[p.split()[-2]] for p in params.split(",")]
-        found[name] = (C_TYPES[ret], kinds)
+        found[name] = (ret, [re.fullmatch(r"(.*?)\s*(\w+)", " ".join(p.split())).groups()
+                             for p in params.split(",")])
     return found
 
 
 def signature_mismatches(source: str) -> list[str]:
-    declared, defined = _kernels.C_SIGNATURES, c_prototypes(source)
+    """Kernels whose ``C_SIGNATURES`` argtypes differ from their C definition's."""
+    declared = _kernels.C_SIGNATURES
+    defined = {name: [ctypes.c_void_p if "*" in kind else C_TYPES[kind.split()[-1]]
+                      for kind, _ in params]
+               for name, (_, params) in c_prototypes(source).items()}
     return [f"{name}: declared {declared.get(name)}, defined {defined.get(name)}"
             for name in sorted(declared.keys() | defined.keys())
             if declared.get(name) != defined.get(name)]
+
+
+def not_returning_int(source: str) -> list[str]:
+    return sorted(f"treeot_{name}" for name, (ret, _) in c_prototypes(source).items() if ret != "int")
+
+
+def reference_parameters(source: str) -> dict[str, list[str]]:
+    """The parameter names of every top-level function of a Python source."""
+    return {fn.name: [a.arg for a in fn.args.args]
+            for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
+
+
+def abi_mismatches(py_source: str, c_source: str) -> list[str]:
+    """Kernels whose reference in ``py_source`` and C function in
+    ``c_source`` do not take one argument list: the same names in the same
+    order, as many as ``C_SIGNATURES`` declares argtypes, and the numpy
+    ``Generator`` ``rng``, where there is one, where C takes its bit
+    generator."""
+    references, prototypes = reference_parameters(py_source), c_prototypes(c_source)
+    found = []
+    for name, argtypes in _kernels.C_SIGNATURES.items():
+        py_names = references.get(name)
+        params = prototypes.get(name, ("", []))[1]
+        c_names = [param for _, param in params]
+        generators = [param for kind, param in params if kind.startswith("bitgen_t")]
+        if py_names != c_names or len(c_names) != len(argtypes) or (
+                generators != [p for p in c_names if p == "rng"]):
+            found.append(f"{name}: python {py_names}, C {params}, {len(argtypes)} argtypes")
+    return found
 
 
 def test_every_c_prototype_matches_its_declaration():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
     assert len(c_prototypes(source)) == len(_kernels.C_SIGNATURES) == 10
     assert signature_mismatches(source) == []
+
+
+def test_every_exported_c_function_returns_an_int_status():
+    source = _kernels.C_SOURCE.read_text(encoding="utf-8")
+    assert not_returning_int(source) == []
+    mutant = source.replace("int treeot_subtree_sums(", "void treeot_subtree_sums(")
+    assert not_returning_int(mutant) == ["treeot_subtree_sums"]
+
+
+def test_every_reference_shares_its_c_argument_list():
+    py_source = (ROOT / "src" / "treeot" / "_kernels.py").read_text(encoding="utf-8")
+    c_source = _kernels.C_SOURCE.read_text(encoding="utf-8")
+    assert abi_mismatches(py_source, c_source) == []
+    # the python backend runs the references that this reads
+    assert all(getattr(_kernels, name) is _kernels._load_python()._run[name]
+               for name in _kernels.C_SIGNATURES)
+
+
+def test_the_abi_check_flags_a_dropped_or_renamed_argument():
+    py_source = (ROOT / "src" / "treeot" / "_kernels.py").read_text(encoding="utf-8")
+    c_source = _kernels.C_SOURCE.read_text(encoding="utf-8")
+    py_mutants = {
+        "def subtree_sums(n, parent, order, out):": "def subtree_sums(parent, order, out):",
+        "def wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_root):":
+            "def wilson_tree(n, indptr, indices, adj_w, parent, wpar, out_root):",
+    }
+    c_mutants = {
+        # a parameter dropped
+        "const int64_t *by_source, double *out)": "double *out)",
+        # the bit generator under another name
+        "bitgen_t *rng, const double *xi,": "bitgen_t *bg, const double *xi,",
+    }
+    for old, new in py_mutants.items():
+        assert py_source.count(old) == 1
+        assert abi_mismatches(py_source.replace(old, new), c_source) != [], old
+    for old, new in c_mutants.items():
+        assert c_source.count(old) == 1
+        assert abi_mismatches(py_source, c_source.replace(old, new)) != [], old
 
 
 def test_the_prototype_check_flags_a_mismatched_copy():
@@ -365,8 +438,6 @@ def test_the_prototype_check_flags_a_mismatched_copy():
         " double sign_at_zero,\n": "\n",
         # double and int64_t swapped
         "int64_t samples, double tol": "double samples, int64_t tol",
-        # the return type changed
-        "void treeot_subtree_sums(": "int treeot_subtree_sums(",
     }
     for old, new in mutants.items():
         assert source.count(old) == 1

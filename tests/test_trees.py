@@ -348,7 +348,9 @@ def draw_tree(g, seed, kernel=None):
     else:
         parent = np.empty(g.n, dtype=np.int64)
         wpar = np.empty(g.n)
-        root = _kernels.wilson_tree(g.indptr, g.indices, g.weights, rng, parent, wpar)
+        out_root = np.empty(1, dtype=np.int64)
+        _kernels.wilson_tree(g.n, g.indptr, g.indices, g.weights, rng, parent, wpar, out_root)
+        root = out_root[0]
     return int(root), parent, wpar, rng.random()
 
 
@@ -383,8 +385,9 @@ class TestWilsonBackends:
         isolated = (np.zeros(3, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
         for (indptr, indices, weights), n in ((empty, 0), (isolated, 2)):
             with pytest.raises(ValueError):
-                _kernels.wilson_tree(indptr, indices, weights, np.random.default_rng(0),
-                                     np.empty(n, dtype=np.int64), np.empty(n))
+                _kernels.wilson_tree(n, indptr, indices, weights, np.random.default_rng(0),
+                                     np.empty(n, dtype=np.int64), np.empty(n),
+                                     np.empty(1, dtype=np.int64))
             with pytest.raises((ValueError, DisconnectedError)):
                 ot.WeightedGraph(n=n, indptr=indptr, indices=indices, weights=weights)
             with pytest.raises(TypeError, match="needs a WeightedGraph"):
