@@ -2,17 +2,18 @@
 
 The backend is chosen by TREEOT_BACKEND when the kernel is first used, so
 each backend runs in a subprocess. The C backend, where it loads, is timed
-against the plain-Python kernel, and its trace, iterations run and stop
-reason must equal the Python ones bit for bit. ``--iters`` is a budget: a
-chain stops sooner once its best tree is certified optimal, so iterations/s
-count the iterations run. The default 12x12 lattice runs its whole budget;
-on small lattices (7x7) the chain certifies early and the timing and the
-parity check cover only the iterations it ran, which the script reports.
+against the plain-Python kernel, and its trace, iterations run, stop reason
+and the generator's final state must equal the Python ones bit for bit.
+``--iters`` is a budget: a chain stops sooner once its best tree is
+certified optimal, so iterations/s count the iterations run. The default
+12x12 lattice runs its whole budget; on small lattices (7x7) the chain
+certifies early and the timing and the parity check cover only the
+iterations it ran, which the script reports.
 Usage:
 
     python benchmarks/bench_anneal.py [--p 12] [--iters 200000] [--seed 0]
 
-Exits 1 if any trace differs.
+Exits 1 if any trace or final generator state differs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ WORKER = """
 import json, sys, time
 import numpy as np
 import treeot as ot
+from treeot.annealing import _chain_inputs, _run_chain
 
 p, iters, seed = json.loads(sys.stdin.read())
 g = ot.grid_graph(p)
@@ -35,16 +37,22 @@ mu = rng.random(p * p) + 0.01; mu /= mu.sum()
 nu = rng.random(p * p) + 0.01; nu /= nu.sum()
 cfg = ot.AnnealConfig(max_iters=iters, seed=seed, record_every=max(1, iters // 10))
 
-res = ot.anneal(g, mu, nu, cfg)        # first call pays any build or compilation cost
+# the first call pays any build cost; it runs anneal's chain on a generator
+# of its own, so that the generator's final state can be compared too
+rng = np.random.default_rng(seed)
+xi, target = _chain_inputs(g, mu, nu, None)
+replay = _run_chain(g, xi, cfg, target, rng)
 t0 = time.perf_counter()
 res = ot.anneal(g, mu, nu, cfg)
 dt = time.perf_counter() - t0
+assert replay.trace == res.trace
 print(json.dumps({
     "backend": ot.kernel_backend(),
     "seconds": dt,
     "iters_run": res.iters_run,
     "stop_reason": res.stop_reason,
     "iters_per_second": res.iters_run / dt,
+    "rng_state": rng.bit_generator.state,
     "trace": [[r.iter, r.current_cost.hex(), r.best_cost.hex(), r.beta.hex(), r.accept_rate.hex()]
               for r in res.trace],
 }))
@@ -95,8 +103,10 @@ def main() -> int:
         if report is None:
             continue
         same = all(report[k] == plain[k] for k in ("trace", "iters_run", "stop_reason"))
+        same_state = report["rng_state"] == plain["rng_state"]
         print(f"  {name:8} : {plain['seconds'] / report['seconds']:8.1f}x the Python kernel, "
-              f"trace identical: {same}")
+              f"trace identical: {same}, final generator state identical: {same_state}")
+        same = same and same_state
         if not same:
             mismatched.append(name)
     return 1 if mismatched else 0

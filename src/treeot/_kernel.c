@@ -2,8 +2,8 @@
  * network-simplex and pair-distance kernels in _kernels.py.
  *
  * One ABI: treeot_<name> takes the argument list of the reference kernel
- * <name>, in order and by name (the numpy Generator rng stands for the
- * bit-generator pointer rng): n first, then the inputs, then the outputs the
+ * <name>, in order and by name (C's rng is the six state words of the numpy
+ * Generator rng on PCG64): n first, then the inputs, then the outputs the
  * caller allocates. It returns an int status, 0 on success. Each exported
  * function allocates its own scratch and frees it on every return, or
  * returns NO_MEMORY; the static helpers take theirs from the caller.
@@ -11,9 +11,11 @@
  * Every floating-point operation happens in the same order as in the Python
  * kernels, and the library is built with -ffp-contract=off and without
  * fast-math, so no multiply-add is fused and the results are bit-identical.
- * Random numbers come from the caller's numpy bit generator, drawn exactly as
- * Generator.integers(0, k) and Generator.random() draw them, so the chain and
- * the tree walk consume the same stream as the Python kernels.
+ * Random numbers come from the caller's PCG64 state, stepped here exactly as
+ * numpy steps it and drawn exactly as Generator.integers(0, k) and
+ * Generator.random() draw, so the chain and the tree walk consume the same
+ * stream as the Python kernels and leave the generator at the same position.
+ * The 128-bit state needs the unsigned __int128 of GCC and Clang.
  */
 
 #include <math.h>
@@ -21,14 +23,66 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Layout of numpy's bitgen_t (numpy/random/bitgen.h). */
+/* numpy's PCG64: the 128-bit LCG with the XSL-RR output (O'Neill, "PCG: A
+ * Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+ * Random Number Generation", 2014), and the spare 32-bit half of its last
+ * 64-bit output that next_uint32 keeps. */
+typedef unsigned __int128 u128;
 typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
+    u128 state, inc;
+    uint64_t has_uint32, uinteger;
+} pcg64;
+
+/* The caller's six state words, as numpy's bit_generator.state holds them:
+ * {state >> 64, state low half, inc >> 64, inc low half, has_uint32,
+ * uinteger}. A kernel steps a copy and stores it back before it returns. */
+static pcg64 pcg64_load(const uint64_t *words)
+{
+    const pcg64 g = {((u128)words[0] << 64) | words[1], ((u128)words[2] << 64) | words[3],
+                     words[4], words[5]};
+    return g;
+}
+
+static void pcg64_store(const pcg64 *g, uint64_t *words)
+{
+    words[0] = (uint64_t)(g->state >> 64);
+    words[1] = (uint64_t)g->state;
+    words[2] = (uint64_t)(g->inc >> 64);
+    words[3] = (uint64_t)g->inc;
+    words[4] = g->has_uint32;
+    words[5] = g->uinteger;
+}
+
+/* next_uint64: one LCG step, then the high half xor the low half rotated
+ * right by the top 6 bits of the new state. */
+static uint64_t pcg64_next64(pcg64 *g)
+{
+    const u128 mult = ((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+    g->state = g->state * mult + g->inc;
+    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    const unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << (-rot & 63));
+}
+
+/* next_uint32: the low half of a fresh output, keeping the high half for
+ * the next call. */
+static uint32_t pcg64_next32(pcg64 *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return (uint32_t)g->uinteger;
+    }
+    const uint64_t next = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = next >> 32;
+    return (uint32_t)next;
+}
+
+/* next_double, which leaves the kept half alone: Generator.random(). */
+static double pcg64_next_double(pcg64 *g)
+{
+    return (double)(pcg64_next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
 
 enum {
     CHAIN_OK = 0,
@@ -60,18 +114,20 @@ static void *scratch(int64_t count, size_t size, int zeroed)
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
  * when deg == 1, otherwise Lemire's bounded rejection on 32-bit draws
- * (numpy's buffered_bounded_lemire_uint32 with rng = deg - 1). */
-static int64_t bounded_index(bitgen_t *bg, int64_t deg)
+ * (numpy's buffered_bounded_lemire_uint32 with rng = deg - 1). Inline, so
+ * that the chain keeps the generator in registers: GCC -O2 would otherwise
+ * move the draw into an outlined call, which costs the chain about 10%. */
+static inline int64_t bounded_index(pcg64 *g, int64_t deg)
 {
     if (deg == 1)
         return 0;
     const uint32_t rng_excl = (uint32_t)deg;
-    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+    uint64_t m = (uint64_t)pcg64_next32(g) * rng_excl;
     uint32_t leftover = (uint32_t)m;
     if (leftover < rng_excl) {
         const uint32_t threshold = (UINT32_MAX - (rng_excl - 1)) % rng_excl;
         while (leftover < threshold) {
-            m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+            m = (uint64_t)pcg64_next32(g) * rng_excl;
             leftover = (uint32_t)m;
         }
     }
@@ -116,7 +172,7 @@ static double tree_cost(int64_t n, const int64_t *parent, const double *wpar, co
 /* propose_root of _kernels.py: the candidate root and the weight of its edge
  * to root. Returns CHAIN_OK or a CHAIN_* error code. */
 static int propose_root(const int64_t *indptr, const int64_t *indices, const double *adj_w,
-                        int64_t root, bitgen_t *bg, int64_t *new_root, double *w_added)
+                        int64_t root, pcg64 *g, int64_t *new_root, double *w_added)
 {
     const int64_t lo = indptr[root];
     const int64_t deg = indptr[root + 1] - lo;
@@ -124,7 +180,7 @@ static int propose_root(const int64_t *indptr, const int64_t *indices, const dou
         return CHAIN_NO_NEIGHBOUR;
     if (deg > (int64_t)UINT32_MAX)
         return CHAIN_DEGREE_TOO_LARGE;
-    const int64_t k = bounded_index(bg, deg);
+    const int64_t k = bounded_index(g, deg);
     *new_root = indices[lo + k];
     *w_added = adj_w[lo + k];
     return CHAIN_OK;
@@ -224,12 +280,13 @@ int treeot_anneal_chain(
     const int64_t *indptr, const int64_t *indices, const double *adj_w, const double *xi_node,
     int64_t max_iters, double beta0, double target_accept, double eta, int64_t window,
     int64_t record_every, int64_t recompute_every, double target_cost, double cert_rtol,
-    bitgen_t *rng, int64_t *best_parent, double *best_wpar, int64_t *trace_iter,
+    uint64_t *rng, int64_t *best_parent, double *best_wpar, int64_t *trace_iter,
     double *trace_cur, double *trace_best, double *trace_beta, double *trace_acc, double *out_d,
     int64_t *out_i)
 {
     int64_t *bits = scratch(window, sizeof *bits, 1), *work_i = scratch(2 * n, sizeof *work_i, 0);
     double *work_d = scratch(2 * n, sizeof *work_d, 0);
+    pcg64 g = pcg64_load(rng);
     int status = NO_MEMORY;
     if (!bits || !work_i || !work_d)
         goto done;
@@ -266,10 +323,10 @@ int treeot_anneal_chain(
         for (int64_t it = 1; it <= max_iters; it++) {
             int64_t new_root;
             double w_added;
-            status = propose_root(indptr, indices, adj_w, root, rng, &new_root, &w_added);
+            status = propose_root(indptr, indices, adj_w, root, &g, &new_root, &w_added);
             if (status != CHAIN_OK)
                 break;
-            const double u = rng->next_double(rng->state);
+            const double u = pcg64_next_double(&g);
             const double h = swap_delta(parent, wpar, xi_cum, root, new_root, w_added);
 
             const int accept = h >= 0.0 || u <= accept_bound(beta * h);
@@ -354,6 +411,7 @@ int treeot_anneal_chain(
     out_i[3] = iters_done;
     out_i[4] = stop;
 done:
+    pcg64_store(&g, rng);
     free(bits);
     free(work_i);
     free(work_d);
@@ -364,11 +422,11 @@ done:
  * into parent and wpar. in_tree holds n bytes; *out_root receives the root.
  * Returns CHAIN_OK or a WILSON_* / CHAIN_DEGREE_TOO_LARGE code. */
 static int wilson(int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
-                  bitgen_t *bg, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *out_root)
+                  pcg64 *g, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *out_root)
 {
     if (n < 1 || n > (int64_t)UINT32_MAX)
         return WILSON_BAD_VERTEX_COUNT;
-    const int64_t root = bounded_index(bg, n);
+    const int64_t root = bounded_index(g, n);
     memset(in_tree, 0, (size_t)n);
     in_tree[root] = 1;
     parent[root] = -1;
@@ -381,7 +439,7 @@ static int wilson(int64_t n, const int64_t *indptr, const int64_t *indices, cons
                 return WILSON_NO_NEIGHBOUR;
             if (deg > (int64_t)UINT32_MAX)
                 return CHAIN_DEGREE_TOO_LARGE;
-            const int64_t k = bounded_index(bg, deg);
+            const int64_t k = bounded_index(g, deg);
             parent[v] = indices[lo + k];
             wpar[v] = adj_w[lo + k];
         }
@@ -393,13 +451,15 @@ static int wilson(int64_t n, const int64_t *indptr, const int64_t *indices, cons
 }
 
 int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
-                       const double *adj_w, bitgen_t *rng, int64_t *parent, double *wpar,
+                       const double *adj_w, uint64_t *rng, int64_t *parent, double *wpar,
                        int64_t *out_root)
 {
     uint8_t *in_tree = scratch(n, 1, 0);
-    const int status = in_tree ? wilson(n, indptr, indices, adj_w, rng, parent, wpar, in_tree,
+    pcg64 g = pcg64_load(rng);
+    const int status = in_tree ? wilson(n, indptr, indices, adj_w, &g, parent, wpar, in_tree,
                                         out_root)
                                : NO_MEMORY;
+    pcg64_store(&g, rng);
     free(in_tree);
     return status;
 }
@@ -483,18 +543,19 @@ int treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, 
  * order, depth and orient's work), work_d 2n (wpar and the sums) and in_tree
  * n bytes. Returns Wilson's status or NO_MEMORY. */
 int treeot_balanced_subtree(int64_t n, const int64_t *indptr, const int64_t *indices,
-                            const double *adj_w, bitgen_t *rng, const double *xi,
+                            const double *adj_w, uint64_t *rng, const double *xi,
                             int64_t samples, double tol, int64_t *found)
 {
     int64_t *work_i = scratch(7 * n + 1, sizeof *work_i, 0);
     double *work_d = scratch(2 * n, sizeof *work_d, 0);
     uint8_t *in_tree = scratch(n, 1, 0);
+    pcg64 g = pcg64_load(rng);
     int status = work_i && work_d && in_tree ? CHAIN_OK : NO_MEMORY;
     *found = 0;
     for (int64_t k = 0; status == CHAIN_OK && !*found && k < samples; k++) {
         int64_t *parent = work_i, *order = work_i + n, *depth = work_i + 2 * n, root;
         double *wpar = work_d, *sums = work_d + n;
-        status = wilson(n, indptr, indices, adj_w, rng, parent, wpar, in_tree, &root);
+        status = wilson(n, indptr, indices, adj_w, &g, parent, wpar, in_tree, &root);
         if (status != CHAIN_OK)
             break;
         orient(n, parent, root, order, depth, work_i + 3 * n); /* a Wilson tree is rooted at root */
@@ -503,6 +564,7 @@ int treeot_balanced_subtree(int64_t n, const int64_t *indptr, const int64_t *ind
         for (int64_t v = 0; v < n && !*found; v++)
             *found = v != root && fabs(sums[v]) <= tol;
     }
+    pcg64_store(&g, rng);
     free(work_i);
     free(work_d);
     free(in_tree);

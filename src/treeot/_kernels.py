@@ -27,34 +27,35 @@ One ABI: each kernel has one argument list, shared by its reference here
 and by ``treeot_<name>`` in ``_kernel.c``, whose ctypes argtypes
 ``C_SIGNATURES`` lists. It is ``n`` first, then the inputs, then the output
 arrays that the caller allocates, and the kernel returns an int status, 0
-on success. A numpy ``Generator`` stands for C's bit-generator pointer. Each
-implementation owns its scratch space: the references convert hot arrays
-to lists at entry, which Python indexes faster, and the C functions
-allocate theirs and free it on every return (``NO_MEMORY`` when that
-fails). Two backends run the kernels behind the methods of one class,
-``Kernels``, that both share: a method checks its inputs, allocates the
-outputs, calls the backend and turns a failure status into the exception
-of the one table ``_STATUS_ERRORS``. A kernel that walks a graph or a tree
+on success. The kernels that draw random numbers take a numpy
+``Generator`` on ``PCG64``; C's ``rng`` is its six state words, which C
+steps as numpy does. Each implementation owns its scratch space: the
+references convert hot arrays to lists at entry, which Python indexes
+faster, and the C functions allocate theirs and free it on every return
+(``NO_MEMORY`` when that fails). Two backends run the kernels behind the
+methods of one class, ``Kernels``, that both share: a method checks its
+inputs, allocates the outputs, calls the backend and turns a failure
+status into the exception of the one table ``_STATUS_ERRORS``. A kernel that walks a graph or a tree
 takes a ``WeightedGraph`` or ``RootedTree``, whose construction proved it;
 the chain takes both:
 
 - ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
   helpers) built on first use with the system C compiler and loaded through
-  ``ctypes``, which releases the GIL; ``_c_call`` passes it the arrays;
+  ``ctypes``, which releases the GIL; ``_c_call`` passes it the arrays and
+  the generator's state, and writes that state back;
 - ``python``: the reference functions themselves.
 
 ``TREEOT_BACKEND`` names the backend. Unset, c is used if it loads, else
 python with a warning. A named backend that cannot load, or an unknown name,
 raises :class:`KernelBackendError`; there is no silent fallback. Traces,
 trees, orders, sums, potentials, plans, exact flows and distances are
-bit-identical between backends: both draw from the caller's numpy bit
-generator in the same way, and do the same arithmetic in the same order
-without fused multiply-adds.
+bit-identical between backends: both draw from the caller's generator in
+the same way and leave it at the same position, and do the same arithmetic
+in the same order without fused multiply-adds.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import heapq
@@ -128,7 +129,8 @@ class Kernels:
     ``run`` maps each kernel's name to the backend's function of the one
     argument list (see the module docstring). A method that walks a graph
     takes a :class:`WeightedGraph`, one that walks a tree a
-    :class:`RootedTree` (each proven when it was built), and raises
+    :class:`RootedTree` (each proven when it was built), one that draws
+    random numbers a numpy ``Generator`` on ``PCG64``, and raises
     ``TypeError`` for anything else. A method checks the other inputs, so
     that a malformed one raises the same exception with the same message on
     either backend (``ValueError``, or ``VertexRangeError`` for a pair vertex
@@ -149,6 +151,7 @@ class Kernels:
         ``trace`` is the five columns cut to the rows written."""
         _proven("annealing chain", tree, RootedTree)
         _proven("annealing chain", graph, WeightedGraph)
+        _check_generator("annealing chain", rng)
         n = graph.n
         _check_arrays("annealing chain", (), ((xi, n),))
         if window < 1 or record_every < 1 or tree.n != n:
@@ -171,6 +174,7 @@ class Kernels:
     def wilson_tree(self, graph, rng):
         """``(root, parent, wpar)`` of :func:`wilson_tree`'s draw."""
         _proven("Wilson tree", graph, WeightedGraph)
+        _check_generator("Wilson tree", rng)
         n = graph.n
         parent, wpar, root = np.empty(n, dtype=np.int64), np.empty(n), np.empty(1, dtype=np.int64)
         _check_status(self._run["wilson_tree"](n, graph.indptr, graph.indices, graph.weights, rng,
@@ -180,6 +184,7 @@ class Kernels:
     def balanced_subtree(self, graph, rng, xi, samples, tol):
         """The verdict of :func:`balanced_subtree`."""
         _proven("balanced subtree", graph, WeightedGraph)
+        _check_generator("balanced subtree", rng)
         _check_arrays("balanced subtree", (), ((xi, graph.n),))
         found = np.zeros(1, dtype=np.int64)
         _check_status(self._run["balanced_subtree"](graph.n, graph.indptr, graph.indices,
@@ -342,6 +347,15 @@ def _proven(kernel: str, obj, kind: type) -> None:
         raise TypeError(f"{kernel}: needs a {kind.__name__}, not {type(obj).__name__}")
 
 
+def _check_generator(kernel: str, rng) -> None:
+    """Raise ``TypeError`` unless ``rng`` is a numpy ``Generator`` on
+    ``PCG64``, the bit generator that ``_kernel.c`` steps."""
+    if not (isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.PCG64):
+        kind = (f"Generator on {type(rng.bit_generator).__name__}"
+                if isinstance(rng, np.random.Generator) else type(rng).__name__)
+        raise TypeError(f"{kernel}: needs a numpy Generator on PCG64, not {kind}")
+
+
 def _check_status(status: int, **context) -> None:
     """Raise the ``_STATUS_ERRORS`` entry of a nonzero kernel status, its
     message formatted with ``context``."""
@@ -367,19 +381,42 @@ def _check_pairs(n: int, xs, ys) -> None:
 
 def _c_call(fn, *args):
     """Call the C function ``fn``, passing an array as the address of its
-    data and a numpy ``Generator`` as its bit generator, whose lock is held
-    for the call so that no other thread draws from it meanwhile."""
-    lock = contextlib.nullcontext()
-    c_args = []
-    for a in args:
-        if isinstance(a, np.ndarray):
-            a = a.ctypes.data
-        elif isinstance(a, np.random.Generator):
-            lock = a.bit_generator.lock
-            a = a.bit_generator.ctypes.bit_generator.value
-        c_args.append(a)
-    with lock:
+    data and a numpy ``Generator`` on ``PCG64`` as the address of its six
+    state words (``_pcg64_words``). The words are read from the public
+    ``bit_generator.state`` and written back on every return, under the
+    generator's lock, so that no other thread draws from it meanwhile."""
+    c_args = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in args]
+    at = next((i for i, a in enumerate(args) if isinstance(a, np.random.Generator)), None)
+    if at is None:
         return fn(*c_args)
+    bit_generator = args[at].bit_generator
+    with bit_generator.lock:
+        state = bit_generator.state
+        c_args[at] = words = _pcg64_words(state)
+        try:
+            return fn(*c_args)
+        finally:
+            bit_generator.state = _pcg64_state(state, words)
+
+
+_LOW_HALF = (1 << 64) - 1
+
+
+def _pcg64_words(state: dict):
+    """The six uint64 words that ``_kernel.c`` steps, from a ``PCG64``
+    state: the state's and the increment's high and low halves,
+    ``has_uint32`` and ``uinteger``, as a ctypes array (which ctypes passes
+    as its address)."""
+    lcg = state["state"]
+    return (ctypes.c_uint64 * 6)(lcg["state"] >> 64, lcg["state"] & _LOW_HALF, lcg["inc"] >> 64,
+                                 lcg["inc"] & _LOW_HALF, state["has_uint32"], state["uinteger"])
+
+
+def _pcg64_state(state: dict, words) -> dict:
+    """``state`` with the values of the six words that ``_kernel.c`` left."""
+    hi, lo, inc_hi, inc_lo, has_uint32, uinteger = words[:]
+    return {**state, "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": has_uint32, "uinteger": uinteger}
 
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p

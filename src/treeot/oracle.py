@@ -205,7 +205,8 @@ def check_cyclical_monotonicity(
     x->y of weight -d(x, y) + tol/s for each of the s off-diagonal support
     pairs. A family of k pairs therefore fails only when permuting its targets
     saves more than k*tol/s <= tol. ``dist`` must be the shortest-path metric
-    of ``g``, as a dense matrix or as the distances at the support pairs.
+    of ``g``, as a dense matrix or as the distances at the support pairs; a
+    support distance that is NaN or infinite raises ``NonFiniteWeightError``.
     Bellman-Ford from u = 0 looks for the cycle: with none, a round changes
     nothing within n rounds. Each vertex keeps as its parent the tail of the
     arc that last lowered it, and every ceil(sqrt(n)) rounds the parent
@@ -220,9 +221,15 @@ def check_cyclical_monotonicity(
     n = g.n
     if plan.n != n:
         raise VertexRangeError("plan size does not match graph")
+    support_dist = _support_distances(plan, dist)
+    bad = ~np.isfinite(support_dist)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteWeightError(
+            f"support distance ({plan.rows[i]},{plan.cols[i]}) is {support_dist[i]}")
     src = np.concatenate([g.arc_tails(), plan.rows[off]])
     dst = np.concatenate([g.indices, plan.cols[off]])
-    weight = np.concatenate([g.weights, tol / s - _support_distances(plan, dist)[off]])
+    weight = np.concatenate([g.weights, tol / s - support_dist[off]])
     # arcs grouped by head; a proven graph is connected, so every vertex heads one
     by_head = np.argsort(dst, kind="stable")
     src, dst, weight = src[by_head], dst[by_head], weight[by_head]

@@ -3,7 +3,9 @@ share, so a malformed call raises the same exception with the same message on
 every backend, the plain-Python reference included. A kernel that walks a
 graph or a tree takes only a ``WeightedGraph`` or ``RootedTree``, proven when
 it was built: a malformed CSR or parent link raises at construction, the same
-way on every backend."""
+way on every backend. A kernel that draws random numbers takes only a numpy
+``Generator`` on ``PCG64`` and leaves it at the same position on every
+backend."""
 
 import numpy as np
 import pytest
@@ -93,13 +95,16 @@ def arguments() -> dict:
     }
 
 
-def call(kernel_fn, kernel: str, case: str | None = None):
+def call(kernel_fn, kernel: str, case: str | None = None, rng=None):
     """``kernel_fn`` (the entry ``kernel`` of some backend) on the arguments
-    of ``kernel``, the one that ``case`` breaks broken. A ``graph`` and a
-    ``tree``, each where the kernel takes one, are built here, in the call,
-    from their arrays (the raw arrays themselves for ``raw-structure``), on
-    the backend that ``kernels()`` returns."""
+    of ``kernel``, the one that ``case`` breaks broken, drawing from ``rng``
+    where it is given. A ``graph`` and a ``tree``, each where the kernel
+    takes one, are built here, in the call, from their arrays (the raw arrays
+    themselves for ``raw-structure``), on the backend that ``kernels()``
+    returns."""
     args = arguments()
+    if rng is not None:
+        args["rng"] = rng
     kind, _, name = (case or "").partition("-")
     if kind == "int32":
         args[name] = args[name].astype(np.int32)
@@ -218,8 +223,89 @@ def test_scratch_that_cannot_be_allocated_raises_memory_error(backend, loaded):
     # address space holds, so the allocation fails at once and takes nothing
     g = ot.grid_graph(3)
     t = ot.random_spanning_tree(g, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    rng.integers(0, 3)  # the generator now keeps a spare 32-bit half
+    before = rng.bit_generator.state
     with pytest.raises(MemoryError) as caught:
         loaded[backend].anneal_chain(t, g, np.zeros(N), 10, 1.0, 0.3, 0.05, 2**56, 10, 0,
-                                     float("nan"), np.random.default_rng(1))
+                                     float("nan"), rng)
     if backend == "c":
         assert str(caught.value) == "C kernel stopped: its scratch space could not be allocated"
+    assert rng.bit_generator.state == before
+
+
+RANDOM_KERNELS = [k for k, names in SIGNATURES.items() if "rng" in names.split()]
+
+
+def bit_exact(value):
+    """``value`` with every array as its dtype and bytes, so that ``==``
+    compares results bit for bit."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(map(bit_exact, value))
+    return value
+
+
+@pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare-half"])
+@pytest.mark.parametrize("kernel", RANDOM_KERNELS)
+def test_random_kernels_leave_the_generator_alike_on_every_backend(kernel, spare, loaded):
+    # spare-half: after integers(0, 3) the generator keeps the high half of
+    # its last 64-bit output (has_uint32 == 1), which the kernel's first
+    # 32-bit draw must take
+    assert len(RANDOM_KERNELS) == 3
+    for seed in range(3):
+        ends = {}
+        for backend in loaded:
+            rng = np.random.default_rng(seed)
+            if spare:
+                rng.integers(0, 3)
+                assert rng.bit_generator.state["has_uint32"] == 1
+            start = rng.bit_generator.state
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_kernels, "kernels", lambda: loaded[backend])
+                out = call(getattr(loaded[backend], kernel), kernel, rng=rng)
+            assert rng.bit_generator.state != start
+            ends[backend] = (bit_exact(out), rng.bit_generator.state, rng.integers(0, 1000),
+                             rng.random())
+        assert all(end == ends["python"] for end in ends.values()), (seed, ends)
+
+
+#: what is not a numpy Generator on PCG64, as code, and how the message names it
+NOT_PCG64 = {
+    "int": ("7", "int"),
+    "RandomState": ("np.random.RandomState(7)", "RandomState"),
+    "MT19937": ("np.random.Generator(np.random.MT19937(7))", "Generator on MT19937"),
+    "PCG64DXSM": ("np.random.Generator(np.random.PCG64DXSM(7))", "Generator on PCG64DXSM"),
+}
+
+RANDOM_CALLS = """
+import numpy as np
+import treeot as ot
+from treeot import _kernels
+g = ot.grid_graph(3)
+t = ot.random_spanning_tree(g, np.random.default_rng(0))
+xi = np.linspace(-0.4, 0.4, g.n)
+k = _kernels.kernels()
+for draw in (lambda rng: ot.random_spanning_tree(g, rng),
+             lambda rng: k.balanced_subtree(g, rng, xi, 4, 1e-12),
+             lambda rng: k.anneal_chain(t, g, xi, 50, 1.0, 0.3, 0.05, 10, 10, 0, float("nan"),
+                                        rng)):
+    try:
+        draw(RNG)
+    except TypeError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", *compiled_backends()])
+@pytest.mark.parametrize("case", NOT_PCG64)
+def test_random_kernels_need_a_pcg64_generator(case, backend):
+    # in a child interpreter, since an int once reached C as the address of
+    # a bit generator and killed the process
+    code, kind = NOT_PCG64[case]
+    proc = run_python(RANDOM_CALLS.replace("RNG", code), backend, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{kernel}: needs a numpy Generator on PCG64, not {kind}"
+        for kernel in ("Wilson tree", "balanced subtree", "annealing chain")]

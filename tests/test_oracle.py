@@ -515,6 +515,21 @@ class TestCyclicalMonotonicity:
         plan = ot.make_plan(4, [(0, 3, 0.5), (3, 0, 0.5)])
         assert not ot.check_cyclical_monotonicity(plan, g, d)
 
+    @pytest.mark.parametrize("form", ["vector", "matrix"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_support_distance_is_refused(self, form, bad):
+        # the crossed plan above: with d(0, 3) infinite the rounds settle at
+        # -inf, where the full-round reference would call it monotone
+        g = ot.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        plan = ot.make_plan(4, [(0, 3, 0.5), (3, 0, 0.5)])
+        if form == "vector":
+            dist = np.array([bad, 3.0])
+        else:
+            dist = ot.all_pairs_shortest_paths(g).copy()
+            dist[0, 3] = bad
+        with pytest.raises(NonFiniteWeightError, match=rf"support distance \(0,3\) is {bad}"):
+            ot.check_cyclical_monotonicity(plan, g, dist)
+
     def test_four_pair_family_beyond_three(self):
         # unit 8-cycle: 0->6, 1->2, 3->3, 5->4 undercuts the plan (4 < 6),
         # yet no family of two or three of its pairs improves

@@ -372,15 +372,15 @@ def abi_mismatches(py_source: str, c_source: str) -> list[str]:
     """Kernels whose reference in ``py_source`` and C function in
     ``c_source`` do not take one argument list: the same names in the same
     order, as many as ``C_SIGNATURES`` declares argtypes, and the numpy
-    ``Generator`` ``rng``, where there is one, where C takes its bit
-    generator."""
+    ``Generator`` ``rng``, where there is one, where C takes its PCG64 state
+    words (the one ``uint64_t *`` parameter)."""
     references, prototypes = reference_parameters(py_source), c_prototypes(c_source)
     found = []
     for name, argtypes in _kernels.C_SIGNATURES.items():
         py_names = references.get(name)
         params = prototypes.get(name, ("", []))[1]
         c_names = [param for _, param in params]
-        generators = [param for kind, param in params if kind.startswith("bitgen_t")]
+        generators = [param for kind, param in params if kind == "uint64_t *"]
         if py_names != c_names or len(c_names) != len(argtypes) or (
                 generators != [p for p in c_names if p == "rng"]):
             found.append(f"{name}: python {py_names}, C {params}, {len(argtypes)} argtypes")
@@ -420,8 +420,8 @@ def test_the_abi_check_flags_a_dropped_or_renamed_argument():
     c_mutants = {
         # a parameter dropped
         "const int64_t *by_source, double *out)": "double *out)",
-        # the bit generator under another name
-        "bitgen_t *rng, const double *xi,": "bitgen_t *bg, const double *xi,",
+        # the generator's state words under another name
+        "uint64_t *rng, const double *xi,": "uint64_t *words, const double *xi,",
     }
     for old, new in py_mutants.items():
         assert py_source.count(old) == 1
