@@ -91,7 +91,6 @@ enum {
     WILSON_BAD_VERTEX_COUNT = 3,
     WILSON_NO_NEIGHBOUR = 4,
     PLAN_NO_MATCH = 5,
-    PLAN_NO_END = 6,
     FLOW_BAD_COST = 7,
     FLOW_BUDGET = 8,
     FLOW_INFEASIBLE = 9,
@@ -620,160 +619,74 @@ static int64_t key_pop(double *hd, int64_t *hv, int64_t size)
     return size;
 }
 
-/* _prune of _kernels.py; the heap's keys are (0.0, vertex id). */
-static int64_t prune(int64_t v, const int64_t *parent, const double *xi, uint8_t *alive,
-                     int64_t *active, double *heap_d, int64_t *heap, int64_t size)
-{
-    while (v >= 0 && alive[v] && active[v] == 0 && xi[v] == 0.0) {
-        alive[v] = 0;
-        v = parent[v];
-        if (v >= 0) {
-            active[v] -= 1;
-            if (active[v] == 0 && xi[v] != 0.0)
-                size = key_push(heap_d, heap, size, 0.0, v);
-        }
-    }
-    return size;
-}
-
 /* dp_plan of _kernels.py, on a tree that tree_order has proven, whose order
- * it walks. xi is changed in place; out_x, out_y and out_m hold 4n + 16
- * slots, and out_k receives {count, u}. Its scratch: work_d holds 2n slots
- * (xi_cum and the heap's keys), alive n, work_i 6n + 1 (the child lists,
- * live child counts, heap and two BFS layers). The heap is keyed by vertex
- * id alone, as heapq orders the reference's. Returns 0, PLAN_NO_MATCH,
- * PLAN_NO_END or NO_MEMORY. */
+ * it walks. xi is changed in place; out_x, out_y and out_m hold n slots, and
+ * out_k receives {count, u}. Its scratch, work, holds 5n slots: the token
+ * links, then the heads and the tails of every vertex's supplies (at 2v)
+ * and demands (at 2v + 1). Returns 0, PLAN_NO_MATCH or NO_MEMORY. */
 int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, double *xi,
                    double zero_tol, int64_t *out_x, int64_t *out_y, double *out_m, int64_t *out_k)
 {
     int64_t count = 0;
     out_k[0] = 0;
     out_k[1] = -1;
-    if (n == 0)
-        return CHAIN_OK;
-    double *work_d = scratch(2 * n, sizeof *work_d, 0);
-    uint8_t *alive = scratch(n, 1, 0);
-    int64_t *work_i = scratch(6 * n + 1, sizeof *work_i, 0);
-    int status = NO_MEMORY;
-    if (!work_d || !alive || !work_i)
-        goto done;
-    double *xi_cum = work_d, *heap_d = work_d + n;
-    int64_t *child_ptr = work_i, *child_idx = work_i + n + 1, *active = child_idx + n;
-    int64_t *heap = active + n, *layer = heap + n, *next_layer = layer + n;
-    child_lists(n, parent, child_ptr, child_idx, heap); /* a proven tree's links are in range */
-    const int64_t root = order[n - 1];
+    int64_t *work = scratch(5 * n, sizeof *work, 0);
+    if (!work)
+        return NO_MEMORY;
+    int64_t *next = work, *head = work + n, *tail = work + 3 * n;
     for (int64_t v = 0; v < n; v++) {
         if (fabs(xi[v]) <= zero_tol)
             xi[v] = 0.0;
-        xi_cum[v] = xi[v];
+        next[v] = head[2 * v] = head[2 * v + 1] = -1;
     }
-    treeot_subtree_sums(n, parent, order, xi_cum);
-    for (int64_t v = 0; v < n; v++)
-        if (fabs(xi_cum[v]) <= zero_tol)
-            xi_cum[v] = 0.0;
-    xi_cum[root] = 0.0;
-
-    int64_t size = 0;
-    for (int64_t v = 0; v < n; v++) {
-        alive[v] = 1;
-        active[v] = child_ptr[v + 1] - child_ptr[v];
-        if (active[v] == 0 && xi[v] != 0.0)
-            size = key_push(heap_d, heap, size, 0.0, v);
-    }
-    for (int64_t v = 0; v < n; v++)
-        size = prune(v, parent, xi, alive, active, heap_d, heap, size);
-
-    status = PLAN_NO_END;
-    for (int64_t step = 0; step < 4 * n + 16; step++) {
-        while (size > 0 && !alive[heap[0]])
-            size = key_pop(heap_d, heap, size);
-        if (size == 0) {
-            status = CHAIN_OK;
-            break;
+    int status = CHAIN_OK;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t v = order[i];
+        if (xi[v] != 0.0) {
+            const int64_t side = 2 * v + (xi[v] < 0.0);
+            if (head[side] < 0)
+                head[side] = v;
+            else
+                next[tail[side]] = v;
+            tail[side] = v;
         }
-        const int64_t x = heap[0];
-        if (x == root) {
+        int64_t a = head[2 * v], b = head[2 * v + 1];
+        while (a >= 0 && b >= 0) {
+            const double m = xi[a] <= -xi[b] ? xi[a] : -xi[b];
+            out_x[count] = a;
+            out_y[count] = b;
+            out_m[count] = m;
+            count++;
+            xi[a] -= m;
+            xi[b] += m;
+            if (xi[a] <= zero_tol) {
+                xi[a] = 0.0;
+                a = next[a];
+            }
+            if (-xi[b] <= zero_tol) {
+                xi[b] = 0.0;
+                b = next[b];
+            }
+        }
+        head[2 * v] = a;
+        head[2 * v + 1] = b;
+        if (a < 0 && b < 0)
+            continue;
+        const int64_t p = parent[v];
+        if (p < 0) {
+            out_k[1] = v;
             status = PLAN_NO_MATCH;
             break;
         }
-        const double s = xi[x] > 0.0 ? 1.0 : -1.0;
-        double m = fabs(xi[x]);
-
-        int64_t below = x, u = parent[x];
-        while (u != root && xi_cum[u] != 0.0) {
-            const double diff = xi_cum[u] - xi_cum[below];
-            if (fabs(diff) > zero_tol && s * diff < 0.0)
-                break;
-            if (fabs(xi_cum[u]) < m)
-                m = fabs(xi_cum[u]);
-            below = u;
-            u = parent[u];
-        }
-
-        int64_t y = -1, width = 1;
-        layer[0] = u;
-        while (width > 0) {
-            for (int64_t i = 0; i < width; i++) {
-                const int64_t v = layer[i];
-                if (s * xi[v] < 0.0 && (y < 0 || v < y))
-                    y = v;
-            }
-            if (y >= 0)
-                break;
-            int64_t grown = 0;
-            for (int64_t i = 0; i < width; i++) {
-                const int64_t v = layer[i];
-                for (int64_t j = child_ptr[v]; j < child_ptr[v + 1]; j++) {
-                    const int64_t c = child_idx[j];
-                    if (alive[c] && s * xi_cum[c] < 0.0)
-                        next_layer[grown++] = c;
-                }
-            }
-            int64_t *swap = layer;
-            layer = next_layer;
-            next_layer = swap;
-            width = grown;
-        }
-        if (y < 0) {
-            out_k[1] = u;
-            status = PLAN_NO_MATCH;
-            break;
-        }
-
-        for (int64_t v = y; v != u; v = parent[v])
-            if (fabs(xi_cum[v]) < m)
-                m = fabs(xi_cum[v]);
-        if (fabs(xi[y]) < m)
-            m = fabs(xi[y]);
-
-        out_x[count] = s > 0.0 ? x : y;
-        out_y[count] = s > 0.0 ? y : x;
-        out_m[count] = m;
-        count++;
-        xi[x] -= s * m;
-        xi[y] += s * m;
-        if (fabs(xi[x]) <= zero_tol)
-            xi[x] = 0.0;
-        if (fabs(xi[y]) <= zero_tol)
-            xi[y] = 0.0;
-        for (int64_t v = x; v != u; v = parent[v]) {
-            xi_cum[v] -= s * m;
-            if (fabs(xi_cum[v]) <= zero_tol)
-                xi_cum[v] = 0.0;
-        }
-        for (int64_t v = y; v != u; v = parent[v]) {
-            xi_cum[v] += s * m;
-            if (fabs(xi_cum[v]) <= zero_tol)
-                xi_cum[v] = 0.0;
-        }
-        size = prune(x, parent, xi, alive, active, heap_d, heap, size);
-        size = prune(y, parent, xi, alive, active, heap_d, heap, size);
+        const int64_t side = 2 * v + (a < 0), to = 2 * p + (a < 0);
+        if (head[to] < 0)
+            head[to] = head[side];
+        else
+            next[tail[to]] = head[side];
+        tail[to] = tail[side];
     }
     out_k[0] = count;
-done:
-    free(work_d);
-    free(alive);
-    free(work_i);
+    free(work);
     return status;
 }
 

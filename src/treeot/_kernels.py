@@ -14,7 +14,10 @@ and ``certify`` proves the best tree optimal (its tree potential is
 orients a tree given by parent links (leaves-first order and depths),
 ``subtree_sums`` is the leaves-to-root pass and ``tree_potential`` the
 root-to-leaves one; ``balanced_subtree`` runs Wilson, ``tree_order`` and
-``subtree_sums`` on a number of sampled trees. ``network_simplex`` is the
+``subtree_sums`` on a number of sampled trees. ``dp_plan`` builds the
+dynamic-programming transport plan in one leaves-first pass along a tree's
+``order``: each vertex matches the supplies and demands that meet there and
+hands the rest, of one sign, to its parent. ``network_simplex`` is the
 exact oracle's min-cost flow: primal network simplex, which moves between
 spanning trees of the flow network (here the source-to-sink transportation
 network, or the graph's own arcs) with a dual potential at every step, and
@@ -78,9 +81,8 @@ from .trees import RootedTree
 
 C_SOURCE = Path(__file__).with_name("_kernel.c")
 C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# dp_plan's statuses besides 0, shared with _kernel.c
+# dp_plan's status besides 0, shared with _kernel.c
 PLAN_NO_MATCH = 5
-PLAN_NO_END = 6
 # network_simplex's statuses besides 0, shared with _kernel.c
 FLOW_BAD_COST = 7
 FLOW_BUDGET = 8
@@ -101,7 +103,6 @@ _STATUS_ERRORS = {
     3: (ValueError, "C kernel stopped: a vertex count of 0 or of 2^32 or more is not supported"),
     4: (ValueError, "C kernel stopped: a random walk reached a vertex with no graph neighbour"),
     PLAN_NO_MATCH: (RuntimeError, "no matching vertex below {u}; residuals are inconsistent"),
-    PLAN_NO_END: (RuntimeError, "plan construction did not terminate"),
     FLOW_BAD_COST: (RuntimeError, "an arc cost is negative or not finite"),
     FLOW_BUDGET: (RuntimeError, "pivot budget exhausted"),
     FLOW_INFEASIBLE: (RuntimeError, "the supplies cannot be met on these arcs"),
@@ -226,8 +227,7 @@ class Kernels:
         _proven("plan kernel", tree, RootedTree)
         n = tree.n
         _check_arrays("plan kernel", (), ((xi, n),))
-        cap = 4 * n + 16  # one entry per transfer
-        rows, cols, mass = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64), np.empty(cap)
+        rows, cols, mass = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n)
         out_k = np.empty(2, dtype=np.int64)
         status = self._run["dp_plan"](n, tree.parent, tree.order, np.array(xi, dtype=np.float64),
                                       float(zero_tol), rows, cols, mass, out_k)
@@ -869,143 +869,70 @@ def balanced_subtree(n, indptr, indices, adj_w, rng, xi, samples, tol, found):
     return 0
 
 
-def _prune(v, parent, xi, alive, active, heap):
-    """Discard ``v`` and then its ancestors while each is a balanced leaf, so
-    their parents become visible leaves; push a parent that becomes a leaf
-    with a residual onto the min-heap ``heap``."""
-    while v >= 0 and alive[v] and active[v] == 0 and xi[v] == 0.0:
-        alive[v] = False
-        v = parent[v]
-        if v >= 0:
-            active[v] -= 1
-            if active[v] == 0 and xi[v] != 0.0:
-                heapq.heappush(heap, v)
-
-
 def dp_plan(n, parent, order, xi, zero_tol, out_x, out_y, out_m, out_k):
     """Off-diagonal entries of the dynamic-programming optimal plan on the
     tree given by ``parent`` and ``order`` (leaves first, root last), for
     the residuals ``xi`` (mu - nu), into ``out_x``, ``out_y`` and ``out_m``
-    (4n + 16 slots, one per transfer). ``out_k`` receives (count, u). Returns
-    0 on success, ``PLAN_NO_MATCH`` when no match was found below ``u`` (-1
-    where there is none) and ``PLAN_NO_END`` when 4n + 16 transfers did not
-    finish.
+    (n slots). ``out_k`` receives (count, u). Returns 0 on success and
+    ``PLAN_NO_MATCH`` when residuals are left at the root ``u`` (-1 where
+    there is none).
 
-    Residues of magnitude at most ``zero_tol`` count as zero. The cumulative
-    imbalance ``xi_cum`` is summed along ``order``. A leaf is a live vertex
-    with no live child; balanced leaves are discarded. Each step takes the
-    leaf x of smallest id with a residual, climbs from x while the
-    cumulative imbalance keeps growing in x's direction, then matches the
-    nearest vertex y below the stopping vertex u (by hop count, ties to the
-    smallest id) with the opposite residual, reachable through live children
-    whose cumulative imbalance has the opposite sign. The transfer is capped
-    so that no cumulative imbalance changes sign, so it zeroes a residual.
-
-    Residuals never become nonzero or change sign, so a vertex becomes a
-    candidate leaf only when its last live child is discarded; the min-heap
-    of candidates therefore yields the smallest candidate id, with discarded
-    entries skipped when they reach the top. Each vertex is pushed at most
-    once, so the keys are distinct and every binary heap (``_kernel.c``'s
-    too) pops them in the same order.
+    One pass along ``order``. Every vertex holds two linked lists of
+    residual tokens (vertex ids), supplies and demands, that start empty;
+    residuals of magnitude at most ``zero_tol`` count as zero. At vertex v,
+    v's own nonzero residual joins the list of its sign; then, while both
+    lists are non-empty, their heads a (supply) and b (demand) are matched
+    with mass min(xi[a], -xi[b]), and a token whose residual falls to
+    ``zero_tol`` or below is zeroed and dropped. The list left non-empty, of
+    one sign, is appended to the parent's list of that sign. An edge so
+    carries exactly its subtree's imbalance, and every match drops a token,
+    so the plan costs the tree distance and has at most n - 1 entries, no
+    pair twice.
     """
+    parent, order = parent.tolist(), order.tolist()
+    xi = [0.0 if abs(x) <= zero_tol else x for x in xi[:n].tolist()]
+    nxt = [-1] * n
+    # head and tail of v's supplies at 2v, of its demands at 2v + 1
+    head, tail = [-1] * (2 * n), [-1] * (2 * n)
     rows, cols, mass = [], [], []
     out_k[:] = 0, -1
-    if n == 0:
-        return 0
-    child_ptr, child_idx = (a.tolist() for a in child_csr(parent))
-    parent, order = parent.tolist(), order.tolist()
-    root = order[n - 1]
-    xi = [0.0 if abs(x) <= zero_tol else x for x in xi[:n].tolist()]
-    xi_cum = list(xi)
+    status = 0
     for v in order:
+        if xi[v] != 0.0:
+            side = 2 * v + (xi[v] < 0.0)
+            if head[side] < 0:
+                head[side] = v
+            else:
+                nxt[tail[side]] = v
+            tail[side] = v
+        a, b = head[2 * v], head[2 * v + 1]
+        while a >= 0 and b >= 0:
+            m = min(xi[a], -xi[b])
+            rows.append(a)
+            cols.append(b)
+            mass.append(m)
+            xi[a] -= m
+            xi[b] += m
+            if xi[a] <= zero_tol:
+                xi[a] = 0.0
+                a = nxt[a]
+            if -xi[b] <= zero_tol:
+                xi[b] = 0.0
+                b = nxt[b]
+        head[2 * v], head[2 * v + 1] = a, b
+        if a < 0 and b < 0:
+            continue
         p = parent[v]
-        if p >= 0:
-            xi_cum[p] += xi_cum[v]
-    xi_cum = [0.0 if abs(c) <= zero_tol else c for c in xi_cum]
-    xi_cum[root] = 0.0
-
-    alive = [True] * n
-    active = [child_ptr[v + 1] - child_ptr[v] for v in range(n)]
-    heap = [v for v in range(n) if active[v] == 0 and xi[v] != 0.0]
-    for v in range(n):
-        _prune(v, parent, xi, alive, active, heap)
-
-    status = PLAN_NO_END
-    for _ in range(4 * n + 16):
-        while heap and not alive[heap[0]]:
-            heapq.heappop(heap)
-        if not heap:
-            status = 0
-            break
-        x = heap[0]
-        if x == root:
+        if p < 0:
+            out_k[1] = v
             status = PLAN_NO_MATCH
             break
-        s = 1.0 if xi[x] > 0.0 else -1.0
-        m = abs(xi[x])
-
-    # climb while nothing of the opposite sign branches off: stop where the
-        # cumulative imbalance vanishes or where the step difference (what the
-        # rest of the subtree at u contributes) carries the opposite sign
-        below = x
-        u = parent[x]
-        while u != root and xi_cum[u] != 0.0:
-            diff = xi_cum[u] - xi_cum[below]
-            if abs(diff) > zero_tol and s * diff < 0.0:
-                break
-            if abs(xi_cum[u]) < m:
-                m = abs(xi_cum[u])
-            below = u
-            u = parent[u]
-
-        # breadth-first below u, one layer at a time; a tree visits no
-        # vertex twice, so the smallest hit of the first layer with one wins
-        layer = [u]
-        hits = []
-        while layer:
-            hits = [v for v in layer if s * xi[v] < 0.0]
-            if hits:
-                break
-            layer = [c for v in layer for c in child_idx[child_ptr[v]:child_ptr[v + 1]]
-                     if alive[c] and s * xi_cum[c] < 0.0]
-        if not hits:
-            out_k[1] = u
-            status = PLAN_NO_MATCH
-            break
-        y = min(hits)
-
-        # cap by the descent chain and the target's residual
-        v = y
-        while v != u:
-            if abs(xi_cum[v]) < m:
-                m = abs(xi_cum[v])
-            v = parent[v]
-        if abs(xi[y]) < m:
-            m = abs(xi[y])
-
-        rows.append(x if s > 0.0 else y)
-        cols.append(y if s > 0.0 else x)
-        mass.append(m)
-        xi[x] -= s * m
-        xi[y] += s * m
-        if abs(xi[x]) <= zero_tol:
-            xi[x] = 0.0
-        if abs(xi[y]) <= zero_tol:
-            xi[y] = 0.0
-        v = x
-        while v != u:
-            xi_cum[v] -= s * m
-            if abs(xi_cum[v]) <= zero_tol:
-                xi_cum[v] = 0.0
-            v = parent[v]
-        v = y
-        while v != u:
-            xi_cum[v] += s * m
-            if abs(xi_cum[v]) <= zero_tol:
-                xi_cum[v] = 0.0
-            v = parent[v]
-        _prune(x, parent, xi, alive, active, heap)
-        _prune(y, parent, xi, alive, active, heap)
+        side, to = 2 * v + (a < 0), 2 * p + (a < 0)
+        if head[to] < 0:
+            head[to] = head[side]
+        else:
+            nxt[tail[to]] = head[side]
+        tail[to] = tail[side]
     count = out_k[0] = len(rows)
     out_x[:count], out_y[:count], out_m[:count] = rows, cols, mass
     return status

@@ -289,26 +289,26 @@ def closed_form_plan(t: RootedTree, mu, nu) -> TransportPlan:
 
 
 def dp_transport_plan(t: RootedTree, mu, nu) -> TransportPlan:
-    """Optimal plan under the tree metric for arbitrary measures.
+    """Optimal plan under the tree metric for arbitrary probability measures
+    ``mu`` and ``nu`` on the tree's vertices.
 
-    After pinning the diagonal to min(mu, nu), leaves with leftover supply or
-    demand are matched one at a time: climb from the leaf while the cumulative
-    imbalance keeps growing in the leaf's direction, then descend to the
-    nearest (by hop count, ties to the smallest id) opposite node reachable
-    through edges whose cumulative imbalance has the opposite sign. The
-    transferred mass is capped so no cumulative imbalance changes sign, hence
-    every transfer zeroes a residual and the loop terminates. Residues with
-    magnitude below ``ZERO_SNAP`` count as zero. The loop is
-    :func:`treeot._kernels.dp_plan`, run on the kernel backend.
+    The diagonal is pinned to min(mu, nu). The leftover supplies and demands
+    are matched in one pass from the leaves to the root: each vertex matches
+    the unmatched supplies and demands that meet there (its own and those its
+    children pass up), and passes the rest, all of one sign, to its parent.
+    Every edge so carries exactly the cumulative imbalance of its subtree,
+    which makes the plan optimal with at most n - 1 off-diagonal entries.
+    Residues with magnitude at most ``ZERO_SNAP`` count as zero. The paper
+    states that a dynamic program gives an optimal plan once an optimal
+    tree is known; this pass is this library's construction of it, run on
+    the kernel backend as :func:`treeot._kernels.dp_plan`. The measures are
+    checked by :func:`as_measure`: a negative, non-finite or wrongly sized
+    entry, or a mass other than 1, raises.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
     n = t.n
-    imbalance(mu, nu)  # validates shapes and the zero-sum invariant
-    if mu.shape != (n,):
-        raise VertexRangeError(f"expected {n} values, got shape {mu.shape}")
+    mu, nu = as_measure(mu, n), as_measure(nu, n)
     # exact unit sums so supply and demand cancel to rounding noise, not to the
-    # 1e-9 ingestion tolerance, which would strand a leaf without a match
+    # 1e-9 ingestion tolerance, which would strand residuals at the root
     xi = mu / mu.sum() - nu / nu.sum()
     rows, cols, mass = _kernels.kernels().dp_plan(t, xi, ZERO_SNAP)
     diag = np.minimum(mu, nu)

@@ -1,10 +1,12 @@
 """Properties of the dynamic-programming transport plan, and its parity with
-a plain reference loop on every kernel backend."""
+a recursive reference on every kernel backend."""
 
 import hashlib
 import json
 import math
 import pickle
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 import treeot as ot
 from treeot import _kernels
 from treeot.errors import (
+    MassMismatchError,
     NegativeMassError,
     NonFiniteMassError,
     NotSpanningError,
@@ -26,6 +29,7 @@ from treeot.trees import RootedTree
 from conftest import (
     children_lists,
     compiled_backends,
+    degenerate_measures,
     line6_edges,
     noisy_grid_measures,
     random_connected_graph,
@@ -94,16 +98,22 @@ def random_instances(count, seed, max_n=12):
         yield t, mu, nu
 
 
-class TestInvariants:
+class InvariantChecks:
+    """The plan's invariants on every instance that ``instances`` yields;
+    each check passes its own seed, which a fixed corpus ignores."""
+
+    def instances(self, seed):
+        raise NotImplementedError
+
     def test_marginals_and_diagonal(self):
-        for t, mu, nu in random_instances(50, seed=101):
+        for t, mu, nu in self.instances(seed=101):
             plan = ot.dp_transport_plan(t, mu, nu)
             assert np.max(np.abs(plan.row_sums() - mu)) <= 1e-9
             assert np.max(np.abs(plan.col_sums() - nu)) <= 1e-9
             assert np.max(np.abs(plan.diagonal() - np.minimum(mu, nu))) <= 1e-12
 
     def test_no_antiparallel_pairs(self):
-        for t, mu, nu in random_instances(50, seed=102):
+        for t, mu, nu in self.instances(seed=102):
             plan = ot.dp_transport_plan(t, mu, nu)
             pairs = set(zip(plan.rows.tolist(), plan.cols.tolist()))
             for x, y in pairs:
@@ -111,7 +121,7 @@ class TestInvariants:
                     assert (y, x) not in pairs
 
     def test_support_is_forest_with_few_edges(self):
-        for t, mu, nu in random_instances(50, seed=103):
+        for t, mu, nu in self.instances(seed=103):
             plan = ot.dp_transport_plan(t, mu, nu)
             info = ot.check_vertex_support(plan)
             assert info["is_forest"]
@@ -119,13 +129,13 @@ class TestInvariants:
             assert plan.support_size <= 2 * t.n - 1
 
     def test_cost_matches_closed_form(self):
-        for t, mu, nu in random_instances(50, seed=104):
+        for t, mu, nu in self.instances(seed=104):
             plan = ot.dp_transport_plan(t, mu, nu)
             cost = ot.plan_cost(plan, ot.tree_distance_matrix(t))
             assert abs(cost - ot.tree_k_distance(t, mu, nu)) <= 1e-9
 
     def test_flow_matches_cumulative_imbalance(self):
-        for t, mu, nu in random_instances(50, seed=105):
+        for t, mu, nu in self.instances(seed=105):
             plan = ot.dp_transport_plan(t, mu, nu)
             got = ot.plan_to_flow(plan, t)
             ref = ot.beckmann_flow(t, mu, nu)
@@ -136,7 +146,7 @@ class TestInvariants:
     def test_path_sign_property(self):
         # along any transporting path, up-steps sit on positive cumulative
         # imbalance and down-steps on negative
-        for t, mu, nu in random_instances(50, seed=106):
+        for t, mu, nu in self.instances(seed=106):
             plan = ot.dp_transport_plan(t, mu, nu)
             cum = ot.cumulative_imbalance(t, ot.imbalance(mu, nu))
             for x, y, _ in plan.entries():
@@ -147,6 +157,14 @@ class TestInvariants:
                         assert cum[a] > 0.0
                     else:
                         assert cum[b] < 0.0
+
+
+class TestInvariants(InvariantChecks):
+    """The checks on 50 random tree graphs with n <= 12 each, and the checks
+    that need instances of their own."""
+
+    def instances(self, seed):
+        return random_instances(50, seed)
 
     def test_complementary_with_tree_potential(self):
         for t, mu, nu in random_instances(50, seed=107):
@@ -202,9 +220,38 @@ def _alternating_instance(t, rng):
     return mu / mu.sum(), nu / nu.sum()
 
 
+class TestInvariantsOnTheParityCorpus(InvariantChecks):
+    """The checks on the backend parity corpus: n up to 39, ties and zero
+    cumulative imbalances, equal measures, and annealed 10x10 and 32x32
+    lattice trees."""
+
+    @pytest.fixture(autouse=True)
+    def use_the_parity_corpus(self, parity_instances):
+        self.parity_instances = parity_instances
+
+    def instances(self, seed):
+        return self.parity_instances
+
+
+def degenerate_corpus():
+    """(t, mu, nu): Wilson trees of the 4x4 and 6x6 lattices under
+    ``degenerate_measures``, where equal masses and cumulative imbalances
+    of exactly 0 are common."""
+    rng = np.random.default_rng(109)
+    for p in (4, 6):
+        g = ot.grid_graph(p)
+        for _ in range(150):
+            yield ot.random_spanning_tree(g, rng), *degenerate_measures(rng, g.n)
+
+
+class TestInvariantsOnDegenerateMeasures(InvariantChecks):
+    def instances(self, seed):
+        return degenerate_corpus()
+
+
 # ---------------------------------------------------------------------------
-# Reference: the plan construction as one plain loop, with an O(n) scan for
-# the next leaf, and the dict-based plan assembly. Test-only.
+# Reference: the plan construction as a recursion over child lists, and the
+# dict-based plan assembly. Test-only.
 
 
 def reference_make_plan(n, triplets):
@@ -225,94 +272,49 @@ def reference_make_plan(n, triplets):
             np.array([acc[k] for k in keys], dtype=np.float64))
 
 
-def _sgn(v):
-    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
-
-
-def _find_match(kids, u, xi, xi_cum, alive, s):
-    frontier = [u]
-    seen = {u}
-    while frontier:
-        hits = [v for v in frontier if xi[v] != 0.0 and _sgn(xi[v]) == -s]
-        if hits:
-            return min(hits)
-        nxt = []
-        for v in frontier:
-            for c in kids[v]:
-                if alive[c] and c not in seen and _sgn(xi_cum[c]) == -s:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = sorted(nxt)
-    raise RuntimeError(f"no matching vertex below {u}; residuals are inconsistent")
-
-
 def reference_offdiag(t, xi, zero_tol=ZERO_SNAP):
-    """Off-diagonal entries {(x, y): mass} for the residuals ``xi``."""
-    n = t.n
-    xi = np.array(xi, dtype=np.float64)
-    xi[np.abs(xi) <= zero_tol] = 0.0
-    xi_cum = ot.subtree_aggregate(t, xi)
-    xi_cum[np.abs(xi_cum) <= zero_tol] = 0.0
-    xi_cum[t.root] = 0.0
+    """Off-diagonal entries {(x, y): mass} for the residuals ``xi``, by a
+    recursion over child lists: a subtree hands up the supplies and demands
+    it leaves unmatched, oldest first. A vertex gathers what its children
+    hand up (children in the order ``t.order`` lists them) and then its own
+    residual, and matches its first supply with its first demand until it
+    runs out of one kind."""
+    res = [0.0 if abs(x) <= zero_tol else float(x) for x in xi]
+    position = {v: i for i, v in enumerate(t.order.tolist())}
+    kids = [sorted(k, key=position.__getitem__) for k in children_lists(t.parent.tolist())]
     offdiag = {}
-    alive = np.ones(n, dtype=bool)
-    kids = children_lists(t.parent.tolist())
-    active_children = np.array([len(k) for k in kids], dtype=np.int64)
 
-    def prune(v):
-        while v >= 0 and alive[v] and active_children[v] == 0 and xi[v] == 0.0:
-            alive[v] = False
-            v = int(t.parent[v])
-            if v >= 0:
-                active_children[v] -= 1
+    def unmatched(v):
+        supplies, demands = [], []
+        for c in kids[v]:
+            s, d = unmatched(c)
+            supplies += s
+            demands += d
+        if res[v] != 0.0:
+            (supplies if res[v] > 0.0 else demands).append(v)
+        while supplies and demands:
+            a, b = supplies[0], demands[0]
+            m = min(res[a], -res[b])
+            assert (a, b) not in offdiag
+            offdiag[(a, b)] = m
+            res[a] -= m
+            res[b] += m
+            if res[a] <= zero_tol:
+                res[a] = 0.0
+                supplies.pop(0)
+            if -res[b] <= zero_tol:
+                res[b] = 0.0
+                demands.pop(0)
+        return supplies, demands
 
-    for v in range(n):
-        prune(v)
-    for _ in range(4 * n + 16):
-        x = -1
-        for v in range(n):
-            if alive[v] and active_children[v] == 0 and xi[v] != 0.0:
-                x = v
-                break
-        if x < 0:
-            break
-        s = 1.0 if xi[x] > 0.0 else -1.0
-        m = abs(xi[x])
-        below = x
-        u = int(t.parent[x])
-        while u != t.root and xi_cum[u] != 0.0:
-            diff = xi_cum[u] - xi_cum[below]
-            if abs(diff) > zero_tol and _sgn(diff) == -s:
-                break
-            m = min(m, abs(xi_cum[u]))
-            below = u
-            u = int(t.parent[u])
-        y = _find_match(kids, u, xi, xi_cum, alive, s)
-        v = y
-        while v != u:
-            m = min(m, abs(xi_cum[v]))
-            v = int(t.parent[v])
-        m = min(m, abs(xi[y]))
-        key = (x, y) if s > 0 else (y, x)
-        if key in offdiag:
-            raise RuntimeError(f"plan construction wrote off-diagonal entry {key} twice")
-        offdiag[key] = m
-        xi[x] -= s * m
-        xi[y] += s * m
-        for v in (x, y):
-            if abs(xi[v]) <= zero_tol:
-                xi[v] = 0.0
-        for start, sign in ((x, -s), (y, s)):
-            v = start
-            while v != u:
-                xi_cum[v] += sign * m
-                if abs(xi_cum[v]) <= zero_tol:
-                    xi_cum[v] = 0.0
-                v = int(t.parent[v])
-        prune(x)
-        prune(y)
-    else:
-        raise RuntimeError("plan construction did not terminate")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, t.n + 100))
+    try:
+        supplies, demands = unmatched(t.root)
+    finally:
+        sys.setrecursionlimit(limit)
+    if supplies or demands:
+        raise RuntimeError(f"no matching vertex below {t.root}; residuals are inconsistent")
     return offdiag
 
 
@@ -367,8 +369,8 @@ def parity_corpus():
         yield res.best_tree, mu, nu
 
 
-# residuals that do not sum to 0: no match below the root, and the root as
-# the only leaf left
+# residuals that do not sum to 0, so some are left unmatched at the root: a
+# leaf's, the root's own, and an interior vertex's
 INCONSISTENT = ([0.5, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, -0.25, 0.0])
 
 PARITY_SCRIPT = """
@@ -488,23 +490,36 @@ class TestPlanGuards:
         return _kernels.Kernels("fake", {"dp_plan": run}).dp_plan
 
     def test_repeated_entry_raises(self):
-        t = line_tree(4, 3)
+        # five entries need five output slots: a tree of five vertices
+        t = line_tree(5, 3)
         kernel = self.fake_kernel(0, [0, 2, 1, 2, 0], [3, 3, 3, 3, 3])
         with pytest.raises(RuntimeError, match=r"wrote off-diagonal entry \(2, 3\) twice"):
-            kernel(t, np.zeros(4), 1e-14)
+            kernel(t, np.zeros(5), 1e-14)
 
     def test_repeat_is_reported_before_a_failed_status(self):
         t = line_tree(4, 3)
-        kernel = self.fake_kernel(_kernels.PLAN_NO_END, [1, 1], [3, 3])
+        kernel = self.fake_kernel(_kernels.PLAN_NO_MATCH, [1, 1], [3, 3])
         with pytest.raises(RuntimeError, match="twice"):
             kernel(t, np.zeros(4), 1e-14)
 
     def test_statuses_map_to_the_loop_messages(self):
         t = line_tree(4, 3)
-        with pytest.raises(RuntimeError, match="^plan construction did not terminate$"):
-            self.fake_kernel(_kernels.PLAN_NO_END, [0], [3])(t, np.zeros(4), 0.0)
         with pytest.raises(RuntimeError, match="^no matching vertex below 2; residuals are inconsistent$"):
             self.fake_kernel(_kernels.PLAN_NO_MATCH, [], [], u=2)(t, np.zeros(4), 0.0)
+
+    @pytest.mark.parametrize("mu, nu, error", [
+        ([-0.5, 1.5, 0.0], [0.0, 0.0, 1.0], NegativeMassError),
+        ([0.5, 0.0, 0.0], [0.0, 0.0, 0.5], MassMismatchError),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], MassMismatchError),
+    ])
+    def test_measures_that_are_not_probability_measures_are_refused(self, mu, nu, error):
+        # each was once renormalised into a plan: rows that did not sum to
+        # mu, a plan of mass 1 costing twice the tree distance, or a warning
+        # and then "no matching vertex"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                ot.dp_transport_plan(line_tree(3, 2), mu, nu)
 
     @pytest.mark.parametrize("parent, order", [
         ([1, 2, -1], [0, 2, 1]),   # parent after its child in order

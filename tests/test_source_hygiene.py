@@ -263,7 +263,7 @@ def code_mismatches(source: str) -> list[str]:
 
 def test_kernel_codes_match_the_c_enum():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert len(c_enum(source)) == 17
+    assert len(c_enum(source)) == 16
     assert code_mismatches(source) == []
 
 

@@ -56,7 +56,7 @@ class TestMeasures:
         for normalize in (False, True):
             with pytest.raises(NonFiniteMassError):
                 ot.as_measure([bad, 1.0], normalize=normalize)
-        # the tree closed forms check through imbalance, without as_measure
+        # the tree closed forms refuse them too (dp_transport_plan through as_measure)
         g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         t = ot.root_tree(g, [(0, 1), (1, 2)], 0)
         for closed_form in (ot.tree_k_distance, ot.tree_potential, ot.dp_transport_plan):
