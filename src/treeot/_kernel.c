@@ -417,47 +417,40 @@ done:
     return status;
 }
 
-/* wilson_tree of _kernels.py: a uniform random spanning tree of the CSR graph
- * into parent and wpar. in_tree holds n bytes; *out_root receives the root.
- * Returns CHAIN_OK or a WILSON_* / CHAIN_DEGREE_TOO_LARGE code. */
-static int wilson(int64_t n, const int64_t *indptr, const int64_t *indices, const double *adj_w,
-                  pcg64 *g, int64_t *parent, double *wpar, uint8_t *in_tree, int64_t *out_root)
-{
-    if (n < 1 || n > (int64_t)UINT32_MAX)
-        return WILSON_BAD_VERTEX_COUNT;
-    const int64_t root = bounded_index(g, n);
-    memset(in_tree, 0, (size_t)n);
-    in_tree[root] = 1;
-    parent[root] = -1;
-    wpar[root] = 0.0;
-    for (int64_t start = 0; start < n; start++) {
-        for (int64_t v = start; !in_tree[v]; v = parent[v]) {
-            const int64_t lo = indptr[v];
-            const int64_t deg = indptr[v + 1] - lo;
-            if (deg < 1)
-                return WILSON_NO_NEIGHBOUR;
-            if (deg > (int64_t)UINT32_MAX)
-                return CHAIN_DEGREE_TOO_LARGE;
-            const int64_t k = bounded_index(g, deg);
-            parent[v] = indices[lo + k];
-            wpar[v] = adj_w[lo + k];
-        }
-        for (int64_t v = start; !in_tree[v]; v = parent[v])
-            in_tree[v] = 1;
-    }
-    *out_root = root;
-    return CHAIN_OK;
-}
-
+/* wilson_tree of _kernels.py. Its scratch, in_tree, holds n bytes. Returns
+ * CHAIN_OK, a WILSON_* / CHAIN_DEGREE_TOO_LARGE code or NO_MEMORY; the
+ * generator's state is stored back whenever it was stepped. */
 int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
                        const double *adj_w, uint64_t *rng, int64_t *parent, double *wpar,
                        int64_t *out_root)
 {
-    uint8_t *in_tree = scratch(n, 1, 0);
+    if (n < 1 || n > (int64_t)UINT32_MAX)
+        return WILSON_BAD_VERTEX_COUNT;
+    uint8_t *in_tree = scratch(n, 1, 1);
+    if (!in_tree)
+        return NO_MEMORY;
     pcg64 g = pcg64_load(rng);
-    const int status = in_tree ? wilson(n, indptr, indices, adj_w, &g, parent, wpar, in_tree,
-                                        out_root)
-                               : NO_MEMORY;
+    int status = CHAIN_OK;
+    const int64_t root = bounded_index(&g, n);
+    in_tree[root] = 1;
+    parent[root] = -1;
+    wpar[root] = 0.0;
+    for (int64_t start = 0; start < n && status == CHAIN_OK; start++) {
+        for (int64_t v = start; !in_tree[v]; v = parent[v]) {
+            const int64_t lo = indptr[v];
+            const int64_t deg = indptr[v + 1] - lo;
+            if (deg < 1 || deg > (int64_t)UINT32_MAX) {
+                status = deg < 1 ? WILSON_NO_NEIGHBOUR : CHAIN_DEGREE_TOO_LARGE;
+                break;
+            }
+            const int64_t k = bounded_index(&g, deg);
+            parent[v] = indices[lo + k];
+            wpar[v] = adj_w[lo + k];
+        }
+        for (int64_t v = start; status == CHAIN_OK && !in_tree[v]; v = parent[v])
+            in_tree[v] = 1;
+    }
+    *out_root = root;
     pcg64_store(&g, rng);
     free(in_tree);
     return status;
@@ -488,39 +481,36 @@ static int child_lists(int64_t n, const int64_t *parent, int64_t *child_ptr, int
 }
 
 /* tree_order of _kernels.py: order (leaves first, root last) and depth of
- * the tree that parent roots at root. work_i holds 4n + 1 slots: the child
- * lists, child_lists' fill cursors and the walk's stack. Returns CHAIN_OK or
- * a TREE_* code; with parent[root] == -1 and every link in range no vertex
- * is pushed twice, so the stack and order stay within n slots. */
-static int orient(int64_t n, const int64_t *parent, int64_t root, int64_t *order, int64_t *depth,
-                  int64_t *work_i)
-{
-    if (root < 0 || root >= n || parent[root] != -1)
-        return TREE_NOT_ROOTED;
-    int64_t *child_ptr = work_i, *child_idx = work_i + n + 1, *stack = child_idx + 2 * n;
-    if (child_lists(n, parent, child_ptr, child_idx, child_idx + n) != CHAIN_OK)
-        return TREE_BAD_PARENT;
-
-    depth[root] = 0;
-    stack[0] = root;
-    int64_t top = 1, pos = n;
-    while (top > 0) {
-        const int64_t v = stack[--top];
-        order[--pos] = v;
-        for (int64_t j = child_ptr[v]; j < child_ptr[v + 1]; j++) {
-            const int64_t c = child_idx[j];
-            depth[c] = depth[v] + 1;
-            stack[top++] = c;
-        }
-    }
-    return pos ? TREE_UNREACHED : CHAIN_OK;
-}
-
+ * the tree that parent roots at root. Its scratch, work_i, holds 4n + 1
+ * slots: the child lists, child_lists' fill cursors and the walk's stack.
+ * Returns CHAIN_OK, a TREE_* code or NO_MEMORY; with parent[root] == -1 and
+ * every link in range no vertex is pushed twice, so the stack and order stay
+ * within n slots. */
 int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
                       int64_t *depth)
 {
+    if (root < 0 || root >= n || parent[root] != -1)
+        return TREE_NOT_ROOTED;
     int64_t *work_i = scratch(4 * n + 1, sizeof *work_i, 0);
-    const int status = work_i ? orient(n, parent, root, order, depth, work_i) : NO_MEMORY;
+    if (!work_i)
+        return NO_MEMORY;
+    int64_t *child_ptr = work_i, *child_idx = work_i + n + 1, *stack = child_idx + 2 * n;
+    int status = child_lists(n, parent, child_ptr, child_idx, child_idx + n);
+    if (status == CHAIN_OK) {
+        depth[root] = 0;
+        stack[0] = root;
+        int64_t top = 1, pos = n;
+        while (top > 0) {
+            const int64_t v = stack[--top];
+            order[--pos] = v;
+            for (int64_t j = child_ptr[v]; j < child_ptr[v + 1]; j++) {
+                const int64_t c = child_idx[j];
+                depth[c] = depth[v] + 1;
+                stack[top++] = c;
+            }
+        }
+        status = pos ? TREE_UNREACHED : CHAIN_OK;
+    }
     free(work_i);
     return status;
 }
@@ -534,40 +524,6 @@ int treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, 
             out[p] += out[v];
     }
     return CHAIN_OK;
-}
-
-/* balanced_subtree of _kernels.py: *found is 1 when one of the samples
- * Wilson trees has a non-root vertex whose subtree sum of xi is at most tol
- * in magnitude, else 0. Its scratch: work_i holds 7n + 1 slots (parent,
- * order, depth and orient's work), work_d 2n (wpar and the sums) and in_tree
- * n bytes. Returns Wilson's status or NO_MEMORY. */
-int treeot_balanced_subtree(int64_t n, const int64_t *indptr, const int64_t *indices,
-                            const double *adj_w, uint64_t *rng, const double *xi,
-                            int64_t samples, double tol, int64_t *found)
-{
-    int64_t *work_i = scratch(7 * n + 1, sizeof *work_i, 0);
-    double *work_d = scratch(2 * n, sizeof *work_d, 0);
-    uint8_t *in_tree = scratch(n, 1, 0);
-    pcg64 g = pcg64_load(rng);
-    int status = work_i && work_d && in_tree ? CHAIN_OK : NO_MEMORY;
-    *found = 0;
-    for (int64_t k = 0; status == CHAIN_OK && !*found && k < samples; k++) {
-        int64_t *parent = work_i, *order = work_i + n, *depth = work_i + 2 * n, root;
-        double *wpar = work_d, *sums = work_d + n;
-        status = wilson(n, indptr, indices, adj_w, &g, parent, wpar, in_tree, &root);
-        if (status != CHAIN_OK)
-            break;
-        orient(n, parent, root, order, depth, work_i + 3 * n); /* a Wilson tree is rooted at root */
-        memcpy(sums, xi, (size_t)n * sizeof *sums);
-        treeot_subtree_sums(n, parent, order, sums);
-        for (int64_t v = 0; v < n && !*found; v++)
-            *found = v != root && fabs(sums[v]) <= tol;
-    }
-    pcg64_store(&g, rng);
-    free(work_i);
-    free(work_d);
-    free(in_tree);
-    return status;
 }
 
 /* (da, va) before (db, vb): distance first, then vertex id. */

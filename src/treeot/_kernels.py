@@ -2,29 +2,27 @@
 pair-distance kernels and the backends that run them.
 
 ``anneal_chain``, ``wilson_tree``, ``tree_order``, ``subtree_sums``,
-``tree_potential``, ``balanced_subtree``, ``dp_plan``, ``network_simplex``,
-``tree_pairs`` and ``pair_distances`` below are the reference kernels in
-plain Python.
+``tree_potential``, ``dp_plan``, ``network_simplex``, ``tree_pairs`` and
+``pair_distances`` below are the reference kernels in plain Python.
 ``anneal_chain`` moves between rooted spanning trees through five step
 functions, the one statement of the swap arithmetic and of the stop:
-``propose_root`` draws the candidate root, ``swap_delta`` scores the swap on
-its cycle, ``apply_swap`` makes it, ``update_beta`` adapts the temperature,
-and ``certify`` proves the best tree optimal (its tree potential is
-1-Lipschitz on every graph edge), which ends the chain. ``tree_order``
-orients a tree given by parent links (leaves-first order and depths),
-``subtree_sums`` is the leaves-to-root pass and ``tree_potential`` the
-root-to-leaves one; ``balanced_subtree`` runs Wilson, ``tree_order`` and
-``subtree_sums`` on a number of sampled trees. ``dp_plan`` builds the
-dynamic-programming transport plan in one leaves-first pass along a tree's
-``order``: each vertex matches the supplies and demands that meet there and
-hands the rest, of one sign, to its parent. ``network_simplex`` is the
-exact oracle's min-cost flow: primal network simplex, which moves between
-spanning trees of the flow network (here the source-to-sink transportation
-network, or the graph's own arcs) with a dual potential at every step, and
-whose optimal flow is basic, so its support is a forest. ``tree_pairs``
-walks vertex pairs to their lowest common ancestor for tree distances or
-plan flows, and ``pair_distances`` runs Dijkstra from each distinct source
-of a list of vertex pairs.
+``propose_root`` draws the candidate root, ``swap_delta`` scores the swap
+on its cycle, ``apply_swap`` makes it, ``update_beta`` adapts the
+temperature, and ``certify`` proves the best tree optimal (its tree
+potential is 1-Lipschitz on every graph edge), which ends the chain.
+``tree_order`` orients a tree given by parent links (leaves-first order and
+depths), ``subtree_sums`` is the leaves-to-root pass and ``tree_potential``
+the root-to-leaves one. ``dp_plan`` builds the dynamic-programming
+transport plan in one leaves-first pass along a tree's ``order``: each
+vertex matches the supplies and demands that meet there and hands the rest,
+of one sign, to its parent. ``network_simplex`` is the exact oracle's
+min-cost flow: primal network simplex, which moves between spanning trees
+of the flow network (here the source-to-sink transportation network, or the
+graph's own arcs) with a dual potential at every step, and whose optimal
+flow is basic, so its support is a forest. ``tree_pairs`` walks vertex
+pairs to their lowest common ancestor for tree distances or plan flows, and
+``pair_distances`` runs Dijkstra from each distinct source of a list of
+vertex pairs.
 
 One ABI: each kernel has one argument list, shared by its reference here
 and by ``treeot_<name>`` in ``_kernel.c``, whose ctypes argtypes
@@ -181,17 +179,6 @@ class Kernels:
         _check_status(self._run["wilson_tree"](n, graph.indptr, graph.indices, graph.weights, rng,
                                                parent, wpar, root))
         return int(root[0]), parent, wpar
-
-    def balanced_subtree(self, graph, rng, xi, samples, tol):
-        """The verdict of :func:`balanced_subtree`."""
-        _proven("balanced subtree", graph, WeightedGraph)
-        _check_generator("balanced subtree", rng)
-        _check_arrays("balanced subtree", (), ((xi, graph.n),))
-        found = np.zeros(1, dtype=np.int64)
-        _check_status(self._run["balanced_subtree"](graph.n, graph.indptr, graph.indices,
-                                                    graph.weights, rng, xi, int(samples),
-                                                    float(tol), found))
-        return bool(found[0])
 
     def tree_order(self, root, parent):
         """``(order, depth)`` of :func:`tree_order`, both int64 arrays, or a
@@ -432,7 +419,6 @@ C_SIGNATURES = {
     "tree_order": [_I64, _PTR, _I64, _PTR, _PTR],
     "subtree_sums": [_I64, _PTR, _PTR, _PTR],
     "tree_potential": [_I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR],
-    "balanced_subtree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR],
     "tree_pairs": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
     "pair_distances": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
 }
@@ -842,30 +828,6 @@ def tree_potential(n, parent, order, wpar, xi_cum, sign_at_zero, u):
         s = sign_at_zero if xi_cum[v] == 0.0 else (1.0 if xi_cum[v] > 0.0 else -1.0)
         values[v] = values[p] + wpar[v] * s
     u[:] = values
-    return 0
-
-
-def balanced_subtree(n, indptr, indices, adj_w, rng, xi, samples, tol, found):
-    """Whether one of ``samples`` spanning trees, drawn one after the other
-    by :func:`wilson_tree` from ``rng``, has a non-root vertex whose subtree
-    sum of ``xi`` (a float64 array, summed by :func:`subtree_sums` along
-    :func:`tree_order`) is at most ``tol`` in magnitude: ``found[0]`` is 1 if
-    so, else 0. Stops drawing at the first such tree. Returns 0."""
-    parent, order, depth, root = (np.empty(k, dtype=np.int64) for k in (n, n, n, 1))
-    wpar, sums = np.empty(n), np.empty(n)
-    found[0] = 0
-    for _ in range(samples):
-        # both return 0: the walk reaches every vertex of a proven graph, and
-        # a Wilson tree is rooted at its root
-        wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, root)
-        tree_order(n, parent, root[0], order, depth)
-        sums[:] = xi[:n]
-        subtree_sums(n, parent, order, sums)
-        balanced = np.abs(sums) <= tol
-        balanced[root[0]] = False
-        if balanced.any():
-            found[0] = 1
-            break
     return 0
 
 

@@ -25,9 +25,9 @@ from .graphs import WeightedGraph, grid_graph, pair_distances
 from .oracle import (
     VALUE_TOL,
     check_cyclical_monotonicity,
-    check_weak_nondegeneracy,
     complementary_violation,
     check_vertex_support,
+    dual_unique,
     geodesic_support_violation,
     lipschitz_violation,
     potential_match_up_to_constant,
@@ -155,30 +155,28 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, config: dict, out
 
 def cmd_grid(args) -> int:
     started = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     g = grid_graph(args.p, args.weight)
     if args.image_csv:
         images = [fileio.load_image_csv(path, args.p) for path in args.image_csv]
     else:
         images = [np.ones((args.p, args.p)), np.ones((args.p, args.p))]
     streams = np.random.SeedSequence(args.seed).spawn(len(images))
-    names = ["mu.json", "nu.json"] if len(images) == 2 else [
-        f"measure_{k}.json" for k in range(len(images))
-    ]
-    if len(images) == 1:
-        names = ["mu.json"]
-    outputs = ["graph.json"]
-    fileio.save_graph(out_dir / "graph.json", g)
-    for img, name, stream in zip(images, names, streams):
+    names = (["mu.json", "nu.json"][:len(images)] if len(images) <= 2
+             else [f"measure_{k}.json" for k in range(len(images))])
+    measures = []
+    for img, stream in zip(images, streams):
         pixels = img.reshape(-1)
         sigma = _parse_sigma(args.noise_sigma, pixels)
         if sigma > 0.0:
             rng = np.random.default_rng(stream)
             pixels = pixels + rng.uniform(0.0, sigma, size=pixels.shape)
-        measure = as_measure(pixels, g.n, normalize=True)
+        measures.append(as_measure(pixels, g.n, normalize=True))
+    out_dir = Path(args.out_dir)  # made only once the inputs have passed
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fileio.save_graph(out_dir / "graph.json", g)
+    for name, measure in zip(names, measures):
         fileio.save_measure(out_dir / name, measure)
-        outputs.append(name)
+    outputs = ["graph.json", *names]
     _write_manifest(
         out_dir,
         "grid",
@@ -231,8 +229,6 @@ def _anneal_config(args) -> AnnealConfig:
 
 def cmd_anneal(args) -> int:
     started = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     g = fileio.load_graph(args.graph)
     mu = fileio.load_measure(args.mu, g.n)
     nu = fileio.load_measure(args.nu, g.n)
@@ -248,6 +244,8 @@ def cmd_anneal(args) -> int:
         result, _ = anneal_chains(g, mu, nu, cfg, args.chains, target_cost=args.target_cost)
     else:
         result = anneal(g, mu, nu, cfg, initial_tree=initial, target_cost=args.target_cost)
+    out_dir = Path(args.out_dir)  # made only once the inputs have passed
+    out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_tree(out_dir / "best_tree.json", result.best_tree)
     fileio.save_trace(out_dir / "trace.csv", result.trace)
     _write_manifest(
@@ -266,13 +264,13 @@ def cmd_anneal(args) -> int:
 
 def cmd_plan(args) -> int:
     started = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     g = fileio.load_graph(args.graph)
     t = fileio.load_tree(args.tree, g)
     mu = fileio.load_measure(args.mu, g.n)
     nu = fileio.load_measure(args.nu, g.n)
     plan = dp_transport_plan(t, mu, nu)
+    out_dir = Path(args.out_dir)  # made only once the inputs have passed
+    out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_plan(out_dir / "plan.csv", plan)
     flow = plan_to_flow(plan, t)
     lines = ["vertex,parent,up,down"]
@@ -301,20 +299,18 @@ def cmd_plan(args) -> int:
 
 def cmd_potential(args) -> int:
     started = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     g = fileio.load_graph(args.graph)
     t = fileio.load_tree(args.tree, g)
     mu = fileio.load_measure(args.mu, g.n)
     nu = fileio.load_measure(args.nu, g.n)
-    verdict = check_weak_nondegeneracy(mu, nu, graph=g)
-    if not verdict.holds:
-        print(
-            f"warning: measures are degenerate ({verdict.mode} check); "
-            "the potential is not unique",
-            file=sys.stderr,
-        )
     u = tree_potential(t, mu, nu, sign_at_zero=args.sign_at_zero)
+    unique = dual_unique(g, t, mu, nu, sign_at_zero=args.sign_at_zero)
+    if unique is None:
+        print("warning: the tree is not certified optimal; no claim on the dual", file=sys.stderr)
+    elif not unique:
+        print("warning: the potential is not unique", file=sys.stderr)
+    out_dir = Path(args.out_dir)  # made only once the inputs have passed
+    out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_potential(out_dir / "potential.csv", u)
     _write_manifest(
         out_dir,
@@ -323,6 +319,7 @@ def cmd_potential(args) -> int:
         {"sign_at_zero": args.sign_at_zero},
         ["potential.csv"],
         started,
+        dual_unique=unique,
     )
     print(repr(float(np.dot(u.values, mu - nu))))
     return 0
@@ -366,15 +363,17 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         return {
             "checks": checks,
             "metrics": metrics,
-            "weak_nondegeneracy": None,
+            "dual_unique": {"value": None, "reason": "the measures are invalid"},
             "all_passed": False,
         }
 
-    nd = check_weak_nondegeneracy(mu, nu, graph=g)
-
     tree = fileio.load_tree(tree_path_, g) if tree_path_ else None
+    unique = {"value": None, "reason": "no --tree given"}
     if tree is not None:
         metrics["tree_cost"] = tree_k_distance(tree, mu, nu)
+        value = dual_unique(g, tree, mu, nu)
+        unique = {"value": value,
+                  "reason": "the tree is not certified optimal" if value is None else None}
 
     plan = None
     if plan_path:
@@ -438,7 +437,7 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         if potential is not None:
             add("potential_duality_exact",
                 abs(metrics["potential_duality_value"] - solution.value))
-            if nd.holds:
+            if unique["value"]:
                 add("potential_matches_exact_dual",
                     0.0 if potential_match_up_to_constant(potential, solution.potential) else 1.0,
                     0.0)
@@ -446,7 +445,7 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
     return {
         "checks": checks,
         "metrics": metrics,
-        "weak_nondegeneracy": {"holds": nd.holds, "mode": nd.mode},
+        "dual_unique": unique,
         "all_passed": all(c["passed"] for c in checks),
     }
 

@@ -17,17 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NonFiniteWeightError, NonPositiveWeightError, VertexRangeError
+from .errors import NonFiniteWeightError, NonPositiveWeightError, NotSpanningError, VertexRangeError
 from .graphs import WeightedGraph
-from .transport import Potential, TransportPlan, _assemble_plan, _support_distances, as_measure, imbalance
+from .transport import (Potential, TransportPlan, _assemble_plan, _support_distances, as_measure,
+                        cumulative_imbalance, imbalance, tree_potential)
+from .trees import RootedTree
 
 #: Default tolerance for optimality and duality identities.
 VALUE_TOL = 1e-9
-#: Subset scans beyond this vertex count fall back to the sampled necessary check.
+#: The most vertices whose subset sums :func:`check_weak_nondegeneracy` scans.
 EXHAUSTIVE_CAP = 22
-#: Random spanning trees drawn by the sampled necessary check.
-TREE_SAMPLES = 32
-#: A vertex set counts as balanced when its imbalance is at most this.
+#: A vertex set counts as balanced, and a tree edge as carrying no flow,
+#: when its imbalance is at most this.
 BALANCE_TOL = 1e-12
 
 
@@ -141,48 +142,31 @@ def complementary_violation(plan: TransportPlan, u: Potential, dist) -> float:
     return float(np.max(np.abs(gaps), initial=0.0))
 
 
-@dataclass(frozen=True)
-class NondegeneracyVerdict:
-    """Outcome of the subset-balance scan; ``mode`` records whether the scan
-    was exhaustive or only the tree-based necessary condition."""
+def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> bool:
+    """Whether mu and nu give different mass to every proper nonempty vertex
+    set: the paper's weak non-degeneracy, under which the Kantorovich
+    potential is unique. It is sufficient for uniqueness, not necessary;
+    :func:`dual_unique` decides uniqueness itself.
 
-    holds: bool
-    mode: str
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> NondegeneracyVerdict:
-    """Whether mu and nu give different mass to every proper nonempty vertex set.
-
-    Up to ``EXHAUSTIVE_CAP`` vertices the subset sums of mu - nu are scanned
-    exhaustively (meet-in-the-middle). Beyond that, only a necessary condition
-    is tested: nonzero cumulative imbalance at every non-root vertex over
-    ``TREE_SAMPLES`` random spanning trees of ``graph``, drawn from
-    ``default_rng(0)`` as :func:`treeot.trees.random_spanning_tree` draws
-    them, in one call of the backend's
-    :func:`treeot._kernels.balanced_subtree`; the verdict is then labelled
-    ``"necessary-only"``. Imbalances up to ``BALANCE_TOL`` count as zero.
+    The subset sums of mu - nu are scanned exhaustively (meet-in-the-middle),
+    so more than ``EXHAUSTIVE_CAP`` vertices raise ``ValueError``.
+    Imbalances up to ``BALANCE_TOL`` count as zero.
     """
     xi = imbalance(mu, nu)
     n = xi.shape[0]
     if graph.n != n:
         raise VertexRangeError(f"measures on {n} vertices, graph on {graph.n}")
-    if n <= EXHAUSTIVE_CAP:
-        half = n // 2
-        low = _subset_sums(xi[:half])
-        high = np.sort(_subset_sums(xi[half:]))
-        ties = int(np.sum(np.searchsorted(high, -low + BALANCE_TOL, side="right")
-                          - np.searchsorted(high, -low - BALANCE_TOL, side="left")))
-        # discount the always-balancing trivial subsets: the empty set, and the
-        # full set whenever the total imbalance itself sits inside the tolerance
-        trivial = 1 + (1 if abs(float(xi.sum())) <= BALANCE_TOL else 0)
-        return NondegeneracyVerdict(holds=ties <= trivial, mode="exhaustive")
-
-    balanced = _kernels.kernels().balanced_subtree(graph, np.random.default_rng(0), xi,
-                                                   TREE_SAMPLES, BALANCE_TOL)
-    return NondegeneracyVerdict(holds=not balanced, mode="necessary-only")
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"the subset scan takes at most {EXHAUSTIVE_CAP} vertices, not {n}")
+    half = n // 2
+    low = _subset_sums(xi[:half])
+    high = np.sort(_subset_sums(xi[half:]))
+    ties = int(np.sum(np.searchsorted(high, -low + BALANCE_TOL, side="right")
+                      - np.searchsorted(high, -low - BALANCE_TOL, side="left")))
+    # discount the always-balancing trivial subsets: the empty set, and the
+    # full set whenever the total imbalance itself sits inside the tolerance
+    trivial = 1 + (1 if abs(float(xi.sum())) <= BALANCE_TOL else 0)
+    return ties <= trivial
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:
@@ -190,6 +174,57 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
     for v in values:
         sums = np.concatenate([sums, sums + v])
     return sums
+
+
+def dual_unique(g: WeightedGraph, t: RootedTree, mu, nu, sign_at_zero: int = +1) -> bool | None:
+    """Whether the Kantorovich potential of mu and nu on ``g`` is unique up to
+    a constant, decided exactly from the spanning tree ``t`` of ``g``; None
+    when ``t`` is not certified optimal, which makes no claim on the dual.
+
+    The certificate is ``certify``'s test: the tree potential u is
+    1-Lipschitz on every arc within ``CERT_RTOL``. u is tight on every tree
+    edge, so its duality value is the tree's cost, and passing certifies
+    both. Complementary slackness with the tree's flow then fixes the dual
+    optimal face, which is the one point u exactly when this digraph is
+    strongly connected (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+    ch. 9): an edge b -> a for each arc (a, b) with u(a) - u(b) >= w * (1 -
+    ``CERT_RTOL``), and one in the flow's direction for each tree edge whose
+    |cumulative imbalance| exceeds ``BALANCE_TOL``. The paper's weak
+    non-degeneracy implies uniqueness but is not implied by it. As with
+    ``certify``, the test is exact up to the rounding of u, summed along
+    tree paths (about depth * eps * max|u|): on deep trees that can exceed
+    the slack w * ``CERT_RTOL``, so an arc can pass or be tight on rounding.
+    """
+    child = np.flatnonzero(t.parent >= 0)
+    above = t.parent[child]
+    arc = g.arc_index(child, above)
+    if t.n != g.n or np.any(arc < 0) or np.any(g.weights[arc] != t.weight_to_parent[child]):
+        raise NotSpanningError("the tree is not a spanning tree of the graph, with its weights")
+    u = tree_potential(t, mu, nu, sign_at_zero).values
+    tails, w = g.arc_tails(), g.weights
+    jump = u[tails] - u[g.indices]
+    if np.any(np.abs(jump) > w * (1.0 + _kernels.CERT_RTOL)):
+        return None
+    tight = jump >= w * (1.0 - _kernels.CERT_RTOL)
+    xi_cum = cumulative_imbalance(t, imbalance(mu, nu))[child]
+    up, down = xi_cum > BALANCE_TOL, xi_cum < -BALANCE_TOL
+    src = np.concatenate([g.indices[tight], child[up], above[down]])
+    dst = np.concatenate([tails[tight], above[up], child[down]])
+    return _reaches_all(g.n, src, dst) and _reaches_all(g.n, dst, src)
+
+
+def _reaches_all(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether a search from vertex 0 along the arcs ``src -> dst`` reaches
+    all n vertices."""
+    by_src = np.argsort(src, kind="stable")
+    heads, first = dst[by_src].tolist(), np.searchsorted(src[by_src], np.arange(n + 1)).tolist()
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        new = set(heads[first[v]:first[v + 1]]) - seen
+        seen |= new
+        stack.extend(new)
+    return len(seen) == n
 
 
 def check_cyclical_monotonicity(

@@ -45,7 +45,7 @@ def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndar
         if abs(total - 1.0) > MASS_TOL:  # keep valid measures bit-stable
             mu /= total
     elif abs(total - 1.0) > MASS_TOL:
-        raise MassMismatchError(f"measure mass {total!r} is not 1")
+        raise MassMismatchError(f"measure mass {float(total)!r} is not 1")
     return mu
 
 
@@ -60,7 +60,7 @@ def imbalance(mu, nu) -> np.ndarray:
         raise NonFiniteMassError("measure has a NaN or infinite entry")
     xi = mu - nu
     if abs(xi.sum()) > MASS_TOL:
-        raise MassMismatchError(f"imbalance sums to {xi.sum()!r}, not 0")
+        raise MassMismatchError(f"imbalance sums to {float(xi.sum())!r}, not 0")
     return xi
 
 

@@ -294,24 +294,37 @@ def reference_tree_potential(parent, order, wpar, xi_cum, sign_at_zero):
     return u
 
 
-def reference_balanced_subtree(g, xi, rng, samples=32, tol=1e-12):
-    """The sampled weak non-degeneracy loop as it ran before it became one
-    kernel call: draw ``samples`` Wilson trees from ``rng`` one after the
-    other, orient each, sum ``xi`` over its subtrees and stop at the first
-    tree with a non-root subtree sum of magnitude at most ``tol``. Returns
-    whether such a tree was found."""
-    parent = np.empty(g.n, dtype=np.int64)
-    wpar = np.empty(g.n)
-    out_root = np.empty(1, dtype=np.int64)
-    for _ in range(samples):
-        _kernels.wilson_tree(g.n, g.indptr, g.indices, g.weights, rng, parent, wpar, out_root)
-        root = int(out_root[0])
-        order, _ = reference_order_depth(root, parent.tolist())
-        xi_cum = reference_subtree_sums(parent, order, xi)
-        mask = np.arange(g.n) != root
-        if np.any(np.abs(xi_cum[mask]) <= tol):
-            return True
-    return False
+def reference_dual_range(g, t, mu, nu, tol=1e-12):
+    """Per vertex v, the least and the greatest u(v) - u(0) over the dual
+    optimal face that the tree's flow fixes: the potentials with
+    u(a) - u(b) <= w on every arc, and u(a) - u(b) = w on every tree edge
+    whose flow runs a -> b (subtree sum of mu - nu above ``tol`` in
+    magnitude). The face is a system of difference constraints, so both
+    bounds are shortest-path lengths from vertex 0, in the constraint graph
+    and in its reverse, by full-round Bellman-Ford in plain loops. Returns
+    ``(low, high)`` as lists."""
+    n = g.n
+    order, _ = reference_order_depth(t.root, t.parent.tolist())
+    xi_cum = reference_subtree_sums(t.parent, order, np.asarray(mu) - np.asarray(nu)).tolist()
+    # the constraint u(a) - u(b) <= c is the edge b -> a of length c
+    edges = [e for a, b, w in g.edges for e in ((a, b, w), (b, a, w))]
+    for v, (p, w) in enumerate(zip(t.parent.tolist(), t.weight_to_parent.tolist())):
+        if p >= 0 and abs(xi_cum[v]) > tol:
+            a, b = (v, p) if xi_cum[v] > 0.0 else (p, v)
+            edges.append((a, b, -w))  # u(b) - u(a) <= -w
+
+    def lengths(arcs):
+        dist = [math.inf] * n
+        dist[0] = 0.0
+        for _ in range(n - 1):
+            for x, y, c in arcs:
+                if dist[x] + c < dist[y]:
+                    dist[y] = dist[x] + c
+        return dist
+
+    high = lengths(edges)
+    low = [-d for d in lengths([(y, x, c) for x, y, c in edges])]
+    return low, high
 
 
 def reference_tree_path(t, x, y):

@@ -133,9 +133,7 @@ def test_criterion_4_potential_suite():
         g = random_tree_graph(rng, n, weight_low=1e-3)
         t = ot.random_spanning_tree(g, rng)
         mu, nu = random_measure_pair(rng, n)
-        verdict = ot.check_weak_nondegeneracy(mu, nu, g)
-        assert verdict.mode == "exhaustive"
-        if not verdict.holds:
+        if not ot.check_weak_nondegeneracy(mu, nu, g):
             continue
         done += 1
         u = ot.tree_potential(t, mu, nu)
@@ -366,7 +364,8 @@ def test_criterion_10_cli_pipeline(tmp_path):
 
     verdict = pipeline(tmp_path / "run1")
     assert verdict["all_passed"]
-    assert verdict["weak_nondegeneracy"]["holds"]
+    assert verdict["dual_unique"] == {"value": True, "reason": None}
+    assert "potential_matches_exact_dual" in {c["name"] for c in verdict["checks"]}
 
     pipeline(tmp_path / "run2")
     artifacts = ["graph.json", "mu.json", "nu.json", "best_tree.json", "trace.csv",

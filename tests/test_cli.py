@@ -66,7 +66,7 @@ class TestGrid:
         assert (a / "nu.json").read_bytes() == (b / "nu.json").read_bytes()
         mu = fileio.load_measure(a / "mu.json", 9)
         nu = fileio.load_measure(a / "nu.json", 9)
-        assert ot.check_weak_nondegeneracy(mu, nu, ot.grid_graph(3)).holds
+        assert ot.check_weak_nondegeneracy(mu, nu, ot.grid_graph(3))
 
     def test_bad_image_dimensions_exit_2(self, tmp_path):
         img = tmp_path / "img.csv"
@@ -375,6 +375,28 @@ def test_bad_argument_exits_2(line6_files, capsys, command, flag, value):
     assert run_cli(*argv) == 2  # an exception escaping main would be a traceback
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+    assert not (d / "run").exists()
+
+
+#: a refused run of each writing command: what it is missing or given wrongly
+REFUSED_RUNS = {
+    "grid": ["--p", "1"],
+    "anneal": ["--mu", "bad_mu.json", "--nu", "nu.json", "--iters", "10"],
+    "plan": ["--tree", "tree.json", "--mu", "bad_mu.json", "--nu", "nu.json"],
+    "potential": ["--tree", "tree.json", "--mu", "mu.json", "--nu", "bad_mu.json"],
+}
+
+
+@pytest.mark.parametrize("command", REFUSED_RUNS)
+def test_a_refused_command_creates_no_out_dir(line6_files, capsys, command):
+    d = line6_files
+    (d / "bad_mu.json").write_text("[0.5, -0.2, 0.7, 0.0, 0.0, 0.0]\n", encoding="utf-8")
+    argv = [str(d / a) if a.endswith(".json") else a for a in REFUSED_RUNS[command]]
+    if command != "grid":
+        argv += ["--graph", str(d / "graph.json")]
+    assert run_cli(command, *argv, "--out-dir", str(d / "out" / "x")) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (d / "out").exists()
 
 
 @pytest.mark.parametrize("chains", ["1", "2"])
@@ -451,7 +473,9 @@ class TestPlanPotentialCommands:
         xi_lines = (out / "xi.csv").read_text().splitlines()
         assert xi_lines[0] == "vertex,xi_cum"
 
-    def test_potential_warns_on_degenerate(self, line6_files, capsys):
+    def test_potential_on_line6_prints_no_warning(self, line6_files, capsys):
+        # line6 fails the paper's weak non-degeneracy, yet every edge of its
+        # tree carries flow, so the certified potential is the only dual
         out = line6_files / "pot_out"
         code = run_cli(
             "potential", "--graph", str(line6_files / "graph.json"),
@@ -461,9 +485,48 @@ class TestPlanPotentialCommands:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "degenerate" in captured.err
+        assert captured.err == ""
         u = fileio.load_potential(out / "potential.csv", 6)
         assert np.allclose(u.values, [-1, -2, -3, -2, -1, 0])
+        manifest = json.loads((out / "potential.manifest.json").read_text())
+        assert manifest["dual_unique"] is True
+
+    def test_potential_warns_on_degenerate(self, line6_files, capsys):
+        # with mu == nu no edge carries flow, and every 1-Lipschitz potential
+        # is optimal, whichever sign the zero imbalances take
+        fileio.save_measure(line6_files / "flat.json", [1 / 6] * 6)
+        for sign in ("1", "-1"):
+            out = line6_files / f"flat_{sign}"
+            code = run_cli(
+                "potential", "--graph", str(line6_files / "graph.json"),
+                "--tree", str(line6_files / "tree.json"),
+                "--mu", str(line6_files / "flat.json"), "--nu", str(line6_files / "flat.json"),
+                "--sign-at-zero", sign, "--out-dir", str(out),
+            )
+            assert code == 0
+            assert capsys.readouterr().err == "warning: the potential is not unique\n"
+            assert json.loads((out / "potential.manifest.json").read_text())["dual_unique"] is False
+
+    def test_potential_warns_on_an_uncertified_tree(self, tmp_path, capsys):
+        # on the 4-cycle the path 1-2-3-0 carries mass from 0 to 1 the long way
+        fileio.save_graph(tmp_path / "graph.json",
+                          ot.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]))
+        fileio.save_tree(tmp_path / "tree.json",
+                         ot.root_tree(fileio.load_graph(tmp_path / "graph.json"),
+                                      [(1, 2), (2, 3), (3, 0)], 0))
+        fileio.save_measure(tmp_path / "mu.json", [1.0, 0.0, 0.0, 0.0])
+        fileio.save_measure(tmp_path / "nu.json", [0.0, 1.0, 0.0, 0.0])
+        files = ["--graph", str(tmp_path / "graph.json"), "--tree", str(tmp_path / "tree.json"),
+                 "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json")]
+        assert run_cli("potential", *files, "--out-dir", str(tmp_path / "u")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: the tree is not certified optimal; no claim on the dual\n"
+        assert json.loads((tmp_path / "u" / "potential.manifest.json").read_text())["dual_unique"] is None
+        assert run_cli("verify", *files, "--potential", str(tmp_path / "u" / "potential.csv"),
+                       "--exact") == 3
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["dual_unique"] == {"value": None, "reason": "the tree is not certified optimal"}
+        assert "potential_matches_exact_dual" not in {c["name"] for c in verdict["checks"]}
 
     def test_sign_at_zero_flag(self, line6_files):
         mu = [1 / 6] * 6
@@ -546,7 +609,35 @@ class TestVerifyCommand:
         mu = fileio.load_measure(line6_files / "mu.json", 6)
         nu = fileio.load_measure(line6_files / "nu.json", 6)
         assert verdict["metrics"]["exact_pivots"] == ot.solve(g, mu, nu).pivots > 0
-        assert verdict["weak_nondegeneracy"]["holds"] is False
+        # the paper's condition fails on line6, yet the dual is unique
+        assert not ot.check_weak_nondegeneracy(mu, nu, g)
+        assert verdict["dual_unique"] == {"value": True, "reason": None}
+        named = {c["name"]: c for c in verdict["checks"]}
+        assert named["potential_matches_exact_dual"]["passed"]
+
+    def test_line6_dual_is_unique_though_degenerate(self, line6_files, capsys):
+        files = ["--graph", str(line6_files / "graph.json"), "--tree", str(line6_files / "tree.json"),
+                 "--mu", str(line6_files / "mu.json"), "--nu", str(line6_files / "nu.json")]
+        assert run_cli("potential", *files, "--out-dir", str(line6_files / "u")) == 0
+        assert capsys.readouterr().err == ""
+        code = run_cli("verify", *files, "--potential", str(line6_files / "u" / "potential.csv"),
+                       "--exact")
+        verdict = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert verdict["dual_unique"] == {"value": True, "reason": None}
+        named = {c["name"]: c for c in verdict["checks"]}
+        assert named["potential_matches_exact_dual"]["passed"]
+
+    def test_without_a_tree_the_dual_is_not_compared(self, line6_files, capsys):
+        d = line6_files
+        files = ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")]
+        assert run_cli("potential", *files, "--tree", str(d / "tree.json"), "--out-dir", str(d / "u")) == 0
+        capsys.readouterr()
+        assert run_cli("verify", *files, "--potential", str(d / "u" / "potential.csv"), "--exact") == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["dual_unique"] == {"value": None, "reason": "no --tree given"}
+        names = {c["name"] for c in verdict["checks"]}
+        assert "potential_duality_exact" in names and "potential_matches_exact_dual" not in names
 
     def test_tree_checks_build_no_dense_tree_matrix(self, tmp_path, capsys, monkeypatch):
         argv = annealed_4x4_verify(tmp_path)
@@ -646,6 +737,7 @@ class TestVerifyCommand:
         named = {c["name"]: c for c in verdict["checks"]}
         assert named["measure_mass_mu"]["passed"] is False
         assert abs(named["measure_mass_mu"]["violation"] - 0.1) <= 1e-12
+        assert verdict["dual_unique"] == {"value": None, "reason": "the measures are invalid"}
 
     def test_nan_measure_exit_2(self, line6_files, capsys):
         bad = line6_files / "nan_mu.json"

@@ -29,7 +29,6 @@ SIGNATURES = {
     "tree_order": "root parent",
     "subtree_sums": "tree values",
     "tree_potential": "tree xi_cum sign_at_zero",
-    "balanced_subtree": "graph rng xi samples tol",
     "tree_pairs": "tree xs ys mass",
     "pair_distances": "graph xs ys",
 }
@@ -56,7 +55,7 @@ KERNEL_CASES = {
                      "window-0", "neighbour-out-of-range", "vertex-without-neighbour",
                      "int32-xi_node", "short-xi_node"],
     "wilson_tree": ["neighbour-out-of-range", "vertex-without-neighbour", "int32-indptr",
-                    "short-adj_w"],
+                    "int32-indices", "short-adj_w"],
     "dp_plan": ["parent-link-minus-2", "parent-link-out-of-range", "short-xi"],
     "network_simplex": ["arc-endpoint-out-of-range", "negative-arc-cost", "int32-tail",
                         "short-tail"],
@@ -65,8 +64,6 @@ KERNEL_CASES = {
     "subtree_sums": ["parent-link-minus-2", "parent-link-out-of-range", "short-values"],
     "tree_potential": ["parent-link-minus-2", "parent-link-out-of-range", "short-wpar",
                        "short-xi_cum"],
-    "balanced_subtree": ["neighbour-out-of-range", "vertex-without-neighbour", "int32-indices",
-                         "short-adj_w"],
     "tree_pairs": ["parent-link-minus-2", "parent-link-out-of-range", "pair-vertex-out-of-range",
                    "int32-xs", "short-wpar"],
     "pair_distances": ["neighbour-out-of-range", "pair-vertex-out-of-range", "negative-arc-weight",
@@ -90,8 +87,7 @@ def arguments() -> dict:
         "xs": np.arange(N, dtype=np.int64), "ys": np.arange(N, dtype=np.int64)[::-1].copy(),
         "mass": None, "max_iters": 50, "beta0": 1.0, "target_accept": 0.3, "eta": 0.05,
         "window": 10, "record_every": 10, "recompute_every": 0, "target_cost": np.nan,
-        "rng": np.random.default_rng(1), "sign_at_zero": 1, "zero_tol": 1e-14, "samples": 4,
-        "tol": 1e-12,
+        "rng": np.random.default_rng(1), "sign_at_zero": 1, "zero_tol": 1e-14,
     }
 
 
@@ -141,7 +137,7 @@ def loaded():
 
 def test_every_kernel_has_cases(loaded):
     assert set(KERNEL_CASES) == set(SIGNATURES) == set(_kernels.C_SIGNATURES)
-    assert len(WALKS) == 8
+    assert len(WALKS) == 7
     for kernel in SIGNATURES:
         assert outcome(loaded, "python", kernel) is None
 
@@ -253,7 +249,7 @@ def test_random_kernels_leave_the_generator_alike_on_every_backend(kernel, spare
     # spare-half: after integers(0, 3) the generator keeps the high half of
     # its last 64-bit output (has_uint32 == 1), which the kernel's first
     # 32-bit draw must take
-    assert len(RANDOM_KERNELS) == 3
+    assert len(RANDOM_KERNELS) == 2
     for seed in range(3):
         ends = {}
         for backend in loaded:
@@ -288,7 +284,6 @@ t = ot.random_spanning_tree(g, np.random.default_rng(0))
 xi = np.linspace(-0.4, 0.4, g.n)
 k = _kernels.kernels()
 for draw in (lambda rng: ot.random_spanning_tree(g, rng),
-             lambda rng: k.balanced_subtree(g, rng, xi, 4, 1e-12),
              lambda rng: k.anneal_chain(t, g, xi, 50, 1.0, 0.3, 0.05, 10, 10, 0, float("nan"),
                                         rng)):
     try:
@@ -308,4 +303,4 @@ def test_random_kernels_need_a_pcg64_generator(case, backend):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"{kernel}: needs a numpy Generator on PCG64, not {kind}"
-        for kernel in ("Wilson tree", "balanced subtree", "annealing chain")]
+        for kernel in ("Wilson tree", "annealing chain")]

@@ -8,7 +8,12 @@ import pytest
 
 import treeot as ot
 from treeot import _kernels
-from treeot.errors import NonFiniteWeightError, NonPositiveWeightError, VertexRangeError
+from treeot.errors import (
+    NonFiniteWeightError,
+    NonPositiveWeightError,
+    NotSpanningError,
+    VertexRangeError,
+)
 from treeot.oracle import (
     VALUE_TOL,
     _has_cycle,
@@ -30,6 +35,7 @@ from conftest import (
     random_tree_graph,
     raised,
     reference_cyclically_monotone,
+    reference_dual_range,
     run_python,
     successive_shortest_paths,
 )
@@ -122,7 +128,7 @@ class TestExactSolver:
             n = int(rng.integers(3, 10))
             g = random_connected_graph(rng, n, extra_edges=2)
             mu, nu = random_measure_pair(rng, n)
-            if not ot.check_weak_nondegeneracy(mu, nu, g).holds:
+            if not ot.check_weak_nondegeneracy(mu, nu, g):
                 continue
             hits += 1
             sol = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu)
@@ -445,8 +451,7 @@ class TestWeakNondegeneracy:
 
     def test_line6_degenerate(self, line6):
         g, mu, nu = line6
-        verdict = ot.check_weak_nondegeneracy(mu, nu, g)
-        assert not verdict.holds and verdict.mode == "exhaustive"
+        assert ot.check_weak_nondegeneracy(mu, nu, g) is False
         assert not brute_force_weak_nondegeneracy(mu, nu)
 
     def test_matches_brute_force(self):
@@ -461,17 +466,116 @@ class TestWeakNondegeneracy:
                 if n >= 4:  # balance a strict subset to force degeneracy
                     nu[0], nu[1] = nu[1], nu[0]
             got = ot.check_weak_nondegeneracy(mu, nu, line_graph(n))
-            assert got.holds == brute_force_weak_nondegeneracy(mu, nu)
+            assert got is brute_force_weak_nondegeneracy(mu, nu)
 
-    def test_sampled_mode_labels(self):
+    def test_more_vertices_than_the_scan_takes_raise(self):
         rng = np.random.default_rng(61)
-        n = 30
-        mu, nu = random_measure_pair(rng, n)
-        g = random_connected_graph(rng, n, extra_edges=10)
-        verdict = ot.check_weak_nondegeneracy(mu, nu, graph=g)
-        assert verdict.mode == "necessary-only"
-        bad = ot.check_weak_nondegeneracy(mu, mu, graph=g)
-        assert not bad.holds and bad.mode == "necessary-only"
+        g = ot.grid_graph(5)
+        mu, nu = random_measure_pair(rng, g.n)
+        with pytest.raises(ValueError, match="at most 22 vertices, not 25"):
+            ot.check_weak_nondegeneracy(mu, nu, graph=g)
+        small = ot.grid_graph(4)
+        mu, nu = random_measure_pair(rng, small.n)
+        assert ot.check_weak_nondegeneracy(mu, nu, graph=small) is True
+
+
+def optimal_tree_corpus(count=120, seed=27):
+    """``(g, t, mu, nu)`` on 2x2 to 4x4 lattices, random and
+    ``degenerate_measures`` in turn. ``t`` is optimal: the support of a basic
+    optimal flow (the network simplex on the graph's arcs), a forest,
+    completed by the other edges in random order and rooted at random."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for i in range(count):
+        g = ot.grid_graph(2 + i % 3)
+        mu, nu = (random_measure_pair if i % 2 else degenerate_measures)(rng, g.n)
+        tails = g.arc_tails()
+        flow, _, _ = _kernels.kernels().network_simplex(ot.imbalance(mu, nu), tails, g.indices,
+                                                        g.weights)
+        edges = list(zip(tails[flow > 0.0].tolist(), g.indices[flow > 0.0].tolist()))
+        edges += [edges_[k] for edges_ in [[(a, b) for a, b, _ in g.edges]]
+                  for k in rng.permutation(len(edges_))]
+        root_of = list(range(g.n))
+
+        def find(v):
+            while root_of[v] != v:
+                v = root_of[v]
+            return v
+
+        kept = []
+        for a, b in edges:
+            if find(a) != find(b):
+                root_of[find(a)] = find(b)
+                kept.append((a, b))
+        t = ot.root_tree(g, kept, int(rng.integers(g.n)))
+        assert abs(ot.tree_k_distance(t, mu, nu) - float(np.sum(flow * g.weights))) <= 1e-12
+        corpus.append((g, t, mu, nu))
+    return corpus
+
+
+class TestDualUnique:
+    def test_line6_unique_though_the_condition_fails(self, line6):
+        g, mu, nu = line6
+        t = ot.root_tree(g, [(i, i + 1) for i in range(5)], 5)
+        assert not ot.check_weak_nondegeneracy(mu, nu, g)
+        assert ot.dual_unique(g, t, mu, nu) is True
+        assert ot.dual_unique(g, t, mu, nu, sign_at_zero=-1) is True
+
+    def test_equal_measures_not_unique(self):
+        # no edge carries flow, so every 1-Lipschitz potential is optimal
+        g = line_graph(9)
+        t = ot.root_tree(g, [(i, i + 1) for i in range(8)], 4)
+        mu = np.full(9, 1 / 9)
+        assert ot.dual_unique(g, t, mu, mu) is False
+        assert ot.dual_unique(g, t, mu, mu, sign_at_zero=-1) is False
+
+    def test_uncertified_tree_gives_none(self):
+        g = ot.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+        t = ot.root_tree(g, [(1, 2), (2, 3), (3, 0)], 0)
+        assert ot.dual_unique(g, t, [1.0, 0, 0, 0], [0, 1.0, 0, 0]) is None
+        assert ot.dual_unique(g, ot.root_tree(g, [(0, 1), (1, 2), (2, 3)], 0),
+                              [1.0, 0, 0, 0], [0, 1.0, 0, 0]) is False
+
+    def test_tree_of_another_graph_rejected(self):
+        g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        other = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        mu, nu = [0.6, 0.2, 0.2], [0.2, 0.2, 0.6]
+        foreign = [ot.root_tree(other, [(0, 1), (1, 2)], 0),
+                   ot.root_tree(ot.build_graph(3, [(0, 2, 1.0), (1, 2, 1.0)]), [(0, 2), (1, 2)], 0)]
+        for t in foreign:
+            with pytest.raises(NotSpanningError, match="not a spanning tree of the graph"):
+                ot.dual_unique(g, t, mu, nu)
+        with pytest.raises(NotSpanningError):
+            ot.dual_unique(line_graph(4), ot.root_tree(g, [(0, 1), (1, 2)], 0), [0.25] * 4, [0.25] * 4)
+        with pytest.raises(NotSpanningError):
+            ot.dual_unique(g, ot.root_tree(line_graph(2), [(0, 1)], 0), [0.5, 0.5], [0.5, 0.5])
+
+    def test_agrees_with_the_bellman_ford_face(self, backend):
+        verdicts = {True: 0, False: 0, None: 0}
+        for g, t, mu, nu in optimal_tree_corpus():
+            low, high = reference_dual_range(g, t, mu, nu)
+            spread = max(h - lo for lo, h in zip(low, high))
+            for sign in (1, -1):
+                unique = ot.dual_unique(g, t, mu, nu, sign_at_zero=sign)
+                verdicts[unique] += 1
+                if unique is None:
+                    continue
+                assert unique is (spread <= 1e-9), (unique, spread)
+                # the certified potential lies on the face
+                u = ot.tree_potential(t, mu, nu, sign_at_zero=sign).values
+                assert all(lo - 1e-9 <= x <= h + 1e-9 for lo, x, h in zip(low, u - u[0], high))
+        assert min(verdicts.values()) >= 10 and verdicts[True] + verdicts[False] >= 100, verdicts
+
+    def test_the_papers_condition_implies_uniqueness(self):
+        # sufficient, not necessary: some degenerate pairs have a unique dual
+        outcomes = {(held, unique): 0 for held in (True, False) for unique in (True, False)}
+        for g, t, mu, nu in optimal_tree_corpus(seed=28):
+            unique = ot.dual_unique(g, t, mu, nu)
+            if unique is not None:
+                outcomes[ot.check_weak_nondegeneracy(mu, nu, g), unique] += 1
+        assert outcomes[True, False] == 0, outcomes
+        assert outcomes[True, True] >= 40 and outcomes[False, True] >= 5, outcomes
+        assert outcomes[False, False] >= 5, outcomes
 
 
 def brute_force_cyclically_monotone(plan, dist, max_m=None, tol=VALUE_TOL) -> bool:
@@ -678,7 +782,7 @@ class TestPotentialMatch:
             g = random_tree_graph(rng, n)
             t = ot.random_spanning_tree(g, rng)
             mu, nu = random_measure_pair(rng, n)
-            if not ot.check_weak_nondegeneracy(mu, nu, g).holds:
+            if not ot.check_weak_nondegeneracy(mu, nu, g):
                 continue
             hits += 1
             sol = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu)

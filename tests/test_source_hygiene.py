@@ -8,7 +8,9 @@ status and stop codes of ``_kernel.c``'s enum are those ``_kernels.py``
 reads, only ``_kernels._c_call`` turns arrays and generators into C
 pointers, ``_kernel.c`` compiles without a warning, and it exports exactly
 the functions that ``_kernels.py`` declares, each returning an ``int``
-status and taking its reference kernel's argument list. Every package name that the
+status and taking its reference kernel's argument list, and every kernel
+has a caller in the package outside ``_kernels.py``, so none is kept for
+parity tests alone. Every package name that the
 benchmark harness (``perfbench/``) reads still resolves, so removing one
 fails here rather than in the benchmark.
 
@@ -389,7 +391,7 @@ def abi_mismatches(py_source: str, c_source: str) -> list[str]:
 
 def test_every_c_prototype_matches_its_declaration():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert len(c_prototypes(source)) == len(_kernels.C_SIGNATURES) == 10
+    assert len(c_prototypes(source)) == len(_kernels.C_SIGNATURES) == 9
     assert signature_mismatches(source) == []
 
 
@@ -421,7 +423,7 @@ def test_the_abi_check_flags_a_dropped_or_renamed_argument():
         # a parameter dropped
         "const int64_t *by_source, double *out)": "double *out)",
         # the generator's state words under another name
-        "uint64_t *rng, const double *xi,": "uint64_t *words, const double *xi,",
+        "uint64_t *rng, int64_t *parent,": "uint64_t *words, int64_t *parent,",
     }
     for old, new in py_mutants.items():
         assert py_source.count(old) == 1
@@ -437,7 +439,7 @@ def test_the_prototype_check_flags_a_mismatched_copy():
         # a parameter dropped
         " double sign_at_zero,\n": "\n",
         # double and int64_t swapped
-        "int64_t samples, double tol": "double samples, int64_t tol",
+        "int64_t max_iters, double beta0": "double max_iters, int64_t beta0",
     }
     for old, new in mutants.items():
         assert source.count(old) == 1
@@ -450,6 +452,34 @@ def test_the_export_scan_flags_what_it_looks_for():
               "double treeot_array_sum(const double *a, int64_t n)\n{\n}\n"
               "int treeot_wilson(int64_t n,\n                  double *w)\n{\n}\n")
     assert exported_functions(source) == {"treeot_array_sum", "treeot_wilson"}
+
+
+def kernel_calls(source: str) -> set[str]:
+    """Names of the methods that a source calls on ``kernels()``, as in
+    ``_kernels.kernels().dp_plan(...)``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Call)):
+            callee = node.func.value.func
+            if getattr(callee, "attr", getattr(callee, "id", None)) == "kernels":
+                found.add(node.func.attr)
+    return found
+
+
+def test_every_kernel_is_called_by_the_package():
+    called = set().union(*(kernel_calls(path.read_text(encoding="utf-8"))
+                           for path in PACKAGE if path.name != "_kernels.py"))
+    assert sorted(set(_kernels.C_SIGNATURES) - called) == []
+
+
+def test_the_caller_scan_flags_what_it_looks_for():
+    source = ("from . import _kernels\n"
+              "a = _kernels.kernels().dp_plan(t, xi, 0.0)\n"
+              "b = kernels().tree_pairs(t, x, y, None)\n"
+              "c = _kernels.wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, root)\n"
+              "d = other().subtree_sums(t, xi)\n")
+    assert kernel_calls(source) == {"dp_plan", "tree_pairs"}
 
 
 def layer_functions(source: str) -> list[str]:

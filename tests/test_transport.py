@@ -47,6 +47,15 @@ class TestMeasures:
         with pytest.raises(MassMismatchError):
             ot.imbalance([0.7, 0.4], [0.5, 0.5])
 
+    def test_mass_messages_print_plain_numbers(self):
+        # numpy 2 scalars repr as np.float64(...); the messages show the number
+        with pytest.raises(MassMismatchError) as caught:
+            ot.as_measure([0.5, 0.2])
+        assert str(caught.value) == "measure mass 0.7 is not 1"
+        with pytest.raises(MassMismatchError) as caught:
+            ot.imbalance([0.5, 0.5], [0.2, 0.2])
+        assert str(caught.value) == "imbalance sums to 0.6, not 0"
+
     def test_negative_measure_rejected(self):
         with pytest.raises(NegativeMassError):
             ot.as_measure([1.2, -0.2])
