@@ -8,6 +8,10 @@
  * function allocates its own scratch and frees it on every return, or
  * returns NO_MEMORY; the static helpers take theirs from the caller.
  *
+ * No tree is proven here: the tree passes take the links, order and depths
+ * of a RootedTree, proven in numpy alike on every backend, whose order lists
+ * the vertices by decreasing depth, then increasing id (leaves first).
+ *
  * Every floating-point operation happens in the same order as in the Python
  * kernels, and the library is built with -ffp-contract=off and without
  * fast-math, so no multiply-add is fused and the results are bit-identical.
@@ -94,9 +98,6 @@ enum {
     FLOW_BAD_COST = 7,
     FLOW_BUDGET = 8,
     FLOW_INFEASIBLE = 9,
-    TREE_NOT_ROOTED = 10,
-    TREE_BAD_PARENT = 11,
-    TREE_UNREACHED = 12,
     STOP_MAX_ITERS = 13,
     STOP_TARGET = 14,
     STOP_CERTIFIED = 15,
@@ -456,65 +457,6 @@ int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
     return status;
 }
 
-/* child_csr of _kernels.py, by counting sort: the children of v, in
- * increasing id order, are child_idx[child_ptr[v] .. child_ptr[v + 1]). fill
- * holds n slots. Returns TREE_BAD_PARENT, before it writes child_idx, when a
- * link is below -1 or not below n, else CHAIN_OK. */
-static int child_lists(int64_t n, const int64_t *parent, int64_t *child_ptr, int64_t *child_idx,
-                       int64_t *fill)
-{
-    memset(child_ptr, 0, (size_t)(n + 1) * sizeof *child_ptr);
-    for (int64_t v = 0; v < n; v++) {
-        const int64_t p = parent[v];
-        if (p < -1 || p >= n)
-            return TREE_BAD_PARENT;
-        if (p >= 0)
-            child_ptr[p + 1]++;
-    }
-    for (int64_t v = 0; v < n; v++)
-        child_ptr[v + 1] += child_ptr[v];
-    memcpy(fill, child_ptr, (size_t)n * sizeof *fill);
-    for (int64_t v = 0; v < n; v++)
-        if (parent[v] >= 0)
-            child_idx[fill[parent[v]]++] = v;
-    return CHAIN_OK;
-}
-
-/* tree_order of _kernels.py: order (leaves first, root last) and depth of
- * the tree that parent roots at root. Its scratch, work_i, holds 4n + 1
- * slots: the child lists, child_lists' fill cursors and the walk's stack.
- * Returns CHAIN_OK, a TREE_* code or NO_MEMORY; with parent[root] == -1 and
- * every link in range no vertex is pushed twice, so the stack and order stay
- * within n slots. */
-int treeot_tree_order(int64_t n, const int64_t *parent, int64_t root, int64_t *order,
-                      int64_t *depth)
-{
-    if (root < 0 || root >= n || parent[root] != -1)
-        return TREE_NOT_ROOTED;
-    int64_t *work_i = scratch(4 * n + 1, sizeof *work_i, 0);
-    if (!work_i)
-        return NO_MEMORY;
-    int64_t *child_ptr = work_i, *child_idx = work_i + n + 1, *stack = child_idx + 2 * n;
-    int status = child_lists(n, parent, child_ptr, child_idx, child_idx + n);
-    if (status == CHAIN_OK) {
-        depth[root] = 0;
-        stack[0] = root;
-        int64_t top = 1, pos = n;
-        while (top > 0) {
-            const int64_t v = stack[--top];
-            order[--pos] = v;
-            for (int64_t j = child_ptr[v]; j < child_ptr[v + 1]; j++) {
-                const int64_t c = child_idx[j];
-                depth[c] = depth[v] + 1;
-                stack[top++] = c;
-            }
-        }
-        status = pos ? TREE_UNREACHED : CHAIN_OK;
-    }
-    free(work_i);
-    return status;
-}
-
 /* subtree_sums of _kernels.py: out goes from vertex values to subtree sums. */
 int treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
 {
@@ -575,11 +517,11 @@ static int64_t key_pop(double *hd, int64_t *hv, int64_t size)
     return size;
 }
 
-/* dp_plan of _kernels.py, on a tree that tree_order has proven, whose order
- * it walks. xi is changed in place; out_x, out_y and out_m hold n slots, and
- * out_k receives {count, u}. Its scratch, work, holds 5n slots: the token
- * links, then the heads and the tails of every vertex's supplies (at 2v)
- * and demands (at 2v + 1). Returns 0, PLAN_NO_MATCH or NO_MEMORY. */
+/* dp_plan of _kernels.py, on a proven tree, whose order it walks. xi is
+ * changed in place; out_x, out_y and out_m hold n slots, and out_k receives
+ * {count, u}. Its scratch, work, holds 5n slots: the token links, then the
+ * heads and the tails of every vertex's supplies (at 2v) and demands (at
+ * 2v + 1). Returns 0, PLAN_NO_MATCH or NO_MEMORY. */
 int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, double *xi,
                    double zero_tol, int64_t *out_x, int64_t *out_y, double *out_m, int64_t *out_k)
 {
@@ -823,10 +765,10 @@ done:
     return status;
 }
 
-/* tree_pairs of _kernels.py, on a tree that tree_order has proven. With mass
- * NULL, out[i] is the tree distance of pair i; otherwise out holds 2 n zeros
- * and gains mass[i] at out[a] for every edge pair i climbs from child a and
- * at out[n + b] for every edge it descends to child b. */
+/* tree_pairs of _kernels.py, on a proven tree. With mass NULL, out[i] is
+ * the tree distance of pair i; otherwise out holds 2 n zeros and gains
+ * mass[i] at out[a] for every edge pair i climbs from child a and at
+ * out[n + b] for every edge it descends to child b. */
 int treeot_tree_pairs(int64_t n, const int64_t *parent, const int64_t *depth, const double *wpar,
                       int64_t k, const int64_t *xs, const int64_t *ys, const double *mass,
                       double *out)

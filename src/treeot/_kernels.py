@@ -1,18 +1,18 @@
 """The annealing, random-tree, tree-pass, transport-plan, exact-flow and
 pair-distance kernels and the backends that run them.
 
-``anneal_chain``, ``wilson_tree``, ``tree_order``, ``subtree_sums``,
-``tree_potential``, ``dp_plan``, ``network_simplex``, ``tree_pairs`` and
-``pair_distances`` below are the reference kernels in plain Python.
+``anneal_chain``, ``wilson_tree``, ``subtree_sums``, ``tree_potential``,
+``dp_plan``, ``network_simplex``, ``tree_pairs`` and ``pair_distances``
+below are the reference kernels in plain Python.
 ``anneal_chain`` moves between rooted spanning trees through five step
 functions, the one statement of the swap arithmetic and of the stop:
 ``propose_root`` draws the candidate root, ``swap_delta`` scores the swap
 on its cycle, ``apply_swap`` makes it, ``update_beta`` adapts the
 temperature, and ``certify`` proves the best tree optimal (its tree
 potential is 1-Lipschitz on every graph edge), which ends the chain.
-``tree_order`` orients a tree given by parent links (leaves-first order and
-depths), ``subtree_sums`` is the leaves-to-root pass and ``tree_potential``
-the root-to-leaves one. ``dp_plan`` builds the dynamic-programming
+``subtree_sums`` is the leaves-to-root pass along a tree's ``order`` (by
+decreasing depth, then increasing id, from the tree's numpy proof, the same
+on every backend) and ``tree_potential`` the root-to-leaves one. ``dp_plan`` builds the dynamic-programming
 transport plan in one leaves-first pass along a tree's ``order``: each
 vertex matches the supplies and demands that meet there and hands the rest,
 of one sign, to its parent. ``network_simplex`` is the exact oracle's
@@ -49,10 +49,10 @@ the chain takes both:
 ``TREEOT_BACKEND`` names the backend. Unset, c is used if it loads, else
 python with a warning. A named backend that cannot load, or an unknown name,
 raises :class:`KernelBackendError`; there is no silent fallback. Traces,
-trees, orders, sums, potentials, plans, exact flows and distances are
-bit-identical between backends: both draw from the caller's generator in
-the same way and leave it at the same position, and do the same arithmetic
-in the same order without fused multiply-adds.
+trees, sums, potentials, plans, exact flows and distances are bit-identical
+between backends: both draw from the caller's generator in the same way and
+leave it at the same position, and do the same arithmetic in the same order
+without fused multiply-adds.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import KernelBackendError, NotSpanningError, VertexRangeError
+from .errors import KernelBackendError, VertexRangeError
 # graphs and trees import this module in turn; treeot/__init__ imports it
 # first, so both are complete before any method reads these names
 from .graphs import WeightedGraph
@@ -85,11 +85,6 @@ PLAN_NO_MATCH = 5
 FLOW_BAD_COST = 7
 FLOW_BUDGET = 8
 FLOW_INFEASIBLE = 9
-# tree_order's statuses besides 0, shared with _kernel.c
-TREE_NOT_ROOTED = 10
-TREE_BAD_PARENT = 11
-TREE_UNREACHED = 12
-_NOT_A_TREE = "parent links are not a tree rooted at {root}: "
 # a C kernel's status when it cannot allocate its scratch, shared with _kernel.c
 NO_MEMORY = 16
 #: the exception type and message of every failure status, the only place a
@@ -104,9 +99,6 @@ _STATUS_ERRORS = {
     FLOW_BAD_COST: (RuntimeError, "an arc cost is negative or not finite"),
     FLOW_BUDGET: (RuntimeError, "pivot budget exhausted"),
     FLOW_INFEASIBLE: (RuntimeError, "the supplies cannot be met on these arcs"),
-    TREE_NOT_ROOTED: (NotSpanningError, _NOT_A_TREE + "the root is out of range or has a parent link"),
-    TREE_BAD_PARENT: (NotSpanningError, _NOT_A_TREE + "a parent link is out of range"),
-    TREE_UNREACHED: (NotSpanningError, _NOT_A_TREE + "parent links do not reach every vertex"),
     NO_MEMORY: (MemoryError, "C kernel stopped: its scratch space could not be allocated"),
 }
 # why anneal_chain stopped, shared with _kernel.c
@@ -179,15 +171,6 @@ class Kernels:
         _check_status(self._run["wilson_tree"](n, graph.indptr, graph.indices, graph.weights, rng,
                                                parent, wpar, root))
         return int(root[0]), parent, wpar
-
-    def tree_order(self, root, parent):
-        """``(order, depth)`` of :func:`tree_order`, both int64 arrays, or a
-        ``NotSpanningError``."""
-        n = parent.shape[0]
-        _check_arrays("tree order", ((parent, n),), ())
-        order, depth = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        _check_status(self._run["tree_order"](n, parent, int(root), order, depth), root=root)
-        return order, depth
 
     def subtree_sums(self, tree, values):
         """:func:`subtree_sums` of ``values`` on the tree, a new float64 array."""
@@ -315,18 +298,6 @@ def _load_python() -> Kernels:
     return Kernels("python", {name: globals()[name] for name in C_SIGNATURES})
 
 
-def child_csr(parent):
-    """The children of every vertex as a CSR ``(child_ptr, child_idx)``: the
-    children of ``v`` are ``child_idx[child_ptr[v]:child_ptr[v + 1]]``, in
-    increasing id order (a stable argsort of ``parent``). Vertices with a
-    negative parent are nobody's child; the others must be below n."""
-    n = parent.shape[0]
-    child_idx = np.argsort(parent, kind="stable")[np.count_nonzero(parent < 0):]
-    child_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(parent[child_idx], minlength=n), out=child_ptr[1:])
-    return child_ptr, child_idx
-
-
 def _proven(kernel: str, obj, kind: type) -> None:
     """Raise ``TypeError`` unless ``obj`` is a ``kind``, whose construction
     proved the graph or tree that the kernel walks."""
@@ -416,7 +387,6 @@ C_SIGNATURES = {
     "wilson_tree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     "dp_plan": [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
     "network_simplex": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR],
-    "tree_order": [_I64, _PTR, _I64, _PTR, _PTR],
     "subtree_sums": [_I64, _PTR, _PTR, _PTR],
     "tree_potential": [_I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR],
     "tree_pairs": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
@@ -769,38 +739,6 @@ def wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_root):
     return 0
 
 
-def tree_order(n, parent, root, order, depth):
-    """Write the leaves-first ``order`` (root last) and the ``depth`` of the
-    tree that the int64 array ``parent`` roots at ``root``; return 0 or a
-    ``TREE_*`` status.
-
-    A depth-first walk pops a vertex, gives it the last free slot of
-    ``order`` and pushes its children in increasing id order (the
-    :func:`child_csr`, which ``_kernel.c`` builds by counting sort). With
-    ``parent[root] == -1`` and every other link in range, a vertex is pushed
-    only when its parent is popped, so at most once: the walk stops within n
-    pops, and ``TREE_UNREACHED`` reports the vertices it missed.
-    """
-    if not 0 <= root < n or parent[root] != -1:
-        return TREE_NOT_ROOTED
-    if not (-1 <= parent.min() and parent.max() < n):
-        return TREE_BAD_PARENT
-    child_ptr, child_idx = (a.tolist() for a in child_csr(parent))
-    walk, levels = [0] * n, [0] * n
-    stack = [root]
-    pos = n
-    while stack:
-        v = stack.pop()
-        pos -= 1
-        walk[pos] = v
-        for j in range(child_ptr[v], child_ptr[v + 1]):
-            c = child_idx[j]
-            levels[c] = levels[v] + 1
-            stack.append(c)
-    order[:], depth[:] = walk, levels
-    return TREE_UNREACHED if pos else 0
-
-
 def subtree_sums(n, parent, order, out):
     """Turn the vertex values in ``out`` into subtree sums, in place: along
     the n entries of ``order`` (leaves first), each vertex adds its entry
@@ -1094,8 +1032,7 @@ def tree_pairs(n, parent, depth, wpar, k, xs, ys, mass, out):
     2n zeros, and every edge a pair climbs from child ``a`` adds ``mass[i]``
     to ``out[a]`` (up), every edge it descends to child ``b`` to
     ``out[n + b]`` (down), so each edge adds its pairs' masses in pair
-    order. The links must be a tree that ``tree_order`` has proven, so every
-    walk meets. Returns 0.
+    order. The links must be a proven tree, so every walk meets. Returns 0.
     """
     parent, depth, wpar, xs, ys, values = (a.tolist() for a in (parent, depth, wpar, xs, ys, out))
     mass = None if mass is None else mass.tolist()

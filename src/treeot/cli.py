@@ -363,17 +363,15 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         return {
             "checks": checks,
             "metrics": metrics,
-            "dual_unique": {"value": None, "reason": "the measures are invalid"},
+            "dual_unique": {"value": None, "reason": "the measures are invalid", "sign_at_zero": None},
             "all_passed": False,
         }
 
     tree = fileio.load_tree(tree_path_, g) if tree_path_ else None
-    unique = {"value": None, "reason": "no --tree given"}
+    unique = {"value": None, "reason": "no --tree given", "sign_at_zero": None}
     if tree is not None:
         metrics["tree_cost"] = tree_k_distance(tree, mu, nu)
-        value = dual_unique(g, tree, mu, nu)
-        unique = {"value": value,
-                  "reason": "the tree is not certified optimal" if value is None else None}
+        unique = _dual_verdict(g, tree, mu, nu)
 
     plan = None
     if plan_path:
@@ -448,6 +446,17 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         "dual_unique": unique,
         "all_passed": all(c["passed"] for c in checks),
     }
+
+
+def _dual_verdict(g: WeightedGraph, tree, mu, nu) -> dict:
+    """``dual_unique`` with sign +1 where the tree potential is exactly 0,
+    and with sign -1 when the sign +1 potential is not certified: the value,
+    why it is null, and the sign whose potential was certified."""
+    for sign in (1, -1):
+        value = dual_unique(g, tree, mu, nu, sign_at_zero=sign)
+        if value is not None:
+            return {"value": value, "reason": None, "sign_at_zero": sign}
+    return {"value": None, "reason": "the tree is not certified optimal", "sign_at_zero": None}
 
 
 def cmd_export_dot(args) -> int:

@@ -161,8 +161,8 @@ def load_measure_raw(path, n: int) -> np.ndarray:
     return values
 
 
-def load_measure(path, n: int, normalize: bool = True) -> np.ndarray:
-    return as_measure(load_measure_raw(path, n), n, normalize=normalize)
+def load_measure(path, n: int) -> np.ndarray:
+    return as_measure(load_measure_raw(path, n), n, normalize=True)
 
 
 def save_plan(path, plan: TransportPlan) -> None:

@@ -21,7 +21,7 @@ from .errors import NonFiniteWeightError, NonPositiveWeightError, NotSpanningErr
 from .graphs import WeightedGraph
 from .transport import (Potential, TransportPlan, _assemble_plan, _support_distances, as_measure,
                         cumulative_imbalance, imbalance, tree_potential)
-from .trees import RootedTree
+from .trees import RootedTree, _climb
 
 #: Default tolerance for optimality and duality identities.
 VALUE_TOL = 1e-9
@@ -287,14 +287,11 @@ def check_cyclical_monotonicity(
 
 
 def _has_cycle(parent: np.ndarray) -> bool:
-    """Whether the links ``parent`` (-1 for none) close a cycle: after
-    2^k >= n hops by pointer doubling, a vertex whose links end at a root
-    has reached the sink n, and one whose links run into a cycle has not."""
-    n = parent.shape[0]
-    hop = np.append(np.where(parent < 0, n, parent), n)
-    for _ in range(n.bit_length()):
-        hop = hop[hop]
-    return bool(np.any(hop[:n] != n))
+    """Whether the links ``parent`` (-1 for none) close a cycle: climbed by
+    :func:`treeot.trees._climb`, a vertex whose links run into a cycle tops
+    out on a vertex that has a link."""
+    _, top = _climb(parent)
+    return bool(np.any(parent[top] >= 0))
 
 
 def check_vertex_support(plan: TransportPlan) -> dict:

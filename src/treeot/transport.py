@@ -3,7 +3,7 @@
 Closed forms driven by the cumulative imbalance of mu - nu over subtrees:
 distance, dual potential, Beckmann flow, the sign-alternating closed-form plan,
 and a dynamic-programming construction of an optimal plan for arbitrary
-measure pairs.
+measure pairs. Each checks its measures with :func:`as_measure`.
 """
 
 from __future__ import annotations
@@ -69,13 +69,19 @@ def cumulative_imbalance(t: RootedTree, xi) -> np.ndarray:
     return subtree_aggregate(t, xi)
 
 
+def _tree_imbalance(t: RootedTree, mu, nu) -> np.ndarray:
+    """Cumulative imbalance of mu - nu on the tree, once :func:`as_measure`
+    has checked both measures."""
+    return cumulative_imbalance(t, imbalance(as_measure(mu, t.n), as_measure(nu, t.n)))
+
+
 def tree_k_distance(t: RootedTree, mu, nu) -> float:
     """Transport cost between mu and nu under the tree metric.
 
     Equals the sum over non-root vertices of w(x, parent) * |cumulative
     imbalance at x|; invariant under the choice of root.
     """
-    xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
+    xi_cum = _tree_imbalance(t, mu, nu)
     mask = t.parent >= 0
     return float(np.sum(t.weight_to_parent[mask] * np.abs(xi_cum[mask])))
 
@@ -90,7 +96,7 @@ def tree_potential(t: RootedTree, mu, nu, sign_at_zero: int = +1) -> "Potential"
     """
     if sign_at_zero not in (+1, -1):
         raise ValueError("sign_at_zero must be +1 or -1")
-    xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
+    xi_cum = _tree_imbalance(t, mu, nu)
     u = _kernels.kernels().tree_potential(t, xi_cum, sign_at_zero)
     u.setflags(write=False)
     return Potential(values=u, anchor=t.root)
@@ -130,7 +136,7 @@ class Flow:
 
 def beckmann_flow(t: RootedTree, mu, nu) -> Flow:
     """Optimal flow on the tree: positive/negative parts of the cumulative imbalance."""
-    xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
+    xi_cum = _tree_imbalance(t, mu, nu)
     up = np.where(t.parent >= 0, np.maximum(xi_cum, 0.0), 0.0)
     down = np.where(t.parent >= 0, np.maximum(-xi_cum, 0.0), 0.0)
     up.setflags(write=False)
@@ -260,7 +266,7 @@ def _support_distances(plan: TransportPlan, dist) -> np.ndarray:
 def check_alternating_condition(t: RootedTree, mu, nu) -> bool:
     """True iff the cumulative imbalance strictly alternates sign between every
     non-root vertex and each of its children."""
-    xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
+    xi_cum = _tree_imbalance(t, mu, nu)
     c = np.flatnonzero((t.parent >= 0) & (t.parent != t.root))
     return not np.any(xi_cum[c] * xi_cum[t.parent[c]] >= 0.0)
 
@@ -271,8 +277,8 @@ def closed_form_plan(t: RootedTree, mu, nu) -> TransportPlan:
     parent and the remainder stays on the diagonal."""
     if not check_alternating_condition(t, mu, nu):
         raise ConditionViolatedError("cumulative imbalance does not alternate signs")
-    mu = np.asarray(mu, dtype=np.float64)
-    xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
+    mu = as_measure(mu, t.n)
+    xi_cum = _tree_imbalance(t, mu, nu)
     child = np.flatnonzero(t.parent >= 0)
     parent = t.parent[child]
     # mass each vertex sends to its children, added in child order
@@ -335,6 +341,6 @@ def line_w1(points, mu, nu) -> float:
         raise VertexRangeError("points must be a flat, non-empty array")
     if np.any(np.diff(x) <= 0.0):
         raise VertexRangeError("points must be strictly increasing")
-    xi = imbalance(mu, nu)
+    xi = imbalance(as_measure(mu, x.shape[0]), as_measure(nu, x.shape[0]))
     cdf_gap = np.cumsum(xi)[:-1]
     return float(np.sum(np.diff(x) * np.abs(cdf_gap)))

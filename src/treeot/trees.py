@@ -17,13 +17,14 @@ class RootedTree:
 
     ``parent[v]`` is the unique out-neighbour of ``v`` (-1 at the root) and
     ``weight_to_parent[v]`` the weight of that edge. Construction copies both
-    read-only and proves once, by the backend's ``tree_order``, that the links
-    root a spanning tree at ``root`` (else ``NotSpanningError``, or
-    ``VertexRangeError`` for links that are not integers or shapes that
-    differ). That walk derives ``order``, the vertices leaves-first, so one
-    forward pass aggregates child values into parents, and ``depth[v]``, the
-    edges from ``v`` to the root. No child lists are kept;
-    :func:`treeot._kernels.child_csr` derives them from ``parent``.
+    read-only and proves once, in numpy alike on every kernel backend
+    (:func:`_climb`), that the links root a spanning tree at ``root`` (else
+    ``NotSpanningError``, or ``VertexRangeError`` for links that are not
+    integers or shapes that differ). The proof gives ``depth[v]``, the edges
+    from ``v`` to the root, and ``order``: the vertices by decreasing depth,
+    then increasing id, so one forward pass aggregates child values into
+    parents, each parent taking its children's in increasing id order. No
+    child lists are kept.
     """
 
     root: int
@@ -38,10 +39,18 @@ class RootedTree:
         if parent.ndim != 1 or wpar.shape != parent.shape:
             raise VertexRangeError(f"parent links of shape {parent.shape} do not match weights "
                                    f"of shape {wpar.shape}")
-        order, depth = _kernels.kernels().tree_order(self.root, parent)
-        object.__setattr__(self, "root", int(self.root))
-        for name, a in (("parent", parent), ("weight_to_parent", wpar), ("order", order),
-                        ("depth", depth)):
+        n, root = parent.shape[0], int(self.root)
+        not_a_tree = f"parent links are not a tree rooted at {self.root}: "
+        if not 0 <= root < n or parent[root] != -1:
+            raise NotSpanningError(not_a_tree + "the root is out of range or has a parent link")
+        if parent.min() < -1 or parent.max() >= n:
+            raise NotSpanningError(not_a_tree + "a parent link is out of range")
+        depth, top = _climb(parent)
+        if np.any(top != root):
+            raise NotSpanningError(not_a_tree + "parent links do not reach every vertex")
+        object.__setattr__(self, "root", root)
+        for name, a in (("parent", parent), ("weight_to_parent", wpar),
+                        ("order", np.argsort(-depth, kind="stable")), ("depth", depth)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -56,6 +65,21 @@ class RootedTree:
             for v, p in enumerate(self.parent.tolist())
             if p >= 0
         }
+
+
+def _climb(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(depth, top)`` of the links ``parent`` (-1 for none, the others in
+    range) by pointer doubling: roots link to themselves, and each of
+    ``n.bit_length()`` rounds adds the depth at a vertex's link and follows
+    the link's link. ``top[v]`` is the root that v's links reach, with
+    ``depth[v]`` the edges to it, or a vertex of the cycle they run into."""
+    n = parent.shape[0]
+    top = np.where(parent < 0, np.arange(n), parent)
+    depth = (parent >= 0).astype(np.int64)
+    for _ in range(n.bit_length()):
+        depth += depth[top]
+        top = top[top]
+    return depth, top
 
 
 def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:

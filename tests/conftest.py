@@ -194,28 +194,48 @@ def children_lists(parent) -> list[list[int]]:
 
 
 def reference_order_depth(root, parent):
-    """``order`` and ``depth`` of a rooted tree by a depth-first walk over
-    per-vertex child lists: children are pushed in increasing id order, and
-    each popped vertex takes the last free slot of ``order``, so leaves come
-    first and the root last. ``None`` unless the links root a spanning tree at
+    """``order`` and ``depth`` of a rooted tree in plain loops: each vertex
+    climbs its links to the root, counting the edges, and ``order`` sorts the
+    vertices by decreasing depth, then increasing id, so leaves come first
+    and the root last. ``None`` unless the links root a spanning tree at
     ``root``: the root in range with link -1, every link in -1..n-1 and every
-    vertex reached by the walk."""
+    vertex climbing to the root within n links (none to another root or
+    round a cycle)."""
     n = len(parent)
     if not (0 <= root < n and parent[root] == -1 and all(-1 <= p < n for p in parent)):
         return None
+    depth = [-1] * n
+    depth[root] = 0
+    for v in range(n):
+        # climb to a vertex of known depth, then count back down
+        path, u = [], v
+        while depth[u] < 0:
+            path.append(u)
+            u = parent[u]
+            if u < 0 or len(path) > n:
+                return None
+        for w in reversed(path):
+            depth[w] = depth[parent[w]] + 1
+    order = sorted(range(n), key=lambda v: (-depth[v], v))
+    return np.array(order, dtype=np.int64), np.array(depth, dtype=np.int64)
+
+
+def reference_child_sums(parent, values):
+    """Subtree sums in plain loops, by recursion over child lists made
+    explicit: each vertex starts from its own value and adds the finished
+    sum of each child, children in increasing id order."""
     kids = children_lists(parent)
-    depth = np.zeros(n, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    stack = [root]
-    pos = n
+    out = [float(x) for x in values]
+    stack = [(parent.index(-1), False)]
     while stack:
-        v = stack.pop()
-        pos -= 1
-        order[pos] = v
-        for c in kids[v]:
-            depth[c] = depth[v] + 1
-            stack.append(c)
-    return None if pos else (order, depth)
+        v, children_done = stack.pop()
+        if children_done:
+            for c in kids[v]:
+                out[v] += out[c]
+        else:
+            stack.append((v, True))
+            stack.extend((c, False) for c in kids[v])
+    return np.array(out)
 
 
 def reference_csr_verdict(n, indptr, indices, weights):

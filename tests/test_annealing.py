@@ -8,6 +8,7 @@ import pytest
 import treeot as ot
 
 from treeot import _kernels, annealing
+from treeot.trees import RootedTree
 
 from conftest import (
     SwapChain,
@@ -334,10 +335,10 @@ class TestChainEntry:
     def test_one_anneal_proves_three_trees(self, backend_name, monkeypatch):
         proofs = []
         kernels = _kernels._LOADERS[backend_name]()
-        order = kernels._run["tree_order"]
-        # tree_order(n, parent, root, order, depth): record the root of each proof
-        monkeypatch.setitem(kernels._run, "tree_order",
-                            lambda *args: proofs.append(args[2]) or order(*args))
+        prove = RootedTree.__post_init__
+        # record the root of each tree proven
+        monkeypatch.setattr(RootedTree, "__post_init__",
+                            lambda t: proofs.append(t.root) or prove(t))
         monkeypatch.setattr(_kernels, "kernels", lambda: kernels)
         g = ot.grid_graph(4)
         mu, nu = noisy_grid_measures(4, seed=1)

@@ -7,10 +7,11 @@ import pytest
 
 import treeot as ot
 from treeot import fileio
-from treeot.cli import _build_parser, export_dot, main
+from treeot.cli import _build_parser, _dual_verdict, export_dot, main
 from treeot.oracle import geodesic_support_violation
 
 from conftest import LINE6_XI, line6_edges, network_simplex_w1, run_python
+from test_oracle import optimal_tree_corpus
 
 
 def run_cli(*argv):
@@ -525,7 +526,8 @@ class TestPlanPotentialCommands:
         assert run_cli("verify", *files, "--potential", str(tmp_path / "u" / "potential.csv"),
                        "--exact") == 3
         verdict = json.loads(capsys.readouterr().out)
-        assert verdict["dual_unique"] == {"value": None, "reason": "the tree is not certified optimal"}
+        assert verdict["dual_unique"] == {"value": None, "reason": "the tree is not certified optimal",
+                                          "sign_at_zero": None}
         assert "potential_matches_exact_dual" not in {c["name"] for c in verdict["checks"]}
 
     def test_sign_at_zero_flag(self, line6_files):
@@ -611,7 +613,7 @@ class TestVerifyCommand:
         assert verdict["metrics"]["exact_pivots"] == ot.solve(g, mu, nu).pivots > 0
         # the paper's condition fails on line6, yet the dual is unique
         assert not ot.check_weak_nondegeneracy(mu, nu, g)
-        assert verdict["dual_unique"] == {"value": True, "reason": None}
+        assert verdict["dual_unique"] == {"value": True, "reason": None, "sign_at_zero": 1}
         named = {c["name"]: c for c in verdict["checks"]}
         assert named["potential_matches_exact_dual"]["passed"]
 
@@ -624,7 +626,7 @@ class TestVerifyCommand:
                        "--exact")
         verdict = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert verdict["dual_unique"] == {"value": True, "reason": None}
+        assert verdict["dual_unique"] == {"value": True, "reason": None, "sign_at_zero": 1}
         named = {c["name"]: c for c in verdict["checks"]}
         assert named["potential_matches_exact_dual"]["passed"]
 
@@ -635,9 +637,36 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run_cli("verify", *files, "--potential", str(d / "u" / "potential.csv"), "--exact") == 0
         verdict = json.loads(capsys.readouterr().out)
-        assert verdict["dual_unique"] == {"value": None, "reason": "no --tree given"}
+        assert verdict["dual_unique"] == {"value": None, "reason": "no --tree given", "sign_at_zero": None}
         names = {c["name"] for c in verdict["checks"]}
         assert "potential_duality_exact" in names and "potential_matches_exact_dual" not in names
+
+    def test_the_dual_falls_back_to_sign_minus_one(self, tmp_path, capsys):
+        # verify takes dual_unique with sign +1 and, where that tree potential
+        # is not certified, with sign -1; where both certify they agree
+        verdicts, plus_nulls, minus_only = [], 0, None
+        for g, t, mu, nu in optimal_tree_corpus():
+            plus, minus = (ot.dual_unique(g, t, mu, nu, sign_at_zero=s) for s in (1, -1))
+            assert plus is None or minus is None or plus is minus
+            expected = (plus, 1) if plus is not None else (minus, -1 if minus is not None else None)
+            verdict = _dual_verdict(g, t, mu, nu)
+            assert (verdict["value"], verdict["sign_at_zero"]) == expected
+            assert verdict["reason"] == (None if expected[1] else "the tree is not certified optimal")
+            verdicts.append(verdict["value"])
+            plus_nulls += plus is None
+            if plus is None and minus is not None and minus_only is None:
+                minus_only = g, t, mu, nu
+        assert verdicts.count(None) + 10 <= plus_nulls, (verdicts.count(None), plus_nulls)
+
+        g, t, mu, nu = minus_only
+        fileio.save_graph(tmp_path / "graph.json", g)
+        fileio.save_tree(tmp_path / "tree.json", t)
+        fileio.save_measure(tmp_path / "mu.json", mu)
+        fileio.save_measure(tmp_path / "nu.json", nu)
+        run_cli("verify", *(f"--{name}={tmp_path / name}.json" for name in ("graph", "tree", "mu", "nu")))
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["dual_unique"] == {"value": ot.dual_unique(g, t, mu, nu, sign_at_zero=-1),
+                                          "reason": None, "sign_at_zero": -1}
 
     def test_tree_checks_build_no_dense_tree_matrix(self, tmp_path, capsys, monkeypatch):
         argv = annealed_4x4_verify(tmp_path)
@@ -737,7 +766,8 @@ class TestVerifyCommand:
         named = {c["name"]: c for c in verdict["checks"]}
         assert named["measure_mass_mu"]["passed"] is False
         assert abs(named["measure_mass_mu"]["violation"] - 0.1) <= 1e-12
-        assert verdict["dual_unique"] == {"value": None, "reason": "the measures are invalid"}
+        assert verdict["dual_unique"] == {"value": None, "reason": "the measures are invalid",
+                                          "sign_at_zero": None}
 
     def test_nan_measure_exit_2(self, line6_files, capsys):
         bad = line6_files / "nan_mu.json"

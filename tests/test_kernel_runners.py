@@ -26,7 +26,6 @@ SIGNATURES = {
     "wilson_tree": "graph rng",
     "dp_plan": "tree xi zero_tol",
     "network_simplex": "supply tail head cost",
-    "tree_order": "root parent",
     "subtree_sums": "tree values",
     "tree_potential": "tree xi_cum sign_at_zero",
     "tree_pairs": "tree xs ys mass",
@@ -59,8 +58,6 @@ KERNEL_CASES = {
     "dp_plan": ["parent-link-minus-2", "parent-link-out-of-range", "short-xi"],
     "network_simplex": ["arc-endpoint-out-of-range", "negative-arc-cost", "int32-tail",
                         "short-tail"],
-    "tree_order": ["parent-link-minus-2", "parent-link-out-of-range", "root-out-of-range",
-                   "int32-parent"],
     "subtree_sums": ["parent-link-minus-2", "parent-link-out-of-range", "short-values"],
     "tree_potential": ["parent-link-minus-2", "parent-link-out-of-range", "short-wpar",
                        "short-xi_cum"],

@@ -169,10 +169,17 @@ def test_rooted_tree_is_proven_alike_on_every_backend(links):
 
     outcomes = built_on_every_backend(orient)
     assert all(o == outcomes[0] for o in outcomes)
-    expected = reference_order_depth(root, parent.tolist())
+    links = parent.tolist()
+    expected = reference_order_depth(root, links)
     if expected is None:
-        assert outcomes[0][0] is NotSpanningError
-        assert outcomes[0][1].startswith(f"parent links are not a tree rooted at {root}: ")
+        n = len(links)
+        if not (0 <= root < n and links[root] == -1):
+            fault = "the root is out of range or has a parent link"
+        elif not all(-1 <= p < n for p in links):
+            fault = "a parent link is out of range"
+        else:
+            fault = "parent links do not reach every vertex"
+        assert outcomes[0] == (NotSpanningError, f"parent links are not a tree rooted at {root}: {fault}")
     else:
         assert outcomes[0] == tuple(a.tolist() for a in expected)
 

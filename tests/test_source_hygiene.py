@@ -242,11 +242,11 @@ def c_enum(source: str) -> dict[str, int]:
 
 def python_codes() -> dict[str, int]:
     """Every status and stop code that ``_kernels`` reads, by its C name: the
-    ``PLAN_*``, ``FLOW_*``, ``TREE_*`` and ``STOP_*`` constants and
+    ``PLAN_*``, ``FLOW_*`` and ``STOP_*`` constants and
     ``NO_MEMORY`` by name, the other keys of the one status table ``_STATUS_ERRORS`` by
     message, and the stop reasons. The table holds every failure status."""
     codes = {name: value for name, value in vars(_kernels).items()
-             if (name.startswith(("PLAN_", "FLOW_", "TREE_", "STOP_")) or name == "NO_MEMORY")
+             if (name.startswith(("PLAN_", "FLOW_", "STOP_")) or name == "NO_MEMORY")
              and isinstance(value, int)}
     by_message = {m: c for c, (_, m) in _kernels._STATUS_ERRORS.items() if c not in codes.values()}
     codes.update({"CHAIN_OK": 0, **{name: by_message.pop(m) for name, m in CODE_MESSAGES.items()}})
@@ -265,7 +265,7 @@ def code_mismatches(source: str) -> list[str]:
 
 def test_kernel_codes_match_the_c_enum():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert len(c_enum(source)) == 16
+    assert len(c_enum(source)) == 13
     assert code_mismatches(source) == []
 
 
@@ -274,10 +274,10 @@ def test_the_code_check_flags_a_mismatched_copy():
     mutants = {
         "STOP_CERTIFIED = 15": "STOP_CERTIFIED = 16",
         "FLOW_BAD_COST = 7,\n    FLOW_BUDGET = 8,": "FLOW_BAD_COST = 8,\n    FLOW_BUDGET = 7,",
-        "    TREE_UNREACHED = 12,\n": "",
+        "    FLOW_INFEASIBLE = 9,\n": "",
         "    STOP_MAX_ITERS = 13,\n": "    STOP_MAX_ITERS = 13,\n    STOP_EXTRA = 16,\n",
         "CHAIN_NO_NEIGHBOUR = 1": "CHAIN_NO_NEIGHBOR = 1",
-        "TREE_BAD_PARENT = 11,": "TREE_BAD_PARENT = 17,",
+        "PLAN_NO_MATCH = 5,": "PLAN_NO_MATCH = 17,",
     }
     for old, new in mutants.items():
         assert source.count(old) == 1
@@ -391,7 +391,7 @@ def abi_mismatches(py_source: str, c_source: str) -> list[str]:
 
 def test_every_c_prototype_matches_its_declaration():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert len(c_prototypes(source)) == len(_kernels.C_SIGNATURES) == 9
+    assert len(c_prototypes(source)) == len(_kernels.C_SIGNATURES) == 8
     assert signature_mismatches(source) == []
 
 

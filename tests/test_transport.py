@@ -76,6 +76,24 @@ class TestMeasures:
         mu = ot.as_measure([2.0, 2.0], normalize=True)
         assert mu.tolist() == [0.5, 0.5]
 
+    #: pairs whose difference balances but which are not probability
+    #: measures; the closed forms once returned a cost for them
+    NOT_MEASURES = {"half-mass": ([0.5, 0, 0], [0, 0, 0.5]),
+                    "double-mass": ([2.0, 0, 0], [0, 0, 2.0]),
+                    "negative-entry": ([-0.5, 1.5, 0], [0, 0, 1.0])}
+
+    @pytest.mark.parametrize("closed_form", ["tree_k_distance", "tree_potential", "beckmann_flow",
+                                             "check_alternating_condition", "closed_form_plan",
+                                             "line_w1"])
+    @pytest.mark.parametrize("pair", NOT_MEASURES)
+    def test_closed_forms_refuse_what_is_not_a_measure(self, closed_form, pair):
+        g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        on = [0.0, 1.0, 2.0] if closed_form == "line_w1" else ot.root_tree(g, [(0, 1), (1, 2)], 2)
+        mu, nu = self.NOT_MEASURES[pair]
+        kind = NegativeMassError if pair == "negative-entry" else MassMismatchError
+        with pytest.raises(kind):
+            getattr(ot, closed_form)(on, mu, nu)
+
 
 class TestCumulativeImbalance:
     def test_cumulative_rows_every_root(self, line6):

@@ -15,6 +15,7 @@ from treeot.trees import RootedTree
 from conftest import (
     c_compiler_found,
     compiled_backends,
+    degenerate_measures,
     dfs_tree_distance_matrix,
     line6_edges,
     line_graph,
@@ -22,6 +23,7 @@ from conftest import (
     random_measure_pair,
     raised,
     random_tree_graph,
+    reference_child_sums,
     reference_order_depth,
     reference_root_tree,
     reference_subtree_sums,
@@ -164,13 +166,25 @@ class TestRootTree:
         below = t.parent >= 0
         assert np.all(rank[t.parent[below]] > rank[below])
 
-    def test_order_and_depth_match_the_child_list_walk(self, pass_trees):
+    def test_order_and_depth_match_the_plain_climb(self, pass_trees):
         trees = [t for t, _, _ in pass_trees]
         assert len(trees) >= 1000
         for t in trees:
             order, depth = reference_order_depth(t.root, t.parent.tolist())
             assert np.array_equal(t.order, order) and np.array_equal(t.depth, depth)
             assert t.order.dtype == t.depth.dtype == np.int64
+
+    def test_sums_along_order_add_children_in_increasing_id_order(self, pass_trees):
+        # along the order every parent takes its children's finished sums in
+        # increasing id order, so the sums are bit for bit the recursion's
+        rng = np.random.default_rng(31)
+        cases = [(t, ot.imbalance(mu, nu)) for t, mu, nu in pass_trees]
+        cases += [(t, ot.imbalance(*degenerate_measures(rng, t.n))) for t, _, _ in pass_trees
+                  if t.n >= 2]
+        assert len(cases) >= 2000
+        for t, xi in cases:
+            expected = reference_child_sums(t.parent.tolist(), xi)
+            assert bits(ot.subtree_aggregate(t, xi)) == bits(expected)
 
     def test_weights_copied_from_graph(self):
         g = ot.build_graph(3, [(0, 1, 0.25), (1, 2, 0.75)])
@@ -459,8 +473,8 @@ BACKENDS = ["python", *compiled_backends()]
 
 
 class TestTreePassParity:
-    """``tree_order``, ``subtree_sums`` and ``tree_potential`` give the
-    former Python loops' results bit for bit on every backend."""
+    """The tree's order and depth, ``subtree_sums`` and ``tree_potential``
+    give the plain loops' results bit for bit on every backend."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_orders_sums_and_potentials_match_the_loops(self, backend, tree_pass_runs):
@@ -477,32 +491,39 @@ class TestTreePassParity:
         assert not any(Path(cache).iterdir())
 
 
+ROOT_FAULT = "the root is out of range or has a parent link"
+RANGE_FAULT = "a parent link is out of range"
+REACH_FAULT = "parent links do not reach every vertex"
 MALFORMED_LINKS = [
-    pytest.param(0, [1, 0], id="two-cycle-through-the-root"),
-    pytest.param(0, [1, 0, 0], id="root-with-a-parent"),
-    pytest.param(0, [-1, 2, 1], id="cycle-away-from-the-root"),
-    pytest.param(0, [-1, -1, 0], id="second-root"),
-    pytest.param(1, [-1, 0], id="root-not-the-top"),
-    pytest.param(0, [-1, 3, 0], id="link-out-of-range"),
-    pytest.param(0, [-1, -2], id="negative-link"),
-    pytest.param(3, [-1, 0], id="root-out-of-range"),
+    pytest.param(0, [1, 0], ROOT_FAULT, id="two-cycle-through-the-root"),
+    pytest.param(0, [1, 0, 0], ROOT_FAULT, id="root-with-a-parent"),
+    pytest.param(0, [-1, 2, 1], REACH_FAULT, id="cycle-away-from-the-root"),
+    pytest.param(0, [-1, -1, 0], REACH_FAULT, id="second-root"),
+    pytest.param(1, [-1, 0], ROOT_FAULT, id="root-not-the-top"),
+    pytest.param(0, [-1, 3, 0], RANGE_FAULT, id="link-out-of-range"),
+    pytest.param(0, [-1, -2], RANGE_FAULT, id="negative-link"),
+    pytest.param(3, [-1, 0], ROOT_FAULT, id="root-out-of-range"),
 ]
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
-def order_kernel(request):
-    if request.param == "python":
-        return _kernels._load_python().tree_order
-    return _kernels._load_c().tree_order
+def backend_kernels(request):
+    return _kernels._LOADERS[request.param]()
 
 
 class TestMalformedLinks:
-    @pytest.mark.parametrize("root, parent", MALFORMED_LINKS)
-    def test_backend_reports_not_spanning(self, order_kernel, root, parent):
-        with pytest.raises(NotSpanningError, match="not a tree rooted at"):
-            order_kernel(root, np.array(parent, dtype=np.int64))
+    """The proof is numpy: the same exception, with a message naming the
+    fault, whichever backend runs the kernels."""
 
-    @pytest.mark.parametrize("root, parent", MALFORMED_LINKS)
-    def test_tree_build_reports_not_spanning(self, root, parent):
-        with pytest.raises(NotSpanningError):
+    @pytest.mark.parametrize("root, parent, fault", MALFORMED_LINKS)
+    def test_backend_reports_not_spanning(self, backend_kernels, root, parent, fault, monkeypatch):
+        monkeypatch.setattr(_kernels, "kernels", lambda: backend_kernels)
+        with pytest.raises(NotSpanningError) as caught:
             RootedTree(root, np.array(parent, dtype=np.int64), np.ones(len(parent)))
+        assert str(caught.value) == f"parent links are not a tree rooted at {root}: {fault}"
+
+    @pytest.mark.parametrize("root, parent, fault", MALFORMED_LINKS)
+    def test_tree_build_reports_not_spanning(self, root, parent, fault):
+        # from a list of links, which the constructor converts
+        with pytest.raises(NotSpanningError, match=fault):
+            RootedTree(root, parent, np.ones(len(parent)))
