@@ -23,11 +23,11 @@ from .graphs import (
 from .oracle import (
     ExactSolution,
     Solution,
+    certified_dual,
     check_cyclical_monotonicity,
     check_vertex_support,
     check_weak_nondegeneracy,
     complementary_violation,
-    dual_unique,
     exact_k_distance,
     geodesic_support_violation,
     lipschitz_violation,

@@ -214,15 +214,13 @@ static void apply_swap(int64_t *parent, double *wpar, double *xi_cum, int64_t ro
 
 /* tree_potential of _kernels.py, into u (zero on entry). */
 int treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
-                          const double *wpar, const double *xi_cum, double sign_at_zero,
-                          double *u)
+                          const double *wpar, const double *xi_cum, double *u)
 {
     for (int64_t i = n - 1; i >= 0; i--) {
         const int64_t v = order[i], p = parent[v];
         if (p < 0)
             continue;
-        const double s = xi_cum[v] == 0.0 ? sign_at_zero : (xi_cum[v] > 0.0 ? 1.0 : -1.0);
-        u[v] = u[p] + wpar[v] * s;
+        u[v] = u[p] + (xi_cum[v] >= 0.0 ? wpar[v] : -wpar[v]);
     }
     return CHAIN_OK;
 }
@@ -238,7 +236,7 @@ static int certify(int64_t n, const int64_t *parent, const double *wpar, const i
     const int64_t *queue = work_i + n;
     recompute_cumulative(n, parent, xi_node, xi_cum, work_i, work_i + n);
     memset(u, 0, (size_t)n * sizeof *u);
-    treeot_tree_potential(n, parent, queue, wpar, xi_cum, 1.0, u);
+    treeot_tree_potential(n, parent, queue, wpar, xi_cum, u);
     for (int64_t a = 0; a < n; a++)
         for (int64_t j = indptr[a]; j < indptr[a + 1]; j++)
             if (fabs(u[a] - u[indices[j]]) > adj_w[j] * (1.0 + cert_rtol))

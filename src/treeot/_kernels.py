@@ -180,14 +180,13 @@ class Kernels:
         _check_status(self._run["subtree_sums"](tree.n, tree.parent, tree.order, out))
         return out
 
-    def tree_potential(self, tree, xi_cum, sign_at_zero):
+    def tree_potential(self, tree, xi_cum):
         """:func:`tree_potential` on the tree, a new float64 array."""
         _proven("tree potential", tree, RootedTree)
         _check_arrays("tree potential", (), ((xi_cum, tree.n),))
         u = np.zeros(tree.n)
         _check_status(self._run["tree_potential"](tree.n, tree.parent, tree.order,
-                                                  tree.weight_to_parent, xi_cum,
-                                                  float(sign_at_zero), u))
+                                                  tree.weight_to_parent, xi_cum, u))
         return u
 
     def dp_plan(self, tree, xi, zero_tol):
@@ -388,7 +387,7 @@ C_SIGNATURES = {
     "dp_plan": [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
     "network_simplex": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR],
     "subtree_sums": [_I64, _PTR, _PTR, _PTR],
-    "tree_potential": [_I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR],
+    "tree_potential": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR],
     "tree_pairs": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
     "pair_distances": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
 }
@@ -573,7 +572,7 @@ def certify(n, parent, wpar, indptr, indices, adj_w, xi_node, cert_rtol):
     """
     xi_cum, queue = recompute_cumulative(parent, xi_node)
     u = np.zeros(n)
-    tree_potential(n, parent, queue, wpar, xi_cum, 1.0, u)
+    tree_potential(n, parent, queue, wpar, xi_cum, u)
     for a in range(n):
         for j in range(indptr[a], indptr[a + 1]):
             if abs(u[a] - u[indices[j]]) > adj_w[j] * (1.0 + cert_rtol):
@@ -752,19 +751,17 @@ def subtree_sums(n, parent, order, out):
     return 0
 
 
-def tree_potential(n, parent, order, wpar, xi_cum, sign_at_zero, u):
+def tree_potential(n, parent, order, wpar, xi_cum, u):
     """The tree potential into ``u`` (zero on entry): walking the n entries
     of ``order`` backwards (root first), u[v] = u[parent] + wpar[v] * s, where
-    s is the sign of ``xi_cum[v]``, or ``sign_at_zero`` where it is exactly
-    0. Returns 0."""
+    s is the sign of ``xi_cum[v]``, +1 where it is 0 (either zero). Returns 0."""
     parent, order, wpar, xi_cum, values = (a.tolist() for a in (parent, order, wpar, xi_cum, u))
     for i in range(n - 1, -1, -1):
         v = order[i]
         p = parent[v]
         if p < 0:
             continue
-        s = sign_at_zero if xi_cum[v] == 0.0 else (1.0 if xi_cum[v] > 0.0 else -1.0)
-        values[v] = values[p] + wpar[v] * s
+        values[v] = values[p] + (wpar[v] if xi_cum[v] >= 0.0 else -wpar[v])
     u[:] = values
     return 0
 

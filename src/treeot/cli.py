@@ -24,10 +24,10 @@ from .errors import InputError, TreeOTError
 from .graphs import WeightedGraph, grid_graph, pair_distances
 from .oracle import (
     VALUE_TOL,
+    certified_dual,
     check_cyclical_monotonicity,
     complementary_violation,
     check_vertex_support,
-    dual_unique,
     geodesic_support_violation,
     lipschitz_violation,
     potential_match_up_to_constant,
@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
-    p.add_argument("--sign-at-zero", type=int, choices=(1, -1), default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_potential)
 
@@ -303,8 +302,8 @@ def cmd_potential(args) -> int:
     t = fileio.load_tree(args.tree, g)
     mu = fileio.load_measure(args.mu, g.n)
     nu = fileio.load_measure(args.nu, g.n)
-    u = tree_potential(t, mu, nu, sign_at_zero=args.sign_at_zero)
-    unique = dual_unique(g, t, mu, nu, sign_at_zero=args.sign_at_zero)
+    certified = certified_dual(g, t, mu, nu)
+    u, unique = certified or (tree_potential(t, mu, nu), None)
     if unique is None:
         print("warning: the tree is not certified optimal; no claim on the dual", file=sys.stderr)
     elif not unique:
@@ -316,7 +315,7 @@ def cmd_potential(args) -> int:
         out_dir,
         "potential",
         {"graph": args.graph, "tree": args.tree, "mu": args.mu, "nu": args.nu},
-        {"sign_at_zero": args.sign_at_zero},
+        {},
         ["potential.csv"],
         started,
         dual_unique=unique,
@@ -363,15 +362,17 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         return {
             "checks": checks,
             "metrics": metrics,
-            "dual_unique": {"value": None, "reason": "the measures are invalid", "sign_at_zero": None},
+            "dual_unique": {"value": None, "reason": "the measures are invalid"},
             "all_passed": False,
         }
 
     tree = fileio.load_tree(tree_path_, g) if tree_path_ else None
-    unique = {"value": None, "reason": "no --tree given", "sign_at_zero": None}
+    unique = {"value": None, "reason": "no --tree given"}
     if tree is not None:
         metrics["tree_cost"] = tree_k_distance(tree, mu, nu)
-        unique = _dual_verdict(g, tree, mu, nu)
+        certified = certified_dual(g, tree, mu, nu)
+        unique = ({"value": None, "reason": "the tree is not certified optimal"} if certified is None
+                  else {"value": certified[1], "reason": None})
 
     plan = None
     if plan_path:
@@ -446,17 +447,6 @@ def _run_checks(g: WeightedGraph, mu, nu, tree_path_, plan_path, potential_path,
         "dual_unique": unique,
         "all_passed": all(c["passed"] for c in checks),
     }
-
-
-def _dual_verdict(g: WeightedGraph, tree, mu, nu) -> dict:
-    """``dual_unique`` with sign +1 where the tree potential is exactly 0,
-    and with sign -1 when the sign +1 potential is not certified: the value,
-    why it is null, and the sign whose potential was certified."""
-    for sign in (1, -1):
-        value = dual_unique(g, tree, mu, nu, sign_at_zero=sign)
-        if value is not None:
-            return {"value": value, "reason": None, "sign_at_zero": sign}
-    return {"value": None, "reason": "the tree is not certified optimal", "sign_at_zero": None}
 
 
 def cmd_export_dot(args) -> int:

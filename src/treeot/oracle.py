@@ -130,6 +130,8 @@ def lipschitz_violation(u: Potential, g: WeightedGraph) -> float:
     """Largest excess of a potential jump over its edge weight, floored at 0;
     NaN when a potential value on an edge is NaN. Reads the CSR arcs, so
     each edge is tested in both directions."""
+    if u.n != g.n:
+        raise VertexRangeError(f"potential on {u.n} vertices, graph on {g.n}")
     jumps = np.abs(u.values[g.arc_tails()] - u.values[g.indices]) - g.weights
     return float(np.max(jumps, initial=0.0))
 
@@ -138,6 +140,8 @@ def complementary_violation(plan: TransportPlan, u: Potential, dist) -> float:
     """Largest |u(x) - u(y) - d(x,y)| over the support of the plan; ``dist``
     is a dense distance matrix, a rooted tree or the distances at the support
     pairs (see :func:`treeot.transport.plan_cost`)."""
+    if u.n != plan.n:
+        raise VertexRangeError(f"potential on {u.n} vertices, plan on {plan.n}")
     gaps = u.values[plan.rows] - u.values[plan.cols] - _support_distances(plan, dist)
     return float(np.max(np.abs(gaps), initial=0.0))
 
@@ -146,7 +150,7 @@ def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> bool:
     """Whether mu and nu give different mass to every proper nonempty vertex
     set: the paper's weak non-degeneracy, under which the Kantorovich
     potential is unique. It is sufficient for uniqueness, not necessary;
-    :func:`dual_unique` decides uniqueness itself.
+    :func:`certified_dual` decides uniqueness itself.
 
     The subset sums of mu - nu are scanned exhaustively (meet-in-the-middle),
     so more than ``EXHAUSTIVE_CAP`` vertices raise ``ValueError``.
@@ -176,55 +180,47 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def dual_unique(g: WeightedGraph, t: RootedTree, mu, nu, sign_at_zero: int = +1) -> bool | None:
-    """Whether the Kantorovich potential of mu and nu on ``g`` is unique up to
-    a constant, decided exactly from the spanning tree ``t`` of ``g``; None
-    when ``t`` is not certified optimal, which makes no claim on the dual.
+def certified_dual(g: WeightedGraph, t: RootedTree, mu, nu) -> tuple[Potential, bool] | None:
+    """A Kantorovich potential of mu and nu on ``g`` that the spanning tree
+    ``t`` certifies, and whether it is unique up to a constant; None when
+    there is none, so ``t`` is not optimal.
 
-    The certificate is ``certify``'s test: the tree potential u is
-    1-Lipschitz on every arc within ``CERT_RTOL``. u is tight on every tree
-    edge, so its duality value is the tree's cost, and passing certifies
-    both. Complementary slackness with the tree's flow then fixes the dual
-    optimal face, which is the one point u exactly when this digraph is
-    strongly connected (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
-    ch. 9): an edge b -> a for each arc (a, b) with u(a) - u(b) >= w * (1 -
-    ``CERT_RTOL``), and one in the flow's direction for each tree edge whose
-    |cumulative imbalance| exceeds ``BALANCE_TOL``. The paper's weak
-    non-degeneracy implies uniqueness but is not implied by it. As with
-    ``certify``, the test is exact up to the rounding of u, summed along
-    tree paths (about depth * eps * max|u|): on deep trees that can exceed
-    the slack w * ``CERT_RTOL``, so an arc can pass or be tight on rounding.
+    The tree's flow fixes the dual optimal face (complementary slackness;
+    Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9): u(a) - u(b) <= w
+    on every arc, = w on each tree edge whose flow, above ``BALANCE_TOL``,
+    runs a -> b. The face is solved as difference constraints, flow edges
+    relaxed to >= w * (1 - ``CERT_RTOL``) so that rounding cannot make a
+    zero cycle negative. The potential is unique when the greatest u - u(0)
+    and the least, on the reversed arcs, are within n * max w * ``CERT_RTOL``.
+    It is the tree potential when that passes ``certify``'s test, and else
+    the greatest, anchored at the root.
     """
     child = np.flatnonzero(t.parent >= 0)
     above = t.parent[child]
     arc = g.arc_index(child, above)
     if t.n != g.n or np.any(arc < 0) or np.any(g.weights[arc] != t.weight_to_parent[child]):
         raise NotSpanningError("the tree is not a spanning tree of the graph, with its weights")
-    u = tree_potential(t, mu, nu, sign_at_zero).values
     tails, w = g.arc_tails(), g.weights
-    jump = u[tails] - u[g.indices]
-    if np.any(np.abs(jump) > w * (1.0 + _kernels.CERT_RTOL)):
-        return None
-    tight = jump >= w * (1.0 - _kernels.CERT_RTOL)
     xi_cum = cumulative_imbalance(t, imbalance(mu, nu))[child]
     up, down = xi_cum > BALANCE_TOL, xi_cum < -BALANCE_TOL
-    src = np.concatenate([g.indices[tight], child[up], above[down]])
-    dst = np.concatenate([tails[tight], above[up], child[down]])
-    return _reaches_all(g.n, src, dst) and _reaches_all(g.n, dst, src)
-
-
-def _reaches_all(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
-    """Whether a search from vertex 0 along the arcs ``src -> dst`` reaches
-    all n vertices."""
-    by_src = np.argsort(src, kind="stable")
-    heads, first = dst[by_src].tolist(), np.searchsorted(src[by_src], np.arange(n + 1)).tolist()
-    seen, stack = {0}, [0]
-    while stack:
-        v = stack.pop()
-        new = set(heads[first[v]:first[v + 1]]) - seen
-        seen |= new
-        stack.extend(new)
-    return len(seen) == n
+    # u(a) <= u(b) + w per arc (a, b), then the flow edges a -> b
+    src = np.concatenate([g.indices, child[up], above[down]])
+    dst = np.concatenate([tails, above[up], child[down]])
+    flow_w = t.weight_to_parent[np.concatenate([child[up], child[down]])]
+    weight = np.concatenate([w, -(1.0 - _kernels.CERT_RTOL) * flow_w])
+    origin = np.where(np.arange(g.n) == 0, 0.0, np.inf)
+    high = _difference_constraints(src, dst, weight, origin)
+    minus_least = None if high is None else _difference_constraints(dst, src, weight, origin)
+    if minus_least is None:
+        return None
+    spread_tol = g.n * _kernels.CERT_RTOL * float(np.max(w, initial=0.0))
+    unique = float(np.max(high + minus_least)) <= spread_tol
+    u = tree_potential(t, mu, nu)
+    if np.all(np.abs(u.values[tails] - u.values[g.indices]) <= w * (1.0 + _kernels.CERT_RTOL)):
+        return u, unique
+    potential = high - high[t.root]
+    potential.setflags(write=False)
+    return Potential(potential, anchor=t.root), unique
 
 
 def check_cyclical_monotonicity(
@@ -242,19 +238,13 @@ def check_cyclical_monotonicity(
     saves more than k*tol/s <= tol. ``dist`` must be the shortest-path metric
     of ``g``, as a dense matrix or as the distances at the support pairs; a
     support distance that is NaN or infinite raises ``NonFiniteWeightError``.
-    Bellman-Ford from u = 0 looks for the cycle: with none, a round changes
-    nothing within n rounds. Each vertex keeps as its parent the tail of the
-    arc that last lowered it, and every ceil(sqrt(n)) rounds the parent
-    graph is searched for a cycle; any such cycle is negative (Cherkassky &
-    Goldberg, "Negative-cycle detection algorithms", Math. Programming 85,
-    1999), so the search stops there.
+    :func:`_difference_constraints` from u = 0 looks for the cycle.
     """
     off = plan.rows != plan.cols
     s = int(np.count_nonzero(off))
     if s == 0:
         return True
-    n = g.n
-    if plan.n != n:
+    if plan.n != g.n:
         raise VertexRangeError("plan size does not match graph")
     support_dist = _support_distances(plan, dist)
     bad = ~np.isfinite(support_dist)
@@ -265,11 +255,25 @@ def check_cyclical_monotonicity(
     src = np.concatenate([g.arc_tails(), plan.rows[off]])
     dst = np.concatenate([g.indices, plan.cols[off]])
     weight = np.concatenate([g.weights, tol / s - support_dist[off]])
-    # arcs grouped by head; a proven graph is connected, so every vertex heads one
+    return _difference_constraints(src, dst, weight, np.zeros(g.n)) is not None
+
+
+def _difference_constraints(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
+                            start: np.ndarray) -> np.ndarray | None:
+    """The greatest u <= ``start`` with u(dst) <= u(src) + weight on every
+    arc; None when a negative cycle reachable from a finite start value
+    leaves none. If there are arcs, every vertex must head one. Bellman-Ford,
+    whose parent graph (the tail of the arc that last lowered each vertex) is
+    searched every ceil(sqrt(n)) rounds for a cycle, which is negative
+    (Cherkassky & Goldberg, Math. Programming 85, 1999); with none, n rounds
+    suffice."""
+    n = start.shape[0]
+    if dst.size == 0:
+        return start
     by_head = np.argsort(dst, kind="stable")
     src, dst, weight = src[by_head], dst[by_head], weight[by_head]
     first = np.searchsorted(dst, np.arange(n))
-    u = np.zeros(n)
+    u = start
     parent = np.full(n, -1)
     period = math.isqrt(n - 1) + 1
     for rounds in range(1, n + 2):
@@ -277,13 +281,13 @@ def check_cyclical_monotonicity(
         low = np.minimum.reduceat(reach, first)
         relaxed = np.minimum(u, low)
         if np.array_equal(relaxed, u):
-            return True
+            return u
         lowered = (low < u)[dst] & (reach == low[dst])
         parent[dst[lowered]] = src[lowered]
         u = relaxed
         if rounds % period == 0 and _has_cycle(parent):
-            return False
-    return False
+            return None
+    return None
 
 
 def _has_cycle(parent: np.ndarray) -> bool:
@@ -340,5 +344,7 @@ def geodesic_support_violation(plan: TransportPlan, dist_graph, dist_tree) -> fl
 
 def potential_match_up_to_constant(u1: Potential, u2: Potential, tol: float = 1e-6) -> bool:
     """Whether two potentials differ by a constant, up to ``tol``."""
+    if u1.n != u2.n:
+        raise VertexRangeError(f"potentials on {u1.n} and {u2.n} vertices")
     gap = u1.values - u2.values
     return bool(np.max(np.abs(gap - gap[0])) <= tol)

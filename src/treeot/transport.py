@@ -86,18 +86,17 @@ def tree_k_distance(t: RootedTree, mu, nu) -> float:
     return float(np.sum(t.weight_to_parent[mask] * np.abs(xi_cum[mask])))
 
 
-def tree_potential(t: RootedTree, mu, nu, sign_at_zero: int = +1) -> "Potential":
+def tree_potential(t: RootedTree, mu, nu) -> "Potential":
     """Dual potential for the tree metric, zero at the root.
 
     Walking root-to-leaves, each vertex adds w(x, parent) * sign(cumulative
-    imbalance at x) to its parent's value. ``sign_at_zero`` (+1 or -1) resolves
-    vertices with exactly zero cumulative imbalance. The walk is
+    imbalance at x) to its parent's value, with sign +1 where it is exactly
+    0; there an optimal tree's potential can fail to be 1-Lipschitz (see
+    :func:`treeot.oracle.certified_dual`). The walk is
     :func:`treeot._kernels.tree_potential`, run on the kernel backend.
     """
-    if sign_at_zero not in (+1, -1):
-        raise ValueError("sign_at_zero must be +1 or -1")
     xi_cum = _tree_imbalance(t, mu, nu)
-    u = _kernels.kernels().tree_potential(t, xi_cum, sign_at_zero)
+    u = _kernels.kernels().tree_potential(t, xi_cum)
     u.setflags(write=False)
     return Potential(values=u, anchor=t.root)
 

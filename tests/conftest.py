@@ -299,17 +299,17 @@ def reference_subtree_sums(parent, order, values):
     return out
 
 
-def reference_tree_potential(parent, order, wpar, xi_cum, sign_at_zero):
+def reference_tree_potential(parent, order, wpar, xi_cum):
     """The tree potential by ``tree_potential``'s former loop: root-to-leaves
     along ``order`` reversed, each vertex adds its edge weight, signed by its
-    cumulative imbalance (``sign_at_zero`` where that is exactly 0), to its
+    cumulative imbalance (+1 where that is exactly 0, -0.0 included), to its
     parent's value."""
     u = np.zeros(len(parent))
     for v in order[::-1]:
         p = parent[v]
         if p < 0:
             continue
-        s = sign_at_zero if xi_cum[v] == 0.0 else (1.0 if xi_cum[v] > 0.0 else -1.0)
+        s = 1.0 if xi_cum[v] >= 0.0 else -1.0
         u[v] = u[p] + wpar[v] * s
     return u
 

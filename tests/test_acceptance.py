@@ -364,7 +364,7 @@ def test_criterion_10_cli_pipeline(tmp_path):
 
     verdict = pipeline(tmp_path / "run1")
     assert verdict["all_passed"]
-    assert verdict["dual_unique"] == {"value": True, "reason": None, "sign_at_zero": 1}
+    assert verdict["dual_unique"] == {"value": True, "reason": None}
     assert "potential_matches_exact_dual" in {c["name"] for c in verdict["checks"]}
 
     pipeline(tmp_path / "run2")

@@ -1,13 +1,18 @@
+import argparse
+import dataclasses
 import json
+import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import treeot as ot
 from treeot import fileio
-from treeot.cli import _build_parser, _dual_verdict, export_dot, main
+from treeot.annealing import AnnealConfig
+from treeot.cli import _build_parser, export_dot, main
 from treeot.oracle import geodesic_support_violation
 
 from conftest import LINE6_XI, line6_edges, network_simplex_w1, run_python
@@ -105,6 +110,17 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert run_cli("grid", "--p", "2", "--out-dir", str(tmp_path / "b")) == 0
         assert (tmp_path / "b" / "mu.json").exists() and not (tmp_path / "a").exists()
+
+
+def test_readme_names_every_flag_and_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for sub in commands.choices.values() for action in sub._actions
+             for flag in action.option_strings if flag not in ("-h", "--help")}
+    keys = {f.name for f in dataclasses.fields(AnnealConfig)}
+    missing = sorted(name for name in flags | keys
+                     if not re.search(rf"(?<![\w-]){name}(?![\w-])", readme))
+    assert not missing, missing
 
 
 class TestAnnealCommand:
@@ -491,22 +507,30 @@ class TestPlanPotentialCommands:
         assert np.allclose(u.values, [-1, -2, -3, -2, -1, 0])
         manifest = json.loads((out / "potential.manifest.json").read_text())
         assert manifest["dual_unique"] is True
+        assert manifest["config"] == {}
 
-    def test_potential_warns_on_degenerate(self, line6_files, capsys):
+    def test_potential_warns_on_degenerate(self, tmp_path, capsys):
         # with mu == nu no edge carries flow, and every 1-Lipschitz potential
-        # is optimal, whichever sign the zero imbalances take
-        fileio.save_measure(line6_files / "flat.json", [1 / 6] * 6)
-        for sign in ("1", "-1"):
-            out = line6_files / f"flat_{sign}"
-            code = run_cli(
-                "potential", "--graph", str(line6_files / "graph.json"),
-                "--tree", str(line6_files / "tree.json"),
-                "--mu", str(line6_files / "flat.json"), "--nu", str(line6_files / "flat.json"),
-                "--sign-at-zero", sign, "--out-dir", str(out),
-            )
-            assert code == 0
-            assert capsys.readouterr().err == "warning: the potential is not unique\n"
-            assert json.loads((out / "potential.manifest.json").read_text())["dual_unique"] is False
+        # is optimal; on the 3x3 lattice the tree formula exceeds an edge by
+        # 2w with either sign at 0, so the written potential is the face's
+        g = ot.grid_graph(3)
+        t = ot.random_spanning_tree(g, np.random.default_rng(0))
+        fileio.save_graph(tmp_path / "graph.json", g)
+        fileio.save_tree(tmp_path / "tree.json", t)
+        fileio.save_measure(tmp_path / "flat.json", [1 / 9] * 9)
+        files = ["--graph", str(tmp_path / "graph.json"), "--tree", str(tmp_path / "tree.json"),
+                 "--mu", str(tmp_path / "flat.json"), "--nu", str(tmp_path / "flat.json")]
+        assert run_cli("potential", *files, "--out-dir", str(tmp_path / "u")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: the potential is not unique\n"
+        assert float(captured.out) == 0.0
+        manifest = json.loads((tmp_path / "u" / "potential.manifest.json").read_text())
+        assert manifest["dual_unique"] is False
+        u = fileio.load_potential(tmp_path / "u" / "potential.csv", 9)
+        assert ot.lipschitz_violation(u, g) <= 1e-12 * g.weights.max()
+        assert run_cli("verify", *files, "--potential", str(tmp_path / "u" / "potential.csv")) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["dual_unique"] == {"value": False, "reason": None}
 
     def test_potential_warns_on_an_uncertified_tree(self, tmp_path, capsys):
         # on the 4-cycle the path 1-2-3-0 carries mass from 0 to 1 the long way
@@ -522,28 +546,19 @@ class TestPlanPotentialCommands:
         assert run_cli("potential", *files, "--out-dir", str(tmp_path / "u")) == 0
         captured = capsys.readouterr()
         assert captured.err == "warning: the tree is not certified optimal; no claim on the dual\n"
-        assert json.loads((tmp_path / "u" / "potential.manifest.json").read_text())["dual_unique"] is None
+        manifest = json.loads((tmp_path / "u" / "potential.manifest.json").read_text())
+        assert manifest["dual_unique"] is None
+        # the tree formula, sign +1 where the cumulative imbalance is 0
+        g = fileio.load_graph(tmp_path / "graph.json")
+        t = fileio.load_tree(tmp_path / "tree.json", g)
+        assert ot.certified_dual(g, t, [1.0, 0, 0, 0], [0, 1.0, 0, 0]) is None
+        assert np.array_equal(fileio.load_potential(tmp_path / "u" / "potential.csv", 4).values,
+                              ot.tree_potential(t, [1.0, 0, 0, 0], [0, 1.0, 0, 0]).values)
         assert run_cli("verify", *files, "--potential", str(tmp_path / "u" / "potential.csv"),
                        "--exact") == 3
         verdict = json.loads(capsys.readouterr().out)
-        assert verdict["dual_unique"] == {"value": None, "reason": "the tree is not certified optimal",
-                                          "sign_at_zero": None}
+        assert verdict["dual_unique"] == {"value": None, "reason": "the tree is not certified optimal"}
         assert "potential_matches_exact_dual" not in {c["name"] for c in verdict["checks"]}
-
-    def test_sign_at_zero_flag(self, line6_files):
-        mu = [1 / 6] * 6
-        fileio.save_measure(line6_files / "flat.json", mu)
-        out1, out2 = line6_files / "p1", line6_files / "p2"
-        for sign, out in ((1, out1), (-1, out2)):
-            run_cli(
-                "potential", "--graph", str(line6_files / "graph.json"),
-                "--tree", str(line6_files / "tree.json"),
-                "--mu", str(line6_files / "flat.json"), "--nu", str(line6_files / "flat.json"),
-                "--sign-at-zero", str(sign), "--out-dir", str(out),
-            )
-        u1 = fileio.load_potential(out1 / "potential.csv", 6)
-        u2 = fileio.load_potential(out2 / "potential.csv", 6)
-        assert np.array_equal(u1.values, -u2.values)
 
 
 class TestSharedOutDir:
@@ -613,7 +628,7 @@ class TestVerifyCommand:
         assert verdict["metrics"]["exact_pivots"] == ot.solve(g, mu, nu).pivots > 0
         # the paper's condition fails on line6, yet the dual is unique
         assert not ot.check_weak_nondegeneracy(mu, nu, g)
-        assert verdict["dual_unique"] == {"value": True, "reason": None, "sign_at_zero": 1}
+        assert verdict["dual_unique"] == {"value": True, "reason": None}
         named = {c["name"]: c for c in verdict["checks"]}
         assert named["potential_matches_exact_dual"]["passed"]
 
@@ -626,7 +641,7 @@ class TestVerifyCommand:
                        "--exact")
         verdict = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert verdict["dual_unique"] == {"value": True, "reason": None, "sign_at_zero": 1}
+        assert verdict["dual_unique"] == {"value": True, "reason": None}
         named = {c["name"]: c for c in verdict["checks"]}
         assert named["potential_matches_exact_dual"]["passed"]
 
@@ -637,36 +652,22 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run_cli("verify", *files, "--potential", str(d / "u" / "potential.csv"), "--exact") == 0
         verdict = json.loads(capsys.readouterr().out)
-        assert verdict["dual_unique"] == {"value": None, "reason": "no --tree given", "sign_at_zero": None}
+        assert verdict["dual_unique"] == {"value": None, "reason": "no --tree given"}
         names = {c["name"] for c in verdict["checks"]}
         assert "potential_duality_exact" in names and "potential_matches_exact_dual" not in names
 
-    def test_the_dual_falls_back_to_sign_minus_one(self, tmp_path, capsys):
-        # verify takes dual_unique with sign +1 and, where that tree potential
-        # is not certified, with sign -1; where both certify they agree
-        verdicts, plus_nulls, minus_only = [], 0, None
-        for g, t, mu, nu in optimal_tree_corpus():
-            plus, minus = (ot.dual_unique(g, t, mu, nu, sign_at_zero=s) for s in (1, -1))
-            assert plus is None or minus is None or plus is minus
-            expected = (plus, 1) if plus is not None else (minus, -1 if minus is not None else None)
-            verdict = _dual_verdict(g, t, mu, nu)
-            assert (verdict["value"], verdict["sign_at_zero"]) == expected
-            assert verdict["reason"] == (None if expected[1] else "the tree is not certified optimal")
-            verdicts.append(verdict["value"])
-            plus_nulls += plus is None
-            if plus is None and minus is not None and minus_only is None:
-                minus_only = g, t, mu, nu
-        assert verdicts.count(None) + 10 <= plus_nulls, (verdicts.count(None), plus_nulls)
-
-        g, t, mu, nu = minus_only
+    def test_the_verdict_is_certified_where_the_tree_formula_fails(self, tmp_path, capsys):
+        # the corpus trees are optimal, so verify certifies one whose tree
+        # formula is not 1-Lipschitz
+        g, t, mu, nu = next(case for case in optimal_tree_corpus()
+                            if ot.lipschitz_violation(ot.tree_potential(*case[1:]), case[0]) > 1e-9)
         fileio.save_graph(tmp_path / "graph.json", g)
         fileio.save_tree(tmp_path / "tree.json", t)
         fileio.save_measure(tmp_path / "mu.json", mu)
         fileio.save_measure(tmp_path / "nu.json", nu)
         run_cli("verify", *(f"--{name}={tmp_path / name}.json" for name in ("graph", "tree", "mu", "nu")))
         verdict = json.loads(capsys.readouterr().out)
-        assert verdict["dual_unique"] == {"value": ot.dual_unique(g, t, mu, nu, sign_at_zero=-1),
-                                          "reason": None, "sign_at_zero": -1}
+        assert verdict["dual_unique"] == {"value": ot.certified_dual(g, t, mu, nu)[1], "reason": None}
 
     def test_tree_checks_build_no_dense_tree_matrix(self, tmp_path, capsys, monkeypatch):
         argv = annealed_4x4_verify(tmp_path)
@@ -766,8 +767,7 @@ class TestVerifyCommand:
         named = {c["name"]: c for c in verdict["checks"]}
         assert named["measure_mass_mu"]["passed"] is False
         assert abs(named["measure_mass_mu"]["violation"] - 0.1) <= 1e-12
-        assert verdict["dual_unique"] == {"value": None, "reason": "the measures are invalid",
-                                          "sign_at_zero": None}
+        assert verdict["dual_unique"] == {"value": None, "reason": "the measures are invalid"}
 
     def test_nan_measure_exit_2(self, line6_files, capsys):
         bad = line6_files / "nan_mu.json"

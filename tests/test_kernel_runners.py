@@ -27,7 +27,7 @@ SIGNATURES = {
     "dp_plan": "tree xi zero_tol",
     "network_simplex": "supply tail head cost",
     "subtree_sums": "tree values",
-    "tree_potential": "tree xi_cum sign_at_zero",
+    "tree_potential": "tree xi_cum",
     "tree_pairs": "tree xs ys mass",
     "pair_distances": "graph xs ys",
 }
@@ -84,7 +84,7 @@ def arguments() -> dict:
         "xs": np.arange(N, dtype=np.int64), "ys": np.arange(N, dtype=np.int64)[::-1].copy(),
         "mass": None, "max_iters": 50, "beta0": 1.0, "target_accept": 0.3, "eta": 0.05,
         "window": 10, "record_every": 10, "recompute_every": 0, "target_cost": np.nan,
-        "rng": np.random.default_rng(1), "sign_at_zero": 1, "zero_tol": 1e-14,
+        "rng": np.random.default_rng(1), "zero_tol": 1e-14,
     }
 
 

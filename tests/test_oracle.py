@@ -424,6 +424,20 @@ class TestLipschitzCheck:
                 assert lipschitz_violation(u, g) == loop
 
 
+@pytest.mark.parametrize("length", [3, 6])
+def test_a_potential_of_another_length_is_refused(length):
+    g = ot.grid_graph(2)
+    t = ot.root_tree(g, [(0, 1), (1, 3), (3, 2)], 0)
+    plan = ot.dp_transport_plan(t, [1.0, 0, 0, 0], [0, 0, 0, 1.0])
+    u = ot.Potential(np.zeros(length), anchor=0)
+    with pytest.raises(VertexRangeError, match=f"potential on {length} vertices, graph on 4"):
+        lipschitz_violation(u, g)
+    with pytest.raises(VertexRangeError, match=f"potential on {length} vertices, plan on 4"):
+        complementary_violation(plan, u, t)
+    with pytest.raises(VertexRangeError, match=f"potentials on 4 and {length} vertices"):
+        ot.potential_match_up_to_constant(ot.Potential(np.zeros(4), anchor=0), u)
+
+
 class TestComplementaryCheck:
     def test_diagonal_plan_any_potential(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -479,38 +493,71 @@ class TestWeakNondegeneracy:
         assert ot.check_weak_nondegeneracy(mu, nu, graph=small) is True
 
 
+def simplex_basis_tree(g, mu, nu, rng):
+    """An optimal spanning tree of ``g`` for mu and nu: the support of a
+    basic optimal flow (the network simplex on the graph's arcs), a forest,
+    completed by the other edges in random order and rooted at random."""
+    tails = g.arc_tails()
+    flow, _, _ = _kernels.kernels().network_simplex(ot.imbalance(mu, nu), tails, g.indices,
+                                                    g.weights)
+    edges = list(zip(tails[flow > 0.0].tolist(), g.indices[flow > 0.0].tolist()))
+    edges += [edges_[k] for edges_ in [[(a, b) for a, b, _ in g.edges]]
+              for k in rng.permutation(len(edges_))]
+    root_of = list(range(g.n))
+
+    def find(v):
+        while root_of[v] != v:
+            v = root_of[v]
+        return v
+
+    kept = []
+    for a, b in edges:
+        if find(a) != find(b):
+            root_of[find(a)] = find(b)
+            kept.append((a, b))
+    t = ot.root_tree(g, kept, int(rng.integers(g.n)))
+    assert abs(ot.tree_k_distance(t, mu, nu) - float(np.sum(flow * g.weights))) <= 1e-12
+    return t
+
+
 def optimal_tree_corpus(count=120, seed=27):
     """``(g, t, mu, nu)`` on 2x2 to 4x4 lattices, random and
-    ``degenerate_measures`` in turn. ``t`` is optimal: the support of a basic
-    optimal flow (the network simplex on the graph's arcs), a forest,
-    completed by the other edges in random order and rooted at random."""
+    ``degenerate_measures`` in turn, ``t`` a :func:`simplex_basis_tree`."""
     rng = np.random.default_rng(seed)
     corpus = []
     for i in range(count):
         g = ot.grid_graph(2 + i % 3)
         mu, nu = (random_measure_pair if i % 2 else degenerate_measures)(rng, g.n)
-        tails = g.arc_tails()
-        flow, _, _ = _kernels.kernels().network_simplex(ot.imbalance(mu, nu), tails, g.indices,
-                                                        g.weights)
-        edges = list(zip(tails[flow > 0.0].tolist(), g.indices[flow > 0.0].tolist()))
-        edges += [edges_[k] for edges_ in [[(a, b) for a, b, _ in g.edges]]
-                  for k in rng.permutation(len(edges_))]
-        root_of = list(range(g.n))
-
-        def find(v):
-            while root_of[v] != v:
-                v = root_of[v]
-            return v
-
-        kept = []
-        for a, b in edges:
-            if find(a) != find(b):
-                root_of[find(a)] = find(b)
-                kept.append((a, b))
-        t = ot.root_tree(g, kept, int(rng.integers(g.n)))
-        assert abs(ot.tree_k_distance(t, mu, nu) - float(np.sum(flow * g.weights))) <= 1e-12
-        corpus.append((g, t, mu, nu))
+        corpus.append((g, simplex_basis_tree(g, mu, nu, rng), mu, nu))
     return corpus
+
+
+def degenerate_tree_corpus():
+    """40 ``(g, t, mu, nu)`` on the 6x6 lattice, ``degenerate_measures`` and
+    a :func:`simplex_basis_tree`: the tree formula fails on all 40."""
+    rng = np.random.default_rng(7)
+    g = ot.grid_graph(6)
+    corpus = []
+    for _ in range(40):
+        mu, nu = degenerate_measures(rng, g.n)
+        corpus.append((g, simplex_basis_tree(g, mu, nu, rng), mu, nu))
+    return corpus
+
+
+def assert_certified(g, t, mu, nu):
+    """``certified_dual`` finds a potential that is 1-Lipschitz within
+    1e-12 of the largest weight and whose duality value is the tree's cost
+    within 1e-12, and its verdict is ``reference_dual_range``'s; returns the
+    verdict and whether the tree formula was 1-Lipschitz."""
+    u, unique = ot.certified_dual(g, t, mu, nu)
+    assert lipschitz_violation(u, g) <= 1e-12 * g.weights.max()
+    assert abs(float(np.dot(u.values, mu - nu)) - ot.tree_k_distance(t, mu, nu)) <= 1e-12
+    low, high = reference_dual_range(g, t, mu, nu)
+    spread = max(h - lo for lo, h in zip(low, high))
+    assert unique is (spread <= 1e-9), (unique, spread)
+    assert all(lo - 1e-9 <= x <= h + 1e-9 for lo, x, h in zip(low, u.values - u.values[0], high))
+    formula = ot.tree_potential(t, mu, nu)
+    return unique, bool(lipschitz_violation(formula, g) <= 1e-12 * g.weights.max())
 
 
 class TestDualUnique:
@@ -518,23 +565,40 @@ class TestDualUnique:
         g, mu, nu = line6
         t = ot.root_tree(g, [(i, i + 1) for i in range(5)], 5)
         assert not ot.check_weak_nondegeneracy(mu, nu, g)
-        assert ot.dual_unique(g, t, mu, nu) is True
-        assert ot.dual_unique(g, t, mu, nu, sign_at_zero=-1) is True
+        u, unique = ot.certified_dual(g, t, mu, nu)
+        assert unique is True
+        assert np.array_equal(u.values, ot.tree_potential(t, mu, nu).values) and u.anchor == 5
 
     def test_equal_measures_not_unique(self):
         # no edge carries flow, so every 1-Lipschitz potential is optimal
         g = line_graph(9)
         t = ot.root_tree(g, [(i, i + 1) for i in range(8)], 4)
         mu = np.full(9, 1 / 9)
-        assert ot.dual_unique(g, t, mu, mu) is False
-        assert ot.dual_unique(g, t, mu, mu, sign_at_zero=-1) is False
+        assert ot.certified_dual(g, t, mu, mu)[1] is False
+
+    def test_equal_measures_on_a_lattice(self):
+        # every tree is optimal, yet the tree formula exceeds an edge by 2w
+        g = ot.grid_graph(3)
+        t = ot.random_spanning_tree(g, np.random.default_rng(0))
+        mu = np.full(9, 1 / 9)
+        assert lipschitz_violation(ot.tree_potential(t, mu, mu), g) > g.weights.max()
+        u, unique = ot.certified_dual(g, t, mu, mu)
+        assert unique is False
+        assert lipschitz_violation(u, g) <= 1e-12 * g.weights.max()
+        assert float(np.dot(u.values, mu - mu)) == 0.0
+        assert u.anchor == t.root and u.values[t.root] == 0.0
+
+    def test_single_vertex_has_no_constraint(self):
+        g = ot.build_graph(1, [])
+        u, unique = ot.certified_dual(g, ot.root_tree(g, [], 0), [1.0], [1.0])
+        assert unique is True and u.values.tolist() == [0.0]
 
     def test_uncertified_tree_gives_none(self):
         g = ot.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
         t = ot.root_tree(g, [(1, 2), (2, 3), (3, 0)], 0)
-        assert ot.dual_unique(g, t, [1.0, 0, 0, 0], [0, 1.0, 0, 0]) is None
-        assert ot.dual_unique(g, ot.root_tree(g, [(0, 1), (1, 2), (2, 3)], 0),
-                              [1.0, 0, 0, 0], [0, 1.0, 0, 0]) is False
+        assert ot.certified_dual(g, t, [1.0, 0, 0, 0], [0, 1.0, 0, 0]) is None
+        assert ot.certified_dual(g, ot.root_tree(g, [(0, 1), (1, 2), (2, 3)], 0),
+                                 [1.0, 0, 0, 0], [0, 1.0, 0, 0])[1] is False
 
     def test_tree_of_another_graph_rejected(self):
         g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -544,35 +608,33 @@ class TestDualUnique:
                    ot.root_tree(ot.build_graph(3, [(0, 2, 1.0), (1, 2, 1.0)]), [(0, 2), (1, 2)], 0)]
         for t in foreign:
             with pytest.raises(NotSpanningError, match="not a spanning tree of the graph"):
-                ot.dual_unique(g, t, mu, nu)
+                ot.certified_dual(g, t, mu, nu)
         with pytest.raises(NotSpanningError):
-            ot.dual_unique(line_graph(4), ot.root_tree(g, [(0, 1), (1, 2)], 0), [0.25] * 4, [0.25] * 4)
+            ot.certified_dual(line_graph(4), ot.root_tree(g, [(0, 1), (1, 2)], 0), [0.25] * 4,
+                              [0.25] * 4)
         with pytest.raises(NotSpanningError):
-            ot.dual_unique(g, ot.root_tree(line_graph(2), [(0, 1)], 0), [0.5, 0.5], [0.5, 0.5])
+            ot.certified_dual(g, ot.root_tree(line_graph(2), [(0, 1)], 0), [0.5, 0.5], [0.5, 0.5])
 
     def test_agrees_with_the_bellman_ford_face(self, backend):
-        verdicts = {True: 0, False: 0, None: 0}
-        for g, t, mu, nu in optimal_tree_corpus():
-            low, high = reference_dual_range(g, t, mu, nu)
-            spread = max(h - lo for lo, h in zip(low, high))
-            for sign in (1, -1):
-                unique = ot.dual_unique(g, t, mu, nu, sign_at_zero=sign)
-                verdicts[unique] += 1
-                if unique is None:
-                    continue
-                assert unique is (spread <= 1e-9), (unique, spread)
-                # the certified potential lies on the face
-                u = ot.tree_potential(t, mu, nu, sign_at_zero=sign).values
-                assert all(lo - 1e-9 <= x <= h + 1e-9 for lo, x, h in zip(low, u - u[0], high))
-        assert min(verdicts.values()) >= 10 and verdicts[True] + verdicts[False] >= 100, verdicts
+        # both potentials are returned: the tree formula where it is
+        # 1-Lipschitz, the face's where it is not
+        outcomes = {}
+        for seed in (27, 28):
+            for g, t, mu, nu in optimal_tree_corpus(seed=seed):
+                outcome = assert_certified(g, t, mu, nu)
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 10, outcomes
+
+    def test_degenerate_lattice_trees(self, backend):
+        outcomes = [assert_certified(*case) for case in degenerate_tree_corpus()]
+        assert len(outcomes) == 40 and not any(formula for _, formula in outcomes)
 
     def test_the_papers_condition_implies_uniqueness(self):
         # sufficient, not necessary: some degenerate pairs have a unique dual
         outcomes = {(held, unique): 0 for held in (True, False) for unique in (True, False)}
         for g, t, mu, nu in optimal_tree_corpus(seed=28):
-            unique = ot.dual_unique(g, t, mu, nu)
-            if unique is not None:
-                outcomes[ot.check_weak_nondegeneracy(mu, nu, g), unique] += 1
+            _, unique = ot.certified_dual(g, t, mu, nu)
+            outcomes[ot.check_weak_nondegeneracy(mu, nu, g), unique] += 1
         assert outcomes[True, False] == 0, outcomes
         assert outcomes[True, True] >= 40 and outcomes[False, True] >= 5, outcomes
         assert outcomes[False, False] >= 5, outcomes

@@ -158,7 +158,7 @@ class TestTreePotential:
     def test_equal_measures_gives_distance_to_root(self, line6):
         g, mu, _ = line6
         t = ot.root_tree(g, line6_edges(), 5)
-        u = ot.tree_potential(t, mu, mu, sign_at_zero=+1)
+        u = ot.tree_potential(t, mu, mu)
         expected = [ot.tree_distance(t, v, 5) for v in range(6)]
         assert np.allclose(u.values, expected, atol=1e-12)
 

@@ -433,8 +433,7 @@ passes = []
 for root, parent, wpar, mu, nu in trees:
     t = RootedTree(root, parent, wpar)
     sums = ot.subtree_aggregate(t, ot.imbalance(mu, nu))
-    potentials = [ot.tree_potential(t, mu, nu, sign_at_zero=s).values for s in (1, -1)]
-    passes.append(bits(t.order, t.depth, sums, *potentials))
+    passes.append(bits(t.order, t.depth, sums, ot.tree_potential(t, mu, nu).values))
 print(json.dumps({"backend": ot.kernel_backend(), "passes": passes}))
 """
 
@@ -451,8 +450,7 @@ def tree_pass_runs(tmp_path_factory, pass_trees):
     for root, parent, wpar, mu, nu in trees:
         order, depth = reference_order_depth(root, parent.tolist())
         sums = reference_subtree_sums(parent, order, ot.imbalance(mu, nu))
-        potentials = [reference_tree_potential(parent, order, wpar, sums, s) for s in (1, -1)]
-        passes.append(bits(order, depth, sums, *potentials))
+        passes.append(bits(order, depth, sums, reference_tree_potential(parent, order, wpar, sums)))
     reference = {"passes": passes}
     runs = {}
 
