@@ -4,11 +4,14 @@ The backend is chosen by TREEOT_BACKEND when the kernel is first used, so
 each backend runs in a subprocess. The C backend, where it loads, is timed
 against the plain-Python kernel, and its trace, iterations run, stop reason
 and the generator's final state must equal the Python ones bit for bit.
-``--iters`` is a budget: a chain stops sooner once its best tree is
-certified optimal, so iterations/s count the iterations run. The default
-12x12 lattice runs its whole budget; on small lattices (7x7) the chain
-certifies early and the timing and the parity check cover only the
-iterations it ran, which the script reports.
+An iteration is one proposal of the chain's cycle-exchange move (a null
+one included, where the arc drawn is a tree edge), so proposals/s count the
+iterations run. ``--iters`` is a budget: a chain stops sooner once its best
+tree is certified optimal, which it checks on each trace row, every
+``iters // 10`` iterations. The default 12x12 chain certifies on the first
+row, so with the default budget the timing and the parity check cover
+20,000 iterations, and with ``--iters 2000000`` 200,000; the script reports
+the iterations run.
 Usage:
 
     python benchmarks/bench_anneal.py [--p 12] [--iters 200000] [--seed 0]
@@ -79,7 +82,8 @@ def run_backend(name: str, payload) -> dict | None:
     report = json.loads(proc.stdout)
     if report["backend"] != name:
         raise RuntimeError(f"asked for backend {name}, ran {report['backend']}")
-    print(f"  {name:8} : {report['seconds']:8.3f} s  ({report['iters_per_second']:12.0f} it/s), "
+    print(f"  {name:8} : {report['seconds']:8.3f} s  ({report['iters_per_second']:12.0f} "
+          "proposals/s), "
           f"{report['iters_run']} iterations, stopped: {report['stop_reason']}")
     return report
 
@@ -96,7 +100,7 @@ def main() -> int:
     plain = run_backend("python", payload)
     if plain["iters_run"] < args.iters:
         print(f"  note     : the chain stopped after {plain['iters_run']} of {args.iters} "
-              f"iterations; timing and parity cover those only (use a larger --p)")
+              f"iterations; timing and parity cover those only")
     mismatched = []
     for name in COMPILED:
         report = run_backend(name, payload)

@@ -90,7 +90,6 @@ static double pcg64_next_double(pcg64 *g)
 
 enum {
     CHAIN_OK = 0,
-    CHAIN_NO_NEIGHBOUR = 1,
     CHAIN_DEGREE_TOO_LARGE = 2,
     WILSON_BAD_VERTEX_COUNT = 3,
     WILSON_NO_NEIGHBOUR = 4,
@@ -169,47 +168,100 @@ static double tree_cost(int64_t n, const int64_t *parent, const double *wpar, co
     return total;
 }
 
-/* propose_root of _kernels.py: the candidate root and the weight of its edge
- * to root. Returns CHAIN_OK or a CHAIN_* error code. */
-static int propose_root(const int64_t *indptr, const int64_t *indices, const double *adj_w,
-                        int64_t root, pcg64 *g, int64_t *new_root, double *w_added)
+/* exchange_cycle of _kernels.py into paths, len, t and wt; returns the count. */
+static int64_t exchange_cycle(const int64_t *parent, const double *wpar, const double *xi_cum,
+                              int64_t a, int64_t b, double w, int64_t *mark, int64_t stamp,
+                              int64_t *const paths[2], int64_t len[2], double *t, double *wt)
 {
-    const int64_t lo = indptr[root];
-    const int64_t deg = indptr[root + 1] - lo;
-    if (deg < 1)
-        return CHAIN_NO_NEIGHBOUR;
-    if (deg > (int64_t)UINT32_MAX)
-        return CHAIN_DEGREE_TOO_LARGE;
-    const int64_t k = bounded_index(g, deg);
-    *new_root = indices[lo + k];
-    *w_added = adj_w[lo + k];
-    return CHAIN_OK;
+    paths[0][0] = a;
+    paths[1][0] = b;
+    len[0] = len[1] = 1;
+    mark[a] = 2 * stamp;
+    mark[b] = 2 * stamp + 1;
+    for (int side = 0;; side = 1 - side) {
+        const int64_t v = parent[paths[side][len[side] - 1]];
+        if (v < 0)
+            continue;
+        if (mark[v] == 2 * stamp + 1 - side) {
+            while (paths[1 - side][--len[1 - side]] != v)
+                ;
+            break;
+        }
+        mark[v] = 2 * stamp + side;
+        paths[side][len[side]++] = v;
+    }
+    t[0] = 0.0;
+    wt[0] = w;
+    for (int64_t i = 0; i < len[1] + len[0]; i++) {
+        const int64_t x = i < len[1] ? paths[1][i] : paths[0][i - len[1]];
+        t[1 + i] = i < len[1] ? -xi_cum[x] : xi_cum[x];
+        wt[1 + i] = wpar[x];
+    }
+    return 1 + len[0] + len[1];
 }
 
-/* swap_delta of _kernels.py: current cost minus candidate cost, on the cycle. */
-static double swap_delta(const int64_t *parent, const double *wpar, const double *xi_cum,
-                         int64_t root, int64_t new_root, double w_added)
+/* breakpoint_costs of _kernels.py into f, by a stable insertion sort into order; returns min f. */
+static double breakpoint_costs(int64_t count, const double *t, const double *wt, int64_t *order,
+                               double *f)
 {
-    const double xr = xi_cum[new_root];
-    double h = (wpar[new_root] - w_added) * fabs(xr);
-    for (int64_t v = parent[new_root]; v != root; v = parent[v])
-        h += wpar[v] * (fabs(xi_cum[v]) - fabs(xi_cum[v] - xr));
-    return h;
+    for (int64_t j = 0; j < count; j++) {
+        int64_t i = j;
+        for (; i > 0 && t[order[i - 1]] > t[j]; i--)
+            order[i] = order[i - 1];
+        order[i] = j;
+    }
+    double value = 0.0, total = 0.0, left = 0.0;
+    for (int64_t j = 0; j < count; j++) {
+        value += wt[order[j]] * (t[order[j]] - t[order[0]]);
+        total += wt[order[j]];
+    }
+    double fmin = f[order[0]] = value;
+    for (int64_t j = 1; j < count; j++) {
+        left += wt[order[j - 1]];
+        value += (t[order[j]] - t[order[j - 1]]) * (left - (total - left));
+        f[order[j]] = value;
+        fmin = value < fmin ? value : fmin;
+    }
+    return fmin;
 }
 
-/* apply_swap of _kernels.py: make new_root the root, in place. */
-static void apply_swap(int64_t *parent, double *wpar, double *xi_cum, int64_t root,
-                       int64_t new_root, double w_added)
+/* heat_bath of _kernels.py, the running weights into cum. Below -746 exp
+ * returns +0 only after glibc's slow underflow path; 0.0 is taken there. */
+static int64_t heat_bath(int64_t count, const double *f, double fmin, double beta, double s,
+                         double u, double *cum)
 {
-    const double xr = xi_cum[new_root];
-    for (int64_t v = parent[new_root]; v != root; v = parent[v])
-        xi_cum[v] -= xr;
-    xi_cum[root] = -xr;
-    xi_cum[new_root] = 0.0;
-    parent[root] = new_root;
-    wpar[root] = w_added;
-    parent[new_root] = -1;
-    wpar[new_root] = 0.0;
+    double running = 0.0;
+    for (int64_t k = 0; k < count; k++) {
+        const double x = s > 0.0 ? -(beta * (f[k] - fmin) / s) : -INFINITY;
+        running += f[k] == fmin ? 1.0 : x >= -746.0 ? exp(x) : 0.0;
+        cum[k] = running;
+    }
+    int64_t k = 0;
+    while (cum[k] <= u * running)
+        k++;
+    return k;
+}
+
+/* apply_exchange of _kernels.py on exchange_cycle's paths and lengths. */
+static void apply_exchange(int64_t *parent, double *wpar, double *xi_cum, int64_t *const paths[2],
+                           const int64_t len[2], int64_t a, int64_t b, double w, int64_t k)
+{
+    const int side = k <= len[1];
+    const int64_t *cut = paths[side], *other = paths[1 - side];
+    k -= side ? 1 : 1 + len[1];
+    const double theta = xi_cum[cut[k]];
+    for (int64_t i = 0; i < len[1 - side]; i++)
+        xi_cum[other[i]] += theta;
+    for (int64_t i = k + 1; i < len[side]; i++)
+        xi_cum[cut[i]] -= theta;
+    for (int64_t i = k; i > 0; i--) {
+        parent[cut[i]] = cut[i - 1];
+        wpar[cut[i]] = wpar[cut[i - 1]];
+        xi_cum[cut[i]] = theta - xi_cum[cut[i - 1]];
+    }
+    parent[cut[0]] = side ? a : b;
+    wpar[cut[0]] = w;
+    xi_cum[cut[0]] = theta;
 }
 
 /* tree_potential of _kernels.py, into u (zero on entry). */
@@ -244,16 +296,6 @@ static int certify(int64_t n, const int64_t *parent, const double *wpar, const i
     return 1;
 }
 
-/* exp(x) as the Metropolis test of anneal_chain reads it. Below -746,
- * e^x is under half the least subnormal, so exp returns +0, but only after
- * glibc's slow underflow path; 0.0 is returned directly there. (The draw u
- * is a multiple of 2^-53, so u <= 0.0 decides as u <= exp(x) would even
- * for an exp that rounded up to the least subnormal.) */
-static double accept_bound(double x)
-{
-    return x < -746.0 ? 0.0 : exp(x);
-}
-
 /* update_beta of _kernels.py. */
 static double update_beta(double beta, int64_t bits_sum, int64_t bits_seen, int64_t window,
                           double eta, double target_accept)
@@ -265,40 +307,47 @@ static double update_beta(double beta, int64_t bits_sum, int64_t bits_seen, int6
     return beta;
 }
 
-/* anneal_chain of _kernels.py. Its scratch: bits holds window slots, work_i
- * 2n and work_d 2n. Results: out_d = {best, current, max_drift} and out_i =
- * {root, best_root, records, iters_done, stop}, stop a STOP_* code. Returns
- * a CHAIN_* code or NO_MEMORY.
+/* anneal_chain of _kernels.py. Scratch: bits holds window slots; work_i and work_d hold 2n
+ * for certify, then mark (zeroed), the paths, order and arc tails, and t, wt, f and cum.
+ * Results: out_d = {best, current, max_drift}, out_i = {records, iters_done, stop}, stop a
+ * STOP_* code. Returns CHAIN_OK, CHAIN_DEGREE_TOO_LARGE (2^32 arcs or more) or NO_MEMORY.
  * The window slot and the record and recompute schedules are counters, not
  * remainders of it: slot == (it - 1) % window, and to_record (to_recompute)
  * reaches 0 exactly when it is a multiple of record_every (recompute_every,
  * never when that is not positive). */
 int treeot_anneal_chain(
-    int64_t n, int64_t *parent, double *wpar, double *xi_cum, int64_t root,
-    const int64_t *indptr, const int64_t *indices, const double *adj_w, const double *xi_node,
+    int64_t n, int64_t *parent, double *wpar, double *xi_cum, const int64_t *indptr,
+    const int64_t *indices, const double *adj_w, const double *xi_node,
     int64_t max_iters, double beta0, double target_accept, double eta, int64_t window,
     int64_t record_every, int64_t recompute_every, double target_cost, double cert_rtol,
     uint64_t *rng, int64_t *best_parent, double *best_wpar, int64_t *trace_iter,
     double *trace_cur, double *trace_best, double *trace_beta, double *trace_acc, double *out_d,
     int64_t *out_i)
 {
-    int64_t *bits = scratch(window, sizeof *bits, 1), *work_i = scratch(2 * n, sizeof *work_i, 0);
-    double *work_d = scratch(2 * n, sizeof *work_d, 0);
+    const int64_t arcs = indptr[n];
+    int64_t *bits = scratch(window, sizeof *bits, 1);
+    int64_t *work_i = scratch(6 * n + 1 + arcs, sizeof *work_i, 1);
+    double *work_d = scratch(6 * n + 4, sizeof *work_d, 0);
     pcg64 g = pcg64_load(rng);
     int status = NO_MEMORY;
     if (!bits || !work_i || !work_d)
         goto done;
-    status = CHAIN_OK;
+    status = arcs > (int64_t)UINT32_MAX ? CHAIN_DEGREE_TOO_LARGE : CHAIN_OK;
+    int64_t *mark = work_i + 2 * n, *const paths[2] = {mark + n, mark + 2 * n};
+    int64_t *order = mark + 3 * n, *tails = order + n + 1;
+    double *t = work_d + 2 * n, *wt = t + n + 1, *f = wt + n + 1, *cum = f + n + 1;
+    for (int64_t a = 0; a < n; a++)
+        for (int64_t j = indptr[a]; j < indptr[a + 1]; j++)
+            tails[j] = a;
     const size_t parent_bytes = (size_t)n * sizeof *parent;
     const size_t wpar_bytes = (size_t)n * sizeof *wpar;
     double current = tree_cost(n, parent, wpar, xi_cum);
     double best = current;
-    int64_t best_root = root;
     memcpy(best_parent, parent, parent_bytes);
     memcpy(best_wpar, wpar, wpar_bytes);
 
-    int64_t bits_sum = 0, bits_seen = 0;
-    double beta = beta0, max_drift = 0.0;
+    int64_t bits_sum = 0, bits_seen = 0, gaps = 0;
+    double beta = beta0, max_drift = 0.0, gap_sum = 0.0;
 
     int64_t records = 0;
     trace_iter[records] = 0;
@@ -316,33 +365,30 @@ int treeot_anneal_chain(
     else if (certify(n, best_parent, best_wpar, indptr, indices, adj_w, xi_node, cert_rtol,
                      work_d, work_i))
         stop = STOP_CERTIFIED;
-    if (stop == STOP_MAX_ITERS) {
+    if (stop == STOP_MAX_ITERS && status == CHAIN_OK) {
         double checked = best;
         for (int64_t it = 1; it <= max_iters; it++) {
-            int64_t new_root;
-            double w_added;
-            status = propose_root(indptr, indices, adj_w, root, &g, &new_root, &w_added);
-            if (status != CHAIN_OK)
-                break;
-            const double u = pcg64_next_double(&g);
-            const double h = swap_delta(parent, wpar, xi_cum, root, new_root, w_added);
-
-            const int accept = h >= 0.0 || u <= accept_bound(beta * h);
-            if (accept) {
-                apply_swap(parent, wpar, xi_cum, root, new_root, w_added);
-                root = new_root;
-                current -= h;
-                if (current < best) {
-                    best = current;
-                    best_root = root;
-                    memcpy(best_parent, parent, parent_bytes);
-                    memcpy(best_wpar, wpar, wpar_bytes);
+            const int64_t j = bounded_index(&g, arcs), a = tails[j], b = indices[j];
+            int changed = 0;
+            if (parent[a] != b && parent[b] != a) {
+                int64_t len[2];
+                const int64_t count = exchange_cycle(parent, wpar, xi_cum, a, b, adj_w[j], mark,
+                                                     it, paths, len, t, wt);
+                const double fmin = breakpoint_costs(count, t, wt, order, f);
+                gap_sum += f[0] - fmin;
+                gaps++;
+                const int64_t k = heat_bath(count, f, fmin, beta, gap_sum / (double)gaps,
+                                            pcg64_next_double(&g), cum);
+                if (k > 0) {
+                    apply_exchange(parent, wpar, xi_cum, paths, len, a, b, adj_w[j], k);
+                    current += f[k] - f[0];
+                    changed = 1;
                 }
             }
 
             if (bits_seen >= window)
                 bits_sum -= bits[slot];
-            bits[slot] = accept ? 1 : 0;
+            bits[slot] = changed;
             bits_sum += bits[slot];
             bits_seen++;
             if (++slot == window)
@@ -360,12 +406,11 @@ int treeot_anneal_chain(
                     max_drift = drift;
                 memcpy(xi_cum, work_d, (size_t)n * sizeof *xi_cum);
                 current = fresh_cost;
-                if (current < best) {
-                    best = current;
-                    best_root = root;
-                    memcpy(best_parent, parent, parent_bytes);
-                    memcpy(best_wpar, wpar, wpar_bytes);
-                }
+            }
+            if (current < best) {
+                best = current;
+                memcpy(best_parent, parent, parent_bytes);
+                memcpy(best_wpar, wpar, wpar_bytes);
             }
 
             const int on_target = have_target && best <= target_cost + 1e-9;
@@ -403,11 +448,9 @@ int treeot_anneal_chain(
     out_d[0] = best;
     out_d[1] = current;
     out_d[2] = max_drift;
-    out_i[0] = root;
-    out_i[1] = best_root;
-    out_i[2] = records;
-    out_i[3] = iters_done;
-    out_i[4] = stop;
+    out_i[0] = records;
+    out_i[1] = iters_done;
+    out_i[2] = stop;
 done:
     pcg64_store(&g, rng);
     free(bits);

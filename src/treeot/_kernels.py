@@ -4,12 +4,13 @@ pair-distance kernels and the backends that run them.
 ``anneal_chain``, ``wilson_tree``, ``subtree_sums``, ``tree_potential``,
 ``dp_plan``, ``network_simplex``, ``tree_pairs`` and ``pair_distances``
 below are the reference kernels in plain Python.
-``anneal_chain`` moves between rooted spanning trees through five step
-functions, the one statement of the swap arithmetic and of the stop:
-``propose_root`` draws the candidate root, ``swap_delta`` scores the swap
-on its cycle, ``apply_swap`` makes it, ``update_beta`` adapts the
-temperature, and ``certify`` proves the best tree optimal (its tree
-potential is 1-Lipschitz on every graph edge), which ends the chain.
+``anneal_chain`` exchanges edges on cycles of a spanning tree through six
+step functions, the one statement of its arithmetic and of the stop:
+``exchange_cycle`` finds a cycle's breakpoints, ``breakpoint_costs`` prices
+them, ``heat_bath`` draws the leaving edge, ``apply_exchange`` makes the
+exchange, ``update_beta`` adapts the temperature, and ``certify`` proves
+the best tree optimal (its tree potential is 1-Lipschitz on every graph
+edge), which ends the chain.
 ``subtree_sums`` is the leaves-to-root pass along a tree's ``order`` (by
 decreasing depth, then increasing id, from the tree's numpy proof, the same
 on every backend) and ``tree_potential`` the root-to-leaves one. ``dp_plan`` builds the dynamic-programming
@@ -60,6 +61,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import heapq
+import itertools
 import math
 import os
 import platform
@@ -88,11 +90,10 @@ FLOW_INFEASIBLE = 9
 # a C kernel's status when it cannot allocate its scratch, shared with _kernel.c
 NO_MEMORY = 16
 #: the exception type and message of every failure status, the only place a
-#: status becomes an exception (``root`` and ``u`` come from the method);
-#: 1 to 4 and ``NO_MEMORY`` come only from _kernel.c, past the methods' checks
+#: status becomes an exception (``u`` comes from the method); 2 to 4 and
+#: ``NO_MEMORY`` come only from _kernel.c, past the methods' checks
 _STATUS_ERRORS = {
-    1: (ValueError, "C kernel stopped: the root has no graph neighbour"),
-    2: (ValueError, "C kernel stopped: a vertex degree of 2^32 or more is not supported"),
+    2: (ValueError, "C kernel stopped: a degree or arc count of 2^32 or more is not supported"),
     3: (ValueError, "C kernel stopped: a vertex count of 0 or of 2^32 or more is not supported"),
     4: (ValueError, "C kernel stopped: a random walk reached a vertex with no graph neighbour"),
     PLAN_NO_MATCH: (RuntimeError, "no matching vertex below {u}; residuals are inconsistent"),
@@ -137,8 +138,8 @@ class Kernels:
         """The chain of :func:`anneal_chain` on the graph from copies of the
         tree's links and their ``subtree_sums`` of ``xi``, as ``(stats,
         (best_parent, best_wpar), (parent, wpar), trace)``: ``stats`` is
-        (best_cost, current_cost, root, best_root, records, iters_done,
-        max_drift, stop), the links are the best and the final tree's, and
+        (best_cost, current_cost, records, iters_done, max_drift, stop), the
+        links are the best and the final tree's, both on the tree's root, and
         ``trace`` is the five columns cut to the rows written."""
         _proven("annealing chain", tree, RootedTree)
         _proven("annealing chain", graph, WeightedGraph)
@@ -151,15 +152,15 @@ class Kernels:
         best_parent, best_wpar = np.empty_like(parent), np.empty_like(wpar)
         rows = max(max_iters, 0) // record_every + 2
         trace = (np.zeros(rows, dtype=np.int64), *(np.zeros(rows) for _ in range(4)))
-        out_d, out_i = np.empty(3), np.empty(5, dtype=np.int64)
+        out_d, out_i = np.empty(3), np.empty(3, dtype=np.int64)
         _check_status(self._run["anneal_chain"](
-            n, parent, wpar, self.subtree_sums(tree, xi), tree.root, graph.indptr, graph.indices,
+            n, parent, wpar, self.subtree_sums(tree, xi), graph.indptr, graph.indices,
             graph.weights, xi, max_iters, beta0, target_accept, eta, window, record_every,
             recompute_every, target_cost, CERT_RTOL, rng, best_parent, best_wpar, *trace, out_d,
             out_i))
         best, current, max_drift = out_d.tolist()
-        root, best_root, records, iters_done, stop = out_i.tolist()
-        return ((best, current, root, best_root, records, iters_done, max_drift, stop),
+        records, iters_done, stop = out_i.tolist()
+        return ((best, current, records, iters_done, max_drift, stop),
                 (best_parent, best_wpar), (parent, wpar), tuple(a[:records] for a in trace))
 
     def wilson_tree(self, graph, rng):
@@ -380,9 +381,9 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 #: the argtypes of ``treeot_<name>`` in ``_kernel.c``, the C function of the
 #: reference kernel ``<name>`` below; each returns an ``int`` status
 C_SIGNATURES = {
-    "anneal_chain": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _F64,
-                     _I64, _I64, _I64, _F64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                     _PTR, _PTR],
+    "anneal_chain": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _F64, _I64,
+                     _I64, _I64, _F64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                     _PTR],
     "wilson_tree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     "dp_plan": [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
     "network_simplex": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR],
@@ -472,32 +473,20 @@ _LOADERS = {"c": _load_c, "python": _load_python}
 
 def recompute_cumulative(parent, xi_node):
     """Fresh subtree sums of xi_node for the tree given by parent links, and
-    the leaves-first queue (root last) that summed them."""
+    the leaves-first queue (root last) that summed them: the leaves by id,
+    then each parent as its last child is summed."""
     n = parent.shape[0]
-    pending = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        p = parent[v]
-        if p >= 0:
-            pending[p] += 1
+    pending = np.bincount(parent[parent >= 0], minlength=n).tolist()
     out = xi_node.copy()
-    queue = np.empty(n, dtype=np.int64)
-    head = 0
-    tail = 0
-    for v in range(n):
-        if pending[v] == 0:
-            queue[tail] = v
-            tail += 1
-    while head < tail:
-        v = queue[head]
-        head += 1
+    queue = [v for v in range(n) if pending[v] == 0]
+    for v in queue:  # the queue grows as it is walked
         p = parent[v]
         if p >= 0:
             out[p] += out[v]
             pending[p] -= 1
             if pending[p] == 0:
-                queue[tail] = p
-                tail += 1
-    return out, queue
+                queue.append(p)
+    return out, np.array(queue, dtype=np.int64)
 
 
 def tree_cost(parent, wpar, xi_cum):
@@ -509,50 +498,70 @@ def tree_cost(parent, wpar, xi_cum):
     return total
 
 
-def propose_root(indptr, indices, adj_w, root, rng):
-    """Draw a graph neighbour of ``root`` uniformly as the candidate root;
-    return it and the weight of the edge that joins it to ``root``."""
-    lo = indptr[root]
-    k = rng.integers(0, indptr[root + 1] - lo)
-    return indices[lo + k], adj_w[lo + k]
+def exchange_cycle(parent, wpar, xi_cum, a, b, w, mark, stamp):
+    """``(pa, pb, t, wt)`` for the non-tree arc (a, b) of weight ``w``: the
+    paths from a and b to their lowest common ancestor (excluded), climbed
+    alternately and stamped in ``mark`` with 2·stamp + side, and the
+    breakpoints of f(θ) = w|θ| + Σ_pb wpar·|ξ + θ| + Σ_pa wpar·|ξ − θ|, the
+    cost of pushing θ from a to b, with their weights: 0 for the entering
+    arc, then −ξ along ``pb``, then +ξ along ``pa``."""
+    paths = ([a], [b])
+    mark[a], mark[b] = 2 * stamp, 2 * stamp + 1
+    for side in itertools.cycle((0, 1)):
+        v = parent[paths[side][-1]]
+        if v < 0:
+            continue
+        if mark[v] == 2 * stamp + 1 - side:
+            del paths[1 - side][paths[1 - side].index(v):]
+            break
+        mark[v] = 2 * stamp + side
+        paths[side].append(v)
+    pa, pb = paths
+    t = [0.0] + [-xi_cum[x] for x in pb] + [xi_cum[x] for x in pa]
+    return pa, pb, t, [w] + [wpar[x] for x in pb + pa]
 
 
-def swap_delta(parent, wpar, xi_cum, root, new_root, w_added):
-    """Cost of the current tree minus that of the candidate, summed over the
-    cycle that the edge (root, new_root) closes.
+def breakpoint_costs(t, wt):
+    """f(t[k]) = Σ_i wt[i]·|t[k] − t[i]| at every breakpoint k: summed at
+    the least of them, then swept along them sorted by (t, index), each from
+    the last by the slope between them."""
+    order = sorted(range(len(t)), key=t.__getitem__)
+    value = total = left = 0.0
+    for i in order:
+        value += wt[i] * (t[i] - t[order[0]])
+        total += wt[i]
+    f = [value] * len(t)
+    for prev, i in zip(order, order[1:]):
+        left += wt[prev]
+        value += (t[i] - t[prev]) * (left - (total - left))
+        f[i] = value
+    return f
 
-    The candidate gains that edge and drops ``new_root``'s parent edge.
-    Interior cycle vertices keep their parent edge, but their cumulative
-    imbalance shifts by ``new_root``'s; the swapped pair of edges trades
-    |cumulative imbalance at ``new_root``| between the two weights.
-    """
-    xr = xi_cum[new_root]
-    h = (wpar[new_root] - w_added) * abs(xr)
-    v = parent[new_root]
-    while v != root:
-        h += wpar[v] * (abs(xi_cum[v]) - abs(xi_cum[v] - xr))
-        v = parent[v]
-    return h
+
+def heat_bath(f, fmin, beta, s, u):
+    """The breakpoint that the draw ``u`` in [0, 1) picks: one at ``fmin``
+    weighs 1, any other exp(−beta·(f − fmin)/s), or 0 where s is 0 (or beta
+    inf); the first whose running weight exceeds u times the total."""
+    running = list(itertools.accumulate(
+        1.0 if x == fmin else math.exp(-(beta * (x - fmin) / s)) if s > 0.0 else 0.0 for x in f))
+    return next(k for k, r in enumerate(running) if r > u * running[-1])
 
 
-def apply_swap(parent, wpar, xi_cum, root, new_root, w_added):
-    """Make ``new_root`` the root by the swap ``swap_delta`` scores, in place.
-
-    Interior cycle vertices shift their cumulative imbalance by
-    ``new_root``'s, the old root takes its negation and ``new_root`` zeroes;
-    only two parent links change.
-    """
-    xr = xi_cum[new_root]
-    v = parent[new_root]
-    while v != root:
-        xi_cum[v] -= xr
-        v = parent[v]
-    xi_cum[root] = -xr
-    xi_cum[new_root] = 0.0
-    parent[root] = new_root
-    wpar[root] = w_added
-    parent[new_root] = -1
-    wpar[new_root] = 0.0
+def apply_exchange(parent, wpar, xi_cum, pa, pb, a, b, w, k):
+    """The exchange at breakpoint ``k`` > 0, in place: with its vertex c on
+    ``pa``, θ = ξ_c is added along ``pb`` and taken above c, and a … c hang
+    from b, each by its old parent's edge with θ minus that parent's old ξ;
+    with c on ``pb``, a and b trade roles. The root never moves."""
+    cut, other, hang, k = (pa, pb, b, k - 1 - len(pb)) if k > len(pb) else (pb, pa, a, k - 1)
+    theta = xi_cum[cut[k]]
+    for x in other:
+        xi_cum[x] += theta
+    for x in cut[k + 1:]:
+        xi_cum[x] -= theta
+    for i in range(k, 0, -1):
+        parent[cut[i]], wpar[cut[i]] = cut[i - 1], wpar[cut[i - 1]]
+        xi_cum[cut[i]] = theta - xi_cum[cut[i - 1]]
+    parent[cut[0]], wpar[cut[0]], xi_cum[cut[0]] = hang, w, theta
 
 
 def certify(n, parent, wpar, indptr, indices, adj_w, xi_node, cert_rtol):
@@ -590,16 +599,18 @@ def update_beta(beta, bits_sum, bits_seen, window, eta, target_accept):
     return beta
 
 
-def anneal_chain(n, parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node, max_iters, beta0,
+def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_iters, beta0,
                  target_accept, eta, window, record_every, recompute_every, target_cost,
                  cert_rtol, rng, best_parent, best_wpar, trace_iter, trace_cur, trace_best,
                  trace_beta, trace_acc, out_d, out_i):
-    """Run one annealing chain over rooted spanning trees, in place.
+    """Run one annealing chain over the spanning trees of one root, in place.
 
-    Per iteration: draw a candidate root, score the edge swap by
-    ``swap_delta``, accept with probability min(1, exp(beta * H)), and adapt
-    beta towards the target acceptance rate once the window has filled. The
-    best tree is copied into ``best_parent`` and ``best_wpar``.
+    Per iteration: draw a CSR arc by ``rng.integers``; unless it is a tree
+    edge, score its cycle, fold f(0) − min f into s (their running mean),
+    draw a breakpoint by ``heat_bath`` with ``rng.random()`` and exchange
+    unless it is the entering arc's. The window records whether the tree
+    changed; beta adapts once it has filled. The best tree, judged after
+    any recomputation, is copied into ``best_parent`` and ``best_wpar``.
 
     ``max_iters`` is a budget. The chain stops early with ``STOP_TARGET``
     once the best cost is within 1e-9 of ``target_cost`` (unless NaN), or
@@ -607,15 +618,17 @@ def anneal_chain(n, parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
     ``certify`` runs on the initial tree and then on each trace row where the
     best cost has dropped since its last run; the target stop is tested
     first. Writes ``out_d`` = (best_cost, current_cost, max_drift) and
-    ``out_i`` = (root, best_root, records, iters_done, stop), ``stop`` one of
-    the ``STOP_*`` codes, and returns 0.
+    ``out_i`` = (records, iters_done, stop), ``stop`` one of the ``STOP_*``
+    codes, and returns 0.
     """
     current = tree_cost(parent, wpar, xi_cum)
     best = current
-    best_root = root
     best_parent[:] = parent
     best_wpar[:] = wpar
 
+    tails = np.repeat(np.arange(n), np.diff(indptr[:n + 1]))
+    mark = [0] * n
+    gap_sum, gaps = 0.0, 0
     bits = np.zeros(window, dtype=np.int64)
     bits_sum = 0
     bits_seen = 0
@@ -642,24 +655,25 @@ def anneal_chain(n, parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
     checked = best
 
     for it in range(1, max_iters + 1):
-        new_root, w_added = propose_root(indptr, indices, adj_w, root, rng)
-        u = rng.random()
-        h = swap_delta(parent, wpar, xi_cum, root, new_root, w_added)
-        accept = h >= 0.0 or u <= math.exp(beta * h)
-        if accept:
-            apply_swap(parent, wpar, xi_cum, root, new_root, w_added)
-            root = new_root
-            current -= h
-            if current < best:
-                best = current
-                best_root = root
-                best_parent[:] = parent
-                best_wpar[:] = wpar
+        j = rng.integers(0, indptr[n])
+        a, b = tails[j], indices[j]
+        changed = False
+        if parent[a] != b and parent[b] != a:
+            pa, pb, t, wt = exchange_cycle(parent, wpar, xi_cum, a, b, adj_w[j], mark, it)
+            f = breakpoint_costs(t, wt)
+            fmin = min(f)
+            gap_sum += f[0] - fmin
+            gaps += 1
+            k = heat_bath(f, fmin, beta, gap_sum / gaps, rng.random())
+            if k > 0:
+                apply_exchange(parent, wpar, xi_cum, pa, pb, a, b, adj_w[j], k)
+                current += f[k] - f[0]
+                changed = True
 
         slot = (it - 1) % window
         if bits_seen >= window:
             bits_sum -= bits[slot]
-        bits[slot] = 1 if accept else 0
+        bits[slot] = 1 if changed else 0
         bits_sum += bits[slot]
         bits_seen += 1
         beta = update_beta(beta, bits_sum, bits_seen, window, eta, target_accept)
@@ -674,11 +688,10 @@ def anneal_chain(n, parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
                 max_drift = drift
             xi_cum[:] = fresh
             current = fresh_cost
-            if current < best:
-                best = current
-                best_root = root
-                best_parent[:] = parent
-                best_wpar[:] = wpar
+        if current < best:
+            best = current
+            best_parent[:] = parent
+            best_wpar[:] = wpar
 
         on_target = have_target and best <= target_cost + 1e-9
         if it % record_every == 0 or it == max_iters or on_target:
@@ -702,7 +715,7 @@ def anneal_chain(n, parent, wpar, xi_cum, root, indptr, indices, adj_w, xi_node,
                     break
 
     out_d[:] = best, current, max_drift
-    out_i[:] = root, best_root, records, iters_done, stop
+    out_i[:] = records, iters_done, stop
     return 0
 
 

@@ -1,18 +1,19 @@
-"""Simulated annealing over rooted spanning trees.
+"""Simulated annealing over the spanning trees of one root.
 
-The search walks the tree space by root-relocation edge swaps: a graph
-neighbour of the current root becomes the new root, gaining the connecting
-edge and dropping its old parent edge. The cost difference only involves the
-cycle closed by the swapped edges, so a step costs O(cycle length).
+The search moves by cycle exchange, this package's choice: an arc drawn
+uniformly, unless a tree edge, closes a cycle; pushing flow θ around it
+costs f(θ), piecewise linear with one breakpoint per cycle edge, and a heat
+bath draws the breakpoint whose edge leaves. At beta = inf this is the
+network-simplex pivot on the tree cost (Ahuja, Magnanti & Orlin, *Network
+Flows*, 1993, chs. 11 and 14). The root never moves.
 
 :func:`anneal` and :func:`anneal_chains` validate the measures once, then
 give each chain its initial tree (drawn by Wilson's algorithm, or the given
 one), proven when it was built, to ``anneal_chain`` of
 :mod:`treeot._kernels`, on the backend that ``TREEOT_BACKEND`` selects (C or
 plain Python; see :func:`treeot.kernel_backend`). The step arithmetic lives
-there, in ``propose_root``, ``swap_delta``, ``apply_swap`` and
-``update_beta``, and so does the stop: ``certify`` ends a chain whose best
-tree its tree potential proves optimal.
+there, and so does the stop: ``certify`` ends a chain whose best tree its
+tree potential proves optimal.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from .trees import RootedTree, random_spanning_tree
 class AnnealConfig:
     """Knobs of the annealing loop.
 
-    ``beta`` is adapted multiplicatively: after each post-warm-up iteration it
-    is scaled by ``1 + eta * (rate - target_accept)`` where the acceptance rate
-    averages the last ``window`` accept/reject bits.
+    The heat bath weighs a breakpoint exp(-beta * (f - min f) / s), s the
+    running mean of f(0) - min f, so ``beta`` is in units of s. After each
+    post-warm-up iteration (one proposal) ``beta`` is scaled by
+    ``1 + eta * (rate - target_accept)``, the rate averaging the last
+    ``window`` bits, each 1 when its iteration changed the tree.
     """
 
     max_iters: int
@@ -167,13 +170,13 @@ def _run_chain(g, xi, config, target, rng, tree=None) -> AnnealResult:
     stats, best_links, links, trace = _kernels.kernels().anneal_chain(
         tree, g, xi, config.max_iters if g.n > 1 else 0, config.beta0, config.target_accept,
         config.eta, config.window, config.record_every, config.recompute_every, target, rng)
-    best, current, final_root, best_root, _, iters_done, max_drift, stop = stats
+    best, current, _, iters_done, max_drift, stop = stats
     if max_drift > 1e-6:
         raise RuntimeError(f"incremental cost drifted by {max_drift:.3e}")
     return AnnealResult(
-        best_tree=RootedTree(best_root, *best_links),
+        best_tree=RootedTree(tree.root, *best_links),
         best_cost=float(best),
-        final_tree=RootedTree(final_root, *links),
+        final_tree=RootedTree(tree.root, *links),
         final_cost=float(current),
         trace=list(map(TraceRecord._make, zip(*(a.tolist() for a in trace)))),
         iters_run=int(iters_done),

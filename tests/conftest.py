@@ -787,10 +787,11 @@ def noisy_grid_measures(p, seed, img_mu=None, img_nu=None, sigma=1e-3):
 
 class SwapChain:
     """One annealing chain moved by the kernel's own step functions
-    (``propose_root``, ``swap_delta``, ``apply_swap``, ``update_beta``,
-    ``certify``), with the Metropolis rule, acceptance window and stop test
-    of ``_kernels.anneal_chain`` spelled out: a step-by-step reference for
-    the fused kernel."""
+    (``exchange_cycle``, ``breakpoint_costs``, ``heat_bath``,
+    ``apply_exchange``, ``update_beta``, ``certify``), with the arc draw, the
+    null proposal, the running scale s, the acceptance window and the stop
+    test of ``_kernels.anneal_chain`` spelled out: a step-by-step reference
+    for the fused kernel. The root never moves."""
 
     def __init__(self, g, tree, mu, nu, config):
         self.g = g
@@ -810,38 +811,56 @@ class SwapChain:
         self.bits = np.zeros(config.window, dtype=np.int64)
         self.bits_sum = 0
         self.bits_seen = 0
+        self.tails = g.arc_tails()
+        self.mark = [0] * tree.n
+        self.stamp = 0
+        self.gap_sum = 0.0
+        self.gaps = 0
 
     def propose(self, rng):
-        """``(new_root, w_added)``: the kernel's draw of a candidate root."""
-        return _kernels.propose_root(self.g.indptr, self.g.indices, self.g.weights, self.root, rng)
+        """``(a, b, w)``: the kernel's draw of a CSR arc."""
+        j = rng.integers(0, self.g.indptr[-1])
+        return self.tails[j], self.g.indices[j], self.g.weights[j]
 
-    def delta(self, new_root, w_added):
-        return _kernels.swap_delta(self.parent, self.wpar, self.xi_cum, self.root, new_root, w_added)
+    def is_tree_edge(self, a, b):
+        return self.parent[a] == b or self.parent[b] == a
 
-    def removed_edge(self, new_root):
-        return (int(new_root), int(self.parent[new_root]))
+    def cycle(self, a, b, w):
+        """``(pa, pb, t, wt)`` of ``exchange_cycle`` for the non-tree arc."""
+        self.stamp += 1
+        return _kernels.exchange_cycle(self.parent, self.wpar, self.xi_cum, a, b, w, self.mark,
+                                       self.stamp)
 
-    def step(self, new_root, w_added, u):
-        """Accept iff u <= min(1, exp(beta * H)), apply in place and record
-        the decision in the window; ``adapt`` then completes the kernel's
-        iteration."""
-        h = self.delta(new_root, w_added)
-        accept = h >= 0.0 or u <= math.exp(self.beta * h)
-        if accept:
-            _kernels.apply_swap(self.parent, self.wpar, self.xi_cum, self.root, new_root, w_added)
-            self.root = int(new_root)
-            self.cost -= h
-            if self.cost < self.best_cost:
-                self.best_cost = self.cost
-                self.best_parent = self.parent.copy()
-                self.best_wpar = self.wpar.copy()
+    def step(self, a, b, w, rng):
+        """One kernel iteration on the drawn arc, less ``adapt``: nothing on a
+        tree edge; otherwise score the cycle, fold f(0) - min f into s, draw
+        the leaving edge by heat bath with ``rng.random()`` and make the
+        exchange unless the entering arc itself is drawn. The window records
+        whether the tree changed. Returns the breakpoint drawn (None on a
+        tree edge)."""
+        k = None
+        if not self.is_tree_edge(a, b):
+            pa, pb, t, wt = self.cycle(a, b, w)
+            f = _kernels.breakpoint_costs(t, wt)
+            fmin = min(f)
+            self.gap_sum += f[0] - fmin
+            self.gaps += 1
+            k = _kernels.heat_bath(f, fmin, self.beta, self.gap_sum / self.gaps, rng.random())
+            if k > 0:
+                _kernels.apply_exchange(self.parent, self.wpar, self.xi_cum, pa, pb, a, b, w, k)
+                self.cost += f[k] - f[0]
+                if self.cost < self.best_cost:
+                    self.best_cost = self.cost
+                    self.best_parent = self.parent.copy()
+                    self.best_wpar = self.wpar.copy()
         window = self.config.window
         slot = self.bits_seen % window
         if self.bits_seen >= window:
             self.bits_sum -= int(self.bits[slot])
-        self.bits[slot] = 1 if accept else 0
+        self.bits[slot] = 1 if k else 0
         self.bits_sum += int(self.bits[slot])
         self.bits_seen += 1
+        return k
 
     def adapt(self):
         self.beta = _kernels.update_beta(self.beta, self.bits_sum, self.bits_seen,
@@ -860,6 +879,17 @@ class SwapChain:
 
     def tree(self):
         return RootedTree(self.root, self.parent, self.wpar)
+
+
+def exchanged_tree(g, t, a, b, leaving):
+    """The tree ``t`` with the edge (a, b) added and the edge from
+    ``leaving`` to its parent removed (none when ``leaving`` is None),
+    rebuilt from scratch on ``t``'s root."""
+    edges = {frozenset((v, int(p))) for v, p in enumerate(t.parent.tolist()) if p >= 0}
+    if leaving is not None:
+        edges.remove(frozenset((int(leaving), int(t.parent[leaving]))))
+        edges.add(frozenset((int(a), int(b))))
+    return ot.root_tree(g, sorted(tuple(sorted(e)) for e in edges), t.root)
 
 
 def c_compiler_found() -> bool:

@@ -20,6 +20,7 @@ from conftest import (
     SwapChain,
     blob_image,
     children_lists,
+    exchanged_tree,
     line6_edges,
     noisy_grid_measures,
     random_measure_pair,
@@ -158,15 +159,18 @@ def test_criterion_5_hamiltonian_consistency():
         tree = ot.random_spanning_tree(g, rng)
         state = SwapChain(g, tree, mu, nu, cfg)
         for _ in range(25):
-            new_root, w_added = state.propose(rng)
-            h = state.delta(new_root, w_added)
-            edges = {frozenset((v, int(state.parent[v])))
-                     for v in range(25) if state.parent[v] >= 0}
-            edges.discard(frozenset(state.removed_edge(new_root)))
-            edges.add(frozenset((state.root, int(new_root))))
-            t_cand = ot.root_tree(g, [tuple(sorted(e)) for e in edges], int(new_root))
-            assert abs(h - (state.cost - ot.tree_k_distance(t_cand, mu, nu))) <= 1e-9
-            state.step(new_root, w_added, 0.0)  # force accept
+            a, b, w = state.propose(rng)
+            if state.is_tree_edge(a, b):
+                continue
+            pa, pb, t, wt = state.cycle(a, b, w)
+            f = ot._kernels.breakpoint_costs(t, wt)
+            # force the exchange at a random breakpoint other than the entering arc
+            k = int(rng.integers(1, len(t)))
+            t_cand = exchanged_tree(g, state.tree(), a, b, [*pb, *pa][k - 1])
+            assert abs(state.cost - f[0] + f[k] - ot.tree_k_distance(t_cand, mu, nu)) <= 1e-9
+            ot._kernels.apply_exchange(state.parent, state.wpar, state.xi_cum, pa, pb, a, b, w, k)
+            state.cost += f[k] - f[0]
+            assert state.tree().edge_set() == t_cand.edge_set()
             ref = ot.cumulative_imbalance(state.tree(), ot.imbalance(mu, nu))
             assert np.max(np.abs(state.xi_cum - ref)) <= 1e-9
             pairs += 1

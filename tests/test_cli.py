@@ -755,6 +755,19 @@ class TestVerifyCommand:
         w1 = network_simplex_w1(g, mu, nu)
         assert abs(verdict["metrics"]["exact_value"] - w1) <= 1e-9 * w1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_readme_instance_anneals_to_a_certified_optimum(self, tmp_path, capsys, seed):
+        # root relocation stopped these five max_iters, 1e-8 to 1.5e-7 above W1
+        d = tmp_path
+        files = ["--graph", str(d / "graph.json"), "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")]
+        assert run_cli("grid", "--p", "8", "--noise-sigma", "auto", "--seed", str(seed),
+                       "--out-dir", str(d)) == 0
+        assert run_cli("anneal", *files, "--out-dir", str(d)) == 0
+        assert json.loads((d / "anneal.manifest.json").read_text())["stop_reason"] == "certified"
+        capsys.readouterr()
+        assert run_cli("verify", *files, "--tree", str(d / "best_tree.json"), "--exact") == 0
+        assert json.loads(capsys.readouterr().out)["all_passed"]
+
     def test_invalid_measure_reported_not_crashed(self, line6_files, capsys):
         bad = line6_files / "bad_mu.json"
         bad.write_text("[0.9, 0.1, 0.1, 0.0, 0.0, 0.0]\n", encoding="utf-8")
