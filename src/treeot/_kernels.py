@@ -32,8 +32,8 @@ arrays that the caller allocates, and the kernel returns an int status, 0
 on success. The kernels that draw random numbers take a numpy
 ``Generator`` on ``PCG64``; C's ``rng`` is its six state words, which C
 steps as numpy does. Each implementation owns its scratch space: the
-references convert hot arrays to lists at entry, which Python indexes
-faster, and the C functions allocate theirs and free it on every return
+references but ``wilson_tree`` convert hot arrays to lists at entry, which
+Python indexes faster, and the C functions allocate theirs and free it on every return
 (``NO_MEMORY`` when that fails). Two backends run the kernels behind the
 methods of one class, ``Kernels``, that both share: a method checks its
 inputs, allocates the outputs, calls the backend and turns a failure
@@ -492,7 +492,7 @@ def recompute_cumulative(parent, xi_node):
 def tree_cost(parent, wpar, xi_cum):
     """Sum of w(x, parent) * |cumulative imbalance| over non-root vertices."""
     total = 0.0
-    for v in range(parent.shape[0]):
+    for v in range(len(parent)):
         if parent[v] >= 0:
             total += wpar[v] * abs(xi_cum[v])
     return total
@@ -621,15 +621,18 @@ def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_i
     ``out_i`` = (records, iters_done, stop), ``stop`` one of the ``STOP_*``
     codes, and returns 0.
     """
+    out = parent, wpar, xi_cum
+    parent, wpar, xi_cum = (a.tolist() for a in out)
+    tails = np.repeat(np.arange(n), np.diff(indptr[:n + 1])).tolist()
+    arcs, indices, adj_w = int(indptr[n]), indices.tolist(), adj_w.tolist()
     current = tree_cost(parent, wpar, xi_cum)
     best = current
     best_parent[:] = parent
     best_wpar[:] = wpar
 
-    tails = np.repeat(np.arange(n), np.diff(indptr[:n + 1]))
     mark = [0] * n
     gap_sum, gaps = 0.0, 0
-    bits = np.zeros(window, dtype=np.int64)
+    bits = [0] * window
     bits_sum = 0
     bits_seen = 0
     beta = beta0
@@ -655,7 +658,7 @@ def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_i
     checked = best
 
     for it in range(1, max_iters + 1):
-        j = rng.integers(0, indptr[n])
+        j = int(rng.integers(0, arcs))
         a, b = tails[j], indices[j]
         changed = False
         if parent[a] != b and parent[b] != a:
@@ -681,12 +684,12 @@ def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_i
         iters_done = it
 
         if recompute_every > 0 and it % recompute_every == 0:
-            fresh, _ = recompute_cumulative(parent, xi_node)
-            fresh_cost = tree_cost(parent, wpar, fresh)
+            fresh, _ = recompute_cumulative(np.array(parent), xi_node)
+            xi_cum = fresh.tolist()
+            fresh_cost = tree_cost(parent, wpar, xi_cum)
             drift = abs(fresh_cost - current)
             if drift > max_drift:
                 max_drift = drift
-            xi_cum[:] = fresh
             current = fresh_cost
         if current < best:
             best = current
@@ -714,6 +717,8 @@ def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_i
                     stop = STOP_CERTIFIED
                     break
 
+    for array, values in zip(out, (parent, wpar, xi_cum)):
+        array[:] = values
     out_d[:] = best, current, max_drift
     out_i[:] = records, iters_done, stop
     return 0

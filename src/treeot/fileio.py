@@ -204,8 +204,8 @@ def load_potential(path, n: int) -> Potential:
     lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "vertex,u":
         raise FormatError(f"{path}: missing 'vertex,u' header")
-    values = np.zeros(n)
-    seen = np.zeros(n, dtype=bool)
+    values = [0.0] * n
+    seen = [False] * n
     for ln in lines[1:]:
         if not ln.strip():
             continue
@@ -220,8 +220,9 @@ def load_potential(path, n: int) -> Potential:
             raise FormatError(f"{path}: bad or repeated vertex {v}")
         values[v] = value
         seen[v] = True
-    if not seen.all():
+    if not all(seen):
         raise BadDimensionsError(f"{path}: missing vertices")
+    values = np.array(values)
     if not np.all(np.isfinite(values)):
         raise NonFiniteMassError(f"{path}: potential has a NaN or infinite value")
     anchored = np.flatnonzero(np.abs(values) == 0.0)

@@ -228,7 +228,7 @@ class TestAnnealCommand:
         ) == 0
         manifest = json.loads((out / "anneal.manifest.json").read_text())
         assert manifest["config"] == {
-            "max_iters": 100_000, "seed": 0, "beta0": 0.1, "target_accept": 0.01, "eta": 0.01,
+            "max_iters": 100_000, "seed": 0, "beta0": 3.0, "target_accept": 0.01, "eta": 0.01,
             "window": 100, "record_every": 1000, "recompute_every": 100_000,
             "chains": 1, "target_cost": None,
         }
