@@ -264,22 +264,35 @@ static void apply_exchange(int64_t *parent, double *wpar, double *xi_cum, int64_
     xi_cum[cut[0]] = theta;
 }
 
-/* tree_potential of _kernels.py, into u (zero on entry). */
-int treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
-                          const double *wpar, const double *xi_cum, double *u)
+/* subtree_sums of _kernels.py: out goes from vertex values to subtree sums. */
+int treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
 {
-    for (int64_t i = n - 1; i >= 0; i--) {
+    for (int64_t i = 0; i < n; i++) {
         const int64_t v = order[i], p = parent[v];
-        if (p < 0)
-            continue;
-        u[v] = u[p] + (xi_cum[v] >= 0.0 ? wpar[v] : -wpar[v]);
+        if (p >= 0)
+            out[p] += out[v];
     }
     return CHAIN_OK;
 }
 
-/* certify of _kernels.py: 1 when the tree potential of the spanning tree
- * (parent, wpar) is 1-Lipschitz within cert_rtol on every CSR arc, else 0.
- * work_d holds 2n (the sums, then the potential) and work_i 2n. */
+/* tree_potential of _kernels.py: sums goes from vertex values to subtree
+ * sums, and u (zero on entry) receives the potential. */
+int treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
+                          const double *wpar, double *sums, double *u)
+{
+    treeot_subtree_sums(n, parent, order, sums);
+    for (int64_t i = n - 1; i >= 0; i--) {
+        const int64_t v = order[i], p = parent[v];
+        if (p < 0)
+            continue;
+        u[v] = u[p] + (sums[v] >= 0.0 ? wpar[v] : -wpar[v]);
+    }
+    return CHAIN_OK;
+}
+
+/* certify of _kernels.py: 1 when the tree potential of (parent, wpar), summed along the queue of
+ * recompute_cumulative, is 1-Lipschitz within cert_rtol on every CSR arc, else 0. work_d holds
+ * 2n (the sums, then the potential) and work_i 2n. */
 static int certify(int64_t n, const int64_t *parent, const double *wpar, const int64_t *indptr,
                    const int64_t *indices, const double *adj_w, const double *xi_node,
                    double cert_rtol, double *work_d, int64_t *work_i)
@@ -287,6 +300,7 @@ static int certify(int64_t n, const int64_t *parent, const double *wpar, const i
     double *xi_cum = work_d, *u = work_d + n;
     const int64_t *queue = work_i + n;
     recompute_cumulative(n, parent, xi_node, xi_cum, work_i, work_i + n);
+    memcpy(xi_cum, xi_node, (size_t)n * sizeof *xi_cum);
     memset(u, 0, (size_t)n * sizeof *u);
     treeot_tree_potential(n, parent, queue, wpar, xi_cum, u);
     for (int64_t a = 0; a < n; a++)
@@ -307,16 +321,56 @@ static double update_beta(double beta, int64_t bits_sum, int64_t bits_seen, int6
     return beta;
 }
 
+/* wilson_tree of _kernels.py. Its scratch, in_tree, holds n bytes. Returns
+ * CHAIN_OK, a WILSON_* / CHAIN_DEGREE_TOO_LARGE code or NO_MEMORY; the
+ * generator's state is stored back whenever it was stepped. */
+int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
+                       const double *adj_w, uint64_t *rng, int64_t *parent, double *wpar,
+                       int64_t *out_root)
+{
+    if (n < 1 || n > (int64_t)UINT32_MAX)
+        return WILSON_BAD_VERTEX_COUNT;
+    uint8_t *in_tree = scratch(n, 1, 1);
+    if (!in_tree)
+        return NO_MEMORY;
+    pcg64 g = pcg64_load(rng);
+    int status = CHAIN_OK;
+    const int64_t root = bounded_index(&g, n);
+    in_tree[root] = 1;
+    parent[root] = -1;
+    wpar[root] = 0.0;
+    for (int64_t start = 0; start < n && status == CHAIN_OK; start++) {
+        for (int64_t v = start; !in_tree[v]; v = parent[v]) {
+            const int64_t lo = indptr[v];
+            const int64_t deg = indptr[v + 1] - lo;
+            if (deg < 1 || deg > (int64_t)UINT32_MAX) {
+                status = deg < 1 ? WILSON_NO_NEIGHBOUR : CHAIN_DEGREE_TOO_LARGE;
+                break;
+            }
+            const int64_t k = bounded_index(&g, deg);
+            parent[v] = indices[lo + k];
+            wpar[v] = adj_w[lo + k];
+        }
+        for (int64_t v = start; status == CHAIN_OK && !in_tree[v]; v = parent[v])
+            in_tree[v] = 1;
+    }
+    *out_root = root;
+    pcg64_store(&g, rng);
+    free(in_tree);
+    return status;
+}
+
 /* anneal_chain of _kernels.py. Scratch: bits holds window slots; work_i and work_d hold 2n
- * for certify, then mark (zeroed), the paths, order and arc tails, and t, wt, f and cum.
- * Results: out_d = {best, current, max_drift}, out_i = {records, iters_done, stop}, stop a
- * STOP_* code. Returns CHAIN_OK, CHAIN_DEGREE_TOO_LARGE (2^32 arcs or more) or NO_MEMORY.
+ * for certify, then mark (zeroed), the paths, order and arc tails, and t, wt, f, cum and
+ * xi_cum. Results: out_d = {best, current, max_drift}, out_i = {records, iters_done, stop,
+ * root}, stop a STOP_* code. Returns CHAIN_OK, a status of treeot_wilson_tree (root -1),
+ * CHAIN_DEGREE_TOO_LARGE (2^32 arcs or more) or NO_MEMORY.
  * The window slot and the record and recompute schedules are counters, not
  * remainders of it: slot == (it - 1) % window, and to_record (to_recompute)
  * reaches 0 exactly when it is a multiple of record_every (recompute_every,
  * never when that is not positive). */
 int treeot_anneal_chain(
-    int64_t n, int64_t *parent, double *wpar, double *xi_cum, const int64_t *indptr,
+    int64_t n, int64_t root, int64_t *parent, double *wpar, const int64_t *indptr,
     const int64_t *indices, const double *adj_w, const double *xi_node,
     int64_t max_iters, double beta0, double target_accept, double eta, int64_t window,
     int64_t record_every, int64_t recompute_every, double target_cost, double cert_rtol,
@@ -327,18 +381,25 @@ int treeot_anneal_chain(
     const int64_t arcs = indptr[n];
     int64_t *bits = scratch(window, sizeof *bits, 1);
     int64_t *work_i = scratch(6 * n + 1 + arcs, sizeof *work_i, 1);
-    double *work_d = scratch(6 * n + 4, sizeof *work_d, 0);
-    pcg64 g = pcg64_load(rng);
+    double *work_d = scratch(7 * n + 4, sizeof *work_d, 0);
     int status = NO_MEMORY;
     if (!bits || !work_i || !work_d)
         goto done;
+    out_i[3] = root;
+    status = root < 0 ? treeot_wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, &out_i[3])
+                      : CHAIN_OK;
+    if (status != CHAIN_OK)
+        goto done;
     status = arcs > (int64_t)UINT32_MAX ? CHAIN_DEGREE_TOO_LARGE : CHAIN_OK;
+    pcg64 g = pcg64_load(rng);
     int64_t *mark = work_i + 2 * n, *const paths[2] = {mark + n, mark + 2 * n};
     int64_t *order = mark + 3 * n, *tails = order + n + 1;
     double *t = work_d + 2 * n, *wt = t + n + 1, *f = wt + n + 1, *cum = f + n + 1;
+    double *xi_cum = cum + n + 1;
     for (int64_t a = 0; a < n; a++)
         for (int64_t j = indptr[a]; j < indptr[a + 1]; j++)
             tails[j] = a;
+    recompute_cumulative(n, parent, xi_node, xi_cum, work_i, work_i + n);
     const size_t parent_bytes = (size_t)n * sizeof *parent;
     const size_t wpar_bytes = (size_t)n * sizeof *wpar;
     double current = tree_cost(n, parent, wpar, xi_cum);
@@ -359,8 +420,9 @@ int treeot_anneal_chain(
 
     int64_t iters_done = 0, slot = 0, to_record = record_every, to_recompute = recompute_every;
     const int have_target = !isnan(target_cost);
+    const double stop_at = target_cost + 1e-9 * (fabs(target_cost) < 1.0 ? fabs(target_cost) : 1.0);
     int stop = STOP_MAX_ITERS;
-    if (have_target && best <= target_cost + 1e-9)
+    if (have_target && best <= stop_at)
         stop = STOP_TARGET;
     else if (certify(n, best_parent, best_wpar, indptr, indices, adj_w, xi_node, cert_rtol,
                      work_d, work_i))
@@ -413,7 +475,7 @@ int treeot_anneal_chain(
                 memcpy(best_wpar, wpar, wpar_bytes);
             }
 
-            const int on_target = have_target && best <= target_cost + 1e-9;
+            const int on_target = have_target && best <= stop_at;
             const int due = --to_record == 0;
             if (due)
                 to_record = record_every;
@@ -451,62 +513,12 @@ int treeot_anneal_chain(
     out_i[0] = records;
     out_i[1] = iters_done;
     out_i[2] = stop;
-done:
     pcg64_store(&g, rng);
+done:
     free(bits);
     free(work_i);
     free(work_d);
     return status;
-}
-
-/* wilson_tree of _kernels.py. Its scratch, in_tree, holds n bytes. Returns
- * CHAIN_OK, a WILSON_* / CHAIN_DEGREE_TOO_LARGE code or NO_MEMORY; the
- * generator's state is stored back whenever it was stepped. */
-int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
-                       const double *adj_w, uint64_t *rng, int64_t *parent, double *wpar,
-                       int64_t *out_root)
-{
-    if (n < 1 || n > (int64_t)UINT32_MAX)
-        return WILSON_BAD_VERTEX_COUNT;
-    uint8_t *in_tree = scratch(n, 1, 1);
-    if (!in_tree)
-        return NO_MEMORY;
-    pcg64 g = pcg64_load(rng);
-    int status = CHAIN_OK;
-    const int64_t root = bounded_index(&g, n);
-    in_tree[root] = 1;
-    parent[root] = -1;
-    wpar[root] = 0.0;
-    for (int64_t start = 0; start < n && status == CHAIN_OK; start++) {
-        for (int64_t v = start; !in_tree[v]; v = parent[v]) {
-            const int64_t lo = indptr[v];
-            const int64_t deg = indptr[v + 1] - lo;
-            if (deg < 1 || deg > (int64_t)UINT32_MAX) {
-                status = deg < 1 ? WILSON_NO_NEIGHBOUR : CHAIN_DEGREE_TOO_LARGE;
-                break;
-            }
-            const int64_t k = bounded_index(&g, deg);
-            parent[v] = indices[lo + k];
-            wpar[v] = adj_w[lo + k];
-        }
-        for (int64_t v = start; status == CHAIN_OK && !in_tree[v]; v = parent[v])
-            in_tree[v] = 1;
-    }
-    *out_root = root;
-    pcg64_store(&g, rng);
-    free(in_tree);
-    return status;
-}
-
-/* subtree_sums of _kernels.py: out goes from vertex values to subtree sums. */
-int treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t v = order[i], p = parent[v];
-        if (p >= 0)
-            out[p] += out[v];
-    }
-    return CHAIN_OK;
 }
 
 /* (da, va) before (db, vb): distance first, then vertex id. */

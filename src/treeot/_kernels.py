@@ -10,10 +10,12 @@ step functions, the one statement of its arithmetic and of the stop:
 them, ``heat_bath`` draws the leaving edge, ``apply_exchange`` makes the
 exchange, ``update_beta`` adapts the temperature, and ``certify`` proves
 the best tree optimal (its tree potential is 1-Lipschitz on every graph
-edge), which ends the chain.
+edge), which ends the chain. Given no tree, it first draws one by
+``wilson_tree``, so one call runs a whole chain.
 ``subtree_sums`` is the leaves-to-root pass along a tree's ``order`` (by
 decreasing depth, then increasing id, from the tree's numpy proof, the same
-on every backend) and ``tree_potential`` the root-to-leaves one. ``dp_plan`` builds the dynamic-programming
+on every backend), and ``tree_potential`` makes it and then the
+root-to-leaves one. ``dp_plan`` builds the dynamic-programming
 transport plan in one leaves-first pass along a tree's ``order``: each
 vertex matches the supplies and demands that meet there and hands the rest,
 of one sign, to its parent. ``network_simplex`` is the exact oracle's
@@ -39,7 +41,7 @@ methods of one class, ``Kernels``, that both share: a method checks its
 inputs, allocates the outputs, calls the backend and turns a failure
 status into the exception of the one table ``_STATUS_ERRORS``. A kernel that walks a graph or a tree
 takes a ``WeightedGraph`` or ``RootedTree``, whose construction proved it;
-the chain takes both:
+the chain takes the graph and a tree, or none and walks the tree it draws:
 
 - ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
   helpers) built on first use with the system C compiler and loaded through
@@ -136,31 +138,33 @@ class Kernels:
     def anneal_chain(self, tree, graph, xi, max_iters, beta0, target_accept, eta, window,
                      record_every, recompute_every, target_cost, rng):
         """The chain of :func:`anneal_chain` on the graph from copies of the
-        tree's links and their ``subtree_sums`` of ``xi``, as ``(stats,
-        (best_parent, best_wpar), (parent, wpar), trace)``: ``stats`` is
-        (best_cost, current_cost, records, iters_done, max_drift, stop), the
-        links are the best and the final tree's, both on the tree's root, and
+        tree's links, or, with ``tree`` None, from the Wilson tree that the
+        kernel draws first from ``rng``, as ``(stats, root, (best_parent,
+        best_wpar), (parent, wpar), trace)``: ``stats`` is (best_cost,
+        current_cost, records, iters_done, max_drift, stop), the links are
+        the best and the final tree's, both on the start's ``root``, and
         ``trace`` is the five columns cut to the rows written."""
-        _proven("annealing chain", tree, RootedTree)
+        if tree is not None:
+            _proven("annealing chain", tree, RootedTree)
         _proven("annealing chain", graph, WeightedGraph)
         _check_generator("annealing chain", rng)
         n = graph.n
         _check_arrays("annealing chain", (), ((xi, n),))
-        if window < 1 or record_every < 1 or tree.n != n:
+        if window < 1 or record_every < 1 or (tree is not None and tree.n != n):
             raise ValueError("annealing chain: window, record_every or parent count out of range")
-        parent, wpar = tree.parent.copy(), tree.weight_to_parent.copy()
+        root, parent, wpar = ((-1, np.empty(n, dtype=np.int64), np.empty(n)) if tree is None else
+                              (tree.root, tree.parent.copy(), tree.weight_to_parent.copy()))
         best_parent, best_wpar = np.empty_like(parent), np.empty_like(wpar)
         rows = max(max_iters, 0) // record_every + 2
-        trace = (np.zeros(rows, dtype=np.int64), *(np.zeros(rows) for _ in range(4)))
-        out_d, out_i = np.empty(3), np.empty(3, dtype=np.int64)
+        trace = (np.zeros(rows, dtype=np.int64), *np.zeros((4, rows)))
+        out_d, out_i = np.empty(3), np.empty(4, dtype=np.int64)
         _check_status(self._run["anneal_chain"](
-            n, parent, wpar, self.subtree_sums(tree, xi), graph.indptr, graph.indices,
-            graph.weights, xi, max_iters, beta0, target_accept, eta, window, record_every,
-            recompute_every, target_cost, CERT_RTOL, rng, best_parent, best_wpar, *trace, out_d,
-            out_i))
+            n, root, parent, wpar, graph.indptr, graph.indices, graph.weights, xi, max_iters,
+            beta0, target_accept, eta, window, record_every, recompute_every, target_cost,
+            CERT_RTOL, rng, best_parent, best_wpar, *trace, out_d, out_i))
         best, current, max_drift = out_d.tolist()
-        records, iters_done, stop = out_i.tolist()
-        return ((best, current, records, iters_done, max_drift, stop),
+        records, iters_done, stop, root = out_i.tolist()
+        return ((best, current, records, iters_done, max_drift, stop), root,
                 (best_parent, best_wpar), (parent, wpar), tuple(a[:records] for a in trace))
 
     def wilson_tree(self, graph, rng):
@@ -181,19 +185,20 @@ class Kernels:
         _check_status(self._run["subtree_sums"](tree.n, tree.parent, tree.order, out))
         return out
 
-    def tree_potential(self, tree, xi_cum):
-        """:func:`tree_potential` on the tree, a new float64 array."""
+    def tree_potential(self, tree, xi):
+        """:func:`tree_potential` of the values ``xi``, a new float64 array."""
         _proven("tree potential", tree, RootedTree)
-        _check_arrays("tree potential", (), ((xi_cum, tree.n),))
+        sums = np.array(xi, dtype=np.float64)
+        _check_arrays("tree potential", (), ((sums, tree.n),))
         u = np.zeros(tree.n)
         _check_status(self._run["tree_potential"](tree.n, tree.parent, tree.order,
-                                                  tree.weight_to_parent, xi_cum, u))
+                                                  tree.weight_to_parent, sums, u))
         return u
 
     def dp_plan(self, tree, xi, zero_tol):
         """``(rows, cols, mass)``: the off-diagonal entries that
-        :func:`dp_plan` writes, in its order; an entry written twice raises
-        ``RuntimeError``."""
+        :func:`dp_plan` writes, sorted by (row, col) in the sort that finds
+        an entry written twice, which raises ``RuntimeError``."""
         _proven("plan kernel", tree, RootedTree)
         n = tree.n
         _check_arrays("plan kernel", (), ((xi, n),))
@@ -202,16 +207,16 @@ class Kernels:
         status = self._run["dp_plan"](n, tree.parent, tree.order, np.array(xi, dtype=np.float64),
                                       float(zero_tol), rows, cols, mass, out_k)
         count, u = out_k.tolist()
-        rows, cols, mass = rows[:count], cols[:count], mass[:count]
-        keys = rows * n + cols
+        keys = rows[:count] * n + cols[:count]
         by_key = np.argsort(keys, kind="stable")
-        again = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
+        keys = keys[by_key]
+        again = by_key[1:][keys[1:] == keys[:-1]]
         if again.size:
             j = int(again.min())
             raise RuntimeError("plan construction wrote off-diagonal entry "
                                f"{(int(rows[j]), int(cols[j]))} twice")
         _check_status(status, u=u)
-        return rows, cols, mass
+        return rows[by_key], cols[by_key], mass[by_key]
 
     def network_simplex(self, supply, tail, head, cost):
         """``(flow, pi, pivots)``: the arc flows and node potentials of
@@ -337,14 +342,14 @@ def _check_pairs(n: int, xs, ys) -> None:
         raise VertexRangeError(f"a pair vertex is out of range for n={n}")
 
 
-def _c_call(fn, *args):
+def _c_call(fn, at, *args):
     """Call the C function ``fn``, passing an array as the address of its
-    data and a numpy ``Generator`` on ``PCG64`` as the address of its six
-    state words (``_pcg64_words``). The words are read from the public
+    data and the numpy ``Generator`` on ``PCG64`` at position ``at`` (None
+    for a kernel that draws nothing) as the address of its six state words
+    (``_pcg64_words``). The words are read from the public
     ``bit_generator.state`` and written back on every return, under the
     generator's lock, so that no other thread draws from it meanwhile."""
     c_args = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in args]
-    at = next((i for i, a in enumerate(args) if isinstance(a, np.random.Generator)), None)
     if at is None:
         return fn(*c_args)
     bit_generator = args[at].bit_generator
@@ -381,7 +386,7 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 #: the argtypes of ``treeot_<name>`` in ``_kernel.c``, the C function of the
 #: reference kernel ``<name>`` below; each returns an ``int`` status
 C_SIGNATURES = {
-    "anneal_chain": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _F64, _I64,
+    "anneal_chain": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _F64, _I64,
                      _I64, _I64, _F64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
                      _PTR],
     "wilson_tree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
@@ -403,7 +408,8 @@ def _load_c() -> Kernels:
     for name, argtypes in C_SIGNATURES.items():
         fn = getattr(lib, f"treeot_{name}")
         fn.restype, fn.argtypes = ctypes.c_int, argtypes
-        run[name] = functools.partial(_c_call, fn)
+        params = globals()[name].__code__.co_varnames[:len(argtypes)]
+        run[name] = functools.partial(_c_call, fn, params.index("rng") if "rng" in params else None)
     return Kernels("c", run)
 
 
@@ -569,8 +575,8 @@ def certify(n, parent, wpar, indptr, indices, adj_w, xi_node, cert_rtol):
     certificate: its tree potential is 1-Lipschitz, within ``cert_rtol``
     (``CERT_RTOL`` in the chain), on every arc of the CSR graph.
 
-    The cumulative imbalance is summed afresh by ``recompute_cumulative``,
-    whose queue orders ``tree_potential`` (sign +1 where it is exactly 0).
+    ``tree_potential`` (sign +1 where the cumulative imbalance is exactly 0)
+    sums ``xi_node`` afresh along the queue of ``recompute_cumulative``.
     Summation by parts makes the potential's value the tree's cost, so in
     exact arithmetic a potential that passes proves, by Kantorovich-Rubinstein
     duality, that W1 >= cost / (1 + cert_rtol). In floating point the test is
@@ -579,9 +585,8 @@ def certify(n, parent, wpar, indptr, indices, adj_w, xi_node, cert_rtol):
     w * cert_rtol on deep trees, so a violation below it can pass. Where a
     cumulative imbalance is 0 an optimal tree may fail.
     """
-    xi_cum, queue = recompute_cumulative(parent, xi_node)
     u = np.zeros(n)
-    tree_potential(n, parent, queue, wpar, xi_cum, u)
+    tree_potential(n, parent, recompute_cumulative(parent, xi_node)[1], wpar, xi_node.copy(), u)
     for a in range(n):
         for j in range(indptr[a], indptr[a + 1]):
             if abs(u[a] - u[indices[j]]) > adj_w[j] * (1.0 + cert_rtol):
@@ -599,12 +604,15 @@ def update_beta(beta, bits_sum, bits_seen, window, eta, target_accept):
     return beta
 
 
-def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_iters, beta0,
+def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_iters, beta0,
                  target_accept, eta, window, record_every, recompute_every, target_cost,
                  cert_rtol, rng, best_parent, best_wpar, trace_iter, trace_cur, trace_best,
                  trace_beta, trace_acc, out_d, out_i):
     """Run one annealing chain over the spanning trees of one root, in place.
 
+    It starts from the tree in ``parent`` and ``wpar`` rooted at ``root``,
+    or, where ``root`` is -1, from the one that ``wilson_tree`` first draws
+    into them, and sums ``xi_node`` over it by ``recompute_cumulative``.
     Per iteration: draw a CSR arc by ``rng.integers``; unless it is a tree
     edge, score its cycle, fold f(0) − min f into s (their running mean),
     draw a breakpoint by ``heat_bath`` with ``rng.random()`` and exchange
@@ -613,16 +621,22 @@ def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_i
     any recomputation, is copied into ``best_parent`` and ``best_wpar``.
 
     ``max_iters`` is a budget. The chain stops early with ``STOP_TARGET``
-    once the best cost is within 1e-9 of ``target_cost`` (unless NaN), or
-    with ``STOP_CERTIFIED`` once ``certify`` proves the best tree optimal.
-    ``certify`` runs on the initial tree and then on each trace row where the
-    best cost has dropped since its last run; the target stop is tested
-    first. Writes ``out_d`` = (best_cost, current_cost, max_drift) and
-    ``out_i`` = (records, iters_done, stop), ``stop`` one of the ``STOP_*``
-    codes, and returns 0.
+    once the best cost is within 1e-9 · min(1, |target_cost|) of
+    ``target_cost`` (unless NaN), or with ``STOP_CERTIFIED`` once
+    ``certify`` proves the best tree optimal. ``certify`` runs on the
+    initial tree and then on each trace row where the best cost has dropped
+    since its last run; the target stop is tested first. Writes ``out_d`` =
+    (best_cost, current_cost, max_drift) and ``out_i`` = (records,
+    iters_done, stop, root), ``stop`` one of the ``STOP_*`` codes, and
+    returns 0.
     """
-    out = parent, wpar, xi_cum
-    parent, wpar, xi_cum = (a.tolist() for a in out)
+    bits = [0] * window  # before the start is drawn, as C allocates its scratch
+    out_i[3] = root
+    if root < 0:
+        wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_i[3:])
+    xi_cum = recompute_cumulative(parent, xi_node)[0].tolist()
+    out = parent, wpar
+    parent, wpar = (a.tolist() for a in out)
     tails = np.repeat(np.arange(n), np.diff(indptr[:n + 1])).tolist()
     arcs, indices, adj_w = int(indptr[n]), indices.tolist(), adj_w.tolist()
     current = tree_cost(parent, wpar, xi_cum)
@@ -632,7 +646,6 @@ def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_i
 
     mark = [0] * n
     gap_sum, gaps = 0.0, 0
-    bits = [0] * window
     bits_sum = 0
     bits_seen = 0
     beta = beta0
@@ -648,8 +661,9 @@ def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_i
 
     iters_done = 0
     have_target = not math.isnan(target_cost)
+    stop_at = target_cost + 1e-9 * min(1.0, abs(target_cost))
     stop = STOP_MAX_ITERS
-    if have_target and best <= target_cost + 1e-9:
+    if have_target and best <= stop_at:
         stop = STOP_TARGET
     elif certify(n, best_parent, best_wpar, indptr, indices, adj_w, xi_node, cert_rtol):
         stop = STOP_CERTIFIED
@@ -696,7 +710,7 @@ def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_i
             best_parent[:] = parent
             best_wpar[:] = wpar
 
-        on_target = have_target and best <= target_cost + 1e-9
+        on_target = have_target and best <= stop_at
         if it % record_every == 0 or it == max_iters or on_target:
             rate_now = 0.0
             if bits_seen > 0:
@@ -717,10 +731,10 @@ def anneal_chain(n, parent, wpar, xi_cum, indptr, indices, adj_w, xi_node, max_i
                     stop = STOP_CERTIFIED
                     break
 
-    for array, values in zip(out, (parent, wpar, xi_cum)):
+    for array, values in zip(out, (parent, wpar)):
         array[:] = values
     out_d[:] = best, current, max_drift
-    out_i[:] = records, iters_done, stop
+    out_i[:3] = records, iters_done, stop
     return 0
 
 
@@ -769,11 +783,14 @@ def subtree_sums(n, parent, order, out):
     return 0
 
 
-def tree_potential(n, parent, order, wpar, xi_cum, u):
-    """The tree potential into ``u`` (zero on entry): walking the n entries
-    of ``order`` backwards (root first), u[v] = u[parent] + wpar[v] * s, where
-    s is the sign of ``xi_cum[v]``, +1 where it is 0 (either zero). Returns 0."""
-    parent, order, wpar, xi_cum, values = (a.tolist() for a in (parent, order, wpar, xi_cum, u))
+def tree_potential(n, parent, order, wpar, sums, u):
+    """The tree potential into ``u`` (zero on entry): ``subtree_sums`` turns
+    the vertex values in ``sums`` into the cumulative imbalance, in place;
+    then, walking the n entries of ``order`` backwards (root first), u[v] =
+    u[parent] + wpar[v] * s, where s is the sign of ``sums[v]``, +1 where it
+    is 0 (either zero). Returns 0."""
+    subtree_sums(n, parent, order, sums)
+    parent, order, wpar, xi_cum, values = (a.tolist() for a in (parent, order, wpar, sums, u))
     for i in range(n - 1, -1, -1):
         v = order[i]
         p = parent[v]

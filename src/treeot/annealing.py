@@ -8,12 +8,12 @@ network-simplex pivot on the tree cost (Ahuja, Magnanti & Orlin, *Network
 Flows*, 1993, chs. 11 and 14). The root never moves.
 
 :func:`anneal` and :func:`anneal_chains` validate the measures once, then
-give each chain its initial tree (drawn by Wilson's algorithm, or the given
-one), proven when it was built, to ``anneal_chain`` of
-:mod:`treeot._kernels`, on the backend that ``TREEOT_BACKEND`` selects (C or
-plain Python; see :func:`treeot.kernel_backend`). The step arithmetic lives
-there, and so does the stop: ``certify`` ends a chain whose best tree its
-tree potential proves optimal.
+run each chain in one call of ``anneal_chain`` of :mod:`treeot._kernels`, on
+the backend that ``TREEOT_BACKEND`` selects (C or plain Python; see
+:func:`treeot.kernel_backend`), from the given initial tree or from the one
+that the call draws by Wilson's algorithm. The step arithmetic lives there,
+and so does the stop: ``certify`` ends a chain whose best tree its tree
+potential proves optimal.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import _kernels
 from .errors import VertexRangeError
 from .graphs import WeightedGraph
 from .transport import as_measure, imbalance
-from .trees import RootedTree, random_spanning_tree
+from .trees import RootedTree
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ def anneal(
     row where the best cost has dropped, so it stops at most
     ``config.record_every`` steps after it first holds a tree that passes.
     ``target_cost``, a finite real number (else ``ValueError``), stops it
-    (``"target"``) once the best cost is within 1e-9 of it; on the same row
-    the target wins.
+    (``"target"``) once the best cost is within 1e-9 · min(1, |target_cost|)
+    of it; on the same row the target wins.
     """
     xi, target = _chain_inputs(g, mu, nu, target_cost)
     if initial_tree is not None and initial_tree.n != g.n:
@@ -170,22 +170,21 @@ def _chain_inputs(g: WeightedGraph, mu, nu, target_cost) -> tuple[np.ndarray, fl
 
 
 def _run_chain(g, xi, config, target, rng, tree=None) -> AnnealResult:
-    """One chain from ``tree``, or from a random spanning tree drawn from ``rng``."""
-    if tree is None:
-        tree = random_spanning_tree(g, rng)
-    stats, best_links, links, trace = _kernels.kernels().anneal_chain(
+    """One chain from ``tree``, or from the Wilson tree that the kernel draws
+    from ``rng``, the one that :func:`treeot.trees.random_spanning_tree` draws."""
+    stats, root, best_links, links, trace = _kernels.kernels().anneal_chain(
         tree, g, xi, config.max_iters if g.n > 1 else 0, config.beta0, config.target_accept,
         config.eta, config.window, config.record_every, config.recompute_every, target, rng)
     best, current, _, iters_done, max_drift, stop = stats
     if max_drift > 1e-6:
         raise RuntimeError(f"incremental cost drifted by {max_drift:.3e}")
-    best_tree = RootedTree(tree.root, *best_links)
+    best_tree = RootedTree(root, *best_links)
     # a chain that ends on its best tree (always so after a target stop) proves it once
     same = all(map(np.array_equal, links, best_links))
     return AnnealResult(
         best_tree=best_tree,
         best_cost=float(best),
-        final_tree=best_tree if same else RootedTree(tree.root, *links),
+        final_tree=best_tree if same else RootedTree(root, *links),
         final_cost=float(current),
         trace=list(map(TraceRecord._make, zip(*(a.tolist() for a in trace)))),
         iters_run=int(iters_done),

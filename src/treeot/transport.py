@@ -34,11 +34,12 @@ def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndar
     mu = np.asarray(values, dtype=np.float64).copy()
     if mu.ndim != 1 or (n is not None and mu.shape[0] != n):
         raise VertexRangeError(f"expected a flat vector of length {n}, got shape {mu.shape}")
-    if not np.all(np.isfinite(mu)):
+    # only a non-finite sum, as of a NaN or an infinity, needs the entries read
+    total = mu.sum()
+    if not math.isfinite(total) and not np.isfinite(mu).all():
         raise NonFiniteMassError("measure has a NaN or infinite entry")
     if mu.min(initial=0.0) < 0.0:
         raise NegativeMassError("measure has a negative entry")
-    total = mu.sum()
     if normalize:
         if total <= 0.0:
             raise MassMismatchError("cannot normalize a zero-mass vector")
@@ -56,11 +57,12 @@ def imbalance(mu, nu) -> np.ndarray:
     nu = np.asarray(nu, dtype=np.float64)
     if mu.shape != nu.shape:
         raise VertexRangeError("measures live on different vertex sets")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
-        raise NonFiniteMassError("measure has a NaN or infinite entry")
     xi = mu - nu
-    if abs(xi.sum()) > MASS_TOL:
-        raise MassMismatchError(f"imbalance sums to {float(xi.sum())!r}, not 0")
+    total = xi.sum()  # non-finite if an entry of mu or nu is, as in as_measure
+    if not math.isfinite(total) and not (np.isfinite(mu).all() and np.isfinite(nu).all()):
+        raise NonFiniteMassError("measure has a NaN or infinite entry")
+    if abs(total) > MASS_TOL:
+        raise MassMismatchError(f"imbalance sums to {float(total)!r}, not 0")
     return xi
 
 
@@ -92,11 +94,10 @@ def tree_potential(t: RootedTree, mu, nu) -> "Potential":
     Walking root-to-leaves, each vertex adds w(x, parent) * sign(cumulative
     imbalance at x) to its parent's value, with sign +1 where it is exactly
     0; there an optimal tree's potential can fail to be 1-Lipschitz (see
-    :func:`treeot.oracle.certified_dual`). The walk is
-    :func:`treeot._kernels.tree_potential`, run on the kernel backend.
+    :func:`treeot.oracle.certified_dual`). The subtree sums and the walk are
+    one call of :func:`treeot._kernels.tree_potential`, on the kernel backend.
     """
-    xi_cum = _tree_imbalance(t, mu, nu)
-    u = _kernels.kernels().tree_potential(t, xi_cum)
+    u = _kernels.kernels().tree_potential(t, imbalance(as_measure(mu, t.n), as_measure(nu, t.n)))
     u.setflags(write=False)
     return Potential(values=u, anchor=t.root)
 
@@ -316,10 +317,19 @@ def dp_transport_plan(t: RootedTree, mu, nu) -> TransportPlan:
     # 1e-9 ingestion tolerance, which would strand residuals at the root
     xi = mu / mu.sum() - nu / nu.sum()
     rows, cols, mass = _kernels.kernels().dp_plan(t, xi, ZERO_SNAP)
+    if not ((mass > 0.0) & (mass < math.inf)).all():
+        raise RuntimeError("plan construction wrote a mass that is not positive and finite")
     diag = np.minimum(mu, nu)
     on_diag = np.flatnonzero(diag > 0.0)
-    return _assemble_plan(n, np.concatenate([rows, on_diag]), np.concatenate([cols, on_diag]),
-                          np.concatenate([mass, diag[on_diag]]))
+    # the kernel's entries and the diagonal's come sorted, each key once, so
+    # _assemble_plan's plan is the two runs merged: one pass of timsort
+    keys = np.concatenate([rows * n + cols, on_diag * (n + 1)])
+    by_key = np.argsort(keys, kind="stable")
+    rows, cols = np.divmod(keys[by_key], n)
+    mass = np.concatenate([mass, diag[on_diag]])[by_key]
+    for arr in (rows, cols, mass):
+        arr.setflags(write=False)
+    return TransportPlan(n=n, rows=rows, cols=cols, mass=mass)
 
 
 def plan_to_flow(plan: TransportPlan, t: RootedTree) -> Flow:

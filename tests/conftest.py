@@ -800,8 +800,8 @@ class SwapChain:
         self.wpar = tree.weight_to_parent.copy()
         self.root = tree.root
         self.xi = ot.imbalance(ot.as_measure(mu, tree.n), ot.as_measure(nu, tree.n))
-        self.xi_cum = ot.subtree_aggregate(tree, self.xi)
-        # the kernel's summation order, so costs agree bit for bit
+        # the kernel's summation orders, so costs agree bit for bit
+        self.xi_cum = _kernels.recompute_cumulative(self.parent, self.xi)[0]
         self.cost = _kernels.tree_cost(self.parent, self.wpar, self.xi_cum)
         self.best_cost = self.cost
         self.best_parent = self.parent.copy()

@@ -395,6 +395,17 @@ class TestAnneal:
         assert res.iters_run < 200_000 and res.stop_reason == "target"
         assert abs(res.best_cost - exact) <= 1e-9
 
+    def test_target_stop_is_relative(self, backend):
+        # the README instance at 32x32 (grid --p 32 --noise-sigma auto --seed
+        # 1): W1 is about 4e-7, so an absolute 1e-9 stopped 0.25% above it
+        g = ot.grid_graph(32)
+        flat = np.ones((32, 32))
+        mu, nu = noisy_grid_measures(32, 1, flat, flat)
+        w1 = ot.solve(g, mu, nu).value
+        res = ot.anneal(g, mu, nu, ot.AnnealConfig(max_iters=400_000, seed=1), target_cost=w1)
+        assert res.stop_reason == "target"
+        assert abs(res.best_cost - w1) <= 1e-9 * w1
+
     def test_matches_stepwise_reference_loop(self):
         # the fused kernel and its step functions, called one at a time, must
         # walk in lockstep and stop on the same trace row
@@ -463,7 +474,7 @@ class TestChainEntry:
     finite real number is refused on every backend."""
 
     @pytest.mark.parametrize("backend_name", ["python", *compiled_backends()])
-    def test_one_anneal_proves_three_trees(self, backend_name, monkeypatch):
+    def test_one_anneal_proves_two_trees(self, backend_name, monkeypatch):
         proofs = []
         kernels = _kernels._LOADERS[backend_name]()
         prove = RootedTree.__post_init__
@@ -474,19 +485,51 @@ class TestChainEntry:
         g = ot.grid_graph(4)
         mu, nu = noisy_grid_measures(4, seed=1)
         cfg = ot.AnnealConfig(max_iters=2000, seed=3, record_every=100)
-        # the random tree, then the best and the final tree
+        # the kernel draws the random tree: the best and the final tree
         res = ot.anneal(g, mu, nu, cfg)
-        assert proofs == [proofs[0], res.best_tree.root, res.final_tree.root]
+        assert res.final_tree is not res.best_tree
+        assert proofs == [res.best_tree.root, res.final_tree.root]
         proofs.clear()
         ot.anneal(g, mu, nu, cfg, initial_tree=res.final_tree)
         assert len(proofs) == 2
-        # a target stop ends on the best tree: the random tree, then that one
+        # a target stop ends on the best tree, the only one proven
         w1 = ot.solve(g, mu, nu).value
         proofs.clear()
         res = ot.anneal(g, mu, nu, cfg, target_cost=w1)
         assert res.stop_reason == "target" and res.iters_run > 0
         assert res.final_tree is res.best_tree
-        assert proofs == [proofs[0], res.best_tree.root]
+        assert proofs == [res.best_tree.root]
+
+    def test_the_chain_draws_the_tree_that_random_spanning_tree_draws(self, backend):
+        for seed, g in enumerate([ot.build_graph(1, []), ot.grid_graph(2), ot.grid_graph(5),
+                                  random_connected_graph(np.random.default_rng(3), 30, 12)]):
+            mu, nu = random_measure_pair(np.random.default_rng(seed), g.n)
+            res = ot.anneal(g, mu, nu, ot.AnnealConfig(max_iters=0, seed=seed))
+            drawn = ot.random_spanning_tree(g, np.random.default_rng(seed))
+            assert res.best_tree is res.final_tree
+            assert (res.best_tree.root, res.iters_run) == (drawn.root, 0)
+            assert res.best_tree.parent.tobytes() == drawn.parent.tobytes()
+            assert res.best_tree.weight_to_parent.tobytes() == drawn.weight_to_parent.tobytes()
+
+    def test_the_drawn_start_leaves_the_generator_where_two_calls_did(self, backend):
+        # the chain from the tree it draws, against the chain given the tree
+        # that random_spanning_tree draws from the same generator first
+        g = ot.grid_graph(5)
+        mu, nu = noisy_grid_measures(5, seed=4)
+        xi = ot.imbalance(mu, nu)
+        kernels = _kernels.kernels()
+        ends = []
+        for fused in (True, False):
+            rng = np.random.default_rng(17)
+            rng.integers(0, 3)  # the generator keeps a spare 32-bit half
+            tree = None if fused else ot.random_spanning_tree(g, rng)
+            out = kernels.anneal_chain(tree, g, xi, 3000, 0.5, 0.01, 0.01, 100, 100, 0, math.nan,
+                                       rng)
+            stats, root, best, final, trace = out
+            ends.append((stats, root, [a.tobytes() for a in (*best, *final, *trace)],
+                         rng.bit_generator.state, rng.random()))
+        assert ends[0] == ends[1]
+        assert ends[0][0][3] > 0  # the chain moved on from its start
 
     @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan, "0.5", True, [0.5]],
                              ids=["inf", "-inf", "nan", "string", "bool", "list"])

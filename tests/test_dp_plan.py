@@ -23,7 +23,7 @@ from treeot.errors import (
     VertexRangeError,
 )
 from treeot.oracle import complementary_violation
-from treeot.transport import ZERO_SNAP
+from treeot.transport import ZERO_SNAP, _assemble_plan
 from treeot.trees import RootedTree
 
 from conftest import (
@@ -540,6 +540,44 @@ class TestPlanGuards:
         assert tree is None or tree[0] is NotSpanningError
         if tree is None:
             assert RootedTree(root, parent, np.ones(3)).order.tolist() != order
+
+
+class TestPlanAssembly:
+    """``dp_transport_plan`` orders the kernel's entries and the diagonal by
+    one sort of the kernel's keys and a merge, where it once coalesced them
+    with ``_assemble_plan``; the plans are the same bit for bit."""
+
+    @staticmethod
+    def assembled(t, mu, nu):
+        """The plan that ``_assemble_plan`` makes of the kernel's entries
+        and the diagonal."""
+        mu, nu = ot.as_measure(mu, t.n), ot.as_measure(nu, t.n)
+        rows, cols, mass = _kernels.kernels().dp_plan(t, mu / mu.sum() - nu / nu.sum(), ZERO_SNAP)
+        diag = np.minimum(mu, nu)
+        on_diag = np.flatnonzero(diag > 0.0)
+        return _assemble_plan(t.n, np.concatenate([rows, on_diag]), np.concatenate([cols, on_diag]),
+                              np.concatenate([mass, diag[on_diag]]))
+
+    def test_plans_are_the_assembled_entries_bit_for_bit(self, backend, parity_instances):
+        corpora = [*parity_instances, *degenerate_corpus(), *random_instances(300, 11, max_n=40)]
+        for i, (t, mu, nu) in enumerate(corpora):
+            plan, want = ot.dp_transport_plan(t, mu, nu), self.assembled(t, mu, nu)
+            for got, expected in zip((plan.rows, plan.cols, plan.mass),
+                                     (want.rows, want.cols, want.mass)):
+                assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes()), i
+                assert not got.flags.writeable
+
+    def test_a_mass_that_is_not_positive_and_finite_raises(self, monkeypatch):
+        t = line_tree(4, 3)
+        for bad in (0.0, -0.25, math.nan, math.inf):
+            def run(n, parent, order, xi, zero_tol, out_x, out_y, out_m, out_k, bad=bad):
+                out_x[:2], out_y[:2], out_m[:2], out_k[:] = (0, 1), (3, 2), (0.25, bad), (2, -1)
+                return 0
+            kernels = _kernels.Kernels("fake", {"dp_plan": run})
+            monkeypatch.setattr(_kernels, "kernels", lambda: kernels)
+            with pytest.raises(RuntimeError, match="^plan construction wrote a mass that is not "
+                                                   "positive and finite$"):
+                ot.dp_transport_plan(t, [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5])
 
 
 def old_make_plan_outcome(n, triplets):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,50 @@ class TestMeasures:
     def test_normalization(self):
         mu = ot.as_measure([2.0, 2.0], normalize=True)
         assert mu.tolist() == [0.5, 0.5]
+
+    NON_FINITE = (NonFiniteMassError, "measure has a NaN or infinite entry")
+    #: case: the vector, then what ``as_measure`` (plain, then normalizing)
+    #: and ``imbalance`` (the vector as mu, then as nu, against ``VALID``)
+    #: raise, as (type, message), or return; NaN or an infinity anywhere is
+    #: named before a negative entry or a wrong mass, also where a sum of
+    #: finite entries overflows
+    VALID = [0.2, 0.3, 0.5]
+    CHECKS = {
+        "nan": ([np.nan, 0.5, 0.5], NON_FINITE, NON_FINITE, NON_FINITE, NON_FINITE),
+        "plus-inf": ([np.inf, 0.5, 0.5], NON_FINITE, NON_FINITE, NON_FINITE, NON_FINITE),
+        "minus-inf": ([-np.inf, 0.5, 0.5], NON_FINITE, NON_FINITE, NON_FINITE, NON_FINITE),
+        "both-infs": ([np.inf, -np.inf, 1.0], NON_FINITE, NON_FINITE, NON_FINITE, NON_FINITE),
+        "infs-and-an-overflowing-sum": ([1e308, 1e308, np.inf], NON_FINITE, NON_FINITE,
+                                        NON_FINITE, NON_FINITE),
+        "sum-overflows": ([1e308, 1e308, 0.0], (MassMismatchError, "measure mass inf is not 1"),
+                          [0.0, 0.0, 0.0], (MassMismatchError, "imbalance sums to inf, not 0"),
+                          (MassMismatchError, "imbalance sums to -inf, not 0")),
+        "negative-and-nan": ([-0.5, np.nan, 1.5], NON_FINITE, NON_FINITE, NON_FINITE, NON_FINITE),
+        "negative": ([-0.5, 1.5, 0.0], (NegativeMassError, "measure has a negative entry"),
+                     (NegativeMassError, "measure has a negative entry"),
+                     [-0.7, 1.2, -0.5], [0.7, -1.2, 0.5]),
+        "wrong-mass": ([0.5, 0.2, 0.0], (MassMismatchError, "measure mass 0.7 is not 1"),
+                       [0.7142857142857143, 0.28571428571428575, 0.0],
+                       (MassMismatchError, "imbalance sums to -0.3, not 0"),
+                       (MassMismatchError, "imbalance sums to 0.3, not 0")),
+    }
+
+    @pytest.mark.parametrize("case", CHECKS)
+    def test_measure_checks_raise_in_a_fixed_order(self, case):
+        values, *expected = self.CHECKS[case]
+
+        def outcome(check, *args, **kwargs):
+            try:
+                return check(*args, **kwargs).tolist()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing sums
+            got = [outcome(ot.as_measure, values), outcome(ot.as_measure, values, normalize=True),
+                   outcome(ot.imbalance, values, self.VALID),
+                   outcome(ot.imbalance, self.VALID, values)]
+        assert got == [e if isinstance(e, list) else tuple(e) for e in expected]
 
     #: pairs whose difference balances but which are not probability
     #: measures; the closed forms once returned a cost for them
