@@ -310,17 +310,6 @@ static int certify(int64_t n, const int64_t *parent, const double *wpar, const i
     return 1;
 }
 
-/* update_beta of _kernels.py. */
-static double update_beta(double beta, int64_t bits_sum, int64_t bits_seen, int64_t window,
-                          double eta, double target_accept)
-{
-    if (bits_seen >= window) {
-        const double rate = (double)bits_sum / (double)window;
-        beta = beta * (1.0 + eta * (rate - target_accept));
-    }
-    return beta;
-}
-
 /* wilson_tree of _kernels.py. Its scratch, in_tree, holds n bytes. Returns
  * CHAIN_OK, a WILSON_* / CHAIN_DEGREE_TOO_LARGE code or NO_MEMORY; the
  * generator's state is stored back whenever it was stepped. */
@@ -360,30 +349,28 @@ int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
     return status;
 }
 
-/* anneal_chain of _kernels.py. Scratch: bits holds window slots; work_i and work_d hold 2n
- * for certify, then mark (zeroed), the paths, order and arc tails, and t, wt, f, cum and
- * xi_cum. Results: out_d = {best, current, max_drift}, out_i = {records, iters_done, stop,
- * root}, stop a STOP_* code. Returns CHAIN_OK, a status of treeot_wilson_tree (root -1),
- * CHAIN_DEGREE_TOO_LARGE (2^32 arcs or more) or NO_MEMORY.
- * The window slot and the record and recompute schedules are counters, not
- * remainders of it: slot == (it - 1) % window, and to_record (to_recompute)
- * reaches 0 exactly when it is a multiple of record_every (recompute_every,
- * never when that is not positive). */
+/* anneal_chain of _kernels.py. Scratch: work_i and work_d hold 2n for certify, then mark
+ * (zeroed), the paths, order and arc tails, and t, wt, f, cum and xi_cum. Results: out_d =
+ * {best, current, max_drift}, out_i = {records, iters_done, stop, root}, stop a STOP_* code.
+ * Returns CHAIN_OK, a status of treeot_wilson_tree (root -1), CHAIN_DEGREE_TOO_LARGE (2^32
+ * arcs or more) or NO_MEMORY.
+ * The record and recompute schedules are counters, not remainders of it:
+ * to_record (to_recompute) reaches 0 exactly when it is a multiple of
+ * record_every (recompute_every, never when that is not positive). */
 int treeot_anneal_chain(
     int64_t n, int64_t root, int64_t *parent, double *wpar, const int64_t *indptr,
     const int64_t *indices, const double *adj_w, const double *xi_node,
-    int64_t max_iters, double beta0, double target_accept, double eta, int64_t window,
-    int64_t record_every, int64_t recompute_every, double target_cost, double cert_rtol,
+    int64_t max_iters, double beta0, double eta, int64_t record_every, int64_t recompute_every,
+    double target_cost, double cert_rtol,
     uint64_t *rng, int64_t *best_parent, double *best_wpar, int64_t *trace_iter,
     double *trace_cur, double *trace_best, double *trace_beta, double *trace_acc, double *out_d,
     int64_t *out_i)
 {
     const int64_t arcs = indptr[n];
-    int64_t *bits = scratch(window, sizeof *bits, 1);
     int64_t *work_i = scratch(6 * n + 1 + arcs, sizeof *work_i, 1);
     double *work_d = scratch(7 * n + 4, sizeof *work_d, 0);
     int status = NO_MEMORY;
-    if (!bits || !work_i || !work_d)
+    if (!work_i || !work_d)
         goto done;
     out_i[3] = root;
     status = root < 0 ? treeot_wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, &out_i[3])
@@ -407,7 +394,7 @@ int treeot_anneal_chain(
     memcpy(best_parent, parent, parent_bytes);
     memcpy(best_wpar, wpar, wpar_bytes);
 
-    int64_t bits_sum = 0, bits_seen = 0, gaps = 0;
+    int64_t gaps = 0, moved = 0, last_row = 0; /* moved, last_row: as in _kernels.py */
     double beta = beta0, max_drift = 0.0, gap_sum = 0.0;
 
     int64_t records = 0;
@@ -418,7 +405,7 @@ int treeot_anneal_chain(
     trace_acc[records] = 0.0;
     records++;
 
-    int64_t iters_done = 0, slot = 0, to_record = record_every, to_recompute = recompute_every;
+    int64_t iters_done = 0, to_record = record_every, to_recompute = recompute_every;
     const int have_target = !isnan(target_cost);
     const double stop_at = target_cost + 1e-9 * (fabs(target_cost) < 1.0 ? fabs(target_cost) : 1.0);
     int stop = STOP_MAX_ITERS;
@@ -431,7 +418,6 @@ int treeot_anneal_chain(
         double checked = best;
         for (int64_t it = 1; it <= max_iters; it++) {
             const int64_t j = bounded_index(&g, arcs), a = tails[j], b = indices[j];
-            int changed = 0;
             if (parent[a] != b && parent[b] != a) {
                 int64_t len[2];
                 const int64_t count = exchange_cycle(parent, wpar, xi_cum, a, b, adj_w[j], mark,
@@ -444,19 +430,10 @@ int treeot_anneal_chain(
                 if (k > 0) {
                     apply_exchange(parent, wpar, xi_cum, paths, len, a, b, adj_w[j], k);
                     current += f[k] - f[0];
-                    changed = 1;
+                    moved++;
                 }
             }
-
-            if (bits_seen >= window)
-                bits_sum -= bits[slot];
-            bits[slot] = changed;
-            bits_sum += bits[slot];
-            bits_seen++;
-            if (++slot == window)
-                slot = 0;
-            beta = update_beta(beta, bits_sum, bits_seen, window, eta, target_accept);
-
+            beta = beta * (1.0 + eta);
             iters_done = it;
 
             if (--to_recompute == 0) {
@@ -480,17 +457,14 @@ int treeot_anneal_chain(
             if (due)
                 to_record = record_every;
             if (due || it == max_iters || on_target) {
-                double rate_now = 0.0;
-                if (bits_seen > 0) {
-                    const int64_t seen = bits_seen < window ? bits_seen : window;
-                    rate_now = (double)bits_sum / (double)seen;
-                }
                 trace_iter[records] = it;
                 trace_cur[records] = current;
                 trace_best[records] = best;
                 trace_beta[records] = beta;
-                trace_acc[records] = rate_now;
+                trace_acc[records] = (double)moved / (double)(it - last_row);
                 records++;
+                moved = 0;
+                last_row = it;
                 if (on_target) {
                     stop = STOP_TARGET;
                     break;
@@ -515,7 +489,6 @@ int treeot_anneal_chain(
     out_i[2] = stop;
     pcg64_store(&g, rng);
 done:
-    free(bits);
     free(work_i);
     free(work_d);
     return status;

@@ -4,13 +4,12 @@ pair-distance kernels and the backends that run them.
 ``anneal_chain``, ``wilson_tree``, ``subtree_sums``, ``tree_potential``,
 ``dp_plan``, ``network_simplex``, ``tree_pairs`` and ``pair_distances``
 below are the reference kernels in plain Python.
-``anneal_chain`` exchanges edges on cycles of a spanning tree through six
+``anneal_chain`` exchanges edges on cycles of a spanning tree through five
 step functions, the one statement of its arithmetic and of the stop:
 ``exchange_cycle`` finds a cycle's breakpoints, ``breakpoint_costs`` prices
 them, ``heat_bath`` draws the leaving edge, ``apply_exchange`` makes the
-exchange, ``update_beta`` adapts the temperature, and ``certify`` proves
-the best tree optimal (its tree potential is 1-Lipschitz on every graph
-edge), which ends the chain. Given no tree, it first draws one by
+exchange, and ``certify`` proves the best tree optimal (its tree potential
+is 1-Lipschitz on every graph edge), which ends the chain. Given no tree, it first draws one by
 ``wilson_tree``, so one call runs a whole chain.
 ``subtree_sums`` is the leaves-to-root pass along a tree's ``order`` (by
 decreasing depth, then increasing id, from the tree's numpy proof, the same
@@ -135,8 +134,8 @@ class Kernels:
         self.name = name
         self._run = run
 
-    def anneal_chain(self, tree, graph, xi, max_iters, beta0, target_accept, eta, window,
-                     record_every, recompute_every, target_cost, rng):
+    def anneal_chain(self, tree, graph, xi, max_iters, beta0, eta, record_every,
+                     recompute_every, target_cost, rng):
         """The chain of :func:`anneal_chain` on the graph from copies of the
         tree's links, or, with ``tree`` None, from the Wilson tree that the
         kernel draws first from ``rng``, as ``(stats, root, (best_parent,
@@ -150,8 +149,8 @@ class Kernels:
         _check_generator("annealing chain", rng)
         n = graph.n
         _check_arrays("annealing chain", (), ((xi, n),))
-        if window < 1 or record_every < 1 or (tree is not None and tree.n != n):
-            raise ValueError("annealing chain: window, record_every or parent count out of range")
+        if record_every < 1 or (tree is not None and tree.n != n):
+            raise ValueError("annealing chain: record_every or parent count out of range")
         root, parent, wpar = ((-1, np.empty(n, dtype=np.int64), np.empty(n)) if tree is None else
                               (tree.root, tree.parent.copy(), tree.weight_to_parent.copy()))
         best_parent, best_wpar = np.empty_like(parent), np.empty_like(wpar)
@@ -160,8 +159,8 @@ class Kernels:
         out_d, out_i = np.empty(3), np.empty(4, dtype=np.int64)
         _check_status(self._run["anneal_chain"](
             n, root, parent, wpar, graph.indptr, graph.indices, graph.weights, xi, max_iters,
-            beta0, target_accept, eta, window, record_every, recompute_every, target_cost,
-            CERT_RTOL, rng, best_parent, best_wpar, *trace, out_d, out_i))
+            beta0, eta, record_every, recompute_every, target_cost, CERT_RTOL, rng, best_parent,
+            best_wpar, *trace, out_d, out_i))
         best, current, max_drift = out_d.tolist()
         records, iters_done, stop, root = out_i.tolist()
         return ((best, current, records, iters_done, max_drift, stop), root,
@@ -386,9 +385,8 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 #: the argtypes of ``treeot_<name>`` in ``_kernel.c``, the C function of the
 #: reference kernel ``<name>`` below; each returns an ``int`` status
 C_SIGNATURES = {
-    "anneal_chain": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _F64, _I64,
-                     _I64, _I64, _F64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                     _PTR],
+    "anneal_chain": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _I64, _I64,
+                     _F64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     "wilson_tree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     "dp_plan": [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
     "network_simplex": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR],
@@ -594,20 +592,10 @@ def certify(n, parent, wpar, indptr, indices, adj_w, xi_node, cert_rtol):
     return True
 
 
-def update_beta(beta, bits_sum, bits_seen, window, eta, target_accept):
-    """Scale ``beta`` by ``1 + eta * (rate - target_accept)``, where ``rate``
-    is the acceptance rate over the last ``window`` steps; unchanged until the
-    window has filled once."""
-    if bits_seen >= window:
-        rate = bits_sum / window
-        beta = beta * (1.0 + eta * (rate - target_accept))
-    return beta
-
-
 def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_iters, beta0,
-                 target_accept, eta, window, record_every, recompute_every, target_cost,
-                 cert_rtol, rng, best_parent, best_wpar, trace_iter, trace_cur, trace_best,
-                 trace_beta, trace_acc, out_d, out_i):
+                 eta, record_every, recompute_every, target_cost, cert_rtol, rng, best_parent,
+                 best_wpar, trace_iter, trace_cur, trace_best, trace_beta, trace_acc, out_d,
+                 out_i):
     """Run one annealing chain over the spanning trees of one root, in place.
 
     It starts from the tree in ``parent`` and ``wpar`` rooted at ``root``,
@@ -616,8 +604,9 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
     Per iteration: draw a CSR arc by ``rng.integers``; unless it is a tree
     edge, score its cycle, fold f(0) − min f into s (their running mean),
     draw a breakpoint by ``heat_bath`` with ``rng.random()`` and exchange
-    unless it is the entering arc's. The window records whether the tree
-    changed; beta adapts once it has filled. The best tree, judged after
+    unless it is the entering arc's; then scale beta by ``1 + eta``. A trace
+    row's ``accept_rate`` is the share of the proposals since the previous
+    row that changed the tree (0 on row 0). The best tree, judged after
     any recomputation, is copied into ``best_parent`` and ``best_wpar``.
 
     ``max_iters`` is a budget. The chain stops early with ``STOP_TARGET``
@@ -630,24 +619,23 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
     iters_done, stop, root), ``stop`` one of the ``STOP_*`` codes, and
     returns 0.
     """
-    bits = [0] * window  # before the start is drawn, as C allocates its scratch
+    # the scratch, before the start is drawn, as C allocates it
+    mark = [0] * n
+    tails = np.repeat(np.arange(n), np.diff(indptr[:n + 1])).tolist()
+    arcs, indices, adj_w = int(indptr[n]), indices.tolist(), adj_w.tolist()
     out_i[3] = root
     if root < 0:
         wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_i[3:])
     xi_cum = recompute_cumulative(parent, xi_node)[0].tolist()
     out = parent, wpar
     parent, wpar = (a.tolist() for a in out)
-    tails = np.repeat(np.arange(n), np.diff(indptr[:n + 1])).tolist()
-    arcs, indices, adj_w = int(indptr[n]), indices.tolist(), adj_w.tolist()
     current = tree_cost(parent, wpar, xi_cum)
     best = current
     best_parent[:] = parent
     best_wpar[:] = wpar
 
-    mark = [0] * n
     gap_sum, gaps = 0.0, 0
-    bits_sum = 0
-    bits_seen = 0
+    moved, last_row = 0, 0  # changes of the tree since the last row, and its iteration
     beta = beta0
     max_drift = 0.0
 
@@ -674,7 +662,6 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
     for it in range(1, max_iters + 1):
         j = int(rng.integers(0, arcs))
         a, b = tails[j], indices[j]
-        changed = False
         if parent[a] != b and parent[b] != a:
             pa, pb, t, wt = exchange_cycle(parent, wpar, xi_cum, a, b, adj_w[j], mark, it)
             f = breakpoint_costs(t, wt)
@@ -685,16 +672,8 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
             if k > 0:
                 apply_exchange(parent, wpar, xi_cum, pa, pb, a, b, adj_w[j], k)
                 current += f[k] - f[0]
-                changed = True
-
-        slot = (it - 1) % window
-        if bits_seen >= window:
-            bits_sum -= bits[slot]
-        bits[slot] = 1 if changed else 0
-        bits_sum += bits[slot]
-        bits_seen += 1
-        beta = update_beta(beta, bits_sum, bits_seen, window, eta, target_accept)
-
+                moved += 1
+        beta = beta * (1.0 + eta)
         iters_done = it
 
         if recompute_every > 0 and it % recompute_every == 0:
@@ -712,16 +691,13 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
 
         on_target = have_target and best <= stop_at
         if it % record_every == 0 or it == max_iters or on_target:
-            rate_now = 0.0
-            if bits_seen > 0:
-                seen = bits_seen if bits_seen < window else window
-                rate_now = bits_sum / seen
             trace_iter[records] = it
             trace_cur[records] = current
             trace_best[records] = best
             trace_beta[records] = beta
-            trace_acc[records] = rate_now
+            trace_acc[records] = moved / (it - last_row)
             records += 1
+            moved, last_row = 0, it
             if on_target:
                 stop = STOP_TARGET
                 break

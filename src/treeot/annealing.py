@@ -40,29 +40,26 @@ class AnnealConfig:
     """Knobs of the annealing loop.
 
     The heat bath weighs a breakpoint exp(-beta * (f - min f) / s), s the
-    running mean of f(0) - min f, so ``beta`` is in units of s. After each
-    post-warm-up iteration (one proposal) ``beta`` is scaled by
-    ``1 + eta * (rate - target_accept)``, the rate averaging the last
-    ``window`` bits, each 1 when its iteration changed the tree.
+    running mean of f(0) - min f, so ``beta`` is in units of s. ``beta``
+    starts at ``beta0`` and grows by ``1 + eta`` after every iteration (one
+    proposal): a geometric ramp (Kirkpatrick, Gelatt & Vecchi, *Science*
+    220, 1983).
 
     The chain starts cold, ``beta0`` = 3: its initial tree is already a
-    uniform draw, and the rate stays far above ``target_accept``, so ``beta``
-    only climbs. Started hot, from 0.1, every lattice corpus of README's
-    sweep ("Annealing defaults") needs more proposals: 1.07x at 32x32, 2.2x
-    at 10x10, 7.8x on the 4x4 freeze corpus.
+    uniform draw. Started hot, from 0.1, the corpora of README's sweep
+    ("Annealing defaults") up to 16x16 need 1.2x-8.2x more proposals, and
+    those at 32x32 and 64x64 as many within 10%.
     """
 
     max_iters: int
     seed: int = 0
     beta0: float = 3.0
-    target_accept: float = 0.01
-    eta: float = 0.01
-    window: int = 100
+    eta: float = 0.002
     record_every: int = 1000
     recompute_every: int = 100_000
 
     def __post_init__(self):
-        for name in ("max_iters", "seed", "window", "record_every", "recompute_every"):
+        for name in ("max_iters", "seed", "record_every", "recompute_every"):
             value = getattr(self, name)
             try:
                 if isinstance(value, bool):  # operator.index takes True as 1
@@ -70,15 +67,11 @@ class AnnealConfig:
                 operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, not {value!r}") from None
-        if self.max_iters < 0 or self.seed < 0 or self.window < 1 or self.record_every < 1:
-            raise ValueError("max_iters and seed must be non-negative, window and record_every positive")
+        if self.max_iters < 0 or self.seed < 0 or self.record_every < 1:
+            raise ValueError("max_iters and seed must be non-negative and record_every positive")
         # NaN fails every comparison, so it is rejected here too
-        if not (0.0 < self.beta0 < math.inf and 0.0 < self.eta < math.inf
-                and 0.0 < self.target_accept < 1.0):
-            raise ValueError("beta0, eta must be positive and finite and target_accept in (0,1)")
-        span = max(self.target_accept, 1.0 - self.target_accept)
-        if self.eta * span >= 1.0:
-            raise ValueError("eta too large: temperature could become non-positive")
+        if not (0.0 < self.beta0 < math.inf and 0.0 < self.eta < math.inf):
+            raise ValueError("beta0 and eta must be positive and finite")
 
 
 class TraceRecord(NamedTuple):
@@ -86,7 +79,7 @@ class TraceRecord(NamedTuple):
     current_cost: float
     best_cost: float
     beta: float
-    accept_rate: float
+    accept_rate: float  # share of the proposals since the previous row that changed the tree
 
 
 @dataclass(frozen=True)
@@ -173,8 +166,8 @@ def _run_chain(g, xi, config, target, rng, tree=None) -> AnnealResult:
     """One chain from ``tree``, or from the Wilson tree that the kernel draws
     from ``rng``, the one that :func:`treeot.trees.random_spanning_tree` draws."""
     stats, root, best_links, links, trace = _kernels.kernels().anneal_chain(
-        tree, g, xi, config.max_iters if g.n > 1 else 0, config.beta0, config.target_accept,
-        config.eta, config.window, config.record_every, config.recompute_every, target, rng)
+        tree, g, xi, config.max_iters if g.n > 1 else 0, config.beta0, config.eta,
+        config.record_every, config.recompute_every, target, rng)
     best, current, _, iters_done, max_drift, stop = stats
     if max_drift > 1e-6:
         raise RuntimeError(f"incremental cost drifted by {max_drift:.3e}")

@@ -88,9 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="iteration budget (default 100000); a certified optimum stops the chain sooner")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--beta0", type=float, default=None)
-    p.add_argument("--target-accept", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--eta", type=float, default=None,
+                   help="growth of beta per proposal (default 0.002)")
     p.add_argument("--record-every", type=int, default=None)
     p.add_argument("--chains", type=int, default=1)
     p.add_argument("--target-cost", type=float, default=None,
@@ -215,9 +214,7 @@ def _anneal_config(args) -> AnnealConfig:
         "max_iters": args.iters,
         "seed": args.seed,
         "beta0": args.beta0,
-        "target_accept": args.target_accept,
         "eta": args.eta,
-        "window": args.window,
         "record_every": args.record_every,
     }
     base.update({k: v for k, v in overrides.items() if v is not None})

@@ -5,7 +5,8 @@ Tree (JSON):       {"root": r, "edges": [[u, v], ...]} - weights live in the gra
 Measure:           JSON array of N nonnegative reals, or CSV with one value per line
 Plan (CSV):        header "x,y,mass", triplets sorted lexicographically
 Potential (CSV):   header "vertex,u"
-Trace (CSV):       header "iter,current_cost,best_cost,beta,accept_rate"
+Trace (CSV):       header "iter,current_cost,best_cost,beta,accept_rate"; accept_rate is
+                   the share of the proposals since the previous row that changed the tree
 
 Numbers are written in shortest round-trip decimal form and files end with a
 newline. Parsers reject trailing garbage. Every output is written by

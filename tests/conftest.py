@@ -788,10 +788,11 @@ def noisy_grid_measures(p, seed, img_mu=None, img_nu=None, sigma=1e-3):
 class SwapChain:
     """One annealing chain moved by the kernel's own step functions
     (``exchange_cycle``, ``breakpoint_costs``, ``heat_bath``,
-    ``apply_exchange``, ``update_beta``, ``certify``), with the arc draw, the
-    null proposal, the running scale s, the acceptance window and the stop
-    test of ``_kernels.anneal_chain`` spelled out: a step-by-step reference
-    for the fused kernel. The root never moves."""
+    ``apply_exchange``, ``certify``), with the arc draw, the null proposal,
+    the running scale s, the temperature ramp, the count of the proposals that
+    changed the tree and the stop test of ``_kernels.anneal_chain`` spelled
+    out: a step-by-step reference for the fused kernel. The root never
+    moves."""
 
     def __init__(self, g, tree, mu, nu, config):
         self.g = g
@@ -808,9 +809,8 @@ class SwapChain:
         self.best_wpar = self.wpar.copy()
         self.checked = None  # best cost at the last certify call
         self.beta = config.beta0
-        self.bits = np.zeros(config.window, dtype=np.int64)
-        self.bits_sum = 0
-        self.bits_seen = 0
+        self.moved = 0  # proposals that changed the tree, since ``take_rate``
+        self.proposed = 0
         self.tails = g.arc_tails()
         self.mark = [0] * tree.n
         self.stamp = 0
@@ -835,9 +835,8 @@ class SwapChain:
         """One kernel iteration on the drawn arc, less ``adapt``: nothing on a
         tree edge; otherwise score the cycle, fold f(0) - min f into s, draw
         the leaving edge by heat bath with ``rng.random()`` and make the
-        exchange unless the entering arc itself is drawn. The window records
-        whether the tree changed. Returns the breakpoint drawn (None on a
-        tree edge)."""
+        exchange unless the entering arc itself is drawn, which counts as
+        moved. Returns the breakpoint drawn (None on a tree edge)."""
         k = None
         if not self.is_tree_edge(a, b):
             pa, pb, t, wt = self.cycle(a, b, w)
@@ -853,19 +852,20 @@ class SwapChain:
                     self.best_cost = self.cost
                     self.best_parent = self.parent.copy()
                     self.best_wpar = self.wpar.copy()
-        window = self.config.window
-        slot = self.bits_seen % window
-        if self.bits_seen >= window:
-            self.bits_sum -= int(self.bits[slot])
-        self.bits[slot] = 1 if k else 0
-        self.bits_sum += int(self.bits[slot])
-        self.bits_seen += 1
+        self.moved += 1 if k else 0
+        self.proposed += 1
         return k
 
     def adapt(self):
-        self.beta = _kernels.update_beta(self.beta, self.bits_sum, self.bits_seen,
-                                         self.config.window, self.config.eta,
-                                         self.config.target_accept)
+        """The ramp: ``beta`` grows by ``1 + eta`` after each proposal."""
+        self.beta = self.beta * (1.0 + self.config.eta)
+
+    def take_rate(self):
+        """A trace row's ``accept_rate``: the share of the proposals since
+        the previous call that changed the tree; the counts restart."""
+        rate = self.moved / self.proposed
+        self.moved = self.proposed = 0
+        return rate
 
     def certify(self):
         """The kernel's stop test at a trace row: ``certify`` on the best

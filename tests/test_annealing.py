@@ -67,7 +67,7 @@ class TestProposeMove:
             before = rng.bit_generator.state
             assert state.step(a, b, w, rng) is None
             assert rng.bit_generator.state == before
-        assert state.tree().edge_set() == edges and state.bits_sum == 0
+        assert state.tree().edge_set() == edges and state.moved == 0
 
     def test_two_vertices_single_neighbor(self):
         g = ot.build_graph(2, [(0, 1, 1.0)])
@@ -322,31 +322,49 @@ class TestExchangeReachesW1:
 
 
 class TestTemperature:
-    """``_kernels.update_beta`` with the defaults of ``AnnealConfig``
-    (``eta`` 0.01, ``target_accept`` 0.01) unless a test says otherwise."""
+    """The ramp: ``beta`` starts at ``beta0`` and grows by ``1 + eta`` after
+    every proposal; nothing else moves it."""
 
-    def test_no_update_during_warmup(self):
-        assert _kernels.update_beta(0.5, 0, 9, 10, 0.01, 0.01) == 0.5
+    @staticmethod
+    def stepwise_rows(g, mu, nu, cfg):
+        """``(iter, beta, accept_rate)`` of each trace row, as hex, from the
+        step functions run one at a time by ``SwapChain``."""
+        rng = np.random.default_rng(cfg.seed)
+        state = SwapChain(g, ot.random_spanning_tree(g, rng), mu, nu, cfg)
+        rows = [(0, cfg.beta0.hex(), 0.0.hex())]
+        it, stop = 0, state.certify()
+        while not stop and it < cfg.max_iters:
+            it += 1
+            state.step(*state.propose(rng), rng)
+            state.adapt()
+            if it % cfg.record_every == 0 or it == cfg.max_iters:
+                rows.append((it, state.beta.hex(), state.take_rate().hex()))
+                stop = state.certify()
+        return rows
 
-    def test_fixed_point_at_target(self):
-        # rate 1/10 equals target_accept
-        assert _kernels.update_beta(0.37, 1, 10, 10, 0.01, 0.1) == 0.37
-
-    def test_full_acceptance_heats(self):
-        beta = _kernels.update_beta(0.1, 100, 100, 100, 0.01, 0.01)
-        assert abs(beta - 0.1 * (1 + 0.01 * (1.0 - 0.01))) <= 1e-15
-        assert abs(beta - 0.10099) <= 1e-15
-
-    def test_zero_acceptance_cools(self):
-        beta = _kernels.update_beta(0.1, 0, 100, 100, 0.01, 0.01)
-        assert abs(beta - 0.1 * 0.9999) <= 1e-15
+    def test_trace_is_the_ramp_and_the_share_of_moves(self, backend):
+        # degenerate measures keep the chain from certifying, so every row of
+        # the budget is written; 37 does not divide 3000, so the last row
+        # covers a shorter stretch
+        g = ot.grid_graph(5)
+        mu, nu = degenerate_measures(np.random.default_rng(3), 25)
+        cfg = ot.AnnealConfig(max_iters=3000, seed=5, beta0=0.7, eta=0.003, record_every=37)
+        res = ot.anneal(g, mu, nu, cfg)
+        rows = [(r.iter, r.beta.hex(), r.accept_rate.hex()) for r in res.trace]
+        assert res.stop_reason == "max_iters" and len(rows) == 3000 // 37 + 2
+        assert rows == self.stepwise_rows(g, mu, nu, cfg)
+        for it, beta, _ in rows:
+            want = cfg.beta0
+            for _ in range(it):
+                want *= 1.0 + cfg.eta
+            assert beta == want.hex()
+        rates = [float.fromhex(rate) for _, _, rate in rows]
+        assert rates[0] == 0.0 and all(0.0 < rate < 1.0 for rate in rates[1:])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ot.AnnealConfig(max_iters=1, eta=2.0)
-        with pytest.raises(ValueError):
-            ot.AnnealConfig(max_iters=1, target_accept=1.5)
-        for bad in ({"beta0": math.nan}, {"beta0": math.inf}, {"eta": math.nan}, {"seed": -1}):
+        ot.AnnealConfig(max_iters=1, eta=2.0)
+        for bad in ({"beta0": math.nan}, {"beta0": math.inf}, {"eta": math.nan},
+                    {"eta": math.inf}, {"eta": 0.0}, {"eta": -0.5}, {"seed": -1}):
             with pytest.raises(ValueError):
                 ot.AnnealConfig(max_iters=1, **bad)
 
@@ -523,8 +541,7 @@ class TestChainEntry:
             rng = np.random.default_rng(17)
             rng.integers(0, 3)  # the generator keeps a spare 32-bit half
             tree = None if fused else ot.random_spanning_tree(g, rng)
-            out = kernels.anneal_chain(tree, g, xi, 3000, 0.5, 0.01, 0.01, 100, 100, 0, math.nan,
-                                       rng)
+            out = kernels.anneal_chain(tree, g, xi, 3000, 0.5, 0.01, 100, 0, math.nan, rng)
             stats, root, best, final, trace = out
             ends.append((stats, root, [a.tobytes() for a in (*best, *final, *trace)],
                          rng.bit_generator.state, rng.random()))
@@ -552,8 +569,8 @@ class TestChainEntry:
         g = ot.grid_graph(3)
         t = ot.random_spanning_tree(ot.grid_graph(2), np.random.default_rng(0))
         with pytest.raises(ValueError, match="parent count out of range"):
-            _kernels.kernels().anneal_chain(t, g, np.zeros(9), 10, 1.0, 0.3, 0.05, 10, 10, 0,
-                                            math.nan, np.random.default_rng(1))
+            _kernels.kernels().anneal_chain(t, g, np.zeros(9), 10, 1.0, 0.05, 10, 0, math.nan,
+                                            np.random.default_rng(1))
 
 
 class TestCertifiedStop:
@@ -689,7 +706,7 @@ for s in range(10):
     g = random_connected_graph(rng, n, extra_edges=int(rng.integers(1, n)))
     mu, nu = random_measure_pair(rng, n) if s < 5 else degenerate_measures(rng, n)
     exact = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu).value
-    cfg = ot.AnnealConfig(max_iters=3000, seed=s, window=7, recompute_every=299, record_every=37)
+    cfg = ot.AnnealConfig(max_iters=3000, seed=s, recompute_every=299, record_every=37)
     # chain 2 also reaches the target on a row where its certificate holds
     for target in (None, exact) if s in (2, 7) else (None,):
         res = ot.anneal(g, mu, nu, cfg, target_cost=target)
@@ -821,7 +838,7 @@ class TestKernelBackendSelection:
     @pytest.mark.parametrize("script", [CHAINS_SCRIPT, RANDOM_GRAPHS_SCRIPT], ids=["chains", "random-graphs"])
     def test_c_matches_python(self, script):
         """Concurrent chains (first use of the backend included) and random
-        graphs with leaves, short windows and frequent recomputation give the
+        graphs with leaves, short trace rows and frequent recomputation give the
         plain-Python results bit for bit."""
         out = {}
         for backend in ("c", "python"):

@@ -228,9 +228,8 @@ class TestAnnealCommand:
         ) == 0
         manifest = json.loads((out / "anneal.manifest.json").read_text())
         assert manifest["config"] == {
-            "max_iters": 100_000, "seed": 0, "beta0": 3.0, "target_accept": 0.01, "eta": 0.01,
-            "window": 100, "record_every": 1000, "recompute_every": 100_000,
-            "chains": 1, "target_cost": None,
+            "max_iters": 100_000, "seed": 0, "beta0": 3.0, "eta": 0.002, "record_every": 1000,
+            "recompute_every": 100_000, "chains": 1, "target_cost": None,
         }
 
     def test_multiple_chains(self, tmp_path, capsys):
@@ -363,14 +362,15 @@ BAD_ARGUMENTS = [
     ("grid", "--noise-sigma", "-1"),
     ("anneal", "--iters", "-5"),
     ("anneal", "--seed", "-3"),
-    ("anneal", "--window", "0"),
     ("anneal", "--record-every", "0"),
-    ("anneal", "--target-accept", "2"),
-    ("anneal", "--eta", "5"),
     ("anneal", "--beta0", "nan"),
+    ("anneal", "--beta0", "0"),
     ("anneal", "--eta", "nan"),
+    ("anneal", "--eta", "0"),
+    ("anneal", "--eta", "-1"),
+    ("anneal", "--eta", "inf"),
     ("anneal", "--chains", "0"),
-    ("anneal", "--config", '{"window": "abc"}'),
+    ("anneal", "--config", '{"eta": "abc"}'),
     ("anneal", "--config", '{"seed": "abc"}'),
 ]
 
@@ -430,7 +430,7 @@ def test_non_finite_target_cost_exits_2(line6_files, capsys, value, chains):
 
 
 @pytest.mark.parametrize("value", ["true", "1.5"])
-@pytest.mark.parametrize("field", ["max_iters", "seed", "window", "record_every", "recompute_every"])
+@pytest.mark.parametrize("field", ["max_iters", "seed", "record_every", "recompute_every"])
 def test_non_integer_config_field_exits_2(line6_files, capsys, field, value):
     d = line6_files
     (d / "cfg.json").write_text(f'{{"{field}": {value}}}', encoding="utf-8")
@@ -443,6 +443,18 @@ def test_non_integer_config_field_exits_2(line6_files, capsys, field, value):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: bad annealing config: {field} must be an integer, not {json.loads(value)!r}"]
+
+
+@pytest.mark.parametrize("key", ["target_accept", "window"])
+def test_config_with_a_knob_of_the_old_temperature_rule_exits_2(line6_files, capsys, key):
+    d = line6_files
+    (d / "cfg.json").write_text(f'{{"{key}": 100}}', encoding="utf-8")
+    assert run_cli("anneal", "--config", str(d / "cfg.json"), "--iters", "10",
+                   "--out-dir", str(d / "run"), "--graph", str(d / "graph.json"),
+                   "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (d / "run").exists()
+    assert captured.err.splitlines() == [f"error: unknown config keys: ['{key}']"]
 
 
 @pytest.mark.parametrize("text", ["5", "null", '["max_iters"]', '[["max_iters", 10]]'])

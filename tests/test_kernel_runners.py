@@ -7,6 +7,9 @@ way on every backend. A kernel that draws random numbers takes only a numpy
 ``Generator`` on ``PCG64`` and leaves it at the same position on every
 backend."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -21,8 +24,8 @@ N = 9  # vertices of the 3x3 lattice that every call runs on
 
 #: every kernel's arguments, by name, in order
 SIGNATURES = {
-    "anneal_chain": "tree graph xi_node max_iters beta0 target_accept eta window record_every "
-                    "recompute_every target_cost rng",
+    "anneal_chain": "tree graph xi_node max_iters beta0 eta record_every recompute_every "
+                    "target_cost rng",
     "wilson_tree": "graph rng",
     "dp_plan": "tree xi zero_tol",
     "network_simplex": "supply tail head cost",
@@ -46,12 +49,12 @@ CASES = {
     "negative-arc-cost": ("cost", lambda a: -a),
     "negative-arc-weight": ("adj_w", lambda a: -a),
     "root-out-of-range": ("root", lambda r: N),
-    "window-0": ("window", lambda w: 0),
+    "record-every-0": ("record_every", lambda r: 0),
 }
 
 KERNEL_CASES = {
     "anneal_chain": ["parent-link-minus-2", "parent-link-out-of-range", "root-out-of-range",
-                     "window-0", "neighbour-out-of-range", "vertex-without-neighbour",
+                     "record-every-0", "neighbour-out-of-range", "vertex-without-neighbour",
                      "int32-xi_node", "short-xi_node"],
     "wilson_tree": ["neighbour-out-of-range", "vertex-without-neighbour", "int32-indptr",
                     "int32-indices", "short-adj_w"],
@@ -82,8 +85,8 @@ def arguments() -> dict:
         "indices": g.indices.copy(), "adj_w": g.weights.copy(), "tail": g.arc_tails(),
         "head": g.indices.copy(), "cost": g.weights.copy(),
         "xs": np.arange(N, dtype=np.int64), "ys": np.arange(N, dtype=np.int64)[::-1].copy(),
-        "mass": None, "max_iters": 50, "beta0": 1.0, "target_accept": 0.3, "eta": 0.05,
-        "window": 10, "record_every": 10, "recompute_every": 0, "target_cost": np.nan,
+        "mass": None, "max_iters": 50, "beta0": 1.0, "eta": 0.05, "record_every": 10,
+        "recompute_every": 0, "target_cost": np.nan,
         "rng": np.random.default_rng(1), "zero_tol": 1e-14,
     }
 
@@ -210,22 +213,53 @@ def test_disconnected_csr_is_refused_before_any_walk(backend):
                                         "TypeError Wilson tree: needs a WeightedGraph, not tuple"]
 
 
+# A child interpreter lowers its own address-space limit to 80 bytes a vertex
+# above what it has mapped: room for the chain's outputs (4 words a vertex),
+# not for its scratch (over 10 words a vertex on the lattice, in C or in
+# Python), which, given no tree, it allocates before it draws its start. A
+# fixed mmap threshold makes glibc map every block over 128 KiB afresh, where
+# the limit applies, rather than reuse the heap that building the graph freed.
+SCRATCH_PAST_THE_LIMIT = """
+import json, resource
+import numpy as np
+import treeot as ot
+from treeot import _kernels
+from treeot.trees import RootedTree
+p = 300
+g = ot.grid_graph(p, 1.0)
+v = np.arange(g.n)
+parent = np.where(v % p > 0, v - 1, v - p)  # a comb: along each row, down the first column
+parent[0] = -1
+comb = RootedTree(0, parent, np.where(parent < 0, 0.0, 1.0))
+xi, k = np.zeros(g.n), _kernels.kernels()
+rng = np.random.default_rng(1)
+rng.integers(0, 3)  # the generator now keeps a spare 32-bit half
+before = rng.bit_generator.state
+with open("/proc/self/statm") as f:
+    mapped = int(f.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (mapped + 80 * g.n, hard))
+out = []
+for tree in (comb, None):
+    try:
+        k.anneal_chain(tree, g, xi, 10, 1.0, 0.05, 10, 0, float("nan"), rng)
+    except MemoryError as exc:
+        out.append([str(exc), rng.bit_generator.state == before])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 @pytest.mark.parametrize("backend", ["python", *compiled_backends()])
-def test_scratch_that_cannot_be_allocated_raises_memory_error(backend, loaded):
-    # a window of 2^56 slots asks for 512 PiB of acceptance bits, more than an
-    # address space holds, so the allocation fails at once and takes nothing
-    # and, given no tree, before the chain draws its start
-    g = ot.grid_graph(3)
-    rng = np.random.default_rng(1)
-    rng.integers(0, 3)  # the generator now keeps a spare 32-bit half
-    before = rng.bit_generator.state
-    for t in (ot.random_spanning_tree(g, np.random.default_rng(0)), None):
-        with pytest.raises(MemoryError) as caught:
-            loaded[backend].anneal_chain(t, g, np.zeros(N), 10, 1.0, 0.3, 0.05, 2**56, 10, 0,
-                                         float("nan"), rng)
-        if backend == "c":
-            assert str(caught.value) == "C kernel stopped: its scratch space could not be allocated"
-        assert rng.bit_generator.state == before
+def test_scratch_that_cannot_be_allocated_raises_memory_error(backend):
+    proc = run_python(SCRATCH_PAST_THE_LIMIT, backend, timeout=60,
+                      MALLOC_MMAP_THRESHOLD_=str(128 * 1024))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert len(out) == 2 and all(untouched for _, untouched in out)
+    if backend == "c":
+        assert [message for message, _ in out] == [
+            "C kernel stopped: its scratch space could not be allocated"] * 2
 
 
 RANDOM_KERNELS = [k for k, names in SIGNATURES.items() if "rng" in names.split()]
@@ -282,8 +316,7 @@ t = ot.random_spanning_tree(g, np.random.default_rng(0))
 xi = np.linspace(-0.4, 0.4, g.n)
 k = _kernels.kernels()
 for draw in (lambda rng: ot.random_spanning_tree(g, rng),
-             lambda rng: k.anneal_chain(t, g, xi, 50, 1.0, 0.3, 0.05, 10, 10, 0, float("nan"),
-                                        rng)):
+             lambda rng: k.anneal_chain(t, g, xi, 50, 1.0, 0.05, 10, 0, float("nan"), rng)):
     try:
         draw(RNG)
     except TypeError as exc:
