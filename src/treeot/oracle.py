@@ -20,16 +20,13 @@ from . import _kernels
 from .errors import NonFiniteWeightError, NonPositiveWeightError, NotSpanningError, VertexRangeError
 from .graphs import WeightedGraph
 from .transport import (Potential, TransportPlan, _assemble_plan, _support_distances, as_measure,
-                        cumulative_imbalance, imbalance, tree_potential)
+                        cumulative_imbalance, imbalance, imbalance_zero)
 from .trees import RootedTree, _climb
 
 #: Default tolerance for optimality and duality identities.
 VALUE_TOL = 1e-9
 #: The most vertices whose subset sums :func:`check_weak_nondegeneracy` scans.
 EXHAUSTIVE_CAP = 22
-#: A vertex set counts as balanced, and a tree edge as carrying no flow,
-#: when its imbalance is at most this.
-BALANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> bool:
 
     The subset sums of mu - nu are scanned exhaustively (meet-in-the-middle),
     so more than ``EXHAUSTIVE_CAP`` vertices raise ``ValueError``.
-    Imbalances up to ``BALANCE_TOL`` count as zero.
+    Imbalances up to :func:`imbalance_zero` count as zero.
     """
     xi = imbalance(mu, nu)
     n = xi.shape[0]
@@ -165,12 +162,9 @@ def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> bool:
     half = n // 2
     low = _subset_sums(xi[:half])
     high = np.sort(_subset_sums(xi[half:]))
-    ties = int(np.sum(np.searchsorted(high, -low + BALANCE_TOL, side="right")
-                      - np.searchsorted(high, -low - BALANCE_TOL, side="left")))
-    # discount the always-balancing trivial subsets: the empty set, and the
-    # full set whenever the total imbalance itself sits inside the tolerance
-    trivial = 1 + (1 if abs(float(xi.sum())) <= BALANCE_TOL else 0)
-    return ties <= trivial
+    zero = imbalance_zero(xi)  # at least |sum xi|: the empty and the full set always tie
+    return int(np.sum(np.searchsorted(high, -low + zero, side="right")
+                      - np.searchsorted(high, -low - zero, side="left"))) <= 2
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:
@@ -183,42 +177,44 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
 def certified_dual(g: WeightedGraph, t: RootedTree, mu, nu) -> tuple[Potential, bool] | None:
     """A Kantorovich potential of mu and nu on ``g`` that the spanning tree
     ``t`` certifies, and whether it is unique up to a constant; None when
-    there is none, so ``t`` is not optimal.
+    there is none, so ``t`` is not optimal. The measures are checked first.
 
-    The tree's flow fixes the dual optimal face (complementary slackness;
-    Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9): u(a) - u(b) <= w
-    on every arc, = w on each tree edge whose flow, above ``BALANCE_TOL``,
-    runs a -> b. The face is solved as difference constraints, flow edges
-    relaxed to >= w * (1 - ``CERT_RTOL``) so that rounding cannot make a
-    zero cycle negative. The potential is unique when the greatest u - u(0)
-    and the least, on the reversed arcs, are within n * max w * ``CERT_RTOL``.
-    It is the tree potential when that passes ``certify``'s test, and else
-    the greatest, anchored at the root.
+    The dual optimal face (complementary slackness; Ahuja, Magnanti & Orlin,
+    *Network Flows*, 1993, ch. 9) is u(a) - u(b) <= w on every arc, = w on
+    each tree edge whose flow, above :func:`imbalance_zero`, runs a -> b.
+    These edges split the tree into K components, on each of which u is the
+    tree potential up to an offset; arcs inside get ``certify``'s test, and
+    those between are difference constraints on the K offsets. The potential
+    is their greatest point, anchored at the root: for K = 1, the paper's
+    non-degenerate case, the tree potential itself.
     """
     child = np.flatnonzero(t.parent >= 0)
-    above = t.parent[child]
-    arc = g.arc_index(child, above)
+    arc = g.arc_index(child, t.parent[child])
     if t.n != g.n or np.any(arc < 0) or np.any(g.weights[arc] != t.weight_to_parent[child]):
         raise NotSpanningError("the tree is not a spanning tree of the graph, with its weights")
-    tails, w = g.arc_tails(), g.weights
-    xi_cum = cumulative_imbalance(t, imbalance(mu, nu))[child]
-    up, down = xi_cum > BALANCE_TOL, xi_cum < -BALANCE_TOL
-    # u(a) <= u(b) + w per arc (a, b), then the flow edges a -> b
-    src = np.concatenate([g.indices, child[up], above[down]])
-    dst = np.concatenate([tails, above[up], child[down]])
-    flow_w = t.weight_to_parent[np.concatenate([child[up], child[down]])]
-    weight = np.concatenate([w, -(1.0 - _kernels.CERT_RTOL) * flow_w])
-    origin = np.where(np.arange(g.n) == 0, 0.0, np.inf)
+    xi = imbalance(as_measure(mu, t.n), as_measure(nu, t.n))
+    u = _kernels.kernels().tree_potential(t, xi)
+    link = np.where(np.abs(cumulative_imbalance(t, xi)) > imbalance_zero(xi), t.parent, -1)
+    comp = (np.cumsum(link < 0) - 1)[_climb(link)[1]]
+    tails, heads, w = g.arc_tails(), g.indices, g.weights
+    cross = comp[tails] != comp[heads]
+    if np.any((np.abs(u[tails] - u[heads]) > w * (1.0 + _kernels.CERT_RTOL))[~cross]):
+        return None
+    # u sums at most n - 1 weights down the tree, each rounding by eps/2 max|u|
+    # at most; a cycle of two or more of these arcs passes disjoint tree paths,
+    # so they err by n eps/2 max|u| in all, and the allowance leaves as much per
+    # arc for its own roundings: no zero cycle closes below 0. A pinned offset
+    # comes out within 2 allowances per arc each way, 4 (K - 1) in all.
+    allowance = g.n * math.ulp(1.0) * float(np.max(np.abs(u)))
+    src, dst = comp[heads[cross]], comp[tails[cross]]
+    weight = w[cross] - u[tails[cross]] + u[heads[cross]] + allowance
+    origin = np.where(np.arange(comp.max() + 1) == comp[t.root], 0.0, np.inf)
     high = _difference_constraints(src, dst, weight, origin)
     minus_least = None if high is None else _difference_constraints(dst, src, weight, origin)
     if minus_least is None:
         return None
-    spread_tol = g.n * _kernels.CERT_RTOL * float(np.max(w, initial=0.0))
-    unique = float(np.max(high + minus_least)) <= spread_tol
-    u = tree_potential(t, mu, nu)
-    if np.all(np.abs(u.values[tails] - u.values[g.indices]) <= w * (1.0 + _kernels.CERT_RTOL)):
-        return u, unique
-    potential = high - high[t.root]
+    unique = float(np.max(high + minus_least)) <= 4 * (origin.size - 1) * allowance
+    potential = u + high[comp]
     potential.setflags(write=False)
     return Potential(potential, anchor=t.root), unique
 
@@ -262,11 +258,12 @@ def _difference_constraints(src: np.ndarray, dst: np.ndarray, weight: np.ndarray
                             start: np.ndarray) -> np.ndarray | None:
     """The greatest u <= ``start`` with u(dst) <= u(src) + weight on every
     arc; None when a negative cycle reachable from a finite start value
-    leaves none. If there are arcs, every vertex must head one. Bellman-Ford,
-    whose parent graph (the tail of the arc that last lowered each vertex) is
-    searched every ceil(sqrt(n)) rounds for a cycle, which is negative
-    (Cherkassky & Goldberg, Math. Programming 85, 1999); with none, n rounds
-    suffice."""
+    leaves none. If there are arcs, every vertex must head one, as each of
+    :func:`certified_dual`'s K >= 2 components ends a zero-flow tree edge,
+    whose arcs run both ways in the CSR. Bellman-Ford, whose parent graph
+    (the tail of the arc that last lowered each vertex) is searched every
+    ceil(sqrt(n)) rounds for a cycle, which is negative (Cherkassky &
+    Goldberg, Math. Programming 85, 1999); with none, n rounds suffice."""
     n = start.shape[0]
     if dst.size == 0:
         return start

@@ -25,8 +25,6 @@ from .trees import RootedTree, subtree_aggregate, tree_distance
 
 #: Tolerance on total measure mass.
 MASS_TOL = 1e-9
-#: Residues below this are treated as exact zeros inside the plan construction.
-ZERO_SNAP = 1e-14
 
 
 def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndarray:
@@ -64,6 +62,13 @@ def imbalance(mu, nu) -> np.ndarray:
     if abs(total) > MASS_TOL:
         raise MassMismatchError(f"imbalance sums to {float(total)!r}, not 0")
     return xi
+
+
+def imbalance_zero(xi: np.ndarray) -> float:
+    """The largest imbalance of a vertex set that counts as zero: |sum xi|,
+    which the root absorbs, plus 4 n eps sum|xi|, over the rounding of a subtree
+    sum, (n - 1) eps/2 sum|xi| (Higham, *Accuracy and Stability*, 2002, 4.2)."""
+    return abs(float(xi.sum())) + 4 * xi.size * math.ulp(1.0) * float(np.abs(xi).sum())
 
 
 def cumulative_imbalance(t: RootedTree, xi) -> np.ndarray:
@@ -304,7 +309,7 @@ def dp_transport_plan(t: RootedTree, mu, nu) -> TransportPlan:
     children pass up), and passes the rest, all of one sign, to its parent.
     Every edge so carries exactly the cumulative imbalance of its subtree,
     which makes the plan optimal with at most n - 1 off-diagonal entries.
-    Residues with magnitude at most ``ZERO_SNAP`` count as zero. The paper
+    Residues up to :func:`imbalance_zero` count as zero. The paper
     states that a dynamic program gives an optimal plan once an optimal
     tree is known; this pass is this library's construction of it, run on
     the kernel backend as :func:`treeot._kernels.dp_plan`. The measures are
@@ -316,7 +321,7 @@ def dp_transport_plan(t: RootedTree, mu, nu) -> TransportPlan:
     # exact unit sums so supply and demand cancel to rounding noise, not to the
     # 1e-9 ingestion tolerance, which would strand residuals at the root
     xi = mu / mu.sum() - nu / nu.sum()
-    rows, cols, mass = _kernels.kernels().dp_plan(t, xi, ZERO_SNAP)
+    rows, cols, mass = _kernels.kernels().dp_plan(t, xi, imbalance_zero(xi))
     if not ((mass > 0.0) & (mass < math.inf)).all():
         raise RuntimeError("plan construction wrote a mass that is not positive and finite")
     diag = np.minimum(mu, nu)

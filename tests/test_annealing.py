@@ -309,7 +309,7 @@ class TestExchangeReachesW1:
     def test_cold_start_on_the_10x10_lattice(self):
         # the lattice protocol at 10x10, seeds 0-15: a uniform start needs no
         # hot phase, so from the default beta0 the 16 chains reach W1 in
-        # 14,370 proposals in all, where beta0 = 0.1 took 31,707
+        # 13,025 proposals in all, where beta0 = 0.1 takes 41,763
         g = ot.grid_graph(10)
         stops = []
         for s in range(16):

@@ -23,7 +23,7 @@ from treeot.errors import (
     VertexRangeError,
 )
 from treeot.oracle import complementary_violation
-from treeot.transport import ZERO_SNAP, _assemble_plan
+from treeot.transport import _assemble_plan, imbalance_zero
 from treeot.trees import RootedTree
 
 from conftest import (
@@ -272,13 +272,13 @@ def reference_make_plan(n, triplets):
             np.array([acc[k] for k in keys], dtype=np.float64))
 
 
-def reference_offdiag(t, xi, zero_tol=ZERO_SNAP):
+def reference_offdiag(t, xi, zero_tol):
     """Off-diagonal entries {(x, y): mass} for the residuals ``xi``, by a
     recursion over child lists: a subtree hands up the supplies and demands
     it leaves unmatched, oldest first. A vertex gathers what its children
     hand up (children in the order ``t.order`` lists them) and then its own
     residual, and matches its first supply with its first demand until it
-    runs out of one kind."""
+    runs out of one kind. Residuals up to ``zero_tol`` count as zero."""
     res = [0.0 if abs(x) <= zero_tol else float(x) for x in xi]
     position = {v: i for i, v in enumerate(t.order.tolist())}
     kids = [sorted(k, key=position.__getitem__) for k in children_lists(t.parent.tolist())]
@@ -318,10 +318,11 @@ def reference_offdiag(t, xi, zero_tol=ZERO_SNAP):
     return offdiag
 
 
-def reference_dp_plan(t, mu, nu, zero_tol=ZERO_SNAP):
+def reference_dp_plan(t, mu, nu):
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
-    offdiag = reference_offdiag(t, mu / mu.sum() - nu / nu.sum(), zero_tol)
+    xi = mu / mu.sum() - nu / nu.sum()
+    offdiag = reference_offdiag(t, xi, imbalance_zero(xi))
     diag = np.minimum(mu, nu)
     triplets = [(x, y, m) for (x, y), m in offdiag.items()]
     triplets.extend((v, v, float(diag[v])) for v in range(t.n) if diag[v] > 0.0)
@@ -370,7 +371,8 @@ def parity_corpus():
 
 
 # residuals that do not sum to 0, so some are left unmatched at the root: a
-# leaf's, the root's own, and an interior vertex's
+# leaf's, the root's own, and an interior vertex's; they are matched with a
+# zero of 1e-14, since imbalance_zero's |sum xi| would absorb them
 INCONSISTENT = ([0.5, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, -0.25, 0.0])
 
 PARITY_SCRIPT = """
@@ -415,7 +417,7 @@ def parity_runs(tmp_path_factory, parity_instances):
     t = line_tree(3, 2)
     for xi in INCONSISTENT:
         with pytest.raises(RuntimeError) as info:
-            reference_offdiag(t, xi)
+            reference_offdiag(t, xi, 1e-14)
         errors.append(str(info.value))
     reference = {"plans": [digest(*reference_dp_plan(t, mu, nu)) for t, mu, nu in corpus],
                  "errors": errors}
@@ -552,7 +554,8 @@ class TestPlanAssembly:
         """The plan that ``_assemble_plan`` makes of the kernel's entries
         and the diagonal."""
         mu, nu = ot.as_measure(mu, t.n), ot.as_measure(nu, t.n)
-        rows, cols, mass = _kernels.kernels().dp_plan(t, mu / mu.sum() - nu / nu.sum(), ZERO_SNAP)
+        xi = mu / mu.sum() - nu / nu.sum()
+        rows, cols, mass = _kernels.kernels().dp_plan(t, xi, imbalance_zero(xi))
         diag = np.minimum(mu, nu)
         on_diag = np.flatnonzero(diag > 0.0)
         return _assemble_plan(t.n, np.concatenate([rows, on_diag]), np.concatenate([cols, on_diag]),

@@ -9,6 +9,8 @@ import pytest
 import treeot as ot
 from treeot import _kernels
 from treeot.errors import (
+    MassMismatchError,
+    NegativeMassError,
     NonFiniteWeightError,
     NonPositiveWeightError,
     NotSpanningError,
@@ -599,6 +601,26 @@ class TestDualUnique:
         assert ot.certified_dual(g, t, [1.0, 0, 0, 0], [0, 1.0, 0, 0]) is None
         assert ot.certified_dual(g, ot.root_tree(g, [(0, 1), (1, 2), (2, 3)], 0),
                                  [1.0, 0, 0, 0], [0, 1.0, 0, 0])[1] is False
+
+    @pytest.mark.parametrize("mu, nu, error", [
+        ([1.5, -0.5, 0, 0], [0, 1.0, 0, 0], NegativeMassError),
+        ([2.0, 0, 0, 0], [0, 2.0, 0, 0], MassMismatchError),
+    ])
+    def test_measures_are_checked_before_the_verdict(self, mu, nu, error):
+        # the tree is not optimal for either pair; the measures raise first
+        g = ot.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+        with pytest.raises(error):
+            ot.certified_dual(g, ot.root_tree(g, [(1, 2), (2, 3), (3, 0)], 0), mu, nu)
+
+    def test_a_flow_of_1e_13_is_flow(self):
+        # both edges carry flow, the leaf's 1e-13 too, so the dual is unique
+        # and it is the tree potential
+        g = line_graph(3)
+        t = ot.root_tree(g, [(0, 1), (1, 2)], 0)
+        mu, nu = [0.5, 0.5, 0.0], [0.0, 1 - 1e-13, 1e-13]
+        u, unique = ot.certified_dual(g, t, mu, nu)
+        assert unique is True
+        assert u.values.tobytes() == ot.tree_potential(t, mu, nu).values.tobytes()
 
     def test_tree_of_another_graph_rejected(self):
         g = ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
