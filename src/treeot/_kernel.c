@@ -2,9 +2,9 @@
  * network-simplex and pair-distance kernels in _kernels.py.
  *
  * One ABI: treeot_<name> takes the argument list of the reference kernel
- * <name>, in order and by name (C's rng is the six state words of the numpy
- * Generator rng on PCG64): n first, then the inputs, then the outputs the
- * caller allocates. It returns an int status, 0 on success. Each exported
+ * <name>, in order and by name (C's rng is the bitgen_t of the numpy
+ * Generator rng's bit generator): n first, then the inputs, then the outputs
+ * the caller allocates. It returns an int status, 0 on success. Each exported
  * function allocates its own scratch and frees it on every return, or
  * returns NO_MEMORY; the static helpers take theirs from the caller.
  *
@@ -15,11 +15,11 @@
  * Every floating-point operation happens in the same order as in the Python
  * kernels, and the library is built with -ffp-contract=off and without
  * fast-math, so no multiply-add is fused and the results are bit-identical.
- * Random numbers come from the caller's PCG64 state, stepped here exactly as
- * numpy steps it and drawn exactly as Generator.integers(0, k) and
- * Generator.random() draw, so the chain and the tree walk consume the same
- * stream as the Python kernels and leave the generator at the same position.
- * The 128-bit state needs the unsigned __int128 of GCC and Clang.
+ * Random numbers come from the caller's bit generator, through its own
+ * next_uint32 and next_double, and are drawn exactly as
+ * Generator.integers(0, k) and Generator.random() draw, so the chain and the
+ * tree walk consume the same stream as the Python kernels and leave the
+ * generator at the same position, whatever the bit generator.
  */
 
 #include <math.h>
@@ -27,66 +27,15 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* numpy's PCG64: the 128-bit LCG with the XSL-RR output (O'Neill, "PCG: A
- * Family of Simple Fast Space-Efficient Statistically Good Algorithms for
- * Random Number Generation", 2014), and the spare 32-bit half of its last
- * 64-bit output that next_uint32 keeps. */
-typedef unsigned __int128 u128;
+/* numpy's bitgen_t (numpy/random/bitgen.h), through which the caller's
+ * bit generator draws: its state and the functions that step it. */
 typedef struct {
-    u128 state, inc;
-    uint64_t has_uint32, uinteger;
-} pcg64;
-
-/* The caller's six state words, as numpy's bit_generator.state holds them:
- * {state >> 64, state low half, inc >> 64, inc low half, has_uint32,
- * uinteger}. A kernel steps a copy and stores it back before it returns. */
-static pcg64 pcg64_load(const uint64_t *words)
-{
-    const pcg64 g = {((u128)words[0] << 64) | words[1], ((u128)words[2] << 64) | words[3],
-                     words[4], words[5]};
-    return g;
-}
-
-static void pcg64_store(const pcg64 *g, uint64_t *words)
-{
-    words[0] = (uint64_t)(g->state >> 64);
-    words[1] = (uint64_t)g->state;
-    words[2] = (uint64_t)(g->inc >> 64);
-    words[3] = (uint64_t)g->inc;
-    words[4] = g->has_uint32;
-    words[5] = g->uinteger;
-}
-
-/* next_uint64: one LCG step, then the high half xor the low half rotated
- * right by the top 6 bits of the new state. */
-static uint64_t pcg64_next64(pcg64 *g)
-{
-    const u128 mult = ((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
-    g->state = g->state * mult + g->inc;
-    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    const unsigned rot = (unsigned)(g->state >> 122);
-    return (x >> rot) | (x << (-rot & 63));
-}
-
-/* next_uint32: the low half of a fresh output, keeping the high half for
- * the next call. */
-static uint32_t pcg64_next32(pcg64 *g)
-{
-    if (g->has_uint32) {
-        g->has_uint32 = 0;
-        return (uint32_t)g->uinteger;
-    }
-    const uint64_t next = pcg64_next64(g);
-    g->has_uint32 = 1;
-    g->uinteger = next >> 32;
-    return (uint32_t)next;
-}
-
-/* next_double, which leaves the kept half alone: Generator.random(). */
-static double pcg64_next_double(pcg64 *g)
-{
-    return (double)(pcg64_next64(g) >> 11) * (1.0 / 9007199254740992.0);
-}
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
 
 enum {
     CHAIN_OK = 0,
@@ -113,20 +62,18 @@ static void *scratch(int64_t count, size_t size, int zeroed)
 
 /* Generator.integers(0, deg) for int64 and 1 <= deg < 2^32: no draw
  * when deg == 1, otherwise Lemire's bounded rejection on 32-bit draws
- * (numpy's buffered_bounded_lemire_uint32 with rng = deg - 1). Inline, so
- * that the chain keeps the generator in registers: GCC -O2 would otherwise
- * move the draw into an outlined call, which costs the chain about 10%. */
-static inline int64_t bounded_index(pcg64 *g, int64_t deg)
+ * (numpy's buffered_bounded_lemire_uint32 with rng = deg - 1). */
+static int64_t bounded_index(bitgen_t *rng, int64_t deg)
 {
     if (deg == 1)
         return 0;
     const uint32_t rng_excl = (uint32_t)deg;
-    uint64_t m = (uint64_t)pcg64_next32(g) * rng_excl;
+    uint64_t m = (uint64_t)rng->next_uint32(rng->state) * rng_excl;
     uint32_t leftover = (uint32_t)m;
     if (leftover < rng_excl) {
         const uint32_t threshold = (UINT32_MAX - (rng_excl - 1)) % rng_excl;
         while (leftover < threshold) {
-            m = (uint64_t)pcg64_next32(g) * rng_excl;
+            m = (uint64_t)rng->next_uint32(rng->state) * rng_excl;
             leftover = (uint32_t)m;
         }
     }
@@ -311,10 +258,9 @@ static int certify(int64_t n, const int64_t *parent, const double *wpar, const i
 }
 
 /* wilson_tree of _kernels.py. Its scratch, in_tree, holds n bytes. Returns
- * CHAIN_OK, a WILSON_* / CHAIN_DEGREE_TOO_LARGE code or NO_MEMORY; the
- * generator's state is stored back whenever it was stepped. */
+ * CHAIN_OK, a WILSON_* / CHAIN_DEGREE_TOO_LARGE code or NO_MEMORY. */
 int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
-                       const double *adj_w, uint64_t *rng, int64_t *parent, double *wpar,
+                       const double *adj_w, bitgen_t *rng, int64_t *parent, double *wpar,
                        int64_t *out_root)
 {
     if (n < 1 || n > (int64_t)UINT32_MAX)
@@ -322,9 +268,8 @@ int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
     uint8_t *in_tree = scratch(n, 1, 1);
     if (!in_tree)
         return NO_MEMORY;
-    pcg64 g = pcg64_load(rng);
     int status = CHAIN_OK;
-    const int64_t root = bounded_index(&g, n);
+    const int64_t root = bounded_index(rng, n);
     in_tree[root] = 1;
     parent[root] = -1;
     wpar[root] = 0.0;
@@ -336,7 +281,7 @@ int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
                 status = deg < 1 ? WILSON_NO_NEIGHBOUR : CHAIN_DEGREE_TOO_LARGE;
                 break;
             }
-            const int64_t k = bounded_index(&g, deg);
+            const int64_t k = bounded_index(rng, deg);
             parent[v] = indices[lo + k];
             wpar[v] = adj_w[lo + k];
         }
@@ -344,7 +289,6 @@ int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
             in_tree[v] = 1;
     }
     *out_root = root;
-    pcg64_store(&g, rng);
     free(in_tree);
     return status;
 }
@@ -362,7 +306,7 @@ int treeot_anneal_chain(
     const int64_t *indices, const double *adj_w, const double *xi_node,
     int64_t max_iters, double beta0, double eta, int64_t record_every, int64_t recompute_every,
     double target_cost, double cert_rtol,
-    uint64_t *rng, int64_t *best_parent, double *best_wpar, int64_t *trace_iter,
+    bitgen_t *rng, int64_t *best_parent, double *best_wpar, int64_t *trace_iter,
     double *trace_cur, double *trace_best, double *trace_beta, double *trace_acc, double *out_d,
     int64_t *out_i)
 {
@@ -378,7 +322,6 @@ int treeot_anneal_chain(
     if (status != CHAIN_OK)
         goto done;
     status = arcs > (int64_t)UINT32_MAX ? CHAIN_DEGREE_TOO_LARGE : CHAIN_OK;
-    pcg64 g = pcg64_load(rng);
     int64_t *mark = work_i + 2 * n, *const paths[2] = {mark + n, mark + 2 * n};
     int64_t *order = mark + 3 * n, *tails = order + n + 1;
     double *t = work_d + 2 * n, *wt = t + n + 1, *f = wt + n + 1, *cum = f + n + 1;
@@ -417,7 +360,7 @@ int treeot_anneal_chain(
     if (stop == STOP_MAX_ITERS && status == CHAIN_OK) {
         double checked = best;
         for (int64_t it = 1; it <= max_iters; it++) {
-            const int64_t j = bounded_index(&g, arcs), a = tails[j], b = indices[j];
+            const int64_t j = bounded_index(rng, arcs), a = tails[j], b = indices[j];
             if (parent[a] != b && parent[b] != a) {
                 int64_t len[2];
                 const int64_t count = exchange_cycle(parent, wpar, xi_cum, a, b, adj_w[j], mark,
@@ -426,7 +369,7 @@ int treeot_anneal_chain(
                 gap_sum += f[0] - fmin;
                 gaps++;
                 const int64_t k = heat_bath(count, f, fmin, beta, gap_sum / (double)gaps,
-                                            pcg64_next_double(&g), cum);
+                                            rng->next_double(rng->state), cum);
                 if (k > 0) {
                     apply_exchange(parent, wpar, xi_cum, paths, len, a, b, adj_w[j], k);
                     current += f[k] - f[0];
@@ -487,7 +430,6 @@ int treeot_anneal_chain(
     out_i[0] = records;
     out_i[1] = iters_done;
     out_i[2] = stop;
-    pcg64_store(&g, rng);
 done:
     free(work_i);
     free(work_d);

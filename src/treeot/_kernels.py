@@ -31,8 +31,8 @@ and by ``treeot_<name>`` in ``_kernel.c``, whose ctypes argtypes
 ``C_SIGNATURES`` lists. It is ``n`` first, then the inputs, then the output
 arrays that the caller allocates, and the kernel returns an int status, 0
 on success. The kernels that draw random numbers take a numpy
-``Generator`` on ``PCG64``; C's ``rng`` is its six state words, which C
-steps as numpy does. Each implementation owns its scratch space: the
+``Generator``; C's ``rng`` is its bit generator's ``bitgen_t``, through whose
+functions C draws as numpy does. Each implementation owns its scratch space: the
 references but ``wilson_tree`` convert hot arrays to lists at entry, which
 Python indexes faster, and the C functions allocate theirs and free it on every return
 (``NO_MEMORY`` when that fails). Two backends run the kernels behind the
@@ -45,7 +45,7 @@ the chain takes the graph and a tree, or none and walks the tree it draws:
 - ``c``: ``_kernel.c``, a transcription (the step functions as ``static``
   helpers) built on first use with the system C compiler and loaded through
   ``ctypes``, which releases the GIL; ``_c_call`` passes it the arrays and
-  the generator's state, and writes that state back;
+  the generator's ``bitgen_t``;
 - ``python``: the reference functions themselves.
 
 ``TREEOT_BACKEND`` names the backend. Unset, c is used if it loads, else
@@ -123,7 +123,7 @@ class Kernels:
     argument list (see the module docstring). A method that walks a graph
     takes a :class:`WeightedGraph`, one that walks a tree a
     :class:`RootedTree` (each proven when it was built), one that draws
-    random numbers a numpy ``Generator`` on ``PCG64``, and raises
+    random numbers a numpy ``Generator``, and raises
     ``TypeError`` for anything else. A method checks the other inputs, so
     that a malformed one raises the same exception with the same message on
     either backend (``ValueError``, or ``VertexRangeError`` for a pair vertex
@@ -310,12 +310,10 @@ def _proven(kernel: str, obj, kind: type) -> None:
 
 
 def _check_generator(kernel: str, rng) -> None:
-    """Raise ``TypeError`` unless ``rng`` is a numpy ``Generator`` on
-    ``PCG64``, the bit generator that ``_kernel.c`` steps."""
-    if not (isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.PCG64):
-        kind = (f"Generator on {type(rng.bit_generator).__name__}"
-                if isinstance(rng, np.random.Generator) else type(rng).__name__)
-        raise TypeError(f"{kernel}: needs a numpy Generator on PCG64, not {kind}")
+    """Raise ``TypeError`` unless ``rng`` is a numpy ``Generator``, whose bit
+    generator both backends draw through."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"{kernel}: needs a numpy Generator, not {type(rng).__name__}")
 
 
 def _check_status(status: int, **context) -> None:
@@ -341,44 +339,26 @@ def _check_pairs(n: int, xs, ys) -> None:
         raise VertexRangeError(f"a pair vertex is out of range for n={n}")
 
 
+#: ``PyCapsule_GetPointer`` with its own prototype, leaving the shared
+#: ``ctypes.pythonapi`` entry as other code set it
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
 def _c_call(fn, at, *args):
     """Call the C function ``fn``, passing an array as the address of its
-    data and the numpy ``Generator`` on ``PCG64`` at position ``at`` (None
-    for a kernel that draws nothing) as the address of its six state words
-    (``_pcg64_words``). The words are read from the public
-    ``bit_generator.state`` and written back on every return, under the
-    generator's lock, so that no other thread draws from it meanwhile."""
+    data and the numpy ``Generator`` at position ``at`` (None for a kernel
+    that draws nothing) as the address of its bit generator's ``bitgen_t``,
+    read off numpy's public ``bit_generator.capsule``. C draws through the
+    bit generator's own functions under its lock, so that no other thread
+    draws from it meanwhile."""
     c_args = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in args]
     if at is None:
         return fn(*c_args)
     bit_generator = args[at].bit_generator
     with bit_generator.lock:
-        state = bit_generator.state
-        c_args[at] = words = _pcg64_words(state)
-        try:
-            return fn(*c_args)
-        finally:
-            bit_generator.state = _pcg64_state(state, words)
-
-
-_LOW_HALF = (1 << 64) - 1
-
-
-def _pcg64_words(state: dict):
-    """The six uint64 words that ``_kernel.c`` steps, from a ``PCG64``
-    state: the state's and the increment's high and low halves,
-    ``has_uint32`` and ``uinteger``, as a ctypes array (which ctypes passes
-    as its address)."""
-    lcg = state["state"]
-    return (ctypes.c_uint64 * 6)(lcg["state"] >> 64, lcg["state"] & _LOW_HALF, lcg["inc"] >> 64,
-                                 lcg["inc"] & _LOW_HALF, state["has_uint32"], state["uinteger"])
-
-
-def _pcg64_state(state: dict, words) -> dict:
-    """``state`` with the values of the six words that ``_kernel.c`` left."""
-    hi, lo, inc_hi, inc_lo, has_uint32, uinteger = words[:]
-    return {**state, "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": has_uint32, "uinteger": uinteger}
+        c_args[at] = _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+        return fn(*c_args)
 
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p

@@ -67,8 +67,9 @@ class AnnealConfig:
                 operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, not {value!r}") from None
-        if self.max_iters < 0 or self.seed < 0 or self.record_every < 1:
-            raise ValueError("max_iters and seed must be non-negative and record_every positive")
+        if min(self.max_iters, self.seed, self.recompute_every) < 0 or self.record_every < 1:
+            raise ValueError("max_iters, seed and recompute_every must be non-negative and "
+                             "record_every positive")
         # NaN fails every comparison, so it is rejected here too
         if not (0.0 < self.beta0 < math.inf and 0.0 < self.eta < math.inf):
             raise ValueError("beta0 and eta must be positive and finite")

@@ -69,7 +69,8 @@ def solve(g: WeightedGraph, mu, nu) -> Solution:
 
 
 def exact_k_distance(dist: np.ndarray, mu, nu) -> ExactSolution:
-    """Solve the transport LP exactly for a dense ground metric.
+    """Solve the transport LP exactly for a dense ground metric ``dist``, an
+    array or nested list.
 
     Returns the optimal value, a plan whose support is a forest with maximal
     diagonal (a vertex of the polytope), and a 1-Lipschitz dual potential with
@@ -77,11 +78,11 @@ def exact_k_distance(dist: np.ndarray, mu, nu) -> ExactSolution:
     holds a NaN or infinite entry and ``NonPositiveWeightError`` when it holds
     a negative one.
     """
-    n = dist.shape[0]
-    if dist.shape != (n, n):
-        raise VertexRangeError("distance matrix must be square")
-    # checked before solving: the kernel backends agree only on finite costs
     dist = np.asarray(dist, dtype=np.float64)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise VertexRangeError("distance matrix must be square")
+    n = dist.shape[0]
+    # checked before solving: the kernel backends agree only on finite costs
     for bad, error in ((~np.isfinite(dist), NonFiniteWeightError), (dist < 0.0, NonPositiveWeightError)):
         if bad.any():
             i, j = np.argwhere(bad)[0]

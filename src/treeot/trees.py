@@ -210,8 +210,8 @@ def random_spanning_tree(g: WeightedGraph, rng: np.random.Generator) -> RootedTr
 
     The root is drawn uniformly; walks use uniform neighbour steps, which gives
     the uniform distribution on spanning trees of the (unweighted) adjacency.
-    ``rng`` must be a numpy ``Generator`` on ``PCG64``, as ``default_rng``
-    makes (else ``TypeError``). Deterministic for a given generator state, and
+    ``rng`` must be a numpy ``Generator``, on any bit generator (else
+    ``TypeError``). Deterministic for a given generator state, and
     the same tree, with ``rng`` left at the same position, on every kernel
     backend (see :func:`treeot._kernels.wilson_tree`).
     """

@@ -314,22 +314,26 @@ def reference_tree_potential(parent, order, wpar, xi_cum):
     return u
 
 
-def reference_dual_range(g, t, mu, nu, tol=1e-12):
+def reference_dual_range(g, t, mu, nu):
     """Per vertex v, the least and the greatest u(v) - u(0) over the dual
     optimal face that the tree's flow fixes: the potentials with
     u(a) - u(b) <= w on every arc, and u(a) - u(b) = w on every tree edge
-    whose flow runs a -> b (subtree sum of mu - nu above ``tol`` in
-    magnitude). The face is a system of difference constraints, so both
-    bounds are shortest-path lengths from vertex 0, in the constraint graph
-    and in its reverse, by full-round Bellman-Ford in plain loops. Returns
-    ``(low, high)`` as lists."""
+    whose flow runs a -> b (subtree sum of xi = mu - nu above the documented
+    zero, zeta = |sum xi| + 4 n eps sum|xi|, in magnitude; both sums are
+    exactly rounded here). The face is a system of difference constraints,
+    so both bounds are shortest-path lengths from vertex 0, in the
+    constraint graph and in its reverse, by full-round Bellman-Ford in plain
+    loops. Returns ``(low, high)`` as lists."""
     n = g.n
+    xi = np.asarray(mu, dtype=np.float64) - np.asarray(nu, dtype=np.float64)
+    zeta = (abs(math.fsum(xi.tolist()))
+            + 4 * n * sys.float_info.epsilon * math.fsum(np.abs(xi).tolist()))
     order, _ = reference_order_depth(t.root, t.parent.tolist())
-    xi_cum = reference_subtree_sums(t.parent, order, np.asarray(mu) - np.asarray(nu)).tolist()
+    xi_cum = reference_subtree_sums(t.parent, order, xi).tolist()
     # the constraint u(a) - u(b) <= c is the edge b -> a of length c
     edges = [e for a, b, w in g.edges for e in ((a, b, w), (b, a, w))]
     for v, (p, w) in enumerate(zip(t.parent.tolist(), t.weight_to_parent.tolist())):
-        if p >= 0 and abs(xi_cum[v]) > tol:
+        if p >= 0 and abs(xi_cum[v]) > zeta:
             a, b = (v, p) if xi_cum[v] > 0.0 else (p, v)
             edges.append((a, b, -w))  # u(b) - u(a) <= -w
 

@@ -364,7 +364,8 @@ class TestTemperature:
     def test_config_validation(self):
         ot.AnnealConfig(max_iters=1, eta=2.0)
         for bad in ({"beta0": math.nan}, {"beta0": math.inf}, {"eta": math.nan},
-                    {"eta": math.inf}, {"eta": 0.0}, {"eta": -0.5}, {"seed": -1}):
+                    {"eta": math.inf}, {"eta": 0.0}, {"eta": -0.5}, {"seed": -1},
+                    {"recompute_every": -5}):
             with pytest.raises(ValueError):
                 ot.AnnealConfig(max_iters=1, **bad)
 

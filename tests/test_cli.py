@@ -445,6 +445,20 @@ def test_non_integer_config_field_exits_2(line6_files, capsys, field, value):
         f"error: bad annealing config: {field} must be an integer, not {json.loads(value)!r}"]
 
 
+def test_negative_recompute_every_exits_2(line6_files, capsys):
+    # 0 means never; a negative count once ran as never too
+    d = line6_files
+    (d / "cfg.json").write_text('{"recompute_every": -5}', encoding="utf-8")
+    assert run_cli("anneal", "--config", str(d / "cfg.json"), "--iters", "10",
+                   "--out-dir", str(d / "run"), "--graph", str(d / "graph.json"),
+                   "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (d / "run").exists()
+    assert captured.err.splitlines() == [
+        "error: bad annealing config: max_iters, seed and recompute_every must be non-negative "
+        "and record_every positive"]
+
+
 @pytest.mark.parametrize("key", ["target_accept", "window"])
 def test_config_with_a_knob_of_the_old_temperature_rule_exits_2(line6_files, capsys, key):
     d = line6_files

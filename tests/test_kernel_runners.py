@@ -4,8 +4,8 @@ every backend, the plain-Python reference included. A kernel that walks a
 graph or a tree takes only a ``WeightedGraph`` or ``RootedTree``, proven when
 it was built: a malformed CSR or parent link raises at construction, the same
 way on every backend. A kernel that draws random numbers takes only a numpy
-``Generator`` on ``PCG64`` and leaves it at the same position on every
-backend."""
+``Generator``, on any bit generator, and leaves it at the same position on
+every backend."""
 
 import json
 import os
@@ -272,7 +272,26 @@ def bit_exact(value):
         return value.dtype.str, value.tobytes()
     if isinstance(value, tuple):
         return tuple(map(bit_exact, value))
+    if isinstance(value, dict):
+        return {key: bit_exact(item) for key, item in value.items()}
     return value
+
+
+def ends_alike(loaded, kernel, make_rng) -> bool:
+    """Whether every backend's ``kernel``, each drawing from a fresh
+    ``make_rng()``, gives the same output bit for bit and leaves its
+    generator in the same state, with the same next draws."""
+    ends = {}
+    for backend in loaded:
+        rng = make_rng()
+        start = bit_exact(rng.bit_generator.state)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "kernels", lambda: loaded[backend])
+            out = call(getattr(loaded[backend], kernel), kernel, rng=rng)
+        state = bit_exact(rng.bit_generator.state)
+        assert state != start
+        ends[backend] = (bit_exact(out), state, rng.integers(0, 1000), rng.random())
+    return all(end == ends["python"] for end in ends.values())
 
 
 @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare-half"])
@@ -282,29 +301,34 @@ def test_random_kernels_leave_the_generator_alike_on_every_backend(kernel, spare
     # its last 64-bit output (has_uint32 == 1), which the kernel's first
     # 32-bit draw must take
     assert len(RANDOM_KERNELS) == 2
+
+    def make_rng():
+        rng = np.random.default_rng(seed)
+        if spare:
+            rng.integers(0, 3)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        return rng
+
     for seed in range(3):
-        ends = {}
-        for backend in loaded:
-            rng = np.random.default_rng(seed)
-            if spare:
-                rng.integers(0, 3)
-                assert rng.bit_generator.state["has_uint32"] == 1
-            start = rng.bit_generator.state
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(_kernels, "kernels", lambda: loaded[backend])
-                out = call(getattr(loaded[backend], kernel), kernel, rng=rng)
-            assert rng.bit_generator.state != start
-            ends[backend] = (bit_exact(out), rng.bit_generator.state, rng.integers(0, 1000),
-                             rng.random())
-        assert all(end == ends["python"] for end in ends.values()), (seed, ends)
+        assert ends_alike(loaded, kernel, make_rng), seed
 
 
-#: what is not a numpy Generator on PCG64, as code, and how the message names it
-NOT_PCG64 = {
+#: bit generators besides default_rng's PCG64, each with its own next_uint32
+#: and next_double, which C calls through the bitgen_t
+OTHER_BIT_GENERATORS = [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]
+
+
+@pytest.mark.parametrize("kernel", RANDOM_KERNELS)
+@pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_every_bit_generator_draws_alike_on_every_backend(bit_generator, kernel, loaded):
+    for seed in range(3):
+        assert ends_alike(loaded, kernel, lambda: np.random.Generator(bit_generator(seed))), seed
+
+
+#: what is not a numpy Generator, as code, and how the message names it
+NOT_A_GENERATOR = {
     "int": ("7", "int"),
     "RandomState": ("np.random.RandomState(7)", "RandomState"),
-    "MT19937": ("np.random.Generator(np.random.MT19937(7))", "Generator on MT19937"),
-    "PCG64DXSM": ("np.random.Generator(np.random.PCG64DXSM(7))", "Generator on PCG64DXSM"),
 }
 
 RANDOM_CALLS = """
@@ -325,13 +349,14 @@ for draw in (lambda rng: ot.random_spanning_tree(g, rng),
 
 
 @pytest.mark.parametrize("backend", ["python", *compiled_backends()])
-@pytest.mark.parametrize("case", NOT_PCG64)
+@pytest.mark.parametrize("case", NOT_A_GENERATOR)
 def test_random_kernels_need_a_pcg64_generator(case, backend):
-    # in a child interpreter, since an int once reached C as the address of
-    # a bit generator and killed the process
-    code, kind = NOT_PCG64[case]
+    # any Generator is taken now, whatever its bit generator; the name stays
+    # from when only PCG64 was. In a child interpreter, since an int once
+    # reached C as the address of a bit generator and killed the process
+    code, kind = NOT_A_GENERATOR[case]
     proc = run_python(RANDOM_CALLS.replace("RNG", code), backend, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{kernel}: needs a numpy Generator on PCG64, not {kind}"
+        f"{kernel}: needs a numpy Generator, not {kind}"
         for kernel in ("Wilson tree", "annealing chain")]

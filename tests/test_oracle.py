@@ -62,6 +62,14 @@ class TestExactSolver:
         sol = ot.exact_k_distance(d, mu, nu)
         assert abs(sol.value - 0.75) <= 1e-9
 
+    def test_a_nested_list_is_the_array(self, line6):
+        g, mu, nu = line6
+        d = ot.all_pairs_shortest_paths(g)
+        assert (solution_bits(ot.exact_k_distance(d.tolist(), mu, nu))
+                == solution_bits(ot.exact_k_distance(d, mu, nu)))
+        with pytest.raises(VertexRangeError, match="must be square"):
+            ot.exact_k_distance(d.tolist()[:-1], mu, nu)
+
     def test_no_vertex_cap(self):
         # 1,024 vertices, with both measures on a few of them so that the
         # bipartite network stays small: the value is solve's
@@ -617,9 +625,9 @@ class TestDualUnique:
         # and it is the tree potential
         g = line_graph(3)
         t = ot.root_tree(g, [(0, 1), (1, 2)], 0)
-        mu, nu = [0.5, 0.5, 0.0], [0.0, 1 - 1e-13, 1e-13]
-        u, unique = ot.certified_dual(g, t, mu, nu)
-        assert unique is True
+        mu, nu = np.array([0.5, 0.5, 0.0]), np.array([0.0, 1 - 1e-13, 1e-13])
+        assert assert_certified(g, t, mu, nu) == (True, True)
+        u, _ = ot.certified_dual(g, t, mu, nu)
         assert u.values.tobytes() == ot.tree_potential(t, mu, nu).values.tobytes()
 
     def test_tree_of_another_graph_rejected(self):

@@ -6,7 +6,7 @@ only the standard library, numpy and itself, which is also all that
 module that a test skips without. Also, the
 status and stop codes of ``_kernel.c``'s enum are those ``_kernels.py``
 reads, only ``_kernels._c_call`` turns arrays and generators into C
-pointers, ``_kernel.c`` compiles without a warning, and it exports exactly
+pointers, ``_kernel.c`` compiles as C99 without a warning, and it exports exactly
 the functions that ``_kernels.py`` declares, each returning an ``int``
 status and taking its reference kernel's argument list, and every kernel
 has a caller in the package outside ``_kernels.py``, so none is kept for
@@ -284,17 +284,17 @@ def test_the_code_check_flags_a_mismatched_copy():
 
 
 def ctypes_pointers(source: str, marshal: str = "_c_call") -> list[str]:
-    """Reads of ``.ctypes.data`` or ``.ctypes.bit_generator`` outside the
-    function named ``marshal``, the one place that turns arrays and
-    generators into C pointers."""
+    """Reads of ``.ctypes.data``, ``.ctypes.bit_generator`` or a bit
+    generator's ``.capsule`` outside the function named ``marshal``, the one
+    place that turns arrays and generators into C pointers."""
     tree = ast.parse(source)
     exempt = {id(node) for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef) and fn.name == marshal for node in ast.walk(fn)}
     found = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr in ("data", "bit_generator")
-             and isinstance(node.value, ast.Attribute) and node.value.attr == "ctypes"
-             and id(node) not in exempt]
-    return [f"line {node.lineno}: .ctypes.{node.attr}"
+             if isinstance(node, ast.Attribute) and id(node) not in exempt and (
+                 node.attr == "capsule" or node.attr in ("data", "bit_generator")
+                 and isinstance(node.value, ast.Attribute) and node.value.attr == "ctypes")]
+    return [f"line {node.lineno}: .{'' if node.attr == 'capsule' else 'ctypes.'}{node.attr}"
             for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
 
 
@@ -305,17 +305,20 @@ def test_only_the_marshalling_helper_takes_pointers(path):
 
 def test_the_pointer_scan_flags_a_stray_one():
     source = ("def _c_call(fn, a, rng):\n"
-              "    return fn(a.ctypes.data, rng.bit_generator.ctypes.bit_generator.value)\n\n"
+              "    bit_generator = rng.bit_generator\n"
+              "    return fn(a.ctypes.data, bit_generator.capsule)\n\n"
               "def run(fn, a, rng):\n"
-              "    return fn(a.ctypes.data, rng.bit_generator.ctypes.bit_generator, a.ctypes.shape)\n")
-    assert ctypes_pointers(source) == ["line 5: .ctypes.data", "line 5: .ctypes.bit_generator"]
+              "    return fn(a.ctypes.data, rng.bit_generator.ctypes.bit_generator, a.ctypes.shape,\n"
+              "              rng.bit_generator.capsule)\n")
+    assert ctypes_pointers(source) == ["line 6: .ctypes.data", "line 6: .ctypes.bit_generator",
+                                       "line 7: .capsule"]
     assert len(ctypes_pointers(source, marshal="run")) == 2
 
 
 @pytest.mark.skipif(not c_compiler_found(), reason="no C compiler")
 def test_c_kernel_compiles_without_warnings(tmp_path):
-    proc = subprocess.run([*_kernels._compiler(), *_kernels.C_FLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "kernel.so"), str(_kernels.C_SOURCE), "-lm"],
+    proc = subprocess.run([*_kernels._compiler(), *_kernels.C_FLAGS, "-std=c99", "-Wpedantic",
+                           "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"), str(_kernels.C_SOURCE), "-lm"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -373,15 +376,15 @@ def abi_mismatches(py_source: str, c_source: str) -> list[str]:
     """Kernels whose reference in ``py_source`` and C function in
     ``c_source`` do not take one argument list: the same names in the same
     order, as many as ``C_SIGNATURES`` declares argtypes, and the numpy
-    ``Generator`` ``rng``, where there is one, where C takes its PCG64 state
-    words (the one ``uint64_t *`` parameter)."""
+    ``Generator`` ``rng``, where there is one, where C takes its bit
+    generator's ``bitgen_t`` (the one ``bitgen_t *`` parameter)."""
     references, prototypes = reference_parameters(py_source), c_prototypes(c_source)
     found = []
     for name, argtypes in _kernels.C_SIGNATURES.items():
         py_names = references.get(name)
         params = prototypes.get(name, ("", []))[1]
         c_names = [param for _, param in params]
-        generators = [param for kind, param in params if kind == "uint64_t *"]
+        generators = [param for kind, param in params if kind == "bitgen_t *"]
         if py_names != c_names or len(c_names) != len(argtypes) or (
                 generators != [p for p in c_names if p == "rng"]):
             found.append(f"{name}: python {py_names}, C {params}, {len(argtypes)} argtypes")
@@ -421,8 +424,8 @@ def test_the_abi_check_flags_a_dropped_or_renamed_argument():
     c_mutants = {
         # a parameter dropped
         "const int64_t *by_source, double *out)": "double *out)",
-        # the generator's state words under another name
-        "uint64_t *rng, int64_t *parent,": "uint64_t *words, int64_t *parent,",
+        # the generator under another name
+        "bitgen_t *rng, int64_t *parent,": "bitgen_t *bitgen, int64_t *parent,",
     }
     for old, new in py_mutants.items():
         assert py_source.count(old) == 1
