@@ -43,8 +43,8 @@ cfg = ot.AnnealConfig(max_iters=iters, seed=seed, record_every=max(1, iters // 1
 # the first call pays any build cost; it runs anneal's chain on a generator
 # of its own, so that the generator's final state can be compared too
 rng = np.random.default_rng(seed)
-xi, target = _chain_inputs(g, mu, nu, None)
-replay = _run_chain(g, xi, cfg, target, rng)
+xi, stop_at = _chain_inputs(g, mu, nu, None)
+replay = _run_chain(g, xi, cfg, stop_at, rng)
 t0 = time.perf_counter()
 res = ot.anneal(g, mu, nu, cfg)
 dt = time.perf_counter() - t0

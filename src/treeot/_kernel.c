@@ -294,8 +294,8 @@ int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
 }
 
 /* anneal_chain of _kernels.py. Scratch: work_i and work_d hold 2n for certify, then mark
- * (zeroed), the paths, order and arc tails, and t, wt, f, cum and xi_cum. Results: out_d =
- * {best, current, max_drift}, out_i = {records, iters_done, stop, root}, stop a STOP_* code.
+ * (zeroed), the paths, order and arc tails, and t, wt, f, cum and xi_cum. Results: trace, 5
+ * doubles a row, out_d = {max_drift}, out_i = {records, stop, root}, stop a STOP_* code.
  * Returns CHAIN_OK, a status of treeot_wilson_tree (root -1), CHAIN_DEGREE_TOO_LARGE (2^32
  * arcs or more) or NO_MEMORY.
  * The record and recompute schedules are counters, not remainders of it:
@@ -305,10 +305,8 @@ int treeot_anneal_chain(
     int64_t n, int64_t root, int64_t *parent, double *wpar, const int64_t *indptr,
     const int64_t *indices, const double *adj_w, const double *xi_node,
     int64_t max_iters, double beta0, double eta, int64_t record_every, int64_t recompute_every,
-    double target_cost, double cert_rtol,
-    bitgen_t *rng, int64_t *best_parent, double *best_wpar, int64_t *trace_iter,
-    double *trace_cur, double *trace_best, double *trace_beta, double *trace_acc, double *out_d,
-    int64_t *out_i)
+    double stop_at, double cert_rtol, bitgen_t *rng, int64_t *best_parent, double *best_wpar,
+    double *trace, double *out_d, int64_t *out_i)
 {
     const int64_t arcs = indptr[n];
     int64_t *work_i = scratch(6 * n + 1 + arcs, sizeof *work_i, 1);
@@ -316,8 +314,8 @@ int treeot_anneal_chain(
     int status = NO_MEMORY;
     if (!work_i || !work_d)
         goto done;
-    out_i[3] = root;
-    status = root < 0 ? treeot_wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, &out_i[3])
+    out_i[2] = root;
+    status = root < 0 ? treeot_wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, &out_i[2])
                       : CHAIN_OK;
     if (status != CHAIN_OK)
         goto done;
@@ -339,20 +337,13 @@ int treeot_anneal_chain(
 
     int64_t gaps = 0, moved = 0, last_row = 0; /* moved, last_row: as in _kernels.py */
     double beta = beta0, max_drift = 0.0, gap_sum = 0.0;
+    const double start_row[5] = {0.0, current, best, beta, 0.0};
+    memcpy(trace, start_row, sizeof start_row);
+    int64_t records = 1;
 
-    int64_t records = 0;
-    trace_iter[records] = 0;
-    trace_cur[records] = current;
-    trace_best[records] = best;
-    trace_beta[records] = beta;
-    trace_acc[records] = 0.0;
-    records++;
-
-    int64_t iters_done = 0, to_record = record_every, to_recompute = recompute_every;
-    const int have_target = !isnan(target_cost);
-    const double stop_at = target_cost + 1e-9 * (fabs(target_cost) < 1.0 ? fabs(target_cost) : 1.0);
+    int64_t to_record = record_every, to_recompute = recompute_every;
     int stop = STOP_MAX_ITERS;
-    if (have_target && best <= stop_at)
+    if (best <= stop_at)
         stop = STOP_TARGET;
     else if (certify(n, best_parent, best_wpar, indptr, indices, adj_w, xi_node, cert_rtol,
                      work_d, work_i))
@@ -377,7 +368,6 @@ int treeot_anneal_chain(
                 }
             }
             beta = beta * (1.0 + eta);
-            iters_done = it;
 
             if (--to_recompute == 0) {
                 to_recompute = recompute_every;
@@ -395,17 +385,14 @@ int treeot_anneal_chain(
                 memcpy(best_wpar, wpar, wpar_bytes);
             }
 
-            const int on_target = have_target && best <= stop_at;
+            const int on_target = best <= stop_at;
             const int due = --to_record == 0;
             if (due)
                 to_record = record_every;
             if (due || it == max_iters || on_target) {
-                trace_iter[records] = it;
-                trace_cur[records] = current;
-                trace_best[records] = best;
-                trace_beta[records] = beta;
-                trace_acc[records] = (double)moved / (double)(it - last_row);
-                records++;
+                const double row[5] = {(double)it, current, best, beta,
+                                       (double)moved / (double)(it - last_row)};
+                memcpy(trace + 5 * records++, row, sizeof row);
                 moved = 0;
                 last_row = it;
                 if (on_target) {
@@ -424,12 +411,9 @@ int treeot_anneal_chain(
         }
     }
 
-    out_d[0] = best;
-    out_d[1] = current;
-    out_d[2] = max_drift;
+    out_d[0] = max_drift;
     out_i[0] = records;
-    out_i[1] = iters_done;
-    out_i[2] = stop;
+    out_i[1] = stop;
 done:
     free(work_i);
     free(work_d);

@@ -10,7 +10,8 @@ step functions, the one statement of its arithmetic and of the stop:
 them, ``heat_bath`` draws the leaving edge, ``apply_exchange`` makes the
 exchange, and ``certify`` proves the best tree optimal (its tree potential
 is 1-Lipschitz on every graph edge), which ends the chain. Given no tree, it first draws one by
-``wilson_tree``, so one call runs a whole chain.
+``wilson_tree``, so one call runs a whole chain. It writes one trace matrix
+in ``TraceRecord``'s columns and stops at one best cost, ``stop_at``.
 ``subtree_sums`` is the leaves-to-root pass along a tree's ``order`` (by
 decreasing depth, then increasing id, from the tree's numpy proof, the same
 on every backend), and ``tree_potential`` makes it and then the
@@ -108,6 +109,8 @@ STOP_MAX_ITERS = 13
 STOP_TARGET = 14
 STOP_CERTIFIED = 15
 STOP_REASONS = {STOP_MAX_ITERS: "max_iters", STOP_TARGET: "target", STOP_CERTIFIED: "certified"}
+# proposals between the chain's fresh sums, which bound the updates' drift
+RECOMPUTE_EVERY = 100_000
 # relative slack of certify's Lipschitz test; it absorbs last-ulp differences
 # in the edge comparison, not the rounding of u summed down the tree
 CERT_RTOL = 1e-12
@@ -134,15 +137,14 @@ class Kernels:
         self.name = name
         self._run = run
 
-    def anneal_chain(self, tree, graph, xi, max_iters, beta0, eta, record_every,
-                     recompute_every, target_cost, rng):
+    def anneal_chain(self, tree, graph, xi, max_iters, beta0, eta, record_every, stop_at, rng):
         """The chain of :func:`anneal_chain` on the graph from copies of the
         tree's links, or, with ``tree`` None, from the Wilson tree that the
-        kernel draws first from ``rng``, as ``(stats, root, (best_parent,
-        best_wpar), (parent, wpar), trace)``: ``stats`` is (best_cost,
-        current_cost, records, iters_done, max_drift, stop), the links are
-        the best and the final tree's, both on the start's ``root``, and
-        ``trace`` is the five columns cut to the rows written."""
+        kernel draws first from ``rng``, refreshed every ``RECOMPUTE_EVERY``
+        proposals, as ``(trace, max_drift, stop, root, (best_parent,
+        best_wpar), (parent, wpar))``: ``trace`` is the rows written, the
+        last one the stop's, the links are the best and the final tree's,
+        both on the start's ``root``."""
         if tree is not None:
             _proven("annealing chain", tree, RootedTree)
         _proven("annealing chain", graph, WeightedGraph)
@@ -154,17 +156,14 @@ class Kernels:
         root, parent, wpar = ((-1, np.empty(n, dtype=np.int64), np.empty(n)) if tree is None else
                               (tree.root, tree.parent.copy(), tree.weight_to_parent.copy()))
         best_parent, best_wpar = np.empty_like(parent), np.empty_like(wpar)
-        rows = max(max_iters, 0) // record_every + 2
-        trace = (np.zeros(rows, dtype=np.int64), *np.zeros((4, rows)))
-        out_d, out_i = np.empty(3), np.empty(4, dtype=np.int64)
+        trace = np.zeros((max(max_iters, 0) // record_every + 2, 5))  # TraceRecord's columns
+        out_d, out_i = np.empty(1), np.empty(3, dtype=np.int64)
         _check_status(self._run["anneal_chain"](
             n, root, parent, wpar, graph.indptr, graph.indices, graph.weights, xi, max_iters,
-            beta0, eta, record_every, recompute_every, target_cost, CERT_RTOL, rng, best_parent,
-            best_wpar, *trace, out_d, out_i))
-        best, current, max_drift = out_d.tolist()
-        records, iters_done, stop, root = out_i.tolist()
-        return ((best, current, records, iters_done, max_drift, stop), root,
-                (best_parent, best_wpar), (parent, wpar), tuple(a[:records] for a in trace))
+            beta0, eta, record_every, RECOMPUTE_EVERY, stop_at, CERT_RTOL, rng, best_parent,
+            best_wpar, trace, out_d, out_i))
+        records, stop, root = out_i.tolist()
+        return (trace[:records], out_d[0], stop, root, (best_parent, best_wpar), (parent, wpar))
 
     def wilson_tree(self, graph, rng):
         """``(root, parent, wpar)`` of :func:`wilson_tree`'s draw."""
@@ -366,7 +365,7 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 #: reference kernel ``<name>`` below; each returns an ``int`` status
 C_SIGNATURES = {
     "anneal_chain": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _I64, _I64,
-                     _F64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+                     _F64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     "wilson_tree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     "dp_plan": [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
     "network_simplex": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR],
@@ -573,9 +572,8 @@ def certify(n, parent, wpar, indptr, indices, adj_w, xi_node, cert_rtol):
 
 
 def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_iters, beta0,
-                 eta, record_every, recompute_every, target_cost, cert_rtol, rng, best_parent,
-                 best_wpar, trace_iter, trace_cur, trace_best, trace_beta, trace_acc, out_d,
-                 out_i):
+                 eta, record_every, recompute_every, stop_at, cert_rtol, rng, best_parent,
+                 best_wpar, trace, out_d, out_i):
     """Run one annealing chain over the spanning trees of one root, in place.
 
     It starts from the tree in ``parent`` and ``wpar`` rooted at ``root``,
@@ -584,28 +582,28 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
     Per iteration: draw a CSR arc by ``rng.integers``; unless it is a tree
     edge, score its cycle, fold f(0) − min f into s (their running mean),
     draw a breakpoint by ``heat_bath`` with ``rng.random()`` and exchange
-    unless it is the entering arc's; then scale beta by ``1 + eta``. A trace
-    row's ``accept_rate`` is the share of the proposals since the previous
-    row that changed the tree (0 on row 0). The best tree, judged after
-    any recomputation, is copied into ``best_parent`` and ``best_wpar``.
+    unless it is the entering arc's; then scale beta by ``1 + eta``, and
+    every ``recompute_every`` iterations (0: never) sum afresh. The best
+    tree, judged after any recomputation, is copied into ``best_parent`` and
+    ``best_wpar``. A ``trace`` row is (iteration, current and best cost,
+    beta, the share of the proposals since the previous row that changed the
+    tree); row 0 is the start, and every stop writes the last row.
 
     ``max_iters`` is a budget. The chain stops early with ``STOP_TARGET``
-    once the best cost is within 1e-9 · min(1, |target_cost|) of
-    ``target_cost`` (unless NaN), or with ``STOP_CERTIFIED`` once
-    ``certify`` proves the best tree optimal. ``certify`` runs on the
-    initial tree and then on each trace row where the best cost has dropped
-    since its last run; the target stop is tested first. Writes ``out_d`` =
-    (best_cost, current_cost, max_drift) and ``out_i`` = (records,
-    iters_done, stop, root), ``stop`` one of the ``STOP_*`` codes, and
-    returns 0.
+    once the best cost is at most ``stop_at`` (never where it is NaN), or
+    with ``STOP_CERTIFIED`` once ``certify`` proves the best tree optimal.
+    ``certify`` runs on the initial tree and then on each trace row where the
+    best cost has dropped since its last run; the target stop is tested
+    first. Writes ``out_d`` = (max_drift,) and ``out_i`` = (records, stop,
+    root), ``stop`` one of the ``STOP_*`` codes, and returns 0.
     """
     # the scratch, before the start is drawn, as C allocates it
     mark = [0] * n
     tails = np.repeat(np.arange(n), np.diff(indptr[:n + 1])).tolist()
     arcs, indices, adj_w = int(indptr[n]), indices.tolist(), adj_w.tolist()
-    out_i[3] = root
+    out_i[2] = root
     if root < 0:
-        wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_i[3:])
+        wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_i[2:])
     xi_cum = recompute_cumulative(parent, xi_node)[0].tolist()
     out = parent, wpar
     parent, wpar = (a.tolist() for a in out)
@@ -616,22 +614,12 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
 
     gap_sum, gaps = 0.0, 0
     moved, last_row = 0, 0  # changes of the tree since the last row, and its iteration
-    beta = beta0
-    max_drift = 0.0
+    beta, max_drift = beta0, 0.0
+    trace[0] = 0, current, best, beta, 0.0
+    records = 1
 
-    records = 0
-    trace_iter[records] = 0
-    trace_cur[records] = current
-    trace_best[records] = best
-    trace_beta[records] = beta
-    trace_acc[records] = 0.0
-    records += 1
-
-    iters_done = 0
-    have_target = not math.isnan(target_cost)
-    stop_at = target_cost + 1e-9 * min(1.0, abs(target_cost))
     stop = STOP_MAX_ITERS
-    if have_target and best <= stop_at:
+    if best <= stop_at:
         stop = STOP_TARGET
     elif certify(n, best_parent, best_wpar, indptr, indices, adj_w, xi_node, cert_rtol):
         stop = STOP_CERTIFIED
@@ -654,7 +642,6 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
                 current += f[k] - f[0]
                 moved += 1
         beta = beta * (1.0 + eta)
-        iters_done = it
 
         if recompute_every > 0 and it % recompute_every == 0:
             fresh, _ = recompute_cumulative(np.array(parent), xi_node)
@@ -669,13 +656,9 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
             best_parent[:] = parent
             best_wpar[:] = wpar
 
-        on_target = have_target and best <= stop_at
+        on_target = best <= stop_at
         if it % record_every == 0 or it == max_iters or on_target:
-            trace_iter[records] = it
-            trace_cur[records] = current
-            trace_best[records] = best
-            trace_beta[records] = beta
-            trace_acc[records] = moved / (it - last_row)
+            trace[records] = it, current, best, beta, moved / (it - last_row)
             records += 1
             moved, last_row = 0, it
             if on_target:
@@ -689,8 +672,8 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
 
     for array, values in zip(out, (parent, wpar)):
         array[:] = values
-    out_d[:] = best, current, max_drift
-    out_i[:3] = records, iters_done, stop
+    out_d[0] = max_drift
+    out_i[:2] = records, stop
     return 0
 
 

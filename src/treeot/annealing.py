@@ -49,6 +49,8 @@ class AnnealConfig:
     uniform draw. Started hot, from 0.1, the corpora of README's sweep
     ("Annealing defaults") up to 16x16 need 1.2x-8.2x more proposals, and
     those at 32x32 and 64x64 as many within 10%.
+
+    The chain refreshes its sums every ``_kernels.RECOMPUTE_EVERY`` proposals, a constant.
     """
 
     max_iters: int
@@ -56,10 +58,9 @@ class AnnealConfig:
     beta0: float = 3.0
     eta: float = 0.002
     record_every: int = 1000
-    recompute_every: int = 100_000
 
     def __post_init__(self):
-        for name in ("max_iters", "seed", "record_every", "recompute_every"):
+        for name in ("max_iters", "seed", "record_every"):
             value = getattr(self, name)
             try:
                 if isinstance(value, bool):  # operator.index takes True as 1
@@ -67,9 +68,8 @@ class AnnealConfig:
                 operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, not {value!r}") from None
-        if min(self.max_iters, self.seed, self.recompute_every) < 0 or self.record_every < 1:
-            raise ValueError("max_iters, seed and recompute_every must be non-negative and "
-                             "record_every positive")
+        if min(self.max_iters, self.seed) < 0 or self.record_every < 1:
+            raise ValueError("max_iters and seed must be non-negative and record_every positive")
         # NaN fails every comparison, so it is rejected here too
         if not (0.0 < self.beta0 < math.inf and 0.0 < self.eta < math.inf):
             raise ValueError("beta0 and eta must be positive and finite")
@@ -113,13 +113,14 @@ def anneal(
     row where the best cost has dropped, so it stops at most
     ``config.record_every`` steps after it first holds a tree that passes.
     ``target_cost``, a finite real number (else ``ValueError``), stops it
-    (``"target"``) once the best cost is within 1e-9 · min(1, |target_cost|)
-    of it; on the same row the target wins.
+    (``"target"``) once the best cost is at most target_cost + 1e-9 · min(1,
+    |target_cost|); on the same row the target wins. Every stop writes the
+    last trace row.
     """
-    xi, target = _chain_inputs(g, mu, nu, target_cost)
+    xi, stop_at = _chain_inputs(g, mu, nu, target_cost)
     if initial_tree is not None and initial_tree.n != g.n:
         raise VertexRangeError("initial tree does not match the graph")
-    return _run_chain(g, xi, config, target, np.random.default_rng(config.seed), initial_tree)
+    return _run_chain(g, xi, config, stop_at, np.random.default_rng(config.seed), initial_tree)
 
 
 def anneal_chains(
@@ -139,11 +140,11 @@ def anneal_chains(
         raise ValueError("chains must be >= 1")
     if chains == 1:
         return anneal(g, mu, nu, config, target_cost=target_cost), 0
-    xi, target = _chain_inputs(g, mu, nu, target_cost)
+    xi, stop_at = _chain_inputs(g, mu, nu, target_cost)
     seeds = np.random.SeedSequence(config.seed).spawn(chains)
 
     def run(k: int) -> AnnealResult:
-        return _run_chain(g, xi, config, target, np.random.default_rng(seeds[k]))
+        return _run_chain(g, xi, config, stop_at, np.random.default_rng(seeds[k]))
 
     with ThreadPoolExecutor(max_workers=min(chains, os.cpu_count() or 1)) as pool:
         results = list(pool.map(run, range(chains)))
@@ -152,24 +153,26 @@ def anneal_chains(
 
 
 def _chain_inputs(g: WeightedGraph, mu, nu, target_cost) -> tuple[np.ndarray, float]:
-    """The imbalance of the validated measures, and ``target_cost`` as the
-    kernel reads it (NaN for none)."""
+    """The imbalance of the validated measures, and the best cost at which
+    the kernel stops for :func:`anneal`'s ``target_cost`` (NaN for never)."""
     xi = imbalance(as_measure(mu, g.n), as_measure(nu, g.n))
     if target_cost is None:
         return xi, math.nan
     if (isinstance(target_cost, bool) or not isinstance(target_cost, numbers.Real)
             or not math.isfinite(target_cost)):
         raise ValueError(f"target_cost must be a finite real number, not {target_cost!r}")
-    return xi, float(target_cost)
+    target = float(target_cost)
+    return xi, target + 1e-9 * min(1.0, abs(target))
 
 
-def _run_chain(g, xi, config, target, rng, tree=None) -> AnnealResult:
+def _run_chain(g, xi, config, stop_at, rng, tree=None) -> AnnealResult:
     """One chain from ``tree``, or from the Wilson tree that the kernel draws
     from ``rng``, the one that :func:`treeot.trees.random_spanning_tree` draws."""
-    stats, root, best_links, links, trace = _kernels.kernels().anneal_chain(
+    trace, max_drift, stop, root, best_links, links = _kernels.kernels().anneal_chain(
         tree, g, xi, config.max_iters if g.n > 1 else 0, config.beta0, config.eta,
-        config.record_every, config.recompute_every, target, rng)
-    best, current, _, iters_done, max_drift, stop = stats
+        config.record_every, stop_at, rng)
+    rows = [TraceRecord(int(it), *rest) for it, *rest in trace.tolist()]
+    iters_done, current, best = rows[-1][:3]  # every stop writes the last row
     if max_drift > 1e-6:
         raise RuntimeError(f"incremental cost drifted by {max_drift:.3e}")
     best_tree = RootedTree(root, *best_links)
@@ -177,11 +180,11 @@ def _run_chain(g, xi, config, target, rng, tree=None) -> AnnealResult:
     same = all(map(np.array_equal, links, best_links))
     return AnnealResult(
         best_tree=best_tree,
-        best_cost=float(best),
+        best_cost=best,
         final_tree=best_tree if same else RootedTree(root, *links),
-        final_cost=float(current),
-        trace=list(map(TraceRecord._make, zip(*(a.tolist() for a in trace)))),
-        iters_run=int(iters_done),
+        final_cost=current,
+        trace=rows,
+        iters_run=iters_done,
         max_drift=float(max_drift),
         stop_reason=_kernels.STOP_REASONS[stop],
     )

@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-every", type=int, default=None)
     p.add_argument("--chains", type=int, default=1)
     p.add_argument("--target-cost", type=float, default=None,
-                   help="stop early once the best cost is within 1e-9 * min(1, |cost|) of this cost")
+                   help="stop early once the best cost reaches this cost (README: Stopping)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_anneal)
 

@@ -156,8 +156,11 @@ def load_measure_raw(path, n: int) -> np.ndarray:
                     raise FormatError(f"{path}: measure entry must be a number, got {v!r}")
     if len(values) != n:
         raise BadDimensionsError(f"{path}: {len(values)} values for {n} vertices")
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer past float64's range
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
         raise NonFiniteMassError(f"{path}: measure has a NaN or infinite entry")
     return values
 
@@ -248,9 +251,11 @@ def load_image_csv(path, p: int) -> np.ndarray:
             rows.append([float(tok) for tok in ln.split(",")])
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
+    widths = sorted({len(row) for row in rows})
+    if len(rows) != p or widths != [p]:
+        raise BadDimensionsError(
+            f"{path}: expected {p}x{p}, got {len(rows)} rows of {widths} values")
     img = np.array(rows, dtype=np.float64)
-    if img.shape != (p, p):
-        raise BadDimensionsError(f"{path}: expected {p}x{p}, got {img.shape}")
     if img.min(initial=0.0) < 0.0:
         raise NegativePixelError(f"{path}: negative pixel value")
     return img

@@ -139,11 +139,16 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
     rows = edge_list.tolist() if isinstance(edge_list, np.ndarray) else list(edge_list)
     u, v, w = _edge_columns(n, rows)
     lo, hi = np.minimum(u, v), np.maximum(u, v)
+    ok = (lo >= 0) & (hi < n) & (lo != hi) & np.isfinite(w) & (w > 0.0)
+    # good rows keyed below span², from their own endpoints, not n; bad rows all key 0
+    span = int(hi[ok].max(initial=0)) + 1
     bad = np.ones(len(rows), dtype=bool)  # rows repeating an earlier key stay marked
-    bad[np.unique(lo * n + hi, return_index=True)[1]] = False
-    bad |= ~((lo >= 0) & (hi < n) & (lo != hi) & np.isfinite(w) & (w > 0.0))
+    bad[np.unique(np.where(ok, lo * span + hi, 0), return_index=True)[1]] = False
+    bad |= ~ok
     if bad.any():
         _raise_for_edge(n, rows[int(np.argmax(bad))])
+    if len(rows) < n - 1:  # fewer edges than a spanning tree: refused before any n-sized array
+        raise DisconnectedError("graph is not connected")
 
     # both directions of every edge, sorted by tail, then head
     tail = np.concatenate([lo, hi])
@@ -156,7 +161,10 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
 
 def _read_edge(row) -> tuple[int, int, float]:
     u, v, w = row
-    return int(u), int(v), float(w)
+    try:
+        return int(u), int(v), float(w)
+    except OverflowError:  # an integer weight past float64's range is infinite
+        return int(u), int(v), math.inf if w > 0 else -math.inf
 
 
 def _edge_columns(n: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -237,12 +237,12 @@ def check_cyclical_monotonicity(
     support distance that is NaN or infinite raises ``NonFiniteWeightError``.
     :func:`_difference_constraints` from u = 0 looks for the cycle.
     """
+    if plan.n != g.n:
+        raise VertexRangeError("plan size does not match graph")
     off = plan.rows != plan.cols
     s = int(np.count_nonzero(off))
     if s == 0:
         return True
-    if plan.n != g.n:
-        raise VertexRangeError("plan size does not match graph")
     support_dist = _support_distances(plan, dist)
     bad = ~np.isfinite(support_dist)
     if bad.any():

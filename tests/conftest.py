@@ -600,7 +600,8 @@ def successive_shortest_paths(cost, supply, demand):
 
 def reference_build_graph(vertex_count, edge_list):
     """``build_graph`` as one loop over the rows, the way it ran before it
-    checked whole columns: each row is read, range-checked, loop-checked,
+    checked whole columns: each row is read (an integer weight past float64's
+    range as an infinity of its sign), range-checked, loop-checked,
     weight-checked and looked up among the rows before it, in that order, so
     the first bad row raises."""
     n = int(vertex_count)
@@ -608,7 +609,11 @@ def reference_build_graph(vertex_count, edge_list):
         raise VertexRangeError("vertex_count must be positive")
     weight_map = {}
     for u, v, w in edge_list:
-        u, v, w = int(u), int(v), float(w)
+        u, v = int(u), int(v)
+        try:
+            w = float(w)
+        except OverflowError:  # an integer weight past float64's range is infinite
+            w = math.inf if w > 0 else -math.inf
         if not (0 <= u < n and 0 <= v < n):
             raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:

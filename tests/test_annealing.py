@@ -364,8 +364,7 @@ class TestTemperature:
     def test_config_validation(self):
         ot.AnnealConfig(max_iters=1, eta=2.0)
         for bad in ({"beta0": math.nan}, {"beta0": math.inf}, {"eta": math.nan},
-                    {"eta": math.inf}, {"eta": 0.0}, {"eta": -0.5}, {"seed": -1},
-                    {"recompute_every": -5}):
+                    {"eta": math.inf}, {"eta": 0.0}, {"eta": -0.5}, {"seed": -1}):
             with pytest.raises(ValueError):
                 ot.AnnealConfig(max_iters=1, **bad)
 
@@ -542,12 +541,12 @@ class TestChainEntry:
             rng = np.random.default_rng(17)
             rng.integers(0, 3)  # the generator keeps a spare 32-bit half
             tree = None if fused else ot.random_spanning_tree(g, rng)
-            out = kernels.anneal_chain(tree, g, xi, 3000, 0.5, 0.01, 100, 0, math.nan, rng)
-            stats, root, best, final, trace = out
-            ends.append((stats, root, [a.tobytes() for a in (*best, *final, *trace)],
+            trace, drift, stop, root, best, final = kernels.anneal_chain(
+                tree, g, xi, 3000, 0.5, 0.01, 100, math.nan, rng)
+            ends.append((drift, stop, root, [a.tobytes() for a in (trace, *best, *final)],
                          rng.bit_generator.state, rng.random()))
         assert ends[0] == ends[1]
-        assert ends[0][0][3] > 0  # the chain moved on from its start
+        assert trace[-1, 0] > 0  # the chain moved on from its start
 
     @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan, "0.5", True, [0.5]],
                              ids=["inf", "-inf", "nan", "string", "bool", "list"])
@@ -570,8 +569,69 @@ class TestChainEntry:
         g = ot.grid_graph(3)
         t = ot.random_spanning_tree(ot.grid_graph(2), np.random.default_rng(0))
         with pytest.raises(ValueError, match="parent count out of range"):
-            _kernels.kernels().anneal_chain(t, g, np.zeros(9), 10, 1.0, 0.05, 10, 0, math.nan,
+            _kernels.kernels().anneal_chain(t, g, np.zeros(9), 10, 1.0, 0.05, 10, math.nan,
                                             np.random.default_rng(1))
+
+
+def stepwise_stop(g, mu, nu, cfg, target_cost):
+    """``(stop_reason, iteration, current cost, best cost, beta)`` where the
+    step functions, run one at a time by ``SwapChain``, stop: at the best
+    cost at which ``anneal`` stops for ``target_cost``, tested after every
+    proposal, else at a certificate, tested at the start and on each
+    scheduled row, else at the budget."""
+    stop_at = annealing._chain_inputs(g, mu, nu, target_cost)[1]
+    rng = np.random.default_rng(cfg.seed)
+    state = SwapChain(g, ot.random_spanning_tree(g, rng), mu, nu, cfg)
+    it = 0
+    stop = "target" if state.best_cost <= stop_at else "certified" if state.certify() else None
+    while stop is None and it < cfg.max_iters:
+        it += 1
+        state.step(*state.propose(rng), rng)
+        state.adapt()
+        if state.best_cost <= stop_at:
+            stop = "target"
+        elif (it % cfg.record_every == 0 or it == cfg.max_iters) and state.certify():
+            stop = "certified"
+    return stop or "max_iters", it, state.cost, state.best_cost, state.beta
+
+
+class TestStopRow:
+    """Every stop writes the last trace row, and the chain's result is read
+    off it: the row is the chain's state where the step functions, run one
+    at a time, stop."""
+
+    CASES = {
+        # (graph, measures, config, target_cost, stop, stopped off the row schedule)
+        "target-at-start": (ot.grid_graph(3), noisy_grid_measures(3, seed=10),
+                            ot.AnnealConfig(max_iters=500, seed=3), 10.0, "target", False),
+        "certified-at-start": (random_tree_graph(np.random.default_rng(31), 8),
+                               random_measure_pair(np.random.default_rng(8), 8),
+                               ot.AnnealConfig(max_iters=500, seed=8), None, "certified", False),
+        "target": (ot.grid_graph(4), noisy_grid_measures(4, seed=1),
+                   ot.AnnealConfig(max_iters=20_000, seed=3, record_every=1000), "exact",
+                   "target", True),
+        "certified": (ot.grid_graph(4), random_measure_pair(np.random.default_rng(12), 16),
+                      ot.AnnealConfig(max_iters=2500, seed=21, record_every=250), None,
+                      "certified", False),
+        "max_iters": (ot.grid_graph(5), degenerate_measures(np.random.default_rng(3), 25),
+                      ot.AnnealConfig(max_iters=3000, seed=5, record_every=37), None,
+                      "max_iters", True),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_last_row_is_the_state_at_the_stop(self, backend, case):
+        g, (mu, nu), cfg, target, stop, off_schedule = self.CASES[case]
+        if target == "exact":
+            target = ot.solve(g, mu, nu).value
+        res = ot.anneal(g, mu, nu, cfg, target_cost=target)
+        want = stepwise_stop(g, mu, nu, cfg, target)
+        last = res.trace[-1]
+        assert want[0] == res.stop_reason == stop
+        assert (last.iter, last.current_cost, last.best_cost, last.beta) == want[1:]
+        assert (res.iters_run, res.final_cost, res.best_cost) == want[1:4]
+        assert (want[1] % cfg.record_every != 0) == off_schedule
+        assert len(res.trace) == (1 if want[1] == 0 else
+                                  want[1] // cfg.record_every + 1 + off_schedule)
 
 
 class TestCertifiedStop:
@@ -691,15 +751,17 @@ print(json.dumps([ot.kernel_backend(), k, res.best_cost.hex(), res.best_tree.par
                   res.stop_reason, res.iters_run]))
 """
 
-# vertices of degree one (no draw for the neighbour), recomputation and drift,
-# degenerate measures, and stops of every kind: the budget, the target, and a
-# certificate at iteration 0 or later
+# vertices of degree one (no draw for the neighbour), recomputation every 299
+# proposals and drift, degenerate measures, and stops of every kind: the
+# budget, the target, and a certificate at iteration 0 or later
 RANDOM_GRAPHS_SCRIPT = """
 import json, sys
 import numpy as np
 import treeot as ot
+from treeot import _kernels
 sys.path.insert(0, TESTS_DIR)
 from conftest import degenerate_measures, random_connected_graph, random_measure_pair
+_kernels.RECOMPUTE_EVERY = 299
 out = [ot.kernel_backend()]
 for s in range(10):
     rng = np.random.default_rng(500 + s)
@@ -707,7 +769,7 @@ for s in range(10):
     g = random_connected_graph(rng, n, extra_edges=int(rng.integers(1, n)))
     mu, nu = random_measure_pair(rng, n) if s < 5 else degenerate_measures(rng, n)
     exact = ot.exact_k_distance(ot.all_pairs_shortest_paths(g), mu, nu).value
-    cfg = ot.AnnealConfig(max_iters=3000, seed=s, recompute_every=299, record_every=37)
+    cfg = ot.AnnealConfig(max_iters=3000, seed=s, record_every=37)
     # chain 2 also reaches the target on a row where its certificate holds
     for target in (None, exact) if s in (2, 7) else (None,):
         res = ot.anneal(g, mu, nu, cfg, target_cost=target)
@@ -852,6 +914,8 @@ class TestKernelBackendSelection:
             stops = [(chain[0], chain[1]) for chain in out["c"][1:]]
             assert stops[2:4] == [("certified", 37), ("target", 37)]
             assert ("certified", 0) in stops and ("max_iters", 3000) in stops
+            # the sums were made afresh, and some chain drifted before they were
+            assert any(float.fromhex(chain[2]) > 0.0 for chain in out["c"][1:])
 
     @pytest.mark.skipif(not c_compiler_found(), reason="no C compiler on PATH")
     def test_c_chains_on_threads_share_no_state(self):

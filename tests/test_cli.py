@@ -74,11 +74,16 @@ class TestGrid:
         nu = fileio.load_measure(a / "nu.json", 9)
         assert ot.check_weak_nondegeneracy(mu, nu, ot.grid_graph(3))
 
-    def test_bad_image_dimensions_exit_2(self, tmp_path):
+    def test_bad_image_dimensions_exit_2(self, tmp_path, capsys):
         img = tmp_path / "img.csv"
         img.write_text("1,2\n", encoding="utf-8")
         assert run_cli("grid", "--p", "2", "--image-csv", str(img),
                        "--out-dir", str(tmp_path / "g")) == 2
+        img.write_text("1,2\n3\n", encoding="utf-8")  # ragged rows
+        assert run_cli("grid", "--p", "2", "--image-csv", str(img),
+                       "--out-dir", str(tmp_path / "g")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {img}: expected 2x2, got 2 rows of [1, 2] values")
 
 
 class TestParserReuse:
@@ -204,7 +209,7 @@ class TestAnnealCommand:
         fileio.save_measure(tmp_path / "mu.json", [0.6, 0.4])
         fileio.save_measure(tmp_path / "nu.json", [0.4, 0.6])
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_iters": 50, "seed": 9, "recompute_every": 7}), encoding="utf-8")
+        cfg.write_text(json.dumps({"max_iters": 50, "seed": 9, "beta0": 0.5}), encoding="utf-8")
         out = tmp_path / "run"
         assert run_cli(
             "anneal", "--graph", str(tmp_path / "graph.json"),
@@ -214,7 +219,7 @@ class TestAnnealCommand:
         manifest = json.loads((out / "anneal.manifest.json").read_text())
         assert manifest["config"]["max_iters"] == 20  # flag beats file
         assert manifest["config"]["seed"] == 9
-        assert manifest["config"]["recompute_every"] == 7
+        assert manifest["config"]["beta0"] == 0.5
 
     def test_flagless_run_records_the_default_config(self, tmp_path):
         fileio.save_graph(tmp_path / "graph.json", ot.build_graph(1, []))
@@ -229,7 +234,7 @@ class TestAnnealCommand:
         manifest = json.loads((out / "anneal.manifest.json").read_text())
         assert manifest["config"] == {
             "max_iters": 100_000, "seed": 0, "beta0": 3.0, "eta": 0.002, "record_every": 1000,
-            "recompute_every": 100_000, "chains": 1, "target_cost": None,
+            "chains": 1, "target_cost": None,
         }
 
     def test_multiple_chains(self, tmp_path, capsys):
@@ -287,6 +292,32 @@ class TestMalformedFiles:
         )
         assert code == 2
         assert "graph.json" in capsys.readouterr().err
+
+    # JSON integers past float64 (the weights, the masses) or int64 (n); of
+    # several bad rows the first names the error, whatever n
+    @pytest.mark.parametrize("name, doc, error", [
+        ("mu.json", [10**400, 1], "{d}/mu.json: measure has a NaN or infinite entry"),
+        ("graph.json", {"n": 2, "edges": [[0, 1, 10**400]]}, "edge (0,1) has weight inf"),
+        ("graph.json", {"n": 2, "edges": [[0, 1, -10**400], [0, 0, 1.0]]},
+         "edge (0,1) has weight -inf"),
+        ("graph.json", {"n": 10**29, "edges": [[0, 1, 1.0]]}, "graph is not connected"),
+        ("graph.json", {"n": 10**29, "edges": [[0, 1, 1.0], [1, 1, 1.0], [0, 1, 0.0]]},
+         "self-loop at vertex 1"),
+        ("graph.json", {"n": 10**29, "edges": [[0, 1, 1.0], [1, 0, 2.0]]}, "duplicate edge {1,0}"),
+    ], ids=["huge-mass", "huge-weight", "huge-negative-weight", "huge-n", "huge-n-self-loop",
+            "huge-n-duplicate"])
+    def test_numbers_past_float64_or_int64_exit_2(self, tmp_path, capsys, name, doc, error):
+        fileio.save_graph(tmp_path / "graph.json", ot.build_graph(2, [(0, 1, 1.0)]))
+        fileio.save_measure(tmp_path / "mu.json", [0.6, 0.4])
+        fileio.save_measure(tmp_path / "nu.json", [0.4, 0.6])
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli(
+            "anneal", "--graph", str(tmp_path / "graph.json"),
+            "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+            "--iters", "10", "--out-dir", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {error.replace('{d}', str(tmp_path))}"]
 
     @pytest.mark.parametrize("doc", [
         {"root": 0, "edges": [[0, 1, 5]]},
@@ -430,7 +461,7 @@ def test_non_finite_target_cost_exits_2(line6_files, capsys, value, chains):
 
 
 @pytest.mark.parametrize("value", ["true", "1.5"])
-@pytest.mark.parametrize("field", ["max_iters", "seed", "record_every", "recompute_every"])
+@pytest.mark.parametrize("field", ["max_iters", "seed", "record_every"])
 def test_non_integer_config_field_exits_2(line6_files, capsys, field, value):
     d = line6_files
     (d / "cfg.json").write_text(f'{{"{field}": {value}}}', encoding="utf-8")
@@ -445,18 +476,16 @@ def test_non_integer_config_field_exits_2(line6_files, capsys, field, value):
         f"error: bad annealing config: {field} must be an integer, not {json.loads(value)!r}"]
 
 
-def test_negative_recompute_every_exits_2(line6_files, capsys):
-    # 0 means never; a negative count once ran as never too
+def test_config_with_recompute_every_exits_2(line6_files, capsys):
+    # the refresh interval is the kernels' constant, no longer a config key
     d = line6_files
-    (d / "cfg.json").write_text('{"recompute_every": -5}', encoding="utf-8")
+    (d / "cfg.json").write_text('{"recompute_every": 100000}', encoding="utf-8")
     assert run_cli("anneal", "--config", str(d / "cfg.json"), "--iters", "10",
                    "--out-dir", str(d / "run"), "--graph", str(d / "graph.json"),
                    "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not (d / "run").exists()
-    assert captured.err.splitlines() == [
-        "error: bad annealing config: max_iters, seed and recompute_every must be non-negative "
-        "and record_every positive"]
+    assert captured.err.splitlines() == ["error: unknown config keys: ['recompute_every']"]
 
 
 @pytest.mark.parametrize("key", ["target_accept", "window"])

@@ -330,6 +330,9 @@ class TestImageCsv:
         path.write_text("1,2\n3,4\n5,6\n", encoding="utf-8")
         with pytest.raises(BadDimensionsError):
             fileio.load_image_csv(path, 2)
+        path.write_text("1,2\n3\n", encoding="utf-8")  # ragged rows
+        with pytest.raises(BadDimensionsError, match=r"expected 2x2, got 2 rows of \[1, 2\] values"):
+            fileio.load_image_csv(path, 2)
 
     def test_negative_pixel(self, tmp_path):
         path = tmp_path / "img.csv"

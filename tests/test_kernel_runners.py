@@ -24,8 +24,7 @@ N = 9  # vertices of the 3x3 lattice that every call runs on
 
 #: every kernel's arguments, by name, in order
 SIGNATURES = {
-    "anneal_chain": "tree graph xi_node max_iters beta0 eta record_every recompute_every "
-                    "target_cost rng",
+    "anneal_chain": "tree graph xi_node max_iters beta0 eta record_every stop_at rng",
     "wilson_tree": "graph rng",
     "dp_plan": "tree xi zero_tol",
     "network_simplex": "supply tail head cost",
@@ -86,7 +85,7 @@ def arguments() -> dict:
         "head": g.indices.copy(), "cost": g.weights.copy(),
         "xs": np.arange(N, dtype=np.int64), "ys": np.arange(N, dtype=np.int64)[::-1].copy(),
         "mass": None, "max_iters": 50, "beta0": 1.0, "eta": 0.05, "record_every": 10,
-        "recompute_every": 0, "target_cost": np.nan,
+        "stop_at": np.nan,
         "rng": np.random.default_rng(1), "zero_tol": 1e-14,
     }
 
@@ -242,7 +241,7 @@ resource.setrlimit(resource.RLIMIT_AS, (mapped + 80 * g.n, hard))
 out = []
 for tree in (comb, None):
     try:
-        k.anneal_chain(tree, g, xi, 10, 1.0, 0.05, 10, 0, float("nan"), rng)
+        k.anneal_chain(tree, g, xi, 10, 1.0, 0.05, 10, float("nan"), rng)
     except MemoryError as exc:
         out.append([str(exc), rng.bit_generator.state == before])
 print(json.dumps(out))
@@ -340,7 +339,7 @@ t = ot.random_spanning_tree(g, np.random.default_rng(0))
 xi = np.linspace(-0.4, 0.4, g.n)
 k = _kernels.kernels()
 for draw in (lambda rng: ot.random_spanning_tree(g, rng),
-             lambda rng: k.anneal_chain(t, g, xi, 50, 1.0, 0.05, 10, 0, float("nan"), rng)):
+             lambda rng: k.anneal_chain(t, g, xi, 50, 1.0, 0.05, 10, float("nan"), rng)):
     try:
         draw(RNG)
     except TypeError as exc:

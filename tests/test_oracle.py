@@ -791,6 +791,9 @@ class TestCyclicalMonotonicity:
         g = ot.grid_graph(2)
         with pytest.raises(VertexRangeError, match="plan size does not match graph"):
             ot.check_cyclical_monotonicity(ot.make_plan(5, [(0, 4, 1.0)]), g, np.array([1.0]))
+        # a plan with no off-diagonal support too
+        with pytest.raises(VertexRangeError, match="plan size does not match graph"):
+            ot.check_cyclical_monotonicity(ot.make_plan(3, [(0, 0, 1.0)]), g, np.zeros(0))
 
     @pytest.mark.parametrize("parent, cycle", [
         ([-1], False), ([-1, 0, 1, 2], False), ([1, 0], True), ([0], True),

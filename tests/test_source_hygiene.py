@@ -397,6 +397,15 @@ def test_every_c_prototype_matches_its_declaration():
     assert signature_mismatches(source) == []
 
 
+def test_the_target_rule_is_computed_in_annealing_only():
+    # the chain kernels stop at the best cost they are given
+    sources = {path.name: path.read_text(encoding="utf-8") for path in (*PACKAGE, _kernels.C_SOURCE)}
+    rule = "1e-9 * min(1.0, abs(target))"
+    assert {name: text.count(rule) for name, text in sources.items() if rule in text} == {
+        "annealing.py": 1}
+    assert "1e-9" not in sources["_kernels.py"] + sources["_kernel.c"]
+
+
 def test_every_exported_c_function_returns_an_int_status():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
     assert not_returning_int(source) == []
