@@ -1,5 +1,5 @@
-/* C transcription of the annealing, random-tree, tree-pass, transport-plan,
- * network-simplex and pair-distance kernels in _kernels.py.
+/* C transcription of the seven kernels in _kernels.py, whose helpers there
+ * (the chain's step functions, subtree_sums) are static helpers here.
  *
  * One ABI: treeot_<name> takes the argument list of the reference kernel
  * <name>, in order and by name (C's rng is the bitgen_t of the numpy
@@ -212,14 +212,13 @@ static void apply_exchange(int64_t *parent, double *wpar, double *xi_cum, int64_
 }
 
 /* subtree_sums of _kernels.py: out goes from vertex values to subtree sums. */
-int treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
+static void subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, double *out)
 {
     for (int64_t i = 0; i < n; i++) {
         const int64_t v = order[i], p = parent[v];
         if (p >= 0)
             out[p] += out[v];
     }
-    return CHAIN_OK;
 }
 
 /* tree_potential of _kernels.py: sums goes from vertex values to subtree
@@ -227,7 +226,7 @@ int treeot_subtree_sums(int64_t n, const int64_t *parent, const int64_t *order, 
 int treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order,
                           const double *wpar, double *sums, double *u)
 {
-    treeot_subtree_sums(n, parent, order, sums);
+    subtree_sums(n, parent, order, sums);
     for (int64_t i = n - 1; i >= 0; i--) {
         const int64_t v = order[i], p = parent[v];
         if (p < 0)

@@ -1,9 +1,9 @@
 """The annealing, random-tree, tree-pass, transport-plan, exact-flow and
 pair-distance kernels and the backends that run them.
 
-``anneal_chain``, ``wilson_tree``, ``subtree_sums``, ``tree_potential``,
-``dp_plan``, ``network_simplex``, ``tree_pairs`` and ``pair_distances``
-below are the reference kernels in plain Python.
+``anneal_chain``, ``wilson_tree``, ``tree_potential``, ``dp_plan``,
+``network_simplex``, ``tree_pairs`` and ``pair_distances`` below are the
+reference kernels in plain Python.
 ``anneal_chain`` exchanges edges on cycles of a spanning tree through five
 step functions, the one statement of its arithmetic and of the stop:
 ``exchange_cycle`` finds a cycle's breakpoints, ``breakpoint_costs`` prices
@@ -12,20 +12,20 @@ exchange, and ``certify`` proves the best tree optimal (its tree potential
 is 1-Lipschitz on every graph edge), which ends the chain. Given no tree, it first draws one by
 ``wilson_tree``, so one call runs a whole chain. It writes one trace matrix
 in ``TraceRecord``'s columns and stops at one best cost, ``stop_at``.
-``subtree_sums`` is the leaves-to-root pass along a tree's ``order`` (by
-decreasing depth, then increasing id, from the tree's numpy proof, the same
-on every backend), and ``tree_potential`` makes it and then the
-root-to-leaves one. ``dp_plan`` builds the dynamic-programming
-transport plan in one leaves-first pass along a tree's ``order``: each
-vertex matches the supplies and demands that meet there and hands the rest,
-of one sign, to its parent. ``network_simplex`` is the exact oracle's
-min-cost flow: primal network simplex, which moves between spanning trees
-of the flow network (here the source-to-sink transportation network, or the
-graph's own arcs) with a dual potential at every step, and whose optimal
-flow is basic, so its support is a forest. ``tree_pairs`` walks vertex
-pairs to their lowest common ancestor for tree distances or plan flows, and
-``pair_distances`` runs Dijkstra from each distinct source of a list of
-vertex pairs.
+``tree_potential`` makes the subtree sums by ``subtree_sums``, the
+leaves-to-root pass along a tree's ``order`` (by decreasing depth, then
+increasing id, from the tree's numpy proof, the same on every backend), and
+then the potential by the root-to-leaves one. ``dp_plan`` builds the
+dynamic-programming transport plan in one leaves-first pass along a tree's
+``order``: each vertex matches the supplies and demands that meet there and
+hands the rest, of one sign, to its parent. ``network_simplex`` is the exact
+oracle's min-cost flow: primal network simplex, which moves between spanning
+trees of the flow network (here the source-to-sink transportation network,
+or the graph's own arcs) with a dual potential at every step, and whose
+optimal flow is basic, so its support is a forest. ``tree_pairs`` walks
+vertex pairs to their lowest common ancestor for tree distances or plan
+flows, and ``pair_distances`` runs Dijkstra from each distinct source of a
+list of vertex pairs.
 
 One ABI: each kernel has one argument list, shared by its reference here
 and by ``treeot_<name>`` in ``_kernel.c``, whose ctypes argtypes
@@ -75,7 +75,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import KernelBackendError, VertexRangeError
+from .errors import InputError, KernelBackendError, VertexRangeError
 # graphs and trees import this module in turn; treeot/__init__ imports it
 # first, so both are complete before any method reads these names
 from .graphs import WeightedGraph
@@ -144,7 +144,8 @@ class Kernels:
         proposals, as ``(trace, max_drift, stop, root, (best_parent,
         best_wpar), (parent, wpar))``: ``trace`` is the rows written, the
         last one the stop's, the links are the best and the final tree's,
-        both on the start's ``root``."""
+        both on the start's ``root``. A trace too long to allocate raises
+        ``InputError``."""
         if tree is not None:
             _proven("annealing chain", tree, RootedTree)
         _proven("annealing chain", graph, WeightedGraph)
@@ -156,7 +157,12 @@ class Kernels:
         root, parent, wpar = ((-1, np.empty(n, dtype=np.int64), np.empty(n)) if tree is None else
                               (tree.root, tree.parent.copy(), tree.weight_to_parent.copy()))
         best_parent, best_wpar = np.empty_like(parent), np.empty_like(wpar)
-        trace = np.zeros((max(max_iters, 0) // record_every + 2, 5))  # TraceRecord's columns
+        rows = max(max_iters, 0) // record_every + 2
+        try:
+            trace = np.zeros((rows, 5))  # TraceRecord's columns
+        except (ValueError, MemoryError):  # ValueError: numpy refuses the shape itself
+            raise InputError(f"a trace of {rows} rows cannot be allocated: lower max_iters "
+                             "(--iters) or raise record_every (--record-every)") from None
         out_d, out_i = np.empty(1), np.empty(3, dtype=np.int64)
         _check_status(self._run["anneal_chain"](
             n, root, parent, wpar, graph.indptr, graph.indices, graph.weights, xi, max_iters,
@@ -175,23 +181,16 @@ class Kernels:
                                                parent, wpar, root))
         return int(root[0]), parent, wpar
 
-    def subtree_sums(self, tree, values):
-        """:func:`subtree_sums` of ``values`` on the tree, a new float64 array."""
-        _proven("subtree sums", tree, RootedTree)
-        out = np.array(values, dtype=np.float64)
-        _check_arrays("subtree sums", (), ((out, tree.n),))
-        _check_status(self._run["subtree_sums"](tree.n, tree.parent, tree.order, out))
-        return out
-
     def tree_potential(self, tree, xi):
-        """:func:`tree_potential` of the values ``xi``, a new float64 array."""
+        """``(sums, u)``, the subtree sums of the values ``xi`` and the tree
+        potential from one :func:`tree_potential` call, new float64 arrays."""
         _proven("tree potential", tree, RootedTree)
         sums = np.array(xi, dtype=np.float64)
         _check_arrays("tree potential", (), ((sums, tree.n),))
         u = np.zeros(tree.n)
         _check_status(self._run["tree_potential"](tree.n, tree.parent, tree.order,
                                                   tree.weight_to_parent, sums, u))
-        return u
+        return sums, u
 
     def dp_plan(self, tree, xi, zero_tol):
         """``(rows, cols, mass)``: the off-diagonal entries that
@@ -369,7 +368,6 @@ C_SIGNATURES = {
     "wilson_tree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     "dp_plan": [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
     "network_simplex": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR],
-    "subtree_sums": [_I64, _PTR, _PTR, _PTR],
     "tree_potential": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR],
     "tree_pairs": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
     "pair_distances": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
@@ -712,14 +710,13 @@ def wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_root):
 def subtree_sums(n, parent, order, out):
     """Turn the vertex values in ``out`` into subtree sums, in place: along
     the n entries of ``order`` (leaves first), each vertex adds its entry
-    into its parent's. Returns 0."""
+    into its parent's."""
     parent, sums = parent.tolist(), out.tolist()
     for v in order[:n].tolist():
         p = parent[v]
         if p >= 0:
             sums[p] += sums[v]
     out[:] = sums
-    return 0
 
 
 def tree_potential(n, parent, order, wpar, sums, u):

@@ -68,11 +68,14 @@ class AnnealConfig:
                 operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, not {value!r}") from None
-        if min(self.max_iters, self.seed) < 0 or self.record_every < 1:
-            raise ValueError("max_iters and seed must be non-negative and record_every positive")
-        # NaN fails every comparison, so it is rejected here too
-        if not (0.0 < self.beta0 < math.inf and 0.0 < self.eta < math.inf):
-            raise ValueError("beta0 and eta must be positive and finite")
+        # the kernel takes max_iters and record_every as int64
+        if (min(self.max_iters, self.seed) < 0 or self.record_every < 1
+                or max(self.max_iters, self.record_every) >= 2**63):
+            raise ValueError("max_iters and seed must be non-negative and record_every positive, "
+                             "and max_iters and record_every below 2**63")
+        # NaN, also for what is not a real number, fails every comparison
+        if not (0.0 < _real(self.beta0) < math.inf and 0.0 < _real(self.eta) < math.inf):
+            raise ValueError("beta0 and eta must be positive and finite real numbers")
 
 
 class TraceRecord(NamedTuple):
@@ -158,11 +161,21 @@ def _chain_inputs(g: WeightedGraph, mu, nu, target_cost) -> tuple[np.ndarray, fl
     xi = imbalance(as_measure(mu, g.n), as_measure(nu, g.n))
     if target_cost is None:
         return xi, math.nan
-    if (isinstance(target_cost, bool) or not isinstance(target_cost, numbers.Real)
-            or not math.isfinite(target_cost)):
+    target = _real(target_cost)
+    if not math.isfinite(target):
         raise ValueError(f"target_cost must be a finite real number, not {target_cost!r}")
-    target = float(target_cost)
     return xi, target + 1e-9 * min(1.0, abs(target))
+
+
+def _real(value) -> float:
+    """``value`` as a float, an infinity of its sign where it is past float64's
+    range, or NaN where it is not a real number or is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _run_chain(g, xi, config, stop_at, rng, tree=None) -> AnnealResult:

@@ -154,6 +154,8 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, config: dict, out
 
 def cmd_grid(args) -> int:
     started = time.time()
+    if args.seed < 0:  # SeedSequence takes no negative entropy
+        raise InputError(f"--seed must be non-negative, not {args.seed}")
     g = grid_graph(args.p, args.weight)
     if args.image_csv:
         images = [fileio.load_image_csv(path, args.p) for path in args.image_csv]

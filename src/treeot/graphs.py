@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 
@@ -129,80 +130,71 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
     """Validate an edge list and build a :class:`WeightedGraph`.
 
     ``edge_list`` holds rows (u, v, w), read as ``int(u), int(v), float(w)``,
-    or is an (E, 3) array of them. Raises on self-loops, non-finite or
-    non-positive weights, duplicate undirected edges, out-of-range endpoints
-    and disconnected inputs; of several bad rows, the first names the error.
+    or is an (E, 3) array of them. The rows are read into columns and built
+    into a CSR, which the :class:`WeightedGraph` proof validates. Only when a
+    step fails are the rows walked, so that the first bad row names the error:
+    an endpoint out of range, a self-loop, a non-finite or non-positive weight,
+    or a repeat of an earlier edge; with no bad row, the graph is disconnected.
     """
     n = int(vertex_count)
     if n <= 0:
         raise VertexRangeError("vertex_count must be positive")
     rows = edge_list.tolist() if isinstance(edge_list, np.ndarray) else list(edge_list)
-    u, v, w = _edge_columns(n, rows)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    ok = (lo >= 0) & (hi < n) & (lo != hi) & np.isfinite(w) & (w > 0.0)
-    # good rows keyed below span², from their own endpoints, not n; bad rows all key 0
-    span = int(hi[ok].max(initial=0)) + 1
-    bad = np.ones(len(rows), dtype=bool)  # rows repeating an earlier key stay marked
-    bad[np.unique(np.where(ok, lo * span + hi, 0), return_index=True)[1]] = False
-    bad |= ~ok
-    if bad.any():
-        _raise_for_edge(n, rows[int(np.argmax(bad))])
-    if len(rows) < n - 1:  # fewer edges than a spanning tree: refused before any n-sized array
-        raise DisconnectedError("graph is not connected")
-
-    # both directions of every edge, sorted by tail, then head
-    tail = np.concatenate([lo, hi])
-    head = np.concatenate([hi, lo])
-    arcs = np.lexsort((head, tail))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-    return WeightedGraph(n, indptr, head[arcs], np.concatenate([w, w])[arcs])
+    # fewer edges than a spanning tree go to the row loop before any n-sized array
+    columns = _edge_columns(rows) if len(rows) >= n - 1 else None
+    if columns is not None:
+        u, v, w = columns
+        # both directions of every edge, sorted by tail, then head
+        tail, head = np.concatenate([u, v]), np.concatenate([v, u])
+        if ((0 <= tail) & (tail < n)).all():
+            arcs = np.lexsort((head, tail))
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+            try:
+                return WeightedGraph(n, indptr, head[arcs], np.concatenate([w, w])[arcs])
+            except (ValueError, NonFiniteWeightError, NonPositiveWeightError):
+                pass
+    _raise_for_rows(n, rows)
 
 
-def _read_edge(row) -> tuple[int, int, float]:
-    u, v, w = row
-    try:
-        return int(u), int(v), float(w)
-    except OverflowError:  # an integer weight past float64's range is infinite
-        return int(u), int(v), math.inf if w > 0 else -math.inf
-
-
-def _edge_columns(n: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows read by :func:`_read_edge`, as int64, int64 and float64
-    columns. Where some row does not fit them, each row that cannot be read
-    or has an endpoint out of range reads as (-1, -1, w), which the checks
-    reject."""
+def _edge_columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The rows read as ``int(u), int(v), float(w)`` into int64, int64 and
+    float64 columns, or None when some row does not read so."""
     try:
         u, v, w = zip(*rows, strict=True) if rows else ((), (), ())
         return (np.array(list(map(int, u)), dtype=np.int64),
                 np.array(list(map(int, v)), dtype=np.int64),
                 np.array(list(map(float, w)), dtype=np.float64))
     except (TypeError, ValueError, OverflowError):  # also an endpoint beyond int64
-        pass
-    read = []
-    for row in rows:
+        return None
+
+
+def _raise_for_rows(n: int, rows) -> NoReturn:
+    """Raise for the first row that fails, in this order, to read as an edge
+    (an integer weight past float64's range reads as an infinity of its
+    sign), to have both endpoints in range, to join two vertices, to weigh a
+    finite positive amount, or to differ from every earlier edge; with no
+    such row, raise ``DisconnectedError``."""
+    seen = set()
+    for u, v, w in rows:
+        u, v = int(u), int(v)
         try:
-            u, v, w = _read_edge(row)
-        except (TypeError, ValueError, OverflowError):
-            u, v, w = -1, -1, math.nan
-        read.append((u, v, w) if 0 <= u < n and 0 <= v < n else (-1, -1, w))
-    u, v, w = zip(*read)
-    return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w, dtype=np.float64)
-
-
-def _raise_for_edge(n: int, row) -> None:
-    """Raise the error of the first check that ``row`` fails as an edge on
-    ``n`` vertices; a row that passes them all repeats an earlier edge."""
-    u, v, w = _read_edge(row)
-    if not (0 <= u < n and 0 <= v < n):
-        raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
-    if u == v:
-        raise SelfLoopError(f"self-loop at vertex {u}")
-    if not math.isfinite(w):
-        raise NonFiniteWeightError(f"edge ({u},{v}) has weight {w}")
-    if w <= 0.0:
-        raise NonPositiveWeightError(f"edge ({u},{v}) has weight {w}")
-    raise DuplicateEdgeError(f"duplicate edge {{{u},{v}}}")
+            w = float(w)
+        except OverflowError:
+            w = math.inf if w > 0 else -math.inf
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(f"edge ({u},{v}) has weight {w}")
+        if w <= 0.0:
+            raise NonPositiveWeightError(f"edge ({u},{v}) has weight {w}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge {{{u},{v}}}")
+        seen.add(key)
+    raise DisconnectedError("graph is not connected")
 
 
 def grid_graph(p: int, weight: float | None = None) -> WeightedGraph:

@@ -20,7 +20,7 @@ from . import _kernels
 from .errors import NonFiniteWeightError, NonPositiveWeightError, NotSpanningError, VertexRangeError
 from .graphs import WeightedGraph
 from .transport import (Potential, TransportPlan, _assemble_plan, _support_distances, as_measure,
-                        cumulative_imbalance, imbalance, imbalance_zero)
+                        imbalance, imbalance_zero)
 from .trees import RootedTree, _climb
 
 #: Default tolerance for optimality and duality identities.
@@ -194,8 +194,8 @@ def certified_dual(g: WeightedGraph, t: RootedTree, mu, nu) -> tuple[Potential, 
     if t.n != g.n or np.any(arc < 0) or np.any(g.weights[arc] != t.weight_to_parent[child]):
         raise NotSpanningError("the tree is not a spanning tree of the graph, with its weights")
     xi = imbalance(as_measure(mu, t.n), as_measure(nu, t.n))
-    u = _kernels.kernels().tree_potential(t, xi)
-    link = np.where(np.abs(cumulative_imbalance(t, xi)) > imbalance_zero(xi), t.parent, -1)
+    xi_cum, u = _kernels.kernels().tree_potential(t, xi)
+    link = np.where(np.abs(xi_cum) > imbalance_zero(xi), t.parent, -1)
     comp = (np.cumsum(link < 0) - 1)[_climb(link)[1]]
     tails, heads, w = g.arc_tails(), g.indices, g.weights
     cross = comp[tails] != comp[heads]

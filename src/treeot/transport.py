@@ -28,7 +28,10 @@ MASS_TOL = 1e-9
 
 
 def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndarray:
-    """Validate (and optionally normalize) a finite, nonnegative unit-mass vector."""
+    """Validate (and optionally normalize) a finite, nonnegative unit-mass vector.
+
+    Normalizing divides by the sum; where finite entries overflow it, they
+    are divided by the largest entry first."""
     mu = np.asarray(values, dtype=np.float64).copy()
     if mu.ndim != 1 or (n is not None and mu.shape[0] != n):
         raise VertexRangeError(f"expected a flat vector of length {n}, got shape {mu.shape}")
@@ -41,6 +44,9 @@ def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndar
     if normalize:
         if total <= 0.0:
             raise MassMismatchError("cannot normalize a zero-mass vector")
+        if not math.isfinite(total):  # finite entries whose sum overflows
+            mu /= mu.max()
+            total = mu.sum()
         if abs(total - 1.0) > MASS_TOL:  # keep valid measures bit-stable
             mu /= total
     elif abs(total - 1.0) > MASS_TOL:
@@ -102,7 +108,8 @@ def tree_potential(t: RootedTree, mu, nu) -> "Potential":
     :func:`treeot.oracle.certified_dual`). The subtree sums and the walk are
     one call of :func:`treeot._kernels.tree_potential`, on the kernel backend.
     """
-    u = _kernels.kernels().tree_potential(t, imbalance(as_measure(mu, t.n), as_measure(nu, t.n)))
+    xi = imbalance(as_measure(mu, t.n), as_measure(nu, t.n))
+    u = _kernels.kernels().tree_potential(t, xi)[1]
     u.setflags(write=False)
     return Potential(values=u, anchor=t.root)
 
@@ -353,8 +360,8 @@ def line_w1(points, mu, nu) -> float:
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 1:
         raise VertexRangeError("points must be a flat, non-empty array")
-    if np.any(np.diff(x) <= 0.0):
-        raise VertexRangeError("points must be strictly increasing")
+    if not np.isfinite(x).all() or np.any(np.diff(x) <= 0.0):
+        raise VertexRangeError("points must be finite and strictly increasing")
     xi = imbalance(as_measure(mu, x.shape[0]), as_measure(nu, x.shape[0]))
     cdf_gap = np.cumsum(xi)[:-1]
     return float(np.sum(np.diff(x) * np.abs(cdf_gap)))

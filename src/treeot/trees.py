@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .errors import HasCycleError, NotSpanningError, VertexRangeError
+from .errors import (HasCycleError, NonFiniteWeightError, NonPositiveWeightError, NotSpanningError,
+                     VertexRangeError)
 from .graphs import WeightedGraph, _vertex_indices
 
 
@@ -20,11 +22,13 @@ class RootedTree:
     read-only and proves once, in numpy alike on every kernel backend
     (:func:`_climb`), that the links root a spanning tree at ``root`` (else
     ``NotSpanningError``, or ``VertexRangeError`` for links that are not
-    integers or shapes that differ). The proof gives ``depth[v]``, the edges
-    from ``v`` to the root, and ``order``: the vertices by decreasing depth,
-    then increasing id, so one forward pass aggregates child values into
-    parents, each parent taking its children's in increasing id order. No
-    child lists are kept.
+    integers or shapes that differ), and that every vertex but the root weighs
+    its edge finite (else ``NonFiniteWeightError``) and positive (else
+    ``NonPositiveWeightError``); the root's weight is never read. The proof
+    gives ``depth[v]``, the edges from ``v`` to the root, and ``order``: the
+    vertices by decreasing depth, then increasing id, so one forward pass
+    aggregates child values into parents, each parent taking its children's in
+    increasing id order. No child lists are kept.
     """
 
     root: int
@@ -48,6 +52,12 @@ class RootedTree:
         depth, top = _climb(parent)
         if np.any(top != root):
             raise NotSpanningError(not_a_tree + "parent links do not reach every vertex")
+        edge_w = wpar.copy()
+        edge_w[root] = 1.0  # the root's entry is never read
+        if not (edge_w.min() > 0.0 and edge_w.max() < math.inf):  # NaN fails both
+            if not np.isfinite(edge_w).all():
+                raise NonFiniteWeightError("a weight to a parent is not finite")
+            raise NonPositiveWeightError("a weight to a parent is zero or negative")
         object.__setattr__(self, "root", root)
         for name, a in (("parent", parent), ("weight_to_parent", wpar),
                         ("order", np.argsort(-depth, kind="stable")), ("depth", depth)):
@@ -138,11 +148,10 @@ def reroot(t: RootedTree, new_root: int) -> RootedTree:
 
     Only the parent links on the path between the two roots are reversed.
     """
-    if not (0 <= new_root < t.n):
-        raise VertexRangeError(f"root {new_root} out of range")
+    new_root = _vertex(t, new_root)
     if new_root == t.root:
         return t
-    path = [int(new_root)]
+    path = [new_root]
     while path[-1] != t.root:
         path.append(int(t.parent[path[-1]]))
     parent = t.parent.copy()
@@ -158,13 +167,13 @@ def reroot(t: RootedTree, new_root: int) -> RootedTree:
 def subtree_aggregate(t: RootedTree, values) -> np.ndarray:
     """For each vertex x, the sum of ``values`` over the subtree hanging at x.
 
-    One leaves-to-root pass, O(n), on the kernel backend
-    (:func:`treeot._kernels.subtree_sums`).
+    One leaves-to-root pass, O(n), on the kernel backend: the sums of
+    :func:`treeot._kernels.tree_potential`, which also walks back down.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (t.n,):
         raise VertexRangeError(f"expected {t.n} values, got shape {values.shape}")
-    return _kernels.kernels().subtree_sums(t, values)
+    return _kernels.kernels().tree_potential(t, values)[0]
 
 
 def tree_path(t: RootedTree, x: int, y: int) -> list[tuple[int, int, str]]:
@@ -176,7 +185,7 @@ def tree_path(t: RootedTree, x: int, y: int) -> list[tuple[int, int, str]]:
     parent -> child.
     """
     up_part, down_part = [], []
-    a, b = int(x), int(y)
+    a, b = _vertex(t, x), _vertex(t, y)
     while a != b:
         move_a, move_b = t.depth[a] >= t.depth[b], t.depth[b] >= t.depth[a]
         if move_a:
@@ -186,6 +195,15 @@ def tree_path(t: RootedTree, x: int, y: int) -> list[tuple[int, int, str]]:
             down_part.append((int(t.parent[b]), b, "down"))
             b = int(t.parent[b])
     return up_part + down_part[::-1]
+
+
+def _vertex(t: RootedTree, v) -> int:
+    """``v`` as a vertex of ``t``; raises ``VertexRangeError`` for an index
+    out of range, or a float or bool one."""
+    v = int(_vertex_indices(v))
+    if not 0 <= v < t.n:
+        raise VertexRangeError(f"vertex {v} out of range for n={t.n}")
+    return v
 
 
 def tree_distance(t: RootedTree, x, y):

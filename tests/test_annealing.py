@@ -9,6 +9,7 @@ import pytest
 import treeot as ot
 
 from treeot import _kernels, annealing
+from treeot.errors import InputError
 from treeot.trees import RootedTree
 
 from conftest import (
@@ -363,10 +364,15 @@ class TestTemperature:
 
     def test_config_validation(self):
         ot.AnnealConfig(max_iters=1, eta=2.0)
+        ot.AnnealConfig(max_iters=2**63 - 1, record_every=2**63 - 1, beta0=10**300)
+        # the kernel takes max_iters and record_every as int64, beta0 and eta
+        # as float64: past them, ctypes once cut or refused the numbers
         for bad in ({"beta0": math.nan}, {"beta0": math.inf}, {"eta": math.nan},
-                    {"eta": math.inf}, {"eta": 0.0}, {"eta": -0.5}, {"seed": -1}):
+                    {"eta": math.inf}, {"eta": 0.0}, {"eta": -0.5}, {"seed": -1},
+                    {"max_iters": 2**64 + 5}, {"max_iters": 2**63}, {"record_every": 2**63},
+                    {"beta0": 10**400}, {"eta": True}, {"beta0": "3"}):
             with pytest.raises(ValueError):
-                ot.AnnealConfig(max_iters=1, **bad)
+                ot.AnnealConfig(**{"max_iters": 1, **bad})
 
 
 class TestAnneal:
@@ -548,8 +554,10 @@ class TestChainEntry:
         assert ends[0] == ends[1]
         assert trace[-1, 0] > 0  # the chain moved on from its start
 
-    @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan, "0.5", True, [0.5]],
-                             ids=["inf", "-inf", "nan", "string", "bool", "list"])
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan, "0.5", True, [0.5],
+                                        10**400, -10**400],
+                             ids=["inf", "-inf", "nan", "string", "bool", "list", "beyond-float",
+                                  "beyond-float-negative"])
     def test_target_cost_must_be_a_finite_real_number(self, backend, target):
         g = ot.grid_graph(3)
         mu, nu = noisy_grid_measures(3, seed=10)
@@ -564,6 +572,15 @@ class TestChainEntry:
         cfg = ot.AnnealConfig(max_iters=100, seed=0)
         for target in (1, np.float64(0.5), np.int64(2)):
             assert ot.anneal(g, flat, flat, cfg, target_cost=target).stop_reason == "target"
+
+    def test_a_trace_too_long_to_allocate_is_refused(self, backend):
+        # 2**63 + 1 rows: numpy refuses the shape before it allocates, and no chain runs
+        g = ot.grid_graph(3)
+        mu, nu = noisy_grid_measures(3, seed=10)
+        cfg = ot.AnnealConfig(max_iters=2**63 - 1, record_every=1)
+        with pytest.raises(InputError, match=r"^a trace of 9223372036854775809 rows cannot be "
+                                             r"allocated: lower max_iters \(--iters\)"):
+            ot.anneal(g, mu, nu, cfg)
 
     def test_a_tree_of_another_size_is_refused(self, backend):
         g = ot.grid_graph(3)

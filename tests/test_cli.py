@@ -74,6 +74,24 @@ class TestGrid:
         nu = fileio.load_measure(a / "nu.json", 9)
         assert ot.check_weak_nondegeneracy(mu, nu, ot.grid_graph(3))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the first sum
+    @pytest.mark.parametrize("pixels", ["noise", "image"])
+    def test_pixels_whose_sum_overflows_normalize(self, tmp_path, pixels):
+        # the measure was once all zeros, written with exit 0
+        img = tmp_path / "img.csv"
+        img.write_text("1e308,1e308\n1e308,1e308\n", encoding="utf-8")
+        argv = ["--noise-sigma", "1e308"] if pixels == "noise" else ["--image-csv", str(img)]
+        out = tmp_path / "g"
+        assert run_cli("grid", "--p", "2", *argv, "--out-dir", str(out)) == 0
+        mu = fileio.load_measure(out / "mu.json", 4)
+        assert mu.min() > 0.0 and (pixels == "noise" or mu.tolist() == [0.25] * 4)
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # SeedSequence's ValueError once escaped as a traceback, exit 1
+        assert run_cli("grid", "--p", "2", "--seed", "-1", "--out-dir", str(tmp_path / "g")) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --seed must be non-negative, not -1"]
+        assert not (tmp_path / "g").exists()
+
     def test_bad_image_dimensions_exit_2(self, tmp_path, capsys):
         img = tmp_path / "img.csv"
         img.write_text("1,2\n", encoding="utf-8")
@@ -403,6 +421,11 @@ BAD_ARGUMENTS = [
     ("anneal", "--chains", "0"),
     ("anneal", "--config", '{"eta": "abc"}'),
     ("anneal", "--config", '{"seed": "abc"}'),
+    # past int64 or float64, which the kernel takes; the first ran 5 proposals on c
+    ("anneal", "--iters", str(2**64 + 5)),
+    ("anneal", "--record-every", str(2**64)),
+    pytest.param("anneal", "--config", '{"beta0": 1%s}' % ("0" * 400), id="beta0-beyond-float"),
+    ("anneal", "--config", '{"eta": true}'),
 ]
 
 
@@ -424,6 +447,19 @@ def test_bad_argument_exits_2(line6_files, capsys, command, flag, value):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
     assert not (d / "run").exists()
+
+
+def test_a_trace_too_long_to_allocate_exits_2(line6_files, capsys):
+    # 2**63 + 1 rows: numpy refuses the shape before it allocates, and no chain runs
+    d = line6_files
+    assert run_cli("anneal", "--iters", str(2**63 - 1), "--record-every", "1",
+                   "--out-dir", str(d / "run"), "--graph", str(d / "graph.json"),
+                   "--mu", str(d / "mu.json"), "--nu", str(d / "nu.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (d / "run").exists()
+    assert captured.err.splitlines() == [
+        f"error: a trace of {2**63 + 1} rows cannot be allocated: lower max_iters (--iters) or "
+        "raise record_every (--record-every)"]
 
 
 #: a refused run of each writing command: what it is missing or given wrongly

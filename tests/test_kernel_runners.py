@@ -28,7 +28,6 @@ SIGNATURES = {
     "wilson_tree": "graph rng",
     "dp_plan": "tree xi zero_tol",
     "network_simplex": "supply tail head cost",
-    "subtree_sums": "tree values",
     "tree_potential": "tree xi_cum",
     "tree_pairs": "tree xs ys mass",
     "pair_distances": "graph xs ys",
@@ -60,7 +59,6 @@ KERNEL_CASES = {
     "dp_plan": ["parent-link-minus-2", "parent-link-out-of-range", "short-xi"],
     "network_simplex": ["arc-endpoint-out-of-range", "negative-arc-cost", "int32-tail",
                         "short-tail"],
-    "subtree_sums": ["parent-link-minus-2", "parent-link-out-of-range", "short-values"],
     "tree_potential": ["parent-link-minus-2", "parent-link-out-of-range", "short-wpar",
                        "short-xi_cum"],
     "tree_pairs": ["parent-link-minus-2", "parent-link-out-of-range", "pair-vertex-out-of-range",
@@ -80,7 +78,7 @@ def arguments() -> dict:
     return {
         "parent": t.parent.copy(), "wpar": t.weight_to_parent.copy(), "root": t.root,
         "xi_cum": ot.subtree_aggregate(t, xi), "xi_node": xi.copy(), "xi": xi.copy(),
-        "values": xi.copy(), "supply": xi.copy(), "indptr": g.indptr.copy(),
+        "supply": xi.copy(), "indptr": g.indptr.copy(),
         "indices": g.indices.copy(), "adj_w": g.weights.copy(), "tail": g.arc_tails(),
         "head": g.indices.copy(), "cost": g.weights.copy(),
         "xs": np.arange(N, dtype=np.int64), "ys": np.arange(N, dtype=np.int64)[::-1].copy(),
@@ -136,7 +134,7 @@ def loaded():
 
 def test_every_kernel_has_cases(loaded):
     assert set(KERNEL_CASES) == set(SIGNATURES) == set(_kernels.C_SIGNATURES)
-    assert len(WALKS) == 7
+    assert len(WALKS) == 6
     for kernel in SIGNATURES:
         assert outcome(loaded, "python", kernel) is None
 

@@ -393,7 +393,7 @@ def abi_mismatches(py_source: str, c_source: str) -> list[str]:
 
 def test_every_c_prototype_matches_its_declaration():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
-    assert len(c_prototypes(source)) == len(_kernels.C_SIGNATURES) == 8
+    assert len(c_prototypes(source)) == len(_kernels.C_SIGNATURES) == 7
     assert signature_mismatches(source) == []
 
 
@@ -409,8 +409,8 @@ def test_the_target_rule_is_computed_in_annealing_only():
 def test_every_exported_c_function_returns_an_int_status():
     source = _kernels.C_SOURCE.read_text(encoding="utf-8")
     assert not_returning_int(source) == []
-    mutant = source.replace("int treeot_subtree_sums(", "void treeot_subtree_sums(")
-    assert not_returning_int(mutant) == ["treeot_subtree_sums"]
+    mutant = source.replace("int treeot_tree_potential(", "void treeot_tree_potential(")
+    assert not_returning_int(mutant) == ["treeot_tree_potential"]
 
 
 def test_every_reference_shares_its_c_argument_list():
@@ -426,7 +426,8 @@ def test_the_abi_check_flags_a_dropped_or_renamed_argument():
     py_source = (ROOT / "src" / "treeot" / "_kernels.py").read_text(encoding="utf-8")
     c_source = _kernels.C_SOURCE.read_text(encoding="utf-8")
     py_mutants = {
-        "def subtree_sums(n, parent, order, out):": "def subtree_sums(parent, order, out):",
+        "def tree_potential(n, parent, order, wpar, sums, u):":
+            "def tree_potential(parent, order, wpar, sums, u):",
         "def wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_root):":
             "def wilson_tree(n, indptr, indices, adj_w, parent, wpar, out_root):",
     }
@@ -489,7 +490,7 @@ def test_the_caller_scan_flags_what_it_looks_for():
               "a = _kernels.kernels().dp_plan(t, xi, 0.0)\n"
               "b = kernels().tree_pairs(t, x, y, None)\n"
               "c = _kernels.wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, root)\n"
-              "d = other().subtree_sums(t, xi)\n")
+              "d = other().tree_potential(t, xi)\n")
     assert kernel_calls(source) == {"dp_plan", "tree_pairs"}
 
 

@@ -92,7 +92,7 @@ class TestMeasures:
         "infs-and-an-overflowing-sum": ([1e308, 1e308, np.inf], NON_FINITE, NON_FINITE,
                                         NON_FINITE, NON_FINITE),
         "sum-overflows": ([1e308, 1e308, 0.0], (MassMismatchError, "measure mass inf is not 1"),
-                          [0.0, 0.0, 0.0], (MassMismatchError, "imbalance sums to inf, not 0"),
+                          [0.5, 0.5, 0.0], (MassMismatchError, "imbalance sums to inf, not 0"),
                           (MassMismatchError, "imbalance sums to -inf, not 0")),
         "negative-and-nan": ([-0.5, np.nan, 1.5], NON_FINITE, NON_FINITE, NON_FINITE, NON_FINITE),
         "negative": ([-0.5, 1.5, 0.0], (NegativeMassError, "measure has a negative entry"),
@@ -375,6 +375,13 @@ class TestLineW1:
     def test_three_point_example(self):
         got = ot.line_w1([0.0, 1.0, 3.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0])
         assert abs(got - 2.5) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # a NaN point once gave a NaN distance, an infinite one an infinite distance
+        points = [bad, 0.0] if bad < 0 else [0.0, bad]
+        with pytest.raises(VertexRangeError, match="finite"):
+            ot.line_w1(points, [1.0, 0.0], [0.0, 1.0])
 
     def test_matches_tree_distance_on_induced_line(self):
         rng = np.random.default_rng(6)

@@ -9,7 +9,9 @@ import pytest
 
 import treeot as ot
 from treeot import _kernels
-from treeot.errors import DisconnectedError, EdgeNotInGraphError, HasCycleError, NotSpanningError
+from treeot.errors import (DisconnectedError, EdgeNotInGraphError, HasCycleError,
+                           NonFiniteWeightError, NonPositiveWeightError, NotSpanningError,
+                           VertexRangeError)
 from treeot.trees import RootedTree
 
 from conftest import (
@@ -213,6 +215,13 @@ class TestReroot:
         assert np.array_equal(back.parent, t.parent)
         assert np.array_equal(back.weight_to_parent, t.weight_to_parent)
 
+    @pytest.mark.parametrize("root", [4.0, True, 9, -1])
+    def test_a_root_that_is_no_vertex_is_refused(self, root):
+        # a float root once failed as an IndexError, past the range check
+        t = ot.random_spanning_tree(ot.grid_graph(3), np.random.default_rng(0))
+        with pytest.raises(VertexRangeError):
+            ot.reroot(t, root)
+
     def test_preserves_edges_and_distances(self):
         rng = np.random.default_rng(13)
         g = random_connected_graph(rng, 12, extra_edges=5)
@@ -265,6 +274,13 @@ class TestTreePaths:
         steps = ot.tree_path(t, 1, 2)
         assert [d for _, _, d in steps] == ["up", "down"]
         assert steps == [(1, 0, "up"), (0, 2, "down")]
+
+    @pytest.mark.parametrize("x, y", [(0, -1), (-9, 0), (0, 99), (0, 1.0)])
+    def test_ends_that_are_no_vertex_are_refused(self, x, y):
+        # -1 once wrapped to the last vertex, and 99 raised IndexError
+        t = ot.random_spanning_tree(ot.grid_graph(3), np.random.default_rng(0))
+        with pytest.raises(VertexRangeError):
+            ot.tree_path(t, x, y)
 
     def test_distance_examples(self):
         g = line_graph(6)
@@ -519,6 +535,16 @@ class TestMalformedLinks:
         with pytest.raises(NotSpanningError) as caught:
             RootedTree(root, np.array(parent, dtype=np.int64), np.ones(len(parent)))
         assert str(caught.value) == f"parent links are not a tree rooted at {root}: {fault}"
+
+    @pytest.mark.parametrize("weight, error", [
+        (np.nan, NonFiniteWeightError), (np.inf, NonFiniteWeightError),
+        (0.0, NonPositiveWeightError), (-1.0, NonPositiveWeightError)])
+    def test_an_edge_weight_must_be_finite_and_positive(self, weight, error):
+        # tree_k_distance of the NaN tree once came out NaN
+        with pytest.raises(error):
+            RootedTree(0, [-1, 0, 1], [1.0, 1.0, weight])
+        # the root's entry is never read
+        assert RootedTree(0, [-1, 0, 1], [weight, 1.0, 1.0]).n == 3
 
     @pytest.mark.parametrize("root, parent, fault", MALFORMED_LINKS)
     def test_tree_build_reports_not_spanning(self, root, parent, fault):
