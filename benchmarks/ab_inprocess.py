@@ -26,8 +26,10 @@ Usage:
 It prints, per workload and metric, both medians, the median of the paired
 ratios change/base, and in how many pairs the change was faster. It exits 1
 if the two trees' outputs differ: on anneal-10x10 the best trees, plans,
-potentials or iteration counts; on verify-8x8 the tree, plan and potential
-files or the iterations that the anneal manifest records.
+potentials or iteration counts; on verify-8x8 any file in the work directory
+(every file the five commands write, the manifests without ``wall_clock_s``)
+or any command's exit code, stdout or stderr, each with the work directory's
+path replaced by ``<workdir>``. It names the outputs that differ.
 """
 
 from __future__ import annotations
@@ -118,19 +120,36 @@ def verify_pass(ot, workdir: Path, seed: int):
          "--exact"],
     ]
     solve = 0.0
+    streams = {}
     start = time.perf_counter()
     for argv in steps:
         t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = ot.cli.main(argv)
         if argv[0] == "anneal":
             solve = time.perf_counter() - t0
         if code not in (0, 3):
             raise SystemExit(f"{ot.__name__}: {argv[0]} exited {code}")
+        streams[f"{argv[0]} (exit {code}) stdout"] = out.getvalue()
+        streams[f"{argv[0]} stderr"] = err.getvalue()
     pipeline = time.perf_counter() - start
-    manifest = json.loads((workdir / "anneal.manifest.json").read_text())
-    return solve, pipeline, [manifest["iters_run"]] + [
-        (workdir / name).read_bytes() for name in ("best_tree.json", "plan.csv", "potential.csv")]
+    return solve, pipeline, written(workdir, streams)
+
+
+def written(workdir: Path, streams: dict[str, str]) -> dict[str, str]:
+    """Every file in ``workdir`` by name, then ``streams``: the manifests
+    without ``wall_clock_s``, and the path of ``workdir`` replaced in all."""
+    found = {}
+    for path in sorted(workdir.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.name.endswith(".manifest.json"):
+            doc = json.loads(text)
+            del doc["wall_clock_s"]
+            text = json.dumps(doc, sort_keys=True, indent=2)
+        found[path.name] = text
+    found.update(streams)
+    return {name: text.replace(str(workdir), "<workdir>") for name, text in found.items()}
 
 
 def summary(base: list[float], change: list[float]) -> dict:
@@ -161,7 +180,7 @@ def main(argv=None) -> int:
 
     times = {(w, m, side): [] for w in ("anneal-10x10", "verify-8x8")
              for m in ("solve_s", "pipeline_s") for side in sides}
-    differ = set()
+    differ = {}
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: Path(tmp) / side for side in sides}
         for d in dirs.values():
@@ -179,8 +198,11 @@ def main(argv=None) -> int:
                     solve, pipeline, outputs[side] = run(side)
                     times[workload, "solve_s", side].append(solve)
                     times[workload, "pipeline_s", side].append(pipeline)
-                if outputs["base"] != outputs["change"]:
-                    differ.add(workload)
+                base, change = outputs["base"], outputs["change"]
+                if base != change:
+                    names = ([k for k in base.keys() | change.keys() if base.get(k) != change.get(k)]
+                             if isinstance(base, dict) else [])
+                    differ.setdefault(workload, set()).update(names)
 
     report = {}
     print(f"{'workload':14} {'metric':11} {'base ms':>9} {'change ms':>9} {'base IQR':>9} "
@@ -191,8 +213,8 @@ def main(argv=None) -> int:
         print(f"{workload:14} {metric:11} {row['base_ms']:9.2f} {row['change_ms']:9.2f} "
               f"{row['base_iqr_ms']:9.2f} {row['paired_ratio']:7.3f} "
               f"{row['wins']:4}/{row['pairs']:<4}")
-    for workload in sorted(differ):
-        print(f"{workload}: the two trees' outputs differ")
+    for workload, names in sorted(differ.items()):
+        print(f"{workload}: the two trees' outputs differ", *sorted(names), sep="\n  ")
     print(json.dumps({"outputs_differ": sorted(differ), "metrics": report}))
     return 1 if differ else 0
 

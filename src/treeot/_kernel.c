@@ -1,5 +1,5 @@
 /* C transcription of the seven kernels in _kernels.py, whose helpers there
- * (the chain's step functions, subtree_sums) are static helpers here.
+ * (the chain's step functions, leaves_first, subtree_sums) are static helpers here.
  *
  * One ABI: treeot_<name> takes the argument list of the reference kernel
  * <name>, in order and by name (C's rng is the bitgen_t of the numpy
@@ -80,29 +80,21 @@ static int64_t bounded_index(bitgen_t *rng, int64_t deg)
     return (int64_t)(m >> 32);
 }
 
-/* Fresh subtree sums of xi_node into out; pending and queue hold n each, and
- * queue ends as the leaves-first order (root last) of the sums. */
-static void recompute_cumulative(int64_t n, const int64_t *parent, const double *xi_node,
-                                 double *out, int64_t *pending, int64_t *queue)
+/* leaves_first of _kernels.py into queue; pending holds n. */
+static void leaves_first(int64_t n, const int64_t *parent, int64_t *pending, int64_t *queue)
 {
     memset(pending, 0, (size_t)n * sizeof *pending);
     for (int64_t v = 0; v < n; v++)
         if (parent[v] >= 0)
             pending[parent[v]] += 1;
-    memcpy(out, xi_node, (size_t)n * sizeof *out);
     int64_t head = 0, tail = 0;
     for (int64_t v = 0; v < n; v++)
         if (pending[v] == 0)
             queue[tail++] = v;
     while (head < tail) {
-        int64_t v = queue[head++];
-        int64_t p = parent[v];
-        if (p >= 0) {
-            out[p] += out[v];
-            pending[p] -= 1;
-            if (pending[p] == 0)
-                queue[tail++] = p;
-        }
+        const int64_t p = parent[queue[head++]];
+        if (p >= 0 && --pending[p] == 0)
+            queue[tail++] = p;
     }
 }
 
@@ -237,15 +229,15 @@ int treeot_tree_potential(int64_t n, const int64_t *parent, const int64_t *order
 }
 
 /* certify of _kernels.py: 1 when the tree potential of (parent, wpar), summed along the queue of
- * recompute_cumulative, is 1-Lipschitz within cert_rtol on every CSR arc, else 0. work_d holds
- * 2n (the sums, then the potential) and work_i 2n. */
+ * leaves_first, is 1-Lipschitz within cert_rtol on every CSR arc, else 0. work_d holds 2n (the
+ * sums, then the potential) and work_i 2n. */
 static int certify(int64_t n, const int64_t *parent, const double *wpar, const int64_t *indptr,
                    const int64_t *indices, const double *adj_w, const double *xi_node,
                    double cert_rtol, double *work_d, int64_t *work_i)
 {
     double *xi_cum = work_d, *u = work_d + n;
     const int64_t *queue = work_i + n;
-    recompute_cumulative(n, parent, xi_node, xi_cum, work_i, work_i + n);
+    leaves_first(n, parent, work_i, work_i + n);
     memcpy(xi_cum, xi_node, (size_t)n * sizeof *xi_cum);
     memset(u, 0, (size_t)n * sizeof *u);
     treeot_tree_potential(n, parent, queue, wpar, xi_cum, u);
@@ -292,11 +284,11 @@ int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
     return status;
 }
 
-/* anneal_chain of _kernels.py. Scratch: work_i and work_d hold 2n for certify, then mark
- * (zeroed), the paths, order and arc tails, and t, wt, f, cum and xi_cum. Results: trace, 5
- * doubles a row, out_d = {max_drift}, out_i = {records, stop, root}, stop a STOP_* code.
- * Returns CHAIN_OK, a status of treeot_wilson_tree (root -1), CHAIN_DEGREE_TOO_LARGE (2^32
- * arcs or more) or NO_MEMORY.
+/* anneal_chain of _kernels.py. Scratch: work_i and work_d hold 2n for certify (work_i also for
+ * leaves_first), then mark (zeroed), the paths, order and arc tails, and t, wt, f, cum and
+ * xi_cum. Results: trace, 5 doubles a row, out_d = {max_drift}, out_i = {records, stop, root},
+ * stop a STOP_* code. Returns CHAIN_OK, a status of treeot_wilson_tree (root -1),
+ * CHAIN_DEGREE_TOO_LARGE (2^32 arcs or more) or NO_MEMORY.
  * The record and recompute schedules are counters, not remainders of it:
  * to_record (to_recompute) reaches 0 exactly when it is a multiple of
  * record_every (recompute_every, never when that is not positive). */
@@ -326,7 +318,9 @@ int treeot_anneal_chain(
     for (int64_t a = 0; a < n; a++)
         for (int64_t j = indptr[a]; j < indptr[a + 1]; j++)
             tails[j] = a;
-    recompute_cumulative(n, parent, xi_node, xi_cum, work_i, work_i + n);
+    leaves_first(n, parent, work_i, work_i + n);
+    memcpy(xi_cum, xi_node, (size_t)n * sizeof *xi_cum);
+    subtree_sums(n, parent, work_i + n, xi_cum);
     const size_t parent_bytes = (size_t)n * sizeof *parent;
     const size_t wpar_bytes = (size_t)n * sizeof *wpar;
     double current = tree_cost(n, parent, wpar, xi_cum);
@@ -370,12 +364,13 @@ int treeot_anneal_chain(
 
             if (--to_recompute == 0) {
                 to_recompute = recompute_every;
-                recompute_cumulative(n, parent, xi_node, work_d, work_i, work_i + n);
-                const double fresh_cost = tree_cost(n, parent, wpar, work_d);
+                leaves_first(n, parent, work_i, work_i + n);
+                memcpy(xi_cum, xi_node, (size_t)n * sizeof *xi_cum);
+                subtree_sums(n, parent, work_i + n, xi_cum);
+                const double fresh_cost = tree_cost(n, parent, wpar, xi_cum);
                 const double drift = fabs(fresh_cost - current);
                 if (drift > max_drift)
                     max_drift = drift;
-                memcpy(xi_cum, work_d, (size_t)n * sizeof *xi_cum);
                 current = fresh_cost;
             }
             if (current < best) {

@@ -15,7 +15,10 @@ in ``TraceRecord``'s columns and stops at one best cost, ``stop_at``.
 ``tree_potential`` makes the subtree sums by ``subtree_sums``, the
 leaves-to-root pass along a tree's ``order`` (by decreasing depth, then
 increasing id, from the tree's numpy proof, the same on every backend), and
-then the potential by the root-to-leaves one. ``dp_plan`` builds the
+then the potential by the root-to-leaves one. The chain's trees are parent
+links alone: it and ``certify`` order them by ``leaves_first`` and sum them
+by ``subtree_sums`` along that queue, the only loop that adds a child's sum
+into its parent's. ``dp_plan`` builds the
 dynamic-programming transport plan in one leaves-first pass along a tree's
 ``order``: each vertex matches the supplies and demands that meet there and
 hands the rest, of one sign, to its parent. ``network_simplex`` is the exact
@@ -452,22 +455,27 @@ def build_c_kernel() -> Path:
 _LOADERS = {"c": _load_c, "python": _load_python}
 
 
-def recompute_cumulative(parent, xi_node):
-    """Fresh subtree sums of xi_node for the tree given by parent links, and
-    the leaves-first queue (root last) that summed them: the leaves by id,
-    then each parent as its last child is summed."""
-    n = parent.shape[0]
-    pending = np.bincount(parent[parent >= 0], minlength=n).tolist()
-    out = xi_node.copy()
-    queue = [v for v in range(n) if pending[v] == 0]
+def leaves_first(parent):
+    """The leaves-first queue (root last) of the tree given by parent links:
+    the leaves by id, then each parent as its last child is reached."""
+    pending = np.bincount(parent[parent >= 0], minlength=parent.shape[0]).tolist()
+    parent = parent.tolist()
+    queue = [v for v, k in enumerate(pending) if k == 0]
     for v in queue:  # the queue grows as it is walked
         p = parent[v]
         if p >= 0:
-            out[p] += out[v]
             pending[p] -= 1
             if pending[p] == 0:
                 queue.append(p)
-    return out, np.array(queue, dtype=np.int64)
+    return np.array(queue, dtype=np.int64)
+
+
+def recompute_cumulative(parent, xi_node):
+    """Fresh subtree sums of xi_node for the tree given by parent links, by
+    ``subtree_sums`` along ``leaves_first``."""
+    out = xi_node.copy()
+    subtree_sums(parent.shape[0], parent, leaves_first(parent), out)
+    return out
 
 
 def tree_cost(parent, wpar, xi_cum):
@@ -551,7 +559,7 @@ def certify(n, parent, wpar, indptr, indices, adj_w, xi_node, cert_rtol):
     (``CERT_RTOL`` in the chain), on every arc of the CSR graph.
 
     ``tree_potential`` (sign +1 where the cumulative imbalance is exactly 0)
-    sums ``xi_node`` afresh along the queue of ``recompute_cumulative``.
+    sums ``xi_node`` afresh along the queue of ``leaves_first``.
     Summation by parts makes the potential's value the tree's cost, so in
     exact arithmetic a potential that passes proves, by Kantorovich-Rubinstein
     duality, that W1 >= cost / (1 + cert_rtol). In floating point the test is
@@ -561,7 +569,7 @@ def certify(n, parent, wpar, indptr, indices, adj_w, xi_node, cert_rtol):
     cumulative imbalance is 0 an optimal tree may fail.
     """
     u = np.zeros(n)
-    tree_potential(n, parent, recompute_cumulative(parent, xi_node)[1], wpar, xi_node.copy(), u)
+    tree_potential(n, parent, leaves_first(parent), wpar, xi_node.copy(), u)
     for a in range(n):
         for j in range(indptr[a], indptr[a + 1]):
             if abs(u[a] - u[indices[j]]) > adj_w[j] * (1.0 + cert_rtol):
@@ -576,7 +584,8 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
 
     It starts from the tree in ``parent`` and ``wpar`` rooted at ``root``,
     or, where ``root`` is -1, from the one that ``wilson_tree`` first draws
-    into them, and sums ``xi_node`` over it by ``recompute_cumulative``.
+    into them, and sums ``xi_node`` over it by ``recompute_cumulative``
+    (``subtree_sums`` along ``leaves_first``).
     Per iteration: draw a CSR arc by ``rng.integers``; unless it is a tree
     edge, score its cycle, fold f(0) − min f into s (their running mean),
     draw a breakpoint by ``heat_bath`` with ``rng.random()`` and exchange
@@ -602,7 +611,7 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
     out_i[2] = root
     if root < 0:
         wilson_tree(n, indptr, indices, adj_w, rng, parent, wpar, out_i[2:])
-    xi_cum = recompute_cumulative(parent, xi_node)[0].tolist()
+    xi_cum = recompute_cumulative(parent, xi_node).tolist()
     out = parent, wpar
     parent, wpar = (a.tolist() for a in out)
     current = tree_cost(parent, wpar, xi_cum)
@@ -642,8 +651,7 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
         beta = beta * (1.0 + eta)
 
         if recompute_every > 0 and it % recompute_every == 0:
-            fresh, _ = recompute_cumulative(np.array(parent), xi_node)
-            xi_cum = fresh.tolist()
+            xi_cum = recompute_cumulative(np.array(parent), xi_node).tolist()
             fresh_cost = tree_cost(parent, wpar, xi_cum)
             drift = abs(fresh_cost - current)
             if drift > max_drift:

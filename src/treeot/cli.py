@@ -271,18 +271,8 @@ def cmd_plan(args) -> int:
     out_dir = Path(args.out_dir)  # made only once the inputs have passed
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_plan(out_dir / "plan.csv", plan)
-    flow = plan_to_flow(plan, t)
-    lines = ["vertex,parent,up,down"]
-    lines.extend(
-        f"{v},{p},{up!r},{down!r}"
-        for v, (p, up, down) in enumerate(zip(t.parent.tolist(), flow.up.tolist(), flow.down.tolist()))
-        if p >= 0
-    )
-    fileio._write_text(out_dir / "flow.csv", "\n".join(lines) + "\n")
-    xi_cum = cumulative_imbalance(t, imbalance(mu, nu))
-    lines = ["vertex,xi_cum"]
-    lines.extend(f"{v},{x!r}" for v, x in enumerate(xi_cum.tolist()))
-    fileio._write_text(out_dir / "xi.csv", "\n".join(lines) + "\n")
+    fileio.save_flow(out_dir / "flow.csv", t, plan_to_flow(plan, t))
+    fileio.save_cumulative_imbalance(out_dir / "xi.csv", cumulative_imbalance(t, imbalance(mu, nu)))
     cost = tree_k_distance(t, mu, nu)
     _write_manifest(
         out_dir,

@@ -5,12 +5,16 @@ Tree (JSON):       {"root": r, "edges": [[u, v], ...]} - weights live in the gra
 Measure:           JSON array of N nonnegative reals, or CSV with one value per line
 Plan (CSV):        header "x,y,mass", triplets sorted lexicographically
 Potential (CSV):   header "vertex,u"
+Flow (CSV):        header "vertex,parent,up,down", one row per non-root vertex: the mass
+                   crossing its parent edge towards the root (up) and away from it (down)
+Cumulative imbalance (CSV): header "vertex,xi_cum", the subtree sums of mu - nu
 Trace (CSV):       header "iter,current_cost,best_cost,beta,accept_rate"; accept_rate is
                    the share of the proposals since the previous row that changed the tree
 
 Numbers are written in shortest round-trip decimal form and files end with a
 newline. Parsers reject trailing garbage. Every output is written by
-:func:`_write_text`: in place, then cut to length.
+:func:`_write_text`: in place, then cut to length; every CSV table by
+:func:`_write_rows`, and read back by :func:`_csv_rows`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .annealing import TraceRecord
 from .errors import BadDimensionsError, FormatError, NegativePixelError, NonFiniteMassError
 from .graphs import WeightedGraph, build_graph
-from .transport import Potential, TransportPlan, as_measure
+from .transport import Flow, Potential, TransportPlan, as_measure
 from .trees import RootedTree, root_tree
 
 
@@ -58,6 +62,33 @@ def _write_text(path, text: str) -> None:
                 os.ftruncate(fd, written)
         finally:
             os.close(fd)
+
+
+def _write_rows(path, header: str | None, rows) -> None:
+    """Write a CSV table: the ``header`` line, which names the fields (None:
+    no header line and one field), then one line per row, a tuple of them,
+    each as ``repr``."""
+    line = ",".join(["%r"] * (1 if header is None else header.count(",") + 1)) + "\n"
+    head = "" if header is None else header + "\n"
+    _write_text(path, head + "".join([line % row for row in rows]))
+
+
+def _csv_rows(path, header: str | None, width: int | None = None):
+    """The rows of a CSV table, split at commas: every non-blank line after
+    the ``header`` line, which must come first (None: no header). A row of
+    other than ``width`` fields (None: any) raises when it is reached, so
+    the first bad row names the error."""
+    lines = _read_text(path).splitlines()
+    if header is not None:
+        if not lines or lines[0].strip() != header:
+            raise FormatError(f"{path}: missing '{header}' header")
+        del lines[0]
+    for ln in lines:
+        if ln.strip():
+            row = ln.split(",")
+            if width is not None and len(row) != width:
+                raise FormatError(f"{path}: bad row {ln!r}")
+            yield row
 
 
 def _parse_json(path):
@@ -131,7 +162,7 @@ def load_tree(path, g: WeightedGraph) -> RootedTree:
 def save_measure(path, values) -> None:
     values = [float(v) for v in values]
     if Path(path).suffix == ".csv":
-        _write_text(path, "".join(f"{v!r}\n" for v in values))
+        _write_rows(path, None, ((v,) for v in values))
     else:
         _write_text(path, json.dumps(values) + "\n")
 
@@ -141,9 +172,8 @@ def load_measure_raw(path, n: int) -> np.ndarray:
     NaN and infinite entries are rejected."""
     path = Path(path)
     if path.suffix == ".csv":
-        lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
         try:
-            values = [float(ln) for ln in lines]
+            values = [float(v) for v, in _csv_rows(path, None, 1)]
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
     else:
@@ -170,26 +200,16 @@ def load_measure(path, n: int) -> np.ndarray:
 
 
 def save_plan(path, plan: TransportPlan) -> None:
-    lines = ["x,y,mass"]
-    lines.extend(f"{x},{y},{m!r}" for x, y, m in plan.entries())
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, "x,y,mass", plan.entries())
 
 
 def load_plan_triplets(path) -> list[tuple[int, int, float]]:
     """Raw triplets, unvalidated beyond finite masses, so checkers can report
     on bad plans."""
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0].strip() != "x,y,mass":
-        raise FormatError(f"{path}: missing 'x,y,mass' header")
     out = []
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"{path}: bad row {ln!r}")
+    for x, y, m in _csv_rows(path, "x,y,mass", 3):
         try:
-            x, y, m = int(parts[0]), int(parts[1]), float(parts[2])
+            x, y, m = int(x), int(y), float(m)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
         if not math.isfinite(m):
@@ -199,25 +219,15 @@ def load_plan_triplets(path) -> list[tuple[int, int, float]]:
 
 
 def save_potential(path, u: Potential) -> None:
-    lines = ["vertex,u"]
-    lines.extend(f"{v},{val!r}" for v, val in enumerate(np.asarray(u.values, dtype=np.float64).tolist()))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, "vertex,u", enumerate(np.asarray(u.values, dtype=np.float64).tolist()))
 
 
 def load_potential(path, n: int) -> Potential:
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0].strip() != "vertex,u":
-        raise FormatError(f"{path}: missing 'vertex,u' header")
     values = [0.0] * n
     seen = [False] * n
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"{path}: bad row {ln!r}")
+    for v, value in _csv_rows(path, "vertex,u", 2):
         try:
-            v, value = int(parts[0]), float(parts[1])
+            v, value = int(v), float(value)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
         if not (0 <= v < n) or seen[v]:
@@ -235,22 +245,25 @@ def load_potential(path, n: int) -> Potential:
     return Potential(values=values, anchor=anchor)
 
 
+def save_flow(path, t: RootedTree, flow: Flow) -> None:
+    rows = zip(range(t.n), t.parent.tolist(), flow.up.tolist(), flow.down.tolist())
+    _write_rows(path, "vertex,parent,up,down", (row for row in rows if row[1] >= 0))
+
+
+def save_cumulative_imbalance(path, xi_cum) -> None:
+    _write_rows(path, "vertex,xi_cum", enumerate(np.asarray(xi_cum, dtype=np.float64).tolist()))
+
+
 def save_trace(path, trace: list[TraceRecord]) -> None:
-    lines = ["iter,current_cost,best_cost,beta,accept_rate"]
-    lines.extend(f"{i},{cur!r},{best!r},{beta!r},{rate!r}" for i, cur, best, beta, rate in trace)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, "iter,current_cost,best_cost,beta,accept_rate", trace)
 
 
 def load_image_csv(path, p: int) -> np.ndarray:
     """p x p nonnegative pixel grid from comma-separated rows."""
-    rows = []
-    for ln in _read_text(path).splitlines():
-        if not ln.strip():
-            continue
-        try:
-            rows.append([float(tok) for tok in ln.split(",")])
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    try:
+        rows = [[float(tok) for tok in row] for row in _csv_rows(path, None)]
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     widths = sorted({len(row) for row in rows})
     if len(rows) != p or widths != [p]:
         raise BadDimensionsError(

@@ -152,9 +152,10 @@ def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> bool:
 
     The subset sums of mu - nu are scanned exhaustively (meet-in-the-middle),
     so more than ``EXHAUSTIVE_CAP`` vertices raise ``ValueError``.
-    Imbalances up to :func:`imbalance_zero` count as zero.
+    Imbalances up to :func:`imbalance_zero` count as zero. The measures are
+    checked first.
     """
-    xi = imbalance(mu, nu)
+    xi = imbalance(as_measure(mu), as_measure(nu))
     n = xi.shape[0]
     if graph.n != n:
         raise VertexRangeError(f"measures on {n} vertices, graph on {graph.n}")

@@ -35,8 +35,13 @@ def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndar
     mu = np.asarray(values, dtype=np.float64).copy()
     if mu.ndim != 1 or (n is not None and mu.shape[0] != n):
         raise VertexRangeError(f"expected a flat vector of length {n}, got shape {mu.shape}")
-    # only a non-finite sum, as of a NaN or an infinity, needs the entries read
-    total = mu.sum()
+    # only a non-finite sum, as of a NaN or an infinity, needs the entries read;
+    # normalizing mends a sum of finite entries that overflows, so numpy need not warn
+    if normalize:
+        with np.errstate(over="ignore"):
+            total = mu.sum()
+    else:
+        total = mu.sum()
     if not math.isfinite(total) and not np.isfinite(mu).all():
         raise NonFiniteMassError("measure has a NaN or infinite entry")
     if mu.min(initial=0.0) < 0.0:

@@ -59,8 +59,10 @@ class RootedTree:
                 raise NonFiniteWeightError("a weight to a parent is not finite")
             raise NonPositiveWeightError("a weight to a parent is zero or negative")
         object.__setattr__(self, "root", root)
-        for name, a in (("parent", parent), ("weight_to_parent", wpar),
-                        ("order", np.argsort(-depth, kind="stable")), ("depth", depth)):
+        # by decreasing depth, then increasing id: the key is unique, so no stable sort is needed
+        order = np.argsort(np.arange(n) - depth * n)
+        for name, a in (("parent", parent), ("weight_to_parent", wpar), ("order", order),
+                        ("depth", depth)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -95,11 +97,12 @@ def _climb(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
     """Orient a spanning edge set of ``g`` towards ``root``.
 
-    Edge weights are copied from the graph. Raises ``HasCycleError`` when the
+    Edge weights are copied from the graph. Raises ``VertexRangeError`` for a
+    root out of range or not an integer, ``HasCycleError`` when the
     edge count exceeds n-1 or a cycle is found, ``NotSpanningError`` when some
     vertex is unreachable, ``EdgeNotInGraphError`` for foreign edges.
     """
-    n = g.n
+    n, root = g.n, int(_vertex_indices(root))  # a float or bool root raises
     if not (0 <= root < n):
         raise VertexRangeError(f"root {root} out of range")
     pairs = [(int(u), int(v)) for u, v in tree_edges]

@@ -811,7 +811,7 @@ class SwapChain:
         self.root = tree.root
         self.xi = ot.imbalance(ot.as_measure(mu, tree.n), ot.as_measure(nu, tree.n))
         # the kernel's summation orders, so costs agree bit for bit
-        self.xi_cum = _kernels.recompute_cumulative(self.parent, self.xi)[0]
+        self.xi_cum = _kernels.recompute_cumulative(self.parent, self.xi)
         self.cost = _kernels.tree_cost(self.parent, self.wpar, self.xi_cum)
         self.best_cost = self.cost
         self.best_parent = self.parent.copy()

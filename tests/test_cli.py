@@ -74,7 +74,7 @@ class TestGrid:
         nu = fileio.load_measure(a / "nu.json", 9)
         assert ot.check_weak_nondegeneracy(mu, nu, ot.grid_graph(3))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the first sum
+    @pytest.mark.filterwarnings("error")  # the overflowing sum once warned on stderr
     @pytest.mark.parametrize("pixels", ["noise", "image"])
     def test_pixels_whose_sum_overflows_normalize(self, tmp_path, pixels):
         # the measure was once all zeros, written with exit 0

@@ -473,6 +473,15 @@ class TestWeakNondegeneracy:
         with pytest.raises(VertexRangeError):
             ot.check_weak_nondegeneracy([0.6, 0.4], [0.4, 0.6], line_graph(3))
 
+    @pytest.mark.parametrize("mu, nu, error", [([1.5, -0.5], [0.5, 0.5], NegativeMassError),
+                                               ([1.5, 0.5], [1.0, 1.0], MassMismatchError)])
+    def test_what_is_not_a_measure_is_rejected(self, mu, nu, error):
+        # balanced pairs that are not measures once passed as non-degenerate
+        g = ot.build_graph(2, [(0, 1, 1.0)])
+        for pair in ((mu, nu), (nu, mu)):
+            with pytest.raises(error):
+                ot.check_weak_nondegeneracy(*pair, g)
+
     def test_line6_degenerate(self, line6):
         g, mu, nu = line6
         assert ot.check_weak_nondegeneracy(mu, nu, g) is False

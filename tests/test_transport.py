@@ -77,6 +77,13 @@ class TestMeasures:
         mu = ot.as_measure([2.0, 2.0], normalize=True)
         assert mu.tolist() == [0.5, 0.5]
 
+    def test_normalizing_a_sum_that_overflows_warns_nothing(self):
+        # numpy's "overflow encountered in reduce" once escaped as a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = ot.as_measure([1e308, 1e308], normalize=True)
+        assert mu.tolist() == [0.5, 0.5]
+
     NON_FINITE = (NonFiniteMassError, "measure has a NaN or infinite entry")
     #: case: the vector, then what ``as_measure`` (plain, then normalizing)
     #: and ``imbalance`` (the vector as mu, then as nu, against ``VALID``)

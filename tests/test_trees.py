@@ -126,6 +126,16 @@ class TestRootTree:
                 assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
 
 
+    @pytest.mark.parametrize("root", [1.0, True, np.float64(1.0)])
+    def test_root_that_is_not_an_integer_raises(self, root):
+        # a float root once raised TypeError, and True rooted the tree at vertex 1
+        with pytest.raises(VertexRangeError):
+            ot.root_tree(ot.grid_graph(2), [(0, 1), (1, 3), (0, 2)], root)
+
+    def test_numpy_integer_root_is_accepted(self):
+        t = ot.root_tree(ot.grid_graph(2), [(0, 1), (1, 3), (0, 2)], np.int64(1))
+        assert t.root == 1 and type(t.root) is int and t.parent.tolist() == [1, -1, 0, 1]
+
     def test_line_rooted_at_end(self):
         g = line_graph(6)
         t = ot.root_tree(g, line6_edges(), 5)
