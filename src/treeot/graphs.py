@@ -35,7 +35,8 @@ class WeightedGraph:
     ``tail * n + head`` strictly increasing (rows sorted, no arc repeated) and
     every arc's reverse present with the same weight (else ``ValueError``);
     the graph connected (else ``DisconnectedError``). It keeps the sorted arc
-    keys, which ``arc_index`` and so the edge lookups search.
+    keys, which ``arc_index`` and so the edge lookups search. The lookups read
+    their vertices as README's "Vertices" says: an end out of range has no arc.
     """
 
     n: int
@@ -94,9 +95,11 @@ class WeightedGraph:
         return self.indices.shape[0] // 2
 
     def neighbors(self, v: int) -> np.ndarray:
+        v = _vertex_indices(v, self.n)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def neighbor_weights(self, v: int) -> np.ndarray:
+        v = _vertex_indices(v, self.n)
         return self.weights[self.indptr[v] : self.indptr[v + 1]]
 
     def arc_tails(self) -> np.ndarray:
@@ -108,10 +111,10 @@ class WeightedGraph:
         """CSR position of every arc ``tails[k] -> heads[k]`` (0-d for one), or -1
         where there is none: a ``searchsorted`` of the arc keys ``tail * n + head``,
         which construction proved sorted and kept."""
-        tails, heads, n = np.asarray(tails), np.asarray(heads), self.n
+        tails, heads, n = _vertex_indices(tails), _vertex_indices(heads), self.n
         inside = (0 <= tails) & (tails < n) & (0 <= heads) & (heads < n)
         # a pair out of range looks up the self-loop 0 -> 0, which no graph holds
-        tails, heads = (np.where(inside, ends, 0).astype(np.int64) for ends in (tails, heads))
+        tails, heads = (np.where(inside, ends, 0) for ends in (tails, heads))
         wanted = tails * n + heads
         at = np.searchsorted(self._keys, wanted)
         return np.where(self._keys[at] == wanted, at, -1)
@@ -228,21 +231,29 @@ def pair_distances(g: WeightedGraph, xs, ys) -> np.ndarray:
 
     One Dijkstra run per distinct source, which stops once that source's
     targets are settled (:func:`treeot._kernels.pair_distances`, on the
-    kernel backend); nothing of size n x n is built. Raises
-    ``VertexRangeError`` for a vertex out of range or a float or bool index.
-    """
-    xs, ys = (np.ascontiguousarray(_vertex_indices(ends)) for ends in (xs, ys))
+    kernel backend); nothing of size n x n is built."""
+    xs, ys = (np.ascontiguousarray(_vertex_indices(ends, g.n)) for ends in (xs, ys))
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise VertexRangeError(f"pair ends of shapes {xs.shape} and {ys.shape}")
     return _kernels.kernels().pair_distances(g, xs, ys)
 
 
-def _vertex_indices(values) -> np.ndarray:
-    """``values`` as an int64 array (0-d for one index); raises
-    ``VertexRangeError`` unless they are integers, where a float or bool index
-    would otherwise be cast silently. An empty input passes whatever its
-    dtype."""
-    values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
-        raise VertexRangeError(f"vertex indices must be integers, not {values.dtype}")
-    return values.astype(np.int64, copy=False)
+def _vertex_indices(values, n: int | None = None):
+    """The one reader of vertex arguments (README, "Vertices"): one index as a Python int,
+    else int64 of its shape; a value past int64 saturates at its bounds unless ``n`` is given."""
+    if (type(values) is int or isinstance(values, np.integer)) and (n is None or 0 <= values < n):
+        return min(max(int(values), -2**63), 2**63 - 1)  # one index, as every root: no array
+    # all but arrays read one object each: numpy would read [1, True] as [1, 1]
+    a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if a.dtype.kind not in "iu" and not all(map(_is_vertex_type, set(map(type, a.flat)))):
+        bad = next(v for v in a.flat if not _is_vertex_type(type(v)))
+        raise VertexRangeError(f"vertex indices must be integers, not {bad!r}")
+    if n is not None and a.size and not 0 <= a.min() <= a.max() < n:
+        raise VertexRangeError(f"vertex {a[(a < 0) | (a >= n)].flat[0]} out of range for n={n}")
+    if n is None and a.dtype.kind in "Ou" and a.size and not -2**63 <= a.min() <= a.max() < 2**63:
+        a = np.asarray(np.clip(a.astype(object), -2**63, 2**63 - 1))  # saturate past int64
+    return a.astype(np.int64).item() if a.ndim == 0 else a.astype(np.int64, copy=False)
+
+
+def _is_vertex_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and kind is not bool

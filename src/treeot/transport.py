@@ -8,6 +8,7 @@ measure pairs. Each checks its measures with :func:`as_measure`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .errors import (
     NonFiniteMassError,
     VertexRangeError,
 )
+from .graphs import _vertex_indices
 from .trees import RootedTree, subtree_aggregate, tree_distance
 
 #: Tolerance on total measure mass.
@@ -35,13 +37,8 @@ def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndar
     mu = np.asarray(values, dtype=np.float64).copy()
     if mu.ndim != 1 or (n is not None and mu.shape[0] != n):
         raise VertexRangeError(f"expected a flat vector of length {n}, got shape {mu.shape}")
-    # only a non-finite sum, as of a NaN or an infinity, needs the entries read;
-    # normalizing mends a sum of finite entries that overflows, so numpy need not warn
-    if normalize:
-        with np.errstate(over="ignore"):
-            total = mu.sum()
-    else:
-        total = mu.sum()
+    # only a non-finite sum, as of a NaN or an infinity, needs the entries read
+    total = _mass(mu)
     if not math.isfinite(total) and not np.isfinite(mu).all():
         raise NonFiniteMassError("measure has a NaN or infinite entry")
     if mu.min(initial=0.0) < 0.0:
@@ -51,7 +48,7 @@ def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndar
             raise MassMismatchError("cannot normalize a zero-mass vector")
         if not math.isfinite(total):  # finite entries whose sum overflows
             mu /= mu.max()
-            total = mu.sum()
+            total = _mass(mu)
         if abs(total - 1.0) > MASS_TOL:  # keep valid measures bit-stable
             mu /= total
     elif abs(total - 1.0) > MASS_TOL:
@@ -67,12 +64,18 @@ def imbalance(mu, nu) -> np.ndarray:
     if mu.shape != nu.shape:
         raise VertexRangeError("measures live on different vertex sets")
     xi = mu - nu
-    total = xi.sum()  # non-finite if an entry of mu or nu is, as in as_measure
+    total = _mass(xi)  # non-finite if an entry of mu or nu is, as in as_measure
     if not math.isfinite(total) and not (np.isfinite(mu).all() and np.isfinite(nu).all()):
         raise NonFiniteMassError("measure has a NaN or infinite entry")
     if abs(total) > MASS_TOL:
         raise MassMismatchError(f"imbalance sums to {float(total)!r}, not 0")
     return xi
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _mass(values: np.ndarray) -> float:
+    """The sum of ``values``, without numpy's warning where it is not finite."""
+    return np.add.reduce(values, axis=None)
 
 
 def imbalance_zero(xi: np.ndarray) -> float:
@@ -203,7 +206,7 @@ class TransportPlan:
 def make_plan(n: int, triplets) -> TransportPlan:
     """Build a plan from (x, y, mass) triplets: coalesces duplicates, drops
     zeros, rejects negative and non-finite masses, sorts lexicographically.
-    Indices must be Python or numpy integers; a float or bool index raises
+    An index that is not one integer (README, "Vertices") raises
     ``VertexRangeError`` before any other check."""
     return _plan_from_entries(n, [(*_indices(x, y), float(m)) for x, y, m in triplets])
 
@@ -221,10 +224,10 @@ def _plan_from_entries(n: int, entries) -> TransportPlan:
 
 
 def _indices(x, y) -> tuple[int, int]:
-    for i in (x, y):
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise VertexRangeError(f"plan entry ({x!r},{y!r}) has a non-integer index")
-    return int(x), int(y)
+    with contextlib.suppress(VertexRangeError):
+        if all(type(_vertex_indices(i)) is int for i in (x, y)):  # each one index
+            return x, y  # as given, for _check_entry's range message
+    raise VertexRangeError(f"plan entry ({x!r},{y!r}) has a non-integer index")
 
 
 def _check_entry(n: int, x: int, y: int, m: float) -> None:

@@ -21,10 +21,10 @@ class RootedTree:
     ``weight_to_parent[v]`` the weight of that edge. Construction copies both
     read-only and proves once, in numpy alike on every kernel backend
     (:func:`_climb`), that the links root a spanning tree at ``root`` (else
-    ``NotSpanningError``, or ``VertexRangeError`` for links that are not
-    integers or shapes that differ), and that every vertex but the root weighs
-    its edge finite (else ``NonFiniteWeightError``) and positive (else
-    ``NonPositiveWeightError``); the root's weight is never read. The proof
+    ``NotSpanningError``, or ``VertexRangeError`` for a root or links that
+    are not integers, or shapes that differ), and that every vertex but the
+    root weighs its edge finite (else ``NonFiniteWeightError``) and positive
+    (else ``NonPositiveWeightError``); the root's weight is never read. The proof
     gives ``depth[v]``, the edges from ``v`` to the root, and ``order``: the
     vertices by decreasing depth, then increasing id, so one forward pass
     aggregates child values into parents, each parent taking its children's in
@@ -43,7 +43,7 @@ class RootedTree:
         if parent.ndim != 1 or wpar.shape != parent.shape:
             raise VertexRangeError(f"parent links of shape {parent.shape} do not match weights "
                                    f"of shape {wpar.shape}")
-        n, root = parent.shape[0], int(self.root)
+        n, root = parent.shape[0], _vertex_indices(self.root)
         not_a_tree = f"parent links are not a tree rooted at {self.root}: "
         if not 0 <= root < n or parent[root] != -1:
             raise NotSpanningError(not_a_tree + "the root is out of range or has a parent link")
@@ -97,26 +97,24 @@ def _climb(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
     """Orient a spanning edge set of ``g`` towards ``root``.
 
-    Edge weights are copied from the graph. Raises ``VertexRangeError`` for a
-    root out of range or not an integer, ``HasCycleError`` when the
+    Edge weights are copied from the graph. Raises ``HasCycleError`` when the
     edge count exceeds n-1 or a cycle is found, ``NotSpanningError`` when some
-    vertex is unreachable, ``EdgeNotInGraphError`` for foreign edges.
-    """
-    n, root = g.n, int(_vertex_indices(root))  # a float or bool root raises
-    if not (0 <= root < n):
-        raise VertexRangeError(f"root {root} out of range")
-    pairs = [(int(u), int(v)) for u, v in tree_edges]
+    vertex is unreachable, ``EdgeNotInGraphError`` for foreign edges; README's
+    "Vertices" says how the root and the edge ends are read."""
+    n, root = g.n, _vertex_indices(root, g.n)
+    pairs = [(u, v) for u, v in tree_edges]
+    ends = _vertex_indices(pairs).reshape(-1, 2)  # read in row order
+    arcs = g.arc_index(*ends.T)
     if len(pairs) > n - 1:
         raise HasCycleError(f"{len(pairs)} edges on {n} vertices cannot be acyclic")
     if len(pairs) < n - 1:
         raise NotSpanningError(f"{len(pairs)} edges cannot span {n} vertices")
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     seen_pairs = set()
-    arcs = g.arc_index([u for u, _ in pairs], [v for _, v in pairs])
-    for (u, v), arc, w in zip(pairs, arcs.tolist(), g.weights[arcs].tolist()):
+    for pair, (u, v), arc, w in zip(pairs, ends.tolist(), arcs.tolist(), g.weights[arcs].tolist()):
         key = (u, v) if u < v else (v, u)
         if arc < 0:
-            g.edge_weight(u, v)  # raises EdgeNotInGraphError (also for u == v)
+            g.edge_weight(*pair)  # raises EdgeNotInGraphError, also for u == v
         if key in seen_pairs:
             raise HasCycleError(f"edge {{{u},{v}}} repeated")
         seen_pairs.add(key)
@@ -127,7 +125,7 @@ def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
     wpar = [0.0] * n
     visited = [False] * n
     visited[root] = True
-    stack = [int(root)]
+    stack = [root]
     reached = 1
     while stack:
         v = stack.pop()
@@ -143,7 +141,7 @@ def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
             reached += 1
     if reached != n:
         raise NotSpanningError("tree edges do not reach every vertex")
-    return RootedTree(root, parent, wpar)
+    return RootedTree(root, np.array(parent), wpar)  # int64, which the proof reads without a scan
 
 
 def reroot(t: RootedTree, new_root: int) -> RootedTree:
@@ -151,7 +149,7 @@ def reroot(t: RootedTree, new_root: int) -> RootedTree:
 
     Only the parent links on the path between the two roots are reversed.
     """
-    new_root = _vertex(t, new_root)
+    new_root = _vertex_indices(new_root, t.n)
     if new_root == t.root:
         return t
     path = [new_root]
@@ -188,7 +186,7 @@ def tree_path(t: RootedTree, x: int, y: int) -> list[tuple[int, int, str]]:
     parent -> child.
     """
     up_part, down_part = [], []
-    a, b = _vertex(t, x), _vertex(t, y)
+    a, b = _vertex_indices(x, t.n), _vertex_indices(y, t.n)
     while a != b:
         move_a, move_b = t.depth[a] >= t.depth[b], t.depth[b] >= t.depth[a]
         if move_a:
@@ -200,22 +198,12 @@ def tree_path(t: RootedTree, x: int, y: int) -> list[tuple[int, int, str]]:
     return up_part + down_part[::-1]
 
 
-def _vertex(t: RootedTree, v) -> int:
-    """``v`` as a vertex of ``t``; raises ``VertexRangeError`` for an index
-    out of range, or a float or bool one."""
-    v = int(_vertex_indices(v))
-    if not 0 <= v < t.n:
-        raise VertexRangeError(f"vertex {v} out of range for n={t.n}")
-    return v
-
-
 def tree_distance(t: RootedTree, x, y):
     """Weighted length of the unique tree path between x and y: a Python
     float for two vertices, the array of pairwise lengths for index arrays of
     one shape (O(path length) per pair, on the kernel backend's
-    :func:`treeot._kernels.tree_pairs`). Raises ``VertexRangeError`` for a
-    vertex out of range or a float or bool index."""
-    x, y = np.broadcast_arrays(_vertex_indices(x), _vertex_indices(y))
+    :func:`treeot._kernels.tree_pairs`)."""
+    x, y = np.broadcast_arrays(_vertex_indices(x, t.n), _vertex_indices(y, t.n))
     total = _kernels.kernels().tree_pairs(t, x.ravel(), y.ravel(), None).reshape(x.shape)
     return float(total) if total.ndim == 0 else total
 

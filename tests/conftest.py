@@ -36,7 +36,7 @@ from treeot.errors import (
     SelfLoopError,
     VertexRangeError,
 )
-from treeot.graphs import WeightedGraph
+from treeot.graphs import WeightedGraph, _vertex_indices
 from treeot.trees import RootedTree
 
 LINE6_XI = np.array([0.05, 0.05, -0.2, -0.1, -0.1, 0.3])
@@ -725,11 +725,12 @@ def reference_root_tree(g, tree_edges, root):
     """``root_tree`` as it ran over numpy arrays: read the pairs, count them,
     look each up in the graph and among the pairs before it, then orient by
     a depth-first walk from ``root`` that raises on the first vertex reached
-    twice and on vertices never reached."""
+    twice and on vertices never reached. The root and the ends are read by
+    the vertex reader, which refuses a float or bool end."""
     n = g.n
-    if not (0 <= root < n):
-        raise VertexRangeError(f"root {root} out of range")
-    pairs = [(int(u), int(v)) for u, v in tree_edges]
+    root = _vertex_indices(root, n)
+    pairs = [(u, v) for u, v in tree_edges]
+    _vertex_indices(pairs)
     if len(pairs) > n - 1:
         raise HasCycleError(f"{len(pairs)} edges on {n} vertices cannot be acyclic")
     if len(pairs) < n - 1:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import subprocess
@@ -470,7 +471,7 @@ class TestAnneal:
     def test_chains_run_on_at_most_one_thread_per_cpu(self, monkeypatch, cpus):
         workers = []
 
-        class Recorded(annealing.ThreadPoolExecutor):
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 workers.append(max_workers)
                 super().__init__(max_workers)
@@ -479,7 +480,8 @@ class TestAnneal:
         mu, nu = noisy_grid_measures(3, seed=13)
         cfg = ot.AnnealConfig(max_iters=2000, seed=7)
         unpatched = ot.anneal_chains(g, mu, nu, cfg, chains=3)
-        monkeypatch.setattr(annealing, "ThreadPoolExecutor", Recorded)
+        # anneal_chains imports the executor when it runs, so the patch is on its module
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
         monkeypatch.setattr(annealing.os, "cpu_count", lambda: cpus)
         result, k = ot.anneal_chains(g, mu, nu, cfg, chains=3)
         assert workers == [min(3, cpus or 1)]

@@ -122,7 +122,7 @@ class TestMeasures:
                 return type(exc), str(exc)
 
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing sums
+            warnings.simplefilter("error")  # an overflowing or infinite sum warns nothing
             got = [outcome(ot.as_measure, values), outcome(ot.as_measure, values, normalize=True),
                    outcome(ot.imbalance, values, self.VALID),
                    outcome(ot.imbalance, self.VALID, values)]

@@ -110,7 +110,7 @@ class TestRootTree:
 
     def test_valid_trees_orient_as_before(self):
         rng = np.random.default_rng(29)
-        cases = [(ot.build_graph(6, CHORDED_RING), [(True, 2.7), (1, 0), (3.0, 2), (4, 3), (5, 4)], 0),
+        cases = [(ot.build_graph(6, CHORDED_RING), [(np.int64(1), 2), (1, 0), (3, 2), (4, 3), (5, 4)], 0),
                  (ot.build_graph(6, CHORDED_RING), RING_PATH, np.int64(3)),
                  (ot.build_graph(1, []), [], 0)]
         for _ in range(200):
