@@ -28,10 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import VertexRangeError
 from .graphs import WeightedGraph
 from .transport import as_measure, imbalance
-from .trees import RootedTree
+from .trees import RootedTree, _check_tree_of
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,9 @@ def anneal(
 ) -> AnnealResult:
     """Minimize the tree transport cost over rooted spanning trees of ``g``.
 
-    Starts from a random spanning tree (or ``initial_tree``) and is fully
-    determined by ``config.seed``. ``config.max_iters`` is a budget: the
+    Starts from a random spanning tree, or from ``initial_tree``, which must
+    be a spanning tree of ``g`` with its weights (else ``NotSpanningError``),
+    and is fully determined by ``config.seed``. ``config.max_iters`` is a budget: the
     chain stops early, with ``stop_reason`` ``"certified"``, once the tree
     potential of its best tree is 1-Lipschitz on every graph edge, which
     proves that tree optimal up to floating-point rounding. It checks on the initial tree and on each trace
@@ -120,8 +120,8 @@ def anneal(
     last trace row.
     """
     xi, stop_at = _chain_inputs(g, mu, nu, target_cost)
-    if initial_tree is not None and initial_tree.n != g.n:
-        raise VertexRangeError("initial tree does not match the graph")
+    if initial_tree is not None:
+        _check_tree_of(g, initial_tree)
     return _run_chain(g, xi, config, stop_at, np.random.default_rng(config.seed), initial_tree)
 
 

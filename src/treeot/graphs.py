@@ -67,16 +67,7 @@ class WeightedGraph:
         perm = np.argsort(rkeys, kind="stable")
         if not (np.array_equal(rkeys[perm], keys) and np.array_equal(weights[perm], weights)):
             raise ValueError("graph CSR: an arc has no reverse arc of the same weight")
-        ptr, heads = indptr.tolist(), indices.tolist()
-        seen = [True] + [False] * (n - 1)
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for nb in heads[ptr[v]:ptr[v + 1]]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-        if not all(seen):
+        if -2 in _walk(indptr, indices, [0]):
             raise DisconnectedError("graph is not connected")
         # the sorted keys, and past them n * n, above every key, for arc_index
         object.__setattr__(self, "_keys", np.append(keys, n * n))
@@ -147,17 +138,40 @@ def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
     columns = _edge_columns(rows) if len(rows) >= n - 1 else None
     if columns is not None:
         u, v, w = columns
-        # both directions of every edge, sorted by tail, then head
-        tail, head = np.concatenate([u, v]), np.concatenate([v, u])
-        if ((0 <= tail) & (tail < n)).all():
-            arcs = np.lexsort((head, tail))
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+        if ((0 <= u) & (u < n) & (0 <= v) & (v < n)).all():
+            indptr, heads, arcs = _csr(n, u, v)
             try:
-                return WeightedGraph(n, indptr, head[arcs], np.concatenate([w, w])[arcs])
+                return WeightedGraph(n, indptr, heads, np.concatenate([w, w])[arcs])
             except (ValueError, NonFiniteWeightError, NonPositiveWeightError):
                 pass
     _raise_for_rows(n, rows)
+
+
+def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, heads, arcs)`` of both directions of the edges ``(u[k], v[k])``, each row
+    sorted by head: ``arcs`` takes the arcs ``u -> v``, then ``v -> u``, to their CSR order."""
+    tail, head = np.concatenate([u, v]), np.concatenate([v, u])
+    arcs = np.lexsort((head, tail))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    return indptr, head[arcs], arcs
+
+
+def _walk(indptr: np.ndarray, heads: np.ndarray, starts) -> list[int]:
+    """The one depth-first walk over undirected edges, in CSR form, read as lists: each
+    vertex's discovery parent, -1 at a start it walked from, -2 where no walk reached."""
+    indptr, heads = indptr.tolist(), heads.tolist()
+    parent = [-2] * (len(indptr) - 1)
+    for start in starts:
+        if parent[start] == -2:
+            parent[start], stack = -1, [start]
+            while stack:
+                v = stack.pop()
+                for nb in heads[indptr[v]:indptr[v + 1]]:
+                    if parent[nb] == -2:
+                        parent[nb] = v
+                        stack.append(nb)
+    return parent
 
 
 def _edge_columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

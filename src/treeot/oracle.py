@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NonFiniteWeightError, NonPositiveWeightError, NotSpanningError, VertexRangeError
-from .graphs import WeightedGraph
+from .errors import NonFiniteWeightError, NonPositiveWeightError, VertexRangeError
+from .graphs import WeightedGraph, _csr, _walk
 from .transport import (Potential, TransportPlan, _assemble_plan, _support_distances, as_measure,
                         imbalance, imbalance_zero)
-from .trees import RootedTree, _climb
+from .trees import RootedTree, _check_tree_of, _climb
 
 #: Default tolerance for optimality and duality identities.
 VALUE_TOL = 1e-9
@@ -190,10 +190,7 @@ def certified_dual(g: WeightedGraph, t: RootedTree, mu, nu) -> tuple[Potential, 
     is their greatest point, anchored at the root: for K = 1, the paper's
     non-degenerate case, the tree potential itself.
     """
-    child = np.flatnonzero(t.parent >= 0)
-    arc = g.arc_index(child, t.parent[child])
-    if t.n != g.n or np.any(arc < 0) or np.any(g.weights[arc] != t.weight_to_parent[child]):
-        raise NotSpanningError("the tree is not a spanning tree of the graph, with its weights")
+    _check_tree_of(g, t)
     xi = imbalance(as_measure(mu, t.n), as_measure(nu, t.n))
     xi_cum, u = _kernels.kernels().tree_potential(t, xi)
     link = np.where(np.abs(xi_cum) > imbalance_zero(xi), t.parent, -1)
@@ -302,36 +299,17 @@ def check_vertex_support(plan: TransportPlan) -> dict:
 
     Returns ``is_forest``, the number of proper (non-loop) undirected edges,
     and whether those edges form a spanning tree of the whole vertex set.
+    :func:`treeot.graphs._walk` from every vertex counts the components, and
+    the edges are a forest exactly when they number n less the components.
     """
-    n = plan.n
-    proper = {
-        (x, y) if x < y else (y, x)
-        for x, y in zip(plan.rows.tolist(), plan.cols.tolist())
-        if x != y
-    }
-    root_of = list(range(n))
-
-    def find(v: int) -> int:
-        while root_of[v] != v:
-            root_of[v] = root_of[root_of[v]]
-            v = root_of[v]
-        return v
-
-    is_forest = True
-    for a, b in sorted(proper):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            is_forest = False
-        else:
-            root_of[ra] = rb
-    components = len({find(v) for v in range(n)})
-    return {
-        "is_forest": is_forest,
-        "proper_edges": len(proper),
-        "is_spanning_tree_up_to_loops": bool(
-            is_forest and len(proper) == n - 1 and components == 1
-        ),
-    }
+    n, rows, cols = plan.n, plan.rows, plan.cols
+    keys = np.sort((np.minimum(rows, cols) * n + np.maximum(rows, cols))[rows != cols])
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique would import numpy.ma, 1.3 MB
+    indptr, heads, _ = _csr(n, *np.divmod(keys, n))
+    components = _walk(indptr, heads, range(n)).count(-1)
+    is_forest = keys.size == n - components
+    return {"is_forest": is_forest, "proper_edges": keys.size,
+            "is_spanning_tree_up_to_loops": is_forest and components == 1}
 
 
 def geodesic_support_violation(plan: TransportPlan, dist_graph, dist_tree) -> float:

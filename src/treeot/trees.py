@@ -10,7 +10,7 @@ import numpy as np
 from . import _kernels
 from .errors import (HasCycleError, NonFiniteWeightError, NonPositiveWeightError, NotSpanningError,
                      VertexRangeError)
-from .graphs import WeightedGraph, _vertex_indices
+from .graphs import WeightedGraph, _csr, _vertex_indices, _walk
 
 
 @dataclass(frozen=True)
@@ -94,54 +94,52 @@ def _climb(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return depth, top
 
 
-def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
-    """Orient a spanning edge set of ``g`` towards ``root``.
+def _check_tree_of(g: WeightedGraph, t: RootedTree) -> None:
+    """Raise ``NotSpanningError`` unless every link of ``t`` is an edge of
+    ``g`` with ``g``'s weight and ``t`` spans ``g``'s vertices."""
+    child = np.flatnonzero(t.parent >= 0)
+    arc = g.arc_index(child, t.parent[child])
+    if t.n != g.n or np.any(arc < 0) or np.any(g.weights[arc] != t.weight_to_parent[child]):
+        raise NotSpanningError("the tree is not a spanning tree of the graph, with its weights")
 
-    Edge weights are copied from the graph. Raises ``HasCycleError`` when the
-    edge count exceeds n-1 or a cycle is found, ``NotSpanningError`` when some
-    vertex is unreachable, ``EdgeNotInGraphError`` for foreign edges; README's
+
+def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
+    """Orient a spanning edge set of ``g`` towards ``root``, by
+    :func:`treeot.graphs._walk` from it; weights are copied from the graph.
+
+    Raises ``HasCycleError`` when the edge count exceeds n-1, an edge repeats
+    or the root's part holds a cycle, ``NotSpanningError`` when some vertex is
+    unreachable, ``EdgeNotInGraphError`` for foreign edges; README's
     "Vertices" says how the root and the edge ends are read."""
     n, root = g.n, _vertex_indices(root, g.n)
     pairs = [(u, v) for u, v in tree_edges]
-    ends = _vertex_indices(pairs).reshape(-1, 2)  # read in row order
-    arcs = g.arc_index(*ends.T)
+    ends = _vertex_indices([end for pair in pairs for end in pair])  # read in row order
+    if ends.shape != (2 * len(pairs),):
+        raise VertexRangeError("a tree edge end is not one vertex")
+    u, v = ends[0::2], ends[1::2]
+    arcs = g.arc_index(u, v)
     if len(pairs) > n - 1:
         raise HasCycleError(f"{len(pairs)} edges on {n} vertices cannot be acyclic")
     if len(pairs) < n - 1:
         raise NotSpanningError(f"{len(pairs)} edges cannot span {n} vertices")
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     seen_pairs = set()
-    for pair, (u, v), arc, w in zip(pairs, ends.tolist(), arcs.tolist(), g.weights[arcs].tolist()):
-        key = (u, v) if u < v else (v, u)
+    for pair, a, b, arc in zip(pairs, u.tolist(), v.tolist(), arcs.tolist()):
+        key = (a, b) if a < b else (b, a)
         if arc < 0:
-            g.edge_weight(*pair)  # raises EdgeNotInGraphError, also for u == v
+            g.edge_weight(*pair)  # raises EdgeNotInGraphError, also for a == b
         if key in seen_pairs:
-            raise HasCycleError(f"edge {{{u},{v}}} repeated")
+            raise HasCycleError(f"edge {{{a},{b}}} repeated")
         seen_pairs.add(key)
-        adjacency[u].append((v, w))
-        adjacency[v].append((u, w))
-
-    parent = [-1] * n
-    wpar = [0.0] * n
-    visited = [False] * n
-    visited[root] = True
-    stack = [root]
-    reached = 1
-    while stack:
-        v = stack.pop()
-        for nb, w in adjacency[v]:
-            if nb == parent[v]:
-                continue
-            if visited[nb]:
-                raise HasCycleError("tree edges contain a cycle")
-            visited[nb] = True
-            parent[nb] = v
-            wpar[nb] = w
-            stack.append(nb)
-            reached += 1
-    if reached != n:
+    indptr, heads, _ = _csr(n, u, v)
+    parent = np.array(_walk(indptr, heads, [root]))
+    if parent.min() == -2:
+        # n - 1 distinct edges: the root's part has a cycle if it holds as many as its vertices
+        if np.count_nonzero(parent[u] != -2) >= np.count_nonzero(parent != -2):
+            raise HasCycleError("tree edges contain a cycle")
         raise NotSpanningError("tree edges do not reach every vertex")
-    return RootedTree(root, np.array(parent), wpar)  # int64, which the proof reads without a scan
+    wpar = np.zeros(n)  # each edge is the link of the end whose parent is the other
+    wpar[np.where(parent[v] == u, v, u)] = g.weights[arcs]
+    return RootedTree(root, parent, wpar)  # int64, which the proof reads without a scan
 
 
 def reroot(t: RootedTree, new_root: int) -> RootedTree:

@@ -645,14 +645,21 @@ class TestDualUnique:
         mu, nu = [0.6, 0.2, 0.2], [0.2, 0.2, 0.6]
         foreign = [ot.root_tree(other, [(0, 1), (1, 2)], 0),
                    ot.root_tree(ot.build_graph(3, [(0, 2, 1.0), (1, 2, 1.0)]), [(0, 2), (1, 2)], 0)]
+        cfg = ot.AnnealConfig(max_iters=100, seed=0)
         for t in foreign:
             with pytest.raises(NotSpanningError, match="not a spanning tree of the graph"):
                 ot.certified_dual(g, t, mu, nu)
+            # anneal once certified a foreign initial tree on the graph's measures
+            with pytest.raises(NotSpanningError, match="not a spanning tree of the graph"):
+                ot.anneal(g, mu, nu, cfg, initial_tree=t)
         with pytest.raises(NotSpanningError):
             ot.certified_dual(line_graph(4), ot.root_tree(g, [(0, 1), (1, 2)], 0), [0.25] * 4,
                               [0.25] * 4)
         with pytest.raises(NotSpanningError):
             ot.certified_dual(g, ot.root_tree(line_graph(2), [(0, 1)], 0), [0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(NotSpanningError):
+            ot.anneal(line_graph(4), [0.25] * 4, [0.25] * 4, cfg,
+                      initial_tree=ot.root_tree(g, [(0, 1), (1, 2)], 0))
 
     def test_agrees_with_the_bellman_ford_face(self, backend):
         # both potentials are returned: the tree formula where it is
@@ -824,6 +831,36 @@ class TestVertexSupport:
             4, [(0, 1, 0.25), (2, 1, 0.25), (2, 3, 0.25), (0, 3, 0.25)]
         )
         assert not ot.check_vertex_support(plan)["is_forest"]
+
+
+def test_vertex_support_matches_networkx():
+    # random plans with loops, both orientations of a pair, repeated pairs,
+    # isolated vertices, forests and cycles, against networkx's undirected graph
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(71)
+    seen = {"forest": 0, "cycle": 0, "spanning": 0, "isolated": 0}
+    for _ in range(400):
+        n = int(rng.integers(1, 12))
+        count = int(rng.integers(0, 2 * n + 1))
+        triplets = [(int(x), int(y), 1.0) for x, y in rng.integers(0, n, (count, 2))]
+        if n > 1 and rng.random() < 0.3:  # a random tree, with a loop and repeated edges
+            order = rng.permutation(n).tolist()
+            triplets = [(order[k], order[int(rng.integers(k))], 1.0) for k in range(1, n)]
+            triplets += [(y, x, 1.0) for x, y, _ in triplets[:2]] + [(order[0], order[0], 1.0)]
+        info = ot.check_vertex_support(ot.make_plan(n, triplets))
+        support = nx.Graph()
+        support.add_nodes_from(range(n))
+        support.add_edges_from((x, y) for x, y, _ in triplets if x != y)
+        forest = nx.is_forest(support)
+        components = nx.number_connected_components(support)
+        assert info == {"is_forest": forest, "proper_edges": support.number_of_edges(),
+                        "is_spanning_tree_up_to_loops": forest and components == 1}
+        assert all(type(value) is type(expected) for value, expected in
+                   zip(info.values(), (True, 0, True)))
+        seen["forest" if forest else "cycle"] += 1
+        seen["spanning"] += forest and components == 1
+        seen["isolated"] += any(degree == 0 for _, degree in support.degree())
+    assert min(seen.values()) >= 40, seen
 
 
 class TestGeodesicSupport:

@@ -10,7 +10,8 @@ pointers, ``_kernel.c`` compiles as C99 without a warning, and it exports exactl
 the functions that ``_kernels.py`` declares, each returning an ``int``
 status and taking its reference kernel's argument list, and every kernel
 has a caller in the package outside ``_kernels.py``, so none is kept for
-parity tests alone. Every package name that the
+parity tests alone. ``graphs._walk`` is the package's one stack-popping
+depth-first walk, and no union-find is left. Every package name that the
 benchmark harness (``perfbench/``) reads still resolves, so removing one
 fails here rather than in the benchmark.
 
@@ -221,6 +222,64 @@ def test_the_write_scan_flags_what_it_looks_for():
         "line 9: write_text", "line 10: write_bytes", "line 11: open", "line 12: open",
         "line 13: open", "line 14: open", "line 15: os.open", "line 16: os.open"]
     assert file_writes(source)[:2] == ["line 5: os.open", "line 6: write_text"]
+
+
+def edge_walks(source: str, walker: str | None = None) -> list[str]:
+    """Walks of an edge set outside the function named ``walker``: a
+    ``while s:`` loop that pops ``s`` (a stack-popping depth-first walk), and
+    the marks of a union-find, a function named ``find`` or ``union`` or a
+    pointer chase ``a[a[i]]`` (a find's path halving) outside an annotation."""
+    tree = ast.parse(source)
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    exempt = {id(node) for top in [fn for fn in functions if fn.name == walker]
+              + annotations + [fn.returns for fn in functions if fn.returns]
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.While) and isinstance(node.test, ast.Name) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "pop"
+                and getattr(call.func.value, "id", None) == node.test.id
+                for stmt in node.body for call in ast.walk(stmt)):
+            found.append((node.lineno, "stack walk"))
+        elif isinstance(node, ast.FunctionDef) and node.name in ("find", "union"):
+            found.append((node.lineno, f"{node.name} function"))
+        elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+              and isinstance(node.slice, ast.Subscript)
+              and getattr(node.slice.value, "id", None) == node.value.id):
+            found.append((node.lineno, "pointer chase"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_graphs_walk_is_the_only_walk_of_an_edge_set(path):
+    source = path.read_text(encoding="utf-8")
+    assert edge_walks(source, "_walk" if path.name == "graphs.py" else None) == []
+    if path.name == "graphs.py":
+        assert len(edge_walks(source)) == 1
+
+
+def test_the_walk_scan_flags_what_it_looks_for():
+    source = ("def _walk(heads, start):\n"
+              "    stack = [start]\n"
+              "    while stack:\n"
+              "        v = stack.pop()\n\n"
+              "def dfs(adjacency: list[list[int]], todo):\n"
+              "    while todo:\n"
+              "        v = todo.pop()\n"
+              "    while stack:\n"
+              "        v = todo.pop()\n"
+              "    while k:\n"
+              "        k -= 1\n"
+              "    top = top[top]\n\n"
+              "def find(root_of, v) -> dict[dict[int, int], int]:\n"
+              "    root_of[v] = root_of[root_of[v]]\n")
+    assert edge_walks(source, "_walk") == ["line 7: stack walk", "line 15: find function",
+                                           "line 16: pointer chase"]
+    assert edge_walks(source)[:1] == ["line 3: stack walk"]
 
 
 #: the C names of the codes that ``_kernels`` keys by message

@@ -99,6 +99,37 @@ MALFORMED_TREES = {
 }
 
 
+def random_cycle_sets(rng, count):
+    """(graph, edges, root) with n - 1 distinct edges of a random graph that
+    close a cycle: a random spanning tree less one edge, which splits it in
+    two parts, plus a chord inside one part; each edge in a random
+    orientation, in random order, and a random root, as often in the
+    chord's part as in the other."""
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(4, 30))
+        g = random_connected_graph(rng, n, extra_edges=n)
+        t = ot.random_spanning_tree(g, rng)
+        tree = sorted(t.edge_set())
+        a, b = tree.pop(int(rng.integers(len(tree))))
+        cut = a if t.parent[a] == b else b
+        below = []  # whether the climb from v passes the cut vertex
+        for v in range(n):
+            while v not in (cut, t.root):
+                v = int(t.parent[v])
+            below.append(v == cut)
+        chords = [(a, b) for a, b, _ in g.edges
+                  if (a, b) not in t.edge_set() and below[a] == below[b]]
+        if chords:
+            chord = chords[int(rng.integers(len(chords)))]
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree + [chord]]
+            inside = rng.random() < 0.5  # the root in the chord's part, or in the other
+            roots = [v for v in range(n) if (below[v] == below[chord[0]]) == inside]
+            cases.append((g, [edges[i] for i in rng.permutation(n - 1)],
+                          roots[int(rng.integers(len(roots)))]))
+    return cases
+
+
 class TestRootTree:
     @pytest.mark.parametrize("name", MALFORMED_TREES)
     def test_malformed_trees_raise_as_before(self, name):
@@ -107,6 +138,16 @@ class TestRootTree:
         expected = raised(reference_root_tree, g, edges, root)
         assert expected is not None
         assert raised(ot.root_tree, g, edges, root) == expected
+
+    def test_random_cycle_sets_raise_as_before(self):
+        # n - 1 distinct graph edges with a cycle inside or outside the root's part
+        kinds = {HasCycleError: 0, NotSpanningError: 0}
+        for g, edges, root in random_cycle_sets(np.random.default_rng(37), 300):
+            expected = raised(reference_root_tree, g, edges, root)
+            assert expected is not None
+            assert raised(ot.root_tree, g, edges, root) == expected
+            kinds[expected[0]] += 1
+        assert min(kinds.values()) >= 100, kinds
 
     def test_valid_trees_orient_as_before(self):
         rng = np.random.default_rng(29)
@@ -131,6 +172,13 @@ class TestRootTree:
         # a float root once raised TypeError, and True rooted the tree at vertex 1
         with pytest.raises(VertexRangeError):
             ot.root_tree(ot.grid_graph(2), [(0, 1), (1, 3), (0, 2)], root)
+
+    @pytest.mark.parametrize("edges", [[((0, 1), (1, 3)), ((0, 1), (0, 2)), ((1, 3), (0, 2))],
+                                       [([0], [1]), ([1], [3]), ([0], [2])]])
+    def test_an_end_that_is_not_one_vertex_raises(self, edges):
+        # these once read as a repeated edge, and as the tree 0-1, 1-3, 0-2
+        with pytest.raises(VertexRangeError, match="a tree edge end is not one vertex"):
+            ot.root_tree(ot.grid_graph(2), edges, 0)
 
     def test_numpy_integer_root_is_accepted(self):
         t = ot.root_tree(ot.grid_graph(2), [(0, 1), (1, 3), (0, 2)], np.int64(1))
