@@ -19,8 +19,6 @@ potential proves optimal.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .graphs import WeightedGraph
-from .transport import as_measure, imbalance
+from .graphs import WeightedGraph, _integer, _real
+from .transport import _checked
 from .trees import RootedTree, _check_tree_of
 
 
@@ -49,6 +47,7 @@ class AnnealConfig:
     those at 32x32 and 64x64 as many within 10%.
 
     The chain refreshes its sums every ``_kernels.RECOMPUTE_EVERY`` proposals, a constant.
+    README's "Numbers and vertices" says how each knob is read; a bad one raises ``ValueError``.
     """
 
     max_iters: int
@@ -59,21 +58,15 @@ class AnnealConfig:
 
     def __post_init__(self):
         for name in ("max_iters", "seed", "record_every"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):  # operator.index takes True as 1
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, not {value!r}") from None
+            _integer(getattr(self, name), name, ValueError)
         # the kernel takes max_iters and record_every as int64
         if (min(self.max_iters, self.seed) < 0 or self.record_every < 1
                 or max(self.max_iters, self.record_every) >= 2**63):
             raise ValueError("max_iters and seed must be non-negative and record_every positive, "
                              "and max_iters and record_every below 2**63")
-        # NaN, also for what is not a real number, fails every comparison
-        if not (0.0 < _real(self.beta0) < math.inf and 0.0 < _real(self.eta) < math.inf):
-            raise ValueError("beta0 and eta must be positive and finite real numbers")
+        for name, value in (("beta0", self.beta0), ("eta", self.eta)):
+            if not 0.0 < _real(value, name, ValueError) < math.inf:
+                raise ValueError(f"{name} must be a positive finite real number, not {value!r}")
 
 
 class TraceRecord(NamedTuple):
@@ -159,24 +152,13 @@ def anneal_chains(
 def _chain_inputs(g: WeightedGraph, mu, nu, target_cost) -> tuple[np.ndarray, float]:
     """The imbalance of the validated measures, and the best cost at which
     the kernel stops for :func:`anneal`'s ``target_cost`` (NaN for never)."""
-    xi = imbalance(as_measure(mu, g.n), as_measure(nu, g.n))
+    xi = _checked(mu, nu, g.n)[2]
     if target_cost is None:
         return xi, math.nan
-    target = _real(target_cost)
+    target = _real(target_cost, "target_cost", ValueError)
     if not math.isfinite(target):
         raise ValueError(f"target_cost must be a finite real number, not {target_cost!r}")
     return xi, target + 1e-9 * min(1.0, abs(target))
-
-
-def _real(value) -> float:
-    """``value`` as a float, an infinity of its sign where it is past float64's
-    range, or NaN where it is not a real number or is a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return math.nan
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def _run_chain(g, xi, config, stop_at, rng, tree=None) -> AnnealResult:

@@ -222,7 +222,7 @@ def _anneal_config(args) -> AnnealConfig:
     base.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return AnnealConfig(**base)
-    except (TypeError, ValueError) as exc:  # TypeError: a config value is not a number
+    except ValueError as exc:
         raise InputError(f"bad annealing config: {exc}") from None
 
 

@@ -14,7 +14,8 @@ Trace (CSV):       header "iter,current_cost,best_cost,beta,accept_rate"; accept
 Numbers are written in shortest round-trip decimal form and files end with a
 newline. Parsers reject trailing garbage. Every output is written by
 :func:`_write_text`: in place, then cut to length; every CSV table by
-:func:`_write_rows`, and read back by :func:`_csv_rows`.
+:func:`_write_rows`, and read back by :func:`_csv_rows`. The library readers
+check graphs, trees and measures, their errors prefixed with the path (:func:`_named`).
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .annealing import TraceRecord
-from .errors import BadDimensionsError, FormatError, NegativePixelError, NonFiniteMassError
-from .graphs import WeightedGraph, build_graph
+from .errors import (BadDimensionsError, FormatError, NegativePixelError, NonFiniteMassError,
+                     TreeOTError)
+from .graphs import WeightedGraph, _reals, build_graph
 from .transport import Flow, Potential, TransportPlan, as_measure
 from .trees import RootedTree, root_tree
 
@@ -98,31 +100,22 @@ def _parse_json(path):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _integer(path, value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{path}: {what} must be an integer, got {value!r}")
-    return value
+def _named(path, read, *args, **kwargs):
+    """``read(*args, **kwargs)``; a library error is re-raised as its own type, after ``path``."""
+    try:
+        return read(*args, **kwargs)
+    except TreeOTError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def _edge_rows(path, edges, fields: str) -> list[list]:
-    """The rows of ``edges`` as lists of ``len(fields)`` entries: integer
-    endpoints u and v, and a number w where ``fields`` is "uvw". Rows and
-    columns are checked by type; only a failed check searches the rows, for
-    the first bad one."""
-    if not isinstance(edges, list):
-        raise FormatError(f"{path}: 'edges' must be a list, got {edges!r}")
-    if {type(row) for row in edges} <= {list} and {len(row) for row in edges} <= {len(fields)}:
-        allowed = ({int}, {int}, {int, float})
-        if all({type(x) for x in column} <= ok for column, ok in zip(zip(*edges), allowed)):
-            return edges
-    for row in edges:
-        if not isinstance(row, list) or len(row) != len(fields):
-            raise FormatError(f"{path}: edge {row!r} is not a list [{', '.join(fields)}]")
-        _integer(path, row[0], "an edge endpoint")
-        _integer(path, row[1], "an edge endpoint")
-        if fields == "uvw" and (isinstance(row[2], bool) or not isinstance(row[2], (int, float))):
-            raise FormatError(f"{path}: edge weight must be a number, got {row[2]!r}")
-    return edges
+def _document(path, keys: tuple[str, str]) -> dict:
+    """The JSON object of a graph or tree file: it holds ``keys``, the last ``edges``, a list."""
+    doc = _parse_json(path)
+    if not isinstance(doc, dict) or not all(key in doc for key in keys):
+        raise FormatError(f"{path}: expected an object with '{keys[0]}' and '{keys[1]}'")
+    if not isinstance(doc["edges"], list):
+        raise FormatError(f"{path}: 'edges' must be a list, got {doc['edges']!r}")
+    return doc
 
 
 def save_graph(path, g: WeightedGraph, labels: list[str] | None = None) -> None:
@@ -133,17 +126,14 @@ def save_graph(path, g: WeightedGraph, labels: list[str] | None = None) -> None:
 
 
 def load_graph(path) -> WeightedGraph:
-    doc = _parse_json(path)
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise FormatError(f"{path}: expected an object with 'n' and 'edges'")
-    n = _integer(path, doc["n"], "'n'")
-    edges = _edge_rows(path, doc["edges"], "uvw")
+    doc = _document(path, ("n", "edges"))
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise FormatError(f"{path}: 'labels' must be a list")
-    if labels is not None and len(labels) != n:
-        raise BadDimensionsError(f"{path}: {len(labels)} labels for {n} vertices")
-    return build_graph(n, edges)
+    g = _named(path, build_graph, doc["n"], doc["edges"])
+    if labels is not None and len(labels) != g.n:
+        raise BadDimensionsError(f"{path}: {len(labels)} labels for {g.n} vertices")
+    return g
 
 
 def save_tree(path, t: RootedTree) -> None:
@@ -152,11 +142,8 @@ def save_tree(path, t: RootedTree) -> None:
 
 
 def load_tree(path, g: WeightedGraph) -> RootedTree:
-    doc = _parse_json(path)
-    if not isinstance(doc, dict) or "root" not in doc or "edges" not in doc:
-        raise FormatError(f"{path}: expected an object with 'root' and 'edges'")
-    root = _integer(path, doc["root"], "'root'")
-    return root_tree(g, _edge_rows(path, doc["edges"], "uv"), root)
+    doc = _document(path, ("root", "edges"))
+    return _named(path, root_tree, g, doc["edges"], doc["root"])
 
 
 def save_measure(path, values) -> None:
@@ -168,8 +155,8 @@ def save_measure(path, values) -> None:
 
 
 def load_measure_raw(path, n: int) -> np.ndarray:
-    """Values as stored, without measure validation (for checkers); only
-    NaN and infinite entries are rejected."""
+    """Values as stored, read by the real rule, without measure validation
+    (for checkers); only NaN and infinite entries are rejected."""
     path = Path(path)
     if path.suffix == ".csv":
         try:
@@ -180,23 +167,16 @@ def load_measure_raw(path, n: int) -> np.ndarray:
         values = _parse_json(path)
         if not isinstance(values, list):
             raise FormatError(f"{path}: expected a JSON array")
-        if not {type(v) for v in values} <= {int, float}:
-            for v in values:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise FormatError(f"{path}: measure entry must be a number, got {v!r}")
-    if len(values) != n:
-        raise BadDimensionsError(f"{path}: {len(values)} values for {n} vertices")
-    try:
-        values = np.asarray(values, dtype=np.float64)
-    except OverflowError:  # an integer past float64's range
-        values = None
-    if values is None or not np.all(np.isfinite(values)):
+    values = _named(path, _reals, values, "measure entries", NonFiniteMassError)
+    if values.shape != (n,):
+        raise BadDimensionsError(f"{path}: values of shape {values.shape} for {n} vertices")
+    if not np.all(np.isfinite(values)):
         raise NonFiniteMassError(f"{path}: measure has a NaN or infinite entry")
     return values
 
 
 def load_measure(path, n: int) -> np.ndarray:
-    return as_measure(load_measure_raw(path, n), n, normalize=True)
+    return _named(path, as_measure, load_measure_raw(path, n), n, normalize=True)
 
 
 def save_plan(path, plan: TransportPlan) -> None:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NoReturn
 
 import numpy as np
 
@@ -14,9 +15,11 @@ from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
     EdgeNotInGraphError,
+    GraphError,
     NonFiniteWeightError,
     NonPositiveWeightError,
     SelfLoopError,
+    TreeOTError,
     VertexRangeError,
 )
 
@@ -35,8 +38,8 @@ class WeightedGraph:
     ``tail * n + head`` strictly increasing (rows sorted, no arc repeated) and
     every arc's reverse present with the same weight (else ``ValueError``);
     the graph connected (else ``DisconnectedError``). It keeps the sorted arc
-    keys, which ``arc_index`` and so the edge lookups search. The lookups read
-    their vertices as README's "Vertices" says: an end out of range has no arc.
+    keys, which ``arc_index`` and so the edge lookups search; an end out of
+    range has no arc (README, "Numbers and vertices").
     """
 
     n: int
@@ -123,28 +126,40 @@ class WeightedGraph:
 def build_graph(vertex_count: int, edge_list) -> WeightedGraph:
     """Validate an edge list and build a :class:`WeightedGraph`.
 
-    ``edge_list`` holds rows (u, v, w), read as ``int(u), int(v), float(w)``,
-    or is an (E, 3) array of them. The rows are read into columns and built
-    into a CSR, which the :class:`WeightedGraph` proof validates. Only when a
-    step fails are the rows walked, so that the first bad row names the error:
-    an endpoint out of range, a self-loop, a non-finite or non-positive weight,
-    or a repeat of an earlier edge; with no bad row, the graph is disconnected.
+    ``vertex_count`` is read by the integer rule and the rows (u, v, w) of
+    ``edge_list``, or of an array, by :func:`_edge_rows`, into a CSR that the
+    :class:`WeightedGraph` proof validates. Only when a step fails are the rows
+    walked: the first raises that fails, in this order, to read (:func:`_edge_row`),
+    to have both ends in range, to join two vertices, to weigh a finite positive
+    amount, or to differ from every earlier edge; else the graph is disconnected.
     """
-    n = int(vertex_count)
+    n = _integer(vertex_count, "vertex_count")
     if n <= 0:
         raise VertexRangeError("vertex_count must be positive")
     rows = edge_list.tolist() if isinstance(edge_list, np.ndarray) else list(edge_list)
     # fewer edges than a spanning tree go to the row loop before any n-sized array
-    columns = _edge_columns(rows) if len(rows) >= n - 1 else None
-    if columns is not None:
-        u, v, w = columns
-        if ((0 <= u) & (u < n) & (0 <= v) & (v < n)).all():
-            indptr, heads, arcs = _csr(n, u, v)
-            try:
+    if len(rows) >= n - 1:
+        with contextlib.suppress(GraphError, ValueError):  # ValueError: the CSR proof's
+            u, v, w = _edge_rows(rows, "uvw", GraphError)
+            if ((0 <= u) & (u < n) & (0 <= v) & (v < n)).all():
+                indptr, heads, arcs = _csr(n, u, v)
                 return WeightedGraph(n, indptr, heads, np.concatenate([w, w])[arcs])
-            except (ValueError, NonFiniteWeightError, NonPositiveWeightError):
-                pass
-    _raise_for_rows(n, rows)
+    seen = set()
+    for row in rows:
+        u, v, w = _edge_row(row, "uvw", GraphError)
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"edge {row!r} out of range for n={n}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(f"edge ({u},{v}) has weight {w}")
+        if w <= 0.0:
+            raise NonPositiveWeightError(f"edge ({u},{v}) has weight {w}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge {{{u},{v}}}")
+        seen.add(key)
+    raise DisconnectedError("graph is not connected")
 
 
 def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,44 +189,29 @@ def _walk(indptr: np.ndarray, heads: np.ndarray, starts) -> list[int]:
     return parent
 
 
-def _edge_columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The rows read as ``int(u), int(v), float(w)`` into int64, int64 and
-    float64 columns, or None when some row does not read so."""
-    try:
-        u, v, w = zip(*rows, strict=True) if rows else ((), (), ())
-        return (np.array(list(map(int, u)), dtype=np.int64),
-                np.array(list(map(int, v)), dtype=np.int64),
-                np.array(list(map(float, w)), dtype=np.float64))
-    except (TypeError, ValueError, OverflowError):  # also an endpoint beyond int64
-        return None
+def _edge_rows(rows: list, fields: str, error: type[TreeOTError]) -> tuple:
+    """The columns of edge rows of the ``fields`` "uvw" or "uv": int64 ends by
+    :func:`_vertex_indices` and float64 weights by the real rule, read at once;
+    where that fails, row by row, so that the first bad row raises (:func:`_edge_row`)."""
+    # zip raises TypeError for a row that is not iterable, ValueError for rows of unequal lengths
+    with contextlib.suppress(TypeError, ValueError, TreeOTError):
+        columns = tuple(zip(*rows, strict=True)) if rows else ((),) * len(fields)
+        if (len(columns) == len(fields)
+                and (ends := _vertex_indices(columns[0] + columns[1])).shape == (2 * len(rows),)):
+            weights = [_reals(w, "edge weights", NonFiniteWeightError) for w in columns[2:]]
+            return ends[:len(rows)], ends[len(rows):], *weights
+    # read one at a time, the rows are Python numbers, which read at once
+    return _edge_rows([_edge_row(row, fields, error) for row in rows], fields, error)
 
 
-def _raise_for_rows(n: int, rows) -> NoReturn:
-    """Raise for the first row that fails, in this order, to read as an edge
-    (an integer weight past float64's range reads as an infinity of its
-    sign), to have both endpoints in range, to join two vertices, to weigh a
-    finite positive amount, or to differ from every earlier edge; with no
-    such row, raise ``DisconnectedError``."""
-    seen = set()
-    for u, v, w in rows:
-        u, v = int(u), int(v)
-        try:
-            w = float(w)
-        except OverflowError:
-            w = math.inf if w > 0 else -math.inf
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        if not math.isfinite(w):
-            raise NonFiniteWeightError(f"edge ({u},{v}) has weight {w}")
-        if w <= 0.0:
-            raise NonPositiveWeightError(f"edge ({u},{v}) has weight {w}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge {{{u},{v}}}")
-        seen.add(key)
-    raise DisconnectedError("graph is not connected")
+def _edge_row(row, fields: str, error: type[TreeOTError]) -> tuple:
+    """One edge row in Python numbers, its ends by the integer rule (else ``VertexRangeError``)
+    and its weight by the real rule; a row of other than ``len(fields)`` fields raises ``error``."""
+    values = tuple(row) if np.iterable(row) else ()
+    if len(values) != len(fields):
+        raise error(f"edge {row!r} is not a row ({', '.join(fields)})")
+    return (*(_integer(end, f"an end of edge {row!r}") for end in values[:2]),
+            *(_real(w, f"the weight of edge {row!r}", NonFiniteWeightError) for w in values[2:]))
 
 
 def grid_graph(p: int, weight: float | None = None) -> WeightedGraph:
@@ -219,17 +219,13 @@ def grid_graph(p: int, weight: float | None = None) -> WeightedGraph:
 
     Every edge carries the same weight, ``1/p**2`` unless overridden.
     """
+    p = _integer(p, "grid side")
     if p < 2:
         raise VertexRangeError("grid side must be at least 2")
-    w = 1.0 / (p * p) if weight is None else float(weight)
-    # per vertex v: rows (v, v + 1, w) and (v, v + p, w), less those leaving the grid
-    ids = np.arange(p * p, dtype=np.float64).reshape(p, p, 1)
-    edges = np.full((p, p, 2, 3), w)
-    edges[..., 0] = ids
-    edges[..., 1] = ids + (1, p)
-    kept = np.ones((p, p, 2), dtype=bool)
-    kept[:, -1, 0] = kept[-1, :, 1] = False
-    return build_graph(p * p, edges[kept])
+    w = 1.0 / (p * p) if weight is None else weight
+    # the edges (v, v + 1) within rows, then (v, v + p) within columns
+    return build_graph(p * p, [(v, v + 1, w) for v in range(p * p) if (v + 1) % p]
+                       + [(v, v + p, w) for v in range(p * p - p)])
 
 
 def all_pairs_shortest_paths(g: WeightedGraph) -> np.ndarray:
@@ -253,21 +249,61 @@ def pair_distances(g: WeightedGraph, xs, ys) -> np.ndarray:
 
 
 def _vertex_indices(values, n: int | None = None):
-    """The one reader of vertex arguments (README, "Vertices"): one index as a Python int,
-    else int64 of its shape; a value past int64 saturates at its bounds unless ``n`` is given."""
+    """The one reader of vertex arguments (README, "Numbers and vertices"): one index as a
+    Python int, else int64 of its shape; past int64 a value saturates unless ``n`` is given."""
     if (type(values) is int or isinstance(values, np.integer)) and (n is None or 0 <= values < n):
         return min(max(int(values), -2**63), 2**63 - 1)  # one index, as every root: no array
     # all but arrays read one object each: numpy would read [1, True] as [1, 1]
     a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if a.dtype.kind not in "iu" and not all(map(_is_vertex_type, set(map(type, a.flat)))):
-        bad = next(v for v in a.flat if not _is_vertex_type(type(v)))
+    if a.dtype.kind not in "iu" and not all(map(_is_integer_type, set(map(type, a.flat)))):
+        bad = next(v for v in a.flat if not _is_integer_type(type(v)))
         raise VertexRangeError(f"vertex indices must be integers, not {bad!r}")
     if n is not None and a.size and not 0 <= a.min() <= a.max() < n:
         raise VertexRangeError(f"vertex {a[(a < 0) | (a >= n)].flat[0]} out of range for n={n}")
-    if n is None and a.dtype.kind in "Ou" and a.size and not -2**63 <= a.min() <= a.max() < 2**63:
-        a = np.asarray(np.clip(a.astype(object), -2**63, 2**63 - 1))  # saturate past int64
-    return a.astype(np.int64).item() if a.ndim == 0 else a.astype(np.int64, copy=False)
+    if a.dtype.kind == "u" and a.size and a.max() >= 2**63:
+        a = np.minimum(a, 2**63 - 1)  # saturate past int64, which only passes without n
+    try:
+        a = a.astype(np.int64, copy=False)
+    except OverflowError:  # Python ints past int64, which only pass without n, saturate too
+        a = np.clip(a, -2**63, 2**63 - 1).astype(np.int64)
+    return a.item() if a.ndim == 0 else a
 
 
-def _is_vertex_type(kind: type) -> bool:
+def _integer(value, what: str, error: type[Exception] = VertexRangeError) -> int:
+    """``value`` by the integer rule, as a Python int; else ``error`` names it, as ``what``."""
+    if not _is_integer_type(type(value)):
+        raise error(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _real(value, what: str, error: type[Exception]) -> float:
+    """``value`` by the real rule, as a float (past float64's range an infinity of its sign)."""
+    if not _is_real_type(type(value)):
+        raise error(f"{what} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _reals(values, what: str, error: type[Exception]) -> np.ndarray:
+    """The one reader of real arrays, into float64 of their shape: an array of integer or float
+    dtype passes on its dtype alone, float64 uncopied; all else is read one object at a time."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float, copy=False)  # float64, the fastest way to name it
+    a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if not all(map(_is_real_type, set(map(type, a.flat)))):
+        bad = next(x for x in a.flat if not _is_real_type(type(x)))
+        raise error(f"{what} must be real numbers, not {bad!r}")
+    try:
+        return a.astype(np.float64)
+    except OverflowError:  # an integer past float64's range
+        return np.array([_real(x, what, error) for x in a.flat]).reshape(a.shape)
+
+
+def _is_integer_type(kind: type) -> bool:  # the integer rule: Python or numpy, never bool
     return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def _is_real_type(kind: type) -> bool:  # the real rule: never bool, str or None
+    return issubclass(kind, numbers.Real) and kind is not bool

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import NonFiniteWeightError, NonPositiveWeightError, VertexRangeError
-from .graphs import WeightedGraph, _csr, _walk
-from .transport import (Potential, TransportPlan, _assemble_plan, _support_distances, as_measure,
-                        imbalance, imbalance_zero)
+from .graphs import WeightedGraph, _csr, _reals, _walk
+from .transport import (Potential, TransportPlan, _assemble_plan, _checked, _support_distances,
+                        imbalance_zero)
 from .trees import RootedTree, _check_tree_of, _climb
 
 #: Default tolerance for optimality and duality identities.
@@ -61,7 +61,7 @@ def solve(g: WeightedGraph, mu, nu) -> Solution:
     (``_kernels.PRICE_RTOL`` of the largest weight) and tight on every edge
     that carries flow, so its duality value is the optimal value.
     """
-    xi = imbalance(as_measure(mu, g.n), as_measure(nu, g.n))
+    xi = _checked(mu, nu, g.n)[2]
     flow, pi, pivots = _kernels.kernels().network_simplex(xi, g.arc_tails(), g.indices, g.weights)
     potential = pi - pi[0]
     potential.setflags(write=False)
@@ -70,7 +70,7 @@ def solve(g: WeightedGraph, mu, nu) -> Solution:
 
 def exact_k_distance(dist: np.ndarray, mu, nu) -> ExactSolution:
     """Solve the transport LP exactly for a dense ground metric ``dist``, an
-    array or nested list.
+    array or nested list of real numbers (else ``NonFiniteWeightError``).
 
     Returns the optimal value, a plan whose support is a forest with maximal
     diagonal (a vertex of the polytope), and a 1-Lipschitz dual potential with
@@ -78,7 +78,7 @@ def exact_k_distance(dist: np.ndarray, mu, nu) -> ExactSolution:
     holds a NaN or infinite entry and ``NonPositiveWeightError`` when it holds
     a negative one.
     """
-    dist = np.asarray(dist, dtype=np.float64)
+    dist = _reals(dist, "distances", NonFiniteWeightError)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise VertexRangeError("distance matrix must be square")
     n = dist.shape[0]
@@ -87,9 +87,7 @@ def exact_k_distance(dist: np.ndarray, mu, nu) -> ExactSolution:
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise error(f"distance ({i},{j}) is {dist[i, j]}")
-    mu = as_measure(mu, n)
-    nu = as_measure(nu, n)
-    xi = imbalance(mu, nu)
+    mu, nu, xi = _checked(mu, nu, n)
 
     diag = np.minimum(mu, nu)
     srcs = np.flatnonzero(xi > 0.0)
@@ -155,7 +153,7 @@ def check_weak_nondegeneracy(mu, nu, graph: WeightedGraph) -> bool:
     Imbalances up to :func:`imbalance_zero` count as zero. The measures are
     checked first.
     """
-    xi = imbalance(as_measure(mu), as_measure(nu))
+    xi = _checked(mu, nu, None)[2]
     n = xi.shape[0]
     if graph.n != n:
         raise VertexRangeError(f"measures on {n} vertices, graph on {graph.n}")
@@ -191,7 +189,7 @@ def certified_dual(g: WeightedGraph, t: RootedTree, mu, nu) -> tuple[Potential, 
     non-degenerate case, the tree potential itself.
     """
     _check_tree_of(g, t)
-    xi = imbalance(as_measure(mu, t.n), as_measure(nu, t.n))
+    xi = _checked(mu, nu, t.n)[2]
     xi_cum, u = _kernels.kernels().tree_potential(t, xi)
     link = np.where(np.abs(xi_cum) > imbalance_zero(xi), t.parent, -1)
     comp = (np.cumsum(link < 0) - 1)[_climb(link)[1]]

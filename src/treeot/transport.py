@@ -22,23 +22,27 @@ from .errors import (
     NonFiniteMassError,
     VertexRangeError,
 )
-from .graphs import _vertex_indices
+from .graphs import _integer, _real, _reals, _vertex_indices
 from .trees import RootedTree, subtree_aggregate, tree_distance
 
 #: Tolerance on total measure mass.
 MASS_TOL = 1e-9
 
 
+_quiet = np.errstate(over="ignore", invalid="ignore")  # no warning for sums that are not finite
+
+
+@_quiet
 def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndarray:
-    """Validate (and optionally normalize) a finite, nonnegative unit-mass vector.
+    """Validate (and optionally normalize) a finite, nonnegative unit-mass vector of reals.
 
     Normalizing divides by the sum; where finite entries overflow it, they
     are divided by the largest entry first."""
-    mu = np.asarray(values, dtype=np.float64).copy()
+    mu = _reals(values, "measure entries", NonFiniteMassError).copy()
     if mu.ndim != 1 or (n is not None and mu.shape[0] != n):
         raise VertexRangeError(f"expected a flat vector of length {n}, got shape {mu.shape}")
     # only a non-finite sum, as of a NaN or an infinity, needs the entries read
-    total = _mass(mu)
+    total = np.add.reduce(mu)
     if not math.isfinite(total) and not np.isfinite(mu).all():
         raise NonFiniteMassError("measure has a NaN or infinite entry")
     if mu.min(initial=0.0) < 0.0:
@@ -48,7 +52,7 @@ def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndar
             raise MassMismatchError("cannot normalize a zero-mass vector")
         if not math.isfinite(total):  # finite entries whose sum overflows
             mu /= mu.max()
-            total = _mass(mu)
+            total = np.add.reduce(mu)
         if abs(total - 1.0) > MASS_TOL:  # keep valid measures bit-stable
             mu /= total
     elif abs(total - 1.0) > MASS_TOL:
@@ -56,15 +60,16 @@ def as_measure(values, n: int | None = None, normalize: bool = False) -> np.ndar
     return mu
 
 
+@_quiet
 def imbalance(mu, nu) -> np.ndarray:
-    """Signed excess mu - nu; rejects NaN and infinite entries and enforces
-    the zero-sum invariant."""
-    mu = np.asarray(mu, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
+    """Signed excess mu - nu of reals; rejects NaN and infinite entries and
+    enforces the zero-sum invariant."""
+    mu = _reals(mu, "measure entries", NonFiniteMassError)
+    nu = _reals(nu, "measure entries", NonFiniteMassError)
     if mu.shape != nu.shape:
         raise VertexRangeError("measures live on different vertex sets")
     xi = mu - nu
-    total = _mass(xi)  # non-finite if an entry of mu or nu is, as in as_measure
+    total = np.add.reduce(xi, axis=None)  # non-finite if an entry of mu or nu is, as in as_measure
     if not math.isfinite(total) and not (np.isfinite(mu).all() and np.isfinite(nu).all()):
         raise NonFiniteMassError("measure has a NaN or infinite entry")
     if abs(total) > MASS_TOL:
@@ -72,10 +77,11 @@ def imbalance(mu, nu) -> np.ndarray:
     return xi
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _mass(values: np.ndarray) -> float:
-    """The sum of ``values``, without numpy's warning where it is not finite."""
-    return np.add.reduce(values, axis=None)
+@_quiet
+def _checked(mu, nu, n: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``mu``, ``nu`` checked by :func:`as_measure` and their :func:`imbalance`: one quiet scope."""
+    mu, nu = as_measure.__wrapped__(mu, n), as_measure.__wrapped__(nu, n)  # undecorated
+    return mu, nu, imbalance.__wrapped__(mu, nu)
 
 
 def imbalance_zero(xi: np.ndarray) -> float:
@@ -90,19 +96,13 @@ def cumulative_imbalance(t: RootedTree, xi) -> np.ndarray:
     return subtree_aggregate(t, xi)
 
 
-def _tree_imbalance(t: RootedTree, mu, nu) -> np.ndarray:
-    """Cumulative imbalance of mu - nu on the tree, once :func:`as_measure`
-    has checked both measures."""
-    return cumulative_imbalance(t, imbalance(as_measure(mu, t.n), as_measure(nu, t.n)))
-
-
 def tree_k_distance(t: RootedTree, mu, nu) -> float:
     """Transport cost between mu and nu under the tree metric.
 
     Equals the sum over non-root vertices of w(x, parent) * |cumulative
     imbalance at x|; invariant under the choice of root.
     """
-    xi_cum = _tree_imbalance(t, mu, nu)
+    xi_cum = cumulative_imbalance(t, _checked(mu, nu, t.n)[2])
     mask = t.parent >= 0
     return float(np.sum(t.weight_to_parent[mask] * np.abs(xi_cum[mask])))
 
@@ -116,7 +116,7 @@ def tree_potential(t: RootedTree, mu, nu) -> "Potential":
     :func:`treeot.oracle.certified_dual`). The subtree sums and the walk are
     one call of :func:`treeot._kernels.tree_potential`, on the kernel backend.
     """
-    xi = imbalance(as_measure(mu, t.n), as_measure(nu, t.n))
+    xi = _checked(mu, nu, t.n)[2]
     u = _kernels.kernels().tree_potential(t, xi)[1]
     u.setflags(write=False)
     return Potential(values=u, anchor=t.root)
@@ -156,7 +156,7 @@ class Flow:
 
 def beckmann_flow(t: RootedTree, mu, nu) -> Flow:
     """Optimal flow on the tree: positive/negative parts of the cumulative imbalance."""
-    xi_cum = _tree_imbalance(t, mu, nu)
+    xi_cum = cumulative_imbalance(t, _checked(mu, nu, t.n)[2])
     up = np.where(t.parent >= 0, np.maximum(xi_cum, 0.0), 0.0)
     down = np.where(t.parent >= 0, np.maximum(-xi_cum, 0.0), 0.0)
     up.setflags(write=False)
@@ -206,27 +206,23 @@ class TransportPlan:
 def make_plan(n: int, triplets) -> TransportPlan:
     """Build a plan from (x, y, mass) triplets: coalesces duplicates, drops
     zeros, rejects negative and non-finite masses, sorts lexicographically.
-    An index that is not one integer (README, "Vertices") raises
-    ``VertexRangeError`` before any other check."""
-    return _plan_from_entries(n, [(*_indices(x, y), float(m)) for x, y, m in triplets])
+    The numbers are read by README's "Numbers and vertices": an index that is
+    not one integer raises ``VertexRangeError`` before any other check."""
+    return _plan_from_entries(_integer(n, "plan size"), [_entry(x, y, m) for x, y, m in triplets])
 
 
 def _plan_from_entries(n: int, entries) -> TransportPlan:
-    """:func:`make_plan` over (int, int, float) triplets."""
-    try:
-        columns = np.array(entries, dtype=np.float64).reshape(-1, 3)
-    except OverflowError:  # an index beyond float range, hence out of range
-        for entry in entries:
-            _check_entry(n, *entry)
-        raise
-    rows, cols, mass = columns.T
-    return _assemble_plan(n, rows, cols, mass, entries)
+    """:func:`make_plan` over (int, int, float) triplets; an index past int64 saturates."""
+    rows, cols, mass = zip(*entries) if entries else ((), (), ())
+    return _assemble_plan(n, _vertex_indices(rows), _vertex_indices(cols),
+                          np.array(mass, dtype=np.float64), entries)
 
 
-def _indices(x, y) -> tuple[int, int]:
+def _entry(x, y, m) -> tuple[int, int, float]:
+    """A plan entry, its indices as given for :func:`_check_entry`, its mass as a float."""
     with contextlib.suppress(VertexRangeError):
         if all(type(_vertex_indices(i)) is int for i in (x, y)):  # each one index
-            return x, y  # as given, for _check_entry's range message
+            return x, y, _real(m, f"the mass of plan entry ({x},{y})", NonFiniteMassError)
     raise VertexRangeError(f"plan entry ({x!r},{y!r}) has a non-integer index")
 
 
@@ -286,7 +282,7 @@ def _support_distances(plan: TransportPlan, dist) -> np.ndarray:
 def check_alternating_condition(t: RootedTree, mu, nu) -> bool:
     """True iff the cumulative imbalance strictly alternates sign between every
     non-root vertex and each of its children."""
-    xi_cum = _tree_imbalance(t, mu, nu)
+    xi_cum = cumulative_imbalance(t, _checked(mu, nu, t.n)[2])
     c = np.flatnonzero((t.parent >= 0) & (t.parent != t.root))
     return not np.any(xi_cum[c] * xi_cum[t.parent[c]] >= 0.0)
 
@@ -297,8 +293,8 @@ def closed_form_plan(t: RootedTree, mu, nu) -> TransportPlan:
     parent and the remainder stays on the diagonal."""
     if not check_alternating_condition(t, mu, nu):
         raise ConditionViolatedError("cumulative imbalance does not alternate signs")
-    mu = as_measure(mu, t.n)
-    xi_cum = _tree_imbalance(t, mu, nu)
+    mu, _, xi = _checked(mu, nu, t.n)
+    xi_cum = cumulative_imbalance(t, xi)
     child = np.flatnonzero(t.parent >= 0)
     parent = t.parent[child]
     # mass each vertex sends to its children, added in child order
@@ -365,11 +361,11 @@ def plan_to_flow(plan: TransportPlan, t: RootedTree) -> Flow:
 def line_w1(points, mu, nu) -> float:
     """Wasserstein-1 distance on the real line via the CDF formula:
     sum of gap lengths times |F_mu - F_nu|."""
-    x = np.asarray(points, dtype=np.float64)
+    x = _reals(points, "points", VertexRangeError)
     if x.ndim != 1 or x.shape[0] < 1:
         raise VertexRangeError("points must be a flat, non-empty array")
     if not np.isfinite(x).all() or np.any(np.diff(x) <= 0.0):
         raise VertexRangeError("points must be finite and strictly increasing")
-    xi = imbalance(as_measure(mu, x.shape[0]), as_measure(nu, x.shape[0]))
+    xi = _checked(mu, nu, x.shape[0])[2]
     cdf_gap = np.cumsum(xi)[:-1]
     return float(np.sum(np.diff(x) * np.abs(cdf_gap)))

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import (HasCycleError, NonFiniteWeightError, NonPositiveWeightError, NotSpanningError,
-                     VertexRangeError)
-from .graphs import WeightedGraph, _csr, _vertex_indices, _walk
+from .errors import (HasCycleError, NonFiniteMassError, NonFiniteWeightError,
+                     NonPositiveWeightError, NotSpanningError, TreeError, VertexRangeError)
+from .graphs import WeightedGraph, _csr, _edge_rows, _reals, _vertex_indices, _walk
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class RootedTree:
     (:func:`_climb`), that the links root a spanning tree at ``root`` (else
     ``NotSpanningError``, or ``VertexRangeError`` for a root or links that
     are not integers, or shapes that differ), and that every vertex but the
-    root weighs its edge finite (else ``NonFiniteWeightError``) and positive
+    root weighs its edge a finite real (else ``NonFiniteWeightError``) and positive
     (else ``NonPositiveWeightError``); the root's weight is never read. The proof
     gives ``depth[v]``, the edges from ``v`` to the root, and ``order``: the
     vertices by decreasing depth, then increasing id, so one forward pass
@@ -39,7 +39,7 @@ class RootedTree:
 
     def __post_init__(self):
         parent = np.array(_vertex_indices(self.parent))
-        wpar = np.array(self.weight_to_parent, dtype=np.float64)
+        wpar = _reals(self.weight_to_parent, "weights to a parent", NonFiniteWeightError).copy()
         if parent.ndim != 1 or wpar.shape != parent.shape:
             raise VertexRangeError(f"parent links of shape {parent.shape} do not match weights "
                                    f"of shape {wpar.shape}")
@@ -109,24 +109,21 @@ def root_tree(g: WeightedGraph, tree_edges, root: int) -> RootedTree:
 
     Raises ``HasCycleError`` when the edge count exceeds n-1, an edge repeats
     or the root's part holds a cycle, ``NotSpanningError`` when some vertex is
-    unreachable, ``EdgeNotInGraphError`` for foreign edges; README's
-    "Vertices" says how the root and the edge ends are read."""
+    unreachable, ``EdgeNotInGraphError`` for foreign edges; README's "Numbers
+    and vertices" says how the root and the rows are read (``TreeError``)."""
     n, root = g.n, _vertex_indices(root, g.n)
-    pairs = [(u, v) for u, v in tree_edges]
-    ends = _vertex_indices([end for pair in pairs for end in pair])  # read in row order
-    if ends.shape != (2 * len(pairs),):
-        raise VertexRangeError("a tree edge end is not one vertex")
-    u, v = ends[0::2], ends[1::2]
+    rows = tree_edges.tolist() if isinstance(tree_edges, np.ndarray) else list(tree_edges)
+    u, v = _edge_rows(rows, "uv", TreeError)
     arcs = g.arc_index(u, v)
-    if len(pairs) > n - 1:
-        raise HasCycleError(f"{len(pairs)} edges on {n} vertices cannot be acyclic")
-    if len(pairs) < n - 1:
-        raise NotSpanningError(f"{len(pairs)} edges cannot span {n} vertices")
+    if len(rows) > n - 1:
+        raise HasCycleError(f"{len(rows)} edges on {n} vertices cannot be acyclic")
+    if len(rows) < n - 1:
+        raise NotSpanningError(f"{len(rows)} edges cannot span {n} vertices")
     seen_pairs = set()
-    for pair, a, b, arc in zip(pairs, u.tolist(), v.tolist(), arcs.tolist()):
+    for row, a, b, arc in zip(rows, u.tolist(), v.tolist(), arcs.tolist()):
         key = (a, b) if a < b else (b, a)
         if arc < 0:
-            g.edge_weight(*pair)  # raises EdgeNotInGraphError, also for a == b
+            g.edge_weight(*row)  # raises EdgeNotInGraphError, also for a == b
         if key in seen_pairs:
             raise HasCycleError(f"edge {{{a},{b}}} repeated")
         seen_pairs.add(key)
@@ -169,7 +166,7 @@ def subtree_aggregate(t: RootedTree, values) -> np.ndarray:
     One leaves-to-root pass, O(n), on the kernel backend: the sums of
     :func:`treeot._kernels.tree_potential`, which also walks back down.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _reals(values, "values", NonFiniteMassError)
     if values.shape != (t.n,):
         raise VertexRangeError(f"expected {t.n} values, got shape {values.shape}")
     return _kernels.kernels().tree_potential(t, values)[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 import os
 import shlex
 import shutil
@@ -28,12 +29,14 @@ from treeot.errors import (
     DisconnectedError,
     DuplicateEdgeError,
     FormatError,
+    GraphError,
     HasCycleError,
     NonFiniteMassError,
     NonFiniteWeightError,
     NonPositiveWeightError,
     NotSpanningError,
     SelfLoopError,
+    TreeError,
     VertexRangeError,
 )
 from treeot.graphs import WeightedGraph, _vertex_indices
@@ -598,24 +601,50 @@ def successive_shortest_paths(cost, supply, demand):
     return flow, alpha, beta
 
 
+def reference_edge_row(row, fields, error):
+    """One edge row read by README's rules, one field at a time: the row must
+    iterate to ``len(fields)`` values (else ``error``), its ends must each be
+    a Python or numpy integer and no bool, and for "uvw" its weight a real
+    number that is no bool, read as a float (an integer past float64's range
+    as an infinity of its sign)."""
+    try:
+        values = tuple(row)
+    except TypeError:
+        values = None
+    if values is None or len(values) != len(fields):
+        raise error(f"edge {row!r} is not a row ({', '.join(fields)})")
+    for end in values[:2]:
+        if isinstance(end, bool) or not isinstance(end, (int, np.integer)):
+            raise VertexRangeError(f"an end of edge {row!r} must be an integer, not {end!r}")
+    ends = [int(end) for end in values[:2]]
+    if fields == "uv":
+        return tuple(ends)
+    w = values[2]
+    if isinstance(w, bool) or not isinstance(w, numbers.Real):
+        raise NonFiniteWeightError(f"the weight of edge {row!r} must be a real number, not {w!r}")
+    try:
+        w = float(w)
+    except OverflowError:
+        w = math.inf if w > 0 else -math.inf
+    return (*ends, w)
+
+
 def reference_build_graph(vertex_count, edge_list):
     """``build_graph`` as one loop over the rows, the way it ran before it
-    checked whole columns: each row is read (an integer weight past float64's
-    range as an infinity of its sign), range-checked, loop-checked,
-    weight-checked and looked up among the rows before it, in that order, so
-    the first bad row raises."""
+    checked whole columns: the vertex count must be an integer and no bool,
+    and each row is read (:func:`reference_edge_row`), range-checked,
+    loop-checked, weight-checked and looked up among the rows before it, in
+    that order, so the first bad row raises."""
+    if isinstance(vertex_count, bool) or not isinstance(vertex_count, (int, np.integer)):
+        raise VertexRangeError(f"vertex_count must be an integer, not {vertex_count!r}")
     n = int(vertex_count)
     if n <= 0:
         raise VertexRangeError("vertex_count must be positive")
     weight_map = {}
-    for u, v, w in edge_list:
-        u, v = int(u), int(v)
-        try:
-            w = float(w)
-        except OverflowError:  # an integer weight past float64's range is infinite
-            w = math.inf if w > 0 else -math.inf
+    for row in (edge_list.tolist() if isinstance(edge_list, np.ndarray) else edge_list):
+        u, v, w = reference_edge_row(row, "uvw", GraphError)
         if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
+            raise VertexRangeError(f"edge {row!r} out of range for n={n}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if not math.isfinite(w):
@@ -649,19 +678,17 @@ def reference_build_graph(vertex_count, edge_list):
 
 
 def reference_edge_rows(path, edges, fields):
-    """``fileio._edge_rows`` as one loop over the rows: the first row that is
-    not a list of ``len(fields)`` entries, or whose endpoint is not an int or
-    whose weight is not a number (bools excluded), raises."""
+    """How a graph file (``fields`` "uvw") or a tree file ("uv") has its
+    ``edges``, as ``json.loads`` gives them, read, as one loop over the rows:
+    the loader checks that they are a list, and the first row that the rules
+    refuse (:func:`reference_edge_row`) raises, the file's path prefixed."""
     if not isinstance(edges, list):
         raise FormatError(f"{path}: 'edges' must be a list, got {edges!r}")
-    for row in edges:
-        if not isinstance(row, list) or len(row) != len(fields):
-            raise FormatError(f"{path}: edge {row!r} is not a list [{', '.join(fields)}]")
-        for x in row[:2]:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise FormatError(f"{path}: an edge endpoint must be an integer, got {x!r}")
-        if fields == "uvw" and (isinstance(row[2], bool) or not isinstance(row[2], (int, float))):
-            raise FormatError(f"{path}: edge weight must be a number, got {row[2]!r}")
+    try:
+        for row in edges:
+            reference_edge_row(row, fields, GraphError if fields == "uvw" else TreeError)
+    except (GraphError, TreeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return edges
 
 
@@ -725,20 +752,21 @@ def reference_root_tree(g, tree_edges, root):
     """``root_tree`` as it ran over numpy arrays: read the pairs, count them,
     look each up in the graph and among the pairs before it, then orient by
     a depth-first walk from ``root`` that raises on the first vertex reached
-    twice and on vertices never reached. The root and the ends are read by
-    the vertex reader, which refuses a float or bool end."""
+    twice and on vertices never reached. The root is read by the vertex
+    reader, and the rows by :func:`reference_edge_row`, which refuses a row
+    that is not a pair and a float or bool end."""
     n = g.n
     root = _vertex_indices(root, n)
-    pairs = [(u, v) for u, v in tree_edges]
-    _vertex_indices(pairs)
+    rows = tree_edges.tolist() if isinstance(tree_edges, np.ndarray) else list(tree_edges)
+    pairs = [reference_edge_row(row, "uv", TreeError) for row in rows]  # in row order
     if len(pairs) > n - 1:
         raise HasCycleError(f"{len(pairs)} edges on {n} vertices cannot be acyclic")
     if len(pairs) < n - 1:
         raise NotSpanningError(f"{len(pairs)} edges cannot span {n} vertices")
     adjacency = [[] for _ in range(n)]
     seen_pairs = set()
-    for u, v in pairs:
-        g.edge_weight(u, v)
+    for row, (u, v) in zip(rows, pairs):
+        g.edge_weight(*row)  # names the ends as given
         key = (u, v) if u < v else (v, u)
         if key in seen_pairs:
             raise HasCycleError(f"edge {{{u},{v}}} repeated")

@@ -1,7 +1,8 @@
 import errno
+import functools
 import io
+import json
 import os
-import re
 import stat
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -16,6 +17,7 @@ from treeot.errors import (
     FormatError,
     NegativePixelError,
     NonFiniteMassError,
+    VertexRangeError,
 )
 
 from conftest import (
@@ -27,8 +29,9 @@ from conftest import (
     reference_load_potential,
 )
 
-# (edges, fields) as json.loads gives them; each but the first breaks a
-# rule of _edge_rows, some in several rows or entries
+# (edges, fields) as json.loads gives them, for a graph file ("uvw") or a tree
+# file ("uv"); each of the last 22 breaks a rule of the library's row reader,
+# some in several rows or entries
 EDGE_ROWS = {
     "valid": ([[0, 1, 1.0], [1, 2, 2], [2, 3, 10**30]], "uvw"),
     "valid-tree": ([[0, 1], [1, 2]], "uv"),
@@ -82,19 +85,26 @@ class TestGraphFiles:
 
 class TestEdgeRows:
     @pytest.mark.parametrize("name", EDGE_ROWS)
-    def test_rows_are_checked_as_the_row_loop_checked_them(self, name):
+    def test_rows_are_checked_as_the_row_loop_checked_them(self, tmp_path, name):
+        # a graph file on 4 vertices (1 without edges), a tree file on the path 0-1-2
         edges, fields = EDGE_ROWS[name]
-        expected = raised(reference_edge_rows, "g.json", edges, fields)
-        assert raised(fileio._edge_rows, "g.json", edges, fields) == expected
-        if expected is None:
-            assert fileio._edge_rows("g.json", edges, fields) is edges
+        path = tmp_path / "g.json"
+        if fields == "uvw":
+            doc = {"n": 4 if edges else 1, "edges": edges}
+            load = functools.partial(fileio.load_graph, path)
+        else:
+            doc = {"root": 0, "edges": edges}
+            load = functools.partial(fileio.load_tree, path, ot.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert raised(load) == raised(reference_edge_rows, path, edges, fields)
 
     def test_graph_file_reports_the_first_bad_row(self, tmp_path):
         path = tmp_path / "graph.json"
         path.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2.0, 1.0], [1, true, 1.0]]}',
                         encoding="utf-8")
-        with pytest.raises(FormatError, match=r"an edge endpoint must be an integer, got 2\.0$"):
+        with pytest.raises(VertexRangeError) as caught:
             fileio.load_graph(path)
+        assert str(caught.value) == f"{path}: an end of edge [1, 2.0, 1.0] must be an integer, not 2.0"
 
 
 class TestTreeFiles:
@@ -133,8 +143,9 @@ class TestMeasureFiles:
     def test_first_non_number_named(self, tmp_path, body, bad):
         path = tmp_path / "m.json"
         path.write_text(body, encoding="utf-8")
-        with pytest.raises(FormatError, match=rf"measure entry must be a number, got {re.escape(bad)}$"):
+        with pytest.raises(NonFiniteMassError) as caught:
             fileio.load_measure_raw(path, 2)
+        assert str(caught.value) == f"{path}: measure entries must be real numbers, not {bad}"
 
     def test_wrong_length(self, tmp_path):
         path = tmp_path / "m.json"

@@ -8,6 +8,7 @@ from treeot.errors import (
     DisconnectedError,
     DuplicateEdgeError,
     EdgeNotInGraphError,
+    GraphError,
     NonFiniteWeightError,
     NonPositiveWeightError,
     SelfLoopError,
@@ -35,57 +36,63 @@ def geodesic_edges(g: ot.WeightedGraph, tol: float = 1e-12) -> set[tuple[int, in
     return {(u, v) for (u, v, w), d in zip(g.edges, dist.tolist()) if w - d <= tol}
 
 
-# (n, rows): each breaks build_graph's checks, some in several rows, so the
-# first bad row in input order must name the error
+# (n, rows, error): each breaks build_graph's checks, some in several rows, so
+# the first bad row in input order must name the error, with this type; a row
+# that is not three fields is a GraphError, a float or bool end a
+# VertexRangeError and a weight that is not a real number a NonFiniteWeightError
 MALFORMED_EDGE_LISTS = {
-    "n-zero": (0, []),
-    "n-negative": (-3, LINE4),
-    "endpoint-n": (4, [(0, 1, 1.0), (1, 4, 1.0), (2, 3, 1.0)]),
-    "endpoint-negative": (4, [(0, 1, 1.0), (-1, 2, 1.0), (2, 3, 1.0)]),
-    "endpoint-beyond-int64": (4, [(0, 1, 1.0), (2**70, 2, 1.0), (2, 3, 1.0)]),
-    "endpoint-beyond-float": (4, [(0, 1, 1.0), (1, -10**400, 1.0), (2, 3, 1.0)]),
-    "self-loop": (4, [(0, 1, 1.0), (2, 2, 1.0), (2, 3, 1.0)]),
-    "weight-nan": (4, [(0, 1, 1.0), (1, 2, NAN), (2, 3, 1.0)]),
-    "weight-inf": (4, [(0, 1, INF), (1, 2, 1.0), (2, 3, 1.0)]),
-    "weight-minus-inf": (4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, -INF)]),
-    "weight-zero": (4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)]),
-    "weight-minus-zero": (4, [(0, 1, 1.0), (1, 2, -0.0), (2, 3, 1.0)]),
-    "weight-negative": (4, [(0, 1, 1.0), (1, 2, -2), (2, 3, 1.0)]),
-    "weight-beyond-float": (4, [(0, 1, 1.0), (1, 2, 10**400), (2, 3, 1.0)]),
-    "weight-text": (4, [(0, 1, 1.0), (1, 2, "heavy"), (2, 3, 1.0)]),
-    "weight-none": (4, [(0, 1, 1.0), (1, 2, None), (2, 3, 1.0)]),
-    "duplicate-same-way": (4, [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (2, 3, 1.0)]),
-    "duplicate-reversed": (4, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0)]),
-    "duplicate-of-bool-row": (4, [(True, 2, 1.0), (2.9, 1, 1.0), (2, 3, 1.0), (0, 1, 1.0)]),
-    "endpoint-float-nan": (4, [(0, 1, 1.0), (NAN, 2, 1.0), (2, 3, 1.0)]),
-    "endpoint-float-inf": (4, [(0, 1, 1.0), (1, INF, 1.0), (2, 3, 1.0)]),
-    "endpoint-float-out": (4, [(0, 1, 1.0), (1, 4.5, 1.0), (2, 3, 1.0)]),
-    "endpoint-none": (4, [(0, 1, 1.0), (None, 2, 1.0), (2, 3, 1.0)]),
-    "short-row": (4, [(0, 1, 1.0), (1, 2), (2, 3, 1.0)]),
-    "long-row": (4, [(0, 1, 1.0), (1, 2, 1.0, 7), (2, 3, 1.0)]),
-    "all-rows-short": (4, [(0, 1), (1, 2), (2, 3)]),
-    "row-not-iterable": (4, [(0, 1, 1.0), 5, (2, 3, 1.0)]),
-    "range-before-short": (4, [(0, 9, 1.0), (1, 2), (2, 3, 1.0)]),
-    "short-before-range": (4, [(1, 2), (0, 9, 1.0), (2, 3, 1.0)]),
-    "duplicate-before-loop": (4, [(0, 1, 1.0), (1, 0, 1.0), (3, 3, 1.0)]),
-    "loop-before-duplicate": (4, [(0, 1, 1.0), (3, 3, 1.0), (1, 0, 1.0)]),
-    "weight-before-duplicate": (4, [(0, 1, 1.0), (1, 2, 0.0), (1, 0, 1.0)]),
-    "range-and-weight-in-one-row": (4, [(0, 1, 1.0), (7, 2, NAN)]),
-    "unreadable-weight-out-of-range": (4, [(0, 1, 1.0), (7, 2, "x")]),
-    "bad-key-collides-later": (4, [(0, 1, 1.0), (-1, 5, 1.0), (1, 0, 1.0)]),
-    "disconnected": (5, LINE4),
-    "no-edges": (3, []),
+    "n-zero": (0, [], VertexRangeError),
+    "n-negative": (-3, LINE4, VertexRangeError),
+    "endpoint-n": (4, [(0, 1, 1.0), (1, 4, 1.0), (2, 3, 1.0)], VertexRangeError),
+    "endpoint-negative": (4, [(0, 1, 1.0), (-1, 2, 1.0), (2, 3, 1.0)], VertexRangeError),
+    "endpoint-beyond-int64": (4, [(0, 1, 1.0), (2**70, 2, 1.0), (2, 3, 1.0)], VertexRangeError),
+    "endpoint-beyond-float": (4, [(0, 1, 1.0), (1, -10**400, 1.0), (2, 3, 1.0)], VertexRangeError),
+    "self-loop": (4, [(0, 1, 1.0), (2, 2, 1.0), (2, 3, 1.0)], SelfLoopError),
+    "weight-nan": (4, [(0, 1, 1.0), (1, 2, NAN), (2, 3, 1.0)], NonFiniteWeightError),
+    "weight-inf": (4, [(0, 1, INF), (1, 2, 1.0), (2, 3, 1.0)], NonFiniteWeightError),
+    "weight-minus-inf": (4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, -INF)], NonFiniteWeightError),
+    "weight-zero": (4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)], NonPositiveWeightError),
+    "weight-minus-zero": (4, [(0, 1, 1.0), (1, 2, -0.0), (2, 3, 1.0)], NonPositiveWeightError),
+    "weight-negative": (4, [(0, 1, 1.0), (1, 2, -2), (2, 3, 1.0)], NonPositiveWeightError),
+    "weight-beyond-float": (4, [(0, 1, 1.0), (1, 2, 10**400), (2, 3, 1.0)], NonFiniteWeightError),
+    "weight-text": (4, [(0, 1, 1.0), (1, 2, "heavy"), (2, 3, 1.0)], NonFiniteWeightError),
+    "weight-none": (4, [(0, 1, 1.0), (1, 2, None), (2, 3, 1.0)], NonFiniteWeightError),
+    "duplicate-same-way": (4, [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (2, 3, 1.0)],
+                           DuplicateEdgeError),
+    "duplicate-reversed": (4, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0)],
+                           DuplicateEdgeError),
+    "duplicate-of-bool-row": (4, [(True, 2, 1.0), (2.9, 1, 1.0), (2, 3, 1.0), (0, 1, 1.0)],
+                              VertexRangeError),
+    "endpoint-float-nan": (4, [(0, 1, 1.0), (NAN, 2, 1.0), (2, 3, 1.0)], VertexRangeError),
+    "endpoint-float-inf": (4, [(0, 1, 1.0), (1, INF, 1.0), (2, 3, 1.0)], VertexRangeError),
+    "endpoint-float-out": (4, [(0, 1, 1.0), (1, 4.5, 1.0), (2, 3, 1.0)], VertexRangeError),
+    "endpoint-none": (4, [(0, 1, 1.0), (None, 2, 1.0), (2, 3, 1.0)], VertexRangeError),
+    "short-row": (4, [(0, 1, 1.0), (1, 2), (2, 3, 1.0)], GraphError),
+    "long-row": (4, [(0, 1, 1.0), (1, 2, 1.0, 7), (2, 3, 1.0)], GraphError),
+    "all-rows-short": (4, [(0, 1), (1, 2), (2, 3)], GraphError),
+    "row-not-iterable": (4, [(0, 1, 1.0), 5, (2, 3, 1.0)], GraphError),
+    "range-before-short": (4, [(0, 9, 1.0), (1, 2), (2, 3, 1.0)], VertexRangeError),
+    "short-before-range": (4, [(1, 2), (0, 9, 1.0), (2, 3, 1.0)], GraphError),
+    "duplicate-before-loop": (4, [(0, 1, 1.0), (1, 0, 1.0), (3, 3, 1.0)], DuplicateEdgeError),
+    "loop-before-duplicate": (4, [(0, 1, 1.0), (3, 3, 1.0), (1, 0, 1.0)], SelfLoopError),
+    "weight-before-duplicate": (4, [(0, 1, 1.0), (1, 2, 0.0), (1, 0, 1.0)], NonPositiveWeightError),
+    "range-and-weight-in-one-row": (4, [(0, 1, 1.0), (7, 2, NAN)], VertexRangeError),
+    "unreadable-weight-out-of-range": (4, [(0, 1, 1.0), (7, 2, "x")], NonFiniteWeightError),
+    "bad-key-collides-later": (4, [(0, 1, 1.0), (-1, 5, 1.0), (1, 0, 1.0)], VertexRangeError),
+    "disconnected": (5, LINE4, DisconnectedError),
+    "no-edges": (3, [], DisconnectedError),
+    "bool-and-float-ends": (4, [(True, 0, 1.0), (2.9, 1, 1), (2, 3.5, 0.25)], VertexRangeError),
+    "float-array": (4, np.array(LINE4), VertexRangeError),
 }
 
 
 def valid_edge_lists():
-    """Valid inputs of every form build_graph reads: tuples and lists, bool,
-    float and numpy endpoints, integer weights and (E, 3) arrays."""
+    """Valid inputs of every form build_graph reads: tuples and lists, numpy
+    endpoints and weights, integer weights and (E, 3) integer arrays."""
     rng = np.random.default_rng(23)
-    cases = [(1, []), (2, [(0, 1, 1)]), (4, [(True, 0, 1.0), (2.9, 1, 1), (2, 3.5, 0.25)]),
-             (4, [[0, 1, 1.0], [1, 2, 0.5], [2, 3, 2]]),
-             (4, np.array(LINE4)), (4, np.array([(0, 1, 3), (1, 2, 1), (3, 2, 2)])),
-             (64, ot.grid_graph(8).edges)]
+    cases = [(1, []), (2, [(0, 1, 1)]), (np.int32(2), [(np.uint8(0), 1, np.float32(0.5))]),
+             (4, [[0, 1, 1.0], [1, 2, 0.5], [2, 3, 2]]), (4, [(0, 1, 10**30), (1, 2, 0.5), (2, 3, 2)]),
+             (4, np.array([(0, 1, 3), (1, 2, 1), (3, 2, 2)])), (64, ot.grid_graph(8).edges)]
     for _ in range(60):
         n = int(rng.integers(1, 40))
         base = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n + 1)) * (n > 1)).edges
@@ -160,9 +167,9 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("name", MALFORMED_EDGE_LISTS)
     def test_malformed_rows_raise_as_the_row_loop(self, name):
-        n, rows = MALFORMED_EDGE_LISTS[name]
+        n, rows, error = MALFORMED_EDGE_LISTS[name]
         expected = raised(reference_build_graph, n, rows)
-        assert expected is not None
+        assert expected is not None and expected[0] is error
         assert raised(ot.build_graph, n, rows) == expected
 
     def test_valid_edge_lists_build_what_the_row_loop_built(self):

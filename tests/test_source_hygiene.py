@@ -11,7 +11,8 @@ the functions that ``_kernels.py`` declares, each returning an ``int``
 status and taking its reference kernel's argument list, and every kernel
 has a caller in the package outside ``_kernels.py``, so none is kept for
 parity tests alone. ``graphs._walk`` is the package's one stack-popping
-depth-first walk, and no union-find is left. Every package name that the
+depth-first walk, and no union-find is left; only ``graphs.py`` decides
+what counts as an integer or a real number. Every package name that the
 benchmark harness (``perfbench/``) reads still resolves, so removing one
 fails here rather than in the benchmark.
 
@@ -280,6 +281,47 @@ def test_the_walk_scan_flags_what_it_looks_for():
     assert edge_walks(source, "_walk") == ["line 7: stack walk", "line 15: find function",
                                            "line 16: pointer chase"]
     assert edge_walks(source)[:1] == ["line 3: stack walk"]
+
+
+def number_rules(source: str) -> list[str]:
+    """Places that decide what counts as an integer or a real number: a use
+    of ``operator.index`` or ``numbers.Real`` (also imported by name), and an
+    ``isinstance(x, bool)`` test, also with ``bool`` in a tuple of types."""
+    names = {("operator", "index"), ("numbers", "Real")}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in names):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names
+                      if (node.module, alias.name) in names]
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and len(node.args) == 2
+              and any(getattr(kind, "id", None) == "bool" for kind in ast.walk(node.args[1]))):
+            found.append((node.lineno, "isinstance bool"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_graphs_decides_what_a_number_is(path):
+    # graphs.py holds the integer rule, the real rule and their readers
+    if path.name != "graphs.py":
+        assert number_rules(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_number_scan_flags_what_it_looks_for():
+    source = ("import numbers\n"
+              "import operator\n"
+              "from numbers import Real\n"
+              "def f(x, y):\n"
+              "    operator.index(x)\n"
+              "    if isinstance(x, bool) or isinstance(y, (int, bool)):\n"
+              "        return isinstance(y, numbers.Real)\n"
+              "    return isinstance(x, int) and type(y) is not bool\n")
+    assert number_rules(source) == ["line 3: numbers.Real", "line 5: operator.index",
+                                    "line 6: isinstance bool", "line 6: isinstance bool",
+                                    "line 7: numbers.Real"]
 
 
 #: the C names of the codes that ``_kernels`` keys by message

@@ -1,6 +1,9 @@
 """One rule reads every vertex argument: a Python or numpy integer, never a
 bool or a float, and in ``0..n-1`` where the argument names a vertex of a
-graph or tree. A bad value raises with the value as given, on every backend."""
+graph or tree. A bad value raises with the value as given, on every backend.
+The integer rule also reads every count and integer setting, and the real
+rule (a real number, never a bool, a string or None) every weight, mass,
+distance, point and real setting."""
 
 import re
 
@@ -8,13 +11,15 @@ import numpy as np
 import pytest
 
 import treeot as ot
-from treeot.errors import EdgeNotInGraphError, NotSpanningError, VertexRangeError
+from treeot.errors import (EdgeNotInGraphError, NonFiniteMassError, NonFiniteWeightError,
+                           NotSpanningError, VertexRangeError)
 from treeot.graphs import _vertex_indices
 from treeot.trees import RootedTree
 
 # grid_graph(2): vertices 0 1 / 2 3 and edges {0,1}, {0,2}, {1,3}, {2,3}
 EDGES = [(0, 1), (1, 3), (0, 2)]
 N = 4
+GRID2_ROWS = [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)]
 
 # every public vertex argument, as a call on one bad value v, and what an
 # integer out of range gives there: the range check of the argument
@@ -41,6 +46,10 @@ ARGUMENTS = {
     "neighbor_weights": (lambda g, t, v: g.neighbor_weights(v), VertexRangeError),
     "make_plan x": (lambda g, t, v: ot.make_plan(N, [(0, 0, 0.5), (v, 0, 0.5)]), VertexRangeError),
     "make_plan y": (lambda g, t, v: ot.make_plan(N, [(0, v, 1.0)]), VertexRangeError),
+    "build_graph tail": (lambda g, t, v: ot.build_graph(N, [(v, 1, 1.0)] + GRID2_ROWS[1:]),
+                         VertexRangeError),
+    "build_graph head": (lambda g, t, v: ot.build_graph(N, GRID2_ROWS[:1] + [(1, v, 1.0)]
+                                                        + GRID2_ROWS[2:]), VertexRangeError),
 }
 NOT_INTEGERS = [0.9, True, np.float64(1.0)]
 OUT_OF_RANGE = [2**63, 10**30, -1, N]
@@ -122,6 +131,69 @@ def test_numpy_ends_of_any_integer_dtype_orient_as_python_ints_do(backend, dtype
     for edges in (np.array(EDGES, dtype=dtype), [tuple(map(dtype, pair)) for pair in EDGES]):
         got = ot.root_tree(g, edges, dtype(0))
         assert got.root == want.root and got.parent.tolist() == want.parent.tolist()
+
+
+# every count, weight, mass and scalar argument that the integer rule or the
+# real rule reads, as a call on one value v: (call, the error a value that
+# breaks the rule raises, the rule, a numpy scalar the call accepts)
+# AnnealConfig and anneal's target_cost raise ValueError, as they document;
+# every other argument raises its TreeOTError subclass
+NUMBERS = {
+    "build_graph vertex_count": (lambda v: ot.build_graph(v, [(0, 1, 1.0)]), VertexRangeError,
+                                 "integer", np.int64(2)),
+    "grid_graph p": (lambda v: ot.grid_graph(v), VertexRangeError, "integer", np.uint8(3)),
+    "make_plan n": (lambda v: ot.make_plan(v, [(0, 0, 1.0)]), VertexRangeError, "integer", np.int32(2)),
+    "AnnealConfig max_iters": (lambda v: ot.AnnealConfig(max_iters=v), ValueError, "integer",
+                               np.int64(10)),
+    "AnnealConfig seed": (lambda v: ot.AnnealConfig(1, seed=v), ValueError, "integer", np.uint32(5)),
+    "AnnealConfig record_every": (lambda v: ot.AnnealConfig(1, record_every=v), ValueError, "integer",
+                                  np.int16(7)),
+    "build_graph weight": (lambda v: ot.build_graph(2, [(0, 1, v)]), NonFiniteWeightError, "real",
+                           np.float32(0.5)),
+    "grid_graph weight": (lambda v: ot.grid_graph(2, v), NonFiniteWeightError, "real or None",
+                          np.int64(2)),
+    "AnnealConfig beta0": (lambda v: ot.AnnealConfig(1, beta0=v), ValueError, "real", np.float64(2.0)),
+    "AnnealConfig eta": (lambda v: ot.AnnealConfig(1, eta=v), ValueError, "real", np.float32(0.01)),
+    "anneal target_cost": (lambda v: ot.anneal(ot.grid_graph(2), [1.0, 0, 0, 0], [0, 0, 0, 1.0],
+                                               ot.AnnealConfig(10), target_cost=v),
+                           ValueError, "real or None", np.float64(0.5)),
+    "as_measure entry": (lambda v: ot.as_measure([v, 0.5]), NonFiniteMassError, "real",
+                         np.float64(0.5)),
+    "imbalance mu entry": (lambda v: ot.imbalance([v, 0.5], [0.5, 0.5]), NonFiniteMassError, "real",
+                           np.float16(0.5)),
+    "imbalance nu entry": (lambda v: ot.imbalance([0.5, 0.5], [0.5, v]), NonFiniteMassError, "real",
+                           np.float64(0.5)),
+    "make_plan mass": (lambda v: ot.make_plan(2, [(0, 0, v)]), NonFiniteMassError, "real",
+                       np.float64(1.0)),
+    "exact_k_distance dist": (lambda v: ot.exact_k_distance([[0.0, v], [v, 0.0]], [1.0, 0], [0, 1.0]),
+                              NonFiniteWeightError, "real", np.float64(0.5)),
+    "RootedTree weight": (lambda v: RootedTree(0, [-1, 0], [0.0, v]), NonFiniteWeightError, "real",
+                          np.float64(2.5)),
+    "subtree_aggregate value": (lambda v: ot.subtree_aggregate(RootedTree(0, [-1, 0], [1.0, 1.0]),
+                                                               [v, 0.0]),
+                                NonFiniteMassError, "real", np.float64(1.0)),
+    "line_w1 point": (lambda v: ot.line_w1([0.0, v], [1.0, 0], [0, 1.0]), VertexRangeError, "real",
+                      np.float64(0.5)),
+}
+# None is the default of the two optional reals: no weight given, no target
+BREAKS = {"integer": [True, "0.5", None, 2.0], "real": [True, "0.5", None],
+          "real or None": [True, "0.5"]}
+
+
+@pytest.mark.parametrize("argument, value", [
+    pytest.param(name, value, id=f"{name}-{value!r}")
+    for name, (_, _, rule, _) in NUMBERS.items() for value in BREAKS[rule]])
+def test_a_value_that_breaks_its_rule_is_named_as_given(argument, value):
+    call, error, _, _ = NUMBERS[argument]
+    with pytest.raises(error) as caught:
+        call(value)
+    assert type(caught.value) is error and names(str(caught.value), value), str(caught.value)
+
+
+@pytest.mark.parametrize("argument", NUMBERS)
+def test_a_numpy_scalar_is_read_as_its_number(argument):
+    call, _, _, scalar = NUMBERS[argument]
+    call(scalar)
 
 
 class TestReader:
