@@ -23,8 +23,10 @@ Usage:
 
     python benchmarks/ab_inprocess.py --base DIR --change DIR [--pairs 100] [--seed 1]
 
-It prints, per workload and metric, both medians, the median of the paired
-ratios change/base, and in how many pairs the change was faster. It exits 1
+It prints, per workload and metric, both medians, the base's quartiles, the
+median of the paired ratios change/base, in how many pairs the change was
+faster, and a verdict by :func:`verdict`, the metric's bound read from the
+repository's ``BENCHMARK.json``. It exits 1
 if the two trees' outputs differ: on anneal-10x10 the best trees, plans,
 potentials or iteration counts; on verify-8x8 any file in the work directory
 (every file the five commands write, the manifests without ``wall_clock_s``)
@@ -50,6 +52,7 @@ import numpy as np
 
 P_ANNEAL, INSTANCES, MAX_ITERS = 10, 16, 1_000_000
 P_VERIFY = 8
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def load(checkout: Path, name: str):
@@ -152,12 +155,29 @@ def written(workdir: Path, streams: dict[str, str]) -> dict[str, str]:
     return {name: text.replace(str(workdir), "<workdir>") for name, text in found.items()}
 
 
-def summary(base: list[float], change: list[float]) -> dict:
+def verdict(base: list[float], change: list[float], bound: float) -> str:
+    """The reading of paired timings (lower is better): ``"gain"`` where the
+    change is faster in at least nine tenths of the pairs, ties counting for
+    neither, and its median is below the base's by more than the base's
+    interquartile range; ``"worse"`` where its median exceeds the base's by
+    more than the fraction ``bound``; else ``"unresolved"``."""
+    q1, _, q3 = statistics.quantiles(base, n=4)
+    wins = sum(c < b for b, c in zip(base, change))
+    base_median, change_median = statistics.median(base), statistics.median(change)
+    if wins >= 0.9 * len(base) and base_median - change_median > q3 - q1:
+        return "gain"
+    if change_median > base_median * (1.0 + bound):
+        return "worse"
+    return "unresolved"
+
+
+def summary(base: list[float], change: list[float], bound: float) -> dict:
     ratios = [c / b for b, c in zip(base, change)]
     q1, _, q3 = statistics.quantiles(base, n=4)
     return {"base_ms": 1e3 * statistics.median(base), "change_ms": 1e3 * statistics.median(change),
-            "base_iqr_ms": 1e3 * (q3 - q1), "paired_ratio": statistics.median(ratios),
-            "wins": sum(r < 1.0 for r in ratios), "pairs": len(ratios)}
+            "base_q1_ms": 1e3 * q1, "base_q3_ms": 1e3 * q3, "base_iqr_ms": 1e3 * (q3 - q1),
+            "paired_ratio": statistics.median(ratios), "wins": sum(r < 1.0 for r in ratios),
+            "pairs": len(ratios), "verdict": verdict(base, change, bound)}
 
 
 def main(argv=None) -> int:
@@ -204,15 +224,18 @@ def main(argv=None) -> int:
                              if isinstance(base, dict) else [])
                     differ.setdefault(workload, set()).update(names)
 
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
     report = {}
-    print(f"{'workload':14} {'metric':11} {'base ms':>9} {'change ms':>9} {'base IQR':>9} "
-          f"{'ratio':>7} {'wins':>9}")
+    print(f"{'workload':14} {'metric':11} {'base ms':>9} {'change ms':>9} {'base q1':>9} "
+          f"{'base q3':>9} {'ratio':>7} {'wins':>9} verdict")
     for workload, metric, _ in list(times)[::2]:
-        row = summary(times[workload, metric, "base"], times[workload, metric, "change"])
+        row = summary(times[workload, metric, "base"], times[workload, metric, "change"],
+                      bounds[metric])
         report[f"{workload}.{metric}"] = row
         print(f"{workload:14} {metric:11} {row['base_ms']:9.2f} {row['change_ms']:9.2f} "
-              f"{row['base_iqr_ms']:9.2f} {row['paired_ratio']:7.3f} "
-              f"{row['wins']:4}/{row['pairs']:<4}")
+              f"{row['base_q1_ms']:9.2f} {row['base_q3_ms']:9.2f} {row['paired_ratio']:7.3f} "
+              f"{row['wins']:4}/{row['pairs']:<4} {row['verdict']}")
     for workload, names in sorted(differ.items()):
         print(f"{workload}: the two trees' outputs differ", *sorted(names), sep="\n  ")
     print(json.dumps({"outputs_differ": sorted(differ), "metrics": report}))

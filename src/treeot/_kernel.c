@@ -286,9 +286,10 @@ int treeot_wilson_tree(int64_t n, const int64_t *indptr, const int64_t *indices,
 
 /* anneal_chain of _kernels.py. Scratch: work_i and work_d hold 2n for certify (work_i also for
  * leaves_first), then mark (zeroed), the paths, order and arc tails, and t, wt, f, cum and
- * xi_cum. Results: trace, 5 doubles a row, out_d = {max_drift}, out_i = {records, stop, root},
- * stop a STOP_* code. Returns CHAIN_OK, a status of treeot_wilson_tree (root -1),
- * CHAIN_DEGREE_TOO_LARGE (2^32 arcs or more) or NO_MEMORY.
+ * xi_cum. Results: trace, 5 doubles a row, out_d = {max_drift}, out_i = {records, stop, root,
+ * on_best}, stop a STOP_* code, on_best 1 where no exchange followed the last best snapshot.
+ * Returns CHAIN_OK, a status of treeot_wilson_tree (root -1), CHAIN_DEGREE_TOO_LARGE (2^32 arcs
+ * or more) or NO_MEMORY.
  * The record and recompute schedules are counters, not remainders of it:
  * to_record (to_recompute) reaches 0 exactly when it is a multiple of
  * record_every (recompute_every, never when that is not positive). */
@@ -328,7 +329,7 @@ int treeot_anneal_chain(
     memcpy(best_parent, parent, parent_bytes);
     memcpy(best_wpar, wpar, wpar_bytes);
 
-    int64_t gaps = 0, moved = 0, last_row = 0; /* moved, last_row: as in _kernels.py */
+    int64_t gaps = 0, moved = 0, last_row = 0, on_best = 1; /* as in _kernels.py */
     double beta = beta0, max_drift = 0.0, gap_sum = 0.0;
     const double start_row[5] = {0.0, current, best, beta, 0.0};
     memcpy(trace, start_row, sizeof start_row);
@@ -358,6 +359,7 @@ int treeot_anneal_chain(
                     apply_exchange(parent, wpar, xi_cum, paths, len, a, b, adj_w[j], k);
                     current += f[k] - f[0];
                     moved++;
+                    on_best = 0;
                 }
             }
             beta = beta * (1.0 + eta);
@@ -377,6 +379,7 @@ int treeot_anneal_chain(
                 best = current;
                 memcpy(best_parent, parent, parent_bytes);
                 memcpy(best_wpar, wpar, wpar_bytes);
+                on_best = 1;
             }
 
             const int on_target = best <= stop_at;
@@ -408,6 +411,7 @@ int treeot_anneal_chain(
     out_d[0] = max_drift;
     out_i[0] = records;
     out_i[1] = stop;
+    out_i[3] = on_best;
 done:
     free(work_i);
     free(work_d);
@@ -464,24 +468,30 @@ static int64_t key_pop(double *hd, int64_t *hv, int64_t size)
 }
 
 /* dp_plan of _kernels.py, on a proven tree, whose order it walks. xi is
- * changed in place; out_x, out_y and out_m hold n slots, and out_k receives
- * {count, u}. Its scratch, work, holds 5n slots: the token links, then the
- * heads and the tails of every vertex's supplies (at 2v) and demands (at
- * 2v + 1). Returns 0, PLAN_NO_MATCH or NO_MEMORY. */
-int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, double *xi,
-                   double zero_tol, int64_t *out_x, int64_t *out_y, double *out_m, int64_t *out_k)
+ * changed in place; out_x, out_y and out_m hold 2n slots, and out_k receives
+ * {count, u}. Its scratch, work, holds 10n + 1 slots: the token links, the
+ * heads and tails of every vertex's supplies (at 2v) and demands (at 2v + 1),
+ * the matches' rows, their lists by column (link, first), the sort's row
+ * counts (at) and the matches' masses. Returns 0, PLAN_NO_MATCH or NO_MEMORY. */
+int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, const double *mu,
+                   const double *nu, double *xi, double zero_tol, int64_t *out_x, int64_t *out_y,
+                   double *out_m, int64_t *out_k)
 {
     int64_t count = 0;
     out_k[0] = 0;
     out_k[1] = -1;
-    int64_t *work = scratch(5 * n, sizeof *work, 0);
+    int64_t *work = scratch(10 * n + 1, sizeof *work, 0);
     if (!work)
         return NO_MEMORY;
-    int64_t *next = work, *head = work + n, *tail = work + 3 * n;
+    int64_t *next = work, *head = work + n, *tail = work + 3 * n, *rows = work + 5 * n;
+    int64_t *link = rows + n, *first = link + n, *at = first + n;
+    double *mass = (double *)(at + n + 1);
+    at[0] = 0;
     for (int64_t v = 0; v < n; v++) {
         if (fabs(xi[v]) <= zero_tol)
             xi[v] = 0.0;
-        next[v] = head[2 * v] = head[2 * v + 1] = -1;
+        next[v] = head[2 * v] = head[2 * v + 1] = first[v] = -1;
+        at[v + 1] = (mu[v] <= nu[v] ? mu[v] : nu[v]) > 0.0;
     }
     int status = CHAIN_OK;
     for (int64_t i = 0; i < n; i++) {
@@ -497,10 +507,11 @@ int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, doubl
         int64_t a = head[2 * v], b = head[2 * v + 1];
         while (a >= 0 && b >= 0) {
             const double m = xi[a] <= -xi[b] ? xi[a] : -xi[b];
-            out_x[count] = a;
-            out_y[count] = b;
-            out_m[count] = m;
-            count++;
+            rows[count] = a;
+            link[count] = first[b];
+            first[b] = count;
+            mass[count++] = m;
+            at[a + 1]++;
             xi[a] -= m;
             xi[b] += m;
             if (xi[a] <= zero_tol) {
@@ -529,7 +540,25 @@ int treeot_dp_plan(int64_t n, const int64_t *parent, const int64_t *order, doubl
             next[tail[to]] = head[side];
         tail[to] = tail[side];
     }
-    out_k[0] = count;
+    /* the matches and the diagonal min(mu, nu) > 0 in (row, col) order: a
+     * counting sort on rows, fed column by column */
+    for (int64_t r = 0; r < n; r++)
+        at[r + 1] += at[r];
+    out_k[0] = at[n];
+    for (int64_t c = 0; c < n; c++) {
+        const double d = mu[c] <= nu[c] ? mu[c] : nu[c];
+        if (d > 0.0) {
+            const int64_t s = at[c]++;
+            out_x[s] = out_y[s] = c;
+            out_m[s] = d;
+        }
+        for (int64_t j = first[c]; j >= 0; j = link[j]) {
+            const int64_t s = at[rows[j]]++;
+            out_x[s] = rows[j];
+            out_y[s] = c;
+            out_m[s] = mass[j];
+        }
+    }
     free(work);
     return status;
 }

@@ -18,11 +18,12 @@ increasing id, from the tree's numpy proof, the same on every backend), and
 then the potential by the root-to-leaves one. The chain's trees are parent
 links alone: it and ``certify`` order them by ``leaves_first`` and sum them
 by ``subtree_sums`` along that queue, the only loop that adds a child's sum
-into its parent's. ``dp_plan`` builds the
-dynamic-programming transport plan in one leaves-first pass along a tree's
-``order``: each vertex matches the supplies and demands that meet there and
-hands the rest, of one sign, to its parent. ``network_simplex`` is the exact
-oracle's min-cost flow: primal network simplex, which moves between spanning
+into its parent's. ``dp_plan`` builds the dynamic-programming transport plan
+in one leaves-first pass along a tree's ``order``: each vertex matches the
+supplies and demands that meet there and hands the rest, of one sign, to its
+parent; it writes the whole plan, those matches and the diagonal min(mu, nu),
+in (row, col) order. ``network_simplex`` is the exact oracle's min-cost flow:
+primal network simplex, which moves between spanning
 trees of the flow network (here the source-to-sink transportation network,
 or the graph's own arcs) with a dual potential at every step, and whose
 optimal flow is basic, so its support is a forest. ``tree_pairs`` walks
@@ -147,7 +148,9 @@ class Kernels:
         proposals, as ``(trace, max_drift, stop, root, (best_parent,
         best_wpar), (parent, wpar))``: ``trace`` is the rows written, the
         last one the stop's, the links are the best and the final tree's,
-        both on the start's ``root``. A trace too long to allocate raises
+        both on the start's ``root``, and the final links are the best's
+        own pair where no exchange followed the last best snapshot (the
+        kernel's ``on_best``). A trace too long to allocate raises
         ``InputError``."""
         if tree is not None:
             _proven("annealing chain", tree, RootedTree)
@@ -162,17 +165,18 @@ class Kernels:
         best_parent, best_wpar = np.empty_like(parent), np.empty_like(wpar)
         rows = max(max_iters, 0) // record_every + 2
         try:
-            trace = np.zeros((rows, 5))  # TraceRecord's columns
+            trace = np.empty((rows, 5))  # TraceRecord's columns; the kernel writes each row read
         except (ValueError, MemoryError):  # ValueError: numpy refuses the shape itself
             raise InputError(f"a trace of {rows} rows cannot be allocated: lower max_iters "
                              "(--iters) or raise record_every (--record-every)") from None
-        out_d, out_i = np.empty(1), np.empty(3, dtype=np.int64)
+        out_d, out_i = np.empty(1), np.empty(4, dtype=np.int64)
         _check_status(self._run["anneal_chain"](
             n, root, parent, wpar, graph.indptr, graph.indices, graph.weights, xi, max_iters,
             beta0, eta, record_every, RECOMPUTE_EVERY, stop_at, CERT_RTOL, rng, best_parent,
             best_wpar, trace, out_d, out_i))
-        records, stop, root = out_i.tolist()
-        return (trace[:records], out_d[0], stop, root, (best_parent, best_wpar), (parent, wpar))
+        records, stop, root, on_best = out_i.tolist()
+        best = best_parent, best_wpar
+        return trace[:records], out_d[0], stop, root, best, best if on_best else (parent, wpar)
 
     def wilson_tree(self, graph, rng):
         """``(root, parent, wpar)`` of :func:`wilson_tree`'s draw."""
@@ -195,28 +199,32 @@ class Kernels:
                                                   tree.weight_to_parent, sums, u))
         return sums, u
 
-    def dp_plan(self, tree, xi, zero_tol):
-        """``(rows, cols, mass)``: the off-diagonal entries that
-        :func:`dp_plan` writes, sorted by (row, col) in the sort that finds
-        an entry written twice, which raises ``RuntimeError``."""
+    def dp_plan(self, tree, mu, nu, xi, zero_tol):
+        """``(rows, cols, mass)``, the plan that :func:`dp_plan` writes,
+        whose keys row * n + col must rise strictly and masses be positive
+        and finite, before its status is read; else ``RuntimeError``."""
         _proven("plan kernel", tree, RootedTree)
         n = tree.n
-        _check_arrays("plan kernel", (), ((xi, n),))
-        rows, cols, mass = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n)
-        out_k = np.empty(2, dtype=np.int64)
-        status = self._run["dp_plan"](n, tree.parent, tree.order, np.array(xi, dtype=np.float64),
-                                      float(zero_tol), rows, cols, mass, out_k)
+        _check_arrays("plan kernel", (), ((mu, n), (nu, n), (xi, n)))
+        rows, cols = np.empty(2 * n, dtype=np.int64), np.empty(2 * n, dtype=np.int64)
+        mass, out_k = np.empty(2 * n), np.empty(2, dtype=np.int64)
+        status = self._run["dp_plan"](n, tree.parent, tree.order, mu, nu,
+                                      np.array(xi, dtype=np.float64), float(zero_tol), rows, cols,
+                                      mass, out_k)
         count, u = out_k.tolist()
-        keys = rows[:count] * n + cols[:count]
-        by_key = np.argsort(keys, kind="stable")
-        keys = keys[by_key]
-        again = by_key[1:][keys[1:] == keys[:-1]]
-        if again.size:
-            j = int(again.min())
-            raise RuntimeError("plan construction wrote off-diagonal entry "
-                               f"{(int(rows[j]), int(cols[j]))} twice")
+        rows, cols, mass = rows[:count], cols[:count], mass[:count]
+        keys = rows * n + cols
+        rising = keys[1:] > keys[:-1]
+        if not rising.all():
+            j = int(rising.argmin()) + 1
+            r, c = int(rows[j]), int(cols[j])
+            kind, fault = ("diagonal" if r == c else "off-diagonal",
+                           "twice" if keys[j] == keys[j - 1] else "out of order")
+            raise RuntimeError(f"plan construction wrote {kind} entry {(r, c)} {fault}")
+        if not ((mass > 0.0) & (mass < math.inf)).all():
+            raise RuntimeError("plan construction wrote a mass that is not positive and finite")
         _check_status(status, u=u)
-        return rows[by_key], cols[by_key], mass[by_key]
+        return rows, cols, mass
 
     def network_simplex(self, supply, tail, head, cost):
         """``(flow, pi, pivots)``: the arc flows and node potentials of
@@ -369,7 +377,7 @@ C_SIGNATURES = {
     "anneal_chain": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _I64, _I64,
                      _F64, _F64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     "wilson_tree": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
-    "dp_plan": [_I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
+    "dp_plan": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
     "network_simplex": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR],
     "tree_potential": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR],
     "tree_pairs": [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
@@ -602,7 +610,9 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
     ``certify`` runs on the initial tree and then on each trace row where the
     best cost has dropped since its last run; the target stop is tested
     first. Writes ``out_d`` = (max_drift,) and ``out_i`` = (records, stop,
-    root), ``stop`` one of the ``STOP_*`` codes, and returns 0.
+    root, on_best), ``stop`` one of the ``STOP_*`` codes, ``on_best`` 1
+    where no exchange followed the last copy into ``best_parent``, and
+    returns 0.
     """
     # the scratch, before the start is drawn, as C allocates it
     mark = [0] * n
@@ -620,7 +630,8 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
     best_wpar[:] = wpar
 
     gap_sum, gaps = 0.0, 0
-    moved, last_row = 0, 0  # changes of the tree since the last row, and its iteration
+    # changes of the tree since the last row, its iteration, and none since the last best copy
+    moved, last_row, on_best = 0, 0, 1
     beta, max_drift = beta0, 0.0
     trace[0] = 0, current, best, beta, 0.0
     records = 1
@@ -648,6 +659,7 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
                 apply_exchange(parent, wpar, xi_cum, pa, pb, a, b, adj_w[j], k)
                 current += f[k] - f[0]
                 moved += 1
+                on_best = 0
         beta = beta * (1.0 + eta)
 
         if recompute_every > 0 and it % recompute_every == 0:
@@ -661,6 +673,7 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
             best = current
             best_parent[:] = parent
             best_wpar[:] = wpar
+            on_best = 1
 
         on_target = best <= stop_at
         if it % record_every == 0 or it == max_iters or on_target:
@@ -679,7 +692,7 @@ def anneal_chain(n, root, parent, wpar, indptr, indices, adj_w, xi_node, max_ite
     for array, values in zip(out, (parent, wpar)):
         array[:] = values
     out_d[0] = max_drift
-    out_i[:2] = records, stop
+    out_i[0], out_i[1], out_i[3] = records, stop, on_best
     return 0
 
 
@@ -745,13 +758,13 @@ def tree_potential(n, parent, order, wpar, sums, u):
     return 0
 
 
-def dp_plan(n, parent, order, xi, zero_tol, out_x, out_y, out_m, out_k):
-    """Off-diagonal entries of the dynamic-programming optimal plan on the
-    tree given by ``parent`` and ``order`` (leaves first, root last), for
-    the residuals ``xi`` (mu - nu), into ``out_x``, ``out_y`` and ``out_m``
-    (n slots). ``out_k`` receives (count, u). Returns 0 on success and
-    ``PLAN_NO_MATCH`` when residuals are left at the root ``u`` (-1 where
-    there is none).
+def dp_plan(n, parent, order, mu, nu, xi, zero_tol, out_x, out_y, out_m, out_k):
+    """The dynamic-programming optimal plan on the tree given by ``parent``
+    and ``order`` (leaves first, root last), for the residuals ``xi`` (mu -
+    nu), into ``out_x``, ``out_y`` and ``out_m`` (2n slots): the matches
+    below and min(mu, nu) > 0 on the diagonal, by (row, col), also where it
+    returns ``PLAN_NO_MATCH`` (residuals left at the root ``u``, -1 where
+    there is none) rather than 0. ``out_k`` receives (count, u).
 
     One pass along ``order``. Every vertex holds two linked lists of
     residual tokens (vertex ids), supplies and demands, that start empty;
@@ -762,8 +775,8 @@ def dp_plan(n, parent, order, xi, zero_tol, out_x, out_y, out_m, out_k):
     ``zero_tol`` or below is zeroed and dropped. The list left non-empty, of
     one sign, is appended to the parent's list of that sign. An edge so
     carries exactly its subtree's imbalance, and every match drops a token,
-    so the plan costs the tree distance and has at most n - 1 entries, no
-    pair twice.
+    so the plan costs the tree distance and has at most n - 1 off-diagonal
+    entries, no pair twice. C orders them by a counting sort on rows.
     """
     parent, order = parent.tolist(), order.tolist()
     xi = [0.0 if abs(x) <= zero_tol else x for x in xi[:n].tolist()]
@@ -809,8 +822,10 @@ def dp_plan(n, parent, order, xi, zero_tol, out_x, out_y, out_m, out_k):
         else:
             nxt[tail[to]] = head[side]
         tail[to] = tail[side]
-    count = out_k[0] = len(rows)
-    out_x[:count], out_y[:count], out_m[:count] = rows, cols, mass
+    plan = [(v, v, d) for v, d in enumerate(np.minimum(mu[:n], nu[:n]).tolist()) if d > 0.0]
+    plan = sorted(plan + list(zip(rows, cols, mass)), key=lambda e: e[:2])
+    count = out_k[0] = len(plan)
+    out_x[:count], out_y[:count], out_m[:count] = zip(*plan) if plan else ((), (), ())
     return status
 
 

@@ -172,12 +172,11 @@ def _run_chain(g, xi, config, stop_at, rng, tree=None) -> AnnealResult:
     if max_drift > 1e-6:
         raise RuntimeError(f"incremental cost drifted by {max_drift:.3e}")
     best_tree = RootedTree(root, *best_links)
-    # a chain that ends on its best tree (always so after a target stop) proves it once
-    same = all(map(np.array_equal, links, best_links))
+    # the kernel returns the best links as the final ones where it ended on them: one proof
     return AnnealResult(
         best_tree=best_tree,
         best_cost=best,
-        final_tree=best_tree if same else RootedTree(root, *links),
+        final_tree=best_tree if links is best_links else RootedTree(root, *links),
         final_cost=current,
         trace=rows,
         iters_run=iters_done,

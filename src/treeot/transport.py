@@ -20,6 +20,7 @@ from .errors import (
     MassMismatchError,
     NegativeMassError,
     NonFiniteMassError,
+    PlanError,
     VertexRangeError,
 )
 from .graphs import _integer, _real, _reals, _vertex_indices
@@ -206,9 +207,10 @@ class TransportPlan:
 def make_plan(n: int, triplets) -> TransportPlan:
     """Build a plan from (x, y, mass) triplets: coalesces duplicates, drops
     zeros, rejects negative and non-finite masses, sorts lexicographically.
-    The numbers are read by README's "Numbers and vertices": an index that is
-    not one integer raises ``VertexRangeError`` before any other check."""
-    return _plan_from_entries(_integer(n, "plan size"), [_entry(x, y, m) for x, y, m in triplets])
+    The numbers are read by README's "Numbers and vertices": an entry that
+    is not three fields raises ``PlanError``, and an index that is not one
+    integer ``VertexRangeError``, before any other check."""
+    return _plan_from_entries(_integer(n, "plan size"), [_entry(e) for e in triplets])
 
 
 def _plan_from_entries(n: int, entries) -> TransportPlan:
@@ -218,8 +220,12 @@ def _plan_from_entries(n: int, entries) -> TransportPlan:
                           np.array(mass, dtype=np.float64), entries)
 
 
-def _entry(x, y, m) -> tuple[int, int, float]:
+def _entry(triplet) -> tuple[int, int, float]:
     """A plan entry, its indices as given for :func:`_check_entry`, its mass as a float."""
+    try:
+        x, y, m = triplet
+    except (TypeError, ValueError):  # not iterable, or not three fields
+        raise PlanError(f"plan entry {triplet!r} is not a triplet (x, y, mass)") from None
     with contextlib.suppress(VertexRangeError):
         if all(type(_vertex_indices(i)) is int for i in (x, y)):  # each one index
             return x, y, _real(m, f"the mass of plan entry ({x},{y})", NonFiniteMassError)
@@ -323,29 +329,20 @@ def dp_transport_plan(t: RootedTree, mu, nu) -> TransportPlan:
     Residues up to :func:`imbalance_zero` count as zero. The paper
     states that a dynamic program gives an optimal plan once an optimal
     tree is known; this pass is this library's construction of it, run on
-    the kernel backend as :func:`treeot._kernels.dp_plan`. The measures are
-    checked by :func:`as_measure`: a negative, non-finite or wrongly sized
-    entry, or a mass other than 1, raises.
+    the kernel backend as :func:`treeot._kernels.dp_plan`, which writes the
+    whole plan, diagonal included, in (row, col) order. The measures are
+    checked as by :func:`tree_k_distance`: a negative, non-finite or wrongly
+    sized entry, a mass other than 1 or an imbalance beyond ``MASS_TOL``
+    raises.
     """
-    n = t.n
-    mu, nu = as_measure(mu, n), as_measure(nu, n)
+    mu, nu, _ = _checked(mu, nu, t.n)
     # exact unit sums so supply and demand cancel to rounding noise, not to the
     # 1e-9 ingestion tolerance, which would strand residuals at the root
     xi = mu / mu.sum() - nu / nu.sum()
-    rows, cols, mass = _kernels.kernels().dp_plan(t, xi, imbalance_zero(xi))
-    if not ((mass > 0.0) & (mass < math.inf)).all():
-        raise RuntimeError("plan construction wrote a mass that is not positive and finite")
-    diag = np.minimum(mu, nu)
-    on_diag = np.flatnonzero(diag > 0.0)
-    # the kernel's entries and the diagonal's come sorted, each key once, so
-    # _assemble_plan's plan is the two runs merged: one pass of timsort
-    keys = np.concatenate([rows * n + cols, on_diag * (n + 1)])
-    by_key = np.argsort(keys, kind="stable")
-    rows, cols = np.divmod(keys[by_key], n)
-    mass = np.concatenate([mass, diag[on_diag]])[by_key]
+    rows, cols, mass = _kernels.kernels().dp_plan(t, mu, nu, xi, imbalance_zero(xi))
     for arr in (rows, cols, mass):
         arr.setflags(write=False)
-    return TransportPlan(n=n, rows=rows, cols=cols, mass=mass)
+    return TransportPlan(n=t.n, rows=rows, cols=cols, mass=mass)
 
 
 def plan_to_flow(plan: TransportPlan, t: RootedTree) -> Flow:

@@ -845,6 +845,7 @@ class SwapChain:
         self.best_cost = self.cost
         self.best_parent = self.parent.copy()
         self.best_wpar = self.wpar.copy()
+        self.on_best = True  # no exchange since the last copy into best_parent
         self.checked = None  # best cost at the last certify call
         self.beta = config.beta0
         self.moved = 0  # proposals that changed the tree, since ``take_rate``
@@ -886,7 +887,8 @@ class SwapChain:
             if k > 0:
                 _kernels.apply_exchange(self.parent, self.wpar, self.xi_cum, pa, pb, a, b, w, k)
                 self.cost += f[k] - f[0]
-                if self.cost < self.best_cost:
+                self.on_best = self.cost < self.best_cost
+                if self.on_best:
                     self.best_cost = self.cost
                     self.best_parent = self.parent.copy()
                     self.best_wpar = self.wpar.copy()

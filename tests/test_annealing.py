@@ -526,6 +526,16 @@ class TestChainEntry:
         assert res.stop_reason == "target" and res.iters_run > 0
         assert res.final_tree is res.best_tree
         assert proofs == [res.best_tree.root]
+        # the final tree is the best one exactly where no exchange followed
+        # the last best snapshot, as the step functions run one at a time say
+        ends = set()
+        for seed in range(8):
+            cfg = ot.AnnealConfig(max_iters=300, seed=seed, record_every=50)
+            res = ot.anneal(g, mu, nu, cfg)
+            on_best = stepwise_chain(g, mu, nu, cfg, None)[2].on_best
+            assert (res.final_tree is res.best_tree) == on_best, seed
+            ends.add(on_best)
+        assert ends == {True, False}
 
     def test_the_chain_draws_the_tree_that_random_spanning_tree_draws(self, backend):
         for seed, g in enumerate([ot.build_graph(1, []), ot.grid_graph(2), ot.grid_graph(5),
@@ -595,12 +605,12 @@ class TestChainEntry:
                                             np.random.default_rng(1))
 
 
-def stepwise_stop(g, mu, nu, cfg, target_cost):
-    """``(stop_reason, iteration, current cost, best cost, beta)`` where the
-    step functions, run one at a time by ``SwapChain``, stop: at the best
-    cost at which ``anneal`` stops for ``target_cost``, tested after every
-    proposal, else at a certificate, tested at the start and on each
-    scheduled row, else at the budget."""
+def stepwise_chain(g, mu, nu, cfg, target_cost):
+    """``(stop_reason, iteration, chain)`` where the step functions, run one
+    at a time by the ``SwapChain`` ``chain``, stop: at the best cost at which
+    ``anneal`` stops for ``target_cost``, tested after every proposal, else
+    at a certificate, tested at the start and on each scheduled row, else at
+    the budget."""
     stop_at = annealing._chain_inputs(g, mu, nu, target_cost)[1]
     rng = np.random.default_rng(cfg.seed)
     state = SwapChain(g, ot.random_spanning_tree(g, rng), mu, nu, cfg)
@@ -614,7 +624,14 @@ def stepwise_stop(g, mu, nu, cfg, target_cost):
             stop = "target"
         elif (it % cfg.record_every == 0 or it == cfg.max_iters) and state.certify():
             stop = "certified"
-    return stop or "max_iters", it, state.cost, state.best_cost, state.beta
+    return stop or "max_iters", it, state
+
+
+def stepwise_stop(g, mu, nu, cfg, target_cost):
+    """``(stop_reason, iteration, current cost, best cost, beta)`` of
+    :func:`stepwise_chain`."""
+    stop, it, state = stepwise_chain(g, mu, nu, cfg, target_cost)
+    return stop, it, state.cost, state.best_cost, state.beta
 
 
 class TestStopRow:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -19,11 +20,12 @@ from treeot.errors import (
     NegativeMassError,
     NonFiniteMassError,
     NotSpanningError,
+    PlanError,
     TreeOTError,
     VertexRangeError,
 )
 from treeot.oracle import complementary_violation
-from treeot.transport import _assemble_plan, imbalance_zero
+from treeot.transport import imbalance_zero
 from treeot.trees import RootedTree
 
 from conftest import (
@@ -392,7 +394,7 @@ errors = []
 t = line_tree(3, 2)
 for xi in INCONSISTENT:
     try:
-        _kernels.kernels().dp_plan(t, np.array(xi), 1e-14)
+        _kernels.kernels().dp_plan(t, np.zeros(3), np.zeros(3), np.array(xi), 1e-14)
         errors.append(None)
     except RuntimeError as exc:
         errors.append(str(exc))
@@ -485,29 +487,37 @@ class TestTreeMetricOnTheSupport:
 
 class TestPlanGuards:
     def fake_kernel(self, status, rows, cols, u=-1):
-        def run(n, parent, order, xi, zero_tol, out_x, out_y, out_m, out_k):
+        def run(n, parent, order, mu, nu, xi, zero_tol, out_x, out_y, out_m, out_k):
             k = len(rows)
             out_x[:k], out_y[:k], out_m[:k], out_k[:] = rows, cols, 0.25, (k, u)
             return status
         return _kernels.Kernels("fake", {"dp_plan": run}).dp_plan
 
+    @staticmethod
+    def call(kernel, n, zero_tol=1e-14):
+        return kernel(line_tree(n, 3), np.zeros(n), np.zeros(n), np.zeros(n), zero_tol)
+
     def test_repeated_entry_raises(self):
-        # five entries need five output slots: a tree of five vertices
-        t = line_tree(5, 3)
-        kernel = self.fake_kernel(0, [0, 2, 1, 2, 0], [3, 3, 3, 3, 3])
-        with pytest.raises(RuntimeError, match=r"wrote off-diagonal entry \(2, 3\) twice"):
-            kernel(t, np.zeros(5), 1e-14)
+        # in (row, col) order but for the repeat
+        kernel = self.fake_kernel(0, [0, 1, 2, 2, 4], [3, 3, 3, 3, 3])
+        with pytest.raises(RuntimeError, match=r"^plan construction wrote off-diagonal entry "
+                                               r"\(2, 3\) twice$"):
+            self.call(kernel, 5)
+
+    def test_entries_out_of_order_raise(self):
+        kernel = self.fake_kernel(0, [0, 2, 1], [3, 3, 3])
+        with pytest.raises(RuntimeError, match=r"^plan construction wrote off-diagonal entry "
+                                               r"\(1, 3\) out of order$"):
+            self.call(kernel, 4)
 
     def test_repeat_is_reported_before_a_failed_status(self):
-        t = line_tree(4, 3)
         kernel = self.fake_kernel(_kernels.PLAN_NO_MATCH, [1, 1], [3, 3])
         with pytest.raises(RuntimeError, match="twice"):
-            kernel(t, np.zeros(4), 1e-14)
+            self.call(kernel, 4)
 
     def test_statuses_map_to_the_loop_messages(self):
-        t = line_tree(4, 3)
         with pytest.raises(RuntimeError, match="^no matching vertex below 2; residuals are inconsistent$"):
-            self.fake_kernel(_kernels.PLAN_NO_MATCH, [], [], u=2)(t, np.zeros(4), 0.0)
+            self.call(self.fake_kernel(_kernels.PLAN_NO_MATCH, [], [], u=2), 4, 0.0)
 
     @pytest.mark.parametrize("mu, nu, error", [
         ([-0.5, 1.5, 0.0], [0.0, 0.0, 1.0], NegativeMassError),
@@ -523,6 +533,17 @@ class TestPlanGuards:
             with pytest.raises(error):
                 ot.dp_transport_plan(line_tree(3, 2), mu, nu)
 
+    def test_an_imbalance_beyond_the_mass_tolerance_is_refused(self):
+        # each measure is within MASS_TOL of mass 1, their imbalance is not:
+        # the plan once came back, where the tree's distance raises
+        g = ot.grid_graph(3)
+        t = ot.random_spanning_tree(g, np.random.default_rng(0))
+        mu, nu = np.full(9, (1 + 9e-10) / 9), np.full(9, (1 - 9e-10) / 9)
+        message = "^imbalance sums to 1.8000000240325775e-09, not 0$"
+        for closed_form in (ot.tree_k_distance, ot.dp_transport_plan):
+            with pytest.raises(MassMismatchError, match=message):
+                closed_form(t, mu, nu)
+
     @pytest.mark.parametrize("parent, order", [
         ([1, 2, -1], [0, 2, 1]),   # parent after its child in order
         ([1, 0, -1], [0, 1, 2]),   # a cycle
@@ -536,7 +557,7 @@ class TestPlanGuards:
         kernel = _kernels.kernels().dp_plan
         with pytest.raises(TypeError, match="plan kernel: needs a RootedTree"):
             kernel((np.array(parent, dtype=np.int64), np.array(order, dtype=np.int64)), np.zeros(3),
-                   0.0)
+                   np.zeros(3), np.zeros(3), 0.0)
         root = parent.index(-1)
         tree = raised(RootedTree, root, np.array(parent, dtype=np.int64), np.ones(3))
         assert tree is None or tree[0] is NotSpanningError
@@ -544,36 +565,29 @@ class TestPlanGuards:
             assert RootedTree(root, parent, np.ones(3)).order.tolist() != order
 
 
+@pytest.fixture(scope="module")
+def assembly_corpus(parity_instances):
+    """(t, mu, nu, reference plan) over the parity, degenerate and random corpora."""
+    corpora = [*parity_instances, *degenerate_corpus(), *random_instances(300, 11, max_n=40)]
+    return [(t, mu, nu, reference_dp_plan(t, mu, nu)) for t, mu, nu in corpora]
+
+
 class TestPlanAssembly:
-    """``dp_transport_plan`` orders the kernel's entries and the diagonal by
-    one sort of the kernel's keys and a merge, where it once coalesced them
-    with ``_assemble_plan``; the plans are the same bit for bit."""
+    """The plan kernel writes the whole plan, the diagonal included, in
+    (row, col) order: the plans are those of the recursive reference,
+    coalesced by the dict-based assembly, bit for bit."""
 
-    @staticmethod
-    def assembled(t, mu, nu):
-        """The plan that ``_assemble_plan`` makes of the kernel's entries
-        and the diagonal."""
-        mu, nu = ot.as_measure(mu, t.n), ot.as_measure(nu, t.n)
-        xi = mu / mu.sum() - nu / nu.sum()
-        rows, cols, mass = _kernels.kernels().dp_plan(t, xi, imbalance_zero(xi))
-        diag = np.minimum(mu, nu)
-        on_diag = np.flatnonzero(diag > 0.0)
-        return _assemble_plan(t.n, np.concatenate([rows, on_diag]), np.concatenate([cols, on_diag]),
-                              np.concatenate([mass, diag[on_diag]]))
-
-    def test_plans_are_the_assembled_entries_bit_for_bit(self, backend, parity_instances):
-        corpora = [*parity_instances, *degenerate_corpus(), *random_instances(300, 11, max_n=40)]
-        for i, (t, mu, nu) in enumerate(corpora):
-            plan, want = ot.dp_transport_plan(t, mu, nu), self.assembled(t, mu, nu)
-            for got, expected in zip((plan.rows, plan.cols, plan.mass),
-                                     (want.rows, want.cols, want.mass)):
+    def test_plans_are_the_assembled_entries_bit_for_bit(self, backend, assembly_corpus):
+        for i, (t, mu, nu, want) in enumerate(assembly_corpus):
+            plan = ot.dp_transport_plan(t, mu, nu)
+            for got, expected in zip((plan.rows, plan.cols, plan.mass), want):
                 assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes()), i
                 assert not got.flags.writeable
 
     def test_a_mass_that_is_not_positive_and_finite_raises(self, monkeypatch):
         t = line_tree(4, 3)
         for bad in (0.0, -0.25, math.nan, math.inf):
-            def run(n, parent, order, xi, zero_tol, out_x, out_y, out_m, out_k, bad=bad):
+            def run(n, parent, order, mu, nu, xi, zero_tol, out_x, out_y, out_m, out_k, bad=bad):
                 out_x[:2], out_y[:2], out_m[:2], out_k[:] = (0, 1), (3, 2), (0.25, bad), (2, -1)
                 return 0
             kernels = _kernels.Kernels("fake", {"dp_plan": run})
@@ -621,6 +635,13 @@ class TestMakePlan:
         old = old_make_plan_outcome(3, triplets)
         assert isinstance(old[0], type)
         assert make_plan_outcome(3, triplets) == old
+
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 1, 0.5, 2), 5, None],
+                             ids=["two-fields", "four-fields", "int", "None"])
+    def test_an_entry_that_is_not_a_triplet_raises_plan_error(self, entry):
+        with pytest.raises(PlanError, match=f"^plan entry {re.escape(repr(entry))} is not a "
+                                            r"triplet \(x, y, mass\)$"):
+            ot.make_plan(2, [entry])
 
     def test_assembly_matches_the_loop(self):
         rng = np.random.default_rng(123)

@@ -26,7 +26,7 @@ N = 9  # vertices of the 3x3 lattice that every call runs on
 SIGNATURES = {
     "anneal_chain": "tree graph xi_node max_iters beta0 eta record_every stop_at rng",
     "wilson_tree": "graph rng",
-    "dp_plan": "tree xi zero_tol",
+    "dp_plan": "tree mu nu xi zero_tol",
     "network_simplex": "supply tail head cost",
     "tree_potential": "tree xi_cum",
     "tree_pairs": "tree xs ys mass",
@@ -56,7 +56,8 @@ KERNEL_CASES = {
                      "int32-xi_node", "short-xi_node"],
     "wilson_tree": ["neighbour-out-of-range", "vertex-without-neighbour", "int32-indptr",
                     "int32-indices", "short-adj_w"],
-    "dp_plan": ["parent-link-minus-2", "parent-link-out-of-range", "short-xi"],
+    "dp_plan": ["parent-link-minus-2", "parent-link-out-of-range", "short-xi", "short-mu",
+                "short-nu"],
     "network_simplex": ["arc-endpoint-out-of-range", "negative-arc-cost", "int32-tail",
                         "short-tail"],
     "tree_potential": ["parent-link-minus-2", "parent-link-out-of-range", "short-wpar",
@@ -70,12 +71,14 @@ KERNEL_CASES = {
 
 def arguments() -> dict:
     """Well-formed arguments of every kernel, by name: a 3x3 lattice, a
-    Wilson tree of it and a balanced imbalance, as fresh arrays, since some
+    Wilson tree of it, a balanced imbalance ``xi`` and ``mu``, ``nu`` whose
+    difference it is (the kernels read no mass), as fresh arrays, since some
     kernels write into theirs."""
     g = ot.grid_graph(3)
     t = ot.random_spanning_tree(g, np.random.default_rng(0))
     xi = np.linspace(-0.4, 0.4, N)
     return {
+        "mu": np.maximum(xi, 0.0) + 0.1, "nu": np.maximum(-xi, 0.0) + 0.1,
         "parent": t.parent.copy(), "wpar": t.weight_to_parent.copy(), "root": t.root,
         "xi_cum": ot.subtree_aggregate(t, xi), "xi_node": xi.copy(), "xi": xi.copy(),
         "supply": xi.copy(), "indptr": g.indptr.copy(),
